@@ -2,8 +2,7 @@
 
 Configuration may come from a JSON document (--config); explicit flags
 override config fields.  Exit codes: 0 success, 1 verification failures
-present, 2 configuration or input errors.  BIFRAC_THREADS caps the
-harness's parallelism; outputs are identical for any thread count.
+present, 2 configuration or input errors.
 """
 
 from __future__ import annotations

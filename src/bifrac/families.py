@@ -16,14 +16,16 @@ Nested pair families enumerate lattice-aligned pairs Q ⊆ Q'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
 
 from .errors import EmptyCubeFamily
-from .geometry import Cube, DyadicGrid, grid_cubes
-from .lattice import GridSpec
+from .geometry import Cube, DyadicGrid
+from .lattice import CellBoxes, GridSpec, overlap_integrals
 
 DEFAULT_CUBE_CAP = 4096
 DEFAULT_PAIR_CAP = 1_500_000
@@ -31,135 +33,177 @@ DEFAULT_PAIR_CAP = 1_500_000
 
 @dataclass(frozen=True)
 class CubeFamily:
-    """Ordered cube list plus integer cell bounds for the aligned members.
+    """Ordered cubes as arrays, plus integer cell bounds for the aligned members.
 
-    `lo`/`hi` hold per-axis cell index bounds; rows are -1 for cubes that
-    do not sit on the cell lattice (shifted-grid cubes in 2D).
+    `corners` (k x n) and `sides` (k,) define the cubes; `cubes` builds the
+    Cube objects on first use.  `lo`/`hi` hold per-axis cell index bounds;
+    rows are -1 for cubes that do not sit on the cell lattice (shifted-grid
+    cubes in 2D).
     """
 
     spec: GridSpec
-    cubes: tuple[Cube, ...]
+    corners: np.ndarray
+    sides: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     name: str = "custom"
 
     @property
     def size(self) -> int:
-        return len(self.cubes)
+        return len(self.sides)
 
     @property
     def aligned(self) -> np.ndarray:
         return self.lo[:, 0] >= 0
 
     def require_nonempty(self):
-        if not self.cubes:
+        if self.size == 0:
             raise EmptyCubeFamily(f"family {self.name!r} is empty")
+
+    @cached_property
+    def cubes(self) -> tuple[Cube, ...]:
+        return tuple(Cube(c, s) for c, s in zip(self.corners.tolist(), self.sides.tolist()))
+
+    def cube(self, k: int) -> Cube:
+        """Cube k, without building the whole tuple."""
+        return Cube(self.corners[k].tolist(), float(self.sides[k]))
+
+    # Per-family arrays and engine boxes, computed once.
+
+    @cached_property
+    def measures(self) -> np.ndarray:
+        """|Q| per cube, by the same scalar power as Cube.measure."""
+        dim = self.spec.dim
+        return np.array([s ** dim for s in self.sides.tolist()], dtype=np.float64)
+
+    @cached_property
+    def shifted(self) -> np.ndarray:
+        """Indices of the cubes off the cell lattice."""
+        return np.flatnonzero(~self.aligned)
+
+    @cached_property
+    def boxes(self) -> CellBoxes:
+        """Cell boxes of the aligned cubes; shifted cubes get empty boxes."""
+        return CellBoxes(self.spec.shape, self.lo, self.hi)
+
+    @cached_property
+    def cover(self) -> CellBoxes:
+        """Boxes of the cells whose midpoints each cube contains."""
+        return self._cell_boxes(
+            lambda t: np.ceil(t - 0.5 - 1e-12), lambda t: np.floor(t - 0.5 + 1e-12) + 1
+        )
+
+    @cached_property
+    def touch(self) -> CellBoxes:
+        """Boxes of the cells each cube overlaps."""
+        return self._cell_boxes(lambda t: np.floor(t + 1e-12), lambda t: np.ceil(t - 1e-12))
+
+    def _cell_boxes(self, first, stop) -> CellBoxes:
+        """Aligned cubes keep lo/hi; shifted cubes map their edges (in cells) by first/stop."""
+        spec, k = self.spec, self.shifted
+        lo, hi = self.lo.copy(), self.hi.copy()
+        start = self.corners[k]
+        end = start + self.sides[k, None]
+        lo[k] = np.clip(first((start + spec.half_width) / spec.h), 0, spec.cells_per_axis)
+        hi[k] = np.clip(stop((end + spec.half_width) / spec.h), 0, spec.cells_per_axis)
+        return CellBoxes(spec.shape, lo, hi)
+
+    def integrals(self, pw: np.ndarray) -> np.ndarray:
+        """Integral over each cube of the step function with cell values pw.
+
+        Aligned cubes take engine window sums (bit-identical to a slice
+        sum); shifted cubes take per-axis cell overlap vectors.
+        """
+        out = self.boxes.sums(pw) * self.spec.h ** self.spec.dim
+        out[self.shifted] = self.shifted_integrals(pw)
+        return out
+
+    def shifted_integrals(self, pw: np.ndarray) -> np.ndarray:
+        """Integral of the cell values pw over each shifted cube, with partial cells."""
+        k = self.shifted
+        return overlap_integrals(self.spec, pw, self.corners[k], self.sides[k])
 
 
 def family_from_cubes(spec: GridSpec, cubes, name: str = "custom") -> CubeFamily:
     """Wrap an explicit cube list, computing aligned cell bounds."""
     cubes = tuple(cubes)
-    m = len(cubes)
-    lo = np.full((m, spec.dim), -1, dtype=np.int64)
-    hi = np.full((m, spec.dim), -1, dtype=np.int64)
-    h = spec.h
-    n = spec.cells_per_axis
-    for k, Q in enumerate(cubes):
-        w = Q.side / h
-        iw = round(w)
-        if abs(w - iw) > 1e-9 * max(1.0, w) or iw < 1:
-            continue
-        ok = True
-        cells = []
-        for c in Q.corner:
-            t = (c + spec.half_width) / h
-            i0 = round(t)
-            if abs(t - i0) > 1e-9 * max(1.0, abs(t)) or i0 < 0 or i0 + iw > n:
-                ok = False
-                break
-            cells.append((int(i0), int(i0 + iw)))
-        if ok:
-            for ax, (a, b) in enumerate(cells):
-                lo[k, ax] = a
-                hi[k, ax] = b
-    return CubeFamily(spec, cubes, lo, hi, name)
+    corners = np.array([Q.corner for Q in cubes], dtype=np.float64).reshape(-1, spec.dim)
+    sides = np.array([Q.side for Q in cubes], dtype=np.float64)
+    return _with_cell_bounds(spec, corners, sides, name)
+
+
+def _with_cell_bounds(spec: GridSpec, corners: np.ndarray, sides: np.ndarray, name: str) -> CubeFamily:
+    w = sides / spec.h
+    t = (corners + spec.half_width) / spec.h
+    iw, i0 = np.rint(w), np.rint(t)
+    ok = (np.abs(w - iw) <= 1e-9 * np.maximum(1.0, w)) & (iw >= 1)
+    ok &= np.all(np.abs(t - i0) <= 1e-9 * np.maximum(1.0, np.abs(t)), axis=1)
+    ok &= np.all((i0 >= 0) & (i0 + iw[:, None] <= spec.cells_per_axis), axis=1)
+    lo = np.where(ok[:, None], i0, -1).astype(np.int64)
+    hi = np.where(ok[:, None], i0 + iw[:, None], -1).astype(np.int64)
+    return CubeFamily(spec, corners, sides, lo, hi, name)
 
 
 def all_intervals(spec: GridSpec) -> CubeFamily:
     """Every lattice interval [ih, jh) in the box (1D), O(N^2) of them."""
     if spec.dim != 1:
         raise ValueError("all_intervals is one-dimensional")
-    n = spec.cells_per_axis
-    h = spec.h
-    cubes = []
-    lo = []
-    hi = []
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            cubes.append(Cube((-spec.half_width + i * h,), (j - i) * h))
-            lo.append((i,))
-            hi.append((j,))
-    return CubeFamily(
-        spec,
-        tuple(cubes),
-        np.array(lo, dtype=np.int64),
-        np.array(hi, dtype=np.int64),
-        name="intervals",
-    )
+    i, j = np.triu_indices(spec.cells_per_axis + 1, k=1)
+    corners = (-spec.half_width + i * spec.h)[:, None]
+    return CubeFamily(spec, corners, (j - i) * spec.h, i[:, None], j[:, None], name="intervals")
 
 
-def _po2_squares(spec: GridSpec) -> list[Cube]:
+def _po2_squares(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice squares whose side is a power of two cells: corners, sides."""
     n = spec.cells_per_axis
-    h = spec.h
-    out = []
+    corners, sides = [], []
     s = 1
     while s <= n:
-        for i in range(n - s + 1):
-            for j in range(n - s + 1):
-                out.append(
-                    Cube(
-                        (-spec.half_width + i * h, -spec.half_width + j * h),
-                        s * h,
-                    )
-                )
+        c = -spec.half_width + np.arange(n - s + 1) * spec.h
+        corners.append(np.stack(np.meshgrid(c, c, indexing="ij"), -1).reshape(-1, 2))
+        sides.append(np.full(len(c) ** 2, s * spec.h))
         s *= 2
-    return out
+    return np.concatenate(corners), np.concatenate(sides)
 
 
-def _shifted_grid_cubes(spec: GridSpec) -> list[Cube]:
+def _shifted_grid_cubes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """In-box cubes of every shifted dyadic grid, all levels down to one cell."""
     box = spec.box_cube
-    out = []
-    import math
-
+    lo, hi = box.corner[0], box.corner[0] + box.side
+    tol = 1e-12 * box.side
     k_min = math.ceil(-math.log2(box.side))
     k_max = math.floor(-math.log2(spec.h) + 1e-9)
-    shifts = list(product((0.0, 1.0 / 3.0), repeat=spec.dim))
-    for shift in shifts:
+    corners, sides = [np.zeros((0, spec.dim))], [np.zeros(0)]
+    for shift in product((0.0, 1.0 / 3.0), repeat=spec.dim):
         grid = DyadicGrid(shift)
         for level in range(k_min, k_max + 1):
-            for Q in grid_cubes(grid, level, box):
-                if box.contains_cube(Q, tol=1e-12 * box.side):
-                    out.append(Q)
-    return out
+            side = 2.0 ** (-level)
+            axes = []
+            for sh in grid.level_shift(level):
+                m = np.arange(math.floor(lo / side - sh) - 1, math.ceil(hi / side - sh) + 2)
+                c = side * (m + sh)
+                axes.append(c[(c >= lo - tol) & (c + side <= hi + tol)])
+            level_corners = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, spec.dim)
+            corners.append(level_corners)
+            sides.append(np.full(len(level_corners), side))
+    return np.concatenate(corners), np.concatenate(sides)
 
 
 def default_family(spec: GridSpec, cap: int = DEFAULT_CUBE_CAP) -> CubeFamily:
     """Shared default cube family for sups (see module docstring)."""
     if spec.dim == 1:
         return all_intervals(spec)
-    seen = set()
-    cubes = []
-    for Q in _po2_squares(spec) + _shifted_grid_cubes(spec):
-        key = (tuple(round(c, 12) for c in Q.corner), round(Q.side, 12))
-        if key not in seen:
-            seen.add(key)
-            cubes.append(Q)
-    cubes.sort(key=lambda Q: (Q.corner, Q.side))
-    if cap and len(cubes) > cap:
-        stride = -(-len(cubes) // cap)
-        cubes = cubes[::stride]
-    return family_from_cubes(spec, cubes, name="squares+shifted")
+    squares, shifted = _po2_squares(spec), _shifted_grid_cubes(spec)
+    corners = np.concatenate([squares[0], shifted[0]])
+    sides = np.concatenate([squares[1], shifted[1]])
+    # keep the first of the cubes that agree to 12 decimals
+    keys = np.round(np.column_stack([corners, sides]), 12)
+    first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
+    corners, sides = corners[first], sides[first]
+    order = np.lexsort((sides, *corners.T[::-1]))
+    if cap and len(order) > cap:
+        order = order[:: -(-len(order) // cap)]
+    return _with_cell_bounds(spec, corners[order], sides[order], "squares+shifted")
 
 
 @dataclass(frozen=True)
@@ -203,10 +247,3 @@ def nested_pairs(family: CubeFamily, cap: int = DEFAULT_PAIR_CAP) -> NestedPairs
 def default_pair_family(spec: GridSpec, cap: int = DEFAULT_PAIR_CAP) -> NestedPairs:
     return nested_pairs(default_family(spec), cap=cap)
 
-
-def measures(family: CubeFamily) -> np.ndarray:
-    return np.array([Q.measure for Q in family.cubes])
-
-
-def sides(family: CubeFamily) -> np.ndarray:
-    return np.array([Q.side for Q in family.cubes])

@@ -15,10 +15,8 @@ finalizer), so corpora are portable and byte-reproducible.
 from __future__ import annotations
 
 import math
-import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,13 +27,14 @@ from .geometry import Cube, DyadicGrid, locate_shifted_dyadic
 from .lattice import GridFunction, GridSpec, lp_norm
 from .morrey import MorreyParams, morrey_norm, power_scaling_check, vector_morrey_norm
 from .operators import (
+    _m3q,
     bi_frac,
     local_global_split,
     multi_maximal,
     sparse_bound,
     weighted_bilinear_maximal,
 )
-from .sparse import cz_decompose
+from .sparse import cz_decompose, subcube_blocks
 from .weights import (
     ConstantReport,
     WeightVector,
@@ -94,20 +93,6 @@ class SplitMix64:
 
 def _mix_seed(seed: int, label: str) -> int:
     return (seed ^ (zlib.crc32(label.encode()) * 0x9E3779B97F4A7C15)) & SplitMix64.MASK
-
-
-def parallel_map(fn, items, threads: int | None = None):
-    """Order-preserving map; BIFRAC_THREADS > 1 fans out to a thread pool.
-
-    Work items are pure, so results are identical for any schedule.
-    """
-    if threads is None:
-        threads = int(os.environ.get("BIFRAC_THREADS", "1") or "1")
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -458,21 +443,14 @@ def _concentration_guard(f: GridFunction, g: GridFunction, Q0: Cube) -> float:
     to scales where a single concentration site costs at most 3^n ell^n
     <= |Q0|/2 of measure.
     """
-    from .operators import _m3q
-    from .sparse import subcube_blocks
-
     spec = f.spec
     n = spec.dim
     a = 2.0 ** (2 * n + 1)
     safe_side = (Q0.measure / (2.0 * 3.0 ** n)) ** (1.0 / n)
-    grid = DyadicGrid((0.0,) * n)
-    worst = 0.0
-    for lo, w in subcube_blocks(spec, Q0, grid):
-        side = w * spec.h
-        if side <= safe_side * (1 + 1e-9):
-            continue
-        corner = tuple(-spec.half_width + i * spec.h for i in lo)
-        worst = max(worst, _m3q(f, g, Cube(corner, side), 2.0, 2.0, spec))
+    lo, width = subcube_blocks(spec, Q0, DyadicGrid((0.0,) * n))
+    sides = width * spec.h
+    big = sides > safe_side * (1 + 1e-9)
+    worst = max([0.0] + _m3q(f, g, 2.0, 2.0, lo[big], width[big], sides[big]).tolist())
     target = SPIKE_ROOT_TARGET * a
     if worst > target:
         return math.sqrt(target / worst)
@@ -943,7 +921,6 @@ def verify_inequality(
     family: CubeFamily,
     pairs: NestedPairs,
     bound: float,
-    threads: int | None = None,
 ) -> list[Report]:
     """Ratio reports for a list of scenarios against a fixed bound."""
 
@@ -970,7 +947,7 @@ def verify_inequality(
         rep.runtime = time.perf_counter() - t0
         return rep
 
-    return parallel_map(run, items, threads)
+    return [run(item) for item in items]
 
 
 def calibrate_inequality(
@@ -980,13 +957,10 @@ def calibrate_inequality(
     family: CubeFamily,
     pairs: NestedPairs,
     n_cal: int = 10,
-    threads: int | None = None,
 ) -> float:
     """Max ratio over the calibration corpus (seed-mixed, disjoint from eval)."""
     cal_items = corpus(_mix_seed(seed, "calibration"), kind, count=n_cal)
-    ratios = parallel_map(
-        lambda it: _item_ratio(profile, it, family, pairs)[2], cal_items, threads
-    )
+    ratios = [_item_ratio(profile, it, family, pairs)[2] for it in cal_items]
     finite = [x for x in ratios if math.isfinite(x)]
     if not finite:
         raise InfiniteConstant("calibration produced no finite ratios")
@@ -1001,15 +975,14 @@ def run_verify(
     n_eval: int = 30,
     family: CubeFamily | None = None,
     pairs: NestedPairs | None = None,
-    threads: int | None = None,
 ) -> tuple[list[Report], dict]:
     """Calibrate-then-evaluate protocol for one profile; CLI entry point."""
     family = family if family is not None else default_family(HARNESS_SPEC)
     pairs = pairs if pairs is not None else nested_pairs(family)
-    c_cal = calibrate_inequality(profile, kind, seed, family, pairs, n_cal, threads)
+    c_cal = calibrate_inequality(profile, kind, seed, family, pairs, n_cal)
     bound = 2.0 * c_cal
     items = corpus(seed, kind, count=n_eval)
-    reports = verify_inequality(profile, items, family, pairs, bound, threads)
+    reports = verify_inequality(profile, items, family, pairs, bound)
     finite = [r.ratio for r in reports if math.isfinite(r.ratio)]
     summary = {
         "schema": 1,
@@ -1108,7 +1081,6 @@ def verify_pointwise_domination(
     family: CubeFamily,
     pairs: NestedPairs,
     bound: float,
-    threads: int | None = None,
 ) -> list[Report]:
     def run(item):
         t0 = time.perf_counter()
@@ -1125,7 +1097,7 @@ def verify_pointwise_domination(
         rep.runtime = time.perf_counter() - t0
         return rep
 
-    return parallel_map(run, items, threads)
+    return [run(item) for item in items]
 
 
 # ---------------------------------------------------------------------------

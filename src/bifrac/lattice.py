@@ -266,21 +266,94 @@ def box_power_integral(f: GridFunction, corner, side: float, p: float) -> float:
     corners are thirds); the integrand is a step function so the integral
     is a sum of per-cell overlap volumes.
     """
-    spec = f.spec
-    h = spec.h
-    n = spec.cells_per_axis
-    weights = []
-    for ax in range(spec.dim):
-        lo = corner[ax]
-        hi = lo + side
-        edges = -spec.half_width + h * np.arange(n + 1)
-        left = np.maximum(edges[:-1], lo)
-        right = np.minimum(edges[1:], hi)
-        weights.append(np.maximum(right - left, 0.0))
-    pw = np.abs(f.samples) ** p
-    if spec.dim == 1:
-        return float(np.dot(weights[0], pw))
-    return float(weights[0] @ pw @ weights[1])
+    corners = np.array([corner], dtype=np.float64)
+    return float(overlap_integrals(f.spec, np.abs(f.samples) ** p, corners, np.array([side]))[0])
+
+
+# Cells gathered at once; bounds the memory of one engine call.
+_GATHER_CELLS = 1 << 13
+
+
+class CellBoxes:
+    """Cube-window engine: integer cell boxes [lo[k], hi[k]) (k x n, already
+    clipped to a grid of `shape`), grouped by shape so that every statistic
+    costs one numpy call per shape, never one per box.  A window is gathered
+    as a contiguous row of its cells in row-major order, so a window sum
+    equals np.sum(arr[box]) bit for bit; summing a strided view over several
+    axes does not.
+    """
+
+    def __init__(self, shape: tuple[int, ...], lo: np.ndarray, hi: np.ndarray):
+        self.shape = tuple(shape)
+        self.count = len(lo)
+        ext = np.maximum(hi - lo, 0)
+        key = np.ravel_multi_index(tuple(ext.T), tuple(n + 1 for n in self.shape))
+        order = np.argsort(key, kind="stable")
+        starts = np.unique(key[order], return_index=True)[1]
+        # per shape: member indices, flat corner cells, flat window offsets
+        self.groups = []
+        for idx in np.split(order, starts[1:]):
+            box = tuple(ext[idx[0]].tolist())
+            if min(box, default=0) > 0:
+                corners = np.ravel_multi_index(tuple(lo[idx].T), self.shape)
+                offsets = np.ravel_multi_index(tuple(np.indices(box).reshape(len(box), -1)), self.shape)
+                self.groups.append((idx, corners, offsets))
+
+    def sums(self, arr: np.ndarray) -> np.ndarray:
+        """np.sum(arr[box]) per box, bit for bit; 0 for empty boxes."""
+        return self._reduce(arr, 0.0, np.sum)
+
+    def minima(self, arr: np.ndarray) -> np.ndarray:
+        """arr[box].min() per box; +inf for empty boxes."""
+        return self._reduce(arr, np.inf, np.min)
+
+    def _reduce(self, arr: np.ndarray, empty: float, op) -> np.ndarray:
+        out = np.full(self.count, empty)
+        flat = arr.reshape(-1)
+        for idx, cells in self._windows():
+            out[idx] = op(flat[cells], axis=-1)
+        return out
+
+    def _windows(self):
+        """(member indices, their flat cells) per box shape, in chunks of at
+        most _GATHER_CELLS cells so that the gathered copies stay small."""
+        for idx, corners, offsets in self.groups:
+            step = max(1, _GATHER_CELLS // len(offsets))
+            for start in range(0, len(idx), step):
+                yield idx[start : start + step], corners[start : start + step, None] + offsets
+
+    def sweep(self, values: np.ndarray) -> np.ndarray:
+        """Per cell, the max of values[k] over the boxes containing it.
+
+        Cells in no box get -inf; a NaN value propagates as in np.maximum.
+        """
+        out = np.full(self.shape, -np.inf)
+        flat = out.reshape(-1)
+        for idx, cells in self._windows():
+            np.maximum.at(flat, cells, values[idx, None])
+        return out
+
+
+def overlap_integrals(spec: GridSpec, pw: np.ndarray, corners: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Integral of the cell values pw over each cube [corner, corner + side).
+
+    Per axis, a cube's overlap with each cell is a vector; a stacked matmul
+    runs the vector-matrix(-vector) product once per cube, so each value
+    equals a single-cube product bit for bit.  Cubes go in chunks so that
+    the overlap vectors stay small.
+    """
+    edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
+    out = np.empty(len(sides))
+    step = max(1, _GATHER_CELLS // spec.cells_per_axis)
+    for start in range(0, len(sides), step):
+        part = pw
+        for ax in range(spec.dim):
+            lo = corners[start : start + step, ax, None]
+            hi = lo + sides[start : start + step, None]
+            overlap = np.maximum(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0)
+            part = overlap[:, None, :] @ part if ax == 0 else part @ overlap[:, :, None]
+        out[start : start + step] = part.reshape(-1)
+    return out
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

@@ -32,9 +32,8 @@ class MorreyParams:
 
 
 def _norm_values(f: GridFunction, p0: float, q: float, family: CubeFamily) -> np.ndarray:
-    meas = np.array([Q.measure for Q in family.cubes])
     avgs = _family_power_averages(f.abs_pow(1.0), q, family)
-    return meas ** (1.0 / p0) * avgs ** (1.0 / q)
+    return family.measures ** (1.0 / p0) * avgs ** (1.0 / q)
 
 
 def morrey_norm(f: GridFunction, params: MorreyParams, family: CubeFamily) -> float:
@@ -51,7 +50,7 @@ def morrey_norm_witness(
         raise EmptyCubeFamily("morrey_norm over an empty family")
     vals = _norm_values(f, params.p0, params.q, family)
     k = int(np.argmax(vals))
-    return float(vals[k]), family.cubes[k]
+    return float(vals[k]), family.cube(k)
 
 
 def vector_morrey_norm(
@@ -67,10 +66,9 @@ def vector_morrey_norm(
         raise EmptyCubeFamily("vector_morrey_norm over an empty family")
     if p1 <= 0 or p2 <= 0:
         raise ExponentOrder("component exponents must be positive")
-    meas = np.array([Q.measure for Q in family.cubes])
     a1 = _family_power_averages(f1.abs_pow(1.0), p1, family) ** (1.0 / p1)
     a2 = _family_power_averages(f2.abs_pow(1.0), p2, family) ** (1.0 / p2)
-    return float(np.max(meas ** (1.0 / p0) * a1 * a2))
+    return float(np.max(family.measures ** (1.0 / p0) * a1 * a2))
 
 
 def power_scaling_check(

@@ -8,8 +8,7 @@ f(x - dh) and g(x + dh) exactly at cell midpoints, so for step data the
 grid outputs are exact values of the continuum operators.
 
 All big reductions run in a fixed offset order with compensated
-summation, so results are identical run to run and independent of any
-parallel schedule upstream.
+summation, so results are identical run to run.
 """
 
 from __future__ import annotations
@@ -19,12 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, POutOfRange, SpecMismatch
+from .errors import AlphaOutOfRange, NonPositiveWeight, POutOfRange, SpecMismatch
 from .families import CubeFamily, default_family
 from .geometry import Cube, DyadicGrid
-from .lattice import GridFunction, GridSpec, box_power_integral, check_conjugate
-
-_GAUSS_ORDER = 48
+from .lattice import CellBoxes, GridFunction, GridSpec, check_conjugate
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,26 @@ def _axis_masses_1d(h: float, alpha: float, count: int) -> np.ndarray:
     return np.concatenate((right[:0:-1], right))
 
 
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+# The positive half of numpy.polynomial.legendre.leggauss(48), which is
+# symmetric: 24 nodes, then their weights.  A table spares every import
+# numpy.polynomial and a LAPACK eigensolver run (about 1.5 MB of resident
+# memory); a test pins it to leggauss.
+_GAUSS_HALF_NODES, _GAUSS_HALF_WEIGHTS = np.array([
+    0.03238017096286937, 0.0970046992094627, 0.1612223560688917, 0.22476379039468905,
+    0.28736248735545555, 0.3487558862921607, 0.4086864819907167, 0.4669029047509584,
+    0.523160974722233, 0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
+    0.7240341309238146, 0.7671590325157404, 0.8070662040294426, 0.8435882616243935,
+    0.8765720202742479, 0.9058791367155696, 0.9313866907065543, 0.9529877031604308,
+    0.9705915925462473, 0.9841245837228269, 0.9935301722663508, 0.9987710072524261,
+    0.06473769681268365, 0.06446616443594982, 0.06392423858464787, 0.06311419228625373,
+    0.06203942315989242, 0.0607044391658936, 0.059114839698395344, 0.057277292100402916,
+    0.05519950369998403, 0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
+    0.04467456085669423, 0.04154508294346455, 0.0382413510658305, 0.034777222564770394,
+    0.031167227832798097, 0.027426509708357034, 0.023570760839324047, 0.019616160457356056,
+    0.015579315722943226, 0.011477234579234614, 0.007327553901276135, 0.0031533460523098414,
+]).reshape(2, 24)
+_GAUSS_NODES = np.concatenate((-_GAUSS_HALF_NODES[::-1], _GAUSS_HALF_NODES))
+_GAUSS_WEIGHTS = np.concatenate((_GAUSS_HALF_WEIGHTS[::-1], _GAUSS_HALF_WEIGHTS))
 
 
 def _sec_power_integral_to(alpha: float, t: float) -> float:
@@ -438,78 +454,63 @@ def local_global_split(f: GridFunction, g: GridFunction, alpha: float, Q0: Cube)
 
 
 # ---------------------------------------------------------------------------
-# Maximal operators.  Per-cube values are computed with plain slice sums in
-# a fixed canonical formula so an exhaustive enumeration oracle written the
-# same way reproduces them bit for bit.
+# Maximal operators.  Each builds one value array over the family and
+# sweeps it onto the cells (a non-finite result becomes 0).  The values are
+# bit-identical to a per-cube slice loop (the exhaustive oracle in the tests):
+#
+# * box sums, grouped by box shape in the cube-window engine of `lattice`,
+#   equal per-slice np.sum bit for bit, and |f|^p taken once on the whole
+#   array equals |f|^p taken on any slice;
+# * the final root and side ** alpha stay on scalar `**`, one Python float
+#   per value, because numpy's array `power` differs from scalar pow by
+#   1 ulp on some inputs on SIMD hosts.
 # ---------------------------------------------------------------------------
 
 
-def _clipped_slices(lo, hi, n):
-    return tuple(slice(max(0, a), min(n, b)) for a, b in zip(lo, hi))
+def _scalar_pow(values: np.ndarray, expo: float) -> np.ndarray:
+    """values ** expo by scalar pow, value by value (see above)."""
+    return np.array([v ** expo for v in values.tolist()], dtype=np.float64)
 
 
-def _sweep_max(spec: GridSpec, family: CubeFamily, cube_value) -> GridFunction:
-    """Max of cube_value(k) over the family cubes containing each midpoint."""
+def _family_for(spec: GridSpec, family: CubeFamily | None) -> CubeFamily:
+    family = family if family is not None else default_family(spec)
     family.require_nonempty()
-    n = spec.cells_per_axis
-    out = np.full(spec.shape, -np.inf)
-    h = spec.h
-    for k, Q in enumerate(family.cubes):
-        val = cube_value(k, Q)
-        if family.lo[k, 0] >= 0:
-            sl = tuple(
-                slice(int(a), int(b)) for a, b in zip(family.lo[k], family.hi[k])
-            )
-        else:
-            rng = []
-            for ax in range(spec.dim):
-                a = Q.corner[ax]
-                b = a + Q.side
-                c0 = int(math.ceil((a + spec.half_width) / h - 0.5 - 1e-12))
-                c1 = int(math.floor((b + spec.half_width) / h - 0.5 + 1e-12))
-                rng.append(slice(max(0, c0), min(n, c1 + 1)))
-            sl = tuple(rng)
-        view = out[sl]
-        np.maximum(view, val, out=view)
+    return family
+
+
+def _sweep(spec: GridSpec, family: CubeFamily, values: np.ndarray) -> GridFunction:
+    """Max of the cube values over the family cubes containing each midpoint."""
+    out = family.cover.sweep(values)
     out[~np.isfinite(out)] = 0.0
     return GridFunction(spec, out)
 
 
-def _avg_pow(f: GridFunction, Q: Cube, k: int, family: CubeFamily, p: float) -> float:
-    """((1/|Q|) \\int_Q |f|^p)^(1/p) by direct slice sum (canonical formula)."""
-    spec = f.spec
-    if family.lo[k, 0] >= 0:
-        sl = tuple(slice(int(a), int(b)) for a, b in zip(family.lo[k], family.hi[k]))
-        total = np.sum(np.abs(f.samples[sl]) ** p) * spec.h ** spec.dim
-    else:
-        total = box_power_integral(f, Q.corner, Q.side, p)
-    return (total / Q.measure) ** (1.0 / p)
+def _averages(f: GridFunction, family: CubeFamily, p: float) -> np.ndarray:
+    """((1/|Q|) \\int_Q |f|^p)^(1/p) for every family cube."""
+    totals = family.integrals(np.abs(f.samples) ** p) / family.measures
+    return _scalar_pow(totals, 1.0 / p)
 
 
 def maximal(f: GridFunction, family: CubeFamily | None = None) -> GridFunction:
     """Uncentered Hardy-Littlewood maximal function over the family."""
-    family = family if family is not None else default_family(f.spec)
-    return _sweep_max(f.spec, family, lambda k, Q: _avg_pow(f, Q, k, family, 1.0))
+    family = _family_for(f.spec, family)
+    return _sweep(f.spec, family, _averages(f, family, 1.0))
 
 
 def frac_maximal(f: GridFunction, alpha: float, family: CubeFamily | None = None) -> GridFunction:
     """Fractional maximal function |Q|^(alpha/n - 1) \\int_Q |f|."""
     if not (0.0 < alpha < f.spec.dim):
         raise AlphaOutOfRange(f"alpha must lie in (0, {f.spec.dim}), got {alpha}")
-    family = family if family is not None else default_family(f.spec)
-    return _sweep_max(
-        f.spec,
-        family,
-        lambda k, Q: Q.side ** alpha * _avg_pow(f, Q, k, family, 1.0),
-    )
+    family = _family_for(f.spec, family)
+    return _sweep(f.spec, family, _scalar_pow(family.sides, alpha) * _averages(f, family, 1.0))
 
 
 def p_maximal(f: GridFunction, p: float, family: CubeFamily | None = None) -> GridFunction:
     """L^p-average maximal function, p > 1."""
     if p <= 1.0:
         raise POutOfRange(f"p must exceed 1, got {p}")
-    family = family if family is not None else default_family(f.spec)
-    return _sweep_max(f.spec, family, lambda k, Q: _avg_pow(f, Q, k, family, p))
+    family = _family_for(f.spec, family)
+    return _sweep(f.spec, family, _averages(f, family, p))
 
 
 def multi_maximal(
@@ -530,34 +531,27 @@ def multi_maximal(
         raise AlphaOutOfRange(f"alpha must lie in [0, {2 * spec.dim}), got {alpha}")
     if r1 <= 0 or r2 <= 0:
         raise POutOfRange("averaging exponents must be positive")
-    family = family if family is not None else default_family(spec)
-
-    def value(k, Q):
-        return (
-            Q.side ** alpha
-            * _avg_pow(f1, Q, k, family, r1)
-            * _avg_pow(f2, Q, k, family, r2)
-        )
-
-    return _sweep_max(spec, family, value)
+    family = _family_for(spec, family)
+    values = _scalar_pow(family.sides, alpha) * _averages(f1, family, r1) * _averages(f2, family, r2)
+    return _sweep(spec, family, values)
 
 
-def _m3q(f, g, Q, r, s, spec) -> float:
-    """m_{3Q}(|f|^r, |g|^s) with integration clipped to the box.
+def _m3q(f, g, r, s, lo, width, sides) -> np.ndarray:
+    """m_{3Q}(|f|^r, |g|^s) for blocks of `width` cells from corner cells lo.
 
-    The normalizing measure is the full |3Q| (functions vanish outside
-    the box), matching the compact-support convention.
+    Integration runs over [lo - width, lo + 2 width) clipped to the box;
+    the normalizing measure is the full (3 * side)^n (functions vanish
+    outside the box), matching the compact-support convention.
     """
+    spec = f.spec
     n = spec.cells_per_axis
-    h = spec.h
-    w = round(Q.side / h)
-    lo = [round((c + spec.half_width) / h) - w for c in Q.corner]
-    hi = [a + 3 * w for a in lo]
-    sl = _clipped_slices(lo, hi, n)
-    meas3 = (3.0 * Q.side) ** spec.dim
-    fi = np.sum(np.abs(f.samples[sl]) ** r) * h ** spec.dim
-    gi = np.sum(np.abs(g.samples[sl]) ** s) * h ** spec.dim
-    return (fi / meas3) ** (1.0 / r) * (gi / meas3) ** (1.0 / s)
+    w = width[:, None]
+    windows = CellBoxes(spec.shape, np.clip(lo - w, 0, n), np.clip(lo + 2 * w, 0, n))
+    vol = spec.h ** spec.dim
+    meas3 = _scalar_pow(3.0 * sides, spec.dim)
+    fi = windows.sums(np.abs(f.samples) ** r) * vol / meas3
+    gi = windows.sums(np.abs(g.samples) ** s) * vol / meas3
+    return _scalar_pow(fi, 1.0 / r) * _scalar_pow(gi, 1.0 / s)
 
 
 def weighted_bilinear_maximal(
@@ -579,21 +573,14 @@ def weighted_bilinear_maximal(
     check_conjugate(r, s)
     if q <= 0:
         raise POutOfRange(f"q must be positive, got {q}")
-    from .errors import NonPositiveWeight
-
     if float(w1.samples.min()) <= 0.0 or float(w2.samples.min()) <= 0.0:
         raise NonPositiveWeight("weights must be strictly positive")
-    family = family if family is not None else default_family(spec)
+    family = _family_for(spec, family)
     nu = GridFunction(spec, w1.samples * w2.samples, nonnegative=True)
-
-    def value(k, Q):
-        return (
-            Q.side ** alpha
-            * _m3q(f, g, Q, r, s, spec)
-            * _avg_pow(nu, Q, k, family, q)
-        )
-
-    return _sweep_max(spec, family, value)
+    width = np.rint(family.sides / spec.h).astype(np.int64)
+    lo = np.rint((family.corners + spec.half_width) / spec.h).astype(np.int64)
+    m3q = _m3q(f, g, r, s, lo, width, family.sides)
+    return _sweep(spec, family, _scalar_pow(family.sides, alpha) * m3q * _averages(nu, family, q))
 
 
 def sparse_bound(
@@ -612,11 +599,17 @@ def sparse_bound(
         raise AlphaOutOfRange(f"alpha must lie in (0, {spec.dim}), got {alpha}")
     from .sparse import subcube_blocks  # local import to avoid a cycle
 
+    lo, width = subcube_blocks(spec, Q0, grid)
+    sides = width * spec.h
+    vals = _scalar_pow(sides, alpha) * _m3q(f, g, r, s, lo, width, sides)
+    root = tuple(slice(a, a + width[0]) for a in lo[0].tolist())
     out = np.zeros(spec.shape)
-    for lo, width in subcube_blocks(spec, Q0, grid):
-        corner = tuple(-spec.half_width + i * spec.h for i in lo)
-        Q = Cube(corner, width * spec.h)
-        val = Q.side ** alpha * _m3q(f, g, Q, r, s, spec)
-        sl = tuple(slice(i, i + width) for i in lo)
-        out[sl] += val
+    # the blocks of one level tile Q0: adding level by level keeps each cell's block order
+    for w in np.unique(width)[::-1].tolist():
+        level = width == w
+        tiles = np.zeros((width[0] // w,) * spec.dim)
+        tiles[tuple(((lo[level] - lo[0]) // w).T)] = vals[level]
+        for ax in range(spec.dim):
+            tiles = tiles.repeat(w, axis=ax)
+        out[root] += tiles
     return GridFunction(spec, out)

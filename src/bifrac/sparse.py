@@ -15,13 +15,14 @@ ceil(log_a(max m)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import LevelAbsent, NonAlignedCube, NonNegativityViolation, NotInGrid
 from .geometry import Cube, DyadicGrid
 from .lattice import GridFunction, GridSpec, check_conjugate
-from .operators import _m3q
+from .operators import _check_same_spec, _m3q
 
 
 def _root_block(spec: GridSpec, Q0: Cube) -> tuple[tuple[int, ...], int]:
@@ -46,21 +47,19 @@ def _root_block(spec: GridSpec, Q0: Cube) -> tuple[tuple[int, ...], int]:
     return tuple(lo), iw
 
 
-def subcube_blocks(spec: GridSpec, Q0: Cube, grid: DyadicGrid):
-    """All dyadic subcubes of Q0 down to single cells, as (lo, width)."""
+def subcube_blocks(spec: GridSpec, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray]:
+    """All dyadic subcubes of Q0 down to single cells, as corner cells (k x n)
+    and widths, breadth first: block i has its 2^n children at 2^n i + 1 ...
+    2^n i + 2^n, in `product((0, half), ...)` order."""
     if Q0 not in grid:
         raise NotInGrid(f"root {Q0.serialize()} is not a cube of the grid")
     lo0, w0 = _root_block(spec, Q0)
-    stack = [(lo0, w0)]
-    while stack:
-        lo, w = stack.pop(0)
-        yield lo, w
-        if w > 1:
-            half = w // 2
-            from itertools import product
-
-            for offs in product((0, half), repeat=spec.dim):
-                stack.append((tuple(a + o for a, o in zip(lo, offs)), half))
+    offsets = np.array(list(product((0, 1), repeat=spec.dim)), dtype=np.int64)
+    levels, widths = [np.array([lo0], dtype=np.int64)], [w0]
+    while widths[-1] > 1:
+        widths.append(widths[-1] // 2)
+        levels.append((levels[-1][:, None, :] + offsets * widths[-1]).reshape(-1, spec.dim))
+    return np.concatenate(levels), np.repeat(widths, [len(lv) for lv in levels])
 
 
 @dataclass(frozen=True)
@@ -144,9 +143,7 @@ def cz_decompose(
     `a` defaults to 2^(2n+1), the choice that makes the difference sets
     carry at least half of each selected cube; any a > 2^(2n) is allowed.
     """
-    spec = f.spec
-    if g.spec != spec:
-        raise NonAlignedCube("f and g live on different specs")
+    spec = _check_same_spec(f, g)
     check_conjugate(r, s)
     if float(f.samples.min()) < 0.0 or float(g.samples.min()) < 0.0:
         raise NonNegativityViolation("cz_decompose needs nonnegative data")
@@ -156,22 +153,12 @@ def cz_decompose(
     if a <= 2 ** (2 * n):
         raise ValueError(f"base constant a must exceed 2^(2n) = {2 ** (2 * n)}")
 
-    blocks = list(subcube_blocks(spec, Q0, grid))
-    m_vals = {}
-    children: dict[tuple, list] = {}
-    for lo, w in blocks:
-        m_vals[(lo, w)] = _m3q(f, g, _block_cube(spec, lo, w), r, s, spec)
-        if w > 1:
-            half = w // 2
-            from itertools import product
+    lo, width = subcube_blocks(spec, Q0, grid)
+    m_vals = _m3q(f, g, r, s, lo, width, width * spec.h).tolist()
+    blocks = list(zip(map(tuple, lo.tolist()), width.tolist()))
+    fan = 2 ** n
 
-            children[(lo, w)] = [
-                (tuple(x + o for x, o in zip(lo, offs)), half)
-                for offs in product((0, half), repeat=n)
-            ]
-
-    root_key = blocks[0]
-    max_m = max(m_vals.values())
+    max_m = max(m_vals)
     # largest k with a^k < max_m; levels above select nothing
     k_cap = 0
     while a ** (k_cap + 1) < max_m:
@@ -179,22 +166,22 @@ def cz_decompose(
     if max_m > a:
         k_cap = max(k_cap, 1)
 
-    level_selected: dict[int, list[tuple]] = {}
+    level_selected: dict[int, list[int]] = {}
     for k in range(1, k_cap + 1):
         thr = a ** k
-        chosen: list[tuple] = []
-        stack = [root_key]
+        chosen: list[int] = []
+        stack = [0]
         while stack:
             node = stack.pop(0)
             if m_vals[node] > thr:
                 chosen.append(node)
-            elif node in children:
-                stack.extend(children[node])
+            elif blocks[node][1] > 1:
+                stack.extend(range(fan * node + 1, fan * node + fan + 1))
         if chosen:
             level_selected[k] = chosen
 
     cell_sets = {
-        k: [_block_cells(spec, lo, w) for lo, w in nodes]
+        k: [_block_cells(spec, *blocks[i]) for i in nodes]
         for k, nodes in level_selected.items()
     }
     union_next: dict[int, np.ndarray] = {}
@@ -206,11 +193,10 @@ def cz_decompose(
         d_next = union_next.get(k + 1, np.zeros(0, np.int64))
         scs = []
         for node, cells in zip(level_selected[k], cell_sets[k]):
-            lo, w = node
             e_cells = np.setdiff1d(cells, d_next, assume_unique=False)
             scs.append(
                 SelectedCube(
-                    cube=_block_cube(spec, lo, w),
+                    cube=_block_cube(spec, *blocks[node]),
                     m_value=m_vals[node],
                     cells=np.sort(cells),
                     e_cells=e_cells,
@@ -218,17 +204,17 @@ def cz_decompose(
             )
         levels[k] = tuple(scs)
 
-    root_cells = np.sort(_block_cells(spec, *root_key))
+    root_cells = np.sort(_block_cells(spec, *blocks[0]))
     d1 = union_next.get(1, np.zeros(0, np.int64))
     e0 = np.setdiff1d(root_cells, d1)
     return SparseFamily(
         spec=spec,
-        root=_block_cube(spec, *root_key),
+        root=_block_cube(spec, *blocks[0]),
         base_constant=float(a),
         levels=levels,
         e0_cells=e0,
         root_cells=root_cells,
-        root_m=m_vals[root_key],
+        root_m=m_vals[0],
     )
 
 

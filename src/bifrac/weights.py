@@ -62,90 +62,44 @@ def conjugate(p: float) -> float:
 def _family_power_averages(w: GridFunction, expo: float, family: CubeFamily) -> np.ndarray:
     """(1/|Q|) \\int_Q w^expo per family cube, exact for step weights.
 
-    A zero sample raised to a negative power yields +inf; cubes touching
-    such a cell report the +inf sentinel (prefix sums would otherwise
-    turn it into nan).
+    Aligned cubes read prefix sums (summed-area tables in 2D); the
+    integrand is nonnegative, so a difference that rounds below zero is
+    clamped to 0.  A zero sample raised to a negative power yields +inf;
+    cubes touching such a cell report the +inf sentinel (prefix sums
+    would otherwise turn it into nan).
     """
     spec = w.spec
-    vals = np.empty(family.size)
     with np.errstate(divide="ignore", over="ignore"):
         pw = np.power(w.samples, expo, dtype=np.float64)
     bad = ~np.isfinite(pw)
     pw_clean = np.where(bad, 0.0, pw)
     voxel = spec.h ** spec.dim
+    ali = family.aligned
+    lo, hi = family.lo[ali], family.hi[ali]
     if spec.dim == 1:
         prefix = np.concatenate(([0.0], np.cumsum(pw_clean))) * voxel
         bad_prefix = np.concatenate(([0], np.cumsum(bad.astype(np.int64))))
-        aligned = family.aligned
-        i = family.lo[:, 0]
-        j = family.hi[:, 0]
-        meas = np.array([Q.measure for Q in family.cubes])
-        vals[aligned] = (prefix[j[aligned]] - prefix[i[aligned]]) / meas[aligned]
-        if bad.any():
-            ali = np.nonzero(aligned)[0]
-            hit = (bad_prefix[j[ali]] - bad_prefix[i[ali]]) > 0
-            vals[ali[hit]] = np.inf
-        for k in np.nonzero(~aligned)[0]:
-            Q = family.cubes[k]
-            vals[k] = _rect_power_integral(pw, w, Q) / Q.measure
-        return vals
-    sat = np.zeros((spec.cells_per_axis + 1, spec.cells_per_axis + 1))
-    np.cumsum(np.cumsum(pw_clean, axis=0), axis=1, out=sat[1:, 1:])
-    bad_sat = np.zeros((spec.cells_per_axis + 1, spec.cells_per_axis + 1), dtype=np.int64)
-    np.cumsum(np.cumsum(bad.astype(np.int64), axis=0), axis=1, out=bad_sat[1:, 1:])
-    for k, Q in enumerate(family.cubes):
-        if family.lo[k, 0] >= 0:
-            a0, a1 = family.lo[k]
-            b0, b1 = family.hi[k]
-            nbad = bad_sat[b0, b1] - bad_sat[a0, b1] - bad_sat[b0, a1] + bad_sat[a0, a1]
-            if nbad > 0:
-                vals[k] = np.inf
-                continue
-            total = (sat[b0, b1] - sat[a0, b1] - sat[b0, a1] + sat[a0, a1]) * voxel
-        else:
-            total = _rect_power_integral(pw, w, Q)
-        vals[k] = total / Q.measure
+        total = prefix[hi[:, 0]] - prefix[lo[:, 0]]
+        nbad = bad_prefix[hi[:, 0]] - bad_prefix[lo[:, 0]]
+    else:
+        size = (spec.cells_per_axis + 1,) * 2
+        sat = np.zeros(size)
+        np.cumsum(np.cumsum(pw_clean, axis=0), axis=1, out=sat[1:, 1:])
+        bad_sat = np.zeros(size, dtype=np.int64)
+        np.cumsum(np.cumsum(bad.astype(np.int64), axis=0), axis=1, out=bad_sat[1:, 1:])
+        (a0, a1), (b0, b1) = lo.T, hi.T
+        total = (sat[b0, b1] - sat[a0, b1] - sat[b0, a1] + sat[a0, a1]) * voxel
+        nbad = bad_sat[b0, b1] - bad_sat[a0, b1] - bad_sat[b0, a1] + bad_sat[a0, a1]
+    vals = np.empty(family.size)
+    vals[ali] = np.where(nbad > 0, np.inf, np.maximum(total, 0.0) / family.measures[ali])
+    shifted = family.shifted
+    vals[shifted] = family.shifted_integrals(pw) / family.measures[shifted]
     return vals
-
-
-def _rect_power_integral(pw: np.ndarray, w: GridFunction, Q: Cube) -> float:
-    """Partial-overlap integral of a precomputed power array over Q."""
-    spec = w.spec
-    h = spec.h
-    n = spec.cells_per_axis
-    weights = []
-    for ax in range(spec.dim):
-        lo = Q.corner[ax]
-        hi = lo + Q.side
-        edges = -spec.half_width + h * np.arange(n + 1)
-        left = np.maximum(edges[:-1], lo)
-        right = np.minimum(edges[1:], hi)
-        weights.append(np.maximum(right - left, 0.0))
-    if spec.dim == 1:
-        return float(np.dot(weights[0], pw))
-    return float(weights[0] @ pw @ weights[1])
 
 
 def _family_minima(w: GridFunction, family: CubeFamily) -> np.ndarray:
-    """min over each cube of the weight (cell minimum)."""
-    vals = np.empty(family.size)
-    for k, Q in enumerate(family.cubes):
-        if family.lo[k, 0] >= 0:
-            sl = tuple(
-                slice(int(a), int(b)) for a, b in zip(family.lo[k], family.hi[k])
-            )
-            vals[k] = float(w.samples[sl].min())
-        else:
-            # shifted cube: minimum over every cell it touches
-            spec = w.spec
-            h = spec.h
-            rng = []
-            for ax in range(spec.dim):
-                a = int(np.floor((Q.corner[ax] + spec.half_width) / h + 1e-12))
-                b = int(np.ceil((Q.corner[ax] + Q.side + spec.half_width) / h - 1e-12))
-                rng.append(slice(max(0, a), min(spec.cells_per_axis, b)))
-            vals[k] = float(w.samples[tuple(rng)].min())
-    return vals
+    """min over each cube of the weight: over every cell the cube touches."""
+    return family.touch.minima(w.samples)
 
 
 def _check_positive(*ws: GridFunction):
@@ -162,7 +116,7 @@ def _sanitize(vals: np.ndarray) -> np.ndarray:
 def _argmax_report(vals: np.ndarray, family: CubeFamily) -> ConstantReport:
     vals = _sanitize(vals)
     k = int(np.argmax(vals))
-    return ConstantReport(float(vals[k]), family.cubes[k], family.size)
+    return ConstantReport(float(vals[k]), family.cube(k), family.size)
 
 
 def ap_constant(w: GridFunction, p: float, family: CubeFamily) -> ConstantReport:
@@ -224,10 +178,7 @@ def multiple_apq_constant(
 def _pair_report(vals: np.ndarray, pairs: NestedPairs) -> ConstantReport:
     vals = _sanitize(vals)
     k = int(np.argmax(vals))
-    witness = (
-        pairs.family.cubes[int(pairs.inner[k])],
-        pairs.family.cubes[int(pairs.outer[k])],
-    )
+    witness = (pairs.family.cube(int(pairs.inner[k])), pairs.family.cube(int(pairs.outer[k])))
     return ConstantReport(float(vals[k]), witness, pairs.size)
 
 
@@ -243,26 +194,7 @@ def iida_constant(
 
     (|Q|/|Q'|)^{1/q0} (avg_Q nu^q)^{1/q} prod_i (avg_{Q'} w_i^{-p_i'})^{1/p_i'}.
     """
-    if p1 <= 1.0 or p2 <= 1.0:
-        raise POutOfRange("pair constants need p_i > 1")
-    if q0 <= 0.0 or q <= 0.0:
-        raise POutOfRange("need q0 > 0 and q > 0")
-    pairs.require_nonempty()
-    fam = pairs.family
-    meas = np.array([Q.measure for Q in fam.cubes])
-    with np.errstate(invalid="ignore"):
-        inner_lead = _family_power_averages(wv.nu, q, fam) ** (1.0 / q)
-        cp1, cp2 = conjugate(p1), conjugate(p2)
-        outer_1 = _family_power_averages(wv.w1, -cp1, fam) ** (1.0 / cp1)
-        outer_2 = _family_power_averages(wv.w2, -cp2, fam) ** (1.0 / cp2)
-        ratio = (meas[pairs.inner] / meas[pairs.outer]) ** (1.0 / q0)
-        vals = (
-            ratio
-            * inner_lead[pairs.inner]
-            * outer_1[pairs.outer]
-            * outer_2[pairs.outer]
-        )
-    return _pair_report(vals, pairs)
+    return _pair_constant(wv.nu, wv, q0, q, p1, p2, pairs, None)
 
 
 def two_weight_constant(
@@ -279,16 +211,20 @@ def two_weight_constant(
 
     With r0 given, the extra factor |Q'|^{1/r0} is inserted.
     """
+    return _pair_constant(v, wv, q0, q, p1, p2, pairs, r0)
+
+
+def _pair_constant(lead, wv, q0, q, p1, p2, pairs, r0) -> ConstantReport:
     if p1 <= 1.0 or p2 <= 1.0:
         raise POutOfRange("pair constants need p_i > 1")
     if q0 <= 0.0 or q <= 0.0:
         raise POutOfRange("need q0 > 0 and q > 0")
-    _check_positive(v)
+    _check_positive(lead)
     pairs.require_nonempty()
     fam = pairs.family
-    meas = np.array([Q.measure for Q in fam.cubes])
+    meas = fam.measures
     with np.errstate(invalid="ignore"):
-        inner_lead = _family_power_averages(v, q, fam) ** (1.0 / q)
+        inner_lead = _family_power_averages(lead, q, fam) ** (1.0 / q)
         cp1, cp2 = conjugate(p1), conjugate(p2)
         outer_1 = _family_power_averages(wv.w1, -cp1, fam) ** (1.0 / cp1)
         outer_2 = _family_power_averages(wv.w2, -cp2, fam) ** (1.0 / cp2)

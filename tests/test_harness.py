@@ -295,22 +295,6 @@ class TestMechanism:
             assert res["pair_constant"] <= res["bound_chain"] * (1 + 1e-9)
 
 
-class TestThreads:
-    def test_thread_count_does_not_change_results(self, monkeypatch, fam64, pairs64):
-        from bifrac import verify_inequality
-
-        prof = catalog_profiles("T1.1")[0]
-        items = corpus(23, "random-steps", count=4)
-        monkeypatch.setenv("BIFRAC_THREADS", "1")
-        serial = verify_inequality(prof, items, fam64, pairs64, bound=100.0)
-        monkeypatch.setenv("BIFRAC_THREADS", "3")
-        threaded = verify_inequality(prof, items, fam64, pairs64, bound=100.0)
-        for a, b in zip(serial, threaded):
-            assert a.scenario == b.scenario
-            assert a.ratio == b.ratio
-            assert a.lhs == b.lhs
-
-
 class TestGlobalTerm:
     def test_far_field_ratio_bounded(self, fam64, pairs64):
         from bifrac import global_term_ratio

@@ -162,3 +162,20 @@ class TestPowerScaling:
         one = GridFunction.constant(spec32, 1.0)
         with pytest.raises(ExponentOrder):
             power_scaling_check(one, 4.0, 3.0, 3.5, intervals32)
+
+
+def test_2d_norm_finite_where_prefix_differences_round_negative():
+    # 7 of the 1,880 aligned summed-area differences on this item round
+    # below zero; unclamped, one of them turned the norm into NaN
+    from bifrac.families import default_family
+    from bifrac.harness import HARNESS_SPEC_2D, corpus
+    from bifrac.lattice import box_power_integral
+
+    f = corpus(0, "random-steps", spec=HARNESS_SPEC_2D, count=1)[0].f
+    fam = default_family(HARNESS_SPEC_2D)
+    got = morrey_norm(f, MorreyParams(4.0, 2.0), fam)
+    brute = max(
+        Q.measure ** 0.25 * (box_power_integral(f, Q.corner, Q.side, 2.0) / Q.measure) ** 0.5
+        for Q in fam.cubes
+    )
+    assert got == brute

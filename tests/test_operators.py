@@ -52,6 +52,13 @@ class TestKernelTable:
         table = kernel_table(spec, 0.5)
         assert table.weight(0) == pytest.approx(4.0 * math.sqrt(0.5 * h), rel=1e-14)
 
+    def test_gauss_table_is_leggauss(self):
+        from bifrac import operators
+
+        nodes, weights = np.polynomial.legendre.leggauss(48)
+        assert np.array_equal(operators._GAUSS_NODES, nodes)
+        assert np.array_equal(operators._GAUSS_WEIGHTS, weights)
+
     def test_alpha_near_one_degenerates_to_lebesgue(self):
         # as alpha -> 1 each cell mass approaches the cell width h
         spec = GridSpec(1, 1.0, 32)

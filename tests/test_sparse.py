@@ -191,6 +191,14 @@ class TestSparseErrors:
         with pytest.raises(ConjugateMismatch):
             cz_decompose(f, f, 2.0, 2.5, HARNESS_Q0, HARNESS_GRID)
 
+    def test_spec_mismatch(self):
+        from bifrac import SpecMismatch
+
+        f = GridFunction.constant(HARNESS_SPEC, 1.0)
+        g = GridFunction.constant(GridSpec(1, 4.0, 32), 1.0)
+        with pytest.raises(SpecMismatch):
+            cz_decompose(f, g, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
+
 
 def test_invariants_at_coarser_lattice():
     # same invariants hold on the 32-cell lattice
