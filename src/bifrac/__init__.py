@@ -39,7 +39,6 @@ from .families import (
     NestedPairs,
     all_intervals,
     default_family,
-    default_pair_family,
     family_from_cubes,
     nested_pairs,
 )

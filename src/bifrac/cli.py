@@ -141,6 +141,9 @@ def _load_config(args) -> RunConfig:
     for key in ("grid", "profile", "family_caps", "sweep", "inputs"):
         if key in base:
             setattr(cfg, key, dict(base[key]))
+    unknown_caps = sorted(set(cfg.family_caps) - {"cubes"})
+    if unknown_caps:
+        raise ConfigInvalid(f"unknown family_caps keys {unknown_caps}; only 'cubes' is a cap")
     for key in ("seed", "kind", "out_csv", "out_json", "format"):
         if key in base:
             setattr(cfg, key, base[key])
@@ -248,7 +251,7 @@ def cmd_constants(args) -> int:
     w1 = _read_inputs([args.weight])[0]
     spec = w1.spec
     family = default_family(spec, cap=int(cfg.family_caps.get("cubes", 4096)))
-    pairs = nested_pairs(family, cap=int(cfg.family_caps.get("pairs", 1_500_000)))
+    pairs = nested_pairs(family)
     w2 = _read_inputs([args.weight2])[0] if args.weight2 else None
     v = _read_inputs([args.v])[0] if args.v else None
     results = []

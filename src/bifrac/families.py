@@ -11,7 +11,9 @@ compared on identical index sets:
   dyadic grids, capped at a configurable count with deterministic
   stride subsampling.
 
-Nested pair families enumerate lattice-aligned pairs Q ⊆ Q'.
+`nested_pairs` gives the nesting relation Q ⊆ Q' among the aligned
+members of a family: its exact pair count and, per member, the max of a
+per-cube value over the members inside it.  Pairs are never listed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .geometry import Cube, DyadicGrid
 from .lattice import CellBoxes, GridSpec, overlap_integrals
 
 DEFAULT_CUBE_CAP = 4096
-DEFAULT_PAIR_CAP = 1_500_000
 
 
 @dataclass(frozen=True)
@@ -208,42 +209,70 @@ def default_family(spec: GridSpec, cap: int = DEFAULT_CUBE_CAP) -> CubeFamily:
 
 @dataclass(frozen=True)
 class NestedPairs:
-    """Index pairs (inner, outer) into `family` with Q_inner ⊆ Q_outer."""
+    """The nesting relation Q ⊆ Q' among the aligned members of `family`.
+
+    `size` is the exact number of nested pairs (Q, Q'), each member counted
+    as nested in itself; the pairs themselves are never listed.
+    """
 
     family: CubeFamily
-    inner: np.ndarray
-    outer: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.inner)
+    size: int
 
     def require_nonempty(self):
         if self.size == 0:
             raise EmptyCubeFamily("nested pair family is empty")
 
+    def inner_max(self, vals: np.ndarray) -> np.ndarray:
+        """Per member Q', the max of vals[Q] over the aligned members Q ⊆ Q'.
 
-def nested_pairs(family: CubeFamily, cap: int = DEFAULT_PAIR_CAP) -> NestedPairs:
-    """All aligned pairs Q ⊆ Q', deterministic order (outer-major)."""
-    ali = np.nonzero(family.aligned)[0]
+        Shifted members get -inf.  Width by width, the best value inside
+        the cube at corner A is the max of the members at A and the best
+        values inside the 2^n cubes one cell narrower at corners A + t,
+        t in {0, 1}^n, which together hold every smaller cube inside it.
+        """
+        spec, ali, lo, width = self.family.spec, *_aligned_cells(self.family)
+        order = np.argsort(width, kind="stable")
+        ends = np.searchsorted(width[order], np.arange(1, width.max(initial=0) + 1), side="right")
+        out = np.full(self.family.size, -np.inf)
+        best, start = None, 0
+        for w, end in enumerate(ends.tolist(), 1):
+            at, start = order[start:end], end
+            m = spec.cells_per_axis - w + 1
+            cur = np.full((m,) * spec.dim, -np.inf)
+            corner = tuple(lo[at].T)
+            np.maximum.at(cur, corner, vals[ali[at]])
+            if best is not None:
+                for t in product((0, 1), repeat=spec.dim):
+                    np.maximum(cur, best[tuple(slice(s, s + m) for s in t)], out=cur)
+            out[ali[at]] = cur[corner]
+            best = cur
+        return out
+
+
+def _aligned_cells(family: CubeFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices, corner cells and widths (in cells) of the aligned members."""
+    ali = np.flatnonzero(family.aligned)
     lo = family.lo[ali]
-    hi = family.hi[ali]
-    inner_parts = []
-    outer_parts = []
-    for pos, k in enumerate(ali):
-        inside = np.all(lo >= lo[pos], axis=1) & np.all(hi <= hi[pos], axis=1)
-        idx = ali[np.nonzero(inside)[0]]
-        inner_parts.append(idx)
-        outer_parts.append(np.full(len(idx), k, dtype=np.int64))
-    inner = np.concatenate(inner_parts) if inner_parts else np.zeros(0, np.int64)
-    outer = np.concatenate(outer_parts) if outer_parts else np.zeros(0, np.int64)
-    if cap and len(inner) > cap:
-        stride = -(-len(inner) // cap)
-        inner = inner[::stride]
-        outer = outer[::stride]
-    return NestedPairs(family, inner, outer)
+    return ali, lo, family.hi[ali, 0] - lo[:, 0]
 
 
-def default_pair_family(spec: GridSpec, cap: int = DEFAULT_PAIR_CAP) -> NestedPairs:
-    return nested_pairs(default_family(spec), cap=cap)
+def nested_pairs(family: CubeFamily) -> NestedPairs:
+    """The nesting relation among the aligned members, with its exact pair count.
 
+    A member of width w lies in the member (A, W) when its corner is in
+    [A, A + W - w]^n; per width w, a prefix sum of the corner counts
+    answers that for every outer member at once.
+    """
+    spec, _, lo, width = family.spec, *_aligned_cells(family)
+    total = 0
+    for w in np.unique(width):
+        prefix = np.zeros((spec.cells_per_axis - w + 2,) * spec.dim, dtype=np.int64)
+        np.add.at(prefix[(slice(1, None),) * spec.dim], tuple(lo[width == w].T), 1)
+        for ax in range(spec.dim):
+            np.cumsum(prefix, axis=ax, out=prefix)
+        outer = width >= w
+        a, b = lo[outer], lo[outer] + (width[outer] - w + 1)[:, None]
+        for t in product((0, 1), repeat=spec.dim):
+            corner = tuple((b if ti else a)[:, i] for i, ti in enumerate(t))
+            total += (-1) ** (spec.dim - sum(t)) * int(prefix[corner].sum())
+    return NestedPairs(family, total)

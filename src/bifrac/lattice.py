@@ -21,6 +21,7 @@ from .errors import (
     NonAlignedCube,
     NonNegativityViolation,
     OutOfBox,
+    SpecMismatch,
 )
 from .geometry import Cube
 
@@ -42,8 +43,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
-        if self.half_width <= 0:
-            raise ValueError(f"half_width must be positive, got {self.half_width}")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
         n = self.cells_per_axis
         if n < 1 or (n & (n - 1)) != 0:
             raise ValueError(f"cells_per_axis must be a power of two, got {n}")
@@ -169,7 +170,7 @@ class GridFunction:
     def _binary(self, other, op):
         if isinstance(other, GridFunction):
             if other.spec != self.spec:
-                raise ValueError("grid functions on different specs")
+                raise SpecMismatch("grid functions on different specs")
             return GridFunction(self.spec, op(self.samples, other.samples))
         return GridFunction(self.spec, op(self.samples, float(other)))
 
@@ -375,7 +376,7 @@ def write_grid_file(path, f: GridFunction) -> None:
 
 
 def read_grid_file(path) -> GridFunction:
-    """Inverse of write_grid_file; rejects non-power-of-two N."""
+    """Inverse of write_grid_file; any malformed file raises InputUnreadable."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             header = fh.readline().split()
@@ -387,15 +388,15 @@ def read_grid_file(path) -> GridFunction:
         raise InputUnreadable(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise InputUnreadable(f"{path}: bad header ({exc})") from exc
-    if n < 1 or (n & (n - 1)) != 0:
-        raise InputUnreadable(f"{path}: N={n} is not a power of two")
-    spec = GridSpec(dim, half_width, n)
+    try:
+        spec = GridSpec(dim, half_width, n)
+    except ValueError as exc:
+        raise InputUnreadable(f"{path}: bad header ({exc})") from exc
     if len(body) != spec.cell_count:
         raise InputUnreadable(
             f"{path}: expected {spec.cell_count} samples, found {len(body)}"
         )
     try:
-        arr = np.array([float(v) for v in body]).reshape(spec.shape)
+        return GridFunction(spec, np.array([float(v) for v in body]).reshape(spec.shape))
     except ValueError as exc:
         raise InputUnreadable(f"{path}: bad sample ({exc})") from exc
-    return GridFunction(spec, arr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveWeight, POutOfRange
+from .errors import NonPositiveWeight, POutOfRange, SpecMismatch
 from .families import CubeFamily, NestedPairs
 from .geometry import Cube
 from .lattice import GridFunction, box_power_integral
@@ -36,7 +36,7 @@ class WeightVector:
         if self.w2.spec != self.w1.spec or (
             self.v is not None and self.v.spec != self.w1.spec
         ):
-            raise ValueError("weight components live on different specs")
+            raise SpecMismatch("weight components live on different specs")
         nu = GridFunction(self.w1.spec, self.w1.samples * self.w2.samples, nonnegative=True)
         object.__setattr__(self, "_nu", nu)
 
@@ -175,13 +175,6 @@ def multiple_apq_constant(
     return _argmax_report(vals, family)
 
 
-def _pair_report(vals: np.ndarray, pairs: NestedPairs) -> ConstantReport:
-    vals = _sanitize(vals)
-    k = int(np.argmax(vals))
-    witness = (pairs.family.cube(int(pairs.inner[k])), pairs.family.cube(int(pairs.outer[k])))
-    return ConstantReport(float(vals[k]), witness, pairs.size)
-
-
 def iida_constant(
     wv: WeightVector,
     q0: float,
@@ -228,15 +221,21 @@ def _pair_constant(lead, wv, q0, q, p1, p2, pairs, r0) -> ConstantReport:
         cp1, cp2 = conjugate(p1), conjugate(p2)
         outer_1 = _family_power_averages(wv.w1, -cp1, fam) ** (1.0 / cp1)
         outer_2 = _family_power_averages(wv.w2, -cp2, fam) ** (1.0 / cp2)
-        vals = (
-            (meas[pairs.inner] / meas[pairs.outer]) ** (1.0 / q0)
-            * inner_lead[pairs.inner]
-            * outer_1[pairs.outer]
-            * outer_2[pairs.outer]
-        )
+        # (|Q|/|Q'|)^{1/q0} = |Q|^{1/q0} |Q'|^{-1/q0}, so the max over pairs
+        # is the max over Q' of its outer factor times its best inner factor
+        inner = _sanitize(meas ** (1.0 / q0) * inner_lead)
+        best = pairs.inner_max(inner)
+        outer = meas ** (-1.0 / q0) * outer_1 * outer_2
         if r0 is not None:
-            vals = vals * meas[pairs.outer] ** (1.0 / r0)
-    return _pair_report(vals, pairs)
+            outer = outer * meas ** (1.0 / r0)
+        K = int(np.argmax(np.where(fam.aligned, _sanitize(outer * best), -np.inf)))
+        inside = np.all(fam.lo >= fam.lo[K], axis=1) & np.all(fam.hi <= fam.hi[K], axis=1)
+        Q = int(np.argmax(fam.aligned & inside & (inner == best[K])))
+        # the witness pair's value, by the pair formula factor by factor
+        value = (meas[Q] / meas[K]) ** (1.0 / q0) * inner_lead[Q] * outer_1[K] * outer_2[K]
+        if r0 is not None:
+            value = value * meas[K] ** (1.0 / r0)
+    return ConstantReport(float(_sanitize(value)), (fam.cube(Q), fam.cube(K)), pairs.size)
 
 
 def reverse_holder_probe(w: GridFunction, epsilon: float, family: CubeFamily) -> float:

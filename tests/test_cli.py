@@ -57,6 +57,12 @@ class TestExitCodes:
         rc = main(["verify", "--profile-file", str(prof)])
         assert rc == 2
 
+    def test_unknown_family_cap_is_config_error(self, grids, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family_caps": {"cubes": 4096, "pairs": 1000}}))
+        args = ["constants", "--config", str(cfg), "--weight", str(grids["f"]), "--constant", "ap"]
+        assert main(args) == 2
+
 
 class TestConstantsCommand:
     def test_unit_weight_json(self, grids, tmp_path, capsys):
@@ -112,6 +118,19 @@ class TestConstantsCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "constant,value,witness,family_size"
         assert lines[1].startswith("ap,")
+
+    def test_pair_family_is_exact_at_n128(self, tmp_path):
+        # every nested pair of the 8256 intervals counts: sum over outer
+        # widths W of (129 - W) W (W + 1) / 2
+        spec = GridSpec(1, 4.0, 128)
+        path = tmp_path / "w.grid"
+        write_grid_file(path, GridFunction(spec, np.random.default_rng(3).uniform(0.5, 2.0, 128)))
+        out = tmp_path / "c.json"
+        args = ["constants", "--weight", str(path), "--weight2", str(path)]
+        rc = main(args + ["--constant", "iida", "--out-json", str(out)])
+        assert rc == 0
+        (row,) = json.loads(out.read_text())["constants"]
+        assert row["family_size"] == 11716640
 
 
 class TestApplyCommand:

@@ -15,6 +15,7 @@ from bifrac import (
     NonAlignedCube,
     NonNegativityViolation,
     OutOfBox,
+    SpecMismatch,
     bilinear_average,
     cube_average,
     integrate,
@@ -32,6 +33,11 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(3, 1.0, 8)
 
+    @pytest.mark.parametrize("half_width", [math.nan, math.inf, -math.inf])
+    def test_half_width_finite(self, half_width):
+        with pytest.raises(ValueError):
+            GridSpec(1, half_width, 8)
+
     def test_cell_geometry(self, spec32):
         assert spec32.h == pytest.approx(1.0 / 16.0)
         assert spec32.cell_count == 32
@@ -44,6 +50,12 @@ class TestGridFunction:
         arr[3] = np.inf
         with pytest.raises(ValueError):
             GridFunction(spec32, arr)
+
+    def test_arithmetic_spec_mismatch(self, spec32):
+        f = GridFunction.constant(spec32, 1.0)
+        g = GridFunction.constant(GridSpec(1, 2.0, 32), 1.0)
+        with pytest.raises(SpecMismatch):
+            f + g
 
     def test_nonnegative_flag_checked(self, spec32):
         arr = np.zeros(32)
@@ -205,5 +217,16 @@ class TestGridFileIO:
     def test_rejects_short_body(self, tmp_path):
         path = tmp_path / "short.grid"
         path.write_text("1 1.0 8\n0 0 0\n")
+        with pytest.raises(InputUnreadable):
+            read_grid_file(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 nan 4\n0 0 0 0\n", "1 1.0 4\n0 nan 0 0\n", "3 1.0 2\n" + "0 " * 8 + "\n"],
+        ids=["nan-half-width", "nan-sample", "dim-3"],
+    )
+    def test_rejects_malformed(self, tmp_path, text):
+        path = tmp_path / "bad.grid"
+        path.write_text(text)
         with pytest.raises(InputUnreadable):
             read_grid_file(path)

@@ -4,24 +4,31 @@ import math
 
 import numpy as np
 import pytest
+from conftest import enumerated_pair_values
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifrac import (
     Cube,
+    EmptyCubeFamily,
     GridFunction,
     GridSpec,
     NonPositiveWeight,
     POutOfRange,
+    SpecMismatch,
     WeightVector,
     all_intervals,
     ap_constant,
     apq_constant,
+    default_family,
+    family_from_cubes,
     iida_constant,
     multiple_apq_constant,
     nested_pairs,
     reverse_holder_probe,
     two_weight_constant,
 )
-from bifrac.weights import conjugate
+from bifrac.weights import conjugate, iida_pair_value
 
 
 def brute_interval_values(w_samples, h, i, j, expo):
@@ -237,16 +244,16 @@ class TestIidaConstant:
         assert again == pytest.approx(rep.value, rel=1e-12)
 
     def test_reduces_to_single_cube_on_diagonal(self, spec32, intervals32, rng):
-        # pairs restricted to Q = Q' with the ratio factor trivial
-        from bifrac.families import NestedPairs
-
+        # equal-width intervals nest only in themselves: Q = Q', ratio factor 1
         w1 = GridFunction(spec32, rng.uniform(0.4, 2.0, 32))
         w2 = GridFunction(spec32, rng.uniform(0.4, 2.0, 32))
         wv = WeightVector(w1, w2)
-        idx = np.arange(intervals32.size, dtype=np.int64)
-        diag = NestedPairs(intervals32, idx, idx)
+        width4 = [Q for Q in intervals32.cubes if Q.side == pytest.approx(4 * spec32.h)]
+        fam = family_from_cubes(spec32, width4)
+        diag = nested_pairs(fam)
+        assert diag.size == fam.size
         got = iida_constant(wv, 1e18, 2.0, 2.0, 3.0, diag).value
-        want = multiple_apq_constant(wv, 2.0, 3.0, 2.0, intervals32).value
+        want = multiple_apq_constant(wv, 2.0, 3.0, 2.0, fam).value
         assert got == pytest.approx(want, rel=1e-9)
 
 
@@ -270,6 +277,20 @@ class TestTwoWeightConstant:
         assert inner == outer
         assert outer.measure == pytest.approx(biggest)
 
+    def test_nan_lead_average_reports_inf_at_a_nested_pair(self):
+        # v^2 is finite, but its prefix sums overflow from cell 3 on, so the
+        # average over [4, 5) is inf - inf = nan; nan counts as +inf
+        spec = GridSpec(1, 1.0, 8)
+        v = np.ones(8)
+        v[2:6] = 1.3e154
+        one = GridFunction.constant(spec, 1.0)
+        fam = family_from_cubes(spec, [spec.cell_cube((0,)), spec.cell_cube((4,))])
+        rep = two_weight_constant(
+            GridFunction(spec, v), WeightVector(one, one), 4.0, 2.0, 2.0, 2.0, nested_pairs(fam)
+        )
+        assert rep.value == math.inf
+        assert rep.witness == (spec.cell_cube((4,)), spec.cell_cube((4,)))
+
     def test_v_equal_product_reduces_to_iida(self, spec32, intervals32, rng):
         w1 = GridFunction(spec32, rng.uniform(0.4, 2.0, 32))
         w2 = GridFunction(spec32, rng.uniform(0.4, 2.0, 32))
@@ -279,6 +300,77 @@ class TestTwoWeightConstant:
         a = two_weight_constant(nu, wv, 4.0, 2.0, 2.0, 2.0, pairs).value
         b = iida_constant(wv, 4.0, 2.0, 2.0, 2.0, pairs).value
         assert a == pytest.approx(b, rel=1e-12)
+
+
+def _pair_case(data):
+    """A family (default or a random subset with repeats), weights and exponents."""
+    dim = data.draw(st.sampled_from((1, 2)))
+    n = data.draw(st.sampled_from((1, 2, 4, 8, 16, 32) if dim == 1 else (1, 2, 4, 8, 16)))
+    spec = GridSpec(dim, data.draw(st.sampled_from((1.0, 4.0))), n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    family = default_family(spec)
+    if data.draw(st.booleans()):
+        keep = rng.integers(0, family.size, rng.integers(0, family.size + 1))
+        family = family_from_cubes(spec, [family.cube(int(k)) for k in keep], name="subset")
+    w1, w2, v = (rng.uniform(0.3, 3.0, spec.shape) for _ in range(3))
+    special = data.draw(st.sampled_from(("none", "zero-v", "tiny-w1")))
+    cell = tuple(rng.integers(0, n, dim))
+    if special == "zero-v":
+        v[cell] = 0.0
+    elif special == "tiny-w1":
+        w1[cell] = 1e-300  # w1^{-p1'} overflows: +inf on every cube holding the cell
+    wv = WeightVector(GridFunction(spec, w1), GridFunction(spec, w2))
+    exps = tuple(
+        data.draw(st.sampled_from(xs))
+        for xs in ((0.7, 2.0, 4.0), (0.5, 2.0, 3.0), (1.5, 2.0, 4.0), (1.25, 3.0))
+    )
+    return family, wv, GridFunction(spec, v), exps, special
+
+
+def _members(family, C):
+    return np.flatnonzero(np.all(family.corners == C.corner, axis=1) & (family.sides == C.side))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.data())
+def test_pair_constants_match_enumeration(data):
+    # the containment recursion against the listed pairs it replaces
+    family, wv, v, (q0, q, p1, p2), special = _pair_case(data)
+    kind = data.draw(st.sampled_from(("iida", "two-weight")))
+    r0 = data.draw(st.sampled_from((None, 1.5))) if kind == "two-weight" else None
+    lead = wv.nu if kind == "iida" else v
+    inner, outer, vals = enumerated_pair_values(lead, wv, q0, q, p1, p2, family, r0)
+    pairs = nested_pairs(family)
+    assert pairs.size == len(inner)
+    if kind == "iida":
+        constant = lambda: iida_constant(wv, q0, q, p1, p2, pairs)  # noqa: E731
+    else:
+        constant = lambda: two_weight_constant(v, wv, q0, q, p1, p2, pairs, r0)  # noqa: E731
+    if pairs.size == 0:
+        with pytest.raises(EmptyCubeFamily):
+            constant()
+        return
+    rep = constant()
+    want = float(np.max(vals))
+    if math.isinf(want):
+        assert rep.value == want
+    else:
+        assert rep.value == pytest.approx(want, rel=1e-12)
+    # the witness is a listed (so nested) pair whose listed value is the constant
+    Q, K = rep.witness
+    at = np.isin(inner, _members(family, Q)) & np.isin(outer, _members(family, K))
+    assert at.any()
+    assert np.all((vals[at] == rep.value) | np.isclose(vals[at], rep.value, rtol=1e-12, atol=0))
+    # iida_pair_value builds w1^{-p1'} on the whole grid, which a tiny cell overflows
+    if kind == "iida" and special != "tiny-w1":
+        again = iida_pair_value(wv, q0, q, p1, p2, Q, K)
+        assert again == pytest.approx(rep.value, rel=1e-12)
+
+
+def test_weight_vector_spec_mismatch(spec32):
+    other = GridFunction.constant(GridSpec(1, 2.0, 32), 1.0)
+    with pytest.raises(SpecMismatch):
+        WeightVector(GridFunction.constant(spec32, 1.0), other)
 
 
 class TestReverseHolder:
