@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EmptyCubeFamily
 from .geometry import Cube, DyadicGrid
-from .lattice import CellBoxes, GridSpec, overlap_integrals
+from .lattice import CellBoxes, GridSpec, _containment_max, _SquareTable, overlap_integrals
 
 DEFAULT_CUBE_CAP = 4096
 
@@ -72,10 +72,22 @@ class CubeFamily:
     # Per-family arrays and engine boxes, computed once.
 
     @cached_property
+    def _distinct_sides(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.unique(self.sides, return_inverse=True)
+
+    def side_powers(self, expo: float, scale: float = 1.0) -> np.ndarray:
+        """(scale * side) ** expo per cube, by scalar pow over the distinct sides.
+
+        Scalar pow, not numpy's array power, which differs from it by 1 ulp
+        on some inputs on SIMD hosts; so |Q| here equals Cube.measure.
+        """
+        distinct, back = self._distinct_sides
+        return np.array([v ** expo for v in (scale * distinct).tolist()], dtype=np.float64)[back]
+
+    @cached_property
     def measures(self) -> np.ndarray:
         """|Q| per cube, by the same scalar power as Cube.measure."""
-        dim = self.spec.dim
-        return np.array([s ** dim for s in self.sides.tolist()], dtype=np.float64)
+        return self.side_powers(self.spec.dim)
 
     @cached_property
     def shifted(self) -> np.ndarray:
@@ -98,6 +110,15 @@ class CubeFamily:
     def touch(self) -> CellBoxes:
         """Boxes of the cells each cube overlaps."""
         return self._cell_boxes(lambda t: np.floor(t + 1e-12), lambda t: np.ceil(t - 1e-12))
+
+    @cached_property
+    def windows3(self) -> CellBoxes:
+        """Boxes of the tripled cubes 3Q, clipped to the grid, from each cube's
+        corner and side rounded to whole cells."""
+        spec = self.spec
+        width = np.rint(self.sides / spec.h).astype(np.int64)
+        lo = np.rint((self.corners + spec.half_width) / spec.h).astype(np.int64)
+        return CellBoxes.tripled(spec.shape, lo, width)
 
     def _cell_boxes(self, first, stop) -> CellBoxes:
         """Aligned cubes keep lo/hi; shifted cubes map their edges (in cells) by first/stop."""
@@ -225,27 +246,18 @@ class NestedPairs:
     def inner_max(self, vals: np.ndarray) -> np.ndarray:
         """Per member Q', the max of vals[Q] over the aligned members Q ⊆ Q'.
 
-        Shifted members get -inf.  Width by width, the best value inside
-        the cube at corner A is the max of the members at A and the best
-        values inside the 2^n cubes one cell narrower at corners A + t,
-        t in {0, 1}^n, which together hold every smaller cube inside it.
+        Shifted members get -inf.  The values go onto a square table, the
+        inward containment recursion of `lattice` gives each cube the max
+        over the cubes inside it, and each member reads its own.
         """
         spec, ali, lo, width = self.family.spec, *_aligned_cells(self.family)
-        order = np.argsort(width, kind="stable")
-        ends = np.searchsorted(width[order], np.arange(1, width.max(initial=0) + 1), side="right")
+        table = _SquareTable(spec.shape, int(width.max(initial=1)))
+        at = table.positions(width, lo)
+        flat = np.full(table.size, -np.inf)
+        np.maximum.at(flat, at, vals[ali])
+        _containment_max(table.layers(flat), inward=True)
         out = np.full(self.family.size, -np.inf)
-        best, start = None, 0
-        for w, end in enumerate(ends.tolist(), 1):
-            at, start = order[start:end], end
-            m = spec.cells_per_axis - w + 1
-            cur = np.full((m,) * spec.dim, -np.inf)
-            corner = tuple(lo[at].T)
-            np.maximum.at(cur, corner, vals[ali[at]])
-            if best is not None:
-                for t in product((0, 1), repeat=spec.dim):
-                    np.maximum(cur, best[tuple(slice(s, s + m) for s in t)], out=cur)
-            out[ali[at]] = cur[corner]
-            best = cur
+        out[ali] = flat[at]
         return out
 
 

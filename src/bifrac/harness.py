@@ -27,7 +27,7 @@ from .geometry import Cube, DyadicGrid, locate_shifted_dyadic
 from .lattice import GridFunction, GridSpec, lp_norm
 from .morrey import MorreyParams, morrey_norm, power_scaling_check, vector_morrey_norm
 from .operators import (
-    _m3q,
+    _block_m3q,
     bi_frac,
     local_global_split,
     multi_maximal,
@@ -448,9 +448,8 @@ def _concentration_guard(f: GridFunction, g: GridFunction, Q0: Cube) -> float:
     a = 2.0 ** (2 * n + 1)
     safe_side = (Q0.measure / (2.0 * 3.0 ** n)) ** (1.0 / n)
     lo, width = subcube_blocks(spec, Q0, DyadicGrid((0.0,) * n))
-    sides = width * spec.h
-    big = sides > safe_side * (1 + 1e-9)
-    worst = max([0.0] + _m3q(f, g, 2.0, 2.0, lo[big], width[big], sides[big]).tolist())
+    big = width * spec.h > safe_side * (1 + 1e-9)
+    worst = max([0.0] + _block_m3q(f, g, 2.0, 2.0, lo[big], width[big]).tolist())
     target = SPIKE_ROOT_TARGET * a
     if worst > target:
         return math.sqrt(target / worst)
@@ -915,6 +914,11 @@ def _item_ratio(profile, item, family, pairs) -> tuple[float, float, float, Cons
     return lhs, rhs, ratio, const
 
 
+# A scenario whose constant is +inf lies outside the weight class: its report
+# passes with this note, and run_verify counts it as `skipped`.
+SKIPPED_NOTE = "hypothesis not satisfied (infinite constant); skipped"
+
+
 def verify_inequality(
     profile: ExponentProfile,
     items: list[CorpusItem],
@@ -934,7 +938,7 @@ def verify_inequality(
                 math.inf, bound, note=str(exc),
             )
             rep.passed = True
-            rep.note = "hypothesis not satisfied (infinite constant); skipped"
+            rep.note = SKIPPED_NOTE
             return rep
         wit = (
             const.witness.serialize()
@@ -993,6 +997,7 @@ def run_verify(
         "bound": bound,
         "max_ratio": max(finite) if finite else None,
         "failures": sum(0 if r.passed else 1 for r in reports),
+        "skipped": sum(r.note == SKIPPED_NOTE for r in reports),
     }
     return reports, summary
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -277,28 +279,40 @@ _GATHER_CELLS = 1 << 13
 
 class CellBoxes:
     """Cube-window engine: integer cell boxes [lo[k], hi[k]) (k x n, already
-    clipped to a grid of `shape`), grouped by shape so that every statistic
-    costs one numpy call per shape, never one per box.  A window is gathered
-    as a contiguous row of its cells in row-major order, so a window sum
-    equals np.sum(arr[box]) bit for bit; summing a strided view over several
-    axes does not.
+    clipped to a grid of `shape`).  Window sums and minima group the boxes
+    by shape, so that each costs one numpy call per shape, never one per
+    box.  A window is gathered as a contiguous row of its cells in
+    row-major order, so a window sum equals np.sum(arr[box]) bit for bit;
+    summing a strided view over several axes does not.  The sweep runs on
+    the boxes cut into squares.  Groups and squares are built on first use.
     """
 
     def __init__(self, shape: tuple[int, ...], lo: np.ndarray, hi: np.ndarray):
         self.shape = tuple(shape)
         self.count = len(lo)
-        ext = np.maximum(hi - lo, 0)
-        key = np.ravel_multi_index(tuple(ext.T), tuple(n + 1 for n in self.shape))
+        self.lo = lo
+        self.ext = np.maximum(hi - lo, 0)
+
+    @classmethod
+    def tripled(cls, shape: tuple[int, ...], lo: np.ndarray, width: np.ndarray) -> "CellBoxes":
+        """Boxes [lo - width, lo + 2 width) of the tripled blocks, clipped to the grid."""
+        w, n = width[:, None], np.array(shape)
+        return cls(shape, np.clip(lo - w, 0, n), np.clip(lo + 2 * w, 0, n))
+
+    @cached_property
+    def groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per non-empty box shape: member indices, flat corner cells, flat window offsets."""
+        key = np.ravel_multi_index(tuple(self.ext.T), tuple(n + 1 for n in self.shape))
         order = np.argsort(key, kind="stable")
         starts = np.unique(key[order], return_index=True)[1]
-        # per shape: member indices, flat corner cells, flat window offsets
-        self.groups = []
+        groups = []
         for idx in np.split(order, starts[1:]):
-            box = tuple(ext[idx[0]].tolist())
+            box = tuple(self.ext[idx[0]].tolist())
             if min(box, default=0) > 0:
-                corners = np.ravel_multi_index(tuple(lo[idx].T), self.shape)
+                corners = np.ravel_multi_index(tuple(self.lo[idx].T), self.shape)
                 offsets = np.ravel_multi_index(tuple(np.indices(box).reshape(len(box), -1)), self.shape)
-                self.groups.append((idx, corners, offsets))
+                groups.append((idx, corners, offsets))
+        return groups
 
     def sums(self, arr: np.ndarray) -> np.ndarray:
         """np.sum(arr[box]) per box, bit for bit; 0 for empty boxes."""
@@ -311,28 +325,88 @@ class CellBoxes:
     def _reduce(self, arr: np.ndarray, empty: float, op) -> np.ndarray:
         out = np.full(self.count, empty)
         flat = arr.reshape(-1)
-        for idx, cells in self._windows():
-            out[idx] = op(flat[cells], axis=-1)
-        return out
-
-    def _windows(self):
-        """(member indices, their flat cells) per box shape, in chunks of at
-        most _GATHER_CELLS cells so that the gathered copies stay small."""
         for idx, corners, offsets in self.groups:
+            # chunks of at most _GATHER_CELLS cells keep the gathered copies small
             step = max(1, _GATHER_CELLS // len(offsets))
             for start in range(0, len(idx), step):
-                yield idx[start : start + step], corners[start : start + step, None] + offsets
+                cells = corners[start : start + step, None] + offsets
+                out[idx[start : start + step]] = op(flat[cells], axis=-1)
+        return out
+
+    @cached_property
+    def squares(self) -> tuple[np.ndarray, np.ndarray, "_SquareTable"]:
+        """The boxes as squares (n <= 2): a w0 x w1 box with w0 <= w1 is exactly
+        the union of the w1 - w0 + 1 squares of side w0 inside it.  Returns
+        each square's position in a square table, the box it comes from,
+        and the table."""
+        side = self.ext.min(axis=1)
+        box = np.flatnonzero(side > 0)
+        count = self.ext[box].max(axis=1) - side[box] + 1
+        box = np.repeat(box, count)
+        step = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)
+        side = side[box]
+        corner = self.lo[box] + (self.ext[box] > side[:, None]) * step[:, None]
+        table = _SquareTable(self.shape, int(side.max(initial=1)))
+        return table.positions(side, corner), box, table
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Per cell, the max of values[k] over the boxes containing it.
 
         Cells in no box get -inf; a NaN value propagates as in np.maximum.
+        The values go onto their squares, and the outward containment
+        recursion carries each down to the cells, the squares of side 1.
         """
-        out = np.full(self.shape, -np.inf)
-        flat = out.reshape(-1)
-        for idx, cells in self._windows():
-            np.maximum.at(flat, cells, values[idx, None])
-        return out
+        at, box, table = self.squares
+        flat = np.full(table.size, -np.inf)
+        np.maximum.at(flat, at, values[box])
+        layers = table.layers(flat)
+        _containment_max(layers, inward=False)
+        return layers[0].copy()
+
+
+class _SquareTable:
+    """Layout of a table of values on the squares of side W = 1 ... top cells
+    that fit in a grid of per-axis `sizes`: a flat array, packed layer by
+    layer, where layer W - 1 is indexed by the corner, n - W + 1 per axis.
+    """
+
+    def __init__(self, sizes: tuple[int, ...], top: int):
+        self.shapes = [tuple(n - W + 1 for n in sizes) for W in range(1, top + 1)]
+        self.starts = np.cumsum([0] + [math.prod(s) for s in self.shapes])
+        self.size = int(self.starts[-1])
+
+    def positions(self, side: np.ndarray, corner: np.ndarray) -> np.ndarray:
+        """Flat position of each square (side, corner), row-major within its layer."""
+        pos = np.zeros(len(side), dtype=np.int64)
+        for ax, n in enumerate(self.shapes[0]):
+            pos = pos * (n - side + 1) + corner[:, ax]
+        return self.starts[side - 1] + pos
+
+    def layers(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of a flat table, one array per side."""
+        return [flat[a:b].reshape(s) for a, b, s in zip(self.starts[:-1], self.starts[1:], self.shapes)]
+
+
+def _containment_max(layers: list[np.ndarray], inward: bool) -> None:
+    """Max over square containment, in place on the layers of a square table
+    (-inf where there is no square).
+
+    The square of side W at corner A holds exactly the squares of side
+    W - 1 at the corners A + t, t in {0, 1}^n, and through them every
+    smaller square inside it.  Inward (W = 2 ... top), T[W - 1][A] max=
+    T[W - 2][A + t] leaves in each square the max over the squares inside
+    it.  Outward (W = top - 1 ... 1), T[W - 1][A + t] max= T[W][A] leaves in
+    each square the max over the squares containing it.
+    """
+    shifts = list(product((0, 1), repeat=layers[0].ndim))
+    steps = list(zip(layers[:-1], layers[1:]))
+    for inner, outer in steps if inward else steps[::-1]:
+        for t in shifts:
+            part = inner[tuple(slice(s, s + m) for s, m in zip(t, outer.shape))]
+            if inward:
+                np.maximum(outer, part, out=outer)
+            else:
+                np.maximum(part, outer, out=part)
 
 
 def overlap_integrals(spec: GridSpec, pw: np.ndarray, corners: np.ndarray, sides: np.ndarray) -> np.ndarray:

@@ -461,9 +461,11 @@ def local_global_split(f: GridFunction, g: GridFunction, alpha: float, Q0: Cube)
 # * box sums, grouped by box shape in the cube-window engine of `lattice`,
 #   equal per-slice np.sum bit for bit, and |f|^p taken once on the whole
 #   array equals |f|^p taken on any slice;
-# * the final root and side ** alpha stay on scalar `**`, one Python float
-#   per value, because numpy's array `power` differs from scalar pow by
-#   1 ulp on some inputs on SIMD hosts.
+# * the final root stays on scalar `**`, one Python float per value, because
+#   numpy's array `power` differs from scalar pow by 1 ulp on some inputs on
+#   SIMD hosts; side powers take the same scalar `**` once per distinct side
+#   (CubeFamily.side_powers);
+# * the sweep's max over the containing cubes involves no rounding.
 # ---------------------------------------------------------------------------
 
 
@@ -502,7 +504,7 @@ def frac_maximal(f: GridFunction, alpha: float, family: CubeFamily | None = None
     if not (0.0 < alpha < f.spec.dim):
         raise AlphaOutOfRange(f"alpha must lie in (0, {f.spec.dim}), got {alpha}")
     family = _family_for(f.spec, family)
-    return _sweep(f.spec, family, _scalar_pow(family.sides, alpha) * _averages(f, family, 1.0))
+    return _sweep(f.spec, family, family.side_powers(alpha) * _averages(f, family, 1.0))
 
 
 def p_maximal(f: GridFunction, p: float, family: CubeFamily | None = None) -> GridFunction:
@@ -532,26 +534,28 @@ def multi_maximal(
     if r1 <= 0 or r2 <= 0:
         raise POutOfRange("averaging exponents must be positive")
     family = _family_for(spec, family)
-    values = _scalar_pow(family.sides, alpha) * _averages(f1, family, r1) * _averages(f2, family, r2)
+    values = family.side_powers(alpha) * _averages(f1, family, r1) * _averages(f2, family, r2)
     return _sweep(spec, family, values)
 
 
-def _m3q(f, g, r, s, lo, width, sides) -> np.ndarray:
-    """m_{3Q}(|f|^r, |g|^s) for blocks of `width` cells from corner cells lo.
+def _m3q(f, g, r, s, windows: CellBoxes, meas3: np.ndarray) -> np.ndarray:
+    """m_{3Q}(|f|^r, |g|^s) over the 3Q `windows` (see CellBoxes.tripled).
 
-    Integration runs over [lo - width, lo + 2 width) clipped to the box;
-    the normalizing measure is the full (3 * side)^n (functions vanish
-    outside the box), matching the compact-support convention.
+    Integration runs over 3Q clipped to the box; the normalizing measure is
+    the full meas3 = (3 * side)^n (functions vanish outside the box),
+    matching the compact-support convention.
     """
-    spec = f.spec
-    n = spec.cells_per_axis
-    w = width[:, None]
-    windows = CellBoxes(spec.shape, np.clip(lo - w, 0, n), np.clip(lo + 2 * w, 0, n))
-    vol = spec.h ** spec.dim
-    meas3 = _scalar_pow(3.0 * sides, spec.dim)
+    vol = f.spec.h ** f.spec.dim
     fi = windows.sums(np.abs(f.samples) ** r) * vol / meas3
     gi = windows.sums(np.abs(g.samples) ** s) * vol / meas3
     return _scalar_pow(fi, 1.0 / r) * _scalar_pow(gi, 1.0 / s)
+
+
+def _block_m3q(f, g, r, s, lo, width) -> np.ndarray:
+    """m_{3Q}(|f|^r, |g|^s) for blocks of `width` cells from corner cells lo."""
+    spec = f.spec
+    meas3 = _scalar_pow(3.0 * (width * spec.h), spec.dim)
+    return _m3q(f, g, r, s, CellBoxes.tripled(spec.shape, lo, width), meas3)
 
 
 def weighted_bilinear_maximal(
@@ -577,10 +581,8 @@ def weighted_bilinear_maximal(
         raise NonPositiveWeight("weights must be strictly positive")
     family = _family_for(spec, family)
     nu = GridFunction(spec, w1.samples * w2.samples, nonnegative=True)
-    width = np.rint(family.sides / spec.h).astype(np.int64)
-    lo = np.rint((family.corners + spec.half_width) / spec.h).astype(np.int64)
-    m3q = _m3q(f, g, r, s, lo, width, family.sides)
-    return _sweep(spec, family, _scalar_pow(family.sides, alpha) * m3q * _averages(nu, family, q))
+    m3q = _m3q(f, g, r, s, family.windows3, family.side_powers(spec.dim, 3.0))
+    return _sweep(spec, family, family.side_powers(alpha) * m3q * _averages(nu, family, q))
 
 
 def sparse_bound(
@@ -600,8 +602,7 @@ def sparse_bound(
     from .sparse import subcube_blocks  # local import to avoid a cycle
 
     lo, width = subcube_blocks(spec, Q0, grid)
-    sides = width * spec.h
-    vals = _scalar_pow(sides, alpha) * _m3q(f, g, r, s, lo, width, sides)
+    vals = _scalar_pow(width * spec.h, alpha) * _block_m3q(f, g, r, s, lo, width)
     root = tuple(slice(a, a + width[0]) for a in lo[0].tolist())
     out = np.zeros(spec.shape)
     # the blocks of one level tile Q0: adding level by level keeps each cell's block order

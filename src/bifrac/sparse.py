@@ -22,7 +22,7 @@ import numpy as np
 from .errors import LevelAbsent, NonAlignedCube, NonNegativityViolation, NotInGrid
 from .geometry import Cube, DyadicGrid
 from .lattice import GridFunction, GridSpec, check_conjugate
-from .operators import _check_same_spec, _m3q
+from .operators import _block_m3q, _check_same_spec
 
 
 def _root_block(spec: GridSpec, Q0: Cube) -> tuple[tuple[int, ...], int]:
@@ -154,7 +154,7 @@ def cz_decompose(
         raise ValueError(f"base constant a must exceed 2^(2n) = {2 ** (2 * n)}")
 
     lo, width = subcube_blocks(spec, Q0, grid)
-    m_vals = _m3q(f, g, r, s, lo, width, width * spec.h).tolist()
+    m_vals = _block_m3q(f, g, r, s, lo, width).tolist()
     blocks = list(zip(map(tuple, lo.tolist()), width.tolist()))
     fan = 2 ** n
 

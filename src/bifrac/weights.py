@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NonPositiveWeight, POutOfRange, SpecMismatch
 from .families import CubeFamily, NestedPairs
 from .geometry import Cube
-from .lattice import GridFunction, box_power_integral
+from .lattice import GridFunction, box_power_integral, overlap_integrals
 
 
 @dataclass(frozen=True)
@@ -64,32 +64,37 @@ def _family_power_averages(w: GridFunction, expo: float, family: CubeFamily) -> 
 
     Aligned cubes read prefix sums (summed-area tables in 2D); the
     integrand is nonnegative, so a difference that rounds below zero is
-    clamped to 0.  A zero sample raised to a negative power yields +inf;
-    cubes touching such a cell report the +inf sentinel (prefix sums
-    would otherwise turn it into nan).
+    clamped to 0.  When the sums overflow, which nonnegative prefix sums
+    show in their last entry, aligned cubes take engine window sums
+    instead (+inf where a cube's own sum overflows).  A zero sample raised
+    to a negative power yields +inf; cubes touching such a cell report the
+    +inf sentinel (prefix sums would otherwise turn it into nan).
     """
     spec = w.spec
-    with np.errstate(divide="ignore", over="ignore"):
-        pw = np.power(w.samples, expo, dtype=np.float64)
-    bad = ~np.isfinite(pw)
-    pw_clean = np.where(bad, 0.0, pw)
     voxel = spec.h ** spec.dim
     ali = family.aligned
     lo, hi = family.lo[ali], family.hi[ali]
-    if spec.dim == 1:
-        prefix = np.concatenate(([0.0], np.cumsum(pw_clean))) * voxel
-        bad_prefix = np.concatenate(([0], np.cumsum(bad.astype(np.int64))))
-        total = prefix[hi[:, 0]] - prefix[lo[:, 0]]
-        nbad = bad_prefix[hi[:, 0]] - bad_prefix[lo[:, 0]]
-    else:
-        size = (spec.cells_per_axis + 1,) * 2
-        sat = np.zeros(size)
-        np.cumsum(np.cumsum(pw_clean, axis=0), axis=1, out=sat[1:, 1:])
-        bad_sat = np.zeros(size, dtype=np.int64)
-        np.cumsum(np.cumsum(bad.astype(np.int64), axis=0), axis=1, out=bad_sat[1:, 1:])
-        (a0, a1), (b0, b1) = lo.T, hi.T
-        total = (sat[b0, b1] - sat[a0, b1] - sat[b0, a1] + sat[a0, a1]) * voxel
-        nbad = bad_sat[b0, b1] - bad_sat[a0, b1] - bad_sat[b0, a1] + bad_sat[a0, a1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pw = np.power(w.samples, expo, dtype=np.float64)
+        bad = ~np.isfinite(pw)
+        pw_clean = np.where(bad, 0.0, pw)
+        if spec.dim == 1:
+            prefix = np.concatenate(([0.0], np.cumsum(pw_clean))) * voxel
+            bad_prefix = np.concatenate(([0], np.cumsum(bad.astype(np.int64))))
+            total = prefix[hi[:, 0]] - prefix[lo[:, 0]]
+            nbad = bad_prefix[hi[:, 0]] - bad_prefix[lo[:, 0]]
+        else:
+            size = (spec.cells_per_axis + 1,) * 2
+            prefix = np.zeros(size)
+            np.cumsum(np.cumsum(pw_clean, axis=0), axis=1, out=prefix[1:, 1:])
+            bad_sat = np.zeros(size, dtype=np.int64)
+            np.cumsum(np.cumsum(bad.astype(np.int64), axis=0), axis=1, out=bad_sat[1:, 1:])
+            (a0, a1), (b0, b1) = lo.T, hi.T
+            total = (prefix[b0, b1] - prefix[a0, b1] - prefix[b0, a1] + prefix[a0, a1]) * voxel
+            nbad = bad_sat[b0, b1] - bad_sat[a0, b1] - bad_sat[b0, a1] + bad_sat[a0, a1]
+        if not np.isfinite(prefix.flat[-1]):
+            # an overflowed running sum differences to inf - inf: sum each cube's own cells
+            total = family.boxes.sums(pw_clean)[ali] * voxel
     vals = np.empty(family.size)
     vals[ali] = np.where(nbad > 0, np.inf, np.maximum(total, 0.0) / family.measures[ali])
     shifted = family.shifted
@@ -256,16 +261,33 @@ def iida_pair_value(
     cp1, cp2 = conjugate(p1), conjugate(p2)
     with np.errstate(divide="ignore", over="ignore"):
         nu_q = box_power_integral(wv.nu, Q.corner, Q.side, q) / Q.measure
-        d1 = box_power_integral(_pow_fn(wv.w1, -cp1), Qp.corner, Qp.side, 1.0) / Qp.measure
-        d2 = box_power_integral(_pow_fn(wv.w2, -cp2), Qp.corner, Qp.side, 1.0) / Qp.measure
-    return (
+        d1 = _cube_power_integral(wv.w1, -cp1, Qp) / Qp.measure
+        d2 = _cube_power_integral(wv.w2, -cp2, Qp) / Qp.measure
+    value = (
         (Q.measure / Qp.measure) ** (1.0 / q0)
         * nu_q ** (1.0 / q)
         * d1 ** (1.0 / cp1)
         * d2 ** (1.0 / cp2)
     )
+    return float(_sanitize(value))
 
 
-def _pow_fn(w: GridFunction, expo: float) -> GridFunction:
+def _cube_power_integral(w: GridFunction, expo: float, Q: Cube) -> float:
+    """\\int_Q w^expo, with the power raised only on the cells Q touches (one
+    more per side, against rounding at the edges).
+
+    A power that overflows on a cell Q overlaps gives +inf, the sentinel of
+    _family_power_averages; cells outside Q do not count.
+    """
+    spec = w.spec
+    corner, side = np.array([Q.corner], dtype=np.float64), np.array([Q.side])
+    t = (corner[0] + spec.half_width) / spec.h
+    first, stop = np.floor(t).astype(np.int64) - 1, np.ceil(t + Q.side / spec.h).astype(np.int64) + 1
+    near = tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(first.tolist(), stop.tolist()))
+    pw = np.zeros(spec.shape)
     with np.errstate(divide="ignore", over="ignore"):
-        return GridFunction(w.spec, np.power(w.samples, expo))
+        pw[near] = np.power(w.samples[near], expo)
+    bad = ~np.isfinite(pw)
+    if bad.any() and overlap_integrals(spec, bad.astype(np.float64), corner, side)[0] > 0.0:
+        return np.inf
+    return float(overlap_integrals(spec, np.where(bad, 0.0, pw), corner, side)[0])

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.weights import _family_power_averages, conjugate
+
+# One profile for every property test: the same examples on every run and
+# no per-example deadline.  Tests set only their own max_examples.
+settings.register_profile("bifrac", derandomize=True, deadline=None)
+settings.load_profile("bifrac")
 
 
 @pytest.fixture(scope="session")

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
+from conftest import enumerate_nested_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bifrac import GridFunction, GridSpec
-from bifrac.families import default_family
+from bifrac import Cube, GridFunction, GridSpec, all_intervals
+from bifrac.families import default_family, family_from_cubes, nested_pairs
 from bifrac.lattice import CellBoxes, box_power_integral, overlap_integrals
-
-DETERMINISTIC = settings(derandomize=True, deadline=None)
+from bifrac.operators import _averages, _m3q, maximal, weighted_bilinear_maximal
 
 
 @st.composite
@@ -37,7 +37,6 @@ def _slices(lo, hi):
     return tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
 
 
-@DETERMINISTIC
 @given(grid_and_boxes())
 def test_sums_equal_slice_sums(case):
     arr, lo, hi = case
@@ -46,7 +45,6 @@ def test_sums_equal_slice_sums(case):
     assert np.array_equal(got, want)
 
 
-@DETERMINISTIC
 @given(grid_and_boxes())
 def test_minima_equal_slice_minima(case):
     arr, lo, hi = case
@@ -56,23 +54,101 @@ def test_minima_equal_slice_minima(case):
         assert got[k] == (window.min() if window.size else np.inf)
 
 
-@DETERMINISTIC
+def _sweep_by_loop(shape, lo, hi, values):
+    """Per cell, np.maximum over the boxes holding it, box by box."""
+    want = np.full(shape, -np.inf)
+    for cell in np.ndindex(shape):
+        for k in range(len(lo)):
+            if all(lo[k, ax] <= cell[ax] < hi[k, ax] for ax in range(len(shape))):
+                want[cell] = np.maximum(want[cell], values[k])
+    return want
+
+
 @given(grid_and_boxes(), st.data())
 def test_sweep_equals_cell_by_box_loop(case, data):
     arr, lo, hi = case
-    values = np.array(
-        [data.draw(st.sampled_from((-2.0, 0.0, 0.5, 3.0, np.inf))) for _ in range(len(lo))]
-    )
-    got = CellBoxes(arr.shape, lo, hi).sweep(values)
-    want = np.full(arr.shape, -np.inf)
-    for cell in np.ndindex(arr.shape):
-        for k in range(len(lo)):
-            if all(lo[k, ax] <= cell[ax] < hi[k, ax] for ax in range(arr.ndim)):
-                want[cell] = max(want[cell], values[k])
+    # empty boxes too: a zero extent, or clipped away entirely
+    k = data.draw(st.integers(0, len(lo) - 1))
+    lo, hi = np.concatenate([lo, lo[k : k + 1]]), np.concatenate([hi, lo[k : k + 1]])
+    choices = (-2.0, 0.0, 0.5, 3.0, np.inf, -np.inf, np.nan)
+    values = np.array([data.draw(st.sampled_from(choices)) for _ in range(len(lo))])
+    with np.errstate(invalid="ignore"):
+        got = CellBoxes(arr.shape, lo, hi).sweep(values)
+    assert np.array_equal(got, _sweep_by_loop(arr.shape, lo, hi, values), equal_nan=True)
+
+
+def test_sweep_of_clipped_non_square_cover_boxes_2d():
+    # shifted cubes sticking out of the box: their clipped cover boxes are not square
+    spec = GridSpec(2, 1.0, 8)
+    cubes = [
+        Cube((-1.3, -0.2), 0.9),
+        Cube((0.55, -1.1), 1.0),
+        Cube((0.8, 0.8), 0.7),
+        Cube((-0.6, 0.3), 1.2),
+        Cube((-1.1, 0.65), 0.5),
+        Cube((0.0, -0.5), 0.5),
+    ]
+    fam = family_from_cubes(spec, cubes)
+    ext = fam.cover.ext
+    assert np.any((ext.min(axis=1) > 0) & (ext[:, 0] != ext[:, 1]))
+    values = np.array([1.0, 4.0, 2.5, 3.0, np.nan, 0.5])
+    with np.errstate(invalid="ignore"):
+        got = fam.cover.sweep(values)
+    want = _sweep_by_loop(spec.shape, fam.cover.lo, fam.cover.lo + ext, values)
+    assert np.array_equal(got, want, equal_nan=True)
+    # and the cover boxes hold exactly the cells whose midpoints each cube contains
+    mids = spec.midpoints()
+    for k, Q in enumerate(cubes):
+        only = np.where(np.arange(len(cubes)) == k, 1.0, -np.inf)
+        covered = [[Q.contains_point((x, y)) for y in mids] for x in mids]
+        assert np.array_equal(fam.cover.sweep(only) == 1.0, covered)
+
+
+@settings(max_examples=60)
+@given(st.sampled_from((1, 2)), st.sampled_from((1, 2, 4, 8, 16)), st.booleans(), st.data())
+def test_inner_max_equals_max_over_listed_pairs(dim, n, subset, data):
+    spec = GridSpec(dim, 1.0, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    family = default_family(spec)
+    if subset:
+        keep = rng.integers(0, family.size, rng.integers(0, family.size + 1))
+        family = family_from_cubes(spec, [family.cube(int(k)) for k in keep])
+    vals = rng.uniform(0.0, 1.0, family.size)
+    vals[rng.random(family.size) < 0.1] = np.inf
+    vals[rng.random(family.size) < 0.1] = -np.inf
+    inner, outer = enumerate_nested_pairs(family)
+    want = np.full(family.size, -np.inf)
+    np.maximum.at(want, outer, vals[inner])
+    assert np.array_equal(nested_pairs(family).inner_max(vals), want)
+
+
+def _max_over_containing_intervals(family, values, cells):
+    """Per cell, the max of values over the intervals holding it; 0 if non-finite."""
+    lo, hi = family.lo[:, 0], family.hi[:, 0]
+    holds = (lo[None, :] <= cells[:, None]) & (cells[:, None] < hi[None, :])
+    out = np.max(np.where(holds, values[None, :], -np.inf), axis=1)
+    return np.where(np.isfinite(out), out, 0.0)
+
+
+def test_maximal_sweeps_at_n512_match_max_over_containing_intervals():
+    spec = GridSpec(1, 4.0, 512)
+    fam = all_intervals(spec)
+    rng = np.random.default_rng(512)
+    f, g = (GridFunction(spec, rng.uniform(-2.0, 2.0, 512)) for _ in range(2))
+    w1, w2 = (GridFunction(spec, rng.uniform(0.2, 3.0, 512)) for _ in range(2))
+    cells = np.sort(rng.choice(512, 16, replace=False))
+    cells[:2] = (0, 511)
+    want = _max_over_containing_intervals(fam, _averages(f, fam, 1.0), cells)
+    assert np.array_equal(maximal(f, fam).samples[cells], want)
+    alpha, r, s, q = 0.5, 2.0, 2.0, 3.0
+    nu = GridFunction(spec, w1.samples * w2.samples)
+    m3q = _m3q(f, g, r, s, fam.windows3, fam.side_powers(1, 3.0))
+    values = fam.side_powers(alpha) * m3q * _averages(nu, fam, q)
+    want = _max_over_containing_intervals(fam, values, cells)
+    got = weighted_bilinear_maximal(f, g, w1, w2, alpha, r, s, q, fam).samples[cells]
     assert np.array_equal(got, want)
 
 
-@DETERMINISTIC
 @given(
     st.sampled_from((1, 2)),
     st.sampled_from((4, 8, 16)),

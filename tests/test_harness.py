@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bifrac import (
+    GridFunction,
     RelationViolated,
     small_exponent_chain_check,
     corpus,
@@ -242,6 +243,31 @@ class TestInequalitySuite:
         assert summary["failures"] == 0
         assert all(r.passed for r in reports)
         assert summary["max_ratio"] <= summary["bound"]
+
+    def test_run_verify_counts_skipped_scenarios(self, monkeypatch, fam64, pairs64):
+        # a 1e-300 cell makes w1^{-p1'} overflow, so the constant is +inf
+        import dataclasses
+
+        import bifrac.harness as H
+
+        def tiny_w1(item):
+            w1 = item.w1.samples.copy()
+            w1[7] = 1e-300
+            return dataclasses.replace(item, w1=GridFunction(item.spec, w1, nonnegative=True))
+
+        real = H.corpus
+
+        def corpus_with_tiny_weights(seed, kind, count=5, **kw):
+            items = real(seed, kind, count=count, **kw)
+            return [tiny_w1(it) if seed == 13 and i in (1, 3) else it for i, it in enumerate(items)]
+
+        monkeypatch.setattr(H, "corpus", corpus_with_tiny_weights)
+        prof = catalog_profiles("T1.1")[0]
+        runs = [run_verify(prof, "random-steps", 13, 3, 5, fam64, pairs64) for _ in range(2)]
+        (reports, summary), (_, again) = runs
+        assert summary["skipped"] == 2 == again["skipped"]
+        assert [r.note == H.SKIPPED_NOTE for r in reports] == [False, True, False, True, False]
+        assert list(summary)[-1] == "skipped"
 
     def test_t11_dilation_ratio_drift(self, fam64, pairs64):
         prof = catalog_profiles("T1.1")[0]
