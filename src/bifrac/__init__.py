@@ -49,6 +49,7 @@ from .geometry import (
     dyadic_children,
     dyadic_parent,
     grid_cubes,
+    locate_shifted_cubes,
     locate_shifted_dyadic,
 )
 from .harness import (

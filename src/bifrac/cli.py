@@ -21,6 +21,7 @@ from .harness import (
     HARNESS_Q0,
     HARNESS_SPEC,
     PROFILE_CATALOG,
+    SKIPPED_NOTE,
     Report,
     corpus,
     make_profile,
@@ -77,6 +78,13 @@ class RunConfig:
             )
         except ValueError as exc:
             raise ConfigInvalid(f"bad grid spec: {exc}") from exc
+
+
+def _require_harness_grid(cfg: RunConfig) -> None:
+    """verify and sweep run on the harness grid; a config naming another grid is refused."""
+    spec = cfg.spec()
+    if spec != HARNESS_SPEC:
+        raise ConfigInvalid(f"{cfg.subcommand} runs on the harness grid {HARNESS_SPEC}, not on {spec}")
 
 
 def _fmt(x) -> str:
@@ -340,6 +348,7 @@ def _profile_from_cfg(cfg: RunConfig, args) -> dict:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
+    _require_harness_grid(cfg)
     raw = _profile_from_cfg(cfg, args)
     tag = raw.pop("tag")
     if tag == "structural":
@@ -364,6 +373,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    _require_harness_grid(cfg)
     sweep = dict(cfg.sweep)
     alphas = sweep.get("alphas", [])
     betas = sweep.get("betas", [])
@@ -372,6 +382,7 @@ def cmd_sweep(args) -> int:
     count = int(sweep.get("count", 3))
     rows = []
     failures = 0
+    skipped = 0
     fam = default_family(HARNESS_SPEC)
     prs = nested_pairs(fam)
     for alpha in alphas:
@@ -409,6 +420,7 @@ def cmd_sweep(args) -> int:
             if beta is not None:
                 ap_val = _fmt(ap_constant(items[0].w1, 2.0, fam).value)
             failures += sum(0 if r.passed else 1 for r in reports)
+            skipped += sum(r.note == SKIPPED_NOTE for r in reports)
             rows.append(
                 {
                     "id": f"{tag}-a{alpha:g}" + (f"-b{beta:g}" if beta is not None else ""),
@@ -445,7 +457,7 @@ def cmd_sweep(args) -> int:
         sys.stdout.write(text)
     if cfg.out_json:
         _emit_json(
-            cfg.out_json, {"schema": 1, "rows": rows, "failures": failures}
+            cfg.out_json, {"schema": 1, "rows": rows, "failures": failures, "skipped": skipped}
         )
     return 0 if failures == 0 else 1
 

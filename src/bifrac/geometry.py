@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .errors import LevelTooCoarse, NotInGrid
 
 _REL_EPS = 1e-9
@@ -179,34 +181,64 @@ def grid_cubes(grid: DyadicGrid, level: int, box) -> list[Cube]:
 def locate_shifted_dyadic(Q: Cube) -> tuple[tuple[float, ...], Cube]:
     """Shift t and cube Q_t in D^t with Q inside Q_t and side(Q_t) <= 6 side(Q).
 
-    Searches every level whose side lies in [side(Q), 6 side(Q)] over all
-    2^n shifts; returns the smallest valid witness, ties broken by
-    lexicographically smallest shift, then corner.  Existence at some
-    side in (3 side(Q), 6 side(Q)] is guaranteed because the two shifted
-    partitions per axis have boundaries at least a third of a cell apart.
+    The one-row call of `locate_shifted_cubes`.
     """
-    ell = Q.side
-    n = Q.dim
-    k_min = math.ceil(-math.log2(6.0 * ell) - 1e-12)
-    k_max = math.floor(-math.log2(ell) + 1e-12)
-    tol = 1e-12 * max(1.0, ell)
-    best_key = None
-    best: tuple[tuple[float, ...], Cube] | None = None
-    for level in range(k_min, k_max + 1):
-        side = 2.0 ** (-level)
-        if side > 6.0 * ell * (1 + 1e-12) or side < ell * (1 - 1e-12):
-            continue
+    shifts, corners, sides = locate_shifted_cubes([Q.corner], [Q.side])
+    return tuple(shifts[0].tolist()), Cube(tuple(corners[0].tolist()), float(sides[0]))
+
+
+# a side window [side(Q), 6 side(Q)] holds at most floor(log2 6) + 1 powers of two
+_LOCATOR_LEVELS = math.floor(math.log2(6.0)) + 1
+
+
+def locate_shifted_cubes(corners, sides) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shifted dyadic witnesses for k cubes at once: (k, n) corners, (k,) sides.
+
+    Returns the shift t (k, n), the corner (k, n) and the side (k,) of a
+    cube Q_t in D^t with Q inside Q_t and side(Q_t) <= 6 side(Q), for every
+    level whose side lies in [side(Q), 6 side(Q)] over all 2^n shifts.  The
+    witness is the smallest one, ties broken by lexicographically smallest
+    shift: the first hit with levels walked from small side to large and
+    shifts in product order.  Existence at some side in (3 side(Q), 6 side(Q)]
+    is guaranteed because the two shifted partitions per axis have
+    boundaries at least a third of a cell apart.
+    """
+    corners = np.asarray(corners, dtype=np.float64)
+    ell = np.asarray(sides, dtype=np.float64)
+    k, n = corners.shape
+    if not np.all(np.isfinite(ell) & (ell > 0.0)):
+        raise ValueError("cube sides must be positive and finite")
+    # the level range takes math.log2, which numpy's log2 differs from by an ulp on some sides
+    k_min = np.ceil(-np.array([math.log2(6.0 * x) for x in ell.tolist()]) - 1e-12)
+    k_max = np.floor(-np.array([math.log2(x) for x in ell.tolist()]) + 1e-12).astype(np.int64)
+    tol = 1e-12 * np.maximum(1.0, ell)
+    found = np.zeros(k, dtype=bool)
+    out_shift = np.zeros((k, n))
+    out_corner = np.zeros((k, n))
+    out_side = np.zeros(k)
+    for offset in range(_LOCATOR_LEVELS):
+        level = k_max - offset
+        side = np.ldexp(1.0, -level)  # 2.0 ** -level, exactly
+        live = ~found & (level >= k_min) & (side <= 6.0 * ell * (1 + 1e-12)) & (side >= ell * (1 - 1e-12))
+        sign = np.where(level % 2 == 1, -1.0, 1.0)[:, None]
+        cube_tol = (tol + 1e-12 * side)[:, None]
         for shift in product((0.0, _THIRD), repeat=n):
-            grid = DyadicGrid(shift)
-            cand = grid.cube(level, grid.locate_index(level, Q.corner))
-            if cand.contains_cube(Q, tol=tol + 1e-12 * side):
-                key = (cand.side, shift, cand.corner)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (shift, cand)
-    if best is None:
-        raise AssertionError(f"no shifted dyadic cube found for {Q}")
-    return best
+            sh = sign * np.array(shift)
+            cand = side[:, None] * (np.floor(corners / side[:, None] - sh + 1e-12) + sh)
+            hit = live & np.all(
+                (corners >= cand - cube_tol)
+                & (corners + ell[:, None] <= cand + side[:, None] + cube_tol),
+                axis=1,
+            )
+            out_shift[hit] = shift
+            out_corner[hit] = cand[hit]
+            out_side[hit] = side[hit]
+            found |= hit
+            live &= ~hit
+    if not found.all():
+        j = int(np.argmin(found))
+        raise AssertionError(f"no shifted dyadic cube found for {Cube(tuple(corners[j]), ell[j])}")
+    return out_shift, out_corner, out_side
 
 
 def dyadic_children(Q: Cube, grid: DyadicGrid) -> list[Cube]:

@@ -23,13 +23,13 @@ import numpy as np
 
 from .errors import InfiniteConstant, RelationViolated
 from .families import CubeFamily, NestedPairs, default_family, nested_pairs
-from .geometry import Cube, DyadicGrid, locate_shifted_dyadic
+from .geometry import Cube, DyadicGrid, locate_shifted_cubes
 from .lattice import GridFunction, GridSpec, lp_norm
 from .morrey import MorreyParams, morrey_norm, power_scaling_check, vector_morrey_norm
 from .operators import (
     _block_m3q,
+    _split_weights,
     bi_frac,
-    local_global_split,
     multi_maximal,
     sparse_bound,
     weighted_bilinear_maximal,
@@ -734,18 +734,16 @@ def cube_location_worst_ratio(seed: int, samples: int, dim: int = 1) -> tuple[fl
     """Max side ratio and containment success over random cubes."""
     rng = SplitMix64(_mix_seed(seed, f"one-third-{dim}d"))
     box_half = 4.0 if dim == 1 else 2.0
-    worst = 0.0
-    all_ok = True
-    for _ in range(samples):
-        side = rng.uniform(0.01, box_half / 2)
-        corner = tuple(
-            rng.uniform(-box_half, box_half - side) for _ in range(dim)
-        )
-        Q = Cube(corner, side)
-        _, Qt = locate_shifted_dyadic(Q)
-        ok = Qt.contains_cube(Q, tol=1e-9 * max(1.0, side))
-        all_ok = all_ok and ok and Qt.side <= 6.0 * side * (1 + 1e-9)
-        worst = max(worst, Qt.side / side)
+    corners = np.empty((samples, dim))
+    sides = np.empty(samples)
+    for i in range(samples):
+        sides[i] = rng.uniform(0.01, box_half / 2)
+        corners[i] = [rng.uniform(-box_half, box_half - sides[i]) for _ in range(dim)]
+    _, corner_t, side_t = locate_shifted_cubes(corners, sides)
+    tol = (1e-9 * np.maximum(1.0, sides))[:, None]
+    inside = (corners >= corner_t - tol) & (corners + sides[:, None] <= corner_t + side_t[:, None] + tol)
+    all_ok = bool(np.all(inside) and np.all(side_t <= 6.0 * sides * (1 + 1e-9)))
+    worst = float(np.max(side_t / sides, initial=0.0))
     return worst, all_ok
 
 
@@ -754,7 +752,8 @@ def local_part_ratio(item: CorpusItem, alpha: float = STRUCTURAL_ALPHA) -> float
     spec = item.spec
     Q0 = HARNESS_Q0 if spec.dim == 1 else HARNESS_Q0_2D
     grid = HARNESS_GRID if spec.dim == 1 else HARNESS_GRID_2D
-    local, _ = local_global_split(item.f, item.g, alpha, Q0)
+    w_local, _ = _split_weights(spec, alpha, Q0)
+    local = bi_frac(item.f, item.g, alpha, weights=w_local)
     sb = sparse_bound(item.f, item.g, alpha, 2.0, 2.0, Q0, grid)
     from .lattice import _cell_slices
 
@@ -1017,7 +1016,8 @@ def global_term_ratio(
     """
     Q0 = Q0 if Q0 is not None else HARNESS_Q0
     wv = item.weight_vector()
-    _, far = local_global_split(item.f, item.g, profile.alpha, Q0)
+    _, w_far = _split_weights(item.spec, profile.alpha, Q0)
+    far = bi_frac(item.f, item.g, profile.alpha, weights=w_far)
     lhs = morrey_norm(far * wv.nu, MorreyParams(profile.q0, profile.q), family)
     rhs = vector_morrey_norm(
         item.f * item.w1, item.g * item.w2, profile.p0, profile.p1, profile.p2, family

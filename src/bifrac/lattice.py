@@ -416,19 +416,38 @@ def overlap_integrals(spec: GridSpec, pw: np.ndarray, corners: np.ndarray, sides
     runs the vector-matrix(-vector) product once per cube, so each value
     equals a single-cube product bit for bit.  Cubes go in chunks so that
     the overlap vectors stay small.
+
+    Only the finite cell values are integrated; a cube whose overlap with a
+    non-finite cell is positive gets +inf.  When a partial sum over rows
+    can overflow, the partial sums of the rows a cube does not reach are
+    zeroed before the last product, so neither such a cell nor an
+    overflowed partial sum meets a zero overlap (inf * 0 = nan).
     """
+    if len(sides) == 0:  # 1D families have no shifted cubes: skip the set-up below
+        return np.zeros(0)
     edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
-    out = np.empty(len(sides))
+    bad = ~np.isfinite(pw)
+    # the finite values, then (if any cell is non-finite) an indicator of the bad cells
+    tables = [np.where(bad, 0.0, pw), bad.astype(np.float64)] if bad.any() else [pw]
+    out = np.empty((len(tables), len(sides)))
     step = max(1, _GATHER_CELLS // spec.cells_per_axis)
-    for start in range(0, len(sides), step):
-        part = pw
-        for ax in range(spec.dim):
-            lo = corners[start : start + step, ax, None]
-            hi = lo + sides[start : start + step, None]
-            overlap = np.maximum(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0)
-            part = overlap[:, None, :] @ part if ax == 0 else part @ overlap[:, :, None]
-        out[start : start + step] = part.reshape(-1)
-    return out
+    with np.errstate(over="ignore"):  # an integral past the float range is +inf
+        # a partial sum over a cube's rows (overlaps <= h) can only overflow if h * sum |pw| does
+        guard = spec.dim > 1 and not np.isfinite(2.0 * spec.h * np.abs(tables[0]).sum())
+        for start in range(0, len(sides), step):
+            overlaps = []
+            for ax in range(spec.dim):
+                lo = corners[start : start + step, ax, None]
+                hi = lo + sides[start : start + step, None]
+                overlaps.append(np.maximum(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0))
+            for t, table in enumerate(tables):
+                part = overlaps[0][:, None, :] @ table
+                for overlap in overlaps[1:]:
+                    if guard:
+                        part = np.where(overlap[:, None, :] > 0.0, part, 0.0)
+                    part = part @ overlap[:, :, None]
+                out[t, start : start + step] = part.reshape(-1)
+    return np.where(out[1] > 0.0, np.inf, out[0]) if len(tables) == 2 else out[0]
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

@@ -436,6 +436,15 @@ def local_global_split(f: GridFunction, g: GridFunction, alpha: float, Q0: Cube)
     Returns (local, global) grid functions whose sum is bi_frac(f, g).
     """
     spec = _check_same_spec(f, g)
+    w_local, w_global = _split_weights(spec, alpha, Q0)
+    return (
+        bi_frac(f, g, alpha, weights=w_local),
+        bi_frac(f, g, alpha, weights=w_global),
+    )
+
+
+def _split_weights(spec: GridSpec, alpha: float, Q0: Cube) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel weight tables of the local (|y| <= side(Q0)) and the far part."""
     table = kernel_table(spec, alpha)
     n = spec.cells_per_axis
     h = spec.h
@@ -445,12 +454,7 @@ def local_global_split(f: GridFunction, g: GridFunction, alpha: float, Q0: Cube)
         mask = np.abs(d) <= radius + 1e-12
     else:
         mask = np.sqrt(d[:, None] ** 2 + d[None, :] ** 2) <= radius + 1e-12
-    w_local = np.where(mask, table.weights, 0.0)
-    w_global = np.where(mask, 0.0, table.weights)
-    return (
-        bi_frac(f, g, alpha, weights=w_local),
-        bi_frac(f, g, alpha, weights=w_global),
-    )
+    return np.where(mask, table.weights, 0.0), np.where(mask, 0.0, table.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -287,7 +287,4 @@ def _cube_power_integral(w: GridFunction, expo: float, Q: Cube) -> float:
     pw = np.zeros(spec.shape)
     with np.errstate(divide="ignore", over="ignore"):
         pw[near] = np.power(w.samples[near], expo)
-    bad = ~np.isfinite(pw)
-    if bad.any() and overlap_integrals(spec, bad.astype(np.float64), corner, side)[0] > 0.0:
-        return np.inf
-    return float(overlap_integrals(spec, np.where(bad, 0.0, pw), corner, side)[0])
+    return float(overlap_integrals(spec, pw, corner, side)[0])

@@ -1,8 +1,12 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
+from bifrac.geometry import _THIRD
 from bifrac.weights import _family_power_averages, conjugate
 
 # One profile for every property test: the same examples on every run and
@@ -50,6 +54,32 @@ def random_positive(spec, rng, low=0.2, high=1.5):
 @pytest.fixture(scope="session")
 def unit_cube():
     return Cube((0.0,), 1.0)
+
+
+def locate_shifted_dyadic_oracle(Q: Cube):
+    """The slow oracle for locate_shifted_cubes: one cube at a time, every
+    level whose side lies in [side(Q), 6 side(Q)] and every shift, keeping
+    the smallest (side, shift, corner) key."""
+    ell = Q.side
+    n = Q.dim
+    k_min = math.ceil(-math.log2(6.0 * ell) - 1e-12)
+    k_max = math.floor(-math.log2(ell) + 1e-12)
+    tol = 1e-12 * max(1.0, ell)
+    best_key = None
+    best = None
+    for level in range(k_min, k_max + 1):
+        side = 2.0 ** (-level)
+        if side > 6.0 * ell * (1 + 1e-12) or side < ell * (1 - 1e-12):
+            continue
+        for shift in product((0.0, _THIRD), repeat=n):
+            grid = DyadicGrid(shift)
+            cand = grid.cube(level, grid.locate_index(level, Q.corner))
+            if cand.contains_cube(Q, tol=tol + 1e-12 * side):
+                key = (cand.side, shift, cand.corner)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (shift, cand)
+    return best
 
 
 def enumerate_nested_pairs(family):

@@ -288,7 +288,54 @@ class TestVerifyCommand:
         assert "-9-" in csv1.read_text()
 
 
+class TestGridConfig:
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_a_grid_other_than_the_harness_grid_is_refused(self, command, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 2, "L": 2.0, "N": 32}, "profile": {"tag": "structural"}}))
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "ConfigInvalid" in capsys.readouterr().err
+
+    def test_the_harness_grid_spelled_out_runs_as_without_it(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": {"n": 1, "L": 4.0, "N": 64}}))
+        plain, spelled = tmp_path / "plain.csv", tmp_path / "spelled.csv"
+        args = ["verify", "--tag", "structural", "--seed", "3", "--out-csv"]
+        assert main(args + [str(plain)]) == 0
+        assert main(args + [str(spelled), "--config", str(cfg)]) == 0
+        assert spelled.read_bytes() == plain.read_bytes()
+
+
 class TestSweepCommand:
+    def test_summary_counts_skipped_scenarios(self, tmp_path, monkeypatch):
+        # a 1e-300 cell makes w1^{-p1'} overflow, so the constant is +inf
+        import dataclasses
+
+        import bifrac.cli as cli
+
+        real = cli.corpus
+
+        def corpus_with_a_tiny_weight(seed, kind, count=5, **kw):
+            items = real(seed, kind, count=count, **kw)
+            w1 = items[1].w1.samples.copy()
+            w1[7] = 1e-300
+            tiny = GridFunction(items[1].spec, w1, nonnegative=True)
+            return [items[0], dataclasses.replace(items[1], w1=tiny)] + items[2:]
+
+        monkeypatch.setattr(cli, "corpus", corpus_with_a_tiny_weight)
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"seed": 3, "sweep": {"tag": "T1.1", "alphas": [0.25, 1.0 / 3.0], "count": 3}}))
+        docs = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{run}.json"
+            assert main(["sweep", "--config", str(cfg), "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(out)]) == 0
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1]
+        summary = json.loads(docs[0])
+        assert summary["skipped"] == 2
+        assert summary["failures"] == 0
+
+
     def test_summary_rows(self, tmp_path):
         cfg = tmp_path / "sweep.json"
         cfg.write_text(

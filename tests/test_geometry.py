@@ -1,4 +1,8 @@
+import numpy as np
 import pytest
+from conftest import locate_shifted_dyadic_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifrac import (
     Cube,
@@ -9,6 +13,7 @@ from bifrac import (
     dyadic_children,
     dyadic_parent,
     grid_cubes,
+    locate_shifted_cubes,
     locate_shifted_dyadic,
 )
 from bifrac.harness import SplitMix64
@@ -140,6 +145,43 @@ class TestLocateShiftedDyadic:
             _, qt = locate_shifted_dyadic(q)
             assert qt.contains_cube(q, tol=1e-9 * max(1.0, side))
             assert qt.side <= 6.0 * side * (1 + 1e-9)
+
+
+@st.composite
+def _cube_batch(draw):
+    """A dimension and a list of cubes: random ones, and dyadic-exact ones
+    (corners j 2^-k or (j ± 1/3) 2^-k, sides 2^-k or 2^-k / 3) where the
+    levels and the shifts tie."""
+    dim = draw(st.sampled_from((1, 2)))
+    random_cube = st.builds(
+        lambda side, corner: Cube(tuple(c * (8.0 - side) - 4.0 for c in corner), side),
+        st.floats(0.01, 3.0),
+        st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim),
+    )
+    exact_cube = st.builds(
+        lambda k, js, offs, third: Cube(
+            tuple((j + o) * 2.0**-k for j, o in zip(js, offs)), 2.0**-k / (3.0 if third else 1.0)
+        ),
+        st.integers(-2, 6),
+        st.lists(st.integers(-40, 40), min_size=dim, max_size=dim),
+        st.lists(st.sampled_from((0.0, THIRD, -THIRD)), min_size=dim, max_size=dim),
+        st.booleans(),
+    )
+    return dim, draw(st.lists(st.one_of(random_cube, exact_cube), min_size=1, max_size=40))
+
+
+@settings(max_examples=150)
+@given(_cube_batch())
+def test_batched_locator_equals_the_per_cube_search(batch):
+    dim, cubes = batch
+    shifts, corners, sides = locate_shifted_cubes(
+        np.array([Q.corner for Q in cubes]).reshape(-1, dim), [Q.side for Q in cubes]
+    )
+    for i, Q in enumerate(cubes):
+        want_shift, want = locate_shifted_dyadic_oracle(Q)
+        got = (tuple(shifts[i].tolist()), tuple(corners[i].tolist()), float(sides[i]))
+        assert repr(got) == repr((want_shift, want.corner, want.side)), Q
+        assert repr(locate_shifted_dyadic(Q)) == repr((want_shift, want)), Q
 
 
 class TestChildrenParent:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import locate_shifted_dyadic_oracle
 
 from bifrac import (
     GridFunction,
@@ -25,6 +26,7 @@ from bifrac.harness import (
     _mix_seed,
     catalog_profiles,
     check_sparse_invariants,
+    cube_location_worst_ratio,
     domination_ratio,
     evaluate_inequality_item,
     local_part_ratio,
@@ -183,6 +185,37 @@ class TestStructural:
         bad = [r for r in reports if not r.passed]
         assert not bad, [f"{r.scenario}: {r.note}" for r in bad]
 
+    @pytest.mark.parametrize("dim, seed", [(1, 0), (1, 7), (1, 11), (2, 3), (2, 7)])
+    def test_cube_location_matches_per_cube_oracle(self, dim, seed):
+        # the draws, containment test and ratio of the per-cube loop it replaced
+        from bifrac import Cube
+
+        samples = 300 if dim == 1 else 60
+        rng = SplitMix64(_mix_seed(seed, f"one-third-{dim}d"))
+        box_half = 4.0 if dim == 1 else 2.0
+        worst, all_ok = 0.0, True
+        for _ in range(samples):
+            side = rng.uniform(0.01, box_half / 2)
+            q = Cube(tuple(rng.uniform(-box_half, box_half - side) for _ in range(dim)), side)
+            _, qt = locate_shifted_dyadic_oracle(q)
+            ok = qt.contains_cube(q, tol=1e-9 * max(1.0, side))
+            all_ok = all_ok and ok and qt.side <= 6.0 * side * (1 + 1e-9)
+            worst = max(worst, qt.side / side)
+        assert repr(cube_location_worst_ratio(seed, samples, dim)) == repr((worst, all_ok))
+
+    def test_local_part_ratio_reads_the_local_half_of_the_split(self):
+        from bifrac import local_global_split, sparse_bound
+        from bifrac.harness import HARNESS_GRID, HARNESS_Q0, STRUCTURAL_ALPHA
+        from bifrac.lattice import _cell_slices
+
+        for item in corpus(5, "spikes", count=2) + corpus(5, "random-steps", count=2):
+            local, _ = local_global_split(item.f, item.g, STRUCTURAL_ALPHA, HARNESS_Q0)
+            sb = sparse_bound(item.f, item.g, STRUCTURAL_ALPHA, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
+            sl = _cell_slices(item.spec, HARNESS_Q0, clip=False)
+            lv, sv = local.samples[sl].reshape(-1), sb.samples[sl].reshape(-1)
+            assert np.all(sv > 0)
+            assert repr(local_part_ratio(item)) == repr(float(np.max(lv / sv)))
+
     def test_local_part_flat_matches_series(self):
         # constant data on a root whose tripled subcubes stay inside the
         # box: every cell has the same exact local / sparse ratio
@@ -335,6 +368,27 @@ class TestGlobalTerm:
             ratio = global_term_ratio(prof, it, fam64, pairs64)
             assert math.isfinite(ratio)
             assert ratio <= bound
+
+
+    def test_far_field_ratio_reads_the_far_half_of_the_split(self, fam64, pairs64):
+        from bifrac import (
+            MorreyParams,
+            global_term_ratio,
+            iida_constant,
+            local_global_split,
+            morrey_norm,
+            vector_morrey_norm,
+        )
+        from bifrac.harness import HARNESS_Q0, _substituted
+
+        prof = catalog_profiles("T1.1")[0]
+        for it in corpus(41, "power-weights", count=2):
+            wv = it.weight_vector()
+            _, far = local_global_split(it.f, it.g, prof.alpha, HARNESS_Q0)
+            lhs = morrey_norm(far * wv.nu, MorreyParams(prof.q0, prof.q), fam64)
+            rhs = vector_morrey_norm(it.f * it.w1, it.g * it.w2, prof.p0, prof.p1, prof.p2, fam64)
+            const = iida_constant(wv, prof.a * prof.q0, prof.q, *_substituted(prof), pairs64)
+            assert repr(global_term_ratio(prof, it, fam64, pairs64)) == repr(lhs / (const.value * rhs))
 
 
 class TestRefinementDrift:

@@ -179,3 +179,21 @@ def test_2d_norm_finite_where_prefix_differences_round_negative():
         for Q in fam.cubes
     )
     assert got == brute
+
+
+def test_2d_norm_of_finite_data_whose_integrals_overflow_is_inf():
+    # f^2 = 1.69e308 is finite on each cell of the block, but its integral
+    # over the block overflows; a shifted cube's overflowed partial sum over
+    # rows it does not reach used to meet a zero overlap and read nan
+    from bifrac.families import default_family
+    from bifrac.weights import _family_power_averages
+
+    spec = GridSpec(2, 2.0, 8)
+    v = np.zeros(spec.shape)
+    v[2:6, 2:6] = 1.3e154
+    f = GridFunction(spec, v)
+    fam = default_family(spec)
+    avgs = _family_power_averages(f, 2.0, fam)
+    assert not np.isnan(avgs).any()
+    assert np.isinf(avgs[fam.aligned]).any()
+    assert morrey_norm(f, MorreyParams(4.0, 2.0), fam) == np.inf

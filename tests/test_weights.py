@@ -390,6 +390,25 @@ def test_power_averages_survive_overflowed_prefix_sums(dim):
     assert got[cell].tolist() == [pw[(4,) * dim]]
 
 
+def test_shifted_power_averages_stay_finite_away_from_an_infinite_cell(spec2d):
+    # w^-1 is +inf on one cell: the shifted cubes that overlap it read +inf,
+    # and every other one reads the average it has with the cell set to 1
+    # (193 of the 199 shifted cubes read nan when the cell leaked into them)
+    fam = default_family(spec2d)
+    k = fam.shifted
+    w = np.ones(spec2d.shape)
+    w[7, 7] = 0.0
+    got = _family_power_averages(GridFunction(spec2d, w, nonnegative=True), -1.0, fam)[k]
+    lo, hi = fam.corners[k], fam.corners[k] + fam.sides[k, None]
+    cell_lo = -spec2d.half_width + 7 * spec2d.h
+    touch = np.all(np.minimum(hi, cell_lo + spec2d.h) - np.maximum(lo, cell_lo) > 0.0, axis=1)
+    assert (len(got), touch.sum()) == (199, 6)
+    assert np.all(got[touch] == np.inf)
+    w[7, 7] = 1.0
+    want = _family_power_averages(GridFunction(spec2d, w, nonnegative=True), -1.0, fam)[k]
+    assert np.array_equal(got[~touch], want[~touch])
+
+
 def test_iida_pair_value_ignores_an_overflow_outside_the_pair():
     # w1^{-p1'} overflows on cell 1 only
     spec = GridSpec(1, 4.0, 8)
