@@ -415,7 +415,7 @@ def cmd_sweep(args) -> int:
 
             c_cal = calibrate_inequality(profile, "power-weights", cfg.seed, fam, prs)
             reports = verify_inequality(profile, items, fam, prs, 2.0 * c_cal)
-            max_ratio = max(r.ratio for r in reports if math.isfinite(r.ratio))
+            max_ratio = max((r.ratio for r in reports if math.isfinite(r.ratio)), default=None)
             ap_val = ""
             if beta is not None:
                 ap_val = _fmt(ap_constant(items[0].w1, 2.0, fam).value)
@@ -443,7 +443,7 @@ def cmd_sweep(args) -> int:
                     row["id"],
                     _fmt(float(row["alpha"])),
                     _fmt(float(row["beta"])) if row["beta"] != "" else "",
-                    _fmt(row["max_ratio"]),
+                    _fmt(row["max_ratio"]) if row["max_ratio"] is not None else "",
                     _fmt(row["bound"]),
                     str(row["ap_constant"]),
                 ]

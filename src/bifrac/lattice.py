@@ -418,10 +418,9 @@ def overlap_integrals(spec: GridSpec, pw: np.ndarray, corners: np.ndarray, sides
     the overlap vectors stay small.
 
     Only the finite cell values are integrated; a cube whose overlap with a
-    non-finite cell is positive gets +inf.  When a partial sum over rows
-    can overflow, the partial sums of the rows a cube does not reach are
-    zeroed before the last product, so neither such a cell nor an
-    overflowed partial sum meets a zero overlap (inf * 0 = nan).
+    non-finite cell is positive gets +inf.  The partial sums of the rows a
+    cube does not reach are zeroed before the next product, so an
+    overflowed partial sum never meets a zero overlap (inf * 0 = nan).
     """
     if len(sides) == 0:  # 1D families have no shifted cubes: skip the set-up below
         return np.zeros(0)
@@ -432,8 +431,6 @@ def overlap_integrals(spec: GridSpec, pw: np.ndarray, corners: np.ndarray, sides
     out = np.empty((len(tables), len(sides)))
     step = max(1, _GATHER_CELLS // spec.cells_per_axis)
     with np.errstate(over="ignore"):  # an integral past the float range is +inf
-        # a partial sum over a cube's rows (overlaps <= h) can only overflow if h * sum |pw| does
-        guard = spec.dim > 1 and not np.isfinite(2.0 * spec.h * np.abs(tables[0]).sum())
         for start in range(0, len(sides), step):
             overlaps = []
             for ax in range(spec.dim):
@@ -443,8 +440,7 @@ def overlap_integrals(spec: GridSpec, pw: np.ndarray, corners: np.ndarray, sides
             for t, table in enumerate(tables):
                 part = overlaps[0][:, None, :] @ table
                 for overlap in overlaps[1:]:
-                    if guard:
-                        part = np.where(overlap[:, None, :] > 0.0, part, 0.0)
+                    part = np.where(overlap[:, None, :] > 0.0, part, 0.0)
                     part = part @ overlap[:, :, None]
                 out[t, start : start + step] = part.reshape(-1)
     return np.where(out[1] > 0.0, np.inf, out[0]) if len(tables) == 2 else out[0]

@@ -307,22 +307,28 @@ class TestGridConfig:
 
 
 class TestSweepCommand:
-    def test_summary_counts_skipped_scenarios(self, tmp_path, monkeypatch):
-        # a 1e-300 cell makes w1^{-p1'} overflow, so the constant is +inf
+    @staticmethod
+    def _tiny_weight_on(monkeypatch, indices):
+        # a 1e-300 cell makes w1^{-p1'} overflow, so the item's constant is +inf
         import dataclasses
 
         import bifrac.cli as cli
 
         real = cli.corpus
 
-        def corpus_with_a_tiny_weight(seed, kind, count=5, **kw):
+        def corpus_with_tiny_weights(seed, kind, count=5, **kw):
             items = real(seed, kind, count=count, **kw)
-            w1 = items[1].w1.samples.copy()
-            w1[7] = 1e-300
-            tiny = GridFunction(items[1].spec, w1, nonnegative=True)
-            return [items[0], dataclasses.replace(items[1], w1=tiny)] + items[2:]
+            for i in indices:
+                w1 = items[i].w1.samples.copy()
+                w1[7] = 1e-300
+                tiny = GridFunction(items[i].spec, w1, nonnegative=True)
+                items[i] = dataclasses.replace(items[i], w1=tiny)
+            return items
 
-        monkeypatch.setattr(cli, "corpus", corpus_with_a_tiny_weight)
+        monkeypatch.setattr(cli, "corpus", corpus_with_tiny_weights)
+
+    def test_summary_counts_skipped_scenarios(self, tmp_path, monkeypatch):
+        self._tiny_weight_on(monkeypatch, [1])
         cfg = tmp_path / "sweep.json"
         cfg.write_text(json.dumps({"seed": 3, "sweep": {"tag": "T1.1", "alphas": [0.25, 1.0 / 3.0], "count": 3}}))
         docs = []
@@ -335,6 +341,17 @@ class TestSweepCommand:
         assert summary["skipped"] == 2
         assert summary["failures"] == 0
 
+    def test_a_row_with_every_scenario_skipped_has_no_max_ratio(self, tmp_path, monkeypatch):
+        self._tiny_weight_on(monkeypatch, [0, 1])
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"seed": 3, "sweep": {"tag": "T1.1", "alphas": [0.25], "count": 2}}))
+        csv, out = tmp_path / "s.csv", tmp_path / "s.json"
+        assert main(["sweep", "--config", str(cfg), "--out-csv", str(csv), "--out-json", str(out)]) == 0
+        summary = json.loads(out.read_text())
+        assert summary["skipped"] == 2
+        assert summary["failures"] == 0
+        assert summary["rows"][0]["max_ratio"] is None
+        assert csv.read_text().splitlines()[1].split(",")[3] == ""
 
     def test_summary_rows(self, tmp_path):
         cfg = tmp_path / "sweep.json"
