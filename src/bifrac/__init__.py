@@ -67,7 +67,6 @@ from .harness import (
     profile_violations,
     run_verify,
     verify_inequality,
-    verify_pointwise_domination,
     verify_structural,
 )
 from .lattice import (

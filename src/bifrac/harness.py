@@ -15,7 +15,6 @@ finalizer), so corpora are portable and byte-reproducible.
 from __future__ import annotations
 
 import math
-import time
 import zlib
 from dataclasses import dataclass, replace
 
@@ -122,27 +121,6 @@ class ExponentProfile:
     r1: float | None = None
     q1: float | None = None
     q2: float | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "tag": self.tag,
-            "n": self.n,
-            "alpha": self.alpha,
-            "p1": self.p1,
-            "p2": self.p2,
-            "r": self.r,
-            "s": self.s,
-            "p": self.p,
-            "q": self.q,
-            "p0": self.p0,
-            "q0": self.q0,
-            "a": self.a,
-        }
-        for k in ("r0", "r1", "q1", "q2"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = v
-        return out
 
 
 def _chk(violations, ok: bool, relation: str):
@@ -663,7 +641,6 @@ class Report:
     passed: bool
     witness: str = ""
     note: str = ""
-    runtime: float = 0.0
 
 
 def _report(scenario, lhs, rhs, constant, ratio, bound, witness="", note="") -> Report:
@@ -928,7 +905,6 @@ def verify_inequality(
     """Ratio reports for a list of scenarios against a fixed bound."""
 
     def run(item):
-        t0 = time.perf_counter()
         try:
             lhs, rhs, ratio, const = _item_ratio(profile, item, family, pairs)
         except InfiniteConstant as exc:
@@ -944,11 +920,9 @@ def verify_inequality(
             if not isinstance(const.witness, tuple)
             else " | ".join(c.serialize() for c in const.witness)
         )
-        rep = _report(
+        return _report(
             f"{profile.tag}-{item.item_id}", lhs, rhs, const.value, ratio, bound, witness=wit
         )
-        rep.runtime = time.perf_counter() - t0
-        return rep
 
     return [run(item) for item in items]
 
@@ -1077,32 +1051,6 @@ def domination_ratio(
     if np.any(~pos & (lv > 1e-15)):
         return math.inf
     return float(np.max(lv[pos] / rv[pos])) if pos.any() else 0.0
-
-
-def verify_pointwise_domination(
-    profile: ExponentProfile,
-    items: list[CorpusItem],
-    mode: str,
-    family: CubeFamily,
-    pairs: NestedPairs,
-    bound: float,
-) -> list[Report]:
-    def run(item):
-        t0 = time.perf_counter()
-        ratio = domination_ratio(profile, item, mode, family, pairs)
-        rep = _report(
-            f"{mode}-{profile.tag}-{item.item_id}",
-            ratio,
-            1.0,
-            1.0,
-            ratio,
-            bound,
-            note="pointwise max over cells",
-        )
-        rep.runtime = time.perf_counter() - t0
-        return rep
-
-    return [run(item) for item in items]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from functools import cached_property
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConjugateMismatch,
@@ -114,18 +115,6 @@ class GridFunction:
     @classmethod
     def constant(cls, spec: GridSpec, value: float) -> "GridFunction":
         return cls(spec, np.full(spec.shape, float(value)), nonnegative=value >= 0)
-
-    @classmethod
-    def from_callable(cls, spec: GridSpec, fn, nonnegative: bool = False) -> "GridFunction":
-        """Sample fn at cell midpoints."""
-        mids = spec.midpoints()
-        if spec.dim == 1:
-            vals = np.array([fn(x) for x in mids], dtype=np.float64)
-        else:
-            vals = np.array(
-                [[fn(x, y) for y in mids] for x in mids], dtype=np.float64
-            )
-        return cls(spec, vals, nonnegative=nonnegative)
 
     @classmethod
     def indicator(cls, spec: GridSpec, cube: Cube) -> "GridFunction":
@@ -273,18 +262,70 @@ def box_power_integral(f: GridFunction, corner, side: float, p: float) -> float:
     return float(overlap_integrals(f.spec, np.abs(f.samples) ** p, corners, np.array([side]))[0])
 
 
-# Cells gathered at once; bounds the memory of one engine call.
+# Cells gathered at once in 2D and by overlap_integrals; bounds the memory of one call.
 _GATHER_CELLS = 1 << 13
+
+# np.sum of a contiguous float row runs numpy's pairwise_sum
+# (numpy/_core/src/umath/loops_utils.h.src): fewer than 8 values in order;
+# up to _PW_BLOCK values in _PW_LANES strided accumulators, combined as
+# ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in order;
+# longer rows split at n/2 rounded down to a multiple of _PW_LANES.
+_PW_BLOCK = 128
+_PW_LANES = 8
+
+
+def _window_sums(row: np.ndarray, top: int) -> np.ndarray:
+    """T[s, n] = pairwise_sum(row[s : s + n]) for s + n <= len(row), n <= top.
+
+    Every piece of the pairwise tree is itself a window sum, so the table is
+    built in a fixed number of numpy calls plus one gather-add per split
+    level.  Entries past the end of the row are garbage (and may overflow
+    where no read window does, hence the errstate).
+    """
+    lanes, known = _PW_LANES, min(top, _PW_BLOCK)
+    blocks = known // lanes + 1
+    cells = np.concatenate((row, np.zeros(lanes * blocks)))
+    view = sliding_window_view(cells, lanes * blocks).reshape(-1, blocks, lanes)
+    rows = len(view)
+    table = np.empty((rows, top + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = np.cumsum(view, axis=1)  # the accumulators after 1, 2, ... blocks
+        while acc.shape[-1] > 1:
+            acc = acc[..., 0::2] + acc[..., 1::2]
+        # after b whole blocks (0.0 for b = 0), the remainder in order: length lanes * b + k
+        tail = np.concatenate((np.zeros((rows, 1)), acc[:, :-1, 0]), axis=1)
+        tail = np.concatenate((tail[..., None], view[..., : lanes - 1]), axis=2)
+        table[:, : known + 1] = np.cumsum(tail, axis=2).reshape(rows, -1)[:, : known + 1]
+        start = np.arange(rows)[:, None]
+        while known < top:
+            n = np.arange(known + 1, top + 1)
+            n2 = n // 2 // lanes * lanes
+            # n - n2 is not monotone in n: take the run of lengths whose halves are known
+            run = np.argmax(np.append(n - n2 > known, True))
+            n, n2 = n[:run], n2[:run]
+            table[:, n] = table[:, n2] + table[np.minimum(start + n2, rows - 1), n - n2]
+            known = int(n[-1])
+    return table
+
+
+def _window_minima(row: np.ndarray, top: int) -> np.ndarray:
+    """T[s, n] = row[s : s + n].min() for s + n <= len(row); +inf for n = 0."""
+    view = sliding_window_view(np.concatenate((row, np.full(top, np.inf))), top)
+    table = np.full((len(view), top + 1), np.inf)
+    np.minimum.accumulate(view, axis=1, out=table[:, 1:])
+    return table
 
 
 class CellBoxes:
     """Cube-window engine: integer cell boxes [lo[k], hi[k]) (k x n, already
-    clipped to a grid of `shape`).  Window sums and minima group the boxes
-    by shape, so that each costs one numpy call per shape, never one per
-    box.  A window is gathered as a contiguous row of its cells in
-    row-major order, so a window sum equals np.sum(arr[box]) bit for bit;
-    summing a strided view over several axes does not.  The sweep runs on
-    the boxes cut into squares.  Groups and squares are built on first use.
+    clipped to a grid of `shape`).  Window sums equal np.sum(arr[box]) bit
+    for bit.  In 1D, sums and minima read one table over every start and
+    length up to the longest box (see _window_sums), one fancy index per
+    call.  In 2D they group the boxes by shape, one numpy call per shape,
+    never one per box, and gather each window as a contiguous row of its
+    cells in row-major order (summing a strided view over several axes does
+    not give np.sum's bits).  The sweep runs on the boxes cut into squares.
+    Groups and squares are built on first use.
     """
 
     def __init__(self, shape: tuple[int, ...], lo: np.ndarray, hi: np.ndarray):
@@ -292,6 +333,7 @@ class CellBoxes:
         self.count = len(lo)
         self.lo = lo
         self.ext = np.maximum(hi - lo, 0)
+        self.top = int(self.ext.max(initial=1))
 
     @classmethod
     def tripled(cls, shape: tuple[int, ...], lo: np.ndarray, width: np.ndarray) -> "CellBoxes":
@@ -316,10 +358,15 @@ class CellBoxes:
 
     def sums(self, arr: np.ndarray) -> np.ndarray:
         """np.sum(arr[box]) per box, bit for bit; 0 for empty boxes."""
+        if len(self.shape) == 1:
+            # + 0.0: np.sum adds the row to its identity 0.0, which turns -0.0 into 0.0
+            return _window_sums(arr, self.top)[self.lo[:, 0], self.ext[:, 0]] + 0.0
         return self._reduce(arr, 0.0, np.sum)
 
     def minima(self, arr: np.ndarray) -> np.ndarray:
         """arr[box].min() per box; +inf for empty boxes."""
+        if len(self.shape) == 1:
+            return _window_minima(arr, self.top)[self.lo[:, 0], self.ext[:, 0]]
         return self._reduce(arr, np.inf, np.min)
 
     def _reduce(self, arr: np.ndarray, empty: float, op) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -140,17 +141,16 @@ def _rect_mass_2d(x0: float, x1: float, y0: float, y1: float, alpha: float) -> f
     return total
 
 
-_KERNEL_CACHE: dict[tuple, KernelTable] = {}
-
-
 def kernel_table(spec: GridSpec, alpha: float) -> KernelTable:
     """Exact kernel cell masses for |y|^(alpha - n); requires 0 < alpha < n."""
     if not (0.0 < alpha < spec.dim):
         raise AlphaOutOfRange(f"alpha must lie in (0, {spec.dim}), got {alpha}")
-    key = (spec.dim, spec.half_width, spec.cells_per_axis, alpha)
-    cached = _KERNEL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _kernel_table(spec, alpha)
+
+
+# the most recent tables: room for a run's 2D alphas plus its 1D ones
+@lru_cache(maxsize=8)
+def _kernel_table(spec: GridSpec, alpha: float) -> KernelTable:
     n = spec.cells_per_axis
     h = spec.h
     if spec.dim == 1:
@@ -170,9 +170,7 @@ def kernel_table(spec: GridSpec, alpha: float) -> KernelTable:
             for d1 in range(-(count - 1), count):
                 full[d0 + count - 1, d1 + count - 1] = half[abs(d0), abs(d1)]
         weights = full
-    table = KernelTable(spec, alpha, weights)
-    _KERNEL_CACHE[key] = table
-    return table
+    return KernelTable(spec, alpha, weights)
 
 
 def _check_same_spec(*fns: GridFunction) -> GridSpec:

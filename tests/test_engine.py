@@ -54,6 +54,87 @@ def test_minima_equal_slice_minima(case):
         assert got[k] == (window.min() if window.size else np.inf)
 
 
+def _pairwise_sum(row: list[float], block: int, lanes: int) -> float:
+    """A model of numpy's pairwise_sum over a contiguous row, in Python floats."""
+    n = len(row)
+    if n < lanes:
+        res = 0.0
+        for x in row:
+            res += x
+        return res
+    if n > block:
+        n2 = n // 2 // lanes * lanes
+        return _pairwise_sum(row[:n2], block, lanes) + _pairwise_sum(row[n2:], block, lanes)
+    acc = row[:lanes]
+    for i in range(lanes, n - n % lanes, lanes):
+        acc = [a + x for a, x in zip(acc, row[i : i + lanes])]
+    while len(acc) > 1:
+        acc = [acc[j] + acc[j + 1] for j in range(0, len(acc), 2)]
+    res = acc[0]
+    for x in row[n - n % lanes :]:
+        res += x
+    return res
+
+
+def test_numpy_pairwise_summation_order():
+    # The 1D window-sum table of CellBoxes rebuilds np.sum's summation tree; this
+    # vector tells that tree apart from a 64-value block or 4 accumulators.
+    row = np.random.default_rng(6).standard_normal(200) * 10.0 ** (np.arange(200) % 17 - 8)
+    cells = row.tolist()
+    assumed = 0.0 + _pairwise_sum(cells, 128, 8)
+    assert assumed != 0.0 + _pairwise_sum(cells, 64, 8)
+    assert assumed != 0.0 + _pairwise_sum(cells, 128, 4)
+    assert np.sum(row) == assumed, (
+        "np.sum no longer adds a contiguous float64 row as numpy's pairwise_sum "
+        "(blocks of up to 128 values in 8 accumulators, split in halves rounded to "
+        "multiples of 8); the 1D window-sum table in lattice.CellBoxes assumes that order"
+    )
+
+
+def _every_window(n):
+    lo, hi = np.triu_indices(n + 1)
+    return lo[:, None], hi[:, None]
+
+
+def _mixed_row(n, seed):
+    """Normal values over 17 decades, with scattered -0.0 and a run of them."""
+    rng = np.random.default_rng(seed)
+    row = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    row[rng.random(n) < 0.1] = -0.0
+    row[20:40] = -0.0
+    return row
+
+
+def test_1d_sums_of_every_window_equal_slice_sums_bitwise():
+    # N = 300 crosses numpy's 128-value block and two split levels (129..248, 249..300)
+    row = _mixed_row(300, 0)
+    lo, hi = _every_window(300)
+    got = CellBoxes(row.shape, lo, hi).sums(row)
+    want = np.array([np.sum(row[a:b]) for a, b in zip(lo[:, 0], hi[:, 0])])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_1d_minima_of_every_window_equal_slice_minima():
+    row = _mixed_row(300, 1)
+    rng = np.random.default_rng(300)
+    for value in (np.nan, np.inf, -np.inf):
+        row[rng.choice(300, 6, replace=False)] = value
+    lo, hi = _every_window(300)
+    got = CellBoxes(row.shape, lo, hi).minima(row)
+    want = np.array([row[a:b].min() if b > a else np.inf for a, b in zip(lo[:, 0], hi[:, 0])])
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_1d_sums_at_n1024_spot_check():
+    # four split levels; the whole row is one of the windows
+    row = _mixed_row(1024, 2)
+    ends = np.sort(np.random.default_rng(1024).integers(0, 1025, (3000, 2)), axis=1)
+    lo, hi = np.vstack([ends[:, :1], [[0]]]), np.vstack([ends[:, 1:], [[1024]]])
+    got = CellBoxes(row.shape, lo, hi).sums(row)
+    want = np.array([np.sum(row[a:b]) for a, b in zip(lo[:, 0], hi[:, 0])])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _sweep_by_loop(shape, lo, hi, values):
     """Per cell, np.maximum over the boxes holding it, box by box."""
     want = np.full(shape, -np.inf)

@@ -70,6 +70,18 @@ class TestKernelTable:
         for d in range(1, 31):
             assert table.weight(d) == table.weight(-d)
 
+    def test_cache_is_bounded_and_holds_a_runs_tables(self):
+        from bifrac import operators
+
+        # three 2D alphas and one 1D alpha, as in one benchmark workload
+        keys = [(GridSpec(2, 1.0, 4), a) for a in (0.5, 1.0, 1.5)] + [(GridSpec(1, 1.0, 32), 0.5)]
+        tables = [kernel_table(*key) for key in keys]
+        assert all(kernel_table(*key) is table for key, table in zip(keys, tables))
+        for k in range(1, 40):
+            kernel_table(GridSpec(1, 1.0, 8), k / 40)
+        info = operators._kernel_table.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
     def test_2d_masses_positive_and_symmetric(self):
         spec = GridSpec(2, 1.0, 8)
         table = kernel_table(spec, 1.3)
