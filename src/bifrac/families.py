@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EmptyCubeFamily
 from .geometry import Cube, DyadicGrid
-from .lattice import CellBoxes, GridSpec, _containment_max, _SquareTable, overlap_integrals
+from .lattice import CellBoxes, GridSpec, _scalar_pow, overlap_integrals
 
 DEFAULT_CUBE_CAP = 4096
 
@@ -76,13 +76,10 @@ class CubeFamily:
         return np.unique(self.sides, return_inverse=True)
 
     def side_powers(self, expo: float, scale: float = 1.0) -> np.ndarray:
-        """(scale * side) ** expo per cube, by scalar pow over the distinct sides.
-
-        Scalar pow, not numpy's array power, which differs from it by 1 ulp
-        on some inputs on SIMD hosts; so |Q| here equals Cube.measure.
-        """
+        """(scale * side) ** expo per cube, by scalar pow over the distinct
+        sides (see lattice._scalar_pow), so |Q| here equals Cube.measure."""
         distinct, back = self._distinct_sides
-        return np.array([v ** expo for v in (scale * distinct).tolist()], dtype=np.float64)[back]
+        return _scalar_pow(scale * distinct, expo)[back]
 
     @cached_property
     def measures(self) -> np.ndarray:
@@ -246,26 +243,11 @@ class NestedPairs:
     def inner_max(self, vals: np.ndarray) -> np.ndarray:
         """Per member Q', the max of vals[Q] over the aligned members Q ⊆ Q'.
 
-        Shifted members get -inf.  The values go onto a square table, the
-        inward containment recursion of `lattice` gives each cube the max
-        over the cubes inside it, and each member reads its own.
+        Shifted members get -inf.  The engine's inward containment maxima
+        over the aligned cubes' boxes (CellBoxes.inner_max): two running
+        maxima of a start x end table in 1D, the square-table recursion in 2D.
         """
-        spec, ali, lo, width = self.family.spec, *_aligned_cells(self.family)
-        table = _SquareTable(spec.shape, int(width.max(initial=1)))
-        at = table.positions(width, lo)
-        flat = np.full(table.size, -np.inf)
-        np.maximum.at(flat, at, vals[ali])
-        _containment_max(table.layers(flat), inward=True)
-        out = np.full(self.family.size, -np.inf)
-        out[ali] = flat[at]
-        return out
-
-
-def _aligned_cells(family: CubeFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices, corner cells and widths (in cells) of the aligned members."""
-    ali = np.flatnonzero(family.aligned)
-    lo = family.lo[ali]
-    return ali, lo, family.hi[ali, 0] - lo[:, 0]
+        return self.family.boxes.inner_max(vals)
 
 
 def nested_pairs(family: CubeFamily) -> NestedPairs:
@@ -275,7 +257,8 @@ def nested_pairs(family: CubeFamily) -> NestedPairs:
     [A, A + W - w]^n; per width w, a prefix sum of the corner counts
     answers that for every outer member at once.
     """
-    spec, _, lo, width = family.spec, *_aligned_cells(family)
+    spec, lo, hi = family.spec, family.lo[family.aligned], family.hi[family.aligned]
+    width = hi[:, 0] - lo[:, 0]
     total = 0
     for w in np.unique(width):
         prefix = np.zeros((spec.cells_per_axis - w + 2,) * spec.dim, dtype=np.int64)

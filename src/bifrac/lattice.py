@@ -262,6 +262,17 @@ def box_power_integral(f: GridFunction, corner, side: float, p: float) -> float:
     return float(overlap_integrals(f.spec, np.abs(f.samples) ** p, corners, np.array([side]))[0])
 
 
+def _scalar_pow(values: np.ndarray, expo: float) -> np.ndarray:
+    """values ** expo by scalar pow, once per distinct value.
+
+    Scalar pow, not numpy's array power, which differs from it by 1 ulp on
+    some inputs on SIMD hosts.  Values are told apart by their bits, so equal
+    bits in give equal bits out, -0.0 and NaN payloads included.
+    """
+    distinct, back = np.unique(np.asarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
+    return np.array([v ** expo for v in distinct.view(np.float64).tolist()], dtype=np.float64)[back]
+
+
 # Cells gathered at once in 2D and by overlap_integrals; bounds the memory of one call.
 _GATHER_CELLS = 1 << 13
 
@@ -321,11 +332,14 @@ class CellBoxes:
     clipped to a grid of `shape`).  Window sums equal np.sum(arr[box]) bit
     for bit.  In 1D, sums and minima read one table over every start and
     length up to the longest box (see _window_sums), one fancy index per
-    call.  In 2D they group the boxes by shape, one numpy call per shape,
-    never one per box, and gather each window as a contiguous row of its
-    cells in row-major order (summing a strided view over several axes does
-    not give np.sum's bits).  The sweep runs on the boxes cut into squares.
-    Groups and squares are built on first use.
+    call, and the containment maxima (`sweep`, `inner_max`) read running
+    maxima of one start x end table (see _interval_table), O(N^2) like the
+    window-sum table.  In 2D sums and minima group the boxes by shape, one
+    numpy call per shape, never one per box, and gather each window as a
+    contiguous row of its cells in row-major order (summing a strided view
+    over several axes does not give np.sum's bits); the containment maxima
+    run on a table of squares (see _containment_max).  Groups and squares
+    are built on first use.
     """
 
     def __init__(self, shape: tuple[int, ...], lo: np.ndarray, hi: np.ndarray):
@@ -382,10 +396,10 @@ class CellBoxes:
 
     @cached_property
     def squares(self) -> tuple[np.ndarray, np.ndarray, "_SquareTable"]:
-        """The boxes as squares (n <= 2): a w0 x w1 box with w0 <= w1 is exactly
-        the union of the w1 - w0 + 1 squares of side w0 inside it.  Returns
-        each square's position in a square table, the box it comes from,
-        and the table."""
+        """The 2D boxes as squares: a w0 x w1 box with w0 <= w1 is exactly the
+        union of the w1 - w0 + 1 squares of side w0 inside it.  Returns each
+        square's position in a square table, the box it comes from, and the
+        table."""
         side = self.ext.min(axis=1)
         box = np.flatnonzero(side > 0)
         count = self.ext[box].max(axis=1) - side[box] + 1
@@ -400,9 +414,16 @@ class CellBoxes:
         """Per cell, the max of values[k] over the boxes containing it.
 
         Cells in no box get -inf; a NaN value propagates as in np.maximum.
-        The values go onto their squares, and the outward containment
-        recursion carries each down to the cells, the squares of side 1.
+        In 1D a cell c lies in [a, e] when a <= c <= e: a suffix max over e
+        and a prefix max over a leave that max on the diagonal of the
+        interval table.  In 2D the values go onto the squares of the boxes,
+        and the outward containment recursion carries each down to the
+        cells, the squares of side 1.
         """
+        if len(self.shape) == 1:
+            _, _, table = _interval_table(self, values)
+            table = np.maximum.accumulate(table[:, ::-1], axis=1)[:, ::-1]
+            return np.maximum.accumulate(table, axis=0).diagonal().copy()
         at, box, table = self.squares
         flat = np.full(table.size, -np.inf)
         np.maximum.at(flat, at, values[box])
@@ -410,11 +431,50 @@ class CellBoxes:
         _containment_max(layers, inward=False)
         return layers[0].copy()
 
+    def inner_max(self, values: np.ndarray) -> np.ndarray:
+        """Per non-empty box, the max of values[k] over the non-empty boxes
+        inside it; -inf for empty boxes.  2D boxes must be squares.
+
+        In 1D [a', e'] lies in [a, e] when a <= a' and e' <= e: a prefix max
+        over e and a suffix max over a leave that max at (a, e) of the
+        interval table.  In 2D the values go onto a square table, and the
+        inward containment recursion gives each square the max over the
+        squares inside it.
+        """
+        out = np.full(self.count, -np.inf)
+        if len(self.shape) == 1:
+            k, at, table = _interval_table(self, values)
+            table = np.maximum.accumulate(table, axis=1)
+            out[k] = np.maximum.accumulate(table[::-1], axis=0)[::-1].reshape(-1)[at]
+            return out
+        k = np.flatnonzero(self.ext.min(axis=1) > 0)
+        side = self.ext[k, 0]
+        table = _SquareTable(self.shape, int(side.max(initial=1)))
+        at = table.positions(side, self.lo[k])
+        flat = np.full(table.size, -np.inf)
+        np.maximum.at(flat, at, values[k])
+        _containment_max(table.layers(flat), inward=True)
+        out[k] = flat[at]
+        return out
+
+
+def _interval_table(boxes: CellBoxes, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-empty 1D boxes, their flat positions (first * N + last cell)
+    and the N x N start x end table holding, at each, the max of their
+    values (-inf elsewhere)."""
+    n = boxes.shape[0]
+    k = np.flatnonzero(boxes.ext[:, 0] > 0)
+    at = boxes.lo[k, 0] * (n + 1) + boxes.ext[k, 0] - 1
+    table = np.full(n * n, -np.inf)
+    np.maximum.at(table, at, values[k])
+    return k, at, table.reshape(n, n)
+
 
 class _SquareTable:
     """Layout of a table of values on the squares of side W = 1 ... top cells
     that fit in a grid of per-axis `sizes`: a flat array, packed layer by
     layer, where layer W - 1 is indexed by the corner, n - W + 1 per axis.
+    Used in 2D only: 1D intervals take the start x end table instead.
     """
 
     def __init__(self, sizes: tuple[int, ...], top: int):
@@ -435,8 +495,9 @@ class _SquareTable:
 
 
 def _containment_max(layers: list[np.ndarray], inward: bool) -> None:
-    """Max over square containment, in place on the layers of a square table
-    (-inf where there is no square).
+    """Max over square containment, in place on the layers of a 2D square
+    table (-inf where there is no square); 1D intervals factor into two
+    running maxima instead (see CellBoxes.sweep and CellBoxes.inner_max).
 
     The square of side W at corner A holds exactly the squares of side
     W - 1 at the corners A + t, t in {0, 1}^n, and through them every

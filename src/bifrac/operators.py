@@ -22,7 +22,7 @@ import numpy as np
 from .errors import AlphaOutOfRange, NonPositiveWeight, POutOfRange, SpecMismatch
 from .families import CubeFamily, default_family
 from .geometry import Cube, DyadicGrid
-from .lattice import CellBoxes, GridFunction, GridSpec, check_conjugate
+from .lattice import CellBoxes, GridFunction, GridSpec, _scalar_pow, check_conjugate
 
 
 @dataclass(frozen=True)
@@ -463,17 +463,14 @@ def _split_weights(spec: GridSpec, alpha: float, Q0: Cube) -> tuple[np.ndarray, 
 # * box sums, grouped by box shape in the cube-window engine of `lattice`,
 #   equal per-slice np.sum bit for bit, and |f|^p taken once on the whole
 #   array equals |f|^p taken on any slice;
-# * the final root stays on scalar `**`, one Python float per value, because
+# * the final root stays on scalar `**` (lattice._scalar_pow), because
 #   numpy's array `power` differs from scalar pow by 1 ulp on some inputs on
-#   SIMD hosts; side powers take the same scalar `**` once per distinct side
-#   (CubeFamily.side_powers);
-# * the sweep's max over the containing cubes involves no rounding.
+#   SIMD hosts; it is taken once per distinct value (by bits), and side
+#   powers once per distinct side (CubeFamily.side_powers);
+# * the sweep's max over the containing cubes involves no rounding: in 1D
+#   two running maxima of a start x end table, in 2D the square-table
+#   recursion (CellBoxes.sweep).
 # ---------------------------------------------------------------------------
-
-
-def _scalar_pow(values: np.ndarray, expo: float) -> np.ndarray:
-    """values ** expo by scalar pow, value by value (see above)."""
-    return np.array([v ** expo for v in values.tolist()], dtype=np.float64)
 
 
 def _family_for(spec: GridSpec, family: CubeFamily | None) -> CubeFamily:

@@ -203,12 +203,47 @@ def test_inner_max_equals_max_over_listed_pairs(dim, n, subset, data):
     assert np.array_equal(nested_pairs(family).inner_max(vals), want)
 
 
-def _max_over_containing_intervals(family, values, cells):
-    """Per cell, the max of values over the intervals holding it; 0 if non-finite."""
+def _max_over_containing_intervals(family, values, cells, nonfinite_to_zero=True):
+    """Per cell, the max of values over the intervals holding it (-inf if none);
+    0 if non-finite, unless nonfinite_to_zero is False."""
     lo, hi = family.lo[:, 0], family.hi[:, 0]
     holds = (lo[None, :] <= cells[:, None]) & (cells[:, None] < hi[None, :])
     out = np.max(np.where(holds, values[None, :], -np.inf), axis=1)
-    return np.where(np.isfinite(out), out, 0.0)
+    return np.where(np.isfinite(out), out, 0.0) if nonfinite_to_zero else out
+
+
+def _values_with_nonfinite(size, seed):
+    """Uniform values with a few +inf, many -inf and two NaN."""
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.0, 1.0, size)
+    picks = rng.choice(size, 4 + size // 4 + 2, replace=False)
+    values[picks[:4]] = np.inf
+    values[picks[4:-2]] = -np.inf
+    values[picks[-2:]] = np.nan
+    return values
+
+
+def test_1d_sweep_of_every_interval_at_n64_equals_max_over_containing_intervals():
+    fam = all_intervals(GridSpec(1, 4.0, 64))
+    cells = np.arange(64)
+    for seed in range(4):
+        values = _values_with_nonfinite(fam.size, seed)
+        want = _max_over_containing_intervals(fam, values, cells, nonfinite_to_zero=False)
+        with np.errstate(invalid="ignore"):
+            got = fam.cover.sweep(values)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert not np.all(np.isnan(want)) and np.any(np.isinf(want))
+
+
+def test_1d_inner_max_of_every_interval_at_n64_equals_max_over_listed_pairs():
+    fam = all_intervals(GridSpec(1, 4.0, 64))
+    inner, outer = enumerate_nested_pairs(fam)
+    for seed in range(4):
+        values = _values_with_nonfinite(fam.size, seed)
+        values[np.isnan(values)] = np.inf
+        want = np.full(fam.size, -np.inf)
+        np.maximum.at(want, outer, values[inner])
+        assert np.array_equal(nested_pairs(fam).inner_max(values), want)
 
 
 def test_maximal_sweeps_at_n512_match_max_over_containing_intervals():

@@ -24,6 +24,7 @@ from bifrac import (
     read_grid_file,
     write_grid_file,
 )
+from bifrac.lattice import _scalar_pow
 
 
 class TestGridSpec:
@@ -287,3 +288,28 @@ def test_malformed_grid_file_raises_input_unreadable(f, data):
         header = data.draw(st.sampled_from(BAD_HEADERS))
     with pytest.raises(InputUnreadable):
         _read_grid_text(header + "\n" + " ".join(tokens) + "\n")
+
+
+# +0.0 and -0.0, subnormals, the largest decade, +inf and NaN, next to ordinary values
+POW_SPECIALS = (0.0, -0.0, 5e-324, 2.5e-310, 1e308, np.inf, np.nan, 1.0, 0.1, 3.0)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.one_of(st.sampled_from(POW_SPECIALS), st.floats(0.0, 1e308)), min_size=1, max_size=8),
+    st.lists(st.integers(0, 7), max_size=60),
+    st.sampled_from((1.0, 0.5, 1.0 / 3.0, 0.3125, 1.25, 2.0, 3.0)),
+)
+def test_scalar_pow_equals_python_pow_bit_for_bit(pool, picks, expo):
+    # many repeats of a few values; 3.0 is an odd integer, so -0.0 must stay -0.0
+    values = np.array(pool + [pool[i % len(pool)] for i in picks])
+    try:
+        want = np.array([v ** expo for v in values.tolist()])
+    except OverflowError:  # scalar pow past the float range raises, and so does _scalar_pow
+        with pytest.raises(OverflowError):
+            _scalar_pow(values, expo)
+        return
+    got = _scalar_pow(values, expo)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
