@@ -9,7 +9,8 @@ sparse     stopping-time selection of cubes with large bilinear averages
 operators  singular-kernel integral operators and maximal functions
 weights    weight-class constants over cube and pair families
 morrey     discrete Morrey norms
-harness    scenario corpora and the verification protocols
+harness    scenario corpora, the calibrate-then-hold-out protocol and the
+           structural checks
 cli        command-line front end
 """
 
@@ -66,7 +67,7 @@ from .harness import (
     make_profile,
     profile_violations,
     run_verify,
-    verify_inequality,
+    verify_calibrated,
     verify_structural,
 )
 from .lattice import (

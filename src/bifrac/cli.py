@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import BifracError, ConfigInvalid, InputUnreadable
 from .families import default_family, nested_pairs
@@ -21,15 +21,17 @@ from .harness import (
     HARNESS_Q0,
     HARNESS_SPEC,
     PROFILE_CATALOG,
-    SKIPPED_NOTE,
     Report,
-    corpus,
+    _grid_fn,
     make_profile,
+    protocol_corpora,
     run_verify,
+    verify_calibrated,
     verify_structural,
+    witness_text,
 )
 from .lattice import GridSpec, read_grid_file, write_grid_file
-from .morrey import MorreyParams, morrey_norm_witness
+from .morrey import MorreyParams, morrey_norm_witness, vector_morrey_norm
 from .operators import (
     bi_frac,
     frac_int,
@@ -52,6 +54,14 @@ from .weights import (
 
 CSV_HEADER = "id,lhs,rhs,constant,ratio,bound,pass"
 
+# The keys a config document may hold, at the top level (None) and in its
+# `grid` and `sweep` objects; any other key is a ConfigInvalid.
+CONFIG_KEYS = {
+    None: ("grid", "profile", "sweep", "seed", "kind", "out_csv", "out_json", "format"),
+    "grid": ("n", "L", "N"),
+    "sweep": ("tag", "base", "alphas", "betas", "count"),
+}
+
 
 @dataclass
 class RunConfig:
@@ -59,16 +69,13 @@ class RunConfig:
 
     subcommand: str
     grid: dict = field(default_factory=dict)
-    inputs: dict = field(default_factory=dict)
     profile: dict = field(default_factory=dict)
     seed: int = 7
     kind: str = "random-steps"
-    family_caps: dict = field(default_factory=dict)
     out_csv: str | None = None
     out_json: str | None = None
     format: str = "json"
     sweep: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
 
     def spec(self) -> GridSpec:
         g = self.grid
@@ -135,6 +142,18 @@ def _emit_json(path, payload) -> None:
         sys.stdout.write(text)
 
 
+def check_config_keys(doc) -> None:
+    """Raise ConfigInvalid unless `doc` is an object holding only known keys."""
+    for section, known in CONFIG_KEYS.items():
+        part = doc if section is None else doc.get(section, {})
+        where = "config document" if section is None else f"config {section!r}"
+        if not isinstance(part, dict):
+            raise ConfigInvalid(f"{where} must be a JSON object")
+        unknown = sorted(set(part) - set(known))
+        if unknown:
+            raise ConfigInvalid(f"unknown keys {unknown} in {where}; known keys are {list(known)}")
+
+
 def _load_config(args) -> RunConfig:
     base: dict = {}
     if getattr(args, "config", None):
@@ -143,15 +162,11 @@ def _load_config(args) -> RunConfig:
                 base = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputUnreadable(f"config {args.config}: {exc}") from exc
-        if not isinstance(base, dict):
-            raise ConfigInvalid("config document must be a JSON object")
+        check_config_keys(base)
     cfg = RunConfig(subcommand=args.command)
-    for key in ("grid", "profile", "family_caps", "sweep", "inputs"):
+    for key in ("grid", "profile", "sweep"):
         if key in base:
             setattr(cfg, key, dict(base[key]))
-    unknown_caps = sorted(set(cfg.family_caps) - {"cubes"})
-    if unknown_caps:
-        raise ConfigInvalid(f"unknown family_caps keys {unknown_caps}; only 'cubes' is a cap")
     for key in ("seed", "kind", "out_csv", "out_json", "format"):
         if key in base:
             setattr(cfg, key, base[key])
@@ -248,17 +263,11 @@ def cmd_apply(args) -> int:
     return 0
 
 
-def _witness_fields(witness) -> str:
-    if isinstance(witness, tuple):
-        return " | ".join(c.serialize() for c in witness)
-    return witness.serialize()
-
-
 def cmd_constants(args) -> int:
     cfg = _load_config(args)
     w1 = _read_inputs([args.weight])[0]
     spec = w1.spec
-    family = default_family(spec, cap=int(cfg.family_caps.get("cubes", 4096)))
+    family = default_family(spec)
     pairs = nested_pairs(family)
     w2 = _read_inputs([args.weight2])[0] if args.weight2 else None
     v = _read_inputs([args.v])[0] if args.v else None
@@ -286,7 +295,7 @@ def cmd_constants(args) -> int:
             {
                 "constant": name,
                 "value": rep.value,
-                "witness": _witness_fields(rep.witness),
+                "witness": witness_text(rep.witness),
                 "family_size": rep.family_size,
             }
         )
@@ -312,15 +321,13 @@ def cmd_constants(args) -> int:
 def cmd_norms(args) -> int:
     cfg = _load_config(args)
     fns = _read_inputs(args.input)
-    family = default_family(fns[0].spec, cap=int(cfg.family_caps.get("cubes", 4096)))
+    family = default_family(fns[0].spec)
     if len(fns) == 1:
         value, witness = morrey_norm_witness(
             fns[0], MorreyParams(args.p0, args.q), family
         )
         payload = {"schema": 1, "value": value, "witness": witness.serialize()}
     else:
-        from .morrey import vector_morrey_norm
-
         value = vector_morrey_norm(fns[0], fns[1], args.p0, args.p1, args.p2, family)
         payload = {"schema": 1, "value": value, "witness": ""}
     _emit_json(cfg.out_json, payload)
@@ -385,52 +392,33 @@ def cmd_sweep(args) -> int:
     skipped = 0
     fam = default_family(HARNESS_SPEC)
     prs = nested_pairs(fam)
+    corpora = protocol_corpora(cfg.seed, "power-weights", n_eval=count)
     for alpha in alphas:
-        raw = dict(base)
-        raw["alpha"] = alpha
-        profile = make_profile(tag, **raw)
+        profile = make_profile(tag, **{**base, "alpha": alpha})
         for beta in betas if betas else [None]:
-            items = corpus(cfg.seed, "power-weights", count=count)
-            if beta is not None:
-                from .harness import _grid_fn  # deterministic power weight rebuild
-
-                pieces = [("power", 2.0, float(beta))]
-                w = _grid_fn(HARNESS_SPEC, pieces)
-                items = [
-                    type(it)(
-                        item_id=it.item_id,
-                        kind=it.kind,
-                        spec=it.spec,
-                        descriptors=it.descriptors,
-                        f=it.f,
-                        g=it.g,
-                        w1=w,
-                        w2=w,
-                        v=it.v,
-                        hfun=it.hfun,
-                    )
-                    for it in items
-                ]
-            from .harness import verify_inequality, calibrate_inequality
-
-            c_cal = calibrate_inequality(profile, "power-weights", cfg.seed, fam, prs)
-            reports = verify_inequality(profile, items, fam, prs, 2.0 * c_cal)
-            max_ratio = max((r.ratio for r in reports if math.isfinite(r.ratio)), default=None)
+            cal_items, items = corpora
             ap_val = ""
             if beta is not None:
-                ap_val = _fmt(ap_constant(items[0].w1, 2.0, fam).value)
-            failures += sum(0 if r.passed else 1 for r in reports)
-            skipped += sum(r.note == SKIPPED_NOTE for r in reports)
+                w = _grid_fn(HARNESS_SPEC, [("power", 2.0, float(beta))])
+                cal_items, items = ([replace(it, w1=w, w2=w) for it in c] for c in corpora)
+                ap_val = _fmt(ap_constant(w, 2.0, fam).value)
+            reports, result = verify_calibrated(profile, cal_items, items, fam, prs)
+            failures += result["failures"]
+            skipped += result["skipped"]
             rows.append(
                 {
                     "id": f"{tag}-a{alpha:g}" + (f"-b{beta:g}" if beta is not None else ""),
                     "alpha": alpha,
                     "beta": beta if beta is not None else "",
-                    "max_ratio": max_ratio,
-                    "bound": 2.0 * c_cal,
+                    "max_ratio": result["max_ratio"],
+                    "bound": result["bound"],
                     "ap_constant": ap_val,
                     "items": [
-                        {"id": r.scenario, "ratio": r.ratio, "pass": r.passed}
+                        {
+                            "id": r.scenario,
+                            "ratio": r.ratio if math.isfinite(r.ratio) else None,
+                            "pass": r.passed,
+                        }
                         for r in reports
                     ],
                 }

@@ -8,7 +8,7 @@ compared on identical index sets:
   (corner, side).
 * n = 2: every lattice-aligned square whose side is a power of two
   times the cell width, plus the in-box cubes of all four shifted
-  dyadic grids, capped at a configurable count with deterministic
+  dyadic grids, capped at DEFAULT_CUBE_CAP cubes with deterministic
   stride subsampling.
 
 `nested_pairs` gives the nesting relation Q ⊆ Q' among the aligned
@@ -208,7 +208,7 @@ def _shifted_grid_cubes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(corners), np.concatenate(sides)
 
 
-def default_family(spec: GridSpec, cap: int = DEFAULT_CUBE_CAP) -> CubeFamily:
+def default_family(spec: GridSpec) -> CubeFamily:
     """Shared default cube family for sups (see module docstring)."""
     if spec.dim == 1:
         return all_intervals(spec)
@@ -220,8 +220,8 @@ def default_family(spec: GridSpec, cap: int = DEFAULT_CUBE_CAP) -> CubeFamily:
     first = np.sort(np.unique(keys, axis=0, return_index=True)[1])
     corners, sides = corners[first], sides[first]
     order = np.lexsort((sides, *corners.T[::-1]))
-    if cap and len(order) > cap:
-        order = order[:: -(-len(order) // cap)]
+    if len(order) > DEFAULT_CUBE_CAP:
+        order = order[:: -(-len(order) // DEFAULT_CUBE_CAP)]
     return _with_cell_bounds(spec, corners[order], sides[order], "squares+shifted")
 
 

@@ -4,8 +4,10 @@ Structural facts (cube location, stopping-time bookkeeping, the power
 scaling identity, the local kernel-sum domination) are checked exactly
 or to 1e-12.  Norm inequalities assert the existence of a constant, so
 they are verified as bounded ratios with a calibrate-then-hold-out
-protocol: a calibration corpus fixes C_cal per scenario family, and the
-disjoint evaluation corpus must stay below 2 * C_cal.
+protocol (`verify_calibrated`, shared by `bifrac verify` and `bifrac
+sweep`): a calibration corpus fixes C_cal per scenario family, and the
+disjoint held-out corpus must stay below 2 * C_cal.  A scenario whose
+constant is infinite is left out of C_cal, or skipped when held out.
 
 All randomness flows from one 64-bit seed through SplitMix64 (state
 advances by the golden-gamma constant, output is the murmur-style
@@ -643,6 +645,13 @@ class Report:
     note: str = ""
 
 
+def witness_text(witness) -> str:
+    """A witness cube, or a tuple of them joined by ' | ', as text."""
+    if isinstance(witness, tuple):
+        return " | ".join(c.serialize() for c in witness)
+    return witness.serialize()
+
+
 def _report(scenario, lhs, rhs, constant, ratio, bound, witness="", note="") -> Report:
     return Report(
         scenario=scenario,
@@ -890,58 +899,69 @@ def _item_ratio(profile, item, family, pairs) -> tuple[float, float, float, Cons
     return lhs, rhs, ratio, const
 
 
-# A scenario whose constant is +inf lies outside the weight class: its report
-# passes with this note, and run_verify counts it as `skipped`.
+# A scenario whose constant is +inf lies outside the weight class.  A held-out
+# one passes with this note and is counted as `skipped`; a calibration one is
+# left out of C_cal.
 SKIPPED_NOTE = "hypothesis not satisfied (infinite constant); skipped"
 
 
-def verify_inequality(
+def protocol_corpora(
+    seed: int, kind: str, n_cal: int = 10, n_eval: int = 30
+) -> tuple[list[CorpusItem], list[CorpusItem]]:
+    """(calibration items, held-out items) for one seed; the calibration seed is mixed."""
+    return (
+        corpus(_mix_seed(seed, "calibration"), kind, count=n_cal),
+        corpus(seed, kind, count=n_eval),
+    )
+
+
+def verify_calibrated(
     profile: ExponentProfile,
-    items: list[CorpusItem],
+    cal_items: list[CorpusItem],
+    eval_items: list[CorpusItem],
     family: CubeFamily,
     pairs: NestedPairs,
-    bound: float,
-) -> list[Report]:
-    """Ratio reports for a list of scenarios against a fixed bound."""
+) -> tuple[list[Report], dict]:
+    """Calibrate-then-hold-out: held-out ratios against 2 * (max calibration ratio).
 
-    def run(item):
+    A scenario with an infinite constant is left out of C_cal in calibration
+    and reported as skipped when held out; only a calibration corpus with no
+    finite ratio raises InfiniteConstant.  Returns the held-out reports and the
+    summary fields calibration_max, bound, max_ratio, failures, skipped.
+    """
+
+    def ratio_or_none(item):
         try:
-            lhs, rhs, ratio, const = _item_ratio(profile, item, family, pairs)
-        except InfiniteConstant as exc:
-            rep = _report(
-                f"{profile.tag}-{item.item_id}", math.nan, math.nan, math.inf,
-                math.inf, bound, note=str(exc),
-            )
-            rep.passed = True
-            rep.note = SKIPPED_NOTE
-            return rep
-        wit = (
-            const.witness.serialize()
-            if not isinstance(const.witness, tuple)
-            else " | ".join(c.serialize() for c in const.witness)
-        )
-        return _report(
-            f"{profile.tag}-{item.item_id}", lhs, rhs, const.value, ratio, bound, witness=wit
-        )
+            return _item_ratio(profile, item, family, pairs)
+        except InfiniteConstant:
+            return None
 
-    return [run(item) for item in items]
-
-
-def calibrate_inequality(
-    profile: ExponentProfile,
-    kind: str,
-    seed: int,
-    family: CubeFamily,
-    pairs: NestedPairs,
-    n_cal: int = 10,
-) -> float:
-    """Max ratio over the calibration corpus (seed-mixed, disjoint from eval)."""
-    cal_items = corpus(_mix_seed(seed, "calibration"), kind, count=n_cal)
-    ratios = [_item_ratio(profile, it, family, pairs)[2] for it in cal_items]
-    finite = [x for x in ratios if math.isfinite(x)]
+    calibrated = [ratio_or_none(item) for item in cal_items]
+    finite = [out[2] for out in calibrated if out is not None and math.isfinite(out[2])]
     if not finite:
         raise InfiniteConstant("calibration produced no finite ratios")
-    return max(finite)
+    c_cal = max(finite)
+    bound = 2.0 * c_cal
+    reports = []
+    for item in eval_items:
+        scenario = f"{profile.tag}-{item.item_id}"
+        out = ratio_or_none(item)
+        if out is None:
+            rep = _report(scenario, math.nan, math.nan, math.inf, math.inf, bound, note=SKIPPED_NOTE)
+            rep.passed = True
+        else:
+            lhs, rhs, ratio, const = out
+            wit = witness_text(const.witness)
+            rep = _report(scenario, lhs, rhs, const.value, ratio, bound, witness=wit)
+        reports.append(rep)
+    held_out = [r.ratio for r in reports if math.isfinite(r.ratio)]
+    return reports, {
+        "calibration_max": c_cal,
+        "bound": bound,
+        "max_ratio": max(held_out) if held_out else None,
+        "failures": sum(0 if r.passed else 1 for r in reports),
+        "skipped": sum(r.note == SKIPPED_NOTE for r in reports),
+    }
 
 
 def run_verify(
@@ -953,26 +973,12 @@ def run_verify(
     family: CubeFamily | None = None,
     pairs: NestedPairs | None = None,
 ) -> tuple[list[Report], dict]:
-    """Calibrate-then-evaluate protocol for one profile; CLI entry point."""
+    """Calibrate-then-hold-out on the two corpora of one seed; CLI entry point."""
     family = family if family is not None else default_family(HARNESS_SPEC)
     pairs = pairs if pairs is not None else nested_pairs(family)
-    c_cal = calibrate_inequality(profile, kind, seed, family, pairs, n_cal)
-    bound = 2.0 * c_cal
-    items = corpus(seed, kind, count=n_eval)
-    reports = verify_inequality(profile, items, family, pairs, bound)
-    finite = [r.ratio for r in reports if math.isfinite(r.ratio)]
-    summary = {
-        "schema": 1,
-        "tag": profile.tag,
-        "kind": kind,
-        "seed": seed,
-        "calibration_max": c_cal,
-        "bound": bound,
-        "max_ratio": max(finite) if finite else None,
-        "failures": sum(0 if r.passed else 1 for r in reports),
-        "skipped": sum(r.note == SKIPPED_NOTE for r in reports),
-    }
-    return reports, summary
+    cal_items, eval_items = protocol_corpora(seed, kind, n_cal, n_eval)
+    reports, fields = verify_calibrated(profile, cal_items, eval_items, family, pairs)
+    return reports, {"schema": 1, "tag": profile.tag, "kind": kind, "seed": seed, **fields}
 
 
 def global_term_ratio(

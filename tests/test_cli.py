@@ -1,12 +1,15 @@
 """CLI surface: exit codes, output formats, determinism."""
 
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bifrac import GridFunction, GridSpec, read_grid_file, write_grid_file
-from bifrac.cli import main
+from bifrac.cli import check_config_keys, main
 
 
 @pytest.fixture()
@@ -62,6 +65,30 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"family_caps": {"cubes": 4096, "pairs": 1000}}))
         args = ["constants", "--config", str(cfg), "--weight", str(grids["f"]), "--constant", "ap"]
         assert main(args) == 2
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"seeds": 9, "kinds": "spikes"}, "kinds"),
+            ({"seed": 9, "out-csv": "v.csv"}, "out-csv"),
+            ({"grid": {"n": 1, "L": 4.0, "cells": 64}}, "cells"),
+            ({"sweep": {"tag": "T1.1", "alpha": [0.25]}}, "alpha"),
+        ],
+    )
+    def test_a_misspelt_config_key_is_config_error(self, doc, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["verify", "--tag", "C5.3", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid:")
+        assert repr(key) in err
+
+    def test_readme_config_examples_hold_only_known_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(blocks) >= 2
+        for block in blocks:
+            check_config_keys(json.loads(block))
 
 
 class TestConstantsCommand:
@@ -306,15 +333,20 @@ class TestGridConfig:
         assert spelled.read_bytes() == plain.read_bytes()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestSweepCommand:
     @staticmethod
     def _tiny_weight_on(monkeypatch, indices):
-        # a 1e-300 cell makes w1^{-p1'} overflow, so the item's constant is +inf
+        # a 1e-300 cell makes w1^{-p1'} overflow, so the item's constant is +inf;
+        # the calibration and held-out corpora both get it on `indices`
         import dataclasses
 
-        import bifrac.cli as cli
+        import bifrac.harness as harness
 
-        real = cli.corpus
+        real = harness.corpus
 
         def corpus_with_tiny_weights(seed, kind, count=5, **kw):
             items = real(seed, kind, count=count, **kw)
@@ -325,7 +357,7 @@ class TestSweepCommand:
                 items[i] = dataclasses.replace(items[i], w1=tiny)
             return items
 
-        monkeypatch.setattr(cli, "corpus", corpus_with_tiny_weights)
+        monkeypatch.setattr(harness, "corpus", corpus_with_tiny_weights)
 
     def test_summary_counts_skipped_scenarios(self, tmp_path, monkeypatch):
         self._tiny_weight_on(monkeypatch, [1])
@@ -337,8 +369,9 @@ class TestSweepCommand:
             assert main(["sweep", "--config", str(cfg), "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(out)]) == 0
             docs.append(out.read_bytes())
         assert docs[0] == docs[1]
-        summary = json.loads(docs[0])
+        summary = json.loads(docs[0], parse_constant=_refuse_constant)
         assert summary["skipped"] == 2
+        assert [[it["ratio"] is None for it in row["items"]] for row in summary["rows"]] == [[False, True, False]] * 2
         assert summary["failures"] == 0
 
     def test_a_row_with_every_scenario_skipped_has_no_max_ratio(self, tmp_path, monkeypatch):
@@ -347,11 +380,38 @@ class TestSweepCommand:
         cfg.write_text(json.dumps({"seed": 3, "sweep": {"tag": "T1.1", "alphas": [0.25], "count": 2}}))
         csv, out = tmp_path / "s.csv", tmp_path / "s.json"
         assert main(["sweep", "--config", str(cfg), "--out-csv", str(csv), "--out-json", str(out)]) == 0
-        summary = json.loads(out.read_text())
+        summary = json.loads(out.read_text(), parse_constant=_refuse_constant)
         assert summary["skipped"] == 2
         assert summary["failures"] == 0
         assert summary["rows"][0]["max_ratio"] is None
         assert csv.read_text().splitlines()[1].split(",")[3] == ""
+
+    def test_a_row_calibrates_on_its_own_beta_weighted_items(self, tmp_path):
+        import dataclasses
+
+        from bifrac.families import default_family, nested_pairs
+        from bifrac.harness import HARNESS_SPEC, _grid_fn, catalog_profiles, protocol_corpora
+        from bifrac.harness import evaluate_inequality_item
+
+        cfg = tmp_path / "sweep.json"
+        sweep = {"tag": "T1.1", "alphas": [1.0 / 3.0], "betas": [0.1, 0.3], "count": 2}
+        cfg.write_text(json.dumps({"seed": 3, "sweep": sweep}))
+        out = tmp_path / "s.json"
+        assert main(["sweep", "--config", str(cfg), "--out-csv", str(tmp_path / "s.csv"), "--out-json", str(out)]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        fam = default_family(HARNESS_SPEC)
+        prs = nested_pairs(fam)
+        prof = catalog_profiles("T1.1")[0]  # alpha = 1/3
+        cal_items, _ = protocol_corpora(3, "power-weights", n_eval=2)
+        for row, beta in zip(rows, (0.1, 0.3)):
+            w = _grid_fn(HARNESS_SPEC, [("power", 2.0, beta)])
+            ratios = []
+            for item in cal_items:
+                weighted = dataclasses.replace(item, w1=w, w2=w)
+                lhs, rhs, const = evaluate_inequality_item(prof, weighted, fam, prs)
+                ratios.append(lhs / (const.value * rhs))
+            assert row["bound"] == 2.0 * max(r for r in ratios if math.isfinite(r))
+        assert rows[0]["bound"] != rows[1]["bound"]
 
     def test_summary_rows(self, tmp_path):
         cfg = tmp_path / "sweep.json"

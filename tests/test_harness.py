@@ -1,13 +1,16 @@
 """Profiles, corpora, and the verification protocols."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from conftest import locate_shifted_dyadic_oracle
 
+import bifrac.harness as H
 from bifrac import (
     GridFunction,
+    InfiniteConstant,
     RelationViolated,
     small_exponent_chain_check,
     corpus,
@@ -31,7 +34,26 @@ from bifrac.harness import (
     evaluate_inequality_item,
     local_part_ratio,
 )
+from bifrac.cli import main
 from bifrac.families import default_family, nested_pairs
+
+
+def _tiny_w1(item):
+    # a 1e-300 cell makes w1^{-p1'} overflow, so the item's constant is +inf
+    w1 = item.w1.samples.copy()
+    w1[7] = 1e-300
+    return dataclasses.replace(item, w1=GridFunction(item.spec, w1, nonnegative=True))
+
+
+def _tiny_weights_where(monkeypatch, tiny):
+    """Make item i of the corpus for `seed` infinite wherever tiny(seed, i) holds."""
+    real = H.corpus
+
+    def corpus_with_tiny_weights(seed, kind, count=5, **kw):
+        items = real(seed, kind, count=count, **kw)
+        return [_tiny_w1(it) if tiny(seed, i) else it for i, it in enumerate(items)]
+
+    monkeypatch.setattr(H, "corpus", corpus_with_tiny_weights)
 
 
 @pytest.fixture(scope="module")
@@ -278,29 +300,37 @@ class TestInequalitySuite:
         assert summary["max_ratio"] <= summary["bound"]
 
     def test_run_verify_counts_skipped_scenarios(self, monkeypatch, fam64, pairs64):
-        # a 1e-300 cell makes w1^{-p1'} overflow, so the constant is +inf
-        import dataclasses
-
-        import bifrac.harness as H
-
-        def tiny_w1(item):
-            w1 = item.w1.samples.copy()
-            w1[7] = 1e-300
-            return dataclasses.replace(item, w1=GridFunction(item.spec, w1, nonnegative=True))
-
-        real = H.corpus
-
-        def corpus_with_tiny_weights(seed, kind, count=5, **kw):
-            items = real(seed, kind, count=count, **kw)
-            return [tiny_w1(it) if seed == 13 and i in (1, 3) else it for i, it in enumerate(items)]
-
-        monkeypatch.setattr(H, "corpus", corpus_with_tiny_weights)
+        _tiny_weights_where(monkeypatch, lambda seed, i: seed == 13 and i in (1, 3))
         prof = catalog_profiles("T1.1")[0]
         runs = [run_verify(prof, "random-steps", 13, 3, 5, fam64, pairs64) for _ in range(2)]
         (reports, summary), (_, again) = runs
         assert summary["skipped"] == 2 == again["skipped"]
         assert [r.note == H.SKIPPED_NOTE for r in reports] == [False, True, False, True, False]
         assert list(summary)[-1] == "skipped"
+
+    def test_an_infinite_calibration_item_is_left_out_of_c_cal(self, monkeypatch, fam64, pairs64):
+        cal_seed = _mix_seed(13, "calibration")
+        _tiny_weights_where(monkeypatch, lambda seed, i: seed == cal_seed and i == 2)
+        prof = catalog_profiles("T1.1")[0]
+        reports, summary = run_verify(prof, "random-steps", 13, 3, 5, fam64, pairs64)
+        finite = []
+        for item in corpus(cal_seed, "random-steps", count=2):
+            lhs, rhs, const = evaluate_inequality_item(prof, item, fam64, pairs64)
+            finite.append(lhs / (const.value * rhs))
+        assert summary["calibration_max"] == max(finite)
+        assert summary["bound"] == 2.0 * max(finite)
+        assert summary["skipped"] == 0  # skipped counts held-out scenarios only
+        assert len(reports) == 5
+
+    def test_a_calibration_corpus_with_no_finite_ratio_raises(self, monkeypatch, fam64, pairs64, capsys):
+        cal_seed = _mix_seed(13, "calibration")
+        _tiny_weights_where(monkeypatch, lambda seed, i: seed == cal_seed)
+        prof = catalog_profiles("T1.1")[0]
+        with pytest.raises(InfiniteConstant):
+            run_verify(prof, "random-steps", 13, 3, 5, fam64, pairs64)
+        argv = ["verify", "--tag", "T1.1", "--seed", "13", "--n-cal", "3", "--n-eval", "2"]
+        assert main(argv) == 2
+        assert "InfiniteConstant" in capsys.readouterr().err
 
     def test_t11_dilation_ratio_drift(self, fam64, pairs64):
         prof = catalog_profiles("T1.1")[0]
