@@ -21,6 +21,7 @@ from .harness import (
     HARNESS_Q0,
     HARNESS_SPEC,
     PROFILE_CATALOG,
+    PROFILE_KEYS,
     Report,
     _grid_fn,
     make_profile,
@@ -55,7 +56,9 @@ from .weights import (
 CSV_HEADER = "id,lhs,rhs,constant,ratio,bound,pass"
 
 # The keys a config document may hold, at the top level (None) and in its
-# `grid` and `sweep` objects; any other key is a ConfigInvalid.
+# `grid` and `sweep` objects; any other key is a ConfigInvalid.  A `profile`
+# object, and a sweep `base`, hold the keys of their tag (PROFILE_KEYS),
+# checked once the tag is known.
 CONFIG_KEYS = {
     None: ("grid", "profile", "sweep", "seed", "kind", "out_csv", "out_json", "format"),
     "grid": ("n", "L", "N"),
@@ -119,7 +122,11 @@ def _write_reports_csv(path, reports: list[Report]) -> None:
                 ]
             )
         )
-    text = "\n".join(lines) + "\n"
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Write `text` to the file at `path` as ascii, or to stdout without a path."""
     if path:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -134,12 +141,7 @@ def _json_default(obj):
 
 
 def _emit_json(path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-    if path:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
 def check_config_keys(doc) -> None:
@@ -152,6 +154,27 @@ def check_config_keys(doc) -> None:
         unknown = sorted(set(part) - set(known))
         if unknown:
             raise ConfigInvalid(f"unknown keys {unknown} in {where}; known keys are {list(known)}")
+    if not isinstance(doc.get("profile", {}), dict):
+        raise ConfigInvalid("config 'profile' must be a JSON object")
+
+
+def check_profile_keys(tag, raw, where: str, supplied: tuple[str, ...] = ()) -> None:
+    """Raise ConfigInvalid unless `raw` holds every key a `tag` profile reads and no other.
+
+    Keys in `supplied` are filled in later and need not be in `raw`.
+    """
+    if tag not in PROFILE_KEYS:
+        raise ConfigInvalid(f"unknown profile tag {tag!r}; known tags are {list(PROFILE_KEYS)}")
+    if not isinstance(raw, dict):
+        raise ConfigInvalid(f"{where} must be a JSON object")
+    required, optional = PROFILE_KEYS[tag]
+    missing = [k for k in required if k not in raw and k not in supplied]
+    unknown = sorted(set(raw) - set(required) - set(optional))
+    if missing or unknown:
+        raise ConfigInvalid(
+            f"{where} for {tag}: missing keys {missing}, unknown keys {unknown}; "
+            f"it needs {list(required)} and may hold {list(optional)}"
+        )
 
 
 def _load_config(args) -> RunConfig:
@@ -307,12 +330,7 @@ def cmd_constants(args) -> int:
                     [row["constant"], _fmt(row["value"]), f"\"{row['witness']}\"", str(row["family_size"])]
                 )
             )
-        text = "\n".join(lines) + "\n"
-        if cfg.out_csv:
-            with open(cfg.out_csv, "w", encoding="ascii") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_text(cfg.out_csv, "\n".join(lines) + "\n")
     else:
         _emit_json(cfg.out_json, {"schema": 1, "constants": results})
     return 0
@@ -334,30 +352,36 @@ def cmd_norms(args) -> int:
     return 0
 
 
-def _profile_from_cfg(cfg: RunConfig, args) -> dict:
+def _profile_from_cfg(cfg: RunConfig, args) -> tuple[str, dict]:
+    """The verify tag and its profile keys (the tag's first catalog profile if none)."""
     raw = dict(cfg.profile)
     if getattr(args, "profile_file", None):
         try:
             with open(args.profile_file, "r", encoding="utf-8") as fh:
-                raw.update(json.load(fh))
+                loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputUnreadable(f"profile {args.profile_file}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigInvalid(f"profile {args.profile_file} must be a JSON object")
+        raw.update(loaded)
     if getattr(args, "tag", None):
         raw["tag"] = args.tag
-    if not raw.get("tag"):
+    tag = raw.pop("tag", None)
+    if not tag:
         raise ConfigInvalid("verify needs a profile tag")
-    tag = raw.pop("tag")
-    if not raw and tag != "structural":
-        raw = dict(PROFILE_CATALOG[tag][0])
-    raw["tag"] = tag
-    return raw
+    if tag == "structural":
+        if raw:
+            raise ConfigInvalid(f"the structural checks read no profile keys, got {sorted(raw)}")
+    else:
+        raw = raw or dict(PROFILE_CATALOG.get(tag, [{}])[0])
+        check_profile_keys(tag, raw, "verify profile")
+    return tag, raw
 
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     _require_harness_grid(cfg)
-    raw = _profile_from_cfg(cfg, args)
-    tag = raw.pop("tag")
+    tag, raw = _profile_from_cfg(cfg, args)
     if tag == "structural":
         reports = verify_structural(cfg.seed)
         summary = {
@@ -385,7 +409,8 @@ def cmd_sweep(args) -> int:
     alphas = sweep.get("alphas", [])
     betas = sweep.get("betas", [])
     tag = sweep.get("tag", "T1.1")
-    base = dict(sweep.get("base", PROFILE_CATALOG[tag][0]))
+    base = sweep.get("base", PROFILE_CATALOG.get(tag, [{}])[0])
+    check_profile_keys(tag, base, "config sweep 'base'", supplied=("alpha",))
     count = int(sweep.get("count", 3))
     rows = []
     failures = 0
@@ -437,12 +462,7 @@ def cmd_sweep(args) -> int:
                 ]
             )
         )
-    text = "\n".join(lines) + "\n"
-    if cfg.out_csv:
-        with open(cfg.out_csv, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(cfg.out_csv, "\n".join(lines) + "\n")
     if cfg.out_json:
         _emit_json(
             cfg.out_json, {"schema": 1, "rows": rows, "failures": failures, "skipped": skipped}

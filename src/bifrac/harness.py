@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InfiniteConstant, RelationViolated
 from .families import CubeFamily, NestedPairs, default_family, nested_pairs
 from .geometry import Cube, DyadicGrid, locate_shifted_cubes
-from .lattice import GridFunction, GridSpec, lp_norm
+from .lattice import GridFunction, GridSpec, _cell_slices, lp_norm
 from .morrey import MorreyParams, morrey_norm, power_scaling_check, vector_morrey_norm
 from .operators import (
     _block_m3q,
@@ -100,7 +100,18 @@ def _mix_seed(seed: int, label: str) -> int:
 # Exponent profiles
 # ---------------------------------------------------------------------------
 
-TAGS = ("T1.1", "C1.4", "T4.1", "T4.2", "T5.1", "T5.2", "C5.3")
+# The keys a profile of each tag reads: (required, optional).  `n` defaults
+# to 1, `a` to 1.25 and `r` to 2; a config profile holds these and its tag.
+PROFILE_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    "T1.1": (("alpha", "p1", "p2", "r", "s", "p0"), ("n", "a")),
+    "C1.4": (("alpha", "p1", "p2", "r", "s"), ("n", "a")),
+    "T4.1": (("alpha", "p1", "p2", "r", "s", "p0"), ("n", "a")),
+    "T4.2": (("alpha", "p1", "p2", "r", "s", "p0", "r0"), ("n", "a")),
+    "T5.1": (("alpha", "p1", "p2", "r", "s", "p0", "r0", "q1", "q2"), ("n", "a")),
+    "T5.2": (("alpha", "q1", "q2", "p1", "p2", "r0", "r1"), ("n", "r")),
+    "C5.3": (("alpha", "q1", "q2", "p1", "p2"), ("n", "r")),
+}
+TAGS = tuple(PROFILE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -741,8 +752,6 @@ def local_part_ratio(item: CorpusItem, alpha: float = STRUCTURAL_ALPHA) -> float
     w_local, _ = _split_weights(spec, alpha, Q0)
     local = bi_frac(item.f, item.g, alpha, weights=w_local)
     sb = sparse_bound(item.f, item.g, alpha, 2.0, 2.0, Q0, grid)
-    from .lattice import _cell_slices
-
     sl = _cell_slices(spec, Q0, clip=False)
     lv = local.samples[sl].reshape(-1)
     sv = sb.samples[sl].reshape(-1)

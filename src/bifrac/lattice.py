@@ -358,6 +358,8 @@ class CellBoxes:
     @cached_property
     def groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per non-empty box shape: member indices, flat corner cells, flat window offsets."""
+        if not self.count:
+            return []
         key = np.ravel_multi_index(tuple(self.ext.T), tuple(n + 1 for n in self.shape))
         order = np.argsort(key, kind="stable")
         starts = np.unique(key[order], return_index=True)[1]

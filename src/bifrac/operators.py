@@ -7,8 +7,10 @@ With that convention the bilinear sum at a cell midpoint x samples
 f(x - dh) and g(x + dh) exactly at cell midpoints, so for step data the
 grid outputs are exact values of the continuum operators.
 
-All big reductions run in a fixed offset order with compensated
-summation, so results are identical run to run.
+Every kernel sum (bi_frac, the halves of its kernel split, frac_int) is
+one compensated (Kahan) sum over kernel offsets in a fixed row-major
+order, _offset_sum, in 1D and 2D alike, so results are identical run to
+run.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -165,11 +168,8 @@ def _kernel_table(spec: GridSpec, alpha: float) -> KernelTable:
                 m = _rect_mass_2d(ax, ax + h, ay, ay + h, alpha)
                 half[d0, d1] = m
                 half[d1, d0] = m
-        full = np.zeros((2 * count - 1, 2 * count - 1))
-        for d0 in range(-(count - 1), count):
-            for d1 in range(-(count - 1), count):
-                full[d0 + count - 1, d1 + count - 1] = half[abs(d0), abs(d1)]
-        weights = full
+        fold = np.abs(np.arange(-(count - 1), count))
+        weights = half[fold[:, None], fold]
     return KernelTable(spec, alpha, weights)
 
 
@@ -181,50 +181,42 @@ def _check_same_spec(*fns: GridFunction) -> GridSpec:
     return spec
 
 
-def _kahan_add(acc, comp, sl, term):
-    y = term - comp[sl]
-    t = acc[sl] + y
-    comp[sl] = (t - acc[sl]) - y
-    acc[sl] = t
+# Per-kernel-offset slices, reused by every sum over the same grid shape;
+# bounded like the kernel tables.
+@lru_cache(maxsize=8)
+def _offset_slices(n: int, dim: int, bilinear: bool) -> tuple:
+    """(weight index, out slices, f slices, g slices) per offset d, row-major.
 
-
-def _bilinear_sum_1d(fs, gs, weights) -> np.ndarray:
-    n = len(fs)
-    out = np.zeros(n)
-    comp = np.zeros(n)
+    The bilinear sum reads f(x - d) g(x + d) on the cells [|d|, n - |d|) of
+    each axis, where both reads stay on the grid; offsets with no such cell
+    are left out.  The convolution reads f(x - d) on [max(0, d), min(n, n + d))
+    and never its g slices.
+    """
+    axis = []
     for d in range(-(n - 1), n):
-        lo, hi = abs(d), n - abs(d)
-        if lo >= hi:
-            continue
-        w = weights[d + n - 1]
+        lo, hi = (abs(d), n - abs(d)) if bilinear else (max(0, d), min(n, n + d))
+        if lo < hi:
+            axis.append((d + n - 1, slice(lo, hi), slice(lo - d, hi - d), slice(lo + d, hi + d)))
+    return tuple(tuple(zip(*parts)) for parts in product(axis, repeat=dim))
+
+
+def _offset_sum(weights: np.ndarray, fs: np.ndarray, gs: np.ndarray | None = None) -> np.ndarray:
+    """Kahan sum over kernel offsets of f(x - d) g(x + d) w(d), or of f(x - d) w(d).
+
+    Offsets run in row-major order and zero weights are skipped, so each
+    half of a split table (see _split_weights) sums only its own offsets.
+    """
+    out = np.zeros(fs.shape)
+    comp = np.zeros(fs.shape)
+    for k, o, a, b in _offset_slices(fs.shape[0], fs.ndim, gs is not None):
+        w = weights[k]
         if w == 0.0:
             continue
-        term = fs[lo - d : hi - d] * gs[lo + d : hi + d] * w
-        _kahan_add(out, comp, slice(lo, hi), term)
-    return out
-
-
-def _bilinear_sum_2d(fs, gs, weights) -> np.ndarray:
-    n = fs.shape[0]
-    out = np.zeros((n, n))
-    comp = np.zeros((n, n))
-    for d0 in range(-(n - 1), n):
-        lo0, hi0 = abs(d0), n - abs(d0)
-        if lo0 >= hi0:
-            continue
-        for d1 in range(-(n - 1), n):
-            lo1, hi1 = abs(d1), n - abs(d1)
-            if lo1 >= hi1:
-                continue
-            w = weights[d0 + n - 1, d1 + n - 1]
-            if w == 0.0:
-                continue
-            term = (
-                fs[lo0 - d0 : hi0 - d0, lo1 - d1 : hi1 - d1]
-                * gs[lo0 + d0 : hi0 + d0, lo1 + d1 : hi1 + d1]
-                * w
-            )
-            _kahan_add(out, comp, (slice(lo0, hi0), slice(lo1, hi1)), term)
+        term = fs[a] * gs[b] * w if gs is not None else fs[a] * w
+        y = term - comp[o]
+        t = out[o] + y
+        comp[o] = (t - out[o]) - y
+        out[o] = t
     return out
 
 
@@ -238,11 +230,7 @@ def bi_frac(f: GridFunction, g: GridFunction, alpha: float, weights: np.ndarray 
     spec = _check_same_spec(f, g)
     if weights is None:
         weights = kernel_table(spec, alpha).weights
-    if spec.dim == 1:
-        out = _bilinear_sum_1d(f.samples, g.samples, weights)
-    else:
-        out = _bilinear_sum_2d(f.samples, g.samples, weights)
-    return GridFunction(spec, out)
+    return GridFunction(spec, _offset_sum(weights, f.samples, g.samples))
 
 
 def bi_frac_at(f: GridFunction, g: GridFunction, alpha: float, point) -> float:
@@ -274,35 +262,8 @@ def bi_frac_at(f: GridFunction, g: GridFunction, alpha: float, point) -> float:
 
 def frac_int(f: GridFunction, alpha: float) -> GridFunction:
     """Fractional integral: convolution of f with the kernel table (exact)."""
-    spec = f.spec
-    table = kernel_table(spec, alpha)
-    n = spec.cells_per_axis
-    if spec.dim == 1:
-        out = np.zeros(n)
-        comp = np.zeros(n)
-        for d in range(-(n - 1), n):
-            lo, hi = max(0, d), min(n, n + d)
-            if lo >= hi:
-                continue
-            term = f.samples[lo - d : hi - d] * table.weights[d + n - 1]
-            _kahan_add(out, comp, slice(lo, hi), term)
-    else:
-        out = np.zeros((n, n))
-        comp = np.zeros((n, n))
-        for d0 in range(-(n - 1), n):
-            lo0, hi0 = max(0, d0), min(n, n + d0)
-            if lo0 >= hi0:
-                continue
-            for d1 in range(-(n - 1), n):
-                lo1, hi1 = max(0, d1), min(n, n + d1)
-                if lo1 >= hi1:
-                    continue
-                term = (
-                    f.samples[lo0 - d0 : hi0 - d0, lo1 - d1 : hi1 - d1]
-                    * table.weights[d0 + n - 1, d1 + n - 1]
-                )
-                _kahan_add(out, comp, (slice(lo0, hi0), slice(lo1, hi1)), term)
-    return GridFunction(spec, out)
+    table = kernel_table(f.spec, alpha)
+    return GridFunction(f.spec, _offset_sum(table.weights, f.samples))
 
 
 def frac_int_at(f: GridFunction, alpha: float, point) -> float:
@@ -352,9 +313,7 @@ def _dist(x, y) -> float:
 
 
 def _quadrant_offsets(dim: int, step: float):
-    from itertools import product as _product
-
-    return [tuple(s * step for s in signs) for signs in _product((-1, 1), repeat=dim)]
+    return [tuple(s * step for s in signs) for signs in product((-1, 1), repeat=dim)]
 
 
 def multi_frac_int(f1: GridFunction, f2: GridFunction, alpha: float) -> GridFunction:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bifrac import GridFunction, GridSpec, read_grid_file, write_grid_file
-from bifrac.cli import check_config_keys, main
+from bifrac.cli import check_config_keys, check_profile_keys, main
 
 
 @pytest.fixture()
@@ -89,6 +89,62 @@ class TestExitCodes:
         assert len(blocks) >= 2
         for block in blocks:
             check_config_keys(json.loads(block))
+
+
+    _C53 = dict(tag="C5.3", n=1, alpha=0.25, q1=6, q2=6, p1=3, p2=3, r=2)
+
+    @pytest.mark.parametrize(
+        "profile, named",
+        [
+            ({**{k: v for k, v in _C53.items() if k != "alpha"}, "alhpa": 0.25}, ["'alpha'", "'alhpa'"]),
+            (5, ["'profile'"]),
+            ({**_C53, "s": 9}, ["'s'"]),
+            ({"tag": "structural", "alpha": 0.25}, ["'alpha'"]),
+        ],
+        ids=["misspelt-key", "not-an-object", "unknown-key", "structural-with-keys"],
+    )
+    def test_a_bad_config_profile_is_config_error(self, profile, named, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": profile}))
+        assert main(["verify", "--config", str(cfg), "--n-cal", "2", "--n-eval", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid:")
+        assert all(key in err for key in named)
+
+    def test_a_profile_file_that_is_not_an_object_is_config_error(self, tmp_path, capsys):
+        prof = tmp_path / "profile.json"
+        prof.write_text("[1, 2]")
+        assert main(["verify", "--tag", "C5.3", "--profile-file", str(prof)]) == 2
+        assert capsys.readouterr().err.startswith("ConfigInvalid:")
+
+    @pytest.mark.parametrize(
+        "sweep, named",
+        [
+            ({"tag": "C5.3", "base": {"q1": 6, "q2": 6, "p1": 3, "p2": 3, "s": 9}, "alphas": [0.25]}, "'s'"),
+            ({"tag": "C5.3", "base": {"q1": 6, "q2": 6, "p1": 3}, "alphas": [0.25]}, "'p2'"),
+            ({"tag": "T9.9", "alphas": [0.25]}, "'T9.9'"),
+        ],
+        ids=["unknown-key", "missing-key", "unknown-tag"],
+    )
+    def test_a_bad_sweep_base_is_config_error(self, sweep, named, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": sweep}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid:")
+        assert named in err
+
+    def test_an_unknown_verify_tag_is_config_error(self, capsys):
+        assert main(["verify", "--tag", "T9.9"]) == 2
+        assert capsys.readouterr().err.startswith("ConfigInvalid:")
+
+    def test_readme_verify_profile_holds_the_keys_of_its_tag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        profiles = [json.loads(b).get("profile") for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+        profiles = [dict(p) for p in profiles if p]
+        assert profiles
+        for profile in profiles:
+            check_profile_keys(profile.pop("tag"), profile, "README profile")
 
 
 class TestConstantsCommand:

@@ -298,3 +298,14 @@ def test_family_cover_and_touch_boxes_2d():
         )
         assert np.array_equal(fam.cover.sweep(only) == 1.0, covered)
         assert np.array_equal(fam.touch.sweep(only) == 1.0, np.outer(a, b))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_an_empty_family_has_no_window_sums_or_minima(dim):
+    spec = GridSpec(dim, 1.0, 4)
+    fam = family_from_cubes(spec, [])
+    ones = np.ones(spec.shape)
+    for boxes in (fam.boxes, fam.touch):
+        assert boxes.sums(ones).shape == (0,)
+        assert boxes.minima(ones).shape == (0,)
+    assert fam.integrals(ones).shape == (0,)

@@ -24,6 +24,7 @@ from bifrac.harness import (
     SMALL_EXPONENT_Q,
     HARNESS_SPEC,
     PROFILE_CATALOG,
+    PROFILE_KEYS,
     SplitMix64,
     TAGS,
     _mix_seed,
@@ -110,6 +111,15 @@ class TestMakeProfile:
             assert len(profs) >= 3
             for p in profs:
                 assert p.tag == tag
+
+    def test_catalog_profiles_hold_the_keys_of_their_tag(self):
+        # every catalog key is one its tag reads, and the required keys alone
+        # are enough to check the relations (no KeyError)
+        for tag in TAGS:
+            required, optional = PROFILE_KEYS[tag]
+            for raw in PROFILE_CATALOG[tag]:
+                assert set(required) <= set(raw) <= set(required) | set(optional)
+                profile_violations(tag, **{k: raw[k] for k in required})
 
     def test_fuzzed_acceptance_iff_relations_hold(self):
         # random raw exponents: accepted exactly when no relation fails

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifrac import (
     AlphaOutOfRange,
@@ -29,6 +31,7 @@ from bifrac import (
     sparse_bound,
     weighted_bilinear_maximal,
 )
+from bifrac.operators import _split_weights
 
 
 class TestKernelTable:
@@ -184,6 +187,125 @@ class TestFracInt:
         for c in (0, 7, 18, 31):
             x = spec32.midpoints()[c]
             assert out.samples[c] == pytest.approx(frac_int_at(f, 0.5, x), rel=1e-12)
+
+
+# The per-dimension Kahan loops that bi_frac and frac_int replaced with one
+# offset sum, kept as the bit-level oracle for it.
+
+
+def _kahan_add(acc, comp, sl, term):
+    y = term - comp[sl]
+    t = acc[sl] + y
+    comp[sl] = (t - acc[sl]) - y
+    acc[sl] = t
+
+
+def oracle_bilinear_sum_1d(fs, gs, weights):
+    n = len(fs)
+    out = np.zeros(n)
+    comp = np.zeros(n)
+    for d in range(-(n - 1), n):
+        lo, hi = abs(d), n - abs(d)
+        if lo >= hi:
+            continue
+        w = weights[d + n - 1]
+        if w == 0.0:
+            continue
+        term = fs[lo - d : hi - d] * gs[lo + d : hi + d] * w
+        _kahan_add(out, comp, slice(lo, hi), term)
+    return out
+
+
+def oracle_bilinear_sum_2d(fs, gs, weights):
+    n = fs.shape[0]
+    out = np.zeros((n, n))
+    comp = np.zeros((n, n))
+    for d0 in range(-(n - 1), n):
+        lo0, hi0 = abs(d0), n - abs(d0)
+        if lo0 >= hi0:
+            continue
+        for d1 in range(-(n - 1), n):
+            lo1, hi1 = abs(d1), n - abs(d1)
+            if lo1 >= hi1:
+                continue
+            w = weights[d0 + n - 1, d1 + n - 1]
+            if w == 0.0:
+                continue
+            term = (
+                fs[lo0 - d0 : hi0 - d0, lo1 - d1 : hi1 - d1]
+                * gs[lo0 + d0 : hi0 + d0, lo1 + d1 : hi1 + d1]
+                * w
+            )
+            _kahan_add(out, comp, (slice(lo0, hi0), slice(lo1, hi1)), term)
+    return out
+
+
+def oracle_frac_int(fs, weights):
+    n = fs.shape[0]
+    out = np.zeros(fs.shape)
+    comp = np.zeros(fs.shape)
+    if fs.ndim == 1:
+        for d in range(-(n - 1), n):
+            lo, hi = max(0, d), min(n, n + d)
+            if lo >= hi:
+                continue
+            term = fs[lo - d : hi - d] * weights[d + n - 1]
+            _kahan_add(out, comp, slice(lo, hi), term)
+    else:
+        for d0 in range(-(n - 1), n):
+            lo0, hi0 = max(0, d0), min(n, n + d0)
+            if lo0 >= hi0:
+                continue
+            for d1 in range(-(n - 1), n):
+                lo1, hi1 = max(0, d1), min(n, n + d1)
+                if lo1 >= hi1:
+                    continue
+                term = fs[lo0 - d0 : hi0 - d0, lo1 - d1 : hi1 - d1] * weights[d0 + n - 1, d1 + n - 1]
+                _kahan_add(out, comp, (slice(lo0, hi0), slice(lo1, hi1)), term)
+    return out
+
+
+@st.composite
+def kernel_sum_cases(draw):
+    """Data on a 1D or 2D grid, alpha, and a full, local or far kernel table."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = draw(st.sampled_from((1, 2, 4, 8, 16, 32, 64) if dim == 1 else (1, 2, 4, 8, 16)))
+    spec = GridSpec(dim, 1.0, n)
+    alpha = draw(st.floats(0.05, dim - 0.05))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # signed data with exact zeros, so cancellation and skipped terms both occur
+    f, g = (np.where(rng.random(spec.shape) < 0.2, 0.0, rng.uniform(-2.0, 2.0, spec.shape)) for _ in range(2))
+    part = draw(st.sampled_from(("full", "local", "far")))
+    Q0 = Cube((0.0,) * dim, draw(st.sampled_from((0.0625, 0.25, 0.5, 1.0))))
+    weights = kernel_table(spec, alpha).weights
+    if part != "full":
+        weights = _split_weights(spec, alpha, Q0)[part == "far"]
+    return GridFunction(spec, f), GridFunction(spec, g), alpha, weights
+
+
+class TestOffsetSumOracle:
+    @settings(max_examples=80)
+    @given(kernel_sum_cases())
+    def test_bi_frac_equals_the_per_dimension_loops(self, case):
+        f, g, alpha, weights = case
+        oracle = oracle_bilinear_sum_1d if f.spec.dim == 1 else oracle_bilinear_sum_2d
+        want = oracle(f.samples, g.samples, weights)
+        assert np.array_equal(bi_frac(f, g, alpha, weights=weights).samples, want)
+
+    @settings(max_examples=40)
+    @given(kernel_sum_cases())
+    def test_frac_int_equals_the_per_dimension_loops(self, case):
+        f, _, alpha, _ = case
+        want = oracle_frac_int(f.samples, kernel_table(f.spec, alpha).weights)
+        assert np.array_equal(frac_int(f, alpha).samples, want)
+
+    def test_split_halves_equal_the_loops_on_their_tables(self, rng):
+        spec = GridSpec(2, 2.0, 16)
+        f = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.shape))
+        g = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.shape))
+        Q0 = Cube((0.0, 0.0), 0.5)
+        for half, weights in zip(local_global_split(f, g, 0.9, Q0), _split_weights(spec, 0.9, Q0)):
+            assert np.array_equal(half.samples, oracle_bilinear_sum_2d(f.samples, g.samples, weights))
 
 
 class TestMultiFracInt:
@@ -472,6 +594,15 @@ class Test2DOperators:
         mids = spec.midpoints()
         for (i, j) in ((0, 0), (3, 5), (7, 7)):
             want = bi_frac_at(f, g, 1.2, (mids[i], mids[j]))
+            assert out.samples[i, j] == pytest.approx(want, rel=1e-12)
+
+    def test_frac_int_grid_matches_point_eval_2d(self, rng):
+        spec = GridSpec(2, 1.0, 8)
+        f = GridFunction(spec, rng.uniform(-1, 1, (8, 8)))
+        out = frac_int(f, 1.2)
+        mids = spec.midpoints()
+        for (i, j) in ((0, 0), (3, 5), (7, 2)):
+            want = frac_int_at(f, 1.2, (mids[i], mids[j]))
             assert out.samples[i, j] == pytest.approx(want, rel=1e-12)
 
     def test_frac_int_2d_constant_lower_bound(self):
