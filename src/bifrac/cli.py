@@ -18,6 +18,7 @@ from .errors import BifracError, ConfigInvalid, InputUnreadable
 from .families import default_family, nested_pairs
 from .geometry import Cube, DyadicGrid
 from .harness import (
+    CORPUS_KINDS,
     HARNESS_Q0,
     HARNESS_SPEC,
     PROFILE_CATALOG,
@@ -190,6 +191,10 @@ def _load_config(args) -> RunConfig:
     for key in ("grid", "profile", "sweep"):
         if key in base:
             setattr(cfg, key, dict(base[key]))
+    if "seed" in base and type(base["seed"]) is not int:  # a bool is not a seed
+        raise ConfigInvalid(f"config 'seed' must be an integer, got {base['seed']!r}")
+    if base.get("format", "json") not in ("csv", "json"):
+        raise ConfigInvalid(f"config 'format' must be 'csv' or 'json', got {base['format']!r}")
     for key in ("seed", "kind", "out_csv", "out_json", "format"):
         if key in base:
             setattr(cfg, key, base[key])
@@ -198,6 +203,8 @@ def _load_config(args) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
+    if cfg.kind not in CORPUS_KINDS:
+        raise ConfigInvalid(f"'kind' must be one of {list(CORPUS_KINDS)}, got {cfg.kind!r}")
     if getattr(args, "out_csv", None):
         cfg.out_csv = args.out_csv
     if getattr(args, "out_json", None):
@@ -379,6 +386,8 @@ def _profile_from_cfg(cfg: RunConfig, args) -> tuple[str, dict]:
 
 
 def cmd_verify(args) -> int:
+    if args.n_cal < 1:
+        raise ConfigInvalid(f"'--n-cal' must be at least 1, got {args.n_cal}")
     cfg = _load_config(args)
     _require_harness_grid(cfg)
     tag, raw = _profile_from_cfg(cfg, args)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EmptyCubeFamily
 from .geometry import Cube, DyadicGrid
-from .lattice import CellBoxes, GridSpec, _scalar_pow, overlap_integrals
+from .lattice import CellBoxes, GridSpec, _scalar_pow, cell_overlaps, integrate_overlaps
 
 DEFAULT_CUBE_CAP = 4096
 
@@ -39,7 +39,7 @@ class CubeFamily:
     `corners` (k x n) and `sides` (k,) define the cubes; `cubes` builds the
     Cube objects on first use.  `lo`/`hi` hold per-axis cell index bounds;
     rows are -1 for cubes that do not sit on the cell lattice (shifted-grid
-    cubes in 2D).
+    cubes in 2D).  The four are read-only copies: the caches below hold them.
     """
 
     spec: GridSpec
@@ -49,11 +49,17 @@ class CubeFamily:
     hi: np.ndarray
     name: str = "custom"
 
+    def __post_init__(self):
+        for key in ("corners", "sides", "lo", "hi"):
+            arr = np.array(getattr(self, key))
+            arr.setflags(write=False)
+            object.__setattr__(self, key, arr)
+
     @property
     def size(self) -> int:
         return len(self.sides)
 
-    @property
+    @cached_property
     def aligned(self) -> np.ndarray:
         return self.lo[:, 0] >= 0
 
@@ -90,6 +96,33 @@ class CubeFamily:
     def shifted(self) -> np.ndarray:
         """Indices of the cubes off the cell lattice."""
         return np.flatnonzero(~self.aligned)
+
+    @cached_property
+    def aligned_plan(self) -> tuple[np.ndarray | slice, tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
+        """The aligned members (a slice when all are), the flat positions of
+        their corners in a _prefix_table (1D: hi, lo; 2D: b0 b1, a0 b1, b0 a1,
+        a0 a1, read + - - + by corner_sums), their measures, and the shifted
+        cubes' measures."""
+        k = slice(None) if self.aligned.all() else np.flatnonzero(self.aligned)
+        lo, hi = self.lo[k], self.hi[k]
+        if self.spec.dim == 1:
+            corners = (hi[:, 0], lo[:, 0])
+        else:
+            (a0, a1), (b0, b1), n = lo.T, hi.T, self.spec.cells_per_axis + 1
+            corners = (b0 * n + b1, a0 * n + b1, b0 * n + a1, a0 * n + a1)
+        return k, corners, self.measures[k], self.measures[self.shifted]
+
+    def corner_sums(self, table: np.ndarray) -> np.ndarray:
+        """Sum over each aligned cube from a _prefix_table of cell values."""
+        c = self.aligned_plan[1]
+        total = table[c[0]] - table[c[1]]
+        return total if len(c) == 2 else total - table[c[2]] + table[c[3]]
+
+    @cached_property
+    def shifted_overlaps(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The shifted cubes' cell overlaps (lattice.cell_overlaps)."""
+        k = self.shifted
+        return cell_overlaps(self.spec, self.corners[k], self.sides[k])
 
     @cached_property
     def boxes(self) -> CellBoxes:
@@ -139,8 +172,19 @@ class CubeFamily:
 
     def shifted_integrals(self, pw: np.ndarray) -> np.ndarray:
         """Integral of the cell values pw over each shifted cube, with partial cells."""
-        k = self.shifted
-        return overlap_integrals(self.spec, pw, self.corners[k], self.sides[k])
+        if len(self.shifted) == 0:
+            return np.zeros(0)
+        return integrate_overlaps(pw, self.shifted_overlaps)
+
+
+def _prefix_table(cells: np.ndarray) -> np.ndarray:
+    """Flat prefix sums of the cells along each axis in turn, after a leading
+    zero on each axis (a summed-area table in 2D)."""
+    table = np.zeros(tuple(n + 1 for n in cells.shape), dtype=cells.dtype)
+    for ax in range(cells.ndim):
+        cells = np.cumsum(cells, axis=ax)
+    table[(slice(1, None),) * cells.ndim] = cells
+    return table.reshape(-1)
 
 
 def family_from_cubes(spec: GridSpec, cubes, name: str = "custom") -> CubeFamily:

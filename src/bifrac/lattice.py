@@ -273,7 +273,8 @@ def _scalar_pow(values: np.ndarray, expo: float) -> np.ndarray:
     return np.array([v ** expo for v in distinct.view(np.float64).tolist()], dtype=np.float64)[back]
 
 
-# Cells gathered at once in 2D and by overlap_integrals; bounds the memory of one call.
+# Cells gathered at once by 2D window sums and minima and per cube by
+# integrate_overlaps; bounds the memory of one call.
 _GATHER_CELLS = 1 << 13
 
 # np.sum of a contiguous float row runs numpy's pairwise_sum
@@ -519,41 +520,56 @@ def _containment_max(layers: list[np.ndarray], inward: bool) -> None:
                 np.maximum(part, outer, out=part)
 
 
-def overlap_integrals(spec: GridSpec, pw: np.ndarray, corners: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """Integral of the cell values pw over each cube [corner, corner + side).
+def cell_overlaps(spec: GridSpec, corners: np.ndarray, sides: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis, the overlaps of the cubes [corner, corner + side) with the
+    cells: one vector per distinct (corner, side) pair on that axis, told
+    apart by their bits, and each cube's row among them."""
+    edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
+    axes = []
+    for ax in range(spec.dim):
+        key = np.column_stack((corners[:, ax], sides)).view(np.int64)
+        key, row = np.unique(key, axis=0, return_inverse=True)
+        lo, side = key.view(np.float64).T[:, :, None]
+        overlap = np.maximum(np.minimum(edges[1:], lo + side) - np.maximum(edges[:-1], lo), 0.0)
+        axes.append((overlap, row.reshape(-1)))
+    return axes
 
-    Per axis, a cube's overlap with each cell is a vector; a stacked matmul
-    runs the vector-matrix(-vector) product once per cube, so each value
-    equals a single-cube product bit for bit.  Cubes go in chunks so that
-    the overlap vectors stay small.
+
+def integrate_overlaps(pw: np.ndarray, overlaps: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Integral of the cell values pw over each cube of cell_overlaps.
+
+    A stacked matmul runs the first axis's product once per distinct row and
+    the second once per cube (in chunks of _GATHER_CELLS gathered cells), so
+    each value equals a single-cube product bit for bit.
 
     Only the finite cell values are integrated; a cube whose overlap with a
     non-finite cell is positive gets +inf.  The partial sums of the rows a
     cube does not reach are zeroed before the next product, so an
     overflowed partial sum never meets a zero overlap (inf * 0 = nan).
     """
-    if len(sides) == 0:  # 1D families have no shifted cubes: skip the set-up below
-        return np.zeros(0)
-    edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
+    (first, rows), *rest = overlaps
     bad = ~np.isfinite(pw)
     # the finite values, then (if any cell is non-finite) an indicator of the bad cells
     tables = [np.where(bad, 0.0, pw), bad.astype(np.float64)] if bad.any() else [pw]
-    out = np.empty((len(tables), len(sides)))
-    step = max(1, _GATHER_CELLS // spec.cells_per_axis)
+    out = np.empty((len(tables), len(rows)))
+    step = max(1, _GATHER_CELLS // pw.shape[0])
     with np.errstate(over="ignore"):  # an integral past the float range is +inf
-        for start in range(0, len(sides), step):
-            overlaps = []
-            for ax in range(spec.dim):
-                lo = corners[start : start + step, ax, None]
-                hi = lo + sides[start : start + step, None]
-                overlaps.append(np.maximum(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0))
-            for t, table in enumerate(tables):
-                part = overlaps[0][:, None, :] @ table
-                for overlap in overlaps[1:]:
+        for t, table in enumerate(tables):
+            heads = first[:, None, :] @ table
+            for start in range(0, len(rows), step):
+                part = heads[rows[start : start + step]]
+                for vectors, row in rest:
+                    overlap = vectors[row[start : start + step]]
                     part = np.where(overlap[:, None, :] > 0.0, part, 0.0)
                     part = part @ overlap[:, :, None]
                 out[t, start : start + step] = part.reshape(-1)
     return np.where(out[1] > 0.0, np.inf, out[0]) if len(tables) == 2 else out[0]
+
+
+def overlap_integrals(spec: GridSpec, pw: np.ndarray, corners: np.ndarray, sides: np.ndarray) -> np.ndarray:
+    """Integral of the cell values pw over each cube [corner, corner + side),
+    partial cells included (see cell_overlaps and integrate_overlaps)."""
+    return integrate_overlaps(pw, cell_overlaps(spec, corners, sides))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

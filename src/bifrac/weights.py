@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveWeight, POutOfRange, SpecMismatch
-from .families import CubeFamily, NestedPairs
+from .families import CubeFamily, NestedPairs, _prefix_table
 from .geometry import Cube
 from .lattice import GridFunction, box_power_integral, overlap_integrals
 
@@ -62,43 +62,39 @@ def conjugate(p: float) -> float:
 def _family_power_averages(w: GridFunction, expo: float, family: CubeFamily) -> np.ndarray:
     """(1/|Q|) \\int_Q w^expo per family cube, exact for step weights.
 
-    Aligned cubes read prefix sums (summed-area tables in 2D); the
-    integrand is nonnegative, so a difference that rounds below zero is
-    clamped to 0.  When the sums overflow, which nonnegative prefix sums
-    show in their last entry, aligned cubes take engine window sums
-    instead (+inf where a cube's own sum overflows).  A zero sample raised
-    to a negative power yields +inf; cubes touching such a cell report the
-    +inf sentinel (prefix sums would otherwise turn it into nan).
+    Aligned cubes read one prefix-sum table (summed-area table in 2D) at
+    the corners cached in `family.aligned_plan`; the integrand is
+    nonnegative, so a difference that rounds below zero is clamped to 0.
+    When the sums overflow, which nonnegative prefix sums show in their last
+    entry, aligned cubes take engine window sums instead (+inf where a
+    cube's own sum overflows).  A zero sample raised to a negative power
+    yields +inf; cubes touching such a cell report the +inf sentinel (prefix
+    sums would otherwise turn it into nan), found by bad-cell counts.
     """
     spec = w.spec
     voxel = spec.h ** spec.dim
-    ali = family.aligned
-    lo, hi = family.lo[ali], family.hi[ali]
+    ali, _, measures, shifted_measures = family.aligned_plan
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pw = np.power(w.samples, expo, dtype=np.float64)
         bad = ~np.isfinite(pw)
-        pw_clean = np.where(bad, 0.0, pw)
+        any_bad = bool(bad.any())
+        pw_clean = np.where(bad, 0.0, pw) if any_bad else pw
+        prefix = _prefix_table(pw_clean)
+        # 1D scales the table, 2D each cube's sum (the two round differently)
         if spec.dim == 1:
-            prefix = np.concatenate(([0.0], np.cumsum(pw_clean))) * voxel
-            bad_prefix = np.concatenate(([0], np.cumsum(bad.astype(np.int64))))
-            total = prefix[hi[:, 0]] - prefix[lo[:, 0]]
-            nbad = bad_prefix[hi[:, 0]] - bad_prefix[lo[:, 0]]
+            prefix = prefix * voxel
+            total = family.corner_sums(prefix)
         else:
-            size = (spec.cells_per_axis + 1,) * 2
-            prefix = np.zeros(size)
-            np.cumsum(np.cumsum(pw_clean, axis=0), axis=1, out=prefix[1:, 1:])
-            bad_sat = np.zeros(size, dtype=np.int64)
-            np.cumsum(np.cumsum(bad.astype(np.int64), axis=0), axis=1, out=bad_sat[1:, 1:])
-            (a0, a1), (b0, b1) = lo.T, hi.T
-            total = (prefix[b0, b1] - prefix[a0, b1] - prefix[b0, a1] + prefix[a0, a1]) * voxel
-            nbad = bad_sat[b0, b1] - bad_sat[a0, b1] - bad_sat[b0, a1] + bad_sat[a0, a1]
-        if not np.isfinite(prefix.flat[-1]):
+            total = family.corner_sums(prefix) * voxel
+        if not np.isfinite(prefix[-1]):
             # an overflowed running sum differences to inf - inf: sum each cube's own cells
             total = family.boxes.sums(pw_clean)[ali] * voxel
+    avg = np.maximum(total, 0.0) / measures
+    if any_bad:
+        avg[family.corner_sums(_prefix_table(bad.astype(np.int64))) > 0] = np.inf
     vals = np.empty(family.size)
-    vals[ali] = np.where(nbad > 0, np.inf, np.maximum(total, 0.0) / family.measures[ali])
-    shifted = family.shifted
-    vals[shifted] = family.shifted_integrals(pw) / family.measures[shifted]
+    vals[ali] = avg
+    vals[family.shifted] = family.shifted_integrals(pw) / shifted_measures
     return vals
 
 

@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.geometry import _THIRD
+from bifrac.lattice import _GATHER_CELLS
 from bifrac.weights import _family_power_averages, conjugate
 
 # One profile for every property test: the same examples on every run and
@@ -119,3 +120,65 @@ def enumerated_pair_values(lead, wv, q0, q, p1, p2, family, r0=None):
         if r0 is not None:
             vals = vals * meas[outer] ** (1.0 / r0)
     return inner, outer, np.where(np.isnan(vals), np.inf, vals)
+
+
+def overlap_integrals_oracle(spec, pw, corners, sides):
+    """The slow oracle for lattice.overlap_integrals on a family's cubes: every
+    cube's overlap vectors rebuilt in chunks and both products run per cube."""
+    if len(sides) == 0:
+        return np.zeros(0)
+    edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
+    bad = ~np.isfinite(pw)
+    tables = [np.where(bad, 0.0, pw), bad.astype(np.float64)] if bad.any() else [pw]
+    out = np.empty((len(tables), len(sides)))
+    step = max(1, _GATHER_CELLS // spec.cells_per_axis)
+    with np.errstate(over="ignore"):
+        for start in range(0, len(sides), step):
+            overlaps = []
+            for ax in range(spec.dim):
+                lo = corners[start : start + step, ax, None]
+                hi = lo + sides[start : start + step, None]
+                overlaps.append(np.maximum(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0))
+            for t, table in enumerate(tables):
+                part = overlaps[0][:, None, :] @ table
+                for overlap in overlaps[1:]:
+                    part = np.where(overlap[:, None, :] > 0.0, part, 0.0)
+                    part = part @ overlap[:, :, None]
+                out[t, start : start + step] = part.reshape(-1)
+    return np.where(out[1] > 0.0, np.inf, out[0]) if len(tables) == 2 else out[0]
+
+
+def family_power_averages_oracle(w, expo, family):
+    """The slow oracle for weights._family_power_averages: the aligned mask,
+    its bounds, the prefix and bad-cell tables and the shifted cubes' overlaps
+    all rebuilt on every call."""
+    spec = w.spec
+    voxel = spec.h ** spec.dim
+    ali = family.lo[:, 0] >= 0
+    lo, hi = family.lo[ali], family.hi[ali]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pw = np.power(w.samples, expo, dtype=np.float64)
+        bad = ~np.isfinite(pw)
+        pw_clean = np.where(bad, 0.0, pw)
+        if spec.dim == 1:
+            prefix = np.concatenate(([0.0], np.cumsum(pw_clean))) * voxel
+            bad_prefix = np.concatenate(([0], np.cumsum(bad.astype(np.int64))))
+            total = prefix[hi[:, 0]] - prefix[lo[:, 0]]
+            nbad = bad_prefix[hi[:, 0]] - bad_prefix[lo[:, 0]]
+        else:
+            size = (spec.cells_per_axis + 1,) * 2
+            prefix = np.zeros(size)
+            np.cumsum(np.cumsum(pw_clean, axis=0), axis=1, out=prefix[1:, 1:])
+            bad_sat = np.zeros(size, dtype=np.int64)
+            np.cumsum(np.cumsum(bad.astype(np.int64), axis=0), axis=1, out=bad_sat[1:, 1:])
+            (a0, a1), (b0, b1) = lo.T, hi.T
+            total = (prefix[b0, b1] - prefix[a0, b1] - prefix[b0, a1] + prefix[a0, a1]) * voxel
+            nbad = bad_sat[b0, b1] - bad_sat[a0, b1] - bad_sat[b0, a1] + bad_sat[a0, a1]
+        if not np.isfinite(prefix.flat[-1]):
+            total = family.boxes.sums(pw_clean)[ali] * voxel
+    vals = np.empty(family.size)
+    vals[ali] = np.where(nbad > 0, np.inf, np.maximum(total, 0.0) / family.measures[ali])
+    shifted = np.flatnonzero(~ali)
+    integrals = overlap_integrals_oracle(spec, pw, family.corners[shifted], family.sides[shifted])
+    vals[shifted] = integrals / family.measures[shifted]
+    return vals

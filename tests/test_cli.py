@@ -138,6 +138,31 @@ class TestExitCodes:
         assert main(["verify", "--tag", "T9.9"]) == 2
         assert capsys.readouterr().err.startswith("ConfigInvalid:")
 
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"seed": "abc"}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"format": "xml"}, "format"),
+            ({"kind": "foo"}, "kind"),
+        ],
+    )
+    def test_a_bad_config_value_is_config_error(self, doc, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["verify", "--tag", "C5.3", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid:")
+        assert repr(key) in err
+
+    @pytest.mark.parametrize("flags, key", [(["--kind", "foo"], "kind"), (["--n-cal", "0"], "--n-cal")])
+    def test_a_bad_verify_flag_is_config_error(self, flags, key, capsys):
+        assert main(["verify", "--tag", "T1.1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid:")
+        assert repr(key) in err
+
     def test_readme_verify_profile_holds_the_keys_of_its_tag(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         profiles = [json.loads(b).get("profile") for b in re.findall(r"```json\n(.*?)```", readme, re.S)]

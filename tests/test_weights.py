@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import enumerated_pair_values
+from conftest import enumerated_pair_values, family_power_averages_oracle, overlap_integrals_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +28,8 @@ from bifrac import (
     reverse_holder_probe,
     two_weight_constant,
 )
+from bifrac import families, lattice
+from bifrac.families import CubeFamily, _shifted_grid_cubes
 from bifrac.weights import _family_power_averages, conjugate, iida_pair_value
 
 
@@ -407,6 +409,82 @@ def test_shifted_power_averages_stay_finite_away_from_an_infinite_cell(spec2d):
     w[7, 7] = 1.0
     want = _family_power_averages(GridFunction(spec2d, w, nonnegative=True), -1.0, fam)[k]
     assert np.array_equal(got[~touch], want[~touch])
+
+
+def _averages_case(data):
+    """A family (the default one, or a subset of a pool of aligned and shifted
+    cubes: mixed, all aligned or all shifted), a weight with exact zeros and
+    1.3e154 cells, and an exponent."""
+    dim = data.draw(st.sampled_from((1, 2)))
+    n = data.draw(st.sampled_from((1, 2, 4, 8, 16) if dim == 1 else (1, 2, 4, 8)))
+    # a cell side that is not a power of two makes scaling by the cell volume round
+    spec = GridSpec(dim, data.draw(st.sampled_from((1.0, 3.0))), n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    family = default_family(spec)
+    kind = data.draw(st.sampled_from(("default", "mixed", "aligned", "shifted")))
+    if kind != "default":
+        corners, sides = _shifted_grid_cubes(spec)
+        # plus four random cubes inside the box
+        side = rng.uniform(0.05, 1.0, 4) * 2.0 * spec.half_width
+        corner = -spec.half_width + rng.uniform(0.0, 1.0, (4, dim)) * (2.0 * spec.half_width - side[:, None])
+        corners, sides = np.vstack((corners, corner)), np.append(sides, side)
+        pool = family_from_cubes(spec, list(family.cubes) + [Cube(tuple(c), s) for c, s in zip(corners, sides)])
+        members = {"mixed": np.arange(pool.size), "aligned": np.flatnonzero(pool.aligned)}.get(kind, pool.shifted)
+        keep = rng.choice(members, rng.integers(0, len(members) + 1))
+        family = family_from_cubes(spec, [pool.cube(int(k)) for k in keep], name=kind)
+    w = rng.uniform(0.3, 3.0, spec.shape).reshape(-1)
+    w[rng.integers(0, w.size, rng.integers(0, 3))] = 0.0
+    w[rng.integers(0, w.size, rng.integers(0, 3))] = 1.3e154
+    expo = data.draw(st.sampled_from((-2.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0)))
+    return family, GridFunction(spec, w.reshape(spec.shape)), expo
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_power_averages_equal_the_per_call_oracle(data):
+    # the family's cached geometry against the per-call form it replaces, bit for bit
+    family, w, expo = _averages_case(data)
+    got = _family_power_averages(w, expo, family)
+    assert np.array_equal(got, family_power_averages_oracle(w, expo, family), equal_nan=True)
+    with np.errstate(divide="ignore", over="ignore"):
+        pw = np.power(w.samples, expo)
+    k = family.shifted
+    shifted = family.shifted_integrals(pw)
+    one_by_one = [lattice.overlap_integrals(w.spec, pw, family.corners[[j]], family.sides[[j]])[0] for j in k]
+    assert np.array_equal(shifted, np.array(one_by_one).reshape(-1), equal_nan=True)
+    assert np.array_equal(shifted, overlap_integrals_oracle(w.spec, pw, family.corners[k], family.sides[k]), equal_nan=True)
+
+
+def test_a_family_builds_its_cell_overlaps_once(monkeypatch):
+    # the shifted cubes' overlap vectors are geometry: built on first use, then reused
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return lattice.cell_overlaps(*args)
+
+    monkeypatch.setattr(families, "cell_overlaps", counted)
+    rng = np.random.default_rng(10)
+    for spec, builds in ((GridSpec(2, 2.0, 16), 1), (GridSpec(1, 2.0, 16), 0)):
+        built.clear()
+        family = default_family(spec)
+        w = GridFunction(spec, rng.uniform(0.3, 3.0, spec.shape))
+        for expo in np.linspace(-2.0, 3.0, 10):
+            _family_power_averages(w, expo, family)
+        assert len(built) == builds
+
+
+@pytest.mark.parametrize("name", ("corners", "sides", "lo", "hi"))
+def test_family_arrays_are_read_only(name):
+    spec = GridSpec(2, 2.0, 4)
+    mine = default_family(spec)
+    arrays = {key: np.array(getattr(mine, key)) for key in ("corners", "sides", "lo", "hi")}
+    family = CubeFamily(spec, **arrays)
+    with pytest.raises(ValueError):
+        getattr(family, name)[0] = 0
+    # the caller's array is copied, not frozen
+    arrays[name][0] = 99
+    assert getattr(family, name)[0].tolist() == getattr(mine, name)[0].tolist()
 
 
 def test_iida_pair_value_ignores_an_overflow_outside_the_pair():
