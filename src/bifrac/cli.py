@@ -82,11 +82,14 @@ class RunConfig:
     sweep: dict = field(default_factory=dict)
 
     def spec(self) -> GridSpec:
-        g = self.grid
+        g = {"n": 1, "L": 4.0, "N": 64, **self.grid}
+        for key in ("n", "N"):
+            if type(g[key]) is not int:  # a bool is not an integer
+                raise ConfigInvalid(f"config grid {key!r} must be an integer, got {g[key]!r}")
+        if type(g["L"]) not in (int, float):
+            raise ConfigInvalid(f"config grid 'L' must be a real number, got {g['L']!r}")
         try:
-            return GridSpec(
-                int(g.get("n", 1)), float(g.get("L", 4.0)), int(g.get("N", 64))
-            )
+            return GridSpec(g["n"], float(g["L"]), g["N"])
         except ValueError as exc:
             raise ConfigInvalid(f"bad grid spec: {exc}") from exc
 
@@ -195,6 +198,9 @@ def _load_config(args) -> RunConfig:
         raise ConfigInvalid(f"config 'seed' must be an integer, got {base['seed']!r}")
     if base.get("format", "json") not in ("csv", "json"):
         raise ConfigInvalid(f"config 'format' must be 'csv' or 'json', got {base['format']!r}")
+    for key in ("out_csv", "out_json"):
+        if key in base and not isinstance(base[key], str):
+            raise ConfigInvalid(f"config {key!r} must be a file path string, got {base[key]!r}")
     for key in ("seed", "kind", "out_csv", "out_json", "format"):
         if key in base:
             setattr(cfg, key, base[key])
@@ -209,10 +215,6 @@ def _load_config(args) -> RunConfig:
         cfg.out_csv = args.out_csv
     if getattr(args, "out_json", None):
         cfg.out_json = args.out_json
-    for dim_flag, name in (("n", "n"), ("L", "L"), ("N", "N")):
-        val = getattr(args, dim_flag, None)
-        if val is not None:
-            cfg.grid[name] = val
     return cfg
 
 
@@ -386,8 +388,9 @@ def _profile_from_cfg(cfg: RunConfig, args) -> tuple[str, dict]:
 
 
 def cmd_verify(args) -> int:
-    if args.n_cal < 1:
-        raise ConfigInvalid(f"'--n-cal' must be at least 1, got {args.n_cal}")
+    for flag, count in (("--n-cal", args.n_cal), ("--n-eval", args.n_eval)):
+        if count < 1:
+            raise ConfigInvalid(f"{flag!r} must be at least 1, got {count}")
     cfg = _load_config(args)
     _require_harness_grid(cfg)
     tag, raw = _profile_from_cfg(cfg, args)

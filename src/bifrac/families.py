@@ -14,6 +14,9 @@ compared on identical index sets:
 `nested_pairs` gives the nesting relation Q ⊆ Q' among the aligned
 members of a family: its exact pair count and, per member, the max of a
 per-cube value over the members inside it.  Pairs are never listed.
+
+`subcube_blocks` lists the dyadic subcubes of a root cube down to single
+cells, as corner cells and widths.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import EmptyCubeFamily
+from .errors import EmptyCubeFamily, NonAlignedCube, NotInGrid
 from .geometry import Cube, DyadicGrid
 from .lattice import CellBoxes, GridSpec, _scalar_pow, cell_overlaps, integrate_overlaps
 
@@ -267,6 +270,43 @@ def default_family(spec: GridSpec) -> CubeFamily:
     if len(order) > DEFAULT_CUBE_CAP:
         order = order[:: -(-len(order) // DEFAULT_CUBE_CAP)]
     return _with_cell_bounds(spec, corners[order], sides[order], "squares+shifted")
+
+
+def _root_block(spec: GridSpec, Q0: Cube) -> tuple[tuple[int, ...], int]:
+    """Cell-aligned block (corner indices, width in cells) for Q0."""
+    h = spec.h
+    w = Q0.side / h
+    iw = round(w)
+    if abs(w - iw) > 1e-9 * max(1.0, w) or iw < 1:
+        raise NonAlignedCube(f"root side {Q0.side} is not a whole number of cells")
+    if iw & (iw - 1):
+        raise NonAlignedCube(f"root width {iw} cells is not a power of two")
+    lo = []
+    n = spec.cells_per_axis
+    for c in Q0.corner:
+        t = (c + spec.half_width) / h
+        i0 = round(t)
+        if abs(t - i0) > 1e-9 * max(1.0, abs(t)):
+            raise NonAlignedCube(f"root corner {c} off the cell lattice")
+        if i0 < 0 or i0 + iw > n:
+            raise NonAlignedCube(f"root {Q0.serialize()} leaves the box")
+        lo.append(int(i0))
+    return tuple(lo), iw
+
+
+def subcube_blocks(spec: GridSpec, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray]:
+    """All dyadic subcubes of Q0 down to single cells, as corner cells (k x n)
+    and widths, breadth first: block i has its 2^n children at 2^n i + 1 ...
+    2^n i + 2^n, in `product((0, half), ...)` order."""
+    if Q0 not in grid:
+        raise NotInGrid(f"root {Q0.serialize()} is not a cube of the grid")
+    lo0, w0 = _root_block(spec, Q0)
+    offsets = np.array(list(product((0, 1), repeat=spec.dim)), dtype=np.int64)
+    levels, widths = [np.array([lo0], dtype=np.int64)], [w0]
+    while widths[-1] > 1:
+        widths.append(widths[-1] // 2)
+        levels.append((levels[-1][:, None, :] + offsets * widths[-1]).reshape(-1, spec.dim))
+    return np.concatenate(levels), np.repeat(widths, [len(lv) for lv in levels])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfiniteConstant, RelationViolated
-from .families import CubeFamily, NestedPairs, default_family, nested_pairs
+from .families import CubeFamily, NestedPairs, default_family, nested_pairs, subcube_blocks
 from .geometry import Cube, DyadicGrid, locate_shifted_cubes
 from .lattice import GridFunction, GridSpec, _cell_slices, lp_norm
 from .morrey import MorreyParams, morrey_norm, power_scaling_check, vector_morrey_norm
@@ -35,7 +35,7 @@ from .operators import (
     sparse_bound,
     weighted_bilinear_maximal,
 )
-from .sparse import cz_decompose, subcube_blocks
+from .sparse import cz_decompose
 from .weights import (
     ConstantReport,
     WeightVector,
@@ -351,10 +351,7 @@ def _materialize(spec: GridSpec, pieces: list[tuple], scale: float) -> np.ndarra
             a, b, val = piece[1] * scale, piece[2] * scale, piece[3]
             i0 = max(0, int(round((a + spec.half_width) / h)))
             i1 = min(n, int(round((b + spec.half_width) / h)))
-            if spec.dim == 1:
-                arr[i0:i1] += val
-            else:
-                arr[i0:i1, :] += val
+            arr[i0:i1] += val
         elif kind == "block2":
             a0, a1, b0, b1, val = (
                 piece[1] * scale,
@@ -372,10 +369,7 @@ def _materialize(spec: GridSpec, pieces: list[tuple], scale: float) -> np.ndarra
             pos, amp = piece[1] * scale, piece[2]
             i = int(math.floor((pos + spec.half_width) / h + 1e-12))
             if 0 <= i < n:
-                if spec.dim == 1:
-                    arr[i] += amp
-                else:
-                    arr[i, :] += amp
+                arr[i] += amp
         elif kind == "spike2":
             p0c, p1c, amp = piece[1] * scale, piece[2] * scale, piece[3]
             i = int(math.floor((p0c + spec.half_width) / h + 1e-12))
@@ -384,14 +378,12 @@ def _materialize(spec: GridSpec, pieces: list[tuple], scale: float) -> np.ndarra
                 arr[i, j] += amp
         elif kind == "power":
             x0, beta = piece[1] * scale, piece[2]
-            if spec.dim == 1:
-                vals = np.abs(mids - x0) ** beta
-            else:
-                vals = (
-                    np.sqrt((mids[:, None] - x0) ** 2 + (mids[None, :] - x0) ** 2)
-                    ** beta
-                )
-            arr += np.maximum(vals, WEIGHT_CLAMP)
+            dist = np.abs(mids - x0)
+            if spec.dim == 2:
+                dist = np.sqrt(dist[:, None] ** 2 + dist[None, :] ** 2)
+            # a dilation can put x0 on a midpoint, where a negative beta gives +inf
+            with np.errstate(divide="ignore"):
+                arr += np.clip(dist ** beta, WEIGHT_CLAMP, 1.0 / WEIGHT_CLAMP)
         elif kind == "rescale":
             arr *= piece[1]
         else:
@@ -537,7 +529,7 @@ def corpus(
 def _build_item(seed, kind, spec, idx, desc, scale=1.0) -> CorpusItem:
     f = _grid_fn(spec, desc["f"], scale)
     g = _grid_fn(spec, desc["g"], scale)
-    if kind == "spikes" and spec.dim == 1:
+    if kind == "spikes":
         q0 = Cube((0.0,) * spec.dim, spec.half_width)
         factor = _concentration_guard(f, g, q0)
         if factor < 1.0:
@@ -597,33 +589,15 @@ def _corpus_item_2d(rng, seed, kind, spec, idx, lo, hi) -> CorpusItem:
         desc[name] = pieces
     for w in ("w1", "w2", "v", "hfun"):
         desc[w] = [("const", 1.0)]
-    f = _grid_fn(spec, desc["f"])
-    g = _grid_fn(spec, desc["g"])
-    if kind == "spikes":
-        q0 = Cube((0.0,) * spec.dim, spec.half_width)
-        factor = _concentration_guard(f, g, q0)
-        if factor < 1.0:
-            desc["f"] = list(desc["f"]) + [("rescale", factor)]
-            desc["g"] = list(desc["g"]) + [("rescale", factor)]
-            f = _grid_fn(spec, desc["f"])
-            g = _grid_fn(spec, desc["g"])
-    ones = GridFunction.constant(spec, 1.0)
-    return CorpusItem(
-        item_id=f"{kind}-{seed}-{idx}",
-        kind=kind,
-        spec=spec,
-        descriptors=desc,
-        f=f,
-        g=g,
-        w1=ones,
-        w2=ones,
-        v=ones,
-        hfun=ones,
-    )
+    return _build_item(seed, kind, spec, idx, desc)
 
 
 def dilate_item(item: CorpusItem, scale_exp: int) -> CorpusItem:
-    """Rebuild an item with all geometry dilated by 2^scale_exp."""
+    """Rebuild an item with all geometry dilated by 2^scale_exp.
+
+    A spikes item, 1D or 2D, passes _concentration_guard again at the new
+    scale (its descriptors already hold the original rescale, if any).
+    """
     scale = 2.0 ** scale_exp
     new = _build_item(
         int(item.item_id.split("-")[-2]),

@@ -7,6 +7,13 @@ With that convention the bilinear sum at a cell midpoint x samples
 f(x - dh) and g(x + dh) exactly at cell midpoints, so for step data the
 grid outputs are exact values of the continuum operators.
 
+Each cell mass is a difference of one function at the cell edges, folded
+onto [0, inf) per axis (the kernel is even): in 1D the antiderivative, in
+2D the corner mass C(x, y) of [0, x] x [0, y], taken once per pair of
+edges on the lattice 0, h/2, 3h/2, ... (N(N+1)/2 quadratures), so a cell's
+mass is C(b, d) - C(a, d) - C(b, c) + C(a, c).  The origin cell folds onto
+[0, h/2) once per axis.
+
 Every kernel sum (bi_frac, the halves of its kernel split, frac_int) is
 one compensated (Kahan) sum over kernel offsets in a fixed row-major
 order, _offset_sum, in 1D and 2D alike, so results are identical run to
@@ -23,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from .errors import AlphaOutOfRange, NonPositiveWeight, POutOfRange, SpecMismatch
-from .families import CubeFamily, default_family
+from .families import CubeFamily, default_family, subcube_blocks
 from .geometry import Cube, DyadicGrid
 from .lattice import CellBoxes, GridFunction, GridSpec, _scalar_pow, check_conjugate
 
@@ -107,41 +114,15 @@ def _sec_power_integral_to(alpha: float, t: float) -> float:
 
 
 def _corner_mass_2d(x: float, y: float, alpha: float) -> float:
-    """\\int_{[0,x] x [0,y]} |u|^(alpha-2) du, exact polar reduction.
+    """\\int_{[0,x] x [0,y]} |u|^(alpha-2) du for x, y > 0, exact polar reduction.
 
     Splitting at the diagonal angle turns the integral into two smooth
     sec-power integrals:  (x^a S(atan(y/x)) + y^a S(atan(x/y))) / a.
     """
-    if x <= 0.0 or y <= 0.0:
-        return 0.0
     return (
         x ** alpha * _sec_power_integral_to(alpha, math.atan2(y, x))
         + y ** alpha * _sec_power_integral_to(alpha, math.atan2(x, y))
     ) / alpha
-
-
-def _fold_nonnegative(lo: float, hi: float) -> list[tuple[float, float]]:
-    """Reflect an interval onto [0, inf); the kernel is even per axis."""
-    out = []
-    if hi > 0.0:
-        out.append((max(lo, 0.0), hi))
-    if lo < 0.0:
-        out.append((max(-hi, 0.0), -lo))
-    return out
-
-
-def _rect_mass_2d(x0: float, x1: float, y0: float, y1: float, alpha: float) -> float:
-    """Exact \\int over [x0,x1] x [y0,y1] of |u|^(alpha-2)."""
-    total = 0.0
-    for a, b in _fold_nonnegative(x0, x1):
-        for c, d in _fold_nonnegative(y0, y1):
-            total += (
-                _corner_mass_2d(b, d, alpha)
-                - _corner_mass_2d(a, d, alpha)
-                - _corner_mass_2d(b, c, alpha)
-                + _corner_mass_2d(a, c, alpha)
-            )
-    return total
 
 
 def kernel_table(spec: GridSpec, alpha: float) -> KernelTable:
@@ -159,16 +140,19 @@ def _kernel_table(spec: GridSpec, alpha: float) -> KernelTable:
     if spec.dim == 1:
         weights = _axis_masses_1d(h, alpha, n)
     else:
-        count = n
-        half = np.zeros((count, count))
-        for d0 in range(count):
-            for d1 in range(d0, count):
-                ax = (d0 - 0.5) * h
-                ay = (d1 - 0.5) * h
-                m = _rect_mass_2d(ax, ax + h, ay, ay + h, alpha)
-                half[d0, d1] = m
-                half[d1, d0] = m
-        fold = np.abs(np.arange(-(count - 1), count))
+        # corner masses at the offset-cell edges 0 and (d - 1/2)h + h, one per
+        # unordered pair (the corner mass is symmetric); row and column 0 are 0
+        edges = [0.0] + [(d - 0.5) * h + h for d in range(n)]
+        c = np.zeros((n + 1, n + 1))
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                c[i, j] = c[j, i] = _corner_mass_2d(edges[i], edges[j], alpha)
+        half = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
+        # the origin cell folds onto [0, h/2) once per axis
+        half[0] *= 2.0
+        half[:, 0] *= 2.0
+        half = np.triu(half) + np.triu(half, 1).T
+        fold = np.abs(np.arange(-(n - 1), n))
         weights = half[fold[:, None], fold]
     return KernelTable(spec, alpha, weights)
 
@@ -557,8 +541,6 @@ def sparse_bound(
     check_conjugate(r, s)
     if not (0.0 < alpha < spec.dim):
         raise AlphaOutOfRange(f"alpha must lie in (0, {spec.dim}), got {alpha}")
-    from .sparse import subcube_blocks  # local import to avoid a cycle
-
     lo, width = subcube_blocks(spec, Q0, grid)
     vals = _scalar_pow(width * spec.h, alpha) * _block_m3q(f, g, r, s, lo, width)
     root = tuple(slice(a, a + width[0]) for a in lo[0].tolist())

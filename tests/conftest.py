@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import settings
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.geometry import _THIRD
 from bifrac.lattice import _GATHER_CELLS
+from bifrac.operators import _corner_mass_2d
 from bifrac.weights import _family_power_averages, conjugate
 
 # One profile for every property test: the same examples on every run and
@@ -81,6 +83,38 @@ def locate_shifted_dyadic_oracle(Q: Cube):
                     best_key = key
                     best = (shift, cand)
     return best
+
+
+def kernel_table_2d_oracle(spec, alpha):
+    """The per-cell loop the 2D kernel table replaced: each offset cell
+    [(d - 1/2)h, (d + 1/2)h)^2 with d0 <= d1 reflected onto [0, inf) per
+    axis, four corner masses per reflected piece, mirrored, then folded by |d|.
+    Corner masses are memoized: a pure function, it gives the same bits."""
+
+    @lru_cache(maxsize=None)
+    def corner(x, y):
+        return 0.0 if x <= 0.0 or y <= 0.0 else _corner_mass_2d(x, y, alpha)
+
+    def reflect(lo, hi):
+        out = []
+        if hi > 0.0:
+            out.append((max(lo, 0.0), hi))
+        if lo < 0.0:
+            out.append((max(-hi, 0.0), -lo))
+        return out
+
+    n, h = spec.cells_per_axis, spec.h
+    half = np.zeros((n, n))
+    for d0 in range(n):
+        for d1 in range(d0, n):
+            ax, ay = (d0 - 0.5) * h, (d1 - 0.5) * h
+            total = 0.0
+            for a, b in reflect(ax, ax + h):
+                for c, d in reflect(ay, ay + h):
+                    total += corner(b, d) - corner(a, d) - corner(b, c) + corner(a, c)
+            half[d0, d1] = half[d1, d0] = total
+    fold = np.abs(np.arange(-(n - 1), n))
+    return half[fold[:, None], fold]
 
 
 def enumerate_nested_pairs(family):

@@ -146,6 +146,12 @@ class TestExitCodes:
             ({"seed": True}, "seed"),
             ({"format": "xml"}, "format"),
             ({"kind": "foo"}, "kind"),
+            ({"out_csv": 2}, "out_csv"),
+            ({"out_json": ["v.json"]}, "out_json"),
+            ({"grid": {"N": 64.7}}, "N"),
+            ({"grid": {"N": "64"}}, "N"),
+            ({"grid": {"n": True}}, "n"),
+            ({"grid": {"L": "4"}}, "L"),
         ],
     )
     def test_a_bad_config_value_is_config_error(self, doc, key, tmp_path, capsys):
@@ -156,7 +162,10 @@ class TestExitCodes:
         assert err.startswith("ConfigInvalid:")
         assert repr(key) in err
 
-    @pytest.mark.parametrize("flags, key", [(["--kind", "foo"], "kind"), (["--n-cal", "0"], "--n-cal")])
+    @pytest.mark.parametrize(
+        "flags, key",
+        [(["--kind", "foo"], "kind"), (["--n-cal", "0"], "--n-cal"), (["--n-eval", "0"], "--n-eval")],
+    )
     def test_a_bad_verify_flag_is_config_error(self, flags, key, capsys):
         assert main(["verify", "--tag", "T1.1", *flags]) == 2
         err = capsys.readouterr().err

@@ -9,6 +9,7 @@ from conftest import locate_shifted_dyadic_oracle
 
 import bifrac.harness as H
 from bifrac import (
+    Cube,
     GridFunction,
     InfiniteConstant,
     RelationViolated,
@@ -210,6 +211,31 @@ class TestCorpus:
             2.0 * np.sum(item.f.samples), rel=1e-12
         )
 
+    def test_dilated_power_weights_are_clamped_not_infinite(self):
+        # a shrinking dilation can put x0 on a cell midpoint, where |x - x0|^beta
+        # with beta < 0 is +inf before the clamp
+        clamped = 0
+        for seed in range(20):
+            for item in corpus(seed, "power-weights", count=5):
+                for j in (-1, -2, -3):
+                    it = dilate_item(item, j)
+                    for w in (it.w1, it.w2):
+                        assert H.WEIGHT_CLAMP <= float(w.samples.min())
+                        assert float(w.samples.max()) <= 1.0 / H.WEIGHT_CLAMP
+                        clamped += float(w.samples.max()) == 1.0 / H.WEIGHT_CLAMP
+        assert clamped > 0
+
+    def test_dilated_2d_spikes_items_pass_the_concentration_guard(self):
+        # the guard runs again at the new scale, as in 1D, and leaves nothing to
+        # rescale up to the rounding of its own last factor
+        spec = H.HARNESS_SPEC_2D
+        q0 = Cube((0.0, 0.0), spec.half_width)
+        for seed in range(30):
+            for item in corpus(seed, "spikes", spec, count=4):
+                for j in (-1, 1, 2):
+                    it = dilate_item(item, j)
+                    assert H._concentration_guard(it.f, it.g, q0) == pytest.approx(1.0, rel=0, abs=1e-12)
+
 
 class TestStructural:
     def test_all_pass(self):
@@ -220,8 +246,6 @@ class TestStructural:
     @pytest.mark.parametrize("dim, seed", [(1, 0), (1, 7), (1, 11), (2, 3), (2, 7)])
     def test_cube_location_matches_per_cube_oracle(self, dim, seed):
         # the draws, containment test and ratio of the per-cube loop it replaced
-        from bifrac import Cube
-
         samples = 300 if dim == 1 else 60
         rng = SplitMix64(_mix_seed(seed, f"one-third-{dim}d"))
         box_half = 4.0 if dim == 1 else 2.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import kernel_table_2d_oracle
 
 from bifrac import (
     AlphaOutOfRange,
@@ -31,6 +32,7 @@ from bifrac import (
     sparse_bound,
     weighted_bilinear_maximal,
 )
+from bifrac import operators
 from bifrac.operators import _split_weights
 
 
@@ -56,8 +58,6 @@ class TestKernelTable:
         assert table.weight(0) == pytest.approx(4.0 * math.sqrt(0.5 * h), rel=1e-14)
 
     def test_gauss_table_is_leggauss(self):
-        from bifrac import operators
-
         nodes, weights = np.polynomial.legendre.leggauss(48)
         assert np.array_equal(operators._GAUSS_NODES, nodes)
         assert np.array_equal(operators._GAUSS_WEIGHTS, weights)
@@ -74,8 +74,6 @@ class TestKernelTable:
             assert table.weight(d) == table.weight(-d)
 
     def test_cache_is_bounded_and_holds_a_runs_tables(self):
-        from bifrac import operators
-
         # three 2D alphas and one 1D alpha, as in one benchmark workload
         keys = [(GridSpec(2, 1.0, 4), a) for a in (0.5, 1.0, 1.5)] + [(GridSpec(1, 1.0, 32), 0.5)]
         tables = [kernel_table(*key) for key in keys]
@@ -91,6 +89,33 @@ class TestKernelTable:
         assert np.all(table.weights > 0)
         assert table.weight((2, 3)) == table.weight((-2, 3))
         assert table.weight((2, 3)) == table.weight((3, 2))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.99])
+    @pytest.mark.parametrize("L", [1.0, 2.0, 3.0, 4.0])
+    def test_2d_table_equals_the_per_cell_loop_bit_for_bit(self, L, alpha):
+        for n in (1, 2, 4, 8, 16, 32, 64):
+            weights = operators._kernel_table.__wrapped__(GridSpec(2, L, n), alpha).weights
+            assert np.array_equal(weights, kernel_table_2d_oracle(GridSpec(2, L, n), alpha))
+            assert np.array_equal(weights, weights.T)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.99])
+    @pytest.mark.parametrize("L", [0.7, 1.1, 2.3])
+    def test_2d_table_agrees_with_the_per_cell_loop_off_exact_edges(self, L, alpha):
+        # here (d - 1/2)h + h and (d + 1/2)h can differ in the last bit, and the
+        # four-corner difference both forms take magnifies that
+        for n in (1, 2, 4, 8, 16, 32, 64):
+            weights = operators._kernel_table.__wrapped__(GridSpec(2, L, n), alpha).weights
+            np.testing.assert_allclose(weights, kernel_table_2d_oracle(GridSpec(2, L, n), alpha), rtol=1e-10, atol=0)
+            assert np.array_equal(weights, weights.T)
+
+    def test_2d_table_takes_one_quadrature_per_pair_of_edges(self, monkeypatch):
+        calls = []
+        corner_mass = operators._corner_mass_2d
+        monkeypatch.setattr(operators, "_corner_mass_2d", lambda *a: calls.append(a) or corner_mass(*a))
+        for n in (1, 2, 8, 32):
+            calls.clear()
+            operators._kernel_table.__wrapped__(GridSpec(2, 1.0, n), 0.5)
+            assert len(calls) == n * (n + 1) // 2
 
     def test_2d_total_mass_vs_polar(self):
         # sum of all cell masses approximates the disk integral of r^(a-2)

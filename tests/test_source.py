@@ -5,10 +5,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bifrac"
 
-# sparse imports operators at module level, so operators.sparse_bound can
-# import sparse.subcube_blocks only when it is called
-ALLOWED = {("operators.py", "sparse_bound")}
-
 
 def _imports_in_functions(path: Path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -24,6 +20,5 @@ def test_no_import_inside_a_function():
         f"{path.name}:{line} in {name}"
         for path in sorted(SRC.glob("*.py"))
         for name, line in _imports_in_functions(path)
-        if (path.name, name) not in ALLOWED
     ]
     assert found == []
