@@ -80,15 +80,10 @@ class CubeFamily:
 
     # Per-family arrays and engine boxes, computed once.
 
-    @cached_property
-    def _distinct_sides(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.unique(self.sides, return_inverse=True)
-
     def side_powers(self, expo: float, scale: float = 1.0) -> np.ndarray:
-        """(scale * side) ** expo per cube, by scalar pow over the distinct
-        sides (see lattice._scalar_pow), so |Q| here equals Cube.measure."""
-        distinct, back = self._distinct_sides
-        return _scalar_pow(scale * distinct, expo)[back]
+        """(scale * side) ** expo per cube, by lattice._scalar_pow (scalar `**`
+        bit for bit, which np.power is not), so |Q| here equals Cube.measure."""
+        return _scalar_pow(scale * self.sides, expo)
 
     @cached_property
     def measures(self) -> np.ndarray:

@@ -263,14 +263,22 @@ def box_power_integral(f: GridFunction, corner, side: float, p: float) -> float:
 
 
 def _scalar_pow(values: np.ndarray, expo: float) -> np.ndarray:
-    """values ** expo by scalar pow, once per distinct value.
-
-    Scalar pow, not numpy's array power, which differs from it by 1 ulp on
-    some inputs on SIMD hosts.  Values are told apart by their bits, so equal
-    bits in give equal bits out, -0.0 and NaN payloads included.
-    """
-    distinct, back = np.unique(np.asarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
-    return np.array([v ** expo for v in distinct.view(np.float64).tolist()], dtype=np.float64)[back]
+    """values ** expo, bit for bit as scalar `**`: np.float_power on float64
+    calls the C library's pow per element, as `**` does, where np.power's
+    SIMD kernels differ from it by 1 ulp on some inputs.  Raises as `**` does
+    where it has no float result: ZeroDivisionError for 0.0 to a negative
+    power, OverflowError past the float range, and ValueError (`**` gives a
+    complex) for a negative value to a non-integer power."""
+    with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+        try:
+            return np.float_power(values, expo)
+        except FloatingPointError:
+            pass
+    if expo < 0.0 and (values == 0.0).any():
+        raise ZeroDivisionError("0.0 cannot be raised to a negative power")
+    if (np.isfinite(values) & (values < 0.0)).any() and not float(expo).is_integer():
+        raise ValueError(f"a negative value has no real power {expo}")
+    raise OverflowError(f"a power {expo} leaves the float range")
 
 
 # Cells gathered at once by 2D window sums and minima and per cube by

@@ -48,12 +48,11 @@ class KernelTable:
     weights: np.ndarray
 
     def weight(self, offset) -> float:
-        n1 = self.spec.cells_per_axis - 1
-        if self.spec.dim == 1:
-            d = offset if isinstance(offset, int) else offset[0]
-            return float(self.weights[d + n1])
-        d0, d1 = offset
-        return float(self.weights[d0 + n1, d1 + n1])
+        """The mass at offset d: an int in 1D, or one int per axis."""
+        d, n1 = np.atleast_1d(offset).tolist(), self.spec.cells_per_axis - 1
+        if len(d) != self.spec.dim or any(abs(x) > n1 for x in d):
+            raise IndexError(f"offset {offset!r} is not {self.spec.dim} ints with |d_i| <= {n1}")
+        return float(self.weights[tuple(x + n1 for x in d)])
 
 
 def _axis_masses_1d(h: float, alpha: float, count: int) -> np.ndarray:
@@ -406,10 +405,8 @@ def _split_weights(spec: GridSpec, alpha: float, Q0: Cube) -> tuple[np.ndarray, 
 # * box sums, grouped by box shape in the cube-window engine of `lattice`,
 #   equal per-slice np.sum bit for bit, and |f|^p taken once on the whole
 #   array equals |f|^p taken on any slice;
-# * the final root stays on scalar `**` (lattice._scalar_pow), because
-#   numpy's array `power` differs from scalar pow by 1 ulp on some inputs on
-#   SIMD hosts; it is taken once per distinct value (by bits), and side
-#   powers once per distinct side (CubeFamily.side_powers);
+# * roots and side powers go through lattice._scalar_pow, which equals
+#   scalar `**` bit for bit (np.float_power, not np.power's SIMD kernels);
 # * the sweep's max over the containing cubes involves no rounding: in 1D
 #   two running maxima of a start x end table, in 2D the square-table
 #   recursion (CellBoxes.sweep).

@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from bifrac import Cube, GridFunction, GridSpec, all_intervals
 from bifrac.families import default_family, family_from_cubes, nested_pairs
+from bifrac.harness import STRUCTURAL_ALPHA, TAGS, ExponentProfile, catalog_profiles
 from bifrac.lattice import CellBoxes, box_power_integral, overlap_integrals
 from bifrac.operators import _averages, _m3q, maximal, weighted_bilinear_maximal
 
@@ -89,6 +90,46 @@ def test_numpy_pairwise_summation_order():
         "(blocks of up to 128 values in 8 accumulators, split in halves rounded to "
         "multiples of 8); the 1D window-sum table in lattice.CellBoxes assumes that order"
     )
+
+
+def _scalar_pows(values: list[float], expo: float) -> np.ndarray:
+    out = []
+    for v in values:
+        try:
+            out.append(v ** expo)
+        except OverflowError:
+            out.append(np.inf)
+    return np.array(out)
+
+
+def test_numpy_float_power_is_scalar_pow():
+    # Values over the whole float range, subnormals and specials included, to
+    # every power the package takes: 1/p for the catalog exponents, alpha, the
+    # dimensions and the exponents of the _scalar_pow property test.
+    rng = np.random.default_rng(12)
+    values = np.concatenate((
+        rng.random(4000) * 10.0 ** rng.integers(-323, 309, 4000),
+        rng.random(500) * 2.0 ** -1022,
+        [0.0, -0.0, 5e-324, 2.0 ** -1022, 1.0, np.finfo(float).max, np.inf, -np.inf, np.nan],
+    ))
+    exponents = {1.0, 2.0, 1.0 / 3.0, 0.3125, STRUCTURAL_ALPHA}
+    for tag in TAGS:
+        for profile in catalog_profiles(tag):
+            fields = (getattr(profile, key) for key in ExponentProfile.__dataclass_fields__)
+            exponents.update(1.0 / v for v in fields if isinstance(v, float))
+            exponents.add(profile.alpha)
+    for expo in sorted(exponents):
+        want = _scalar_pows(values.tolist(), expo)
+        with np.errstate(all="ignore"):
+            got = np.float_power(values, expo)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan) and np.array_equal(
+            got.view(np.int64)[~nan], want.view(np.int64)[~nan]
+        ), (
+            f"np.float_power(x, {expo!r}) no longer equals scalar x ** {expo!r} bit for bit; "
+            "lattice._scalar_pow (cube averages' roots, side powers, |Q|) assumes it calls "
+            "the C library's pow per element"
+        )
 
 
 def _every_window(n):
@@ -298,6 +339,18 @@ def test_family_cover_and_touch_boxes_2d():
         )
         assert np.array_equal(fam.cover.sweep(only) == 1.0, covered)
         assert np.array_equal(fam.touch.sweep(only) == 1.0, np.outer(a, b))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("half_width", [1.0, 2.3, 4.0])
+def test_family_measures_and_side_powers_equal_the_per_cube_scalar_pow(dim, n, half_width):
+    fam = default_family(GridSpec(dim, half_width, n))
+    want = np.array([fam.cube(k).measure for k in range(fam.size)])
+    assert np.array_equal(fam.measures.view(np.int64), want.view(np.int64))
+    sides = fam.sides.tolist()
+    for expo, scale in ((dim, 1.0), (dim, 3.0), (0.25, 1.0), (1.0 / 3.0, 1.0), (0.3125, 3.0)):
+        want = np.array([(scale * side) ** expo for side in sides])
+        assert np.array_equal(fam.side_powers(expo, scale).view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("dim", [1, 2])

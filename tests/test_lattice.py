@@ -290,26 +290,41 @@ def test_malformed_grid_file_raises_input_unreadable(f, data):
         _read_grid_text(header + "\n" + " ".join(tokens) + "\n")
 
 
-# +0.0 and -0.0, subnormals, the largest decade, +inf and NaN, next to ordinary values
-POW_SPECIALS = (0.0, -0.0, 5e-324, 2.5e-310, 1e308, np.inf, np.nan, 1.0, 0.1, 3.0)
+# +0.0 and -0.0, subnormals, the largest decade, +-inf and NaN, next to ordinary values
+POW_SPECIALS = (0.0, -0.0, 5e-324, 2.5e-310, 1e308, np.inf, -np.inf, np.nan, 1.0, 0.1, 3.0)
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(
     st.lists(st.one_of(st.sampled_from(POW_SPECIALS), st.floats(0.0, 1e308)), min_size=1, max_size=8),
     st.lists(st.integers(0, 7), max_size=60),
-    st.sampled_from((1.0, 0.5, 1.0 / 3.0, 0.3125, 1.25, 2.0, 3.0)),
+    st.sampled_from((1.0, 0.5, 1.0 / 3.0, 0.3125, 1.25, 2.0, 3.0, 0.0, -0.5, -1.0, -1.0 / 3.0, -2.0, -3.0)),
 )
 def test_scalar_pow_equals_python_pow_bit_for_bit(pool, picks, expo):
-    # many repeats of a few values; 3.0 is an odd integer, so -0.0 must stay -0.0
+    # many repeats of a few values; 3.0 and -3.0 are odd integers, so -0.0 and
+    # -inf keep their sign; zeros and subnormals meet negative powers
     values = np.array(pool + [pool[i % len(pool)] for i in picks])
-    try:
-        want = np.array([v ** expo for v in values.tolist()])
-    except OverflowError:  # scalar pow past the float range raises, and so does _scalar_pow
-        with pytest.raises(OverflowError):
+    want, raised = [], set()
+    for v in values.tolist():
+        try:
+            want.append(v ** expo)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raised.add(type(exc))
+    if raised:  # where scalar pow raises, so does _scalar_pow; a zero to a negative power first
+        with pytest.raises(ZeroDivisionError if ZeroDivisionError in raised else OverflowError):
             _scalar_pow(values, expo)
         return
+    want = np.array(want)
     got = _scalar_pow(values, expo)
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
+def test_scalar_pow_of_a_negative_value_is_real_only_at_integer_powers():
+    values = np.array([4.0, -2.0, -0.5])
+    assert np.array_equal(_scalar_pow(values, 3.0), np.array([v ** 3.0 for v in values.tolist()]))
+    assert np.array_equal(_scalar_pow(values, -2.0), np.array([v ** -2.0 for v in values.tolist()]))
+    assert isinstance((-2.0) ** 0.5, complex)  # scalar pow has no float result here
+    with pytest.raises(ValueError, match="negative"):
+        _scalar_pow(values, 0.5)

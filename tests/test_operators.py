@@ -90,6 +90,22 @@ class TestKernelTable:
         assert table.weight((2, 3)) == table.weight((-2, 3))
         assert table.weight((2, 3)) == table.weight((3, 2))
 
+    def test_weight_reads_every_offset_up_to_n_minus_1_in_1d(self):
+        table = kernel_table(GridSpec(1, 1.0, 8), 0.5)
+        for d in range(-7, 8):
+            assert table.weight(d) == table.weight((d,)) == table.weights[d + 7]
+        for bad in (8, -8, (8,), (-8,), (1, 2), ()):
+            with pytest.raises(IndexError, match="offset"):
+                table.weight(bad)
+
+    def test_weight_reads_every_offset_up_to_n_minus_1_in_2d(self):
+        table = kernel_table(GridSpec(2, 1.0, 8), 1.3)
+        for d0, d1 in ((-7, -7), (-7, 7), (7, -7), (7, 7), (0, 0), (2, -3)):
+            assert table.weight((d0, d1)) == table.weights[d0 + 7, d1 + 7]
+        for bad in ((8, 0), (-8, 0), (0, 8), (0, -8), 3, (3,), (1, 2, 3)):
+            with pytest.raises(IndexError, match="offset"):
+                table.weight(bad)
+
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.99])
     @pytest.mark.parametrize("L", [1.0, 2.0, 3.0, 4.0])
     def test_2d_table_equals_the_per_cell_loop_bit_for_bit(self, L, alpha):
