@@ -16,6 +16,7 @@ cli        command-line front end
 
 from .errors import (
     AlphaOutOfRange,
+    AverageOverflow,
     BifracError,
     ConfigInvalid,
     ConjugateMismatch,

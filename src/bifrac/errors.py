@@ -52,6 +52,10 @@ class LevelAbsent(BifracError):
     """Sparse family has no cubes at the requested level."""
 
 
+class AverageOverflow(BifracError):
+    """A cube average leaves the float range where a finite value is needed."""
+
+
 class NonNegativityViolation(BifracError):
     """Function declared or required nonnegative has a negative sample."""
 

@@ -281,7 +281,7 @@ def _scalar_pow(values: np.ndarray, expo: float) -> np.ndarray:
     raise OverflowError(f"a power {expo} leaves the float range")
 
 
-# Cells gathered at once by 2D window sums and minima and per cube by
+# Cells gathered at once by 2D window sums and per cube by
 # integrate_overlaps; bounds the memory of one call.
 _GATHER_CELLS = 1 << 13
 
@@ -343,12 +343,14 @@ class CellBoxes:
     length up to the longest box (see _window_sums), one fancy index per
     call, and the containment maxima (`sweep`, `inner_max`) read running
     maxima of one start x end table (see _interval_table), O(N^2) like the
-    window-sum table.  In 2D sums and minima group the boxes by shape, one
-    numpy call per shape, never one per box, and gather each window as a
-    contiguous row of its cells in row-major order (summing a strided view
-    over several axes does not give np.sum's bits); the containment maxima
-    run on a table of squares (see _containment_max).  Groups and squares
-    are built on first use.
+    window-sum table.  In 2D sums group the boxes by shape, one numpy call
+    per shape, never one per box, and gather each window as a contiguous
+    row of its cells in row-major order (summing a strided view over several
+    axes does not give np.sum's bits); minima and the outward sweep read a
+    per-axis power-of-two table (see `blocks`), where every box is the union
+    of four blocks at its corners; the inward maxima run on a table of
+    squares (see _containment_max).  Groups and blocks are built on first
+    use.
     """
 
     def __init__(self, shape: tuple[int, ...], lo: np.ndarray, hi: np.ndarray):
@@ -381,45 +383,55 @@ class CellBoxes:
                 groups.append((idx, corners, offsets))
         return groups
 
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+        """2D: the shape (K0, K1, N0, N1) of a power-of-two table (see
+        _block_steps), with levels up to the longest box on each axis; per
+        box, the flat positions (4 x k) of the blocks of its largest
+        power-of-two extents at its four corners, which cover it exactly
+        (empty boxes point at the slot past the table); and the distinct ones
+        of non-empty boxes, as indices into the flattened 4 x k array."""
+        levels = tuple(int(t).bit_length() for t in self.ext.max(axis=0, initial=1))
+        shape = levels + self.shape
+        k = np.frexp(np.maximum(self.ext, 1))[1].astype(np.int64) - 1  # floor(log2(extent)), exact
+        far = self.lo + self.ext - (1 << k)
+        (lo0, lo1), (far0, far1) = self.lo.T, far.T
+        base = (k[:, 0] * levels[1] + k[:, 1]) * shape[2]
+        at = np.array([(base + i) * shape[3] + j for i in (lo0, far0) for j in (lo1, far1)])
+        nonempty = (self.ext > 0).all(axis=1)
+        at[:, ~nonempty] = math.prod(shape)
+        split = far > self.lo  # on an axis of power-of-two extent both corner blocks are one
+        distinct = np.array([nonempty, split[:, 1], split[:, 0], split[:, 0] & split[:, 1]]) & nonempty
+        return shape, at, np.flatnonzero(distinct)
+
     def sums(self, arr: np.ndarray) -> np.ndarray:
         """np.sum(arr[box]) per box, bit for bit; 0 for empty boxes."""
         if len(self.shape) == 1:
             # + 0.0: np.sum adds the row to its identity 0.0, which turns -0.0 into 0.0
             return _window_sums(arr, self.top)[self.lo[:, 0], self.ext[:, 0]] + 0.0
-        return self._reduce(arr, 0.0, np.sum)
-
-    def minima(self, arr: np.ndarray) -> np.ndarray:
-        """arr[box].min() per box; +inf for empty boxes."""
-        if len(self.shape) == 1:
-            return _window_minima(arr, self.top)[self.lo[:, 0], self.ext[:, 0]]
-        return self._reduce(arr, np.inf, np.min)
-
-    def _reduce(self, arr: np.ndarray, empty: float, op) -> np.ndarray:
-        out = np.full(self.count, empty)
+        out = np.zeros(self.count)
         flat = arr.reshape(-1)
         for idx, corners, offsets in self.groups:
             # chunks of at most _GATHER_CELLS cells keep the gathered copies small
             step = max(1, _GATHER_CELLS // len(offsets))
             for start in range(0, len(idx), step):
                 cells = corners[start : start + step, None] + offsets
-                out[idx[start : start + step]] = op(flat[cells], axis=-1)
+                out[idx[start : start + step]] = np.sum(flat[cells], axis=-1)
         return out
 
-    @cached_property
-    def squares(self) -> tuple[np.ndarray, np.ndarray, "_SquareTable"]:
-        """The 2D boxes as squares: a w0 x w1 box with w0 <= w1 is exactly the
-        union of the w1 - w0 + 1 squares of side w0 inside it.  Returns each
-        square's position in a square table, the box it comes from, and the
-        table."""
-        side = self.ext.min(axis=1)
-        box = np.flatnonzero(side > 0)
-        count = self.ext[box].max(axis=1) - side[box] + 1
-        box = np.repeat(box, count)
-        step = np.arange(len(box)) - np.repeat(np.cumsum(count) - count, count)
-        side = side[box]
-        corner = self.lo[box] + (self.ext[box] > side[:, None]) * step[:, None]
-        table = _SquareTable(self.shape, int(side.max(initial=1)))
-        return table.positions(side, corner), box, table
+    def minima(self, arr: np.ndarray) -> np.ndarray:
+        """arr[box].min() per box; +inf for empty boxes.  In 2D, the min of the
+        four corner blocks' minima, which NaN propagates through as in np.min."""
+        if len(self.shape) == 1:
+            return _window_minima(arr, self.top)[self.lo[:, 0], self.ext[:, 0]]
+        shape, at, _ = self.blocks
+        flat = np.full(math.prod(shape) + 1, np.inf)
+        table = flat[:-1].reshape(shape)
+        table[0, 0] = arr
+        for coarse, first, second in _block_steps(table):
+            np.minimum(first, second, out=coarse)
+        v = flat[at]
+        return np.minimum(np.minimum(v[0], v[1]), np.minimum(v[2], v[3]))
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Per cell, the max of values[k] over the boxes containing it.
@@ -427,20 +439,22 @@ class CellBoxes:
         Cells in no box get -inf; a NaN value propagates as in np.maximum.
         In 1D a cell c lies in [a, e] when a <= c <= e: a suffix max over e
         and a prefix max over a leave that max on the diagonal of the
-        interval table.  In 2D the values go onto the squares of the boxes,
-        and the outward containment recursion carries each down to the
-        cells, the squares of side 1.
+        interval table.  In 2D each value goes onto the corner blocks of its
+        box, and each block passes its max down to the two blocks it is made
+        of, level by level, to the cells (layer (0, 0)).
         """
         if len(self.shape) == 1:
             _, _, table = _interval_table(self, values)
             table = np.maximum.accumulate(table[:, ::-1], axis=1)[:, ::-1]
             return np.maximum.accumulate(table, axis=0).diagonal().copy()
-        at, box, table = self.squares
-        flat = np.full(table.size, -np.inf)
-        np.maximum.at(flat, at, values[box])
-        layers = table.layers(flat)
-        _containment_max(layers, inward=False)
-        return layers[0].copy()
+        shape, at, distinct = self.blocks
+        flat = np.full(math.prod(shape) + 1, -np.inf)
+        np.maximum.at(flat, at.reshape(-1)[distinct], values[distinct % self.count])
+        table = flat[:-1].reshape(shape)
+        for coarse, first, second in reversed(list(_block_steps(table))):
+            np.maximum(first, coarse, out=first)
+            np.maximum(second, coarse, out=second)
+        return table[0, 0].copy()
 
     def inner_max(self, values: np.ndarray) -> np.ndarray:
         """Per non-empty box, the max of values[k] over the non-empty boxes
@@ -464,7 +478,7 @@ class CellBoxes:
         at = table.positions(side, self.lo[k])
         flat = np.full(table.size, -np.inf)
         np.maximum.at(flat, at, values[k])
-        _containment_max(table.layers(flat), inward=True)
+        _containment_max(table.layers(flat))
         out[k] = flat[at]
         return out
 
@@ -481,11 +495,28 @@ def _interval_table(boxes: CellBoxes, values: np.ndarray) -> tuple[np.ndarray, n
     return k, at, table.reshape(n, n)
 
 
+def _block_steps(table: np.ndarray):
+    """The steps that build a 2D power-of-two table, whose layer (k0, k1)
+    holds a value per 2^k0 x 2^k1 block at each corner cell, from the cells
+    at layer (0, 0): per level, the coarser blocks and the two finer blocks,
+    half their extent apart, that make them up.  Axis 1 runs on the first
+    layers, then axis 0 on all of them at once, so the steps make about
+    2 log N numpy calls; a step reads only the finer blocks that fit."""
+    levels0, levels1, n0, n1 = table.shape
+    for k in range(1, levels1):
+        m, half = n1 - (1 << k) + 1, 1 << (k - 1)
+        yield table[0, k, :, :m], table[0, k - 1, :, :m], table[0, k - 1, :, half : half + m]
+    for k in range(1, levels0):
+        m, half = n0 - (1 << k) + 1, 1 << (k - 1)
+        yield table[k, :, :m], table[k - 1, :, :m], table[k - 1, :, half : half + m]
+
+
 class _SquareTable:
     """Layout of a table of values on the squares of side W = 1 ... top cells
     that fit in a grid of per-axis `sizes`: a flat array, packed layer by
     layer, where layer W - 1 is indexed by the corner, n - W + 1 per axis.
-    Used in 2D only: 1D intervals take the start x end table instead.
+    Used only by the 2D CellBoxes.inner_max: 1D intervals take the start x
+    end table instead, and 2D minima and sweeps the power-of-two table.
     """
 
     def __init__(self, sizes: tuple[int, ...], top: int):
@@ -505,27 +536,22 @@ class _SquareTable:
         return [flat[a:b].reshape(s) for a, b, s in zip(self.starts[:-1], self.starts[1:], self.shapes)]
 
 
-def _containment_max(layers: list[np.ndarray], inward: bool) -> None:
-    """Max over square containment, in place on the layers of a 2D square
-    table (-inf where there is no square); 1D intervals factor into two
-    running maxima instead (see CellBoxes.sweep and CellBoxes.inner_max).
+def _containment_max(layers: list[np.ndarray]) -> None:
+    """Max over the squares inside each square, in place on the layers of a
+    2D square table (-inf where there is no square), for CellBoxes.inner_max;
+    1D intervals factor into two running maxima instead, and the outward
+    sweep reads the power-of-two table (see CellBoxes.blocks).
 
     The square of side W at corner A holds exactly the squares of side
     W - 1 at the corners A + t, t in {0, 1}^n, and through them every
-    smaller square inside it.  Inward (W = 2 ... top), T[W - 1][A] max=
+    smaller square inside it: for W = 2 ... top, T[W - 1][A] max=
     T[W - 2][A + t] leaves in each square the max over the squares inside
-    it.  Outward (W = top - 1 ... 1), T[W - 1][A + t] max= T[W][A] leaves in
-    each square the max over the squares containing it.
+    it.
     """
     shifts = list(product((0, 1), repeat=layers[0].ndim))
-    steps = list(zip(layers[:-1], layers[1:]))
-    for inner, outer in steps if inward else steps[::-1]:
+    for inner, outer in zip(layers[:-1], layers[1:]):
         for t in shifts:
-            part = inner[tuple(slice(s, s + m) for s, m in zip(t, outer.shape))]
-            if inward:
-                np.maximum(outer, part, out=outer)
-            else:
-                np.maximum(part, outer, out=part)
+            np.maximum(outer, inner[tuple(slice(s, s + m) for s, m in zip(t, outer.shape))], out=outer)
 
 
 def cell_overlaps(spec: GridSpec, corners: np.ndarray, sides: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -551,9 +577,10 @@ def integrate_overlaps(pw: np.ndarray, overlaps: list[tuple[np.ndarray, np.ndarr
     each value equals a single-cube product bit for bit.
 
     Only the finite cell values are integrated; a cube whose overlap with a
-    non-finite cell is positive gets +inf.  The partial sums of the rows a
-    cube does not reach are zeroed before the next product, so an
-    overflowed partial sum never meets a zero overlap (inf * 0 = nan).
+    non-finite cell is positive gets +inf.  Only in first-axis rows with an
+    overflowed partial sum are the partial sums a cube does not reach zeroed
+    before the next product, so +inf never meets a zero overlap (inf * 0 =
+    nan); a finite partial sum (nonnegative) times 0 is +0 either way.
     """
     (first, rows), *rest = overlaps
     bad = ~np.isfinite(pw)
@@ -564,11 +591,14 @@ def integrate_overlaps(pw: np.ndarray, overlaps: list[tuple[np.ndarray, np.ndarr
     with np.errstate(over="ignore"):  # an integral past the float range is +inf
         for t, table in enumerate(tables):
             heads = first[:, None, :] @ table
+            overflowed = ~np.isfinite(heads.reshape(len(heads), -1)).all(axis=1)
             for start in range(0, len(rows), step):
                 part = heads[rows[start : start + step]]
-                for vectors, row in rest:
+                for vectors, row in rest:  # a GridSpec has at most two axes
                     overlap = vectors[row[start : start + step]]
-                    part = np.where(overlap[:, None, :] > 0.0, part, 0.0)
+                    hit = np.flatnonzero(overflowed[rows[start : start + step]])
+                    if len(hit):
+                        part[hit] = np.where(overlap[hit, None, :] > 0.0, part[hit], 0.0)
                     part = part @ overlap[:, :, None]
                 out[t, start : start + step] = part.reshape(-1)
     return np.where(out[1] > 0.0, np.inf, out[0]) if len(tables) == 2 else out[0]

@@ -408,8 +408,8 @@ def _split_weights(spec: GridSpec, alpha: float, Q0: Cube) -> tuple[np.ndarray, 
 # * roots and side powers go through lattice._scalar_pow, which equals
 #   scalar `**` bit for bit (np.float_power, not np.power's SIMD kernels);
 # * the sweep's max over the containing cubes involves no rounding: in 1D
-#   two running maxima of a start x end table, in 2D the square-table
-#   recursion (CellBoxes.sweep).
+#   two running maxima of a start x end table, in 2D the push-down of a
+#   per-axis power-of-two table (CellBoxes.sweep).
 # ---------------------------------------------------------------------------
 
 
@@ -485,9 +485,11 @@ def _m3q(f, g, r, s, windows: CellBoxes, meas3: np.ndarray) -> np.ndarray:
     matching the compact-support convention.
     """
     vol = f.spec.h ** f.spec.dim
-    fi = windows.sums(np.abs(f.samples) ** r) * vol / meas3
-    gi = windows.sums(np.abs(g.samples) ** s) * vol / meas3
-    return _scalar_pow(fi, 1.0 / r) * _scalar_pow(gi, 1.0 / s)
+    # a power past the float range reads +inf, and +inf * 0 nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        fi = windows.sums(np.abs(f.samples) ** r) * vol / meas3
+        gi = windows.sums(np.abs(g.samples) ** s) * vol / meas3
+        return _scalar_pow(fi, 1.0 / r) * _scalar_pow(gi, 1.0 / s)
 
 
 def _block_m3q(f, g, r, s, lo, width) -> np.ndarray:

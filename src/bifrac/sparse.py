@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelAbsent, NonNegativityViolation
+from .errors import AverageOverflow, LevelAbsent, NonNegativityViolation
 from .families import subcube_blocks
 from .geometry import Cube, DyadicGrid
 from .lattice import GridFunction, GridSpec, check_conjugate
@@ -105,6 +105,7 @@ def cz_decompose(
 
     `a` defaults to 2^(2n+1), the choice that makes the difference sets
     carry at least half of each selected cube; any a > 2^(2n) is allowed.
+    An m_{3Q} past the float range raises AverageOverflow.
     """
     spec = _check_same_spec(f, g)
     check_conjugate(r, s)
@@ -117,15 +118,22 @@ def cz_decompose(
         raise ValueError(f"base constant a must exceed 2^(2n) = {2 ** (2 * n)}")
 
     lo, width = subcube_blocks(spec, Q0, grid)
-    m_vals = _block_m3q(f, g, r, s, lo, width).tolist()
+    m = _block_m3q(f, g, r, s, lo, width)
+    if not np.isfinite(m).all():
+        raise AverageOverflow(
+            f"m_3Q(|f|^r, |g|^s) with r = {r!r}, s = {s!r} leaves the float range "
+            f"on a subcube of the root cube {Q0.serialize()}"
+        )
+    m_vals = m.tolist()
     blocks = list(zip(map(tuple, lo.tolist()), width.tolist()))
     fan = 2 ** n
 
     max_m = max(m_vals)
-    # largest k with a^k < max_m; levels above select nothing
+    # largest k with a^k < max_m (a^k past the float range reads +inf); levels above select nothing
     k_cap = 0
-    while a ** (k_cap + 1) < max_m:
-        k_cap += 1
+    with np.errstate(over="ignore"):
+        while np.float_power(a, k_cap + 1) < max_m:
+            k_cap += 1
     if max_m > a:
         k_cap = max(k_cap, 1)
 
@@ -183,8 +191,6 @@ def cz_decompose(
 
 def level_union_measure(family: SparseFamily, k: int) -> dict[Cube, float]:
     """Per-cube measures |Q_{k,j} ∩ D_{k+1}|, exact from the cell sets."""
-    if k < 1 or (k not in family.levels and k > family.max_level):
-        raise LevelAbsent(f"no level {k} in this family")
     if k not in family.levels:
         raise LevelAbsent(f"no level {k} in this family")
     out = {}

@@ -310,6 +310,17 @@ class TestDecomposeCommand:
         assert payload["schema"] == 1
         assert payload["levels"] == {}
 
+    def test_an_average_past_the_float_range_is_an_input_error(self, tmp_path, capsys):
+        # the defaults r = s = 2 square the 1e200 cell past the float range
+        arr = np.zeros(64)
+        arr[10] = 1e200
+        path = tmp_path / "big.grid"
+        write_grid_file(path, GridFunction(GridSpec(1, 4.0, 64), arr))
+        assert main(["decompose", "--f", str(path), "--g", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("AverageOverflow: ") and "r = 2.0, s = 2.0" in err
+        assert "root cube 0.0 4.0" in err and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_verify_t11_all_pass(self, tmp_path):

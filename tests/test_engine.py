@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bifrac import Cube, GridFunction, GridSpec, all_intervals
+from bifrac import Cube, GridFunction, GridSpec, all_intervals, families
 from bifrac.families import default_family, family_from_cubes, nested_pairs
 from bifrac.harness import STRUCTURAL_ALPHA, TAGS, ExponentProfile, catalog_profiles
 from bifrac.lattice import CellBoxes, box_power_integral, overlap_integrals
@@ -15,11 +15,15 @@ from bifrac.operators import _averages, _m3q, maximal, weighted_bilinear_maximal
 
 
 @st.composite
-def grid_and_boxes(draw):
-    """A random array and random boxes, some leaving the grid before clipping."""
+def grid_and_boxes(draw, nonfinite=False):
+    """A random array and random boxes, some leaving the grid before clipping;
+    with nonfinite, the array may hold NaN and +-inf too."""
     dim = draw(st.sampled_from((1, 2)))
     shape = tuple(draw(st.integers(1, 12)) for _ in range(dim))
-    arr = draw(arrays(np.float64, shape, elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    elements = st.floats(-1e6, 1e6, allow_nan=False)
+    if nonfinite:
+        elements = elements | st.sampled_from((np.nan, np.inf, -np.inf))
+    arr = draw(arrays(np.float64, shape, elements=elements))
     k = draw(st.integers(1, 10))
     lo = np.array(
         [[draw(st.integers(-3, n + 1)) for n in shape] for _ in range(k)], dtype=np.int64
@@ -46,13 +50,12 @@ def test_sums_equal_slice_sums(case):
     assert np.array_equal(got, want)
 
 
-@given(grid_and_boxes())
+@given(grid_and_boxes(nonfinite=True))
 def test_minima_equal_slice_minima(case):
     arr, lo, hi = case
     got = CellBoxes(arr.shape, lo, hi).minima(arr)
-    for k, (a, b) in enumerate(zip(lo, hi)):
-        window = arr[_slices(a, b)]
-        assert got[k] == (window.min() if window.size else np.inf)
+    want = [arr[_slices(a, b)].min() if np.all(b > a) else np.inf for a, b in zip(lo, hi)]
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def _pairwise_sum(row: list[float], block: int, lanes: int) -> float:
@@ -186,7 +189,7 @@ def _sweep_by_loop(shape, lo, hi, values):
     return want
 
 
-@given(grid_and_boxes(), st.data())
+@given(grid_and_boxes(nonfinite=True), st.data())
 def test_sweep_equals_cell_by_box_loop(case, data):
     arr, lo, hi = case
     # empty boxes too: a zero extent, or clipped away entirely
@@ -224,6 +227,47 @@ def test_sweep_of_clipped_non_square_cover_boxes_2d():
         only = np.where(np.arange(len(cubes)) == k, 1.0, -np.inf)
         covered = [[Q.contains_point((x, y)) for y in mids] for x in mids]
         assert np.array_equal(fam.cover.sweep(only) == 1.0, covered)
+
+
+@pytest.fixture(scope="module")
+def families_2d_n32():
+    """The default 2D family at N = 32, and the same family without the cube cap."""
+    spec = GridSpec(2, 2.0, 32)
+    capped = default_family(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(families, "DEFAULT_CUBE_CAP", 10**6)
+        full = default_family(spec)
+    assert full.size > capped.size
+    return capped, full
+
+
+def _with_nonfinite(values, rng, share=0.01):
+    """A copy with about `share` each of +inf, -inf and NaN entries."""
+    values = values.copy()
+    for bad in (np.inf, -np.inf, np.nan):
+        values[rng.random(values.shape) < share] = bad
+    return values
+
+
+@settings(max_examples=2)
+@given(st.integers(0, 2**32 - 1))
+def test_2d_family_minima_and_cover_sweep_equal_per_box_loops(families_2d_n32, seed):
+    rng = np.random.default_rng(seed)
+    arr = _with_nonfinite(rng.standard_normal((32, 32)), rng)
+    for fam in families_2d_n32:
+        for boxes in (fam.touch, fam.boxes, fam.cover):
+            want = np.full(boxes.count, np.inf)
+            for k, ((a0, a1), (e0, e1)) in enumerate(zip(boxes.lo.tolist(), boxes.ext.tolist())):
+                if e0 and e1:
+                    want[k] = arr[a0 : a0 + e0, a1 : a1 + e1].min()
+            assert np.array_equal(boxes.minima(arr), want, equal_nan=True)
+        values = _with_nonfinite(rng.standard_normal(fam.size), rng)
+        want = np.full((32, 32), -np.inf)
+        with np.errstate(invalid="ignore"):
+            for k, ((a0, a1), (e0, e1)) in enumerate(zip(fam.cover.lo.tolist(), fam.cover.ext.tolist())):
+                cells = want[a0 : a0 + e0, a1 : a1 + e1]
+                np.maximum(cells, values[k], out=cells)
+            assert np.array_equal(fam.cover.sweep(values), want, equal_nan=True)
 
 
 @settings(max_examples=60)
@@ -304,6 +348,33 @@ def test_maximal_sweeps_at_n512_match_max_over_containing_intervals():
     want = _max_over_containing_intervals(fam, values, cells)
     got = weighted_bilinear_maximal(f, g, w1, w2, alpha, r, s, q, fam).samples[cells]
     assert np.array_equal(got, want)
+
+
+def _max_over_containing_cubes(family, values):
+    """Per cell, the max of values over the cubes holding its midpoint, as
+    Cube.contains_point (c <= x < c + side per axis); 0 if non-finite."""
+    mids = family.spec.midpoints()[:, None]
+    start, stop = family.corners, family.corners + family.sides[:, None]
+    rows, cols = ((start[:, ax] <= mids) & (mids < stop[:, ax]) for ax in range(2))
+    out = np.array([np.max(np.where(row & cols, values, -np.inf), axis=1) for row in rows])
+    return np.where(np.isfinite(out), out, 0.0)
+
+
+def test_2d_maximal_sweeps_at_n32_match_max_over_containing_cubes(families_2d_n32):
+    spec = families_2d_n32[0].spec
+    rng = np.random.default_rng(32)
+    f, g = (GridFunction(spec, rng.uniform(-2.0, 2.0, spec.shape)) for _ in range(2))
+    w1, w2 = (GridFunction(spec, rng.uniform(0.2, 3.0, spec.shape)) for _ in range(2))
+    nu = GridFunction(spec, w1.samples * w2.samples)
+    alpha, r, s, q = 0.5, 2.0, 2.0, 3.0
+    for fam in families_2d_n32:
+        want = _max_over_containing_cubes(fam, _averages(f, fam, 1.0))
+        assert np.array_equal(maximal(f, fam).samples, want)
+        m3q = _m3q(f, g, r, s, fam.windows3, fam.side_powers(2, 3.0))
+        values = fam.side_powers(alpha) * m3q * _averages(nu, fam, q)
+        want = _max_over_containing_cubes(fam, values)
+        got = weighted_bilinear_maximal(f, g, w1, w2, alpha, r, s, q, fam).samples
+        assert np.array_equal(got, want)
 
 
 @given(

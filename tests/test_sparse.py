@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bifrac import (
+    AverageOverflow,
     Cube,
     DyadicGrid,
     GridFunction,
@@ -157,9 +158,15 @@ class TestLevelUnionMeasure:
 
     def test_level_absent(self):
         f = GridFunction.indicator(HARNESS_SPEC, HARNESS_Q0)
-        fam = cz_decompose(f, f, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
-        with pytest.raises(LevelAbsent):
-            level_union_measure(fam, 1)
+        flat = cz_decompose(f, f, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
+        arr = np.zeros(64)
+        arr[40] = 20.0
+        f = GridFunction(HARNESS_SPEC, arr, nonnegative=True)
+        spiky = cz_decompose(f, f, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
+        assert not flat.levels and spiky.max_level >= 1
+        for fam, k in ((flat, 1), (spiky, 0), (spiky, -1), (spiky, spiky.max_level + 1)):
+            with pytest.raises(LevelAbsent):
+                level_union_measure(fam, k)
 
     def test_nested_ancestors(self):
         spec = GridSpec(1, 4.0, 256)
@@ -190,6 +197,23 @@ class TestSparseErrors:
 
         with pytest.raises(ConjugateMismatch):
             cz_decompose(f, f, 2.0, 2.5, HARNESS_Q0, HARNESS_GRID)
+
+    def test_an_average_past_the_float_range_is_named(self):
+        # one cell at 1e200: its square overflows, so m_3Q of the cubes around it reads +inf
+        arr = np.zeros(64)
+        arr[10] = 1e200
+        f = GridFunction(HARNESS_SPEC, arr, nonnegative=True)
+        with pytest.raises(AverageOverflow, match=r"r = 2\.0, s = 2\.0 .* root cube 0\.0 4\.0"):
+            cz_decompose(f, f, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
+
+    def test_a_level_threshold_past_the_float_range_selects_nothing(self):
+        # m_3Q reaches about 1e248 and a = 1e200, so a^2 is past the float range
+        arr = np.zeros(64)
+        arr[10] = 1e125
+        f = GridFunction(HARNESS_SPEC, arr, nonnegative=True)
+        fam = cz_decompose(f, f, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID, a=1e200)
+        assert sorted(fam.levels) == [1]
+        assert all(sc.m_value > 1e200 for sc in fam.levels[1])
 
     def test_spec_mismatch(self):
         from bifrac import SpecMismatch
