@@ -328,29 +328,19 @@ def _window_sums(row: np.ndarray, top: int) -> np.ndarray:
     return table
 
 
-def _window_minima(row: np.ndarray, top: int) -> np.ndarray:
-    """T[s, n] = row[s : s + n].min() for s + n <= len(row); +inf for n = 0."""
-    view = sliding_window_view(np.concatenate((row, np.full(top, np.inf))), top)
-    table = np.full((len(view), top + 1), np.inf)
-    np.minimum.accumulate(view, axis=1, out=table[:, 1:])
-    return table
-
-
 class CellBoxes:
     """Cube-window engine: integer cell boxes [lo[k], hi[k]) (k x n, already
     clipped to a grid of `shape`).  Window sums equal np.sum(arr[box]) bit
-    for bit.  In 1D, sums and minima read one table over every start and
-    length up to the longest box (see _window_sums), one fancy index per
-    call, and the containment maxima (`sweep`, `inner_max`) read running
-    maxima of one start x end table (see _interval_table), O(N^2) like the
-    window-sum table.  In 2D sums group the boxes by shape, one numpy call
-    per shape, never one per box, and gather each window as a contiguous
-    row of its cells in row-major order (summing a strided view over several
-    axes does not give np.sum's bits); minima and the outward sweep read a
-    per-axis power-of-two table (see `blocks`), where every box is the union
-    of four blocks at its corners; the inward maxima run on a table of
-    squares (see _containment_max).  Groups and blocks are built on first
-    use.
+    for bit: in 1D they read one table over every start and length up to
+    the longest box (see _window_sums), one fancy index per call; in 2D they
+    group the boxes by shape, one numpy call per shape, never one per box,
+    and gather each window as a contiguous row of its cells in row-major
+    order (summing a strided view over several axes does not give np.sum's
+    bits).  Minima and the outward sweep read a per-axis power-of-two table
+    (see `blocks`), where every box is the union of the 2^n blocks at its
+    corners, in any dimension.  The inward maxima (`inner_max`) read running
+    maxima of one start x end table in 1D and a table of squares in 2D (see
+    _containment_max).  Groups and blocks are built on first use.
     """
 
     def __init__(self, shape: tuple[int, ...], lo: np.ndarray, hi: np.ndarray):
@@ -385,23 +375,24 @@ class CellBoxes:
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-        """2D: the shape (K0, K1, N0, N1) of a power-of-two table (see
+        """The shape (K_1 ... K_n, N_1 ... N_n) of a power-of-two table (see
         _block_steps), with levels up to the longest box on each axis; per
-        box, the flat positions (4 x k) of the blocks of its largest
-        power-of-two extents at its four corners, which cover it exactly
-        (empty boxes point at the slot past the table); and the distinct ones
-        of non-empty boxes, as indices into the flattened 4 x k array."""
+        box, the flat positions (2^n x k, the last axis outermost) of the
+        blocks of its largest power-of-two extents at its 2^n corners, which
+        cover it exactly (empty boxes point at the slot past the table); and
+        the distinct ones of non-empty boxes, as indices into the flattened
+        2^n x k array."""
         levels = tuple(int(t).bit_length() for t in self.ext.max(axis=0, initial=1))
         shape = levels + self.shape
         k = np.frexp(np.maximum(self.ext, 1))[1].astype(np.int64) - 1  # floor(log2(extent)), exact
         far = self.lo + self.ext - (1 << k)
-        (lo0, lo1), (far0, far1) = self.lo.T, far.T
-        base = (k[:, 0] * levels[1] + k[:, 1]) * shape[2]
-        at = np.array([(base + i) * shape[3] + j for i in (lo0, far0) for j in (lo1, far1)])
         nonempty = (self.ext > 0).all(axis=1)
-        at[:, ~nonempty] = math.prod(shape)
         split = far > self.lo  # on an axis of power-of-two extent both corner blocks are one
-        distinct = np.array([nonempty, split[:, 1], split[:, 0], split[:, 0] & split[:, 1]]) & nonempty
+        at, distinct = np.ravel_multi_index(tuple(k.T), levels)[None], nonempty[None]
+        for ax, n in enumerate(self.shape):
+            at = np.concatenate((at * n + self.lo[:, ax], at * n + far[:, ax]))
+            distinct = np.concatenate((distinct, distinct & split[:, ax]))
+        at[:, ~nonempty] = math.prod(shape)
         return shape, at, np.flatnonzero(distinct)
 
     def sums(self, arr: np.ndarray) -> np.ndarray:
@@ -420,33 +411,27 @@ class CellBoxes:
         return out
 
     def minima(self, arr: np.ndarray) -> np.ndarray:
-        """arr[box].min() per box; +inf for empty boxes.  In 2D, the min of the
-        four corner blocks' minima, which NaN propagates through as in np.min."""
-        if len(self.shape) == 1:
-            return _window_minima(arr, self.top)[self.lo[:, 0], self.ext[:, 0]]
+        """arr[box].min() per box; +inf for empty boxes: the min of the 2^n
+        corner blocks' minima, which NaN propagates through as in np.min."""
         shape, at, _ = self.blocks
         flat = np.full(math.prod(shape) + 1, np.inf)
         table = flat[:-1].reshape(shape)
-        table[0, 0] = arr
+        table[(0,) * len(self.shape)] = arr
         for coarse, first, second in _block_steps(table):
             np.minimum(first, second, out=coarse)
         v = flat[at]
-        return np.minimum(np.minimum(v[0], v[1]), np.minimum(v[2], v[3]))
+        while len(v) > 1:
+            v = np.minimum(v[: len(v) // 2], v[len(v) // 2 :])
+        return v[0]
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Per cell, the max of values[k] over the boxes containing it.
 
         Cells in no box get -inf; a NaN value propagates as in np.maximum.
-        In 1D a cell c lies in [a, e] when a <= c <= e: a suffix max over e
-        and a prefix max over a leave that max on the diagonal of the
-        interval table.  In 2D each value goes onto the corner blocks of its
-        box, and each block passes its max down to the two blocks it is made
-        of, level by level, to the cells (layer (0, 0)).
+        Each value goes onto the distinct corner blocks of its box, and each
+        block passes its max down to the two blocks it is made of, level by
+        level, to the cells (layer (0, ..., 0)).
         """
-        if len(self.shape) == 1:
-            _, _, table = _interval_table(self, values)
-            table = np.maximum.accumulate(table[:, ::-1], axis=1)[:, ::-1]
-            return np.maximum.accumulate(table, axis=0).diagonal().copy()
         shape, at, distinct = self.blocks
         flat = np.full(math.prod(shape) + 1, -np.inf)
         np.maximum.at(flat, at.reshape(-1)[distinct], values[distinct % self.count])
@@ -454,25 +439,28 @@ class CellBoxes:
         for coarse, first, second in reversed(list(_block_steps(table))):
             np.maximum(first, coarse, out=first)
             np.maximum(second, coarse, out=second)
-        return table[0, 0].copy()
+        return table[(0,) * len(self.shape)].copy()
 
     def inner_max(self, values: np.ndarray) -> np.ndarray:
         """Per non-empty box, the max of values[k] over the non-empty boxes
         inside it; -inf for empty boxes.  2D boxes must be squares.
 
         In 1D [a', e'] lies in [a, e] when a <= a' and e' <= e: a prefix max
-        over e and a suffix max over a leave that max at (a, e) of the
-        interval table.  In 2D the values go onto a square table, and the
+        over e and a suffix max over a leave that max at (a, e) of a start x
+        end table.  In 2D the values go onto a square table, and the
         inward containment recursion gives each square the max over the
         squares inside it.
         """
         out = np.full(self.count, -np.inf)
+        k = np.flatnonzero(self.ext.min(axis=1) > 0)
         if len(self.shape) == 1:
-            k, at, table = _interval_table(self, values)
-            table = np.maximum.accumulate(table, axis=1)
+            n = self.shape[0]
+            at = self.lo[k, 0] * (n + 1) + self.ext[k, 0] - 1  # first * N + last cell
+            table = np.full(n * n, -np.inf)
+            np.maximum.at(table, at, values[k])
+            table = np.maximum.accumulate(table.reshape(n, n), axis=1)
             out[k] = np.maximum.accumulate(table[::-1], axis=0)[::-1].reshape(-1)[at]
             return out
-        k = np.flatnonzero(self.ext.min(axis=1) > 0)
         side = self.ext[k, 0]
         table = _SquareTable(self.shape, int(side.max(initial=1)))
         at = table.positions(side, self.lo[k])
@@ -483,32 +471,21 @@ class CellBoxes:
         return out
 
 
-def _interval_table(boxes: CellBoxes, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The non-empty 1D boxes, their flat positions (first * N + last cell)
-    and the N x N start x end table holding, at each, the max of their
-    values (-inf elsewhere)."""
-    n = boxes.shape[0]
-    k = np.flatnonzero(boxes.ext[:, 0] > 0)
-    at = boxes.lo[k, 0] * (n + 1) + boxes.ext[k, 0] - 1
-    table = np.full(n * n, -np.inf)
-    np.maximum.at(table, at, values[k])
-    return k, at, table.reshape(n, n)
-
-
 def _block_steps(table: np.ndarray):
-    """The steps that build a 2D power-of-two table, whose layer (k0, k1)
-    holds a value per 2^k0 x 2^k1 block at each corner cell, from the cells
-    at layer (0, 0): per level, the coarser blocks and the two finer blocks,
-    half their extent apart, that make them up.  Axis 1 runs on the first
-    layers, then axis 0 on all of them at once, so the steps make about
-    2 log N numpy calls; a step reads only the finer blocks that fit."""
-    levels0, levels1, n0, n1 = table.shape
-    for k in range(1, levels1):
-        m, half = n1 - (1 << k) + 1, 1 << (k - 1)
-        yield table[0, k, :, :m], table[0, k - 1, :, :m], table[0, k - 1, :, half : half + m]
-    for k in range(1, levels0):
-        m, half = n0 - (1 << k) + 1, 1 << (k - 1)
-        yield table[k, :, :m], table[k - 1, :, :m], table[k - 1, :, half : half + m]
+    """The steps that build a power-of-two table, whose layer (k_1 ... k_n)
+    holds a value per 2^k_1 x ... x 2^k_n block at each corner cell, from the
+    cells at layer (0 ... 0): per level, the coarser blocks and the two finer
+    blocks, half their extent apart, that make them up.  The last axis runs
+    first, then each earlier axis on all layers of the axes after it at
+    once, so the steps make about n log N numpy calls; a step reads only the
+    finer blocks that fit."""
+    dim = table.ndim // 2
+    rest = (slice(None),) * (dim - 1)  # the later axes' layers, the earlier axes' cells
+    for ax in reversed(range(dim)):
+        for k in range(1, table.shape[ax]):
+            m, half = table.shape[dim + ax] - (1 << k) + 1, 1 << (k - 1)
+            coarse, fine = table[(0,) * ax + (k,)], table[(0,) * ax + (k - 1,)]
+            yield coarse[rest + (slice(m),)], fine[rest + (slice(m),)], fine[rest + (slice(half, half + m),)]
 
 
 class _SquareTable:
@@ -516,7 +493,7 @@ class _SquareTable:
     that fit in a grid of per-axis `sizes`: a flat array, packed layer by
     layer, where layer W - 1 is indexed by the corner, n - W + 1 per axis.
     Used only by the 2D CellBoxes.inner_max: 1D intervals take the start x
-    end table instead, and 2D minima and sweeps the power-of-two table.
+    end table instead, and minima and sweeps the power-of-two table.
     """
 
     def __init__(self, sizes: tuple[int, ...], top: int):

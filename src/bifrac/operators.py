@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, NonPositiveWeight, POutOfRange, SpecMismatch
+from .errors import AlphaOutOfRange, AverageOverflow, NonPositiveWeight, POutOfRange, SpecMismatch
 from .families import CubeFamily, default_family, subcube_blocks
 from .geometry import Cube, DyadicGrid
 from .lattice import CellBoxes, GridFunction, GridSpec, _scalar_pow, check_conjugate
@@ -399,17 +399,19 @@ def _split_weights(spec: GridSpec, alpha: float, Q0: Cube) -> tuple[np.ndarray, 
 
 # ---------------------------------------------------------------------------
 # Maximal operators.  Each builds one value array over the family and
-# sweeps it onto the cells (a non-finite result becomes 0).  The values are
-# bit-identical to a per-cube slice loop (the exhaustive oracle in the tests):
+# sweeps it onto the cells; a cell that no cube covers reads 0, and a cube
+# value past the float range raises AverageOverflow (a GridFunction holds
+# only finite values).  The values are bit-identical to a per-cube slice
+# loop (the exhaustive oracle in the tests):
 #
 # * box sums, grouped by box shape in the cube-window engine of `lattice`,
 #   equal per-slice np.sum bit for bit, and |f|^p taken once on the whole
 #   array equals |f|^p taken on any slice;
 # * roots and side powers go through lattice._scalar_pow, which equals
 #   scalar `**` bit for bit (np.float_power, not np.power's SIMD kernels);
-# * the sweep's max over the containing cubes involves no rounding: in 1D
-#   two running maxima of a start x end table, in 2D the push-down of a
-#   per-axis power-of-two table (CellBoxes.sweep).
+# * the sweep's max over the containing cubes involves no rounding: the
+#   push-down of a per-axis power-of-two table, one code path in 1D and 2D
+#   (CellBoxes.sweep).
 # ---------------------------------------------------------------------------
 
 
@@ -419,23 +421,28 @@ def _family_for(spec: GridSpec, family: CubeFamily | None) -> CubeFamily:
     return family
 
 
-def _sweep(spec: GridSpec, family: CubeFamily, values: np.ndarray) -> GridFunction:
-    """Max of the cube values over the family cubes containing each midpoint."""
+def _sweep(spec: GridSpec, family: CubeFamily, values: np.ndarray, operator: str) -> GridFunction:
+    """Max of the cube values over the family cubes containing each midpoint,
+    0 where no cube contains it.  A +inf or NaN cube value raises
+    AverageOverflow, naming `operator` and its exponents."""
+    if not np.isfinite(values).all():
+        raise AverageOverflow(f"{operator} leaves the float range on a cube of the family {family.name!r}")
     out = family.cover.sweep(values)
-    out[~np.isfinite(out)] = 0.0
+    out[np.isneginf(out)] = 0.0
     return GridFunction(spec, out)
 
 
 def _averages(f: GridFunction, family: CubeFamily, p: float) -> np.ndarray:
-    """((1/|Q|) \\int_Q |f|^p)^(1/p) for every family cube."""
-    totals = family.integrals(np.abs(f.samples) ** p) / family.measures
+    """((1/|Q|) \\int_Q |f|^p)^(1/p) for every family cube; +inf past the float range."""
+    with np.errstate(over="ignore"):
+        totals = family.integrals(np.abs(f.samples) ** p) / family.measures
     return _scalar_pow(totals, 1.0 / p)
 
 
 def maximal(f: GridFunction, family: CubeFamily | None = None) -> GridFunction:
     """Uncentered Hardy-Littlewood maximal function over the family."""
     family = _family_for(f.spec, family)
-    return _sweep(f.spec, family, _averages(f, family, 1.0))
+    return _sweep(f.spec, family, _averages(f, family, 1.0), "maximal")
 
 
 def frac_maximal(f: GridFunction, alpha: float, family: CubeFamily | None = None) -> GridFunction:
@@ -443,7 +450,8 @@ def frac_maximal(f: GridFunction, alpha: float, family: CubeFamily | None = None
     if not (0.0 < alpha < f.spec.dim):
         raise AlphaOutOfRange(f"alpha must lie in (0, {f.spec.dim}), got {alpha}")
     family = _family_for(f.spec, family)
-    return _sweep(f.spec, family, family.side_powers(alpha) * _averages(f, family, 1.0))
+    values = family.side_powers(alpha) * _averages(f, family, 1.0)
+    return _sweep(f.spec, family, values, f"frac_maximal with alpha = {alpha!r}")
 
 
 def p_maximal(f: GridFunction, p: float, family: CubeFamily | None = None) -> GridFunction:
@@ -451,7 +459,7 @@ def p_maximal(f: GridFunction, p: float, family: CubeFamily | None = None) -> Gr
     if p <= 1.0:
         raise POutOfRange(f"p must exceed 1, got {p}")
     family = _family_for(f.spec, family)
-    return _sweep(f.spec, family, _averages(f, family, p))
+    return _sweep(f.spec, family, _averages(f, family, p), f"p_maximal with p = {p!r}")
 
 
 def multi_maximal(
@@ -473,8 +481,9 @@ def multi_maximal(
     if r1 <= 0 or r2 <= 0:
         raise POutOfRange("averaging exponents must be positive")
     family = _family_for(spec, family)
-    values = family.side_powers(alpha) * _averages(f1, family, r1) * _averages(f2, family, r2)
-    return _sweep(spec, family, values)
+    with np.errstate(invalid="ignore"):  # inf * 0 reads nan, which _sweep refuses
+        values = family.side_powers(alpha) * _averages(f1, family, r1) * _averages(f2, family, r2)
+    return _sweep(spec, family, values, f"multi_maximal with alpha = {alpha!r}, r1 = {r1!r}, r2 = {r2!r}")
 
 
 def _m3q(f, g, r, s, windows: CellBoxes, meas3: np.ndarray) -> np.ndarray:
@@ -523,7 +532,10 @@ def weighted_bilinear_maximal(
     family = _family_for(spec, family)
     nu = GridFunction(spec, w1.samples * w2.samples, nonnegative=True)
     m3q = _m3q(f, g, r, s, family.windows3, family.side_powers(spec.dim, 3.0))
-    return _sweep(spec, family, family.side_powers(alpha) * m3q * _averages(nu, family, q))
+    with np.errstate(invalid="ignore"):  # inf * 0 reads nan, which _sweep refuses
+        values = family.side_powers(alpha) * m3q * _averages(nu, family, q)
+    name = f"weighted_bilinear_maximal with alpha = {alpha!r}, r = {r!r}, s = {s!r}, q = {q!r}"
+    return _sweep(spec, family, values, name)
 
 
 def sparse_bound(

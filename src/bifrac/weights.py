@@ -240,14 +240,24 @@ def _pair_constant(lead, wv, q0, q, p1, p2, pairs, r0) -> ConstantReport:
 
 
 def reverse_holder_probe(w: GridFunction, epsilon: float, family: CubeFamily) -> float:
-    """Smallest C with (avg_Q w^{1+eps})^{1/(1+eps)} <= C avg_Q w on the family."""
+    """Smallest C with (avg_Q w^{1+eps})^{1/(1+eps)} <= C avg_Q w on the family.
+
+    Cubes where avg_Q w = 0 bound nothing, as both sides vanish there, and
+    are left out; a weight that is 0 on every cube raises NonPositiveWeight.
+    """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     _check_positive(w)
     family.require_nonempty()
-    hi = _family_power_averages(w, 1.0 + epsilon, family) ** (1.0 / (1.0 + epsilon))
     lo = _family_power_averages(w, 1.0, family)
-    return float(np.max(hi / lo))
+    held = lo > 0.0
+    # a 2D prefix-sum difference over cells that are all 0 may round above 0
+    positive = family.corner_sums(_prefix_table((w.samples > 0.0).astype(np.int64))) > 0
+    held[family.aligned_plan[0]] &= positive
+    if not held.any():
+        raise NonPositiveWeight(f"weight is 0 on every cube of the family {family.name!r}")
+    hi = _family_power_averages(w, 1.0 + epsilon, family)[held] ** (1.0 / (1.0 + epsilon))
+    return float(np.max(hi / lo[held]))
 
 
 def iida_pair_value(

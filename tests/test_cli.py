@@ -290,6 +290,20 @@ class TestApplyCommand:
         assert rc == 0
         assert read_grid_file(out).samples.max() > 0
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_maximal_average_past_the_float_range_is_an_input_error(self, dim, tmp_path, capsys):
+        # the 2.5-th power of the 1e200 cell leaves the float range
+        spec = GridSpec(dim, 1.0, 8)
+        arr = np.zeros(spec.shape)
+        arr[(3,) * dim] = 1e200
+        path, out = tmp_path / "big.grid", tmp_path / "out.grid"
+        write_grid_file(path, GridFunction(spec, arr))
+        argv = ["apply", "--op", "p-maximal", "--p", "2.5", "--input", str(path), "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("AverageOverflow: ") and "p = 2.5" in err[0]
+        assert not out.exists()
+
 
 class TestDecomposeCommand:
     def test_flat_empty_levels(self, grids, tmp_path):

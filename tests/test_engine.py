@@ -433,3 +433,5 @@ def test_an_empty_family_has_no_window_sums_or_minima(dim):
         assert boxes.sums(ones).shape == (0,)
         assert boxes.minima(ones).shape == (0,)
     assert fam.integrals(ones).shape == (0,)
+    assert np.array_equal(fam.cover.sweep(np.zeros(0)), np.full(spec.shape, -np.inf))
+    assert nested_pairs(fam).inner_max(np.zeros(0)).shape == (0,)

@@ -1,6 +1,7 @@
 """Operator oracles: closed-form kernel integrals and exhaustive cube sweeps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import kernel_table_2d_oracle
 
 from bifrac import (
     AlphaOutOfRange,
+    AverageOverflow,
     Cube,
     DyadicGrid,
     GridFunction,
@@ -19,6 +21,7 @@ from bifrac import (
     all_intervals,
     bi_frac,
     bi_frac_at,
+    family_from_cubes,
     frac_int,
     frac_int_at,
     frac_maximal,
@@ -589,6 +592,38 @@ class TestOperatorErrors:
         bad = GridFunction.constant(spec, 0.0)
         with pytest.raises(NonPositiveWeight):
             weighted_bilinear_maximal(f, g, bad, bad, 0.3, 2.0, 2.0, 2.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_cube_value_past_the_float_range_is_named(self, dim):
+        spec = GridSpec(dim, 1.0, 8)
+        big, huge = np.zeros(spec.shape), np.zeros(spec.shape)
+        big[(3,) * dim] = 1e200
+        huge[(3,) * dim] = huge[(4,) * dim] = 1.5e308  # their sum leaves the float range
+        big, huge = GridFunction(spec, big), GridFunction(spec, huge)
+        zero, one = GridFunction.constant(spec, 0.0), GridFunction.constant(spec, 1.0)
+        calls = [
+            (lambda: maximal(huge), "maximal"),
+            (lambda: frac_maximal(huge, 0.5), "frac_maximal with alpha = 0.5"),
+            (lambda: p_maximal(big, 2.5), "p_maximal with p = 2.5"),
+            # inf * 0 on the cubes where the second function vanishes
+            (lambda: multi_maximal(big, zero, 0.5, 2.0, 2.0), "multi_maximal with alpha = 0.5, r1 = 2.0, r2 = 2.0"),
+            (
+                lambda: weighted_bilinear_maximal(big, one, one, one, 0.5, 2.0, 2.0, 1.0),
+                "weighted_bilinear_maximal with alpha = 0.5, r = 2.0, s = 2.0, q = 1.0",
+            ),
+        ]
+        for call, name in calls:
+            with pytest.raises(AverageOverflow, match=f"^{re.escape(name)} leaves the float range"):
+                call()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cells_no_cube_covers_read_zero(self, dim):
+        spec = GridSpec(dim, 1.0, 8)
+        fam = family_from_cubes(spec, [Cube((0.0,) * dim, 0.5)])
+        got = maximal(GridFunction.constant(spec, 2.0), fam).samples
+        want = np.zeros(spec.shape)
+        want[(slice(4, 6),) * dim] = 2.0
+        assert np.array_equal(got, want)
 
     def test_pointwise_domination_with_constant(self, osc_pair):
         # weighted bilinear maximal is dominated by the pair constant times

@@ -1,4 +1,5 @@
-"""Source layout checks: every import of the package sits at module level."""
+"""Source layout checks: every import of the package sits at module level,
+and every module-level private name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -22,3 +23,42 @@ def test_no_import_inside_a_function():
         for name, line in _imports_in_functions(path)
     ]
     assert found == []
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level private functions, classes and constants, with their nodes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names loaded, and attributes read, anywhere under node."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def test_every_private_module_name_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    nodes = [(node, _reads(node)) for tree in trees.values() for node in tree.body]
+    unread = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name, definition in _private_definitions(tree)
+        # reads inside the name's own definition (a recursive call) do not count
+        if not any(name in reads for node, reads in nodes if node is not definition)
+    ]
+    assert unread == []

@@ -20,6 +20,7 @@ from bifrac import (
     all_intervals,
     ap_constant,
     apq_constant,
+    cube_average,
     default_family,
     family_from_cubes,
     iida_constant,
@@ -30,6 +31,7 @@ from bifrac import (
 )
 from bifrac import families, lattice
 from bifrac.families import CubeFamily, _shifted_grid_cubes
+from bifrac.lattice import box_power_integral
 from bifrac.weights import _family_power_averages, conjugate, iida_pair_value
 
 
@@ -529,6 +531,32 @@ class TestReverseHolder:
                 lo = brute_interval_values(w.samples, h, i, j, 1.0)
                 best = max(best, hi / lo)
         assert got == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cubes_where_the_weight_averages_zero_are_left_out(self, dim):
+        spec = GridSpec(dim, 1.0, 8)
+        rng = np.random.default_rng(2)
+        arr = rng.uniform(0.2, 5.0, spec.shape)
+        arr[rng.random(spec.shape) < 0.3] = 0.0
+        w, fam, eps = GridFunction(spec, arr), default_family(spec), 0.5
+        ratios = []
+        for k in range(fam.size):
+            Q = fam.cube(k)
+            if fam.aligned[k]:
+                lo, hi = cube_average(w, Q, 1.0), cube_average(w, Q, 1.0 + eps)
+            else:  # a shifted cube cuts cells: integrate its overlaps
+                lo = box_power_integral(w, Q.corner, Q.side, 1.0) / Q.measure
+                hi = (box_power_integral(w, Q.corner, Q.side, 1.0 + eps) / Q.measure) ** (1.0 / (1.0 + eps))
+            if lo > 0.0:
+                ratios.append(hi / lo)
+        assert len(ratios) < fam.size
+        assert reverse_holder_probe(w, eps, fam) == pytest.approx(max(ratios), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_weight_zero_on_every_cell_is_refused(self, dim):
+        spec = GridSpec(dim, 1.0, 8)
+        with pytest.raises(NonPositiveWeight):
+            reverse_holder_probe(GridFunction.constant(spec, 0.0), 0.5, default_family(spec))
 
 
 class TestFamilyMonotonicity:
