@@ -281,8 +281,9 @@ def _scalar_pow(values: np.ndarray, expo: float) -> np.ndarray:
     raise OverflowError(f"a power {expo} leaves the float range")
 
 
-# Cells gathered at once by 2D window sums and per cube by
-# integrate_overlaps; bounds the memory of one call.
+# Cells gathered at once by 2D window sums, per cube by integrate_overlaps,
+# and (x, y) cell pairs indexed at once by operators.multi_frac_int; bounds
+# the memory of one call.
 _GATHER_CELLS = 1 << 13
 
 # np.sum of a contiguous float row runs numpy's pairwise_sum

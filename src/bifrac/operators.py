@@ -18,6 +18,9 @@ Every kernel sum (bi_frac, the halves of its kernel split, frac_int) is
 one compensated (Kahan) sum over kernel offsets in a fixed row-major
 order, _offset_sum, in 1D and 2D alike, so results are identical run to
 run.
+
+The two-fold integral multi_frac_int is one table of libm powers over the
+distinct radial distances from a midpoint; multi_frac_int_at is its oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import AlphaOutOfRange, AverageOverflow, NonPositiveWeight, POutOfRange, SpecMismatch
 from .families import CubeFamily, default_family, subcube_blocks
 from .geometry import Cube, DyadicGrid
-from .lattice import CellBoxes, GridFunction, GridSpec, _scalar_pow, check_conjugate
+from .lattice import _GATHER_CELLS, CellBoxes, GridFunction, GridSpec, _scalar_pow, check_conjugate
 
 
 @dataclass(frozen=True)
@@ -279,95 +282,55 @@ def frac_int_at(f: GridFunction, alpha: float, point) -> float:
     return math.fsum(terms)
 
 
-def _multi_kernel_row(spec: GridSpec, alpha: float, x) -> np.ndarray:
-    """Distances |x - midpoint| per cell, flattened (2D) or 1D."""
-    mids = spec.midpoints()
-    if spec.dim == 1:
-        return np.abs((x[0] if hasattr(x, "__len__") else x) - mids)
-    dx = x[0] - mids
-    dy = x[1] - mids
-    return np.sqrt(dx[:, None] ** 2 + dy[None, :] ** 2)
-
-
-def _dist(x, y) -> float:
-    if not hasattr(x, "__len__"):
-        x = (x,)
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
-
-
-def _quadrant_offsets(dim: int, step: float):
-    return [tuple(s * step for s in signs) for signs in product((-1, 1), repeat=dim)]
-
-
 def multi_frac_int(f1: GridFunction, f2: GridFunction, alpha: float) -> GridFunction:
-    """Two-fold fractional integral with kernel (|x-y1|+|x-y2|)^(alpha-2n)."""
+    """Two-fold fractional integral, kernel (|x-y1|+|x-y2|)^(alpha-2n), at the cell midpoints.
+
+    At a midpoint x the kernel sees y1, y2 only through their squared lattice
+    distances k1, k2, so out(x) = h^(2n) sum F1_x[k1] W[k1, k2] F2_x[k2], where
+    F_x[k] sums f over the cells at distance k and W holds the kernel values
+    multi_frac_int_at takes at x: (h (sqrt k1 + sqrt k2))^(alpha-2n), and
+    (h sqrt(n) / 2)^(alpha-2n) for the own-cell pair.
+    """
     spec = _check_same_spec(f1, f2)
     if not (0.0 < alpha < 2.0 * spec.dim):
         raise AlphaOutOfRange(f"alpha must lie in (0, {2 * spec.dim}), got {alpha}")
-    mids = spec.midpoints()
-    if spec.dim == 1:
-        out = np.array([multi_frac_int_at(f1, f2, alpha, (x,)) for x in mids])
-    else:
-        out = np.array(
-            [
-                [multi_frac_int_at(f1, f2, alpha, (x, y)) for y in mids]
-                for x in mids
-            ]
-        )
-    return GridFunction(spec, out)
+    dim, h = spec.dim, spec.h
+    cells = np.indices(spec.shape).reshape(dim, -1)
+    radii = np.unique((cells ** 2).sum(axis=0))  # those from cell 0 are all there are
+    W = np.add.outer(np.sqrt(radii), np.sqrt(radii))
+    W[0, 0] = 0.5 * math.sqrt(dim)
+    np.float_power(np.multiply(W, h, out=W), alpha - 2.0 * dim, out=W)  # in place: K^2 floats once
+    out = np.empty(spec.cell_count)
+    # a chunk of midpoints x at a time: at most _GATHER_CELLS (x, y) index entries
+    step = max(1, _GATHER_CELLS // spec.cell_count)
+    for start in range(0, spec.cell_count, step):
+        k = ((cells[:, start : start + step, None] - cells[:, None, :]) ** 2).sum(axis=0)
+        idx = (np.searchsorted(radii, k) + len(radii) * np.arange(len(k))[:, None]).reshape(-1)
+        F1, F2 = (np.bincount(idx, np.tile(f.samples.ravel(), len(k)), len(k) * len(radii)) for f in (f1, f2))
+        out[start : start + step] = ((F1.reshape(len(k), -1) @ W) * F2.reshape(len(k), -1)).sum(axis=1)
+    return GridFunction(spec, out.reshape(spec.shape) * h ** (2 * dim))
 
 
 def multi_frac_int_at(f1: GridFunction, f2: GridFunction, alpha: float, point) -> float:
-    """Point evaluation of the two-fold fractional integral."""
+    """Point evaluation of the two-fold fractional integral, the oracle of multi_frac_int:
+    the midpoint rule on every pair of cells, but a pair of cells within h/2 of
+    the point takes the kernel's mean over the 2^n x 2^n pairs of their
+    sub-points at +-h/4 per axis."""
     spec = _check_same_spec(f1, f2)
     if not (0.0 < alpha < 2.0 * spec.dim):
         raise AlphaOutOfRange(f"alpha must lie in (0, {2 * spec.dim}), got {alpha}")
-    n_dim = spec.dim
-    h = spec.h
-    vol = h ** n_dim
-    expo = alpha - 2.0 * n_dim
-    dist = _multi_kernel_row(spec, alpha, point).reshape(-1)
-    f1v = f1.samples.reshape(-1)
-    f2v = f2.samples.reshape(-1)
-    near = dist <= 0.5 * h * (1.0 + 1e-12)
-    if not near.any():
-        kval = np.add.outer(dist, dist) ** expo
-        return float(f1v @ kval @ f2v) * vol * vol
-    # split off pairs where both cells are near the evaluation point
-    far = ~near
-    dist_far = dist[far]
-    kff = np.add.outer(dist_far, dist_far) ** expo
-    total = float(f1v[far] @ kff @ f2v[far]) * vol * vol
-    near_idx = np.nonzero(near)[0]
-    sub = _quadrant_offsets(n_dim, 0.25 * h)
-    mids = spec.midpoints()
-    if n_dim == 1:
-        center_of = lambda i: (mids[i],)
-    else:
-        nn = spec.cells_per_axis
-        center_of = lambda i: (mids[i // nn], mids[i % nn])
-    pt = point if hasattr(point, "__len__") else (point,)
-    # near x far cross terms: only the near cell needs care, midpoint is fine
-    for i in near_idx:
-        ci = center_of(i)
-        di = _dist(pt, ci)
-        row = (di + dist_far) ** expo
-        total += float(f1v[i] * np.dot(row, f2v[far])) * vol * vol
-        total += float(f2v[i] * np.dot(row, f1v[far])) * vol * vol
-    # near x near pairs: one level of 4^n-fold subdivision
-    for i in near_idx:
-        ci = np.array(center_of(i))
-        pts_i = [ci + np.array(o) for o in sub]
-        for j in near_idx:
-            cj = np.array(center_of(j))
-            pts_j = [cj + np.array(o) for o in sub]
-            acc = 0.0
-            for u in pts_i:
-                du = _dist(pt, u)
-                for v in pts_j:
-                    acc += (du + _dist(pt, v)) ** expo
-            total += f1v[i] * f2v[j] * acc * (vol / len(pts_i)) * (vol / len(pts_j))
-    return total
+    dim, h = spec.dim, spec.h
+    expo = alpha - 2.0 * dim
+    x = np.reshape(point, (dim, 1))
+    mids = spec.midpoints()[np.indices(spec.shape).reshape(dim, -1)]
+    dist = np.sqrt(((x - mids) ** 2).sum(axis=0))
+    with np.errstate(divide="ignore"):  # a zero distance is on a near pair, overwritten below
+        kernel = np.float_power(np.add.outer(dist, dist), expo)
+    near = np.flatnonzero(dist <= 0.5 * h * (1.0 + 1e-12))
+    quarter = 0.25 * h * np.array(list(product((-1.0, 1.0), repeat=dim))).T
+    sub = np.sqrt(((x[:, :, None] - (mids[:, near, None] + quarter[:, None, :])) ** 2).sum(axis=0))
+    kernel[np.ix_(near, near)] = np.float_power(np.add.outer(sub, sub), expo).mean(axis=(1, 3))
+    return float(f1.samples.reshape(-1) @ kernel @ f2.samples.reshape(-1)) * h ** (2 * dim)
 
 
 def local_global_split(f: GridFunction, g: GridFunction, alpha: float, Q0: Cube):
@@ -530,11 +493,14 @@ def weighted_bilinear_maximal(
     if float(w1.samples.min()) <= 0.0 or float(w2.samples.min()) <= 0.0:
         raise NonPositiveWeight("weights must be strictly positive")
     family = _family_for(spec, family)
-    nu = GridFunction(spec, w1.samples * w2.samples, nonnegative=True)
+    name = f"weighted_bilinear_maximal with alpha = {alpha!r}, r = {r!r}, s = {s!r}, q = {q!r}"
+    with np.errstate(over="ignore"):
+        nu = w1.samples * w2.samples
+    if not np.isfinite(nu).all():
+        raise AverageOverflow(f"{name} leaves the float range in the product weight w1 * w2")
     m3q = _m3q(f, g, r, s, family.windows3, family.side_powers(spec.dim, 3.0))
     with np.errstate(invalid="ignore"):  # inf * 0 reads nan, which _sweep refuses
-        values = family.side_powers(alpha) * m3q * _averages(nu, family, q)
-    name = f"weighted_bilinear_maximal with alpha = {alpha!r}, r = {r!r}, s = {s!r}, q = {q!r}"
+        values = family.side_powers(alpha) * m3q * _averages(GridFunction(spec, nu, nonnegative=True), family, q)
     return _sweep(spec, family, values, name)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NonPositiveWeight, POutOfRange, SpecMismatch
 from .families import CubeFamily, NestedPairs, _prefix_table
 from .geometry import Cube
-from .lattice import GridFunction, box_power_integral, overlap_integrals
+from .lattice import GridFunction
 
 
 @dataclass(frozen=True)
@@ -258,39 +258,3 @@ def reverse_holder_probe(w: GridFunction, epsilon: float, family: CubeFamily) ->
         raise NonPositiveWeight(f"weight is 0 on every cube of the family {family.name!r}")
     hi = _family_power_averages(w, 1.0 + epsilon, family)[held] ** (1.0 / (1.0 + epsilon))
     return float(np.max(hi / lo[held]))
-
-
-def iida_pair_value(
-    wv: WeightVector, q0: float, q: float, p1: float, p2: float, Q: Cube, Qp: Cube
-) -> float:
-    """Integrand of iida_constant at one nested pair (witness re-evaluation)."""
-    cp1, cp2 = conjugate(p1), conjugate(p2)
-    with np.errstate(divide="ignore", over="ignore"):
-        nu_q = box_power_integral(wv.nu, Q.corner, Q.side, q) / Q.measure
-        d1 = _cube_power_integral(wv.w1, -cp1, Qp) / Qp.measure
-        d2 = _cube_power_integral(wv.w2, -cp2, Qp) / Qp.measure
-    value = (
-        (Q.measure / Qp.measure) ** (1.0 / q0)
-        * nu_q ** (1.0 / q)
-        * d1 ** (1.0 / cp1)
-        * d2 ** (1.0 / cp2)
-    )
-    return float(_sanitize(value))
-
-
-def _cube_power_integral(w: GridFunction, expo: float, Q: Cube) -> float:
-    """\\int_Q w^expo, with the power raised only on the cells Q touches (one
-    more per side, against rounding at the edges).
-
-    A power that overflows on a cell Q overlaps gives +inf, the sentinel of
-    _family_power_averages; cells outside Q do not count.
-    """
-    spec = w.spec
-    corner, side = np.array([Q.corner], dtype=np.float64), np.array([Q.side])
-    t = (corner[0] + spec.half_width) / spec.h
-    first, stop = np.floor(t).astype(np.int64) - 1, np.ceil(t + Q.side / spec.h).astype(np.int64) + 1
-    near = tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(first.tolist(), stop.tolist()))
-    pw = np.zeros(spec.shape)
-    with np.errstate(divide="ignore", over="ignore"):
-        pw[near] = np.power(w.samples[near], expo)
-    return float(overlap_integrals(spec, pw, corner, side)[0])

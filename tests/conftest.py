@@ -8,9 +8,9 @@ from hypothesis import settings
 
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.geometry import _THIRD
-from bifrac.lattice import _GATHER_CELLS
+from bifrac.lattice import _GATHER_CELLS, box_power_integral, overlap_integrals
 from bifrac.operators import _corner_mass_2d
-from bifrac.weights import _family_power_averages, conjugate
+from bifrac.weights import WeightVector, _family_power_averages, _sanitize, conjugate
 
 # One profile for every property test: the same examples on every run and
 # no per-example deadline.  Tests set only their own max_examples.
@@ -216,3 +216,39 @@ def family_power_averages_oracle(w, expo, family):
     integrals = overlap_integrals_oracle(spec, pw, family.corners[shifted], family.sides[shifted])
     vals[shifted] = integrals / family.measures[shifted]
     return vals
+
+
+def iida_pair_value(
+    wv: WeightVector, q0: float, q: float, p1: float, p2: float, Q: Cube, Qp: Cube
+) -> float:
+    """Integrand of iida_constant at one nested pair (witness re-evaluation)."""
+    cp1, cp2 = conjugate(p1), conjugate(p2)
+    with np.errstate(divide="ignore", over="ignore"):
+        nu_q = box_power_integral(wv.nu, Q.corner, Q.side, q) / Q.measure
+        d1 = _cube_power_integral(wv.w1, -cp1, Qp) / Qp.measure
+        d2 = _cube_power_integral(wv.w2, -cp2, Qp) / Qp.measure
+    value = (
+        (Q.measure / Qp.measure) ** (1.0 / q0)
+        * nu_q ** (1.0 / q)
+        * d1 ** (1.0 / cp1)
+        * d2 ** (1.0 / cp2)
+    )
+    return float(_sanitize(value))
+
+
+def _cube_power_integral(w: GridFunction, expo: float, Q: Cube) -> float:
+    """\\int_Q w^expo, with the power raised only on the cells Q touches (one
+    more per side, against rounding at the edges).
+
+    A power that overflows on a cell Q overlaps gives +inf, the sentinel of
+    _family_power_averages; cells outside Q do not count.
+    """
+    spec = w.spec
+    corner, side = np.array([Q.corner], dtype=np.float64), np.array([Q.side])
+    t = (corner[0] + spec.half_width) / spec.h
+    first, stop = np.floor(t).astype(np.int64) - 1, np.ceil(t + Q.side / spec.h).astype(np.int64) + 1
+    near = tuple(slice(max(a, 0), max(b, 0)) for a, b in zip(first.tolist(), stop.tolist()))
+    pw = np.zeros(spec.shape)
+    with np.errstate(divide="ignore", over="ignore"):
+        pw[near] = np.power(w.samples[near], expo)
+    return float(overlap_integrals(spec, pw, corner, side)[0])

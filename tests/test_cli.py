@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bifrac import GridFunction, GridSpec, read_grid_file, write_grid_file
+from bifrac import GridFunction, GridSpec, multi_frac_int, read_grid_file, write_grid_file
 from bifrac.cli import check_config_keys, check_profile_keys, main
 
 
@@ -289,6 +289,20 @@ class TestApplyCommand:
         )
         assert rc == 0
         assert read_grid_file(out).samples.max() > 0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_multi_frac_int_writes_the_operator_output(self, dim, tmp_path):
+        spec = GridSpec(dim, 1.0, 16 if dim == 1 else 8)
+        rng = np.random.default_rng(dim)
+        paths = [tmp_path / "f1.grid", tmp_path / "f2.grid"]
+        for path in paths:
+            write_grid_file(path, GridFunction(spec, rng.uniform(-1.0, 1.0, spec.shape)))
+        out = tmp_path / "out.grid"
+        argv = ["apply", "--op", "multi-frac-int", "--alpha", "1.3", "--input", *map(str, paths), "--output", str(out)]
+        assert main(argv) == 0
+        want = multi_frac_int(read_grid_file(paths[0]), read_grid_file(paths[1]), 1.3)
+        got = read_grid_file(out)
+        assert got.spec == spec and np.array_equal(got.samples, want.samples)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_a_maximal_average_past_the_float_range_is_an_input_error(self, dim, tmp_path, capsys):

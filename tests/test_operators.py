@@ -352,6 +352,26 @@ class TestOffsetSumOracle:
             assert np.array_equal(half.samples, oracle_bilinear_sum_2d(f.samples, g.samples, weights))
 
 
+@st.composite
+def multi_frac_cases(draw):
+    """Signed data on a 1D (N <= 32) or 2D (N <= 8) grid and alpha in (0, 2n)."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = draw(st.sampled_from((1, 2, 4, 8, 16, 32) if dim == 1 else (1, 2, 4, 8)))
+    spec = GridSpec(dim, draw(st.sampled_from((0.5, 1.0, 3.0))), n)
+    alpha = draw(st.floats(0.0, 2.0 * dim, exclude_min=True, exclude_max=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f1, f2 = (np.where(rng.random(spec.shape) < 0.2, 0.0, rng.uniform(-2.0, 2.0, spec.shape)) for _ in range(2))
+    return GridFunction(spec, f1), GridFunction(spec, f2), alpha
+
+
+def _multi_data(spec):
+    """Nonnegative data with exact zeros, fixed by formula."""
+    i = np.arange(spec.cell_count)
+    f1 = ((3 * i + 1) % 7 / 8.0).reshape(spec.shape)
+    f2 = (((5 * i + 2) % 9 + 1) / 16.0).reshape(spec.shape)
+    return GridFunction(spec, f1), GridFunction(spec, f2)
+
+
 class TestMultiFracInt:
     def test_zero(self, spec32):
         zero = GridFunction.constant(spec32, 0.0)
@@ -361,8 +381,11 @@ class TestMultiFracInt:
     def test_alpha_range_wider(self, spec32):
         one = GridFunction.constant(spec32, 1.0)
         multi_frac_int_at(one, one, 1.5, (0.0,))  # alpha in (n, 2n) allowed
+        multi_frac_int(one, one, 1.5)
         with pytest.raises(AlphaOutOfRange):
             multi_frac_int_at(one, one, 2.0, (0.0,))
+        with pytest.raises(AlphaOutOfRange):
+            multi_frac_int(one, one, 2.0)
 
     def test_symmetry_in_arguments(self, rng):
         spec = GridSpec(1, 1.0, 16)
@@ -378,6 +401,56 @@ class TestMultiFracInt:
         val = multi_frac_int_at(f, f, 1.0, (0.0,))
         expect = 2.0 * math.log(2.0)
         assert abs(val - expect) / expect < 0.02
+
+    @settings(max_examples=60)
+    @given(multi_frac_cases())
+    def test_grid_equals_the_point_evaluator_at_every_midpoint(self, case):
+        f1, f2, alpha = case
+        spec = f1.spec
+        got = multi_frac_int(f1, f2, alpha).samples
+        absolute = (GridFunction(spec, np.abs(f1.samples)), GridFunction(spec, np.abs(f2.samples)))
+        mids = spec.midpoints()
+        for cell in np.ndindex(spec.shape):
+            x = tuple(mids[list(cell)])
+            want = multi_frac_int_at(f1, f2, alpha, x)
+            # scaled by the integral of |f1| |f2|, which a signed sum may cancel
+            assert abs(got[cell] - want) <= 1e-12 * multi_frac_int_at(*absolute, alpha, x)
+
+    # multi_frac_int_at at 19f7a4e, before its near-pair loops were vectorized,
+    # at a midpoint, a cell edge (two cells within h/2), in 2D also a vertex
+    # (none within h/2), the origin and two generic points; a row per alpha
+    PINNED = {
+        1: (
+            GridSpec(1, 1.0, 16),
+            [(-0.3125,), (0.25,), (0.0,), (0.3,), (-0.61,)],
+            {
+                0.5: [0.7875055383067381, 0.8290865913453248, 0.8230151404030359, 1.048382329855846, 0.8487608600450967],
+                1.3: [0.5199209081246162, 0.534503076077747, 0.5330515865794694, 0.5538988478567289, 0.47789897854261054],
+            },
+        ),
+        2: (
+            GridSpec(2, 1.0, 8),
+            [(-0.375, 0.375), (0.25, -0.375), (0.25, -0.5), (0.0, 0.0), (0.3, -0.17), (0.71, 0.05)],
+            {
+                1.0: [
+                    1.314017568723535, 0.9494517640443136, 0.847500872099645,
+                    1.0920804850314045, 1.1528179578300817, 0.8004772006340106,
+                ],
+                2.6: [
+                    1.1083859850777154, 1.0673809045820333, 1.0104620154773707,
+                    1.2122577510749157, 1.1068549679182242, 0.9022351444790702,
+                ],
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_point_evaluator_keeps_its_pinned_values(self, dim):
+        spec, points, rows = self.PINNED[dim]
+        f1, f2 = _multi_data(spec)
+        for alpha, want in rows.items():
+            got = [multi_frac_int_at(f1, f2, alpha, x) for x in points]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 # --- maximal operators: exhaustive enumeration oracle -----------------------
@@ -615,6 +688,15 @@ class TestOperatorErrors:
         for call, name in calls:
             with pytest.raises(AverageOverflow, match=f"^{re.escape(name)} leaves the float range"):
                 call()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_product_weight_past_the_float_range_is_named(self, dim):
+        # each weight is finite, but w1 * w2 = 1e400 is not
+        spec = GridSpec(dim, 1.0, 8)
+        one, big = GridFunction.constant(spec, 1.0), GridFunction.constant(spec, 1e200)
+        name = "weighted_bilinear_maximal with alpha = 0.5, r = 2.0, s = 2.0, q = 1.0"
+        with pytest.raises(AverageOverflow, match=f"^{re.escape(name)} leaves the float range in the product weight"):
+            weighted_bilinear_maximal(one, one, big, big, 0.5, 2.0, 2.0, 1.0)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_cells_no_cube_covers_read_zero(self, dim):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import enumerated_pair_values, family_power_averages_oracle, overlap_integrals_oracle
+from conftest import enumerated_pair_values, family_power_averages_oracle, iida_pair_value, overlap_integrals_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +32,7 @@ from bifrac import (
 from bifrac import families, lattice
 from bifrac.families import CubeFamily, _shifted_grid_cubes
 from bifrac.lattice import box_power_integral
-from bifrac.weights import _family_power_averages, conjugate, iida_pair_value
+from bifrac.weights import _family_power_averages, conjugate
 
 
 def brute_interval_values(w_samples, h, i, j, expo):
@@ -236,8 +236,6 @@ class TestIidaConstant:
         assert rep.value == pytest.approx(best, rel=1e-12)
 
     def test_witness_reproduces_value(self, spec32, intervals32, rng):
-        from bifrac.weights import iida_pair_value
-
         w1 = GridFunction(spec32, rng.uniform(0.4, 2.0, 32))
         w2 = GridFunction(spec32, rng.uniform(0.4, 2.0, 32))
         wv = WeightVector(w1, w2)
