@@ -125,20 +125,16 @@ class GridFunction:
         return cls(spec, arr, nonnegative=True)
 
     def value_at(self, x) -> float:
-        idx = self.spec.cell_of_point(x if hasattr(x, "__len__") else (x,))
-        if idx is None:
-            return 0.0
-        return float(self.samples[idx])
+        return float(self.values_at(np.reshape(x, self.spec.dim)))
 
-    def values_at(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized piecewise-constant lookup (1D spec only)."""
-        if self.spec.dim != 1:
-            raise ValueError("values_at is one-dimensional")
-        t = (points + self.spec.half_width) / self.spec.h
-        idx = np.floor(t + 1e-12).astype(np.int64)
-        ok = (idx >= 0) & (idx < self.spec.cells_per_axis)
-        out = np.zeros(points.shape)
-        out[ok] = self.samples[idx[ok]]
+    def values_at(self, points) -> np.ndarray:
+        """The samples at points of shape (..., n), by the rule of
+        GridSpec.cell_of_point: cell floor((x + L) / h + 1e-12) per axis, 0
+        outside the box."""
+        t = np.floor((np.asarray(points, dtype=np.float64) + self.spec.half_width) / self.spec.h + 1e-12)
+        ok = ((t >= 0) & (t < self.spec.cells_per_axis)).all(axis=-1)
+        out = np.zeros(ok.shape)
+        out[ok] = self.samples[tuple(t[ok].astype(np.int64).T)]
         return out
 
     def abs_pow(self, p: float) -> "GridFunction":
@@ -457,10 +453,13 @@ class CellBoxes:
         if len(self.shape) == 1:
             n = self.shape[0]
             at = self.lo[k, 0] * (n + 1) + self.ext[k, 0] - 1  # first * N + last cell
-            table = np.full(n * n, -np.inf)
-            np.maximum.at(table, at, values[k])
-            table = np.maximum.accumulate(table.reshape(n, n), axis=1)
-            out[k] = np.maximum.accumulate(table[::-1], axis=0)[::-1].reshape(-1)[at]
+            table = np.full((n, n), -np.inf)
+            np.maximum.at(table.reshape(-1), at, values[k])
+            # in place: one N x N array per call; at N = 128 each N x N array
+            # is at malloc's mmap threshold, so every extra one is page-faulted afresh
+            np.maximum.accumulate(table, axis=1, out=table)
+            np.maximum.accumulate(table[::-1], axis=0, out=table[::-1])
+            out[k] = table.reshape(-1)[at]
             return out
         side = self.ext[k, 0]
         table = _SquareTable(self.shape, int(side.max(initial=1)))

@@ -17,7 +17,7 @@ mass is C(b, d) - C(a, d) - C(b, c) + C(a, c).  The origin cell folds onto
 Every kernel sum (bi_frac, the halves of its kernel split, frac_int) is
 one compensated (Kahan) sum over kernel offsets in a fixed row-major
 order, _offset_sum, in 1D and 2D alike, so results are identical run to
-run.
+run.  The point evaluators take one math.fsum over KernelTable.offsets.
 
 The two-fold integral multi_frac_int is one table of libm powers over the
 distinct radial distances from a midpoint; multi_frac_int_at is its oracle.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -49,6 +49,12 @@ class KernelTable:
     spec: GridSpec
     alpha: float
     weights: np.ndarray
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """The offset d*h of each weight: shape weights.shape + (n,)."""
+        d = np.indices(self.weights.shape) - (self.spec.cells_per_axis - 1)
+        return np.moveaxis(d, 0, -1) * self.spec.h
 
     def weight(self, offset) -> float:
         """The mass at offset d: an int in 1D, or one int per axis."""
@@ -220,30 +226,11 @@ def bi_frac(f: GridFunction, g: GridFunction, alpha: float, weights: np.ndarray 
 
 
 def bi_frac_at(f: GridFunction, g: GridFunction, alpha: float, point) -> float:
-    """Point evaluation of the bilinear fractional integral (any point)."""
-    spec = _check_same_spec(f, g)
-    table = kernel_table(spec, alpha)
-    n = spec.cells_per_axis
-    h = spec.h
-    if spec.dim == 1:
-        x = point[0] if hasattr(point, "__len__") else point
-        d = np.arange(-(n - 1), n)
-        fv = f.values_at(x - d * h)
-        gv = g.values_at(x + d * h)
-        return float(math.fsum(fv * gv * table.weights))
-    x0, x1 = point
-    total = []
-    for d0 in range(-(n - 1), n):
-        for d1 in range(-(n - 1), n):
-            w = table.weights[d0 + n - 1, d1 + n - 1]
-            a = f.value_at((x0 - d0 * h, x1 - d1 * h))
-            if a == 0.0:
-                continue
-            b = g.value_at((x0 + d0 * h, x1 + d1 * h))
-            if b == 0.0:
-                continue
-            total.append(a * b * w)
-    return math.fsum(total)
+    """Point evaluation of the bilinear fractional integral (any point):
+    sum over offset cells d of f(x - dh) g(x + dh) * kernel mass."""
+    table = kernel_table(_check_same_spec(f, g), alpha)
+    x = np.reshape(point, f.spec.dim)
+    return math.fsum((f.values_at(x - table.offsets) * g.values_at(x + table.offsets) * table.weights).ravel())
 
 
 def frac_int(f: GridFunction, alpha: float) -> GridFunction:
@@ -260,26 +247,17 @@ def frac_int_at(f: GridFunction, alpha: float, point) -> float:
     evaluation point; in 2D cell midpoint masses are used.
     """
     spec = f.spec
-    n = spec.cells_per_axis
-    h = spec.h
+    x = np.reshape(point, spec.dim)
     if spec.dim == 1:
         if not (0.0 < alpha < 1.0):
             raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
-        x = point[0] if hasattr(point, "__len__") else point
-        edges = -spec.half_width + h * np.arange(n + 1)
+        edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
         u = x - edges  # antiderivative F(u) = sign(u)|u|^alpha / alpha
         F = np.sign(u) * np.abs(u) ** alpha / alpha
         masses = F[:-1] - F[1:]
         return float(math.fsum(f.samples * masses))
     table = kernel_table(spec, alpha)
-    x0, x1 = point
-    terms = []
-    for d0 in range(-(n - 1), n):
-        for d1 in range(-(n - 1), n):
-            a = f.value_at((x0 - d0 * h, x1 - d1 * h))
-            if a != 0.0:
-                terms.append(a * table.weights[d0 + n - 1, d1 + n - 1])
-    return math.fsum(terms)
+    return math.fsum((f.values_at(x - table.offsets) * table.weights).ravel())
 
 
 def multi_frac_int(f1: GridFunction, f2: GridFunction, alpha: float) -> GridFunction:
@@ -349,14 +327,8 @@ def local_global_split(f: GridFunction, g: GridFunction, alpha: float, Q0: Cube)
 def _split_weights(spec: GridSpec, alpha: float, Q0: Cube) -> tuple[np.ndarray, np.ndarray]:
     """Kernel weight tables of the local (|y| <= side(Q0)) and the far part."""
     table = kernel_table(spec, alpha)
-    n = spec.cells_per_axis
-    h = spec.h
     radius = Q0.side  # 2 * delta with delta = side / 2
-    d = np.arange(-(n - 1), n) * h
-    if spec.dim == 1:
-        mask = np.abs(d) <= radius + 1e-12
-    else:
-        mask = np.sqrt(d[:, None] ** 2 + d[None, :] ** 2) <= radius + 1e-12
+    mask = np.sqrt((table.offsets ** 2).sum(axis=-1)) <= radius + 1e-12
     return np.where(mask, table.weights, 0.0), np.where(mask, 0.0, table.weights)
 
 

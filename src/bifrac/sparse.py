@@ -10,6 +10,11 @@ The threshold functional is evaluated on 3Q for each candidate Q (the
 natural reading consistent with the maximality bounds), the recursion
 floors at one lattice cell, and the level index is capped at
 ceil(log_a(max m)).
+
+Both are read off the dyadic tree at once: with above(Q) the max of m over
+the strict ancestors of Q, Q is a maximal level-k cube exactly when m(Q) >
+a^k >= above(Q); a cell's depth, the number of k with a^k < max(m, above)
+at its one-cell block, puts it in E_{k,j} (depth k) or E_0 (depth 0).
 """
 
 from __future__ import annotations
@@ -78,18 +83,11 @@ class SparseFamily:
         return np.sort(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
 
 
-def _block_cells(spec: GridSpec, lo, w) -> np.ndarray:
-    if spec.dim == 1:
-        return np.arange(lo[0], lo[0] + w, dtype=np.int64)
-    n = spec.cells_per_axis
-    rows = np.arange(lo[0], lo[0] + w, dtype=np.int64)
-    cols = np.arange(lo[1], lo[1] + w, dtype=np.int64)
-    return (rows[:, None] * n + cols[None, :]).reshape(-1)
-
-
-def _block_cube(spec: GridSpec, lo, w) -> Cube:
-    corner = tuple(-spec.half_width + i * spec.h for i in lo)
-    return Cube(corner, w * spec.h)
+def _block(spec: GridSpec, lo: np.ndarray, w: int) -> tuple[Cube, np.ndarray]:
+    """The w-wide block at corner cell lo: its cube and its cells' flat indices, sorted."""
+    cells = np.indices((w,) * spec.dim).reshape(spec.dim, -1) + lo[:, None]
+    corner = tuple(-spec.half_width + i * spec.h for i in lo.tolist())
+    return Cube(corner, w * spec.h), np.ravel_multi_index(tuple(cells), spec.shape)
 
 
 def cz_decompose(
@@ -124,11 +122,7 @@ def cz_decompose(
             f"m_3Q(|f|^r, |g|^s) with r = {r!r}, s = {s!r} leaves the float range "
             f"on a subcube of the root cube {Q0.serialize()}"
         )
-    m_vals = m.tolist()
-    blocks = list(zip(map(tuple, lo.tolist()), width.tolist()))
-    fan = 2 ** n
-
-    max_m = max(m_vals)
+    max_m = float(m.max())
     # largest k with a^k < max_m (a^k past the float range reads +inf); levels above select nothing
     k_cap = 0
     with np.errstate(over="ignore"):
@@ -136,56 +130,43 @@ def cz_decompose(
             k_cap += 1
     if max_m > a:
         k_cap = max(k_cap, 1)
+    thresholds = [a ** k for k in range(1, k_cap + 1)]
 
-    level_selected: dict[int, list[int]] = {}
-    for k in range(1, k_cap + 1):
-        thr = a ** k
-        chosen: list[int] = []
-        stack = [0]
-        while stack:
-            node = stack.pop(0)
-            if m_vals[node] > thr:
-                chosen.append(node)
-            elif blocks[node][1] > 1:
-                stack.extend(range(fan * node + 1, fan * node + fan + 1))
-        if chosen:
-            level_selected[k] = chosen
+    # above[i]: the max of m over block i's strict ancestors, one tree level at a time
+    fan = 2 ** n
+    above = np.full(len(m), -np.inf)
+    start, size = 0, 1
+    while start + size < len(m):
+        parents = slice(start, start + size)
+        above[start + size : start + size * (fan + 1)] = np.repeat(np.maximum(m[parents], above[parents]), fan)
+        start, size = start + size, size * fan
+    # a cell's depth: the number of levels k with a^k < max(m, above) at its own block
+    leaves = width == 1
+    depth = np.zeros(spec.cell_count, dtype=np.int64)
+    depth[np.ravel_multi_index(tuple(lo[leaves].T), spec.shape)] = np.searchsorted(
+        thresholds, np.maximum(m, above)[leaves]
+    )
 
-    cell_sets = {
-        k: [_block_cells(spec, *blocks[i]) for i in nodes]
-        for k, nodes in level_selected.items()
-    }
-    union_next: dict[int, np.ndarray] = {}
-    for k, sets in cell_sets.items():
-        union_next[k] = np.sort(np.concatenate(sets))
+    def selected(i: int, k: int) -> SelectedCube:
+        cube, cells = _block(spec, lo[i], int(width[i]))
+        return SelectedCube(cube, float(m[i]), cells, cells[depth[cells] == k])
 
-    levels: dict[int, tuple[SelectedCube, ...]] = {}
-    for k in sorted(level_selected):
-        d_next = union_next.get(k + 1, np.zeros(0, np.int64))
-        scs = []
-        for node, cells in zip(level_selected[k], cell_sets[k]):
-            e_cells = np.setdiff1d(cells, d_next, assume_unique=False)
-            scs.append(
-                SelectedCube(
-                    cube=_block_cube(spec, *blocks[node]),
-                    m_value=m_vals[node],
-                    cells=np.sort(cells),
-                    e_cells=e_cells,
-                )
-            )
-        levels[k] = tuple(scs)
+    # the maximal cubes of level k: m > a^k, and no strict ancestor above it
+    levels = {}
+    for k, thr in enumerate(thresholds, 1):
+        chosen = np.flatnonzero((m > thr) & (above <= thr))
+        if len(chosen):
+            levels[k] = tuple(selected(i, k) for i in chosen.tolist())
 
-    root_cells = np.sort(_block_cells(spec, *blocks[0]))
-    d1 = union_next.get(1, np.zeros(0, np.int64))
-    e0 = np.setdiff1d(root_cells, d1)
+    root, root_cells = _block(spec, lo[0], int(width[0]))
     return SparseFamily(
         spec=spec,
-        root=_block_cube(spec, *blocks[0]),
+        root=root,
         base_constant=float(a),
         levels=levels,
-        e0_cells=e0,
+        e0_cells=root_cells[depth[root_cells] == 0],
         root_cells=root_cells,
-        root_m=m_vals[0],
+        root_m=float(m[0]),
     )
 
 

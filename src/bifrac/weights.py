@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveWeight, POutOfRange, SpecMismatch
+from .errors import AverageOverflow, NonPositiveWeight, POutOfRange, SpecMismatch
 from .families import CubeFamily, NestedPairs, _prefix_table
 from .geometry import Cube
 from .lattice import GridFunction
@@ -37,8 +37,11 @@ class WeightVector:
             self.v is not None and self.v.spec != self.w1.spec
         ):
             raise SpecMismatch("weight components live on different specs")
-        nu = GridFunction(self.w1.spec, self.w1.samples * self.w2.samples, nonnegative=True)
-        object.__setattr__(self, "_nu", nu)
+        with np.errstate(over="ignore"):
+            nu = self.w1.samples * self.w2.samples
+        if not np.isfinite(nu).all():
+            raise AverageOverflow("the product weight w1 * w2 leaves the float range")
+        object.__setattr__(self, "_nu", GridFunction(self.w1.spec, nu, nonnegative=True))
 
     @property
     def nu(self) -> GridFunction:

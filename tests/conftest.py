@@ -9,7 +9,7 @@ from hypothesis import settings
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.geometry import _THIRD
 from bifrac.lattice import _GATHER_CELLS, box_power_integral, overlap_integrals
-from bifrac.operators import _corner_mass_2d
+from bifrac.operators import _corner_mass_2d, kernel_table
 from bifrac.weights import WeightVector, _family_power_averages, _sanitize, conjugate
 
 # One profile for every property test: the same examples on every run and
@@ -252,3 +252,47 @@ def _cube_power_integral(w: GridFunction, expo: float, Q: Cube) -> float:
     with np.errstate(divide="ignore", over="ignore"):
         pw[near] = np.power(w.samples[near], expo)
     return float(overlap_integrals(spec, pw, corner, side)[0])
+
+
+def value_at_oracle(f, x):
+    """The sample of the cell holding x, by the scalar rule of
+    GridSpec.cell_of_point; 0 outside the box."""
+    idx = f.spec.cell_of_point(x)
+    return 0.0 if idx is None else float(f.samples[idx])
+
+
+def bi_frac_at_oracle(f, g, alpha, point):
+    """The per-offset loop that bi_frac_at replaced: per kernel offset d,
+    row-major, one scalar lookup of f(x - dh) and of g(x + dh), zero terms
+    skipped, then one fsum of f g w."""
+    spec = f.spec
+    n, h = spec.cells_per_axis, spec.h
+    x = np.reshape(point, spec.dim).tolist()
+    weights = kernel_table(spec, alpha).weights
+    terms = []
+    for d in product(range(-(n - 1), n), repeat=spec.dim):
+        a = value_at_oracle(f, [xi - di * h for xi, di in zip(x, d)])
+        if a == 0.0:
+            continue
+        b = value_at_oracle(g, [xi + di * h for xi, di in zip(x, d)])
+        if b == 0.0:
+            continue
+        terms.append(a * b * float(weights[tuple(di + n - 1 for di in d)]))
+    return math.fsum(terms)
+
+
+def frac_int_at_oracle(f, alpha, point):
+    """The per-offset loop that the 2D branch of frac_int_at replaced: per
+    kernel offset d, row-major, one scalar lookup of f(x - dh), zero terms
+    skipped, then one fsum of f w.  (The 1D branch integrates the kernel
+    exactly instead; see the closed-form tests.)"""
+    spec = f.spec
+    n, h = spec.cells_per_axis, spec.h
+    x = np.reshape(point, spec.dim).tolist()
+    weights = kernel_table(spec, alpha).weights
+    terms = []
+    for d in product(range(-(n - 1), n), repeat=spec.dim):
+        a = value_at_oracle(f, [xi - di * h for xi, di in zip(x, d)])
+        if a != 0.0:
+            terms.append(a * float(weights[tuple(di + n - 1 for di in d)]))
+    return math.fsum(terms)

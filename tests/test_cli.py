@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bifrac import GridFunction, GridSpec, multi_frac_int, read_grid_file, write_grid_file
+from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, cz_decompose, multi_frac_int, read_grid_file, write_grid_file
 from bifrac.cli import check_config_keys, check_profile_keys, main
 
 
@@ -250,6 +250,17 @@ class TestConstantsCommand:
         assert row["family_size"] == 11716640
 
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_product_weight_past_the_float_range_is_an_input_error(self, dim, tmp_path, capsys):
+        spec = GridSpec(dim, 1.0, 8)
+        path = tmp_path / "big.grid"
+        write_grid_file(path, GridFunction(spec, np.full(spec.shape, 1e200)))
+        argv = ["constants", "--weight", str(path), "--weight2", str(path), "--constant", "multiple-apq"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("AverageOverflow: ") and "w1 * w2" in err[0]
+
+
 class TestApplyCommand:
     def test_frac_int_roundtrip(self, grids, tmp_path):
         out = tmp_path / "out.grid"
@@ -337,6 +348,38 @@ class TestDecomposeCommand:
         payload = json.loads(out.read_text())
         assert payload["schema"] == 1
         assert payload["levels"] == {}
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_spiky_levels_equal_the_library(self, dim, tmp_path):
+        # the default root: HARNESS_Q0 on the 1D harness grid, [0, L)^n otherwise
+        spec = GridSpec(1, 4.0, 64) if dim == 1 else GridSpec(2, 2.0, 16)
+        rng = np.random.default_rng(40 + dim)
+        paths = []
+        for name, site in (("f", 0), ("g", 1)):
+            arr = rng.uniform(0.0, 0.05, spec.shape)
+            arr[(spec.cells_per_axis // 2 + 3 + site,) * dim] = 40.0 if dim == 1 else 100.0
+            arr[(spec.cells_per_axis - 2,) * dim] = 25.0
+            paths.append(tmp_path / f"{name}.grid")
+            write_grid_file(paths[-1], GridFunction(spec, arr))
+        out = tmp_path / "d.json"
+        assert main(["decompose", "--f", str(paths[0]), "--g", str(paths[1]), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        f, g = (read_grid_file(p) for p in paths)
+        root = Cube((0.0,) * dim, spec.half_width)
+        fam = cz_decompose(f, g, 2.0, 2.0, root, DyadicGrid((0.0,) * dim))
+        want = {
+            str(k): [
+                {"cube": sc.cube.serialize(), "m_value": sc.m_value, "e_measure": sc.e_count * fam.cell_measure}
+                for sc in scs
+            ]
+            for k, scs in fam.levels.items()
+        }
+        assert len(fam.levels) >= 2 and payload["levels"] == want
+        assert (payload["root"], payload["root_average"], payload["e0_measure"]) == (
+            root.serialize(),
+            fam.root_m,
+            fam.e0_measure,
+        )
 
     def test_an_average_past_the_float_range_is_an_input_error(self, tmp_path, capsys):
         # the defaults r = s = 2 square the 1e200 cell past the float range

@@ -331,6 +331,26 @@ def test_1d_inner_max_of_every_interval_at_n64_equals_max_over_listed_pairs():
         assert np.array_equal(nested_pairs(fam).inner_max(values), want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 128])
+def test_1d_inner_max_equals_a_brute_force_containment_max(n):
+    # raw boxes: every interval up to N = 8, a random draw beyond, with
+    # repeats, empty boxes (hi <= lo) and +-inf values
+    rng = np.random.default_rng(n)
+    if n <= 8:
+        lo, hi = np.array([(a, b) for a in range(n + 1) for b in range(n + 1)]).T
+    else:
+        lo, hi = rng.integers(0, n + 1, (2, 1500))
+        lo[:40], hi[:40] = lo[40:80], hi[40:80]
+    values = rng.uniform(-1.0, 1.0, len(lo))
+    values[rng.random(len(lo)) < 0.05] = np.inf
+    values[rng.random(len(lo)) < 0.05] = -np.inf
+    boxes = CellBoxes((n,), lo[:, None], hi[:, None])
+    nonempty = hi > lo
+    inside = nonempty[None, :] & (lo[:, None] <= lo[None, :]) & (hi[None, :] <= hi[:, None])
+    want = np.where(nonempty, np.max(np.where(inside, values[None, :], -np.inf), axis=1), -np.inf)
+    assert np.array_equal(boxes.inner_max(values), want)
+
+
 def test_maximal_sweeps_at_n512_match_max_over_containing_intervals():
     spec = GridSpec(1, 4.0, 512)
     fam = all_intervals(spec)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import kernel_table_2d_oracle
+from conftest import bi_frac_at_oracle, frac_int_at_oracle, kernel_table_2d_oracle, value_at_oracle
 
 from bifrac import (
     AlphaOutOfRange,
@@ -817,3 +817,68 @@ def test_bi_frac_closed_form_profile():
     inside = np.abs(mids) < 1.0 - spec.h
     expect = (2.0 / alpha) * (1.0 - np.abs(mids[inside])) ** alpha
     assert np.allclose(out.samples[inside], expect, rtol=1e-12)
+
+
+# the grids of the point-evaluator tests: 1D N <= 64 and 2D N <= 16
+POINT_GRIDS = [(1, 1), (1, 2), (1, 16), (1, 64), (2, 1), (2, 2), (2, 8), (2, 16)]
+
+
+@st.composite
+def point_cases(draw, dim, n):
+    """Signed data with zeros on a grid, alpha in (0, n), and points whose
+    coordinates are random, cell midpoints, cell edges (both box edges
+    included), one float below a cell edge (which the rule's 1e-12 puts in
+    the cell above) or outside the box."""
+    spec = GridSpec(dim, draw(st.sampled_from((0.3, 1.0, 3.0))), n)
+    alpha = draw(st.floats(0.05, dim - 0.05))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    f, g = (np.where(rng.random(spec.shape) < 0.2, 0.0, rng.uniform(-2.0, 2.0, spec.shape)) for _ in range(2))
+    L, h = spec.half_width, spec.h
+    coordinate = st.one_of(
+        st.floats(-1.5 * L, 1.5 * L),
+        st.integers(0, n - 1).map(lambda i: -L + (i + 0.5) * h),
+        st.integers(0, n).map(lambda i: -L + i * h),
+        st.integers(0, n).map(lambda i: float(np.nextafter(-L + i * h, -np.inf))),
+        st.floats(L, 3.0 * L) | st.floats(-3.0 * L, -L - h / 4),
+    )
+    points = draw(st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=4))
+    return GridFunction(spec, f), GridFunction(spec, g), alpha, points
+
+
+class TestPointEvaluators:
+    @pytest.mark.parametrize("dim, n", POINT_GRIDS)
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_equal_the_per_offset_loops(self, dim, n, data):
+        f, g, alpha, points = data.draw(point_cases(dim, n))
+        for p in points:
+            assert bi_frac_at(f, g, alpha, p) == bi_frac_at_oracle(f, g, alpha, p)
+            if f.spec.dim == 2:
+                assert frac_int_at(f, alpha, p) == frac_int_at_oracle(f, alpha, p)
+
+    @pytest.mark.parametrize("dim, n", POINT_GRIDS)
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_value_at_equals_values_at_and_the_cell_rule(self, dim, n, data):
+        f, _, _, points = data.draw(point_cases(dim, n))
+        many = f.values_at(np.array(points))
+        for p, v in zip(points, many.tolist()):
+            assert f.value_at(p) == v == value_at_oracle(f, p)
+        spec = f.spec
+        L = spec.half_width
+        # the box is half-open: its lower corner is inside, its upper edges are not
+        assert f.value_at((-L,) * spec.dim) == f.samples[(0,) * spec.dim]
+        assert f.value_at((L,) * spec.dim) == 0.0
+        assert f.values_at(np.full((2, 3, spec.dim), -L)).tolist() == [[f.samples[(0,) * spec.dim]] * 3] * 2
+
+    @pytest.mark.parametrize("x", [-0.37, 0.013, 0.5 + 1e-3, 0.97, 1.31, 2.6])
+    def test_1d_frac_int_at_is_the_exact_integral_off_the_midpoints(self, x):
+        # I_alpha(chi_[0, 1))(x) = (sign(x)|x|^alpha - sign(x - 1)|x - 1|^alpha) / alpha
+        # at any x; the midpoint sum over the kernel offsets would not give it
+        spec, alpha = GridSpec(1, 4.0, 64), 0.4
+        f = GridFunction.indicator(spec, Cube((0.0,), 1.0))
+        exact = (math.copysign(abs(x) ** alpha, x) - math.copysign(abs(x - 1.0) ** alpha, x - 1.0)) / alpha
+        assert frac_int_at(f, alpha, x) == pytest.approx(exact, rel=1e-12)
+        table = kernel_table(spec, alpha)
+        midpoint_sum = math.fsum(f.values_at(x - table.offsets) * table.weights)
+        assert abs(midpoint_sum - exact) > 1e-6 * abs(exact)

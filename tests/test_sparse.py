@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bifrac import (
     AverageOverflow,
@@ -69,13 +71,99 @@ def oracle_selected(f, g, q0, r, s, a, level):
     return set(chosen)
 
 
+def family_selected_list(fam, level, spec):
+    """The selected cubes of one level as (corner_idx, width), in family order."""
+    h = spec.h
+    return [
+        (tuple(int(round((c + spec.half_width) / h)) for c in sc.cube.corner), int(round(sc.cube.side / h)))
+        for sc in fam.levels.get(level, ())
+    ]
+
+
 def family_selected_set(fam, level, spec):
-    out = set()
-    for sc in fam.levels.get(level, ()):
-        h = spec.h
-        lo = tuple(int(round((c + spec.half_width) / h)) for c in sc.cube.corner)
-        out.add((lo, int(round(sc.cube.side / h))))
-    return out
+    return set(family_selected_list(fam, level, spec))
+
+
+def oracle_cells(spec, block):
+    """Flat indices of the cells of a block (corner_idx, width)."""
+    lo, width = block
+    cells = np.indices((width,) * spec.dim).reshape(spec.dim, -1) + np.array(lo)[:, None]
+    return set(np.ravel_multi_index(tuple(cells), spec.shape).tolist())
+
+
+# 1D and 2D (N <= 16) grids on the box [-2, 2)^n
+STOPPING_GRIDS = [(1, 8), (1, 64), (2, 4), (2, 8), (2, 16)]
+
+
+def spike_data(spec, q0, r, s, seed, guarded):
+    """Nonnegative f, g on spec: a background with zeros and one concentration
+    site per function (the same cell or a neighbour), then f scaled.
+
+    guarded: as the harness's concentration guard does, so that m_{3Q} <=
+    0.9 * 2^(2n+1) on every dyadic subcube of q0 whose triple is more than
+    half of q0; the stopping-time measure bounds then hold, but on these
+    grids no cube is selected past level 1.  Otherwise: m_{3Q0} = 0.9 a
+    (default a), which reaches level 2 on these grids, where those bounds
+    can fail.
+    """
+    rng = np.random.default_rng(seed)
+    n = spec.dim
+    blocks = oracle_blocks(spec, q0)
+    (root_lo, root_w), site = blocks[0], rng.integers(0, blocks[0][1], n)
+    arrays = []
+    for _ in range(2):
+        arr = np.where(rng.random(spec.shape) < 0.3, 0.0, rng.uniform(0.0, 1e-3, spec.shape))
+        cell = np.clip(np.array(root_lo) + site + rng.integers(-1, 2, n), 0, spec.cells_per_axis - 1)
+        arr[tuple(cell)] = 10.0 ** rng.uniform(0.5, 3.0)
+        arrays.append(arr)
+    f, g = (GridFunction(spec, arr, nonnegative=True) for arr in arrays)
+    target = 0.9 * 2.0 ** (2 * n + 1)
+    if not guarded:
+        return f * (target / oracle_m3q(f, g, root_lo, root_w, r, s)), g
+    safe_side = (q0.measure / (2.0 * 3.0**n)) ** (1.0 / n)
+    big = [b for b in blocks if b[1] * spec.h > safe_side * (1 + 1e-9)]
+    worst = max([0.0] + [oracle_m3q(f, g, lo, w, r, s) for lo, w in big])
+    return (f * (target / worst) if worst > target else f), g
+
+
+@pytest.mark.parametrize("dim, n", STOPPING_GRIDS)
+@settings(max_examples=12)
+@given(
+    side=st.sampled_from((1.0, 2.0)),
+    a_scale=st.sampled_from((1.0, 4.0)),
+    rs=st.sampled_from(((2.0, 2.0), (3.0, 1.5))),
+    guarded=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_levels_and_difference_sets_equal_the_oracle(dim, n, side, a_scale, rs, guarded, seed):
+    # roots of two levels, with the default a and a larger one
+    spec = GridSpec(dim, 2.0, n)
+    q0, grid = Cube((0.0,) * dim, side), DyadicGrid((0.0,) * dim)
+    r, s = rs
+    f, g = spike_data(spec, q0, r, s, seed, guarded)
+    a = 2.0 ** (2 * dim + 1) * a_scale
+    fam = cz_decompose(f, g, r, s, q0, grid, a=None if a_scale == 1.0 else a)
+    assert fam.base_constant == a
+    if guarded:
+        assert not check_sparse_invariants(fam)
+    chosen = {}
+    for level in range(1, fam.max_level + 2):
+        chosen[level] = oracle_selected(f, g, q0, r, s, a, level)
+        assert family_selected_set(fam, level, spec) == chosen[level]
+    assert list(fam.levels) == [k for k, blocks in chosen.items() if blocks]
+
+    def d(level):
+        return set().union(*(oracle_cells(spec, b) for b in chosen.get(level, ())))
+
+    root = (tuple(int(round((c + 2.0) / spec.h)) for c in q0.corner), int(round(side / spec.h)))
+    assert fam.root_cells.tolist() == sorted(oracle_cells(spec, root))
+    assert fam.e0_cells.tolist() == sorted(oracle_cells(spec, root) - d(1))
+    assert fam.root_cells.dtype == fam.e0_cells.dtype == np.int64
+    for level, scs in fam.levels.items():
+        for sc, block in zip(scs, family_selected_list(fam, level, spec)):
+            assert sc.cells.tolist() == sorted(oracle_cells(spec, block))
+            assert sc.e_cells.tolist() == sorted(oracle_cells(spec, block) - d(level + 1))
+            assert sc.cells.dtype == sc.e_cells.dtype == np.int64
 
 
 class TestCzDecompose:

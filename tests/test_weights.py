@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bifrac import (
+    AverageOverflow,
     Cube,
     EmptyCubeFamily,
     GridFunction,
@@ -506,6 +507,19 @@ def test_weight_vector_spec_mismatch(spec32):
     other = GridFunction.constant(GridSpec(1, 2.0, 32), 1.0)
     with pytest.raises(SpecMismatch):
         WeightVector(GridFunction.constant(spec32, 1.0), other)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_weight_vector_product_past_the_float_range_is_named(dim):
+    # 1e200 * 1e200 leaves the float range on one cell; 1e200 * 1e100 does not
+    spec = GridSpec(dim, 1.0, 8)
+    big = np.ones(spec.shape)
+    big[(3,) * dim] = 1e200
+    w = GridFunction(spec, big)
+    with pytest.raises(AverageOverflow, match=r"product weight w1 \* w2"):
+        WeightVector(w, w)
+    fine = WeightVector(w, GridFunction(spec, np.where(big > 1.0, 1e100, 1.0)))
+    assert fine.nu.samples[(3,) * dim] == 1e300
 
 
 class TestReverseHolder:
