@@ -23,12 +23,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfiniteConstant, RelationViolated
-from .families import CubeFamily, NestedPairs, default_family, nested_pairs, subcube_blocks
+from .families import CubeFamily, NestedPairs, default_family, nested_pairs
 from .geometry import Cube, DyadicGrid, locate_shifted_cubes
 from .lattice import GridFunction, GridSpec, _cell_slices, lp_norm
 from .morrey import MorreyParams, morrey_norm, power_scaling_check, vector_morrey_norm
 from .operators import (
-    _block_m3q,
+    _root_m3q,
     _split_weights,
     bi_frac,
     multi_maximal,
@@ -430,9 +430,9 @@ def _concentration_guard(f: GridFunction, g: GridFunction, Q0: Cube) -> float:
     n = spec.dim
     a = 2.0 ** (2 * n + 1)
     safe_side = (Q0.measure / (2.0 * 3.0 ** n)) ** (1.0 / n)
-    lo, width = subcube_blocks(spec, Q0, DyadicGrid((0.0,) * n))
-    big = width * spec.h > safe_side * (1 + 1e-9)
-    worst = max([0.0] + _block_m3q(f, g, 2.0, 2.0, lo[big], width[big]).tolist())
+    _, width, m = _root_m3q(f, g, 2.0, 2.0, Q0, DyadicGrid((0.0,) * n))
+    big = width * spec.h > safe_side * (1 + 1e-9)  # a prefix of the breadth-first blocks
+    worst = max([0.0] + m[big].tolist())
     target = SPIKE_ROOT_TARGET * a
     if worst > target:
         return math.sqrt(target / worst)

@@ -200,16 +200,24 @@ def _offset_sum(weights: np.ndarray, fs: np.ndarray, gs: np.ndarray | None = Non
     """
     out = np.zeros(fs.shape)
     comp = np.zeros(fs.shape)
-    for k, o, a, b in _offset_slices(fs.shape[0], fs.ndim, gs is not None):
-        w = weights[k]
-        if w == 0.0:
-            continue
-        term = fs[a] * gs[b] * w if gs is not None else fs[a] * w
-        y = term - comp[o]
-        t = out[o] + y
-        comp[o] = (t - out[o]) - y
-        out[o] = t
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, o, a, b in _offset_slices(fs.shape[0], fs.ndim, gs is not None):
+            w = weights[k]
+            if w == 0.0:
+                continue
+            term = fs[a] * gs[b] * w if gs is not None else fs[a] * w
+            y = term - comp[o]
+            t = out[o] + y
+            comp[o] = (t - out[o]) - y
+            out[o] = t
     return out
+
+
+def _kernel_grid(spec: GridSpec, out: np.ndarray, operator: str) -> GridFunction:
+    """`out` as a grid function; a cell past the float range raises AverageOverflow."""
+    if not np.isfinite(out).all():
+        raise AverageOverflow(f"{operator} leaves the float range on a cell")
+    return GridFunction(spec, out)
 
 
 def bi_frac(f: GridFunction, g: GridFunction, alpha: float, weights: np.ndarray | None = None) -> GridFunction:
@@ -222,7 +230,7 @@ def bi_frac(f: GridFunction, g: GridFunction, alpha: float, weights: np.ndarray 
     spec = _check_same_spec(f, g)
     if weights is None:
         weights = kernel_table(spec, alpha).weights
-    return GridFunction(spec, _offset_sum(weights, f.samples, g.samples))
+    return _kernel_grid(spec, _offset_sum(weights, f.samples, g.samples), f"bi_frac with alpha = {alpha!r}")
 
 
 def bi_frac_at(f: GridFunction, g: GridFunction, alpha: float, point) -> float:
@@ -236,7 +244,7 @@ def bi_frac_at(f: GridFunction, g: GridFunction, alpha: float, point) -> float:
 def frac_int(f: GridFunction, alpha: float) -> GridFunction:
     """Fractional integral: convolution of f with the kernel table (exact)."""
     table = kernel_table(f.spec, alpha)
-    return GridFunction(f.spec, _offset_sum(table.weights, f.samples))
+    return _kernel_grid(f.spec, _offset_sum(table.weights, f.samples), f"frac_int with alpha = {alpha!r}")
 
 
 def frac_int_at(f: GridFunction, alpha: float, point) -> float:
@@ -281,12 +289,14 @@ def multi_frac_int(f1: GridFunction, f2: GridFunction, alpha: float) -> GridFunc
     out = np.empty(spec.cell_count)
     # a chunk of midpoints x at a time: at most _GATHER_CELLS (x, y) index entries
     step = max(1, _GATHER_CELLS // spec.cell_count)
-    for start in range(0, spec.cell_count, step):
-        k = ((cells[:, start : start + step, None] - cells[:, None, :]) ** 2).sum(axis=0)
-        idx = (np.searchsorted(radii, k) + len(radii) * np.arange(len(k))[:, None]).reshape(-1)
-        F1, F2 = (np.bincount(idx, np.tile(f.samples.ravel(), len(k)), len(k) * len(radii)) for f in (f1, f2))
-        out[start : start + step] = ((F1.reshape(len(k), -1) @ W) * F2.reshape(len(k), -1)).sum(axis=1)
-    return GridFunction(spec, out.reshape(spec.shape) * h ** (2 * dim))
+    with np.errstate(over="ignore", invalid="ignore"):  # _kernel_grid refuses a cell past the float range
+        for start in range(0, spec.cell_count, step):
+            k = ((cells[:, start : start + step, None] - cells[:, None, :]) ** 2).sum(axis=0)
+            idx = (np.searchsorted(radii, k) + len(radii) * np.arange(len(k))[:, None]).reshape(-1)
+            F1, F2 = (np.bincount(idx, np.tile(f.samples.ravel(), len(k)), len(k) * len(radii)) for f in (f1, f2))
+            out[start : start + step] = ((F1.reshape(len(k), -1) @ W) * F2.reshape(len(k), -1)).sum(axis=1)
+        out = out.reshape(spec.shape) * h ** (2 * dim)
+    return _kernel_grid(spec, out, f"multi_frac_int with alpha = {alpha!r}")
 
 
 def multi_frac_int_at(f1: GridFunction, f2: GridFunction, alpha: float, point) -> float:
@@ -436,11 +446,38 @@ def _m3q(f, g, r, s, windows: CellBoxes, meas3: np.ndarray) -> np.ndarray:
         return _scalar_pow(fi, 1.0 / r) * _scalar_pow(gi, 1.0 / s)
 
 
-def _block_m3q(f, g, r, s, lo, width) -> np.ndarray:
-    """m_{3Q}(|f|^r, |g|^s) for blocks of `width` cells from corner cells lo."""
-    spec = f.spec
+@lru_cache(maxsize=8)  # the most recent roots, bounded like the kernel tables
+def _root_plan(spec: GridSpec, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray, CellBoxes, np.ndarray]:
+    """Q0's subcube_blocks, their 3Q windows (shape groups built) and 3Q measures, all read-only."""
+    lo, width = subcube_blocks(spec, Q0, grid)
+    windows = CellBoxes.tripled(spec.shape, lo, width)
     meas3 = _scalar_pow(3.0 * (width * spec.h), spec.dim)
-    return _m3q(f, g, r, s, CellBoxes.tripled(spec.shape, lo, width), meas3)
+    for arr in (lo, width, meas3, windows.lo, windows.ext, *(a for group in windows.groups for a in group)):
+        arr.setflags(write=False)
+    return lo, width, windows, meas3
+
+
+def _path_accumulate(ufunc, values: np.ndarray, fan: int) -> np.ndarray:
+    """ufunc accumulated down the tree of breadth-first blocks (children of i: fan i + 1 ... fan i + fan)."""
+    out = values.copy()
+    start, size = 0, 1
+    while start + size < len(out):
+        kids = slice(start + size, start + size * (fan + 1))
+        out[kids] = ufunc(np.repeat(out[start : start + size], fan), out[kids])
+        start, size = start + size, size * fan
+    return out
+
+
+def _root_m3q(f, g, r, s, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The root plan's corner cells and widths, and m_{3Q}(|f|^r, |g|^s) per block, all finite."""
+    lo, width, windows, meas3 = _root_plan(f.spec, Q0, grid)
+    m = _m3q(f, g, r, s, windows, meas3)
+    if not np.isfinite(m).all():
+        raise AverageOverflow(
+            f"m_3Q(|f|^r, |g|^s) with r = {r!r}, s = {s!r} leaves the float range "
+            f"on a subcube of the root cube {Q0.serialize()}"
+        )
+    return lo, width, m
 
 
 def weighted_bilinear_maximal(
@@ -490,16 +527,9 @@ def sparse_bound(
     check_conjugate(r, s)
     if not (0.0 < alpha < spec.dim):
         raise AlphaOutOfRange(f"alpha must lie in (0, {spec.dim}), got {alpha}")
-    lo, width = subcube_blocks(spec, Q0, grid)
-    vals = _scalar_pow(width * spec.h, alpha) * _block_m3q(f, g, r, s, lo, width)
-    root = tuple(slice(a, a + width[0]) for a in lo[0].tolist())
+    lo, width, m = _root_m3q(f, g, r, s, Q0, grid)
+    # each cell adds its blocks' values from the root down to its own cell
+    total = _path_accumulate(np.add, _scalar_pow(width * spec.h, alpha) * m, 2 ** spec.dim)
     out = np.zeros(spec.shape)
-    # the blocks of one level tile Q0: adding level by level keeps each cell's block order
-    for w in np.unique(width)[::-1].tolist():
-        level = width == w
-        tiles = np.zeros((width[0] // w,) * spec.dim)
-        tiles[tuple(((lo[level] - lo[0]) // w).T)] = vals[level]
-        for ax in range(spec.dim):
-            tiles = tiles.repeat(w, axis=ax)
-        out[root] += tiles
+    out[tuple(lo[width == 1].T)] = total[width == 1]
     return GridFunction(spec, out)

@@ -9,7 +9,8 @@ every partition and measure claim exact integer arithmetic.
 The threshold functional is evaluated on 3Q for each candidate Q (the
 natural reading consistent with the maximality bounds), the recursion
 floors at one lattice cell, and the level index is capped at
-ceil(log_a(max m)).
+ceil(log_a(max m)).  m_{3Q} reads one cached per-root plan of the blocks,
+their 3Q windows and measures (operators._root_plan), as sparse_bound does.
 
 Both are read off the dyadic tree at once: with above(Q) the max of m over
 the strict ancestors of Q, Q is a maximal level-k cube exactly when m(Q) >
@@ -23,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AverageOverflow, LevelAbsent, NonNegativityViolation
-from .families import subcube_blocks
+from .errors import LevelAbsent, NonNegativityViolation
 from .geometry import Cube, DyadicGrid
 from .lattice import GridFunction, GridSpec, check_conjugate
-from .operators import _block_m3q, _check_same_spec
+from .operators import _check_same_spec, _path_accumulate, _root_m3q
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,7 @@ def cz_decompose(
     if a <= 2 ** (2 * n):
         raise ValueError(f"base constant a must exceed 2^(2n) = {2 ** (2 * n)}")
 
-    lo, width = subcube_blocks(spec, Q0, grid)
-    m = _block_m3q(f, g, r, s, lo, width)
-    if not np.isfinite(m).all():
-        raise AverageOverflow(
-            f"m_3Q(|f|^r, |g|^s) with r = {r!r}, s = {s!r} leaves the float range "
-            f"on a subcube of the root cube {Q0.serialize()}"
-        )
+    lo, width, m = _root_m3q(f, g, r, s, Q0, grid)
     max_m = float(m.max())
     # largest k with a^k < max_m (a^k past the float range reads +inf); levels above select nothing
     k_cap = 0
@@ -132,20 +126,13 @@ def cz_decompose(
         k_cap = max(k_cap, 1)
     thresholds = [a ** k for k in range(1, k_cap + 1)]
 
-    # above[i]: the max of m over block i's strict ancestors, one tree level at a time
-    fan = 2 ** n
-    above = np.full(len(m), -np.inf)
-    start, size = 0, 1
-    while start + size < len(m):
-        parents = slice(start, start + size)
-        above[start + size : start + size * (fan + 1)] = np.repeat(np.maximum(m[parents], above[parents]), fan)
-        start, size = start + size, size * fan
-    # a cell's depth: the number of levels k with a^k < max(m, above) at its own block
+    # peak[i]: the max of m over block i and its ancestors; above[i]: over its strict ancestors
+    peak = _path_accumulate(np.maximum, m, 2 ** n)
+    above = np.concatenate(([-np.inf], np.repeat(peak[: (len(m) - 1) // 2 ** n], 2 ** n)))
+    # a cell's depth: the number of levels k with a^k < peak at its own block
     leaves = width == 1
     depth = np.zeros(spec.cell_count, dtype=np.int64)
-    depth[np.ravel_multi_index(tuple(lo[leaves].T), spec.shape)] = np.searchsorted(
-        thresholds, np.maximum(m, above)[leaves]
-    )
+    depth[np.ravel_multi_index(tuple(lo[leaves].T), spec.shape)] = np.searchsorted(thresholds, peak[leaves])
 
     def selected(i: int, k: int) -> SelectedCube:
         cube, cells = _block(spec, lo[i], int(width[i]))

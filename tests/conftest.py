@@ -8,8 +8,9 @@ from hypothesis import settings
 
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.geometry import _THIRD
-from bifrac.lattice import _GATHER_CELLS, box_power_integral, overlap_integrals
-from bifrac.operators import _corner_mass_2d, kernel_table
+from bifrac.families import subcube_blocks
+from bifrac.lattice import _GATHER_CELLS, CellBoxes, box_power_integral, overlap_integrals
+from bifrac.operators import _corner_mass_2d, _m3q, kernel_table
 from bifrac.weights import WeightVector, _family_power_averages, _sanitize, conjugate
 
 # One profile for every property test: the same examples on every run and
@@ -296,3 +297,13 @@ def frac_int_at_oracle(f, alpha, point):
         if a != 0.0:
             terms.append(a * float(weights[tuple(di + n - 1 for di in d)]))
     return math.fsum(terms)
+
+
+def root_m3q_oracle(f, g, r, s, Q0, grid):
+    """operators._root_m3q with the root's geometry built on every call: its
+    subcube_blocks, a fresh CellBoxes.tripled (so fresh shape groups) and the
+    3Q measures by scalar `**`, then operators._m3q."""
+    spec = f.spec
+    lo, width = subcube_blocks(spec, Q0, grid)
+    meas3 = np.array([(3.0 * (w * spec.h)) ** spec.dim for w in width.tolist()])
+    return lo, width, _m3q(f, g, r, s, CellBoxes.tripled(spec.shape, lo, width), meas3)

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +332,18 @@ class TestApplyCommand:
         assert len(err) == 1 and err[0].startswith("AverageOverflow: ") and "p = 2.5" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("op", ["bi-frac", "multi-frac-int"])
+    def test_a_kernel_sum_past_the_float_range_is_an_input_error(self, op, tmp_path, capsys):
+        # every product of two 1e200 cells leaves the float range
+        paths, out = [tmp_path / "f.grid", tmp_path / "g.grid"], tmp_path / "out.grid"
+        for path in paths:
+            write_grid_file(path, GridFunction(GridSpec(1, 1.0, 16), np.full(16, 1e200)))
+        argv = ["apply", "--op", op, "--alpha", "0.5", "--input", *map(str, paths), "--output", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("AverageOverflow: ") and "alpha = 0.5" in err[0]
+        assert not out.exists()
+
 
 class TestDecomposeCommand:
     def test_flat_empty_levels(self, grids, tmp_path):
@@ -649,3 +664,20 @@ def test_norms_vector_mode(grids, tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["value"] > 0
+
+
+def test_python_m_bifrac_runs_the_cli_from_a_checkout(tmp_path):
+    # the package's __main__ calls cli.main, with its exit code and streams
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def bifrac(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "bifrac", *argv], env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120
+        )
+
+    write_grid_file(tmp_path / "one.grid", GridFunction.constant(GridSpec(1, 1.0, 8), 1.0))
+    run = bifrac("apply", "--op", "maximal", "--input", "one.grid", "--output", "m.grid")
+    assert run.returncode == 0, run.stderr
+    assert np.array_equal(read_grid_file(tmp_path / "m.grid").samples, np.ones(8))
+    run = bifrac("apply", "--op", "maximal", "--input", "missing.grid", "--output", "x.grid")
+    assert run.returncode == 2 and len(run.stderr.splitlines()) == 1

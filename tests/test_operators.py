@@ -699,6 +699,25 @@ class TestOperatorErrors:
             weighted_bilinear_maximal(one, one, big, big, 0.5, 2.0, 2.0, 1.0)
 
     @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_kernel_sum_past_the_float_range_is_named(self, dim):
+        # every bilinear term 1e200 * 1e200 leaves the float range, and so does
+        # the convolution's sum of 1e308 cells; a RuntimeWarning fails the test
+        spec = GridSpec(dim, 1.0, 16 if dim == 1 else 8)
+        big, huge = GridFunction.constant(spec, 1e200), GridFunction.constant(spec, 1e308)
+        local, far = _split_weights(spec, 0.5, Cube((0.0,) * dim, 0.5))
+        calls = [
+            (lambda: bi_frac(big, big, 0.5), "bi_frac with alpha = 0.5"),
+            (lambda: local_global_split(big, big, 0.5, Cube((0.0,) * dim, 0.5)), "bi_frac with alpha = 0.5"),
+            (lambda: bi_frac(big, big, 0.5, weights=local), "bi_frac with alpha = 0.5"),
+            (lambda: bi_frac(big, big, 0.5, weights=far), "bi_frac with alpha = 0.5"),
+            (lambda: frac_int(huge, 0.5), "frac_int with alpha = 0.5"),
+            (lambda: multi_frac_int(big, big, 0.5), "multi_frac_int with alpha = 0.5"),
+        ]
+        for call, name in calls:
+            with pytest.raises(AverageOverflow, match=f"^{re.escape(name)} leaves the float range on a cell$"):
+                call()
+
+    @pytest.mark.parametrize("dim", [1, 2])
     def test_cells_no_cube_covers_read_zero(self, dim):
         spec = GridSpec(dim, 1.0, 8)
         fam = family_from_cubes(spec, [Cube((0.0,) * dim, 0.5)])

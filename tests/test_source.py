@@ -1,10 +1,13 @@
 """Source layout checks: every import of the package sits at module level,
-and every module-level name is read somewhere in the package (a public one
-may instead be exported by the package's __init__ or named by the benchmark)."""
+every module-level name is read somewhere in the package (a public one
+may instead be exported by the package's __init__ or named by the benchmark),
+and every function cache has a fixed size."""
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bifrac"
@@ -75,3 +78,63 @@ def test_every_private_module_name_is_read():
         if not any(name in reads for node, reads in nodes if node is not definition)
     ]
     assert unread == []
+
+
+def _unbounded_caches(source: str) -> list[int]:
+    """Lines of functools.cache or lru_cache uses without an integer maxsize:
+    `cache`, a bare `lru_cache`, or a call whose maxsize is missing or not an
+    int (None grows without bound).  Both functools.X and imported names count."""
+    tree = ast.parse(source)
+    # the local names of functools.cache and functools.lru_cache
+    local = {
+        alias.asname or alias.name: f"functools.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+    }
+
+    def which(node) -> str | None:
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            return f"functools.{node.attr}"
+        return local.get(node.id) if isinstance(node, ast.Name) else None
+
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and which(node.func) == "functools.lru_cache":
+            size = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "maxsize"), None)
+            if isinstance(size, ast.Constant) and type(size.value) is int:
+                bounded.add(id(node.func))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and which(node) in ("functools.cache", "functools.lru_cache")
+        if id(node) not in bounded
+    )
+
+
+def test_every_cache_is_bounded():
+    # a cache that grows with distinct inputs grows a long run's memory
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _unbounded_caches(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("from functools import lru_cache\n@lru_cache(maxsize=8)\ndef f(x): pass\n", []),
+        ("import functools\n@functools.lru_cache(8)\ndef f(x): pass\n", []),
+        ("from functools import cached_property\nclass A:\n    @cached_property\n    def f(self): pass\n", []),
+        ("from functools import lru_cache\n@lru_cache\ndef f(x): pass\n", [2]),
+        ("from functools import lru_cache\n@lru_cache()\ndef f(x): pass\n", [2]),
+        ("from functools import lru_cache\n@lru_cache(maxsize=None)\ndef f(x): pass\n", [2]),
+        ("from functools import lru_cache as memo\n\ndef f(x): pass\n\ng = memo(None)(f)\n", [5]),
+        ("import functools\n@functools.cache\ndef f(x): pass\n", [2]),
+        ("from functools import cache\n@cache\ndef f(x): pass\n", [2]),
+    ],
+)
+def test_the_cache_check_flags_unbounded_caches(source, lines):
+    assert _unbounded_caches(source) == lines

@@ -1,7 +1,10 @@
 """Stopping-time decomposition against a full-enumeration oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from conftest import root_m3q_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +18,14 @@ from bifrac import (
     NonNegativityViolation,
     NotInGrid,
     cz_decompose,
+    harness,
     level_union_measure,
+    operators,
+    sparse,
+    sparse_bound,
 )
 from bifrac.harness import HARNESS_GRID, HARNESS_Q0, HARNESS_SPEC, check_sparse_invariants, corpus
+from bifrac.operators import _root_plan
 
 
 def oracle_blocks(spec, q0):
@@ -166,6 +174,71 @@ def test_levels_and_difference_sets_equal_the_oracle(dim, n, side, a_scale, rs, 
             assert sc.cells.dtype == sc.e_cells.dtype == np.int64
 
 
+def stopping_outputs(f, g, r, s, q0, grid):
+    """Everything that reads m_{3Q} from a root plan: the decomposition, the
+    sparse bound and the harness's concentration guard."""
+    return (
+        cz_decompose(f, g, r, s, q0, grid),
+        sparse_bound(f, g, 0.5 * f.spec.dim, r, s, q0, grid),
+        harness._concentration_guard(f, g, q0),
+    )
+
+
+@pytest.mark.parametrize("dim, n", STOPPING_GRIDS)
+@settings(max_examples=8)
+@given(
+    side=st.sampled_from((1.0, 2.0)),
+    place=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    rs=st.sampled_from(((2.0, 2.0), (3.0, 1.5))),
+    guarded=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_root_plan_equals_the_per_call_build(dim, n, side, place, rs, guarded, seed):
+    # roots at the origin (place 0 on every axis) and off it; the plan of a
+    # root is built by its first example and reused by the later ones
+    spec, grid, count = GridSpec(dim, 2.0, n), DyadicGrid((0.0,) * dim), round(4.0 / side)
+    q0 = Cube(tuple(side * ((k % count + count // 2) % count - count // 2) for k in place[:dim]), side)
+    r, s = rs
+    f, g = spike_data(spec, q0, r, s, seed, guarded)
+    got = stopping_outputs(f, g, r, s, q0, grid)
+    with (
+        mock.patch.object(sparse, "_root_m3q", root_m3q_oracle),
+        mock.patch.object(operators, "_root_m3q", root_m3q_oracle),
+        mock.patch.object(harness, "_root_m3q", root_m3q_oracle),
+    ):
+        want = stopping_outputs(f, g, r, s, q0, grid)
+    for a, b in zip(operators._root_m3q(f, g, r, s, q0, grid), root_m3q_oracle(f, g, r, s, q0, grid)):
+        assert a.dtype == b.dtype and (a == b).all()
+    (fam, bound, factor), (fam0, bound0, factor0) = got, want
+    assert list(fam.levels) == list(fam0.levels) and fam.root == fam0.root and fam.root_m == fam0.root_m
+    for sc_list, sc0_list in zip(fam.levels.values(), fam0.levels.values()):
+        assert [sc.cube for sc in sc_list] == [sc.cube for sc in sc0_list]
+        for sc, sc0 in zip(sc_list, sc0_list):
+            assert type(sc.m_value) is float and sc.m_value == sc0.m_value
+            for a, b in ((sc.cells, sc0.cells), (sc.e_cells, sc0.e_cells)):
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    for a, b in ((fam.e0_cells, fam0.e0_cells), (fam.root_cells, fam0.root_cells), (bound.samples, bound0.samples)):
+        assert a.dtype == b.dtype and (a == b).all()
+    assert type(factor) is float and factor == factor0
+
+
+def test_the_root_plan_is_read_only_and_one_per_root():
+    spec, grid = GridSpec(2, 2.0, 8), DyadicGrid((0.0, 0.0))
+    plan = _root_plan(spec, Cube((0.0, 0.0), 2.0), grid)
+    assert _root_plan(spec, Cube((0.0, 0.0), 2.0), grid) is plan
+    lo, width, windows, meas3 = plan
+    arrays = [lo, width, meas3, windows.lo, windows.ext, *(a for group in windows.groups for a in group)]
+    assert len(arrays) > 5
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    for corner in ((-2.0, 0.0), (0.0, -2.0)):
+        other = _root_plan(spec, Cube(corner, 2.0), grid)
+        assert other is not plan and (other[0] != lo).any() and (other[1] == width).all()
+    smaller = _root_plan(spec, Cube((0.0, 0.0), 1.0), grid)
+    assert len(smaller[0]) < len(lo)
+
+
 class TestCzDecompose:
     def test_flat_selects_nothing(self):
         f = GridFunction.indicator(HARNESS_SPEC, HARNESS_Q0)
@@ -293,6 +366,12 @@ class TestSparseErrors:
         f = GridFunction(HARNESS_SPEC, arr, nonnegative=True)
         with pytest.raises(AverageOverflow, match=r"r = 2\.0, s = 2\.0 .* root cube 0\.0 4\.0"):
             cz_decompose(f, f, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
+
+    def test_a_sparse_bound_average_past_the_float_range_is_named(self):
+        # the same message as cz_decompose: both read m_3Q from the root plan
+        f = GridFunction.constant(HARNESS_SPEC, 1e200)
+        with pytest.raises(AverageOverflow, match=r"^m_3Q\(\|f\|\^r, \|g\|\^s\) with r = 2\.0, s = 2\.0 .* root cube 0\.0 4\.0$"):
+            sparse_bound(f, f, 0.5, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
 
     def test_a_level_threshold_past_the_float_range_selects_nothing(self):
         # m_3Q reaches about 1e248 and a = 1e200, so a^2 is past the float range
