@@ -53,7 +53,7 @@ class LevelAbsent(BifracError):
 
 
 class AverageOverflow(BifracError):
-    """A cube average or a cell's kernel sum leaves the float range where a finite value is needed."""
+    """A cube average, a kernel sum or a point value leaves the float range where a finite value is needed."""
 
 
 class NonNegativityViolation(BifracError):

@@ -452,9 +452,10 @@ def corpus(
     optional `support` window confines data geometry (used by the
     dilation suite, which needs room to scale supports up).
     """
-    if kind not in CORPUS_KINDS:
-        raise ValueError(f"kind must be one of {CORPUS_KINDS}, got {kind!r}")
     spec = spec or HARNESS_SPEC
+    kinds = CORPUS_KINDS if spec.dim == 1 else ("random-steps", "spikes")  # 2D items are steps or spikes
+    if kind not in kinds:
+        raise ValueError(f"a {spec.dim}D corpus kind must be one of {kinds}, got {kind!r}")
     rng = SplitMix64(_mix_seed(seed, kind))
     if support is None:
         support = (0.5, 0.5 * spec.half_width * 2.0 - 0.5)

@@ -254,8 +254,8 @@ def box_power_integral(f: GridFunction, corner, side: float, p: float) -> float:
     corners are thirds); the integrand is a step function so the integral
     is a sum of per-cell overlap volumes.
     """
-    corners = np.array([corner], dtype=np.float64)
-    return float(overlap_integrals(f.spec, np.abs(f.samples) ** p, corners, np.array([side]))[0])
+    overlaps = cell_overlaps(f.spec, np.array([corner], dtype=np.float64), np.array([side]))
+    return float(integrate_overlaps(np.abs(f.samples) ** p, overlaps)[0])
 
 
 def _scalar_pow(values: np.ndarray, expo: float) -> np.ndarray:
@@ -277,9 +277,8 @@ def _scalar_pow(values: np.ndarray, expo: float) -> np.ndarray:
     raise OverflowError(f"a power {expo} leaves the float range")
 
 
-# Cells gathered at once by 2D window sums, per cube by integrate_overlaps,
-# and (x, y) cell pairs indexed at once by operators.multi_frac_int; bounds
-# the memory of one call.
+# Cells gathered at once by 2D window sums and (x, y) cell pairs indexed at
+# once by operators.multi_frac_int; bounds the memory of one call.
 _GATHER_CELLS = 1 << 13
 
 # np.sum of a contiguous float row runs numpy's pairwise_sum
@@ -547,44 +546,33 @@ def cell_overlaps(spec: GridSpec, corners: np.ndarray, sides: np.ndarray) -> lis
 
 
 def integrate_overlaps(pw: np.ndarray, overlaps: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Integral of the cell values pw over each cube of cell_overlaps.
+    """Integral of the nonnegative cell values pw over each cube of cell_overlaps.
 
-    A stacked matmul runs the first axis's product once per distinct row and
-    the second once per cube (in chunks of _GATHER_CELLS gathered cells), so
-    each value equals a single-cube product bit for bit.
-
-    Only the finite cell values are integrated; a cube whose overlap with a
-    non-finite cell is positive gets +inf.  Only in first-axis rows with an
-    overflowed partial sum are the partial sums a cube does not reach zeroed
-    before the next product, so +inf never meets a zero overlap (inf * 0 =
-    nan); a finite partial sum (nonnegative) times 0 is +0 either way.
+    One matrix product per axis contracts the finite values with every
+    distinct overlap vector, and each cube reads its (row, col) entry; the
+    same products over an indicator of the non-finite cells give +inf where
+    a cube overlaps one.  In 2D a partial sum over cells a cube does not
+    reach can overflow (and inf * 0 is nan), so a cube whose value comes out
+    non-finite is summed again term by term, (a_i b_j) pw_ij, 0 off its
+    cells: +inf marks only an integral that overflows by itself.
     """
-    (first, rows), *rest = overlaps
+    rows = tuple(row for _, row in overlaps)
     bad = ~np.isfinite(pw)
-    # the finite values, then (if any cell is non-finite) an indicator of the bad cells
-    tables = [np.where(bad, 0.0, pw), bad.astype(np.float64)] if bad.any() else [pw]
-    out = np.empty((len(tables), len(rows)))
-    step = max(1, _GATHER_CELLS // pw.shape[0])
-    with np.errstate(over="ignore"):  # an integral past the float range is +inf
-        for t, table in enumerate(tables):
-            heads = first[:, None, :] @ table
-            overflowed = ~np.isfinite(heads.reshape(len(heads), -1)).all(axis=1)
-            for start in range(0, len(rows), step):
-                part = heads[rows[start : start + step]]
-                for vectors, row in rest:  # a GridSpec has at most two axes
-                    overlap = vectors[row[start : start + step]]
-                    hit = np.flatnonzero(overflowed[rows[start : start + step]])
-                    if len(hit):
-                        part[hit] = np.where(overlap[hit, None, :] > 0.0, part[hit], 0.0)
-                    part = part @ overlap[:, :, None]
-                out[t, start : start + step] = part.reshape(-1)
-    return np.where(out[1] > 0.0, np.inf, out[0]) if len(tables) == 2 else out[0]
-
-
-def overlap_integrals(spec: GridSpec, pw: np.ndarray, corners: np.ndarray, sides: np.ndarray) -> np.ndarray:
-    """Integral of the cell values pw over each cube [corner, corner + side),
-    partial cells included (see cell_overlaps and integrate_overlaps)."""
-    return integrate_overlaps(pw, cell_overlaps(spec, corners, sides))
+    tables = [np.where(bad, 0.0, pw)] + ([bad.astype(np.float64)] if bad.any() else [])
+    values = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in tables:
+            for vectors, _ in overlaps:  # the cells of axis 0, leaving (N, u); in 2D then axis 1, leaving (u, v)
+                part = part.T @ vectors.T
+            values.append(part[rows])
+        out = values[0]
+        redo = np.flatnonzero(~np.isfinite(out))
+        if len(redo) and len(overlaps) == 2:  # a 1D product is the cube's own sum
+            (first, row0), (second, row1) = overlaps
+            out[redo] = np.einsum("ki,kj,ij->k", first[row0[redo]], second[row1[redo]], tables[0])
+    if len(values) == 2:
+        out[values[1] > 0.0] = np.inf
+    return out
 
 
 def lp_norm(f: GridFunction, p: float) -> float:

@@ -213,11 +213,26 @@ def _offset_sum(weights: np.ndarray, fs: np.ndarray, gs: np.ndarray | None = Non
     return out
 
 
+def _finite(values, operator: str, where: str):
+    """values, if every one is finite; otherwise AverageOverflow, worded
+    "<operator> leaves the float range <where>"."""
+    if not np.isfinite(values).all():
+        raise AverageOverflow(f"{operator} leaves the float range {where}")
+    return values
+
+
 def _kernel_grid(spec: GridSpec, out: np.ndarray, operator: str) -> GridFunction:
     """`out` as a grid function; a cell past the float range raises AverageOverflow."""
-    if not np.isfinite(out).all():
-        raise AverageOverflow(f"{operator} leaves the float range on a cell")
-    return GridFunction(spec, out)
+    return GridFunction(spec, _finite(out, operator, "on a cell"))
+
+
+def _point_value(terms, operator: str) -> float:
+    """math.fsum of a point evaluator's terms; past the float range raises AverageOverflow."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # a finite sum past the float range; inf - inf
+        total = math.inf
+    return _finite(total, operator, "at the point")
 
 
 def bi_frac(f: GridFunction, g: GridFunction, alpha: float, weights: np.ndarray | None = None) -> GridFunction:
@@ -238,7 +253,9 @@ def bi_frac_at(f: GridFunction, g: GridFunction, alpha: float, point) -> float:
     sum over offset cells d of f(x - dh) g(x + dh) * kernel mass."""
     table = kernel_table(_check_same_spec(f, g), alpha)
     x = np.reshape(point, f.spec.dim)
-    return math.fsum((f.values_at(x - table.offsets) * g.values_at(x + table.offsets) * table.weights).ravel())
+    with np.errstate(over="ignore", invalid="ignore"):  # _point_value refuses a value past the float range
+        terms = f.values_at(x - table.offsets) * g.values_at(x + table.offsets) * table.weights
+    return _point_value(terms.ravel(), f"bi_frac_at with alpha = {alpha!r}")
 
 
 def frac_int(f: GridFunction, alpha: float) -> GridFunction:
@@ -262,10 +279,13 @@ def frac_int_at(f: GridFunction, alpha: float, point) -> float:
         edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
         u = x - edges  # antiderivative F(u) = sign(u)|u|^alpha / alpha
         F = np.sign(u) * np.abs(u) ** alpha / alpha
-        masses = F[:-1] - F[1:]
-        return float(math.fsum(f.samples * masses))
-    table = kernel_table(spec, alpha)
-    return math.fsum((f.values_at(x - table.offsets) * table.weights).ravel())
+        values, masses = f.samples, F[:-1] - F[1:]
+    else:
+        table = kernel_table(spec, alpha)
+        values, masses = f.values_at(x - table.offsets), table.weights
+    with np.errstate(over="ignore", invalid="ignore"):  # _point_value refuses a value past the float range
+        terms = values * masses
+    return _point_value(terms.ravel(), f"frac_int_at with alpha = {alpha!r}")
 
 
 def multi_frac_int(f1: GridFunction, f2: GridFunction, alpha: float) -> GridFunction:
@@ -318,7 +338,9 @@ def multi_frac_int_at(f1: GridFunction, f2: GridFunction, alpha: float, point) -
     quarter = 0.25 * h * np.array(list(product((-1.0, 1.0), repeat=dim))).T
     sub = np.sqrt(((x[:, :, None] - (mids[:, near, None] + quarter[:, None, :])) ** 2).sum(axis=0))
     kernel[np.ix_(near, near)] = np.float_power(np.add.outer(sub, sub), expo).mean(axis=(1, 3))
-    return float(f1.samples.reshape(-1) @ kernel @ f2.samples.reshape(-1)) * h ** (2 * dim)
+    with np.errstate(over="ignore", invalid="ignore"):  # _point_value refuses a value past the float range
+        value = float(f1.samples.reshape(-1) @ kernel @ f2.samples.reshape(-1)) * h ** (2 * dim)
+    return _point_value((value,), f"multi_frac_int_at with alpha = {alpha!r}")
 
 
 def local_global_split(f: GridFunction, g: GridFunction, alpha: float, Q0: Cube):
@@ -370,9 +392,7 @@ def _sweep(spec: GridSpec, family: CubeFamily, values: np.ndarray, operator: str
     """Max of the cube values over the family cubes containing each midpoint,
     0 where no cube contains it.  A +inf or NaN cube value raises
     AverageOverflow, naming `operator` and its exponents."""
-    if not np.isfinite(values).all():
-        raise AverageOverflow(f"{operator} leaves the float range on a cube of the family {family.name!r}")
-    out = family.cover.sweep(values)
+    out = family.cover.sweep(_finite(values, operator, f"on a cube of the family {family.name!r}"))
     out[np.isneginf(out)] = 0.0
     return GridFunction(spec, out)
 
@@ -472,12 +492,8 @@ def _root_m3q(f, g, r, s, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, np.nd
     """The root plan's corner cells and widths, and m_{3Q}(|f|^r, |g|^s) per block, all finite."""
     lo, width, windows, meas3 = _root_plan(f.spec, Q0, grid)
     m = _m3q(f, g, r, s, windows, meas3)
-    if not np.isfinite(m).all():
-        raise AverageOverflow(
-            f"m_3Q(|f|^r, |g|^s) with r = {r!r}, s = {s!r} leaves the float range "
-            f"on a subcube of the root cube {Q0.serialize()}"
-        )
-    return lo, width, m
+    where = f"on a subcube of the root cube {Q0.serialize()}"
+    return lo, width, _finite(m, f"m_3Q(|f|^r, |g|^s) with r = {r!r}, s = {s!r}", where)
 
 
 def weighted_bilinear_maximal(
@@ -504,9 +520,7 @@ def weighted_bilinear_maximal(
     family = _family_for(spec, family)
     name = f"weighted_bilinear_maximal with alpha = {alpha!r}, r = {r!r}, s = {s!r}, q = {q!r}"
     with np.errstate(over="ignore"):
-        nu = w1.samples * w2.samples
-    if not np.isfinite(nu).all():
-        raise AverageOverflow(f"{name} leaves the float range in the product weight w1 * w2")
+        nu = _finite(w1.samples * w2.samples, name, "in the product weight w1 * w2")
     m3q = _m3q(f, g, r, s, family.windows3, family.side_powers(spec.dim, 3.0))
     with np.errstate(invalid="ignore"):  # inf * 0 reads nan, which _sweep refuses
         values = family.side_powers(alpha) * m3q * _averages(GridFunction(spec, nu, nonnegative=True), family, q)

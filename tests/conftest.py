@@ -9,7 +9,7 @@ from hypothesis import settings
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.geometry import _THIRD
 from bifrac.families import subcube_blocks
-from bifrac.lattice import _GATHER_CELLS, CellBoxes, box_power_integral, overlap_integrals
+from bifrac.lattice import CellBoxes, box_power_integral, cell_overlaps, integrate_overlaps
 from bifrac.operators import _corner_mass_2d, _m3q, kernel_table
 from bifrac.weights import WeightVector, _family_power_averages, _sanitize, conjugate
 
@@ -158,35 +158,30 @@ def enumerated_pair_values(lead, wv, q0, q, p1, p2, family, r0=None):
 
 
 def overlap_integrals_oracle(spec, pw, corners, sides):
-    """The slow oracle for lattice.overlap_integrals on a family's cubes: every
-    cube's overlap vectors rebuilt in chunks and both products run per cube."""
-    if len(sides) == 0:
-        return np.zeros(0)
-    edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
-    bad = ~np.isfinite(pw)
-    tables = [np.where(bad, 0.0, pw), bad.astype(np.float64)] if bad.any() else [pw]
-    out = np.empty((len(tables), len(sides)))
-    step = max(1, _GATHER_CELLS // spec.cells_per_axis)
-    with np.errstate(over="ignore"):
-        for start in range(0, len(sides), step):
-            overlaps = []
-            for ax in range(spec.dim):
-                lo = corners[start : start + step, ax, None]
-                hi = lo + sides[start : start + step, None]
-                overlaps.append(np.maximum(np.minimum(edges[1:], hi) - np.maximum(edges[:-1], lo), 0.0))
-            for t, table in enumerate(tables):
-                part = overlaps[0][:, None, :] @ table
-                for overlap in overlaps[1:]:
-                    part = np.where(overlap[:, None, :] > 0.0, part, 0.0)
-                    part = part @ overlap[:, :, None]
-                out[t, start : start + step] = part.reshape(-1)
-    return np.where(out[1] > 0.0, np.inf, out[0]) if len(tables) == 2 else out[0]
+    """Reference for lattice.integrate_overlaps, independent of its products:
+    per cube, math.fsum of the terms (a_1 ... a_n) * pw[cell] over the cells
+    it overlaps, each a_i the cell's overlap on axis i in scalar arithmetic;
+    +inf where such a cell is non-finite or the sum leaves the float range."""
+    n, h, half = spec.cells_per_axis, spec.h, spec.half_width
+    edges = [-half + h * i for i in range(n + 1)]
+    out = []
+    for corner, side in zip(corners.tolist(), np.asarray(sides).tolist()):
+        axes = []
+        for c in corner:
+            overlap = [max(min(edges[i + 1], c + side) - max(edges[i], c), 0.0) for i in range(n)]
+            axes.append([(i, a) for i, a in enumerate(overlap) if a > 0.0])
+        terms = [math.prod(a for _, a in cell) * float(pw[tuple(i for i, _ in cell)]) for cell in product(*axes)]
+        try:
+            out.append(math.fsum(terms) if all(math.isfinite(t) for t in terms) else math.inf)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
 
 
 def family_power_averages_oracle(w, expo, family):
     """The slow oracle for weights._family_power_averages: the aligned mask,
-    its bounds, the prefix and bad-cell tables and the shifted cubes' overlaps
-    all rebuilt on every call."""
+    its bounds, the prefix and bad-cell tables rebuilt on every call, and the
+    shifted cubes' integrals from overlap_integrals_oracle."""
     spec = w.spec
     voxel = spec.h ** spec.dim
     ali = family.lo[:, 0] >= 0
@@ -252,7 +247,7 @@ def _cube_power_integral(w: GridFunction, expo: float, Q: Cube) -> float:
     pw = np.zeros(spec.shape)
     with np.errstate(divide="ignore", over="ignore"):
         pw[near] = np.power(w.samples[near], expo)
-    return float(overlap_integrals(spec, pw, corner, side)[0])
+    return float(integrate_overlaps(pw, cell_overlaps(spec, corner, side))[0])
 
 
 def value_at_oracle(f, x):

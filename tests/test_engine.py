@@ -1,5 +1,7 @@
 """The cube-window engine against per-slice and per-cube oracles."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from conftest import enumerate_nested_pairs
@@ -7,10 +9,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bifrac import Cube, GridFunction, GridSpec, all_intervals, families
+from bifrac import (
+    Cube,
+    DyadicGrid,
+    GridFunction,
+    GridSpec,
+    MorreyParams,
+    all_intervals,
+    ap_constant,
+    grid_cubes,
+    morrey_norm,
+)
 from bifrac.families import default_family, family_from_cubes, nested_pairs
 from bifrac.harness import STRUCTURAL_ALPHA, TAGS, ExponentProfile, catalog_profiles
-from bifrac.lattice import CellBoxes, box_power_integral, overlap_integrals
+from bifrac.lattice import CellBoxes, box_power_integral, cell_overlaps, integrate_overlaps
 from bifrac.operators import _averages, _m3q, maximal, weighted_bilinear_maximal
 
 
@@ -230,15 +242,80 @@ def test_sweep_of_clipped_non_square_cover_boxes_2d():
 
 
 @pytest.fixture(scope="module")
-def families_2d_n32():
-    """The default 2D family at N = 32, and the same family without the cube cap."""
-    spec = GridSpec(2, 2.0, 32)
-    capped = default_family(spec)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(families, "DEFAULT_CUBE_CAP", 10**6)
-        full = default_family(spec)
-    assert full.size > capped.size
-    return capped, full
+def family_2d_n32():
+    """The default 2D family at N = 32: all 7,590 cubes, none subsampled."""
+    return default_family(GridSpec(2, 2.0, 32))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+def test_the_2d_default_family_is_every_square_and_shifted_grid_cube_once(n):
+    # built here from geometry.grid_cubes: the power-of-two lattice squares
+    # and the in-box cubes of the four shifted dyadic grids at sides 2L ... h
+    spec = GridSpec(2, 2.0, n)
+    half, h = spec.half_width, spec.h
+    want = set()
+    for k in range(n.bit_length()):
+        s = 1 << k
+        for i, j in product(range(n - s + 1), repeat=2):
+            want.add((round(-half + i * h, 9), round(-half + j * h, 9), round(s * h, 9)))
+    for shift in product((0.0, 1.0 / 3.0), repeat=2):
+        for level in range(-2, n.bit_length() - 2):  # sides 4 = 2L down to 4 / n = h
+            for Q in grid_cubes(DyadicGrid(shift), level, spec):
+                if spec.box_cube.contains_cube(Q, tol=1e-9):
+                    want.add((*(round(c, 9) for c in Q.corner), round(Q.side, 9)))
+    family = default_family(spec)
+    listed = [(*c, s) for c, s in zip(family.corners.tolist(), family.sides.tolist())]
+    keys = [tuple(round(v, 9) for v in cube) for cube in listed]
+    assert len(set(keys)) == len(keys)  # each cube once
+    assert set(keys) == want
+    assert listed == sorted(listed)  # (corner, side) order
+    if n == 32:
+        assert family.size == 7590
+
+
+def _brute_force_maxima(f, w, family, p0, q):
+    """maximal(f), ap_constant(w, 1), ap_constant(w, 2) and the Morrey norm
+    (p0, q) of f as maxima over family.cubes, one box_power_integral per cube
+    and power; the A_1 minimum runs over the cells a cube overlaps."""
+    spec = family.spec
+    edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
+    mids = list(product(spec.midpoints(), repeat=spec.dim))
+    grid = np.full(len(mids), -np.inf)
+    ap1 = ap2 = morrey = -np.inf
+    for Q in family.cubes:
+        cases = ((w, 1.0), (w, -1.0), (f, 1.0), (f, q))
+        w1, w_dual, f1, fq = (box_power_integral(g, Q.corner, Q.side, p) / Q.measure for g, p in cases)
+        inside = [np.minimum(edges[1:], c + Q.side) - np.maximum(edges[:-1], c) > 1e-9 * spec.h for c in Q.corner]
+        ap1 = max(ap1, w1 / w.samples[np.ix_(*inside)].min())
+        ap2 = max(ap2, w1 * w_dual)
+        morrey = max(morrey, Q.measure ** (1.0 / p0) * fq ** (1.0 / q))
+        covered = np.array([Q.contains_point(x) for x in mids])
+        grid[covered] = np.maximum(grid[covered], f1)
+    return np.where(np.isneginf(grid), 0.0, grid).reshape(spec.shape), ap1, ap2, morrey
+
+
+@settings(max_examples=24)
+@given(
+    st.sampled_from([(1, 1), (1, 4), (1, 16), (2, 1), (2, 2), (2, 4), (2, 8)]),
+    st.sampled_from((0.5, 2.0, 3.0)),
+    st.integers(0, 2**32 - 1),
+)
+def test_family_maxima_equal_a_brute_force_max_over_the_listed_cubes(shape, half_width, seed):
+    # the batched sums, minima and sweeps run over every cube the family
+    # lists; box_power_integral rounds differently from them
+    dim, n = shape
+    spec = GridSpec(dim, half_width, n)
+    family = default_family(spec)
+    rng = np.random.default_rng(seed)
+    f = rng.uniform(-2.0, 2.0, spec.shape)
+    f[rng.random(spec.shape) < 0.3] = 0.0
+    f, w = GridFunction(spec, f), GridFunction(spec, rng.uniform(0.2, 5.0, spec.shape))
+    p0, q = 3.0, 1.5
+    grid, ap1, ap2, norm = _brute_force_maxima(f, w, family, p0, q)
+    np.testing.assert_allclose(maximal(f, family).samples, grid, rtol=1e-12, atol=0.0)
+    assert ap_constant(w, 1.0, family).value == pytest.approx(ap1, rel=1e-12)
+    assert ap_constant(w, 2.0, family).value == pytest.approx(ap2, rel=1e-12)
+    assert morrey_norm(f, MorreyParams(p0, q), family) == pytest.approx(norm, rel=1e-12)
 
 
 def _with_nonfinite(values, rng, share=0.01):
@@ -251,23 +328,23 @@ def _with_nonfinite(values, rng, share=0.01):
 
 @settings(max_examples=2)
 @given(st.integers(0, 2**32 - 1))
-def test_2d_family_minima_and_cover_sweep_equal_per_box_loops(families_2d_n32, seed):
+def test_2d_family_minima_and_cover_sweep_equal_per_box_loops(family_2d_n32, seed):
     rng = np.random.default_rng(seed)
     arr = _with_nonfinite(rng.standard_normal((32, 32)), rng)
-    for fam in families_2d_n32:
-        for boxes in (fam.touch, fam.boxes, fam.cover):
-            want = np.full(boxes.count, np.inf)
-            for k, ((a0, a1), (e0, e1)) in enumerate(zip(boxes.lo.tolist(), boxes.ext.tolist())):
-                if e0 and e1:
-                    want[k] = arr[a0 : a0 + e0, a1 : a1 + e1].min()
-            assert np.array_equal(boxes.minima(arr), want, equal_nan=True)
-        values = _with_nonfinite(rng.standard_normal(fam.size), rng)
-        want = np.full((32, 32), -np.inf)
-        with np.errstate(invalid="ignore"):
-            for k, ((a0, a1), (e0, e1)) in enumerate(zip(fam.cover.lo.tolist(), fam.cover.ext.tolist())):
-                cells = want[a0 : a0 + e0, a1 : a1 + e1]
-                np.maximum(cells, values[k], out=cells)
-            assert np.array_equal(fam.cover.sweep(values), want, equal_nan=True)
+    fam = family_2d_n32
+    for boxes in (fam.touch, fam.boxes, fam.cover):
+        want = np.full(boxes.count, np.inf)
+        for k, ((a0, a1), (e0, e1)) in enumerate(zip(boxes.lo.tolist(), boxes.ext.tolist())):
+            if e0 and e1:
+                want[k] = arr[a0 : a0 + e0, a1 : a1 + e1].min()
+        assert np.array_equal(boxes.minima(arr), want, equal_nan=True)
+    values = _with_nonfinite(rng.standard_normal(fam.size), rng)
+    want = np.full((32, 32), -np.inf)
+    with np.errstate(invalid="ignore"):
+        for k, ((a0, a1), (e0, e1)) in enumerate(zip(fam.cover.lo.tolist(), fam.cover.ext.tolist())):
+            cells = want[a0 : a0 + e0, a1 : a1 + e1]
+            np.maximum(cells, values[k], out=cells)
+        assert np.array_equal(fam.cover.sweep(values), want, equal_nan=True)
 
 
 @settings(max_examples=60)
@@ -380,21 +457,21 @@ def _max_over_containing_cubes(family, values):
     return np.where(np.isfinite(out), out, 0.0)
 
 
-def test_2d_maximal_sweeps_at_n32_match_max_over_containing_cubes(families_2d_n32):
-    spec = families_2d_n32[0].spec
+def test_2d_maximal_sweeps_at_n32_match_max_over_containing_cubes(family_2d_n32):
+    fam = family_2d_n32
+    spec = fam.spec
     rng = np.random.default_rng(32)
     f, g = (GridFunction(spec, rng.uniform(-2.0, 2.0, spec.shape)) for _ in range(2))
     w1, w2 = (GridFunction(spec, rng.uniform(0.2, 3.0, spec.shape)) for _ in range(2))
     nu = GridFunction(spec, w1.samples * w2.samples)
     alpha, r, s, q = 0.5, 2.0, 2.0, 3.0
-    for fam in families_2d_n32:
-        want = _max_over_containing_cubes(fam, _averages(f, fam, 1.0))
-        assert np.array_equal(maximal(f, fam).samples, want)
-        m3q = _m3q(f, g, r, s, fam.windows3, fam.side_powers(2, 3.0))
-        values = fam.side_powers(alpha) * m3q * _averages(nu, fam, q)
-        want = _max_over_containing_cubes(fam, values)
-        got = weighted_bilinear_maximal(f, g, w1, w2, alpha, r, s, q, fam).samples
-        assert np.array_equal(got, want)
+    want = _max_over_containing_cubes(fam, _averages(f, fam, 1.0))
+    assert np.array_equal(maximal(f, fam).samples, want)
+    m3q = _m3q(f, g, r, s, fam.windows3, fam.side_powers(2, 3.0))
+    values = fam.side_powers(alpha) * m3q * _averages(nu, fam, q)
+    want = _max_over_containing_cubes(fam, values)
+    got = weighted_bilinear_maximal(f, g, w1, w2, alpha, r, s, q, fam).samples
+    assert np.array_equal(got, want)
 
 
 @given(
@@ -408,7 +485,7 @@ def test_shifted_integrals_match_box_power_integral(dim, n, cubes, p):
     f = GridFunction(spec, np.random.default_rng(n).uniform(-2.0, 2.0, spec.shape))
     corners = np.array([c[:dim] for c in cubes])
     sides = np.array([c[2] for c in cubes])
-    got = overlap_integrals(spec, np.abs(f.samples) ** p, corners, sides)
+    got = integrate_overlaps(np.abs(f.samples) ** p, cell_overlaps(spec, corners, sides))
     for k in range(len(cubes)):
         want = box_power_integral(f, tuple(corners[k]), sides[k], p)
         assert got[k] == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -196,6 +197,13 @@ class TestCorpus:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             corpus(1, "bogus")
+
+    @pytest.mark.parametrize("kind", ["indicators", "power-weights"])
+    def test_a_2d_corpus_refuses_the_kinds_it_does_not_build(self, kind):
+        # 2D items are random steps or spikes with unit weights; these kinds
+        # would come out as random steps under another name
+        with pytest.raises(ValueError, match=re.escape(f"a 2D corpus kind must be one of ('random-steps', 'spikes'), got '{kind}'")):
+            corpus(3, kind, spec=H.HARNESS_SPEC_2D)
 
     def test_weights_strictly_positive(self):
         for kind in ("indicators", "random-steps", "spikes", "power-weights"):

@@ -718,6 +718,18 @@ class TestOperatorErrors:
                 call()
 
     @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("name", ["bi_frac_at", "frac_int_at", "multi_frac_int_at"])
+    def test_a_point_value_past_the_float_range_is_named(self, dim, name):
+        # bilinear terms 1e200 * 1e200, and a sum of 1e308 cells (the 1D
+        # frac_int_at takes the exact antiderivative branch); a RuntimeWarning
+        # fails the test
+        spec = GridSpec(dim, 1.0, 16 if dim == 1 else 8)
+        f = GridFunction.constant(spec, 1e308 if name == "frac_int_at" else 1e200)
+        functions = (f,) if name == "frac_int_at" else (f, f)
+        with pytest.raises(AverageOverflow, match=f"^{name} with alpha = 0.5 leaves the float range at the point$"):
+            getattr(operators, name)(*functions, 0.5, (0.1,) * dim)
+
+    @pytest.mark.parametrize("dim", [1, 2])
     def test_cells_no_cube_covers_read_zero(self, dim):
         spec = GridSpec(dim, 1.0, 8)
         fam = family_from_cubes(spec, [Cube((0.0,) * dim, 0.5)])

@@ -1,9 +1,11 @@
 """Source layout checks: every import of the package sits at module level,
 every module-level name is read somewhere in the package (a public one
 may instead be exported by the package's __init__ or named by the benchmark),
-and every function cache has a fixed size."""
+every function cache has a fixed size, and every `module.name` that README.md
+quotes exists."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -138,3 +140,20 @@ def test_every_cache_is_bounded():
 )
 def test_the_cache_check_flags_unbounded_caches(source, lines):
     assert _unbounded_caches(source) == lines
+
+
+def _stale_module_names(text: str) -> list[str]:
+    """The backticked `module.name` spans of text, for a module of the
+    package, whose name the module does not have."""
+    modules = {path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__")}
+    quoted = sorted({(m, name) for m, name in re.findall(r"`(\w+)\.(\w+)", text) if m in modules})
+    return [f"{m}.{name}" for m, name in quoted if not hasattr(importlib.import_module(f"bifrac.{m}"), name)]
+
+
+def test_every_module_name_the_readme_quotes_exists():
+    assert _stale_module_names((ROOT / "README.md").read_text(encoding="utf-8")) == []
+
+
+def test_the_readme_check_flags_a_deleted_name():
+    text = "`lattice.overlap_integrals`, `families.subcube_blocks`, `np.sum` and `lattice._scalar_pow`"
+    assert _stale_module_names(text) == ["lattice.overlap_integrals"]

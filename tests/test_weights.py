@@ -440,20 +440,65 @@ def _averages_case(data):
     return family, GridFunction(spec, w.reshape(spec.shape)), expo
 
 
+def _assert_within_fsum(got, want, spec):
+    """got against overlap_integrals_oracle's fsum: +inf at the same cubes,
+    no NaN, 0 exactly where the reference is 0, and otherwise within a
+    relative bound.  Every value is a sum of nonnegative cell terms, so a
+    sum whose terms each pass through at most k roundings is within k u
+    relative of the exact sum, to first order (u = 2^-53).  The product form
+    rounds a term at most 2N times (one product and up to N - 1 additions per
+    axis, N cells per axis), the re-sum of a cube past the float range at
+    most N^n + n - 1 times, the reference n + 1 times, and a division by the
+    measure once more on both sides; 2 u per rounding covers both sides and
+    the second-order terms."""
+    u, n = 2.0**-53, spec.cells_per_axis
+    rel = 2 * u * (spec.cell_count + 2 * n + 2 * spec.dim + 2)
+    assert not np.isnan(got).any()
+    assert np.array_equal(got == np.inf, want == np.inf)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= rel * want[finite])
+
+
 @settings(max_examples=80)
 @given(st.data())
 def test_power_averages_equal_the_per_call_oracle(data):
-    # the family's cached geometry against the per-call form it replaces, bit for bit
+    # the aligned cubes against the per-call form they replace, bit for bit;
+    # the shifted cubes against a math.fsum of their cell terms
     family, w, expo = _averages_case(data)
     got = _family_power_averages(w, expo, family)
-    assert np.array_equal(got, family_power_averages_oracle(w, expo, family), equal_nan=True)
+    want = family_power_averages_oracle(w, expo, family)
+    assert np.array_equal(got[family.aligned], want[family.aligned], equal_nan=True)
+    k = family.shifted
+    _assert_within_fsum(got[k], want[k], w.spec)
     with np.errstate(divide="ignore", over="ignore"):
         pw = np.power(w.samples, expo)
-    k = family.shifted
     shifted = family.shifted_integrals(pw)
-    one_by_one = [lattice.overlap_integrals(w.spec, pw, family.corners[[j]], family.sides[[j]])[0] for j in k]
-    assert np.array_equal(shifted, np.array(one_by_one).reshape(-1), equal_nan=True)
-    assert np.array_equal(shifted, overlap_integrals_oracle(w.spec, pw, family.corners[k], family.sides[k]), equal_nan=True)
+    assert np.array_equal(shifted, family.shifted_integrals(pw))
+    want_shifted = overlap_integrals_oracle(w.spec, pw, family.corners[k], family.sides[k])
+    _assert_within_fsum(shifted, want_shifted, w.spec)
+    # a one-cube call may round differently from the batch (a one-row product
+    # takes another BLAS kernel), but stays within the same bound
+    one_by_one = [
+        lattice.integrate_overlaps(pw, lattice.cell_overlaps(w.spec, family.corners[[j]], family.sides[[j]]))[0] for j in k
+    ]
+    _assert_within_fsum(np.array(one_by_one).reshape(-1), want_shifted, w.spec)
+
+
+def test_shifted_integrals_whose_partial_sums_overflow_equal_the_fsum_reference():
+    # cells near the float maximum and cells wider than 1: a product over
+    # cells a cube does not reach overflows (inf * 0 = nan), and some cubes'
+    # own integrals leave the float range while others stay finite
+    spec = GridSpec(2, 3.0, 4)
+    family = default_family(spec)
+    rng = np.random.default_rng(1)
+    huge = rng.random(spec.shape) < 0.5
+    pw = np.where(huge, rng.uniform(0.3, 1.0, spec.shape) * 1.7e308, rng.uniform(0.0, 2.0, spec.shape))
+    pw[0, 3] = np.inf
+    k = family.shifted
+    want = overlap_integrals_oracle(spec, pw, family.corners[k], family.sides[k])
+    assert 0 < np.isinf(want).sum() < len(k)
+    _assert_within_fsum(family.shifted_integrals(pw), want, spec)
 
 
 def test_a_family_builds_its_cell_overlaps_once(monkeypatch):
