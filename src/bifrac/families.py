@@ -159,8 +159,8 @@ class CubeFamily:
     def integrals(self, pw: np.ndarray) -> np.ndarray:
         """Integral over each cube of the step function with cell values pw.
 
-        Aligned cubes take engine window sums (bit-identical to a slice
-        sum); shifted cubes take per-axis cell overlap vectors.
+        Aligned cubes take engine window sums (in 1D bit-identical to a
+        slice sum); shifted cubes take per-axis cell overlap vectors.
         """
         out = self.boxes.sums(pw) * self.spec.h ** self.spec.dim
         out[self.shifted] = self.shifted_integrals(pw)

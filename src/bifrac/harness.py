@@ -334,7 +334,7 @@ class CorpusItem:
     hfun: GridFunction
 
     def weight_vector(self) -> WeightVector:
-        return WeightVector(self.w1, self.w2, self.v)
+        return WeightVector(self.w1, self.w2)
 
 
 def _materialize(spec: GridSpec, pieces: list[tuple], scale: float) -> np.ndarray:
@@ -1047,11 +1047,13 @@ def domination_ratio(
 # Small-exponent reverse Hoelder machinery
 # ---------------------------------------------------------------------------
 
+RH_PROBE_CAP = 2.0  # the most the probe constant may read at the chosen epsilon
 
-def choose_rh_epsilon(w: GridFunction, family: CubeFamily, cap: float = 2.0) -> float:
-    """Largest eps from a fixed ladder whose probe constant stays below cap."""
+
+def choose_rh_epsilon(w: GridFunction, family: CubeFamily) -> float:
+    """Largest eps from a fixed ladder whose probe constant stays at most RH_PROBE_CAP."""
     for eps in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        if reverse_holder_probe(w, eps, family) <= cap:
+        if reverse_holder_probe(w, eps, family) <= RH_PROBE_CAP:
             return eps
     return 0.03125
 

@@ -277,10 +277,6 @@ def _scalar_pow(values: np.ndarray, expo: float) -> np.ndarray:
     raise OverflowError(f"a power {expo} leaves the float range")
 
 
-# Cells gathered at once by 2D window sums and (x, y) cell pairs indexed at
-# once by operators.multi_frac_int; bounds the memory of one call.
-_GATHER_CELLS = 1 << 13
-
 # np.sum of a contiguous float row runs numpy's pairwise_sum
 # (numpy/_core/src/umath/loops_utils.h.src): fewer than 8 values in order;
 # up to _PW_BLOCK values in _PW_LANES strided accumulators, combined as
@@ -326,17 +322,14 @@ def _window_sums(row: np.ndarray, top: int) -> np.ndarray:
 
 class CellBoxes:
     """Cube-window engine: integer cell boxes [lo[k], hi[k]) (k x n, already
-    clipped to a grid of `shape`).  Window sums equal np.sum(arr[box]) bit
-    for bit: in 1D they read one table over every start and length up to
-    the longest box (see _window_sums), one fancy index per call; in 2D they
-    group the boxes by shape, one numpy call per shape, never one per box,
-    and gather each window as a contiguous row of its cells in row-major
-    order (summing a strided view over several axes does not give np.sum's
-    bits).  Minima and the outward sweep read a per-axis power-of-two table
-    (see `blocks`), where every box is the union of the 2^n blocks at its
-    corners, in any dimension.  The inward maxima (`inner_max`) read running
-    maxima of one start x end table in 1D and a table of squares in 2D (see
-    _containment_max).  Groups and blocks are built on first use.
+    clipped to a grid of `shape`).  1D window sums equal np.sum(arr[box]) bit
+    for bit: they read one table over every start and length up to the
+    longest box (see _window_sums).  The rest reads a per-axis power-of-two
+    table (see _block_steps): a 2D window sum adds the box's disjoint blocks
+    (see `digits`); minima and the outward sweep take the 2^n overlapping
+    blocks at its corners (see `blocks`), in any dimension.  The inward
+    maxima (`inner_max`) read running maxima of one start x end table in 1D
+    and a table of squares in 2D (see _containment_max).
     """
 
     def __init__(self, shape: tuple[int, ...], lo: np.ndarray, hi: np.ndarray):
@@ -353,33 +346,19 @@ class CellBoxes:
         return cls(shape, np.clip(lo - w, 0, n), np.clip(lo + 2 * w, 0, n))
 
     @cached_property
-    def groups(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per non-empty box shape: member indices, flat corner cells, flat window offsets."""
-        if not self.count:
-            return []
-        key = np.ravel_multi_index(tuple(self.ext.T), tuple(n + 1 for n in self.shape))
-        order = np.argsort(key, kind="stable")
-        starts = np.unique(key[order], return_index=True)[1]
-        groups = []
-        for idx in np.split(order, starts[1:]):
-            box = tuple(self.ext[idx[0]].tolist())
-            if min(box, default=0) > 0:
-                corners = np.ravel_multi_index(tuple(self.lo[idx].T), self.shape)
-                offsets = np.ravel_multi_index(tuple(np.indices(box).reshape(len(box), -1)), self.shape)
-                groups.append((idx, corners, offsets))
-        return groups
+    def table_shape(self) -> tuple[int, ...]:
+        """The shape (K_1 ... K_n, N_1 ... N_n) of the power-of-two table,
+        with levels up to the longest box on each axis."""
+        return tuple(int(t).bit_length() for t in self.ext.max(axis=0, initial=1)) + self.shape
 
     @cached_property
-    def blocks(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-        """The shape (K_1 ... K_n, N_1 ... N_n) of a power-of-two table (see
-        _block_steps), with levels up to the longest box on each axis; per
-        box, the flat positions (2^n x k, the last axis outermost) of the
-        blocks of its largest power-of-two extents at its 2^n corners, which
-        cover it exactly (empty boxes point at the slot past the table); and
-        the distinct ones of non-empty boxes, as indices into the flattened
-        2^n x k array."""
-        levels = tuple(int(t).bit_length() for t in self.ext.max(axis=0, initial=1))
-        shape = levels + self.shape
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per box, the flat table positions (2^n x k, the last axis
+        outermost) of the blocks of its largest power-of-two extents at its
+        2^n corners, which cover it (empty boxes point at the slot past the
+        table); and the distinct ones of non-empty boxes, as indices into
+        the flattened 2^n x k array."""
+        levels = self.table_shape[: len(self.shape)]
         k = np.frexp(np.maximum(self.ext, 1))[1].astype(np.int64) - 1  # floor(log2(extent)), exact
         far = self.lo + self.ext - (1 << k)
         nonempty = (self.ext > 0).all(axis=1)
@@ -388,37 +367,53 @@ class CellBoxes:
         for ax, n in enumerate(self.shape):
             at = np.concatenate((at * n + self.lo[:, ax], at * n + far[:, ax]))
             distinct = np.concatenate((distinct, distinct & split[:, ax]))
-        at[:, ~nonempty] = math.prod(shape)
-        return shape, at, np.flatnonzero(distinct)
+        at[:, ~nonempty] = math.prod(self.table_shape)
+        return at, np.flatnonzero(distinct)
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """Per box, a column of flat table positions: its disjoint blocks, one
+        per binary digit of its extent on each axis, largest first and the last
+        axis innermost.  The slot past the table fills the rest of the column
+        (missing digits, empty boxes); it holds 0, which changes no sum."""
+        dim, shape = len(self.shape), self.table_shape
+        strides = [math.prod(shape[i + 1 :]) for i in range(2 * dim)]
+        at, valid = np.zeros((1, self.count), dtype=np.int64), np.ones((1, self.count), dtype=bool)
+        for ax, (lo, e) in enumerate(zip(self.lo.T, self.ext.T)):
+            k = np.arange(shape[ax] - 1, -1, -1)[:, None]
+            present = e >> k & 1 == 1
+            # the axis's digits, each box's present ones first, as many as any box has
+            order = np.argsort(~present, axis=0, kind="stable")[: present.sum(axis=0).max(initial=0)]
+            k, present = np.take_along_axis(k, order, axis=0), np.take_along_axis(present, order, axis=0)
+            start = lo + (e >> (k + 1) << (k + 1))  # the corner plus the box's higher digits
+            rows = (len(at) * len(k), self.count)
+            at = (at[:, None] + k * strides[ax] + start * strides[dim + ax]).reshape(rows)
+            valid = (valid[:, None] & present).reshape(rows)
+        return np.where(valid, at, math.prod(shape))[valid.any(axis=1)]
+
+    def _table(self, arr: np.ndarray, ufunc, fill: float) -> np.ndarray:
+        """The power-of-two table of arr under ufunc, flat, plus one slot past it that holds fill."""
+        flat = np.full(math.prod(self.table_shape) + 1, fill)
+        table = flat[:-1].reshape(self.table_shape)
+        table[(0,) * len(self.shape)] = arr
+        with np.errstate(over="ignore", invalid="ignore"):  # blocks that no box reads may overflow
+            for coarse, first, second in _block_steps(table):
+                ufunc(first, second, out=coarse)
+        return flat
 
     def sums(self, arr: np.ndarray) -> np.ndarray:
-        """np.sum(arr[box]) per box, bit for bit; 0 for empty boxes."""
+        """The sum of arr over each box; 0 for empty boxes.  In 1D np.sum(arr[box])
+        bit for bit; in 2D the box's disjoint blocks (`digits`) added in order."""
         if len(self.shape) == 1:
             # + 0.0: np.sum adds the row to its identity 0.0, which turns -0.0 into 0.0
             return _window_sums(arr, self.top)[self.lo[:, 0], self.ext[:, 0]] + 0.0
-        out = np.zeros(self.count)
-        flat = arr.reshape(-1)
-        for idx, corners, offsets in self.groups:
-            # chunks of at most _GATHER_CELLS cells keep the gathered copies small
-            step = max(1, _GATHER_CELLS // len(offsets))
-            for start in range(0, len(idx), step):
-                cells = corners[start : start + step, None] + offsets
-                out[idx[start : start + step]] = np.sum(flat[cells], axis=-1)
-        return out
+        # the reduce adds the rows in order; + 0.0: a zero sum reads +0.0 wherever the padding falls
+        return np.add.reduce(self._table(arr, np.add, 0.0)[self.digits], axis=0) + 0.0
 
     def minima(self, arr: np.ndarray) -> np.ndarray:
         """arr[box].min() per box; +inf for empty boxes: the min of the 2^n
         corner blocks' minima, which NaN propagates through as in np.min."""
-        shape, at, _ = self.blocks
-        flat = np.full(math.prod(shape) + 1, np.inf)
-        table = flat[:-1].reshape(shape)
-        table[(0,) * len(self.shape)] = arr
-        for coarse, first, second in _block_steps(table):
-            np.minimum(first, second, out=coarse)
-        v = flat[at]
-        while len(v) > 1:
-            v = np.minimum(v[: len(v) // 2], v[len(v) // 2 :])
-        return v[0]
+        return np.minimum.reduce(self._table(arr, np.minimum, np.inf)[self.blocks[0]], axis=0)
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Per cell, the max of values[k] over the boxes containing it.
@@ -428,10 +423,10 @@ class CellBoxes:
         block passes its max down to the two blocks it is made of, level by
         level, to the cells (layer (0, ..., 0)).
         """
-        shape, at, distinct = self.blocks
-        flat = np.full(math.prod(shape) + 1, -np.inf)
+        at, distinct = self.blocks
+        flat = np.full(math.prod(self.table_shape) + 1, -np.inf)
         np.maximum.at(flat, at.reshape(-1)[distinct], values[distinct % self.count])
-        table = flat[:-1].reshape(shape)
+        table = flat[:-1].reshape(self.table_shape)
         for coarse, first, second in reversed(list(_block_steps(table))):
             np.maximum(first, coarse, out=first)
             np.maximum(second, coarse, out=second)

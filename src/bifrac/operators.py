@@ -35,7 +35,7 @@ import numpy as np
 from .errors import AlphaOutOfRange, AverageOverflow, NonPositiveWeight, POutOfRange, SpecMismatch
 from .families import CubeFamily, default_family, subcube_blocks
 from .geometry import Cube, DyadicGrid
-from .lattice import _GATHER_CELLS, CellBoxes, GridFunction, GridSpec, _scalar_pow, check_conjugate
+from .lattice import CellBoxes, GridFunction, GridSpec, _scalar_pow, check_conjugate
 
 
 @dataclass(frozen=True)
@@ -288,6 +288,10 @@ def frac_int_at(f: GridFunction, alpha: float, point) -> float:
     return _point_value(terms.ravel(), f"frac_int_at with alpha = {alpha!r}")
 
 
+# (x, y) cell pairs indexed at once by multi_frac_int; bounds the memory of one call.
+_GATHER_CELLS = 1 << 13
+
+
 def multi_frac_int(f1: GridFunction, f2: GridFunction, alpha: float) -> GridFunction:
     """Two-fold fractional integral, kernel (|x-y1|+|x-y2|)^(alpha-2n), at the cell midpoints.
 
@@ -368,12 +372,13 @@ def _split_weights(spec: GridSpec, alpha: float, Q0: Cube) -> tuple[np.ndarray, 
 # Maximal operators.  Each builds one value array over the family and
 # sweeps it onto the cells; a cell that no cube covers reads 0, and a cube
 # value past the float range raises AverageOverflow (a GridFunction holds
-# only finite values).  The values are bit-identical to a per-cube slice
-# loop (the exhaustive oracle in the tests):
+# only finite values).  In 1D the values are bit-identical to a per-cube
+# slice loop (the exhaustive oracle in the tests):
 #
-# * box sums, grouped by box shape in the cube-window engine of `lattice`,
-#   equal per-slice np.sum bit for bit, and |f|^p taken once on the whole
-#   array equals |f|^p taken on any slice;
+# * box sums from the cube-window engine of `lattice` equal per-slice np.sum
+#   bit for bit in 1D; in 2D each adds the box's disjoint power-of-two
+#   blocks (CellBoxes.digits); |f|^p taken once on the whole array equals
+#   |f|^p taken on any slice;
 # * roots and side powers go through lattice._scalar_pow, which equals
 #   scalar `**` bit for bit (np.float_power, not np.power's SIMD kernels);
 # * the sweep's max over the containing cubes involves no rounding: the
@@ -468,11 +473,11 @@ def _m3q(f, g, r, s, windows: CellBoxes, meas3: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)  # the most recent roots, bounded like the kernel tables
 def _root_plan(spec: GridSpec, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray, CellBoxes, np.ndarray]:
-    """Q0's subcube_blocks, their 3Q windows (shape groups built) and 3Q measures, all read-only."""
+    """Q0's subcube_blocks, their 3Q windows (2D: digit blocks built) and 3Q measures, all read-only."""
     lo, width = subcube_blocks(spec, Q0, grid)
     windows = CellBoxes.tripled(spec.shape, lo, width)
     meas3 = _scalar_pow(3.0 * (width * spec.h), spec.dim)
-    for arr in (lo, width, meas3, windows.lo, windows.ext, *(a for group in windows.groups for a in group)):
+    for arr in (lo, width, meas3, windows.lo, windows.ext) + ((windows.digits,) if spec.dim == 2 else ()):
         arr.setflags(write=False)
     return lo, width, windows, meas3
 

@@ -21,21 +21,16 @@ from .lattice import GridFunction
 
 @dataclass(frozen=True)
 class WeightVector:
-    """A pair of strictly positive weights, optionally with a second-kind v."""
+    """A pair of strictly positive weights."""
 
     w1: GridFunction
     w2: GridFunction
-    v: GridFunction | None = None
 
     def __post_init__(self):
-        for name, w in (("w1", self.w1), ("w2", self.w2), ("v", self.v)):
-            if w is None:
-                continue
+        for name, w in (("w1", self.w1), ("w2", self.w2)):
             if float(w.samples.min()) <= 0.0:
                 raise NonPositiveWeight(f"{name} has a non-positive sample")
-        if self.w2.spec != self.w1.spec or (
-            self.v is not None and self.v.spec != self.w1.spec
-        ):
+        if self.w2.spec != self.w1.spec:
             raise SpecMismatch("weight components live on different specs")
         with np.errstate(over="ignore"):
             nu = self.w1.samples * self.w2.samples

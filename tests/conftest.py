@@ -178,6 +178,49 @@ def overlap_integrals_oracle(spec, pw, corners, sides):
     return np.array(out)
 
 
+def _block_sum_oracle(arr, corner, levels):
+    """The sum of the 2^levels[0] x 2^levels[1] ... cells at corner, in the
+    order the engine's power-of-two table adds them: the first axis with a
+    level above 0 splits the block into two halves, each summed the same way."""
+    for ax, k in enumerate(levels):
+        if k:
+            half = levels[:ax] + (k - 1,) + levels[ax + 1 :]
+            other = corner[:ax] + (corner[ax] + (1 << (k - 1)),) + corner[ax + 1 :]
+            return _block_sum_oracle(arr, corner, half) + _block_sum_oracle(arr, other, half)
+    return float(arr[corner])
+
+
+def digit_blocks_oracle(lo, hi):
+    """Per box [lo, hi), its disjoint power-of-two blocks as (corner, levels):
+    on each axis one block per binary digit of the extent, largest digit
+    first, and every combination of one per axis, the last axis innermost."""
+    out = []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        axes = []
+        for start, ext in zip(a, b):
+            ext -= start
+            digits = []
+            for k in reversed(range(ext.bit_length())):
+                if ext >> k & 1:
+                    digits.append((start, k))
+                    start += 1 << k
+            axes.append(digits)
+        out.append([(tuple(c for c, _ in block), tuple(k for _, k in block)) for block in product(*axes)])
+    return out
+
+
+def digit_sums_oracle(arr, lo, hi):
+    """Reference for the 2D CellBoxes.sums, one box at a time in Python
+    floats: 0.0 plus the box's digit blocks (digit_blocks_oracle), in order."""
+    out = []
+    for blocks in digit_blocks_oracle(lo, hi):
+        total = 0.0
+        for corner, levels in blocks:
+            total += _block_sum_oracle(arr, corner, levels)
+        out.append(total)
+    return np.array(out)
+
+
 def family_power_averages_oracle(w, expo, family):
     """The slow oracle for weights._family_power_averages: the aligned mask,
     its bounds, the prefix and bad-cell tables rebuilt on every call, and the
@@ -296,7 +339,7 @@ def frac_int_at_oracle(f, alpha, point):
 
 def root_m3q_oracle(f, g, r, s, Q0, grid):
     """operators._root_m3q with the root's geometry built on every call: its
-    subcube_blocks, a fresh CellBoxes.tripled (so fresh shape groups) and the
+    subcube_blocks, a fresh CellBoxes.tripled (so fresh digit blocks) and the
     3Q measures by scalar `**`, then operators._m3q."""
     spec = f.spec
     lo, width = subcube_blocks(spec, Q0, grid)

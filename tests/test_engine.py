@@ -1,10 +1,11 @@
 """The cube-window engine against per-slice and per-cube oracles."""
 
+import math
 from itertools import product
 
 import numpy as np
 import pytest
-from conftest import enumerate_nested_pairs
+from conftest import digit_blocks_oracle, digit_sums_oracle, enumerate_nested_pairs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -27,10 +28,10 @@ from bifrac.operators import _averages, _m3q, maximal, weighted_bilinear_maximal
 
 
 @st.composite
-def grid_and_boxes(draw, nonfinite=False):
+def grid_and_boxes(draw, nonfinite=False, dims=(1, 2)):
     """A random array and random boxes, some leaving the grid before clipping;
     with nonfinite, the array may hold NaN and +-inf too."""
-    dim = draw(st.sampled_from((1, 2)))
+    dim = draw(st.sampled_from(dims))
     shape = tuple(draw(st.integers(1, 12)) for _ in range(dim))
     elements = st.floats(-1e6, 1e6, allow_nan=False)
     if nonfinite:
@@ -54,12 +55,62 @@ def _slices(lo, hi):
     return tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
 
 
+U = 2.0**-53  # the unit roundoff of float64
+
+
+def _check_2d_sums(arr, lo, hi):
+    """The 2D window sums against digit_sums_oracle, bit for bit; against
+    math.fsum within a bound derived from their summation tree; non-finite
+    exactly where np.sum is; and +0.0 over a box of zeros."""
+    got = CellBoxes(arr.shape, lo, hi).sums(arr)
+    want = digit_sums_oracle(arr, lo, hi)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    slices = [arr[_slices(a, b)].ravel().tolist() for a, b in zip(lo, hi)]
+    with np.errstate(invalid="ignore"):
+        plain = np.array([np.sum(cells) for cells in slices])
+    assert np.array_equal(np.isnan(got), np.isnan(plain)) and np.array_equal(got[np.isinf(plain)], plain[np.isinf(plain)])
+    for value, cells, blocks in zip(got, slices, digit_blocks_oracle(lo, hi)):
+        if all(map(math.isfinite, cells)):
+            # A cell passes through at most d additions: its block's k_0 + k_1
+            # in the table, then one per block added after it (the 0.0 start
+            # and the + 0.0 are exact), so the sum is within gamma_d sum|x| of
+            # the exact one (Higham, Accuracy and Stability, 4.2), gamma_d =
+            # d u / (1 - d u); fsum, correctly rounded, adds u |sum x|.
+            d = max((sum(levels) for _, levels in blocks), default=0) + len(blocks)
+            bound = (d * U / (1 - d * U) + U) * math.fsum(map(abs, cells))
+            assert math.isfinite(value) and abs(value - math.fsum(cells)) <= bound
+    k = int(np.argmax((hi - lo).prod(axis=1)))  # the largest box, set to -0.0
+    zeroed = arr.copy()
+    zeroed[_slices(lo[k], hi[k])] = -0.0
+    value = CellBoxes(arr.shape, lo, hi).sums(zeroed)[k]
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 @given(grid_and_boxes())
 def test_sums_equal_slice_sums(case):
+    # 1D: np.sum's bits; 2D: the disjoint power-of-two blocks of each box
     arr, lo, hi = case
+    if arr.ndim == 2:
+        _check_2d_sums(arr, lo, hi)
+        return
     got = CellBoxes(arr.shape, lo, hi).sums(arr)
     want = np.array([np.sum(arr[_slices(a, b)]) for a, b in zip(lo, hi)])
     assert np.array_equal(got, want)
+
+
+@given(grid_and_boxes(nonfinite=True, dims=(2,)))
+def test_2d_sums_with_nan_and_inf_cells_are_the_disjoint_blocks(case):
+    with np.errstate(invalid="ignore"):
+        _check_2d_sums(*case)
+
+
+def test_2d_sums_of_every_box_at_n16_are_the_disjoint_blocks():
+    # every box of a 16 x 13 grid (extents 1 ... 16 and 1 ... 13, up to 4 x 4 digit blocks)
+    rng = np.random.default_rng(16)
+    arr = rng.standard_normal((16, 13)) * 10.0 ** rng.integers(-8, 9, (16, 13))
+    (a0, b0), (a1, b1) = (np.triu_indices(n + 1) for n in arr.shape)
+    i, j = (g.ravel() for g in np.meshgrid(np.arange(len(a0)), np.arange(len(a1)), indexing="ij"))
+    _check_2d_sums(arr, np.column_stack((a0[i], a1[j])), np.column_stack((b0[i], b1[j])))
 
 
 @given(grid_and_boxes(nonfinite=True))

@@ -1,8 +1,8 @@
 """Source layout checks: every import of the package sits at module level,
 every module-level name is read somewhere in the package (a public one
 may instead be exported by the package's __init__ or named by the benchmark),
-every function cache has a fixed size, and every `module.name` that README.md
-quotes exists."""
+every function cache has a fixed size, and every `module.name` and
+`Class.attr` that README.md quotes exists."""
 
 import ast
 import importlib
@@ -144,10 +144,23 @@ def test_the_cache_check_flags_unbounded_caches(source, lines):
 
 def _stale_module_names(text: str) -> list[str]:
     """The backticked `module.name` spans of text, for a module of the
-    package, whose name the module does not have."""
-    modules = {path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__")}
-    quoted = sorted({(m, name) for m, name in re.findall(r"`(\w+)\.(\w+)", text) if m in modules})
-    return [f"{m}.{name}" for m, name in quoted if not hasattr(importlib.import_module(f"bifrac.{m}"), name)]
+    package, whose name the module does not have; and the `Class.attr` spans,
+    for a class of the package, whose attribute (or dataclass field) the
+    class does not have."""
+    modules = [path.stem for path in SRC.glob("*.py") if not path.stem.startswith("__")]
+    owners = {m: importlib.import_module(f"bifrac.{m}") for m in modules}
+    owners |= {
+        name: obj
+        for module in list(owners.values())
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    }
+    quoted = sorted({(m, name) for m, name in re.findall(r"`(\w+)\.(\w+)", text) if m in owners})
+    return [
+        f"{m}.{name}"
+        for m, name in quoted
+        if not hasattr(owners[m], name) and name not in getattr(owners[m], "__dataclass_fields__", {})
+    ]
 
 
 def test_every_module_name_the_readme_quotes_exists():
@@ -157,3 +170,6 @@ def test_every_module_name_the_readme_quotes_exists():
 def test_the_readme_check_flags_a_deleted_name():
     text = "`lattice.overlap_integrals`, `families.subcube_blocks`, `np.sum` and `lattice._scalar_pow`"
     assert _stale_module_names(text) == ["lattice.overlap_integrals"]
+    # class attributes: a cached property, a dataclass field, a method and a deleted property
+    text = "`CellBoxes.blocks`, `KernelTable.weights`, `GridSpec.cell_of_point`, `T1.1` and `CellBoxes.groups`"
+    assert _stale_module_names(text) == ["CellBoxes.groups"]

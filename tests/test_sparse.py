@@ -174,6 +174,34 @@ def test_levels_and_difference_sets_equal_the_oracle(dim, n, side, a_scale, rs, 
             assert sc.cells.dtype == sc.e_cells.dtype == np.int64
 
 
+@pytest.mark.parametrize(
+    "dim, n, spike, top",
+    [(1, 256, 40.0, 2), (1, 1024, 40.0, 3), (2, 64, 200.0, 2), (2, 128, 1000.0, 2)],
+)
+def test_guarded_single_cell_spikes_select_past_level_one_and_keep_the_invariants(dim, n, spike, top):
+    """check_sparse_invariants on decompositions where some E_{k,j} has
+    D_{k+1} non-empty, which the harness corpora never build.
+
+    Each level asks m_{3Q} to grow by a = 2^(2n+1).  For a point mass m
+    grows like side^-n as the cube shrinks, so consecutive levels sit a
+    side factor a^(1/n) apart: 8 in 1D, and 5.7 in 2D, which is 8 on
+    dyadic sides.  The concentration guard caps m at 0.9 a on the blocks
+    of side l0/4 and up, so level 2 needs a side of l0/64 in 1D and l0/32
+    in 2D: under one cell of the harness roots, 32 cells a side in 1D and
+    16 in 2D.  The roots here are 128 and 512 cells a side in 1D, 32 and 64
+    in 2D.
+    """
+    spec = GridSpec(dim, 4.0 if dim == 1 else 2.0, n)
+    q0, grid = Cube((0.0,) * dim, spec.half_width), DyadicGrid((0.0,) * dim)
+    arr = np.full(spec.shape, 0.05)
+    arr[(n // 2 + n // 5, n // 2 + n // 7)[:dim]] = spike
+    factor = harness._concentration_guard(*(GridFunction(spec, arr, nonnegative=True),) * 2, q0)
+    f = GridFunction(spec, arr * factor, nonnegative=True)
+    fam = cz_decompose(f, f, 2.0, 2.0, q0, grid)
+    assert fam.max_level == top and list(fam.levels) == list(range(1, top + 1))
+    assert check_sparse_invariants(fam) == []
+
+
 def stopping_outputs(f, g, r, s, q0, grid):
     """Everything that reads m_{3Q} from a root plan: the decomposition, the
     sparse bound and the harness's concentration guard."""
@@ -227,9 +255,9 @@ def test_the_root_plan_is_read_only_and_one_per_root():
     plan = _root_plan(spec, Cube((0.0, 0.0), 2.0), grid)
     assert _root_plan(spec, Cube((0.0, 0.0), 2.0), grid) is plan
     lo, width, windows, meas3 = plan
-    arrays = [lo, width, meas3, windows.lo, windows.ext, *(a for group in windows.groups for a in group)]
-    assert len(arrays) > 5
-    for arr in arrays:
+    # the plan builds and freezes the digit blocks that 2D window sums read
+    assert "digits" in vars(windows)
+    for arr in (lo, width, meas3, windows.lo, windows.ext, windows.digits):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
     for corner in ((-2.0, 0.0), (0.0, -2.0)):
@@ -237,6 +265,8 @@ def test_the_root_plan_is_read_only_and_one_per_root():
         assert other is not plan and (other[0] != lo).any() and (other[1] == width).all()
     smaller = _root_plan(spec, Cube((0.0, 0.0), 1.0), grid)
     assert len(smaller[0]) < len(lo)
+    # 1D window sums read their own table, not the digit blocks
+    assert "digits" not in vars(_root_plan(GridSpec(1, 2.0, 8), Cube((0.0,), 2.0), DyadicGrid((0.0,)))[2])
 
 
 class TestCzDecompose:
