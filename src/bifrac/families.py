@@ -12,8 +12,9 @@ compared on identical index sets:
   is exact: nothing is capped or subsampled (7,590 cubes at N = 32).
 
 `nested_pairs` gives the nesting relation Q ⊆ Q' among the aligned
-members of a family: its exact pair count and, per member, the max of a
-per-cube value over the members inside it.  Pairs are never listed.
+members of a family: its exact pair count (1D: from one start x end table;
+2D: per width) and, per member, the max of a per-cube value over the
+members inside it.  Pairs are never listed.
 
 `subcube_blocks` lists the dyadic subcubes of a root cube down to single
 cells, as corner cells and widths.
@@ -326,14 +327,22 @@ class NestedPairs:
 def nested_pairs(family: CubeFamily) -> NestedPairs:
     """The nesting relation among the aligned members, with its exact pair count.
 
-    A member of width w lies in the member (A, W) when its corner is in
-    [A, A + W - w]^n; per width w, a prefix sum of the corner counts
-    answers that for every outer member at once.
+    In 1D, [s, e] lies in [s', e'] when s' <= s and e <= e': cumsums of the
+    N x N start x end table of member counts over e, then back over s, hold
+    at (s', e') the count of members inside it, O(N^2).  In 2D, per width w,
+    a prefix sum of the width-w corners counts those in [A, A + W - w]^2 for
+    every outer member (A, W) at once.
     """
+    if family.spec.dim == 1:
+        n, at = family.spec.cells_per_axis, family.boxes.start_last()[1]
+        table = np.bincount(at, minlength=n * n).reshape(n, n)
+        np.cumsum(table, axis=1, out=table)
+        np.cumsum(table[::-1], axis=0, out=table[::-1])
+        return NestedPairs(family, int(table.reshape(-1)[at].sum()))
     spec, lo, hi = family.spec, family.lo[family.aligned], family.hi[family.aligned]
     width = hi[:, 0] - lo[:, 0]
     total = 0
-    for w in np.unique(width):
+    for w in np.flatnonzero(np.bincount(width)):
         prefix = np.zeros((spec.cells_per_axis - w + 2,) * spec.dim, dtype=np.int64)
         np.add.at(prefix[(slice(1, None),) * spec.dim], tuple(lo[width == w].T), 1)
         for ax in range(spec.dim):

@@ -667,8 +667,8 @@ def check_sparse_invariants(family) -> list[str]:
     for k, scs in family.levels.items():
         level_cells = [sc.cells for sc in scs]
         if level_cells:
-            merged = np.concatenate(level_cells)
-            if len(np.unique(merged)) != len(merged):
+            merged = np.sort(np.concatenate(level_cells))
+            if (merged[1:] == merged[:-1]).any():
                 fails.append(f"level {k} selected cubes overlap")
         for j, sc in enumerate(scs):
             parts.append(sc.e_cells)
@@ -681,7 +681,7 @@ def check_sparse_invariants(family) -> list[str]:
         if k + 1 in family.levels:
             next_cells = family.level_cells(k + 1)
             for sc in scs:
-                inter = len(np.intersect1d(sc.cells, next_cells))
+                inter = int(np.isin(sc.cells, next_cells, kind="table").sum())  # sc.cells are distinct
                 if 2 * inter > sc.cell_count:
                     fails.append(f"half-measure bound fails at level {k}")
     if family.levels:
@@ -689,7 +689,7 @@ def check_sparse_invariants(family) -> list[str]:
             if k - 1 in family.levels:
                 prev = family.level_cells(k - 1)
                 for sc in scs:
-                    if len(np.intersect1d(sc.cells, prev)) != sc.cell_count:
+                    if not np.isin(sc.cells, prev, kind="table").all():
                         fails.append(f"level {k} cube escapes level {k - 1}")
     d1 = family.level_cells(1)
     if 2 * len(d1) > len(family.root_cells):

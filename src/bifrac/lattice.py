@@ -432,6 +432,11 @@ class CellBoxes:
             np.maximum(second, coarse, out=second)
         return table[(0,) * len(self.shape)].copy()
 
+    def start_last(self) -> tuple[np.ndarray, np.ndarray]:
+        """1D: the non-empty boxes, and their positions first * N + last cell on a start x end table."""
+        k = np.flatnonzero(self.ext[:, 0] > 0)
+        return k, self.lo[k, 0] * (self.shape[0] + 1) + self.ext[k, 0] - 1
+
     def inner_max(self, values: np.ndarray) -> np.ndarray:
         """Per non-empty box, the max of values[k] over the non-empty boxes
         inside it; -inf for empty boxes.  2D boxes must be squares.
@@ -443,10 +448,8 @@ class CellBoxes:
         squares inside it.
         """
         out = np.full(self.count, -np.inf)
-        k = np.flatnonzero(self.ext.min(axis=1) > 0)
         if len(self.shape) == 1:
-            n = self.shape[0]
-            at = self.lo[k, 0] * (n + 1) + self.ext[k, 0] - 1  # first * N + last cell
+            n, (k, at) = self.shape[0], self.start_last()
             table = np.full((n, n), -np.inf)
             np.maximum.at(table.reshape(-1), at, values[k])
             # in place: one N x N array per call; at N = 128 each N x N array
@@ -455,6 +458,7 @@ class CellBoxes:
             np.maximum.accumulate(table[::-1], axis=0, out=table[::-1])
             out[k] = table.reshape(-1)[at]
             return out
+        k = np.flatnonzero(self.ext.min(axis=1) > 0)
         side = self.ext[k, 0]
         table = _SquareTable(self.shape, int(side.max(initial=1)))
         at = table.positions(side, self.lo[k])

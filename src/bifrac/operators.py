@@ -9,10 +9,10 @@ grid outputs are exact values of the continuum operators.
 
 Each cell mass is a difference of one function at the cell edges, folded
 onto [0, inf) per axis (the kernel is even): in 1D the antiderivative, in
-2D the corner mass C(x, y) of [0, x] x [0, y], taken once per pair of
-edges on the lattice 0, h/2, 3h/2, ... (N(N+1)/2 quadratures), so a cell's
-mass is C(b, d) - C(a, d) - C(b, c) + C(a, c).  The origin cell folds onto
-[0, h/2) once per axis.
+2D the corner mass C(x, y) of [0, x] x [0, y] on the edges 0, h/2, 3h/2,
+..., from sec-power integrals at N^2 angles that share one break table
+(_sec_power_integrals), so a cell's mass is C(b, d) - C(a, d) - C(b, c) +
+C(a, c).  The origin cell folds onto [0, h/2) once per axis.
 
 Every kernel sum (bi_frac, the halves of its kernel split, frac_int) is
 one compensated (Kahan) sum over kernel offsets in a fixed row-major
@@ -95,42 +95,27 @@ _GAUSS_NODES = np.concatenate((-_GAUSS_HALF_NODES[::-1], _GAUSS_HALF_NODES))
 _GAUSS_WEIGHTS = np.concatenate((_GAUSS_HALF_WEIGHTS[::-1], _GAUSS_HALF_WEIGHTS))
 
 
-def _sec_power_integral_to(alpha: float, t: float) -> float:
-    """\\int_0^t sec(u)^alpha du for t in [0, pi/2).
-
-    The integrand blows up at pi/2, so the interval is split into
-    segments whose distance to the pole halves, with Gauss-Legendre on
-    each; accuracy is ~1e-14 for every t our cell geometry produces.
-    """
-    if t <= 0.0:
-        return 0.0
-    half_pi = 0.5 * math.pi
-    breaks = [0.0]
-    while half_pi - breaks[-1] > 1e-15 and breaks[-1] < t:
-        nxt = half_pi - 0.5 * (half_pi - breaks[-1])
-        if nxt >= t:
-            break
-        breaks.append(nxt)
-    breaks.append(t)
-    total = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if b <= a:
-            continue
-        x = 0.5 * (b - a) * _GAUSS_NODES + 0.5 * (a + b)
-        total += 0.5 * (b - a) * float(np.dot(_GAUSS_WEIGHTS, np.cos(x) ** (-alpha)))
-    return total
+# The quadrature breaks b_0 = 0, b_{k+1} = pi/2 - (pi/2 - b_k)/2 up to pi/2 - b_k <= 1e-15.
+_SEC_BREAKS = [0.0]
+while 0.5 * math.pi - _SEC_BREAKS[-1] > 1e-15:
+    _SEC_BREAKS.append(0.5 * math.pi - 0.5 * (0.5 * math.pi - _SEC_BREAKS[-1]))
+_SEC_BREAKS = np.array(_SEC_BREAKS)
 
 
-def _corner_mass_2d(x: float, y: float, alpha: float) -> float:
-    """\\int_{[0,x] x [0,y]} |u|^(alpha-2) du for x, y > 0, exact polar reduction.
-
-    Splitting at the diagonal angle turns the integral into two smooth
-    sec-power integrals:  (x^a S(atan(y/x)) + y^a S(atan(x/y))) / a.
-    """
-    return (
-        x ** alpha * _sec_power_integral_to(alpha, math.atan2(y, x))
-        + y ** alpha * _sec_power_integral_to(alpha, math.atan2(x, y))
-    ) / alpha
+def _sec_power_integrals(alpha: float, t: np.ndarray) -> np.ndarray:
+    """\\int_0^t sec(u)^alpha du for each t in (0, pi/2), to ~1e-14 for every
+    t our cell geometry produces: 48-point Gauss-Legendre on the segments
+    between the breaks below t, whose distance to the pole halves.  Every t
+    shares the full segments' running sum, left to right, and adds one
+    segment from the last break below it.  One np.dot per segment: a
+    batched product rounds differently."""
+    m = len(_SEC_BREAKS) - 1  # full segments first, then one per t
+    k = np.searchsorted(_SEC_BREAKS, t) - 1  # the last break below t
+    a, b = np.concatenate((_SEC_BREAKS[:-1], _SEC_BREAKS[k])), np.concatenate((_SEC_BREAKS[1:], t))
+    half = 0.5 * (b - a)
+    f = np.cos(half[:, None] * _GAUSS_NODES + (0.5 * (a + b))[:, None]) ** (-alpha)
+    seg = half * np.array([np.dot(_GAUSS_WEIGHTS, row) for row in f])
+    return np.concatenate(([0.0], np.cumsum(seg[:m])))[k] + seg[m:]
 
 
 def kernel_table(spec: GridSpec, alpha: float) -> KernelTable:
@@ -148,13 +133,15 @@ def _kernel_table(spec: GridSpec, alpha: float) -> KernelTable:
     if spec.dim == 1:
         weights = _axis_masses_1d(h, alpha, n)
     else:
-        # corner masses at the offset-cell edges 0 and (d - 1/2)h + h, one per
-        # unordered pair (the corner mass is symmetric); row and column 0 are 0
-        edges = [0.0] + [(d - 0.5) * h + h for d in range(n)]
+        # corner masses C(x, y) of [0, x] x [0, y] at the offset-cell edges 0 and
+        # (d - 1/2)h + h; split at the diagonal, C = (x^a S(atan(y/x)) + y^a S(atan(x/y))) / a
+        # with S the sec-power integral, one angle per ordered pair; row and column 0 are 0
+        edges = [(d - 0.5) * h + h for d in range(n)]
+        angle = np.array([[math.atan2(y, x) for y in edges] for x in edges])
+        s = _sec_power_integrals(alpha, angle.reshape(-1)).reshape(n, n)
+        p = np.array([x ** alpha for x in edges])
         c = np.zeros((n + 1, n + 1))
-        for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                c[i, j] = c[j, i] = _corner_mass_2d(edges[i], edges[j], alpha)
+        c[1:, 1:] = (p[:, None] * s + p * s.T) / alpha
         half = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
         # the origin cell folds onto [0, h/2) once per axis
         half[0] *= 2.0
@@ -306,7 +293,7 @@ def multi_frac_int(f1: GridFunction, f2: GridFunction, alpha: float) -> GridFunc
         raise AlphaOutOfRange(f"alpha must lie in (0, {2 * spec.dim}), got {alpha}")
     dim, h = spec.dim, spec.h
     cells = np.indices(spec.shape).reshape(dim, -1)
-    radii = np.unique((cells ** 2).sum(axis=0))  # those from cell 0 are all there are
+    radii = np.flatnonzero(np.bincount((cells ** 2).sum(axis=0)))  # those from cell 0 are all there are
     W = np.add.outer(np.sqrt(radii), np.sqrt(radii))
     W[0, 0] = 0.5 * math.sqrt(dim)
     np.float_power(np.multiply(W, h, out=W), alpha - 2.0 * dim, out=W)  # in place: K^2 floats once

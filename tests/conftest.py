@@ -10,7 +10,7 @@ from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.geometry import _THIRD
 from bifrac.families import subcube_blocks
 from bifrac.lattice import CellBoxes, box_power_integral, cell_overlaps, integrate_overlaps
-from bifrac.operators import _corner_mass_2d, _m3q, kernel_table
+from bifrac.operators import _m3q, kernel_table
 from bifrac.weights import WeightVector, _family_power_averages, _sanitize, conjugate
 
 # One profile for every property test: the same examples on every run and
@@ -86,6 +86,42 @@ def locate_shifted_dyadic_oracle(Q: Cube):
     return best
 
 
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(48)
+
+
+def sec_power_integral_oracle(alpha, t):
+    """\\int_0^t sec(u)^alpha du for t in [0, pi/2), one angle at a time: the
+    scalar quadrature operators._sec_power_integrals batches.  Segments
+    whose distance to the pole halves, Gauss-Legendre on each, summed left
+    to right."""
+    if t <= 0.0:
+        return 0.0
+    half_pi = 0.5 * math.pi
+    breaks = [0.0]
+    while half_pi - breaks[-1] > 1e-15 and breaks[-1] < t:
+        nxt = half_pi - 0.5 * (half_pi - breaks[-1])
+        if nxt >= t:
+            break
+        breaks.append(nxt)
+    breaks.append(t)
+    total = 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if b <= a:
+            continue
+        x = 0.5 * (b - a) * _GAUSS_NODES + 0.5 * (a + b)
+        total += 0.5 * (b - a) * float(np.dot(_GAUSS_WEIGHTS, np.cos(x) ** (-alpha)))
+    return total
+
+
+def corner_mass_2d_oracle(x, y, alpha):
+    """\\int_{[0,x] x [0,y]} |u|^(alpha-2) du for x, y > 0, by the polar
+    reduction: (x^a S(atan(y/x)) + y^a S(atan(x/y))) / a."""
+    return (
+        x ** alpha * sec_power_integral_oracle(alpha, math.atan2(y, x))
+        + y ** alpha * sec_power_integral_oracle(alpha, math.atan2(x, y))
+    ) / alpha
+
+
 def kernel_table_2d_oracle(spec, alpha):
     """The per-cell loop the 2D kernel table replaced: each offset cell
     [(d - 1/2)h, (d + 1/2)h)^2 with d0 <= d1 reflected onto [0, inf) per
@@ -94,7 +130,7 @@ def kernel_table_2d_oracle(spec, alpha):
 
     @lru_cache(maxsize=None)
     def corner(x, y):
-        return 0.0 if x <= 0.0 or y <= 0.0 else _corner_mass_2d(x, y, alpha)
+        return 0.0 if x <= 0.0 or y <= 0.0 else corner_mass_2d_oracle(x, y, alpha)
 
     def reflect(lo, hi):
         out = []
@@ -134,6 +170,26 @@ def enumerate_nested_pairs(family):
     inner = np.concatenate(inner_parts) if inner_parts else np.zeros(0, np.int64)
     outer = np.concatenate(outer_parts) if outer_parts else np.zeros(0, np.int64)
     return inner, outer
+
+
+def nested_pair_count_oracle(family):
+    """The per-width count nested_pairs takes in 2D, in any dimension: a
+    member of width w lies in (A, W) when its corner is in [A, A + W - w]^n,
+    read from a prefix table of the width-w corners."""
+    spec, lo, hi = family.spec, family.lo[family.aligned], family.hi[family.aligned]
+    width = hi[:, 0] - lo[:, 0]
+    total = 0
+    for w in sorted(set(width.tolist())):
+        prefix = np.zeros((spec.cells_per_axis - w + 2,) * spec.dim, dtype=np.int64)
+        np.add.at(prefix[(slice(1, None),) * spec.dim], tuple(lo[width == w].T), 1)
+        for ax in range(spec.dim):
+            np.cumsum(prefix, axis=ax, out=prefix)
+        outer = width >= w
+        a, b = lo[outer], lo[outer] + (width[outer] - w + 1)[:, None]
+        for t in product((0, 1), repeat=spec.dim):
+            corner = tuple((b if ti else a)[:, i] for i, ti in enumerate(t))
+            total += (-1) ** (spec.dim - sum(t)) * int(prefix[corner].sum())
+    return total
 
 
 def enumerated_pair_values(lead, wv, q0, q, p1, p2, family, r0=None):

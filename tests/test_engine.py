@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import digit_blocks_oracle, digit_sums_oracle, enumerate_nested_pairs
+from conftest import digit_blocks_oracle, digit_sums_oracle, enumerate_nested_pairs, nested_pair_count_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from bifrac import (
     Cube,
     DyadicGrid,
+    EmptyCubeFamily,
     GridFunction,
     GridSpec,
     MorreyParams,
@@ -414,6 +415,40 @@ def test_inner_max_equals_max_over_listed_pairs(dim, n, subset, data):
     want = np.full(family.size, -np.inf)
     np.maximum.at(want, outer, vals[inner])
     assert np.array_equal(nested_pairs(family).inner_max(vals), want)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from((1, 2, 4, 8, 16, 32, 64)), st.data())
+def test_1d_pair_count_equals_the_listed_pairs_on_subfamilies_with_repeats(n, data):
+    # the start x end count against every listed pair, on random draws with
+    # repeated intervals and a few off-lattice ones, which are not members
+    spec = GridSpec(1, 4.0, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    family = default_family(spec)
+    cubes = [family.cube(int(k)) for k in rng.integers(0, family.size, rng.integers(0, 600))]
+    cubes += [Cube((c + spec.h / 3,), spec.h) for c in rng.uniform(-4.0, 3.0, rng.integers(0, 3))]
+    family = family_from_cubes(spec, cubes)
+    inner, _ = enumerate_nested_pairs(family)
+    assert nested_pairs(family).size == len(inner)
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_1d_pair_count_of_every_interval_equals_the_per_width_count(n):
+    # s' <= s <= e <= e' picks four of the N cells with repeats: C(N + 3, 4)
+    family = default_family(GridSpec(1, 4.0, n))
+    assert nested_pairs(family).size == nested_pair_count_oracle(family) == math.comb(n + 3, 4)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_family_without_aligned_members_has_no_pairs(dim):
+    spec = GridSpec(dim, 1.0, 8)
+    for cubes in ([], [Cube((0.1,) * dim, 0.3), Cube((-0.55,) * dim, 0.25)]):
+        family = family_from_cubes(spec, cubes)
+        assert not family.aligned.any()
+        pairs = nested_pairs(family)
+        assert pairs.size == 0
+        with pytest.raises(EmptyCubeFamily):
+            pairs.require_nonempty()
 
 
 def _max_over_containing_intervals(family, values, cells, nonfinite_to_zero=True):

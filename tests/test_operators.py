@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import bi_frac_at_oracle, frac_int_at_oracle, kernel_table_2d_oracle, value_at_oracle
+from conftest import bi_frac_at_oracle, frac_int_at_oracle, kernel_table_2d_oracle, sec_power_integral_oracle, value_at_oracle
 
 from bifrac import (
     AlphaOutOfRange,
@@ -127,14 +127,33 @@ class TestKernelTable:
             np.testing.assert_allclose(weights, kernel_table_2d_oracle(GridSpec(2, L, n), alpha), rtol=1e-10, atol=0)
             assert np.array_equal(weights, weights.T)
 
-    def test_2d_table_takes_one_quadrature_per_pair_of_edges(self, monkeypatch):
-        calls = []
-        corner_mass = operators._corner_mass_2d
-        monkeypatch.setattr(operators, "_corner_mass_2d", lambda *a: calls.append(a) or corner_mass(*a))
+    def test_2d_table_takes_one_angle_per_ordered_pair_of_edges(self, monkeypatch):
+        sizes = []
+        integrals = operators._sec_power_integrals
+        monkeypatch.setattr(operators, "_sec_power_integrals", lambda alpha, t: sizes.append(len(t)) or integrals(alpha, t))
         for n in (1, 2, 8, 32):
-            calls.clear()
+            sizes.clear()
             operators._kernel_table.__wrapped__(GridSpec(2, 1.0, n), 0.5)
-            assert len(calls) == n * (n + 1) // 2
+            assert sizes == [n * n]
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.99])
+    def test_batched_sec_power_integrals_equal_the_scalar_quadrature_bit_for_bit(self, alpha):
+        # every angle a 2D table takes at L = 1 and n <= 64, each break and
+        # both of its float neighbours, just below the pole, random angles
+        angles = set()
+        for n in (1, 2, 4, 8, 16, 32, 64):
+            h = GridSpec(2, 1.0, n).h
+            edges = [(d - 0.5) * h + h for d in range(n)]
+            angles.update(math.atan2(y, x) for x in edges for y in edges)
+        breaks = operators._SEC_BREAKS[1:]
+        t = np.concatenate((
+            sorted(angles),
+            breaks, np.nextafter(breaks, 0.0), np.nextafter(breaks, np.pi),
+            [0.5 * math.pi - 1e-14], np.random.default_rng(21).uniform(0.0, 0.5 * math.pi, 500),
+        ))
+        t = t[(t > 0.0) & (t < 0.5 * math.pi)]
+        want = [sec_power_integral_oracle(alpha, x) for x in t.tolist()]
+        assert np.array_equal(operators._sec_power_integrals(alpha, t), want)
 
     def test_2d_total_mass_vs_polar(self):
         # sum of all cell masses approximates the disk integral of r^(a-2)

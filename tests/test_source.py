@@ -1,12 +1,16 @@
 """Source layout checks: every import of the package sits at module level,
 every module-level name is read somewhere in the package (a public one
 may instead be exported by the package's __init__ or named by the benchmark),
-every function cache has a fixed size, and every `module.name` and
-`Class.attr` that README.md quotes exists."""
+every function cache has a fixed size, no call of np.unique loads numpy.ma,
+and every `module.name` and `Class.attr` that README.md quotes exists."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -173,3 +177,90 @@ def test_the_readme_check_flags_a_deleted_name():
     # class attributes: a cached property, a dataclass field, a method and a deleted property
     text = "`CellBoxes.blocks`, `KernelTable.weights`, `GridSpec.cell_of_point`, `T1.1` and `CellBoxes.groups`"
     assert _stale_module_names(text) == ["CellBoxes.groups"]
+
+
+_UNIQUE_FLAGS = {"return_index", "return_inverse", "return_counts"}
+# set routines that call a bare np.unique on their inputs
+_SET_ROUTINES = {"intersect1d", "setdiff1d", "setxor1d", "union1d"}
+
+
+def _bare_unique_calls(source: str) -> list[int]:
+    """Lines of `np.unique(...)` calls that pass none of return_index,
+    return_inverse and return_counts as True, and of np set routines."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        if isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+        if node.func.attr in _SET_ROUTINES
+        or node.func.attr == "unique"
+        and not any(k.arg in _UNIQUE_FLAGS and isinstance(k.value, ast.Constant) and k.value.value is True for k in node.keywords)
+    )
+
+
+def test_every_np_unique_asks_for_indices_or_counts():
+    """numpy 2.x's np.unique without return_index, return_inverse or
+    return_counts asks np.ma.is_masked whether the array is masked, which
+    imports numpy.ma (about 15 ms) on the first such call in a process; so
+    do np.intersect1d and the other set routines, which call it.  Sorted
+    distinct small integers come from np.flatnonzero(np.bincount(x)), a
+    duplicate test from a sort and a comparison of neighbours, and a
+    membership test from np.isin(..., kind="table")."""
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _bare_unique_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("np.unique(x)\n", [1]),
+        ("np.unique(x, axis=0)\n", [1]),
+        ("np.unique(x, return_counts=False)\n", [1]),
+        ("np.unique(x, return_index=True)\n", []),
+        ("np.unique(x, axis=0, return_inverse=True)\n", []),
+        ("np.unique(x, return_counts=True)\n", []),
+        ("y = x.unique()\n", []),
+        ("np.intersect1d(a, b)\n", [1]),
+        ("np.isin(a, b, kind='table')\n", []),
+    ],
+)
+def test_the_unique_check_flags_bare_calls(source, lines):
+    assert _bare_unique_calls(source) == lines
+
+
+_COLD_RUN = """
+import sys
+import numpy as np
+from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, cz_decompose, multi_frac_int
+from bifrac.families import default_family, nested_pairs
+from bifrac.harness import CORPUS_KINDS, check_sparse_invariants, corpus
+from bifrac.operators import kernel_table
+
+nested_pairs(default_family(GridSpec(1, 4.0, 128)))
+nested_pairs(default_family(GridSpec(2, 2.0, 16)))
+kernel_table(GridSpec(2, 2.0, 32), 0.7)
+for kind in CORPUS_KINDS:
+    corpus(7, kind, GridSpec(1, 4.0, 64))
+spec = GridSpec(2, 2.0, 16)
+cells = np.ones(spec.shape)
+cells[9, 10] = 1e4
+f = GridFunction(spec, cells)
+multi_frac_int(f, f, 1.3)
+fam = cz_decompose(f, f, 2.0, 2.0, Cube((0.0, 0.0), 1.0), DyadicGrid((0.0, 0.0)))
+check_sparse_invariants(fam)  # its overlap test runs on every level; bounds may fail here
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_cold_start_never_imports_numpy_ma():
+    # a fresh interpreter: the test process itself may have loaded numpy.ma
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-c", _COLD_RUN], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False"]
+    assert time.perf_counter() - start < 2.0
