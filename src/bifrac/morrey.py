@@ -2,21 +2,21 @@
 
 The norm is computed as max over the family of |Q|^{1/p0} (avg_Q |f|^q)^{1/q},
 algebraically identical to |Q|^{1/p0 - 1/q} ||f chi_Q||_q but numerically
-stabler.  These are under-approximations of the continuum suprema;
-comparisons always run both sides over the same family.
+stabler; scalar and vector norms are the max of one `weights._cube_values`,
+which reads +inf where an average vanishes on a cube where another is +inf.
+These are under-approximations of the continuum suprema; comparisons always
+run both sides over the same family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EmptyCubeFamily, ExponentOrder
 from .families import CubeFamily
 from .geometry import Cube
 from .lattice import GridFunction
-from .weights import _family_power_averages
+from .weights import _cube_values, _top
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,11 @@ class MorreyParams:
             raise ExponentOrder(f"need 0 < q <= p0, got q={self.q}, p0={self.p0}")
 
 
-def _norm_values(f: GridFunction, p0: float, q: float, family: CubeFamily) -> np.ndarray:
-    avgs = _family_power_averages(f.abs_pow(1.0), q, family)
-    return family.measures ** (1.0 / p0) * avgs ** (1.0 / q)
-
-
 def morrey_norm(f: GridFunction, params: MorreyParams, family: CubeFamily) -> float:
     """max over the family of |Q|^{1/p0 - 1/q} (int_Q |f|^q)^{1/q}."""
     if family.size == 0:
         raise EmptyCubeFamily("morrey_norm over an empty family")
-    return float(np.max(_norm_values(f, params.p0, params.q, family)))
+    return _top(_cube_values(family, [(f.abs_pow(1.0), params.q, 1.0 / params.q)], 1.0 / params.p0)[0])[0]
 
 
 def morrey_norm_witness(
@@ -48,9 +43,8 @@ def morrey_norm_witness(
 ) -> tuple[float, Cube]:
     if family.size == 0:
         raise EmptyCubeFamily("morrey_norm over an empty family")
-    vals = _norm_values(f, params.p0, params.q, family)
-    k = int(np.argmax(vals))
-    return float(vals[k]), family.cube(k)
+    value, k = _top(_cube_values(family, [(f.abs_pow(1.0), params.q, 1.0 / params.q)], 1.0 / params.p0)[0])
+    return value, family.cube(k)
 
 
 def vector_morrey_norm(
@@ -66,9 +60,8 @@ def vector_morrey_norm(
         raise EmptyCubeFamily("vector_morrey_norm over an empty family")
     if p1 <= 0 or p2 <= 0:
         raise ExponentOrder("component exponents must be positive")
-    a1 = _family_power_averages(f1.abs_pow(1.0), p1, family) ** (1.0 / p1)
-    a2 = _family_power_averages(f2.abs_pow(1.0), p2, family) ** (1.0 / p2)
-    return float(np.max(family.measures ** (1.0 / p0) * a1 * a2))
+    factors = [(f1.abs_pow(1.0), p1, 1.0 / p1), (f2.abs_pow(1.0), p2, 1.0 / p2)]
+    return _top(_cube_values(family, factors, 1.0 / p0)[0])[0]
 
 
 def power_scaling_check(

@@ -1,10 +1,11 @@
 """Weight-class constants as maxima over finite cube and nested-pair families.
 
-Every constant is the discrete analogue of a supremum; maxima run over
-explicit families in a deterministic order (corner, then side), so the
-first attaining cube is the canonical witness.  Averages of negative
-powers of step weights are exact; zero samples are tolerated only in
-the sense of a +inf sentinel, strictly negative ones are rejected.
+Each per-cube value, of every constant and Morrey norm, is one `_cube_values`
+product of power averages or minima, where a nan (0 * inf) reads +inf.  Maxima
+run over explicit families in a deterministic order (corner, then side), so
+the first attaining cube is the canonical witness.  Averages of negative
+powers of step weights are exact; zero samples are tolerated only in the
+sense of a +inf sentinel, strictly negative ones are rejected.
 """
 
 from __future__ import annotations
@@ -96,26 +97,50 @@ def _family_power_averages(w: GridFunction, expo: float, family: CubeFamily) -> 
     return vals
 
 
-def _family_minima(w: GridFunction, family: CubeFamily) -> np.ndarray:
-    """min over each cube of the weight: over every cell the cube touches."""
-    return family.touch.minima(w.samples)
-
-
 def _check_positive(*ws: GridFunction):
     for w in ws:
         if float(w.samples.min()) < 0.0:
             raise NonPositiveWeight("weight has a negative sample")
 
 
+def _dual(w: GridFunction, p: float) -> tuple:
+    """The factor (avg_Q w^{-p'})^{1/p'}; at p = 1 its limit, a division by min_Q w."""
+    return (w, None, None) if p == 1.0 else (w, -conjugate(p), 1.0 / conjugate(p))
+
+
+def _cube_values(family: CubeFamily, factors: list[tuple], measure_power: float | None = None) -> tuple:
+    """|Q|^measure_power times the factors per family cube, left to right, and
+    each factor's array: the one reader of per-cube power averages and minima.
+    A factor (w, e, c) is (avg_Q w^e)^c, the power skipped at c = 1; (w, None,
+    None) divides by min_Q w over the cells Q touches.  A nan value is 0 * inf,
+    a factor vanishing where another is +inf: `_top` and `_sanitize` read +inf.
+    """
+    vals = None if measure_power is None else family.measures ** measure_power
+    parts = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for w, expo, power in factors:
+            if expo is None:
+                part = family.touch.minima(w.samples)
+                vals = vals / part
+            else:
+                part = _family_power_averages(w, expo, family)
+                if power != 1.0:
+                    part = part ** power
+                vals = part if vals is None else vals * part
+            parts.append(part)
+    return vals, parts
+
+
 def _sanitize(vals: np.ndarray) -> np.ndarray:
-    # 0 * inf from a weight vanishing on a whole cube: not in the class
     return np.where(np.isnan(vals), np.inf, vals)
 
 
-def _argmax_report(vals: np.ndarray, family: CubeFamily) -> ConstantReport:
-    vals = _sanitize(vals)
+def _top(vals: np.ndarray) -> tuple[float, int]:
+    """The max of per-cube values and its first cube; scans twice only at a nan."""
     k = int(np.argmax(vals))
-    return ConstantReport(float(vals[k]), family.cube(k), family.size)
+    if np.isnan(vals[k]):
+        return np.inf, int(np.argmax(np.isnan(vals) | (vals == np.inf)))
+    return float(vals[k]), k
 
 
 def ap_constant(w: GridFunction, p: float, family: CubeFamily) -> ConstantReport:
@@ -127,17 +152,9 @@ def ap_constant(w: GridFunction, p: float, family: CubeFamily) -> ConstantReport
         raise POutOfRange(f"p must be at least 1, got {p}")
     _check_positive(w)
     family.require_nonempty()
-    avg1 = _family_power_averages(w, 1.0, family)
-    if p == 1.0:
-        mins = _family_minima(w, family)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = avg1 / mins
-    else:
-        pp = conjugate(p)
-        dual = _family_power_averages(w, 1.0 - pp, family)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = avg1 * dual ** (p - 1.0)
-    return _argmax_report(vals, family)
+    dual = _dual(w, 1.0) if p == 1.0 else (w, 1.0 - conjugate(p), p - 1.0)
+    value, k = _top(_cube_values(family, [(w, 1.0, 1.0), dual])[0])
+    return ConstantReport(value, family.cube(k), family.size)
 
 
 def apq_constant(w: GridFunction, p: float, q: float, family: CubeFamily) -> ConstantReport:
@@ -146,11 +163,8 @@ def apq_constant(w: GridFunction, p: float, q: float, family: CubeFamily) -> Con
         raise POutOfRange(f"need 1 < p < q, got p={p}, q={q}")
     _check_positive(w)
     family.require_nonempty()
-    pp = conjugate(p)
-    with np.errstate(invalid="ignore"):
-        lead = _family_power_averages(w, q, family) ** (1.0 / q)
-        dual = _family_power_averages(w, -pp, family) ** (1.0 / pp)
-        return _argmax_report(lead * dual, family)
+    value, k = _top(_cube_values(family, [(w, q, 1.0 / q), _dual(w, p)])[0])
+    return ConstantReport(value, family.cube(k), family.size)
 
 
 def multiple_apq_constant(
@@ -163,15 +177,9 @@ def multiple_apq_constant(
     if p1 < 1.0 or p2 < 1.0 or q <= 0.0:
         raise POutOfRange("need p_i >= 1 and q > 0")
     family.require_nonempty()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vals = _family_power_averages(wv.nu, q, family) ** (1.0 / q)
-        for p, w in ((p1, wv.w1), (p2, wv.w2)):
-            if p == 1.0:
-                vals = vals / _family_minima(w, family)
-            else:
-                pp = conjugate(p)
-                vals = vals * _family_power_averages(w, -pp, family) ** (1.0 / pp)
-    return _argmax_report(vals, family)
+    factors = [(wv.nu, q, 1.0 / q), _dual(wv.w1, p1), _dual(wv.w2, p2)]
+    value, k = _top(_cube_values(family, factors)[0])
+    return ConstantReport(value, family.cube(k), family.size)
 
 
 def iida_constant(
@@ -215,19 +223,16 @@ def _pair_constant(lead, wv, q0, q, p1, p2, pairs, r0) -> ConstantReport:
     pairs.require_nonempty()
     fam = pairs.family
     meas = fam.measures
+    # (|Q|/|Q'|)^{1/q0} = |Q|^{1/q0} |Q'|^{-1/q0}, so the max over pairs
+    # is the max over Q' of its outer factor times its best inner factor
+    inner, (inner_lead,) = _cube_values(fam, [(lead, q, 1.0 / q)], 1.0 / q0)
+    inner = _sanitize(inner)
+    best = pairs.inner_max(inner)
+    outer, (outer_1, outer_2) = _cube_values(fam, [_dual(wv.w1, p1), _dual(wv.w2, p2)], -1.0 / q0)
     with np.errstate(invalid="ignore"):
-        inner_lead = _family_power_averages(lead, q, fam) ** (1.0 / q)
-        cp1, cp2 = conjugate(p1), conjugate(p2)
-        outer_1 = _family_power_averages(wv.w1, -cp1, fam) ** (1.0 / cp1)
-        outer_2 = _family_power_averages(wv.w2, -cp2, fam) ** (1.0 / cp2)
-        # (|Q|/|Q'|)^{1/q0} = |Q|^{1/q0} |Q'|^{-1/q0}, so the max over pairs
-        # is the max over Q' of its outer factor times its best inner factor
-        inner = _sanitize(meas ** (1.0 / q0) * inner_lead)
-        best = pairs.inner_max(inner)
-        outer = meas ** (-1.0 / q0) * outer_1 * outer_2
         if r0 is not None:
             outer = outer * meas ** (1.0 / r0)
-        K = int(np.argmax(np.where(fam.aligned, _sanitize(outer * best), -np.inf)))
+        K = _top(np.where(fam.aligned, outer * best, -np.inf))[1]
         inside = np.all(fam.lo >= fam.lo[K], axis=1) & np.all(fam.hi <= fam.hi[K], axis=1)
         Q = int(np.argmax(fam.aligned & inside & (inner == best[K])))
         # the witness pair's value, by the pair formula factor by factor
@@ -247,12 +252,13 @@ def reverse_holder_probe(w: GridFunction, epsilon: float, family: CubeFamily) ->
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     _check_positive(w)
     family.require_nonempty()
-    lo = _family_power_averages(w, 1.0, family)
+    lo = _cube_values(family, [(w, 1.0, 1.0)])[0]
     held = lo > 0.0
     # a 2D prefix-sum difference over cells that are all 0 may round above 0
     positive = family.corner_sums(_prefix_table((w.samples > 0.0).astype(np.int64))) > 0
     held[family.aligned_plan[0]] &= positive
     if not held.any():
         raise NonPositiveWeight(f"weight is 0 on every cube of the family {family.name!r}")
-    hi = _family_power_averages(w, 1.0 + epsilon, family)[held] ** (1.0 / (1.0 + epsilon))
-    return float(np.max(hi / lo[held]))
+    hi = _cube_values(family, [(w, 1.0 + epsilon, 1.0 / (1.0 + epsilon))])[0]
+    with np.errstate(invalid="ignore"):
+        return _top(hi[held] / lo[held])[0]

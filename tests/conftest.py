@@ -8,10 +8,10 @@ from hypothesis import settings
 
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.geometry import _THIRD
-from bifrac.families import subcube_blocks
+from bifrac.families import _prefix_table, subcube_blocks
 from bifrac.lattice import CellBoxes, box_power_integral, cell_overlaps, integrate_overlaps
 from bifrac.operators import _m3q, kernel_table
-from bifrac.weights import WeightVector, _family_power_averages, _sanitize, conjugate
+from bifrac.weights import ConstantReport, WeightVector, _family_power_averages, _sanitize, conjugate
 
 # One profile for every property test: the same examples on every run and
 # no per-example deadline.  Tests set only their own max_examples.
@@ -311,6 +311,99 @@ def family_power_averages_oracle(w, expo, family):
     integrals = overlap_integrals_oracle(spec, pw, family.corners[shifted], family.sides[shifted])
     vals[shifted] = integrals / family.measures[shifted]
     return vals
+
+
+# The per-constant formulas that weights._cube_values replaced, one body each,
+# in their own float operations and order: the bit-for-bit references of
+# every weight constant and Morrey norm.  Input checks are left to the code
+# under test.
+
+
+def report_oracle(vals, family):
+    """The max of per-cube values, a nan read as +inf, and its first cube."""
+    vals = _sanitize(vals)
+    k = int(np.argmax(vals))
+    return ConstantReport(float(vals[k]), family.cube(k), family.size)
+
+
+def ap_constant_oracle(w, p, family):
+    avg1 = _family_power_averages(w, 1.0, family)
+    if p == 1.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = avg1 / family.touch.minima(w.samples)
+    else:
+        dual = _family_power_averages(w, 1.0 - conjugate(p), family)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = avg1 * dual ** (p - 1.0)
+    return report_oracle(vals, family)
+
+
+def apq_constant_oracle(w, p, q, family):
+    pp = conjugate(p)
+    with np.errstate(invalid="ignore"):
+        lead = _family_power_averages(w, q, family) ** (1.0 / q)
+        dual = _family_power_averages(w, -pp, family) ** (1.0 / pp)
+        return report_oracle(lead * dual, family)
+
+
+def multiple_apq_constant_oracle(wv, p1, p2, q, family):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vals = _family_power_averages(wv.nu, q, family) ** (1.0 / q)
+        for p, w in ((p1, wv.w1), (p2, wv.w2)):
+            if p == 1.0:
+                vals = vals / family.touch.minima(w.samples)
+            else:
+                pp = conjugate(p)
+                vals = vals * _family_power_averages(w, -pp, family) ** (1.0 / pp)
+    return report_oracle(vals, family)
+
+
+def pair_constant_oracle(lead, wv, q0, q, p1, p2, pairs, r0=None):
+    fam = pairs.family
+    meas = fam.measures
+    with np.errstate(invalid="ignore"):
+        inner_lead = _family_power_averages(lead, q, fam) ** (1.0 / q)
+        cp1, cp2 = conjugate(p1), conjugate(p2)
+        outer_1 = _family_power_averages(wv.w1, -cp1, fam) ** (1.0 / cp1)
+        outer_2 = _family_power_averages(wv.w2, -cp2, fam) ** (1.0 / cp2)
+        inner = _sanitize(meas ** (1.0 / q0) * inner_lead)
+        best = pairs.inner_max(inner)
+        outer = meas ** (-1.0 / q0) * outer_1 * outer_2
+        if r0 is not None:
+            outer = outer * meas ** (1.0 / r0)
+        K = int(np.argmax(np.where(fam.aligned, _sanitize(outer * best), -np.inf)))
+        inside = np.all(fam.lo >= fam.lo[K], axis=1) & np.all(fam.hi <= fam.hi[K], axis=1)
+        Q = int(np.argmax(fam.aligned & inside & (inner == best[K])))
+        value = (meas[Q] / meas[K]) ** (1.0 / q0) * inner_lead[Q] * outer_1[K] * outer_2[K]
+        if r0 is not None:
+            value = value * meas[K] ** (1.0 / r0)
+    return ConstantReport(float(_sanitize(value)), (fam.cube(Q), fam.cube(K)), pairs.size)
+
+
+def reverse_holder_probe_oracle(w, epsilon, family):
+    """The probe's formula; a nan ratio (inf / inf, where avg_Q w overflows)
+    reads +inf, the contract of the shared max."""
+    lo = _family_power_averages(w, 1.0, family)
+    held = lo > 0.0
+    positive = family.corner_sums(_prefix_table((w.samples > 0.0).astype(np.int64))) > 0
+    held[family.aligned_plan[0]] &= positive
+    hi = _family_power_averages(w, 1.0 + epsilon, family)[held] ** (1.0 / (1.0 + epsilon))
+    with np.errstate(invalid="ignore"):
+        return float(np.max(_sanitize(hi / lo[held])))
+
+
+def morrey_values_oracle(f, p0, q, family):
+    """Per cube |Q|^{1/p0} (avg_Q |f|^q)^{1/q}."""
+    avgs = _family_power_averages(f.abs_pow(1.0), q, family)
+    return family.measures ** (1.0 / p0) * avgs ** (1.0 / q)
+
+
+def vector_morrey_values_oracle(f1, f2, p0, p1, p2, family):
+    """Per cube |Q|^{1/p0} prod_i (avg_Q |f_i|^{p_i})^{1/p_i}."""
+    a1 = _family_power_averages(f1.abs_pow(1.0), p1, family) ** (1.0 / p1)
+    a2 = _family_power_averages(f2.abs_pow(1.0), p2, family) ** (1.0 / p2)
+    with np.errstate(invalid="ignore"):
+        return family.measures ** (1.0 / p0) * a1 * a2
 
 
 def iida_pair_value(

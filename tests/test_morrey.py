@@ -197,3 +197,17 @@ def test_2d_norm_of_finite_data_whose_integrals_overflow_is_inf():
     assert not np.isnan(avgs).any()
     assert np.isinf(avgs[fam.aligned]).any()
     assert morrey_norm(f, MorreyParams(4.0, 2.0), fam) == np.inf
+
+
+def test_vector_norm_reads_inf_where_one_average_vanishes_and_the_other_overflows():
+    # f1 is 0 on the cells where |f2|^2 leaves the float range, so those
+    # cubes read 0 * inf; the norm is the +inf sentinel that the scalar norm
+    # of f2 reads, with no warning (warnings are errors in this suite)
+    from bifrac.families import default_family
+
+    spec = GridSpec(1, 4.0, 16)
+    fam = default_family(spec)
+    f1 = GridFunction(spec, np.where(np.arange(16) < 8, 0.0, 1.0))
+    f2 = GridFunction(spec, np.where(np.arange(16) < 8, 1e200, 1.0))
+    assert morrey_norm(f2, MorreyParams(4.0, 2.0), fam) == np.inf
+    assert vector_morrey_norm(f1, f2, 4.0, 2.0, 2.0, fam) == np.inf

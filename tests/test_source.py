@@ -2,7 +2,8 @@
 every module-level name is read somewhere in the package (a public one
 may instead be exported by the package's __init__ or named by the benchmark),
 every function cache has a fixed size, no call of np.unique loads numpy.ma,
-and every `module.name` and `Class.attr` that README.md quotes exists."""
+per-cube power averages and minima are read in one function, and every
+`module.name` and `Class.attr` that README.md quotes exists."""
 
 import ast
 import importlib
@@ -144,6 +145,56 @@ def test_every_cache_is_bounded():
 )
 def test_the_cache_check_flags_unbounded_caches(source, lines):
     assert _unbounded_caches(source) == lines
+
+
+def _cube_reads_outside(source: str, reader: str = "_cube_values") -> list[str]:
+    """`function:line` of each call of _family_power_averages, or of a
+    `.touch.minima`, made outside the function named reader (`<module>` for a
+    call at module level): every weight constant and Morrey norm takes its
+    per-cube values from that one function."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                touch = name == "minima" and isinstance(f.value, ast.Attribute) and f.value.attr == "touch"
+                if (name == "_family_power_averages" or touch) and fn != reader:
+                    found.append(f"{fn}:{child.lineno}")
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_per_cube_averages_and_minima_are_read_in_one_function():
+    found = [
+        f"{path.name}:{site}"
+        for path in sorted(SRC.glob("*.py"))
+        for site in _cube_reads_outside(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+_READER = "def _cube_values(family, factors):\n    a = _family_power_averages(w, 2.0, family)\n    m = family.touch.minima(w)\n"
+
+
+@pytest.mark.parametrize(
+    "source, sites",
+    [
+        (_READER, []),
+        (_READER + "def ap_constant(w, family):\n    return _family_power_averages(w, 1.0, family)\n", ["ap_constant:5"]),
+        (_READER + "def f(fam):\n    return fam.touch.minima(w.samples)\n", ["f:5"]),
+        (_READER + "def f(fam):\n    return weights._family_power_averages(w, 1.0, fam)\n", ["f:5"]),
+        (_READER + "def f(fam):\n    def g():\n        return fam.touch.minima(w)\n    return g\n", ["g:6"]),
+        (_READER + "vals = _family_power_averages(w, 1.0, fam)\n", ["<module>:4"]),
+        (_READER + "def f(fam):\n    return fam.boxes.minima(w), fam.touch.maxima(w)\n", []),
+    ],
+)
+def test_the_cube_read_check_flags_a_second_call_site(source, sites):
+    assert _cube_reads_outside(source) == sites
 
 
 def _stale_module_names(text: str) -> list[str]:

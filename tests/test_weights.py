@@ -4,7 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from conftest import enumerated_pair_values, family_power_averages_oracle, iida_pair_value, overlap_integrals_oracle
+from conftest import (
+    ap_constant_oracle,
+    apq_constant_oracle,
+    enumerated_pair_values,
+    family_power_averages_oracle,
+    iida_pair_value,
+    morrey_values_oracle,
+    multiple_apq_constant_oracle,
+    overlap_integrals_oracle,
+    pair_constant_oracle,
+    report_oracle,
+    reverse_holder_probe_oracle,
+    vector_morrey_values_oracle,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +27,7 @@ from bifrac import (
     EmptyCubeFamily,
     GridFunction,
     GridSpec,
+    MorreyParams,
     NonPositiveWeight,
     POutOfRange,
     SpecMismatch,
@@ -25,15 +39,19 @@ from bifrac import (
     default_family,
     family_from_cubes,
     iida_constant,
+    morrey_norm,
+    morrey_norm_witness,
     multiple_apq_constant,
     nested_pairs,
+    power_scaling_check,
     reverse_holder_probe,
     two_weight_constant,
+    vector_morrey_norm,
 )
 from bifrac import families, lattice
 from bifrac.families import CubeFamily, _shifted_grid_cubes
 from bifrac.lattice import box_power_integral
-from bifrac.weights import _family_power_averages, conjugate
+from bifrac.weights import ConstantReport, _family_power_averages, conjugate
 
 
 def brute_interval_values(w_samples, h, i, j, expo):
@@ -370,6 +388,79 @@ def test_pair_constants_match_enumeration(data):
             assert again == rep.value
         else:
             assert again == pytest.approx(rep.value, rel=1e-12)
+
+
+def _assert_same_bits(got, want):
+    """Two reports, or two floats, equal bit for bit."""
+    if isinstance(want, ConstantReport):
+        assert (got.witness, got.family_size) == (want.witness, want.family_size)
+        got, want = got.value, want.value
+    assert np.float64(got).tobytes() == np.float64(want).tobytes(), (got, want)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_every_constant_and_norm_equals_its_formula_bit_for_bit(data):
+    # each of the ten entry points against the formula it was before the
+    # shared per-cube product (tests/conftest.py), on the 1D and 2D default
+    # families; a nan there (0 * inf) reads +inf, the contract of the shared max
+    dim = data.draw(st.sampled_from((1, 2)))
+    spec = GridSpec(1, 4.0, 16) if dim == 1 else GridSpec(2, 2.0, 8)
+    family = default_family(spec)
+    pairs = nested_pairs(family)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    w, w1, w2, v = (rng.uniform(0.3, 3.0, spec.shape) for _ in range(4))
+    f1, f2 = rng.normal(size=spec.shape), rng.normal(size=spec.shape)
+    special = data.draw(st.sampled_from(("none", "zero-cells", "zero-block", "overflow")))
+    # the last half per axis: cubes that reach into it from outside read +inf
+    # and come before those inside it (nan), so the first +inf is the witness
+    block = (slice(spec.cells_per_axis // 2, None),) * dim
+    if special == "zero-cells":
+        # +inf sentinels: a zero cell raised to a negative power, and w1^{-p1'} past the float range
+        for arr, tiny in ((w, 0.0), (v, 0.0), (w1, 1e-300)):
+            arr.reshape(-1)[rng.integers(0, arr.size, 2)] = tiny
+    elif special == "zero-block":
+        # weights vanishing on whole cubes where a dual average is +inf, and
+        # f2^2 past the float range where f1 vanishes: 0 * inf on those cubes
+        w[block], v[block], w1[block], f1[block], f2[block] = 0.0, 0.0, 1e-300, 0.0, 1e200
+    elif special == "overflow":
+        w.reshape(-1)[:2] = 1e308  # avg_Q w past the float range: inf / inf in the probe
+    w, v, f1, f2 = (GridFunction(spec, a) for a in (w, v, f1, f2))
+    wv = WeightVector(GridFunction(spec, w1), GridFunction(spec, w2))
+    if special == "zero-block":
+        assert np.isnan(vector_morrey_values_oracle(f1, f2, 4.0, 2.0, 2.0, family)).any()
+
+    p = data.draw(st.sampled_from((1.0, 1.5, 3.0)))
+    _assert_same_bits(ap_constant(w, p, family), ap_constant_oracle(w, p, family))
+    p, q = data.draw(st.sampled_from(((1.5, 2.5), (2.0, 4.0))))
+    _assert_same_bits(apq_constant(w, p, q, family), apq_constant_oracle(w, p, q, family))
+    p1, p2 = data.draw(st.sampled_from((1.0, 1.5, 3.0))), data.draw(st.sampled_from((1.0, 2.0)))
+    q = data.draw(st.sampled_from((0.5, 1.0, 2.0)))
+    want = multiple_apq_constant_oracle(wv, p1, p2, q, family)
+    _assert_same_bits(multiple_apq_constant(wv, p1, p2, q, family), want)
+    q0, q = data.draw(st.sampled_from((0.7, 4.0))), data.draw(st.sampled_from((0.5, 2.0)))
+    p1, p2 = data.draw(st.sampled_from((1.25, 3.0))), data.draw(st.sampled_from((1.5, 2.0)))
+    r0 = data.draw(st.sampled_from((None, 1.5)))
+    want = pair_constant_oracle(wv.nu, wv, q0, q, p1, p2, pairs)
+    _assert_same_bits(iida_constant(wv, q0, q, p1, p2, pairs), want)
+    want = pair_constant_oracle(v, wv, q0, q, p1, p2, pairs, r0)
+    _assert_same_bits(two_weight_constant(v, wv, q0, q, p1, p2, pairs, r0), want)
+    eps = data.draw(st.sampled_from((0.5, 2.0)))
+    _assert_same_bits(reverse_holder_probe(w, eps, family), reverse_holder_probe_oracle(w, eps, family))
+
+    p0, q = data.draw(st.sampled_from(((2.0, 1.0), (4.0, 2.0), (3.0, 3.0))))
+    for f in (f1, f2):
+        want = report_oracle(morrey_values_oracle(f, p0, q, family), family)
+        value, cube = morrey_norm_witness(f, MorreyParams(p0, q), family)
+        _assert_same_bits(ConstantReport(value, cube, family.size), want)
+        _assert_same_bits(morrey_norm(f, MorreyParams(p0, q), family), want.value)
+    p1, p2 = data.draw(st.sampled_from((1.0, 2.0))), data.draw(st.sampled_from((2.0, 3.0)))
+    want = report_oracle(vector_morrey_values_oracle(f1, f2, 4.0, p1, p2, family), family)
+    _assert_same_bits(vector_morrey_norm(f1, f2, 4.0, p1, p2, family), want.value)
+    lhs, rhs = power_scaling_check(f1, 4.0, 3.0, 1.5, family)
+    scaled = report_oracle(morrey_values_oracle(f1.abs_pow(1.5), 4.0 / 1.5, 2.0, family), family)
+    _assert_same_bits(lhs, scaled.value ** (1.0 / 1.5))
+    _assert_same_bits(rhs, report_oracle(morrey_values_oracle(f1, 4.0, 3.0, family), family).value)
 
 
 @pytest.mark.parametrize("dim", (1, 2))
