@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 
-from .errors import BifracError, ConfigInvalid, InputUnreadable
+from .errors import BifracError, ConfigInvalid, InputUnreadable, POutOfRange
 from .families import default_family, nested_pairs
 from .geometry import Cube, DyadicGrid
 from .harness import (
@@ -295,42 +295,54 @@ def cmd_apply(args) -> int:
     return 0
 
 
+# the input files each constant reads besides --weight
+_CONSTANT_INPUTS = {
+    "ap": (),
+    "apq": (),
+    "multiple-apq": ("weight2",),
+    "iida": ("weight2",),
+    "two-weight": ("weight2", "v"),
+    "reverse-holder": (),
+}
+
+
+def _constant_row(name, args, w1, w2, v, family, pairs) -> dict:
+    """One output row of `bifrac constants`."""
+    if name == "reverse-holder":
+        val = reverse_holder_probe(w1, args.epsilon, family)
+        return {"constant": name, "value": val, "witness": "", "family_size": family.size}
+    if name == "ap":
+        rep = ap_constant(w1, args.p, family)
+    elif name == "apq":
+        rep = apq_constant(w1, args.p, args.q, family)
+    elif name == "multiple-apq":
+        rep = multiple_apq_constant(WeightVector(w1, w2), args.p1, args.p2, args.q, family)
+    elif name == "iida":
+        rep = iida_constant(WeightVector(w1, w2), args.q0, args.q, args.p1, args.p2, pairs)
+    else:
+        rep = two_weight_constant(v, WeightVector(w1, w2), args.q0, args.q, args.p1, args.p2, pairs, r0=args.r0)
+    return {"constant": name, "value": rep.value, "witness": witness_text(rep.witness), "family_size": rep.family_size}
+
+
 def cmd_constants(args) -> int:
     cfg = _load_config(args)
+    for name in args.constant:
+        if name not in _CONSTANT_INPUTS:
+            raise ConfigInvalid(f"unknown constant {name!r}; known constants are {list(_CONSTANT_INPUTS)}")
+        missing = [f"--{key}" for key in _CONSTANT_INPUTS[name] if getattr(args, key) is None]
+        if missing:
+            raise ConfigInvalid(f"constant {name!r} needs {' and '.join(missing)}")
     w1 = _read_inputs([args.weight])[0]
-    spec = w1.spec
-    family = default_family(spec)
-    pairs = nested_pairs(family)
     w2 = _read_inputs([args.weight2])[0] if args.weight2 else None
     v = _read_inputs([args.v])[0] if args.v else None
+    family = default_family(w1.spec)
+    pairs = nested_pairs(family) if {"iida", "two-weight"} & set(args.constant) else None
     results = []
     for name in args.constant:
-        if name == "ap":
-            rep = ap_constant(w1, args.p, family)
-        elif name == "apq":
-            rep = apq_constant(w1, args.p, args.q, family)
-        elif name == "multiple-apq":
-            rep = multiple_apq_constant(WeightVector(w1, w2), args.p1, args.p2, args.q, family)
-        elif name == "iida":
-            rep = iida_constant(WeightVector(w1, w2), args.q0, args.q, args.p1, args.p2, pairs)
-        elif name == "two-weight":
-            rep = two_weight_constant(
-                v, WeightVector(w1, w2), args.q0, args.q, args.p1, args.p2, pairs, r0=args.r0
-            )
-        elif name == "reverse-holder":
-            val = reverse_holder_probe(w1, args.epsilon, family)
-            results.append({"constant": name, "value": val, "witness": "", "family_size": family.size})
-            continue
-        else:
-            raise ConfigInvalid(f"unknown constant {name!r}")
-        results.append(
-            {
-                "constant": name,
-                "value": rep.value,
-                "witness": witness_text(rep.witness),
-                "family_size": rep.family_size,
-            }
-        )
+        try:
+            results.append(_constant_row(name, args, w1, w2, v, family, pairs))
+        except POutOfRange as exc:
+            raise POutOfRange(f"constant {name!r}: {exc}") from exc
     if cfg.format == "csv":
         lines = ["constant,value,witness,family_size"]
         for row in results:

@@ -12,9 +12,9 @@ compared on identical index sets:
   is exact: nothing is capped or subsampled (7,590 cubes at N = 32).
 
 `nested_pairs` gives the nesting relation Q ⊆ Q' among the aligned
-members of a family: its exact pair count (1D: from one start x end table;
-2D: per width) and, per member, the max of a per-cube value over the
-members inside it.  Pairs are never listed.
+members of a family: its exact pair count and, per member, the max of a
+per-cube value over the members inside it, both from the engine's cell
+boxes (CellBoxes.pair_count and inner_max).  Pairs are never listed.
 
 `subcube_blocks` lists the dyadic subcubes of a root cube down to single
 cells, as corner cells and widths.
@@ -256,8 +256,11 @@ def default_family(spec: GridSpec) -> CubeFamily:
     squares, shifted = _po2_squares(spec), _shifted_grid_cubes(spec)
     corners = np.concatenate([squares[0], shifted[0]])
     sides = np.concatenate([squares[1], shifted[1]])
-    # the first of the cubes that agree to 12 decimals, in (corner, side) order
-    keep = np.unique(np.round(np.column_stack([corners, sides]), 12), axis=0, return_index=True)[1]
+    # the first of the cubes that agree to 12 decimals (a stable sort keeps
+    # each group's rows in input order), then all in (corner, side) order
+    rows = np.round(np.column_stack([corners, sides]), 12)
+    rank = np.lexsort(rows.T[::-1])
+    keep = rank[np.append(True, (np.diff(rows[rank], axis=0) != 0).any(axis=1))]
     order = keep[np.lexsort((sides[keep], *corners[keep].T[::-1]))]
     return _with_cell_bounds(spec, corners[order], sides[order], "squares+shifted")
 
@@ -318,38 +321,13 @@ class NestedPairs:
         """Per member Q', the max of vals[Q] over the aligned members Q ⊆ Q'.
 
         Shifted members get -inf.  The engine's inward containment maxima
-        over the aligned cubes' boxes (CellBoxes.inner_max): two running
-        maxima of a start x end table in 1D, the square-table recursion in 2D.
+        over the aligned cubes' boxes (CellBoxes.inner_max): running maxima
+        of one start x end table in 1D, per-side corner windows in 2D.
         """
         return self.family.boxes.inner_max(vals)
 
 
 def nested_pairs(family: CubeFamily) -> NestedPairs:
-    """The nesting relation among the aligned members, with its exact pair count.
-
-    In 1D, [s, e] lies in [s', e'] when s' <= s and e <= e': cumsums of the
-    N x N start x end table of member counts over e, then back over s, hold
-    at (s', e') the count of members inside it, O(N^2).  In 2D, per width w,
-    a prefix sum of the width-w corners counts those in [A, A + W - w]^2 for
-    every outer member (A, W) at once.
-    """
-    if family.spec.dim == 1:
-        n, at = family.spec.cells_per_axis, family.boxes.start_last()[1]
-        table = np.bincount(at, minlength=n * n).reshape(n, n)
-        np.cumsum(table, axis=1, out=table)
-        np.cumsum(table[::-1], axis=0, out=table[::-1])
-        return NestedPairs(family, int(table.reshape(-1)[at].sum()))
-    spec, lo, hi = family.spec, family.lo[family.aligned], family.hi[family.aligned]
-    width = hi[:, 0] - lo[:, 0]
-    total = 0
-    for w in np.flatnonzero(np.bincount(width)):
-        prefix = np.zeros((spec.cells_per_axis - w + 2,) * spec.dim, dtype=np.int64)
-        np.add.at(prefix[(slice(1, None),) * spec.dim], tuple(lo[width == w].T), 1)
-        for ax in range(spec.dim):
-            np.cumsum(prefix, axis=ax, out=prefix)
-        outer = width >= w
-        a, b = lo[outer], lo[outer] + (width[outer] - w + 1)[:, None]
-        for t in product((0, 1), repeat=spec.dim):
-            corner = tuple((b if ti else a)[:, i] for i, ti in enumerate(t))
-            total += (-1) ** (spec.dim - sum(t)) * int(prefix[corner].sum())
-    return NestedPairs(family, total)
+    """The nesting relation among the aligned members, with its exact pair
+    count from the engine (CellBoxes.pair_count over the aligned cubes' boxes)."""
+    return NestedPairs(family, family.boxes.pair_count())

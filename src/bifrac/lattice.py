@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -327,9 +326,10 @@ class CellBoxes:
     longest box (see _window_sums).  The rest reads a per-axis power-of-two
     table (see _block_steps): a 2D window sum adds the box's disjoint blocks
     (see `digits`); minima and the outward sweep take the 2^n overlapping
-    blocks at its corners (see `blocks`), in any dimension.  The inward
-    maxima (`inner_max`) read running maxima of one start x end table in 1D
-    and a table of squares in 2D (see _containment_max).
+    blocks at its corners (see `blocks`), in any dimension.  Containment
+    among the boxes, the pair count and the inward maxima (`inner_max`),
+    reads one start x end table in 1D (see _start_end) and per-side corner
+    windows over the power-of-two table in 2D (see _sides).
     """
 
     def __init__(self, shape: tuple[int, ...], lo: np.ndarray, hi: np.ndarray):
@@ -432,40 +432,80 @@ class CellBoxes:
             np.maximum(second, coarse, out=second)
         return table[(0,) * len(self.shape)].copy()
 
-    def start_last(self) -> tuple[np.ndarray, np.ndarray]:
-        """1D: the non-empty boxes, and their positions first * N + last cell on a start x end table."""
-        k = np.flatnonzero(self.ext[:, 0] > 0)
-        return k, self.lo[k, 0] * (self.shape[0] + 1) + self.ext[k, 0] - 1
+    def _start_end(self, values: np.ndarray, ufunc, fill) -> tuple[np.ndarray, np.ndarray]:
+        """1D: the non-empty boxes k, and per box ufunc reduced over values[k]
+        of the non-empty boxes inside it.
+
+        [a', e'] lies in [a, e] when a <= a' and e' <= e: the values go onto
+        an N x N start x end table (ufunc.at, so repeated boxes combine), and
+        running reductions over e, then back over a, leave the result at (a, e).
+        """
+        n, k = self.shape[0], np.flatnonzero(self.ext[:, 0] > 0)
+        at = self.lo[k, 0] * (n + 1) + self.ext[k, 0] - 1  # first * N + last cell
+        table = np.full((n, n), fill)
+        ufunc.at(table.reshape(-1), at, values[k])
+        # in place: one N x N array per call; at N = 128 each N x N array
+        # is at malloc's mmap threshold, so every extra one is page-faulted afresh
+        ufunc.accumulate(table, axis=1, out=table)
+        ufunc.accumulate(table[::-1], axis=0, out=table[::-1])
+        return k, table.reshape(-1)[at]
+
+    @cached_property
+    def _sides(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, "CellBoxes"]]:
+        """2D containment plan, one entry per square side w present: the
+        side-w boxes, the flat positions of their corners on the grid of
+        (N - w + 1)^2 corners, the boxes of side >= w, and their windows
+        [lo, lo + side - w] on that grid.  A side-w square lies in a square
+        exactly when its corner lies in the outer square's window."""
+        k = np.flatnonzero(self.ext.min(axis=1) > 0)
+        side = self.ext[k, 0]
+        plan = []
+        for w in np.flatnonzero(np.bincount(side)).tolist():
+            shape = tuple(n - w + 1 for n in self.shape)
+            inner, outer = k[side == w], k[side >= w]
+            lo = self.lo[outer]
+            windows = CellBoxes(shape, lo, lo + (self.ext[outer, :1] - w + 1))
+            plan.append((inner, np.ravel_multi_index(tuple(self.lo[inner].T), shape), outer, windows))
+        return plan
+
+    def pair_count(self) -> int:
+        """The number of pairs of non-empty boxes, the first inside the
+        second, each box counted inside itself; 2D boxes must be squares.
+
+        1D counts on the start x end table (see _start_end).  In 2D, per side
+        w, a prefix table of the side-w corners is read at the four corners of
+        every window (see _sides)."""
+        if len(self.shape) == 1:
+            return int(self._start_end(np.ones(self.count, dtype=np.int64), np.add, 0)[1].sum())
+        total = 0
+        for _, at, _, windows in self._sides:
+            m = windows.shape[0]
+            prefix = np.zeros((m + 1, m + 1), dtype=np.int64)
+            prefix[1:, 1:] = np.bincount(at, minlength=m * m).reshape(m, m).cumsum(axis=0).cumsum(axis=1)
+            (a0, a1), (b0, b1) = windows.lo.T, (windows.lo + windows.ext).T
+            total += int((prefix[b0, b1] - prefix[a0, b1] - prefix[b0, a1] + prefix[a0, a1]).sum())
+        return total
 
     def inner_max(self, values: np.ndarray) -> np.ndarray:
         """Per non-empty box, the max of values[k] over the non-empty boxes
-        inside it; -inf for empty boxes.  2D boxes must be squares.
+        inside it; -inf for empty boxes; NaN propagates as in np.maximum.
+        2D boxes must be squares.
 
-        In 1D [a', e'] lies in [a, e] when a <= a' and e' <= e: a prefix max
-        over e and a suffix max over a leave that max at (a, e) of a start x
-        end table.  In 2D the values go onto a square table, and the
-        inward containment recursion gives each square the max over the
-        squares inside it.
+        1D reads running maxima of the start x end table (see _start_end).
+        In 2D, per side w, the side-w values go negated onto their corners
+        (np.minimum.at, so repeated squares combine), and every outer
+        square's window minimum, negated, is the max over the side-w squares
+        inside it (see _sides); the max over the sides is the answer.
         """
         out = np.full(self.count, -np.inf)
         if len(self.shape) == 1:
-            n, (k, at) = self.shape[0], self.start_last()
-            table = np.full((n, n), -np.inf)
-            np.maximum.at(table.reshape(-1), at, values[k])
-            # in place: one N x N array per call; at N = 128 each N x N array
-            # is at malloc's mmap threshold, so every extra one is page-faulted afresh
-            np.maximum.accumulate(table, axis=1, out=table)
-            np.maximum.accumulate(table[::-1], axis=0, out=table[::-1])
-            out[k] = table.reshape(-1)[at]
+            k, best = self._start_end(values, np.maximum, -np.inf)
+            out[k] = best
             return out
-        k = np.flatnonzero(self.ext.min(axis=1) > 0)
-        side = self.ext[k, 0]
-        table = _SquareTable(self.shape, int(side.max(initial=1)))
-        at = table.positions(side, self.lo[k])
-        flat = np.full(table.size, -np.inf)
-        np.maximum.at(flat, at, values[k])
-        _containment_max(table.layers(flat))
-        out[k] = flat[at]
+        for inner, at, outer, windows in self._sides:
+            corners = np.full(windows.shape, np.inf)
+            np.minimum.at(corners.reshape(-1), at, -values[inner])
+            out[outer] = np.maximum(out[outer], -windows.minima(corners))
         return out
 
 
@@ -484,49 +524,6 @@ def _block_steps(table: np.ndarray):
             m, half = table.shape[dim + ax] - (1 << k) + 1, 1 << (k - 1)
             coarse, fine = table[(0,) * ax + (k,)], table[(0,) * ax + (k - 1,)]
             yield coarse[rest + (slice(m),)], fine[rest + (slice(m),)], fine[rest + (slice(half, half + m),)]
-
-
-class _SquareTable:
-    """Layout of a table of values on the squares of side W = 1 ... top cells
-    that fit in a grid of per-axis `sizes`: a flat array, packed layer by
-    layer, where layer W - 1 is indexed by the corner, n - W + 1 per axis.
-    Used only by the 2D CellBoxes.inner_max: 1D intervals take the start x
-    end table instead, and minima and sweeps the power-of-two table.
-    """
-
-    def __init__(self, sizes: tuple[int, ...], top: int):
-        self.shapes = [tuple(n - W + 1 for n in sizes) for W in range(1, top + 1)]
-        self.starts = np.cumsum([0] + [math.prod(s) for s in self.shapes])
-        self.size = int(self.starts[-1])
-
-    def positions(self, side: np.ndarray, corner: np.ndarray) -> np.ndarray:
-        """Flat position of each square (side, corner), row-major within its layer."""
-        pos = np.zeros(len(side), dtype=np.int64)
-        for ax, n in enumerate(self.shapes[0]):
-            pos = pos * (n - side + 1) + corner[:, ax]
-        return self.starts[side - 1] + pos
-
-    def layers(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Views of a flat table, one array per side."""
-        return [flat[a:b].reshape(s) for a, b, s in zip(self.starts[:-1], self.starts[1:], self.shapes)]
-
-
-def _containment_max(layers: list[np.ndarray]) -> None:
-    """Max over the squares inside each square, in place on the layers of a
-    2D square table (-inf where there is no square), for CellBoxes.inner_max;
-    1D intervals factor into two running maxima instead, and the outward
-    sweep reads the power-of-two table (see CellBoxes.blocks).
-
-    The square of side W at corner A holds exactly the squares of side
-    W - 1 at the corners A + t, t in {0, 1}^n, and through them every
-    smaller square inside it: for W = 2 ... top, T[W - 1][A] max=
-    T[W - 2][A + t] leaves in each square the max over the squares inside
-    it.
-    """
-    shifts = list(product((0, 1), repeat=layers[0].ndim))
-    for inner, outer in zip(layers[:-1], layers[1:]):
-        for t in shifts:
-            np.maximum(outer, inner[tuple(slice(s, s + m) for s, m in zip(t, outer.shape))], out=outer)
 
 
 def cell_overlaps(spec: GridSpec, corners: np.ndarray, sides: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -173,7 +173,7 @@ def enumerate_nested_pairs(family):
 
 
 def nested_pair_count_oracle(family):
-    """The per-width count nested_pairs takes in 2D, in any dimension: a
+    """The pair count by one prefix table per width, in any dimension: a
     member of width w lies in (A, W) when its corner is in [A, A + W - w]^n,
     read from a prefix table of the width-w corners."""
     spec, lo, hi = family.spec, family.lo[family.aligned], family.hi[family.aligned]

@@ -253,6 +253,44 @@ class TestConstantsCommand:
         assert row["family_size"] == 11716640
 
 
+    @pytest.mark.parametrize(
+        "name, given, flag",
+        [
+            ("iida", [], "--weight2"),
+            ("multiple-apq", [], "--weight2"),
+            ("two-weight", [], "--weight2 and --v"),
+            ("two-weight", ["--weight2"], "--v"),
+        ],
+    )
+    def test_a_constant_without_its_input_files_is_a_config_error(self, grids, capsys, name, given, flag):
+        argv = ["constants", "--weight", str(grids["f"]), "--constant", "ap", name]
+        for key in given:
+            argv += [key, str(grids["f"])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"ConfigInvalid: constant {name!r} needs {flag}"]
+
+    def test_names_are_checked_before_any_constant_is_computed(self, grids, monkeypatch, capsys):
+        import bifrac.cli as cli
+
+        monkeypatch.setattr(cli, "ap_constant", lambda *a: pytest.fail("ap computed before the names were checked"))
+        assert main(["constants", "--weight", str(grids["f"]), "--constant", "ap", "bogus"]) == 2
+        assert capsys.readouterr().err.startswith("ConfigInvalid: unknown constant 'bogus'")
+
+    def test_an_exponent_out_of_range_names_the_constant(self, grids, capsys):
+        argv = ["constants", "--weight", str(grids["f"]), "--constant", "ap", "apq", "--p", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("POutOfRange: constant 'apq': need 1 < p < q")
+
+    def test_pairs_are_built_only_for_the_pair_constants(self, grids, monkeypatch, tmp_path):
+        import bifrac.cli as cli
+
+        monkeypatch.setattr(cli, "nested_pairs", lambda family: pytest.fail("pairs built for single-cube constants"))
+        argv = ["constants", "--weight", str(grids["f"]), "--weight2", str(grids["f"])]
+        argv += ["--constant", "ap", "apq", "multiple-apq", "reverse-holder", "--out-json", str(tmp_path / "c.json")]
+        assert main(argv) == 0
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_a_product_weight_past_the_float_range_is_an_input_error(self, dim, tmp_path, capsys):
         spec = GridSpec(dim, 1.0, 8)

@@ -22,7 +22,7 @@ from bifrac import (
     grid_cubes,
     morrey_norm,
 )
-from bifrac.families import default_family, family_from_cubes, nested_pairs
+from bifrac.families import _po2_squares, _shifted_grid_cubes, default_family, family_from_cubes, nested_pairs
 from bifrac.harness import STRUCTURAL_ALPHA, TAGS, ExponentProfile, catalog_profiles
 from bifrac.lattice import CellBoxes, box_power_integral, cell_overlaps, integrate_overlaps
 from bifrac.operators import _averages, _m3q, maximal, weighted_bilinear_maximal
@@ -325,6 +325,22 @@ def test_the_2d_default_family_is_every_square_and_shifted_grid_cube_once(n):
         assert family.size == 7590
 
 
+@pytest.mark.parametrize("half_width", [0.7, 1.0, 2.0, 3.3, 4.0])
+@pytest.mark.parametrize("n", [2, 8, 32, 64])
+def test_the_2d_default_family_keeps_the_cubes_np_unique_keeps(n, half_width):
+    # the dedupe by np.unique's first index per row rounded to 12 decimals,
+    # then the (corner, side) order: the same cubes, the same bits
+    spec = GridSpec(2, half_width, n)
+    squares, shifted = _po2_squares(spec), _shifted_grid_cubes(spec)
+    corners = np.concatenate([squares[0], shifted[0]])
+    sides = np.concatenate([squares[1], shifted[1]])
+    keep = np.unique(np.round(np.column_stack([corners, sides]), 12), axis=0, return_index=True)[1]
+    order = keep[np.lexsort((sides[keep], *corners[keep].T[::-1]))]
+    family = default_family(spec)
+    assert np.array_equal(family.corners.view(np.int64), corners[order].view(np.int64))
+    assert np.array_equal(family.sides.view(np.int64), sides[order].view(np.int64))
+
+
 def _brute_force_maxima(f, w, family, p0, q):
     """maximal(f), ap_constant(w, 1), ap_constant(w, 2) and the Morrey norm
     (p0, q) of f as maxima over family.cubes, one box_power_integral per cube
@@ -411,25 +427,39 @@ def test_inner_max_equals_max_over_listed_pairs(dim, n, subset, data):
     vals = rng.uniform(0.0, 1.0, family.size)
     vals[rng.random(family.size) < 0.1] = np.inf
     vals[rng.random(family.size) < 0.1] = -np.inf
+    vals[rng.random(family.size) < 0.02] = np.nan
     inner, outer = enumerate_nested_pairs(family)
     want = np.full(family.size, -np.inf)
-    np.maximum.at(want, outer, vals[inner])
-    assert np.array_equal(nested_pairs(family).inner_max(vals), want)
+    with np.errstate(invalid="ignore"):
+        np.maximum.at(want, outer, vals[inner])
+        assert np.array_equal(nested_pairs(family).inner_max(vals), want, equal_nan=True)
 
 
 @settings(max_examples=40)
-@given(st.sampled_from((1, 2, 4, 8, 16, 32, 64)), st.data())
-def test_1d_pair_count_equals_the_listed_pairs_on_subfamilies_with_repeats(n, data):
-    # the start x end count against every listed pair, on random draws with
-    # repeated intervals and a few off-lattice ones, which are not members
-    spec = GridSpec(1, 4.0, n)
+@given(st.sampled_from((1, 2)), st.sampled_from((1, 2, 4, 8, 16, 32, 64)), st.data())
+def test_pair_count_equals_the_listed_pairs_on_subfamilies_with_repeats(dim, n, data):
+    # the engine's count against every listed pair, on random draws with
+    # repeated cubes and a few off-lattice ones, which are not members; in 2D
+    # the draw adds lattice squares of any side, and the default family's
+    # shifted cubes are off-lattice too
+    spec = GridSpec(dim, 4.0, n)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     family = default_family(spec)
-    cubes = [family.cube(int(k)) for k in rng.integers(0, family.size, rng.integers(0, 600))]
-    cubes += [Cube((c + spec.h / 3,), spec.h) for c in rng.uniform(-4.0, 3.0, rng.integers(0, 3))]
+    cubes = [family.cube(int(k)) for k in rng.integers(0, family.size, rng.integers(0, 600 // dim))]
+    cubes += [Cube((c + spec.h / 3,) * dim, spec.h) for c in rng.uniform(-4.0, 3.0, rng.integers(0, 3))]
+    if dim == 2:
+        for side in rng.integers(1, n + 1, rng.integers(0, 60)).tolist():
+            cubes.append(Cube(spec.cell_cube(tuple(rng.integers(0, n - side + 1, 2))).corner, side * spec.h))
+        cubes = [cubes[k] for k in rng.integers(0, len(cubes), len(cubes))]  # and repeat some
     family = family_from_cubes(spec, cubes)
     inner, _ = enumerate_nested_pairs(family)
     assert nested_pairs(family).size == len(inner)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128])
+def test_2d_pair_count_of_the_default_family_equals_the_per_width_count(n):
+    family = default_family(GridSpec(2, 2.0, n))
+    assert nested_pairs(family).size == nested_pair_count_oracle(family)
 
 
 @pytest.mark.parametrize("n", [64, 128, 256, 512])
