@@ -19,7 +19,6 @@ from .families import default_family, nested_pairs
 from .geometry import Cube, DyadicGrid
 from .harness import (
     CORPUS_KINDS,
-    HARNESS_Q0,
     HARNESS_SPEC,
     PROFILE_CATALOG,
     PROFILE_KEYS,
@@ -240,11 +239,8 @@ def cmd_decompose(args) -> int:
     spec = f.spec
     if args.root:
         q0 = _parse_cube(args.root, spec.dim)
-    elif spec == HARNESS_SPEC:
-        q0 = HARNESS_Q0
     else:
-        half = spec.half_width
-        q0 = Cube((0.0,) * spec.dim, half)
+        q0 = Cube((0.0,) * spec.dim, spec.half_width)
     grid = DyadicGrid((0.0,) * spec.dim)
     fam = cz_decompose(f, g, args.r, args.s, q0, grid, a=args.a)
     payload = {

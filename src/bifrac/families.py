@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EmptyCubeFamily, NonAlignedCube, NotInGrid
 from .geometry import Cube, DyadicGrid
-from .lattice import CellBoxes, GridSpec, _scalar_pow, cell_overlaps, integrate_overlaps
+from .lattice import CellBoxes, GridSpec, _cell_slices, _scalar_pow, cell_overlaps, integrate_overlaps
 
 
 @dataclass(frozen=True)
@@ -142,10 +142,8 @@ class CubeFamily:
     def windows3(self) -> CellBoxes:
         """Boxes of the tripled cubes 3Q, clipped to the grid, from each cube's
         corner and side rounded to whole cells."""
-        spec = self.spec
-        width = np.rint(self.sides / spec.h).astype(np.int64)
-        lo = np.rint((self.corners + spec.half_width) / spec.h).astype(np.int64)
-        return CellBoxes.tripled(spec.shape, lo, width)
+        lo, width, _, _ = self.spec.lattice_cubes(self.corners, self.sides)
+        return CellBoxes.tripled(self.spec.shape, lo, width)
 
     def _cell_boxes(self, first, stop) -> CellBoxes:
         """Aligned cubes keep lo/hi; shifted cubes map their edges (in cells) by first/stop."""
@@ -153,8 +151,8 @@ class CubeFamily:
         lo, hi = self.lo.copy(), self.hi.copy()
         start = self.corners[k]
         end = start + self.sides[k, None]
-        lo[k] = np.clip(first((start + spec.half_width) / spec.h), 0, spec.cells_per_axis)
-        hi[k] = np.clip(stop((end + spec.half_width) / spec.h), 0, spec.cells_per_axis)
+        lo[k] = np.clip(first(spec.to_cells(start)), 0, spec.cells_per_axis)
+        hi[k] = np.clip(stop(spec.to_cells(end)), 0, spec.cells_per_axis)
         return CellBoxes(spec.shape, lo, hi)
 
     def integrals(self, pw: np.ndarray) -> np.ndarray:
@@ -193,15 +191,11 @@ def family_from_cubes(spec: GridSpec, cubes, name: str = "custom") -> CubeFamily
 
 
 def _with_cell_bounds(spec: GridSpec, corners: np.ndarray, sides: np.ndarray, name: str) -> CubeFamily:
-    w = sides / spec.h
-    t = (corners + spec.half_width) / spec.h
-    iw, i0 = np.rint(w), np.rint(t)
-    ok = (np.abs(w - iw) <= 1e-9 * np.maximum(1.0, w)) & (iw >= 1)
-    ok &= np.all(np.abs(t - i0) <= 1e-9 * np.maximum(1.0, np.abs(t)), axis=1)
-    ok &= np.all((i0 >= 0) & (i0 + iw[:, None] <= spec.cells_per_axis), axis=1)
-    lo = np.where(ok[:, None], i0, -1).astype(np.int64)
-    hi = np.where(ok[:, None], i0 + iw[:, None], -1).astype(np.int64)
-    return CubeFamily(spec, corners, sides, lo, hi, name)
+    """The family with the cell bounds of its aligned in-box members (GridSpec.lattice_cubes)."""
+    lo, width, side_ok, corner_ok = spec.lattice_cubes(corners, sides)
+    hi = lo + width[:, None]
+    ok = side_ok & (width >= 1) & (corner_ok & (lo >= 0) & (hi <= spec.cells_per_axis)).all(axis=1)
+    return CubeFamily(spec, corners, sides, np.where(ok[:, None], lo, -1), np.where(ok[:, None], hi, -1), name)
 
 
 def all_intervals(spec: GridSpec) -> CubeFamily:
@@ -209,7 +203,7 @@ def all_intervals(spec: GridSpec) -> CubeFamily:
     if spec.dim != 1:
         raise ValueError("all_intervals is one-dimensional")
     i, j = np.triu_indices(spec.cells_per_axis + 1, k=1)
-    corners = (-spec.half_width + i * spec.h)[:, None]
+    corners = spec.edge(i)[:, None]
     return CubeFamily(spec, corners, (j - i) * spec.h, i[:, None], j[:, None], name="intervals")
 
 
@@ -219,7 +213,7 @@ def _po2_squares(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     corners, sides = [], []
     s = 1
     while s <= n:
-        c = -spec.half_width + np.arange(n - s + 1) * spec.h
+        c = spec.edge(np.arange(n - s + 1))
         corners.append(np.stack(np.meshgrid(c, c, indexing="ij"), -1).reshape(-1, 2))
         sides.append(np.full(len(c) ** 2, s * spec.h))
         s *= 2
@@ -266,25 +260,12 @@ def default_family(spec: GridSpec) -> CubeFamily:
 
 
 def _root_block(spec: GridSpec, Q0: Cube) -> tuple[tuple[int, ...], int]:
-    """Cell-aligned block (corner indices, width in cells) for Q0."""
-    h = spec.h
-    w = Q0.side / h
-    iw = round(w)
-    if abs(w - iw) > 1e-9 * max(1.0, w) or iw < 1:
-        raise NonAlignedCube(f"root side {Q0.side} is not a whole number of cells")
+    """Q0's corner cells and width in cells, checked as any cube is, and a power of two."""
+    slices = _cell_slices(spec, Q0)
+    iw = slices[0].stop - slices[0].start
     if iw & (iw - 1):
         raise NonAlignedCube(f"root width {iw} cells is not a power of two")
-    lo = []
-    n = spec.cells_per_axis
-    for c in Q0.corner:
-        t = (c + spec.half_width) / h
-        i0 = round(t)
-        if abs(t - i0) > 1e-9 * max(1.0, abs(t)):
-            raise NonAlignedCube(f"root corner {c} off the cell lattice")
-        if i0 < 0 or i0 + iw > n:
-            raise NonAlignedCube(f"root {Q0.serialize()} leaves the box")
-        lo.append(int(i0))
-    return tuple(lo), iw
+    return tuple(sl.start for sl in slices), iw
 
 
 def subcube_blocks(spec: GridSpec, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -338,52 +338,27 @@ class CorpusItem:
 
 
 def _materialize(spec: GridSpec, pieces: list[tuple], scale: float) -> np.ndarray:
-    """Evaluate a descriptor list on the lattice; coordinates scale by `scale`."""
+    """Evaluate a descriptor list on the lattice; coordinates scale by `scale`.
+    Pieces: ("block", lower corner, upper corner, value), ("spike", point,
+    amplitude), 1D ("power", x0, beta), ("const", c) and ("rescale", c)."""
     arr = np.zeros(spec.shape)
-    h = spec.h
     n = spec.cells_per_axis
-    mids = spec.midpoints()
     for piece in pieces:
         kind = piece[0]
         if kind == "const":
             arr += piece[1]
         elif kind == "block":
-            a, b, val = piece[1] * scale, piece[2] * scale, piece[3]
-            i0 = max(0, int(round((a + spec.half_width) / h)))
-            i1 = min(n, int(round((b + spec.half_width) / h)))
-            arr[i0:i1] += val
-        elif kind == "block2":
-            a0, a1, b0, b1, val = (
-                piece[1] * scale,
-                piece[2] * scale,
-                piece[3] * scale,
-                piece[4] * scale,
-                piece[5],
-            )
-            i0 = max(0, int(round((a0 + spec.half_width) / h)))
-            j0 = max(0, int(round((a1 + spec.half_width) / h)))
-            i1 = min(n, int(round((b0 + spec.half_width) / h)))
-            j1 = min(n, int(round((b1 + spec.half_width) / h)))
-            arr[i0:i1, j0:j1] += val
+            ends = [(spec.edge_index(a * scale), spec.edge_index(b * scale)) for a, b in zip(piece[1], piece[2])]
+            arr[tuple([slice(max(0, i0), min(n, i1)) for i0, i1 in ends])] += piece[3]
         elif kind == "spike":
-            pos, amp = piece[1] * scale, piece[2]
-            i = int(math.floor((pos + spec.half_width) / h + 1e-12))
-            if 0 <= i < n:
-                arr[i] += amp
-        elif kind == "spike2":
-            p0c, p1c, amp = piece[1] * scale, piece[2] * scale, piece[3]
-            i = int(math.floor((p0c + spec.half_width) / h + 1e-12))
-            j = int(math.floor((p1c + spec.half_width) / h + 1e-12))
-            if 0 <= i < n and 0 <= j < n:
-                arr[i, j] += amp
+            cell = spec.cell_of_point([c * scale for c in piece[1]])
+            if cell is not None:
+                arr[cell] += piece[2]
         elif kind == "power":
             x0, beta = piece[1] * scale, piece[2]
-            dist = np.abs(mids - x0)
-            if spec.dim == 2:
-                dist = np.sqrt(dist[:, None] ** 2 + dist[None, :] ** 2)
             # a dilation can put x0 on a midpoint, where a negative beta gives +inf
             with np.errstate(divide="ignore"):
-                arr += np.clip(dist ** beta, WEIGHT_CLAMP, 1.0 / WEIGHT_CLAMP)
+                arr += np.clip(np.abs(spec.midpoints() - x0) ** beta, WEIGHT_CLAMP, 1.0 / WEIGHT_CLAMP)
         elif kind == "rescale":
             arr *= piece[1]
         else:
@@ -396,15 +371,16 @@ def _grid_fn(spec, pieces, scale=1.0, nonneg=True) -> GridFunction:
 
 
 def _rand_block(rng, spec, lo, hi, vmin, vmax, min_cells=4):
-    """Random lattice-aligned block inside [lo, hi) with a random level."""
-    h = spec.h
-    i_lo = int(round((lo + spec.half_width) / h))
-    i_hi = int(round((hi + spec.half_width) / h))
-    width = rng.randint(min_cells, max(min_cells, (i_hi - i_lo) // 2))
-    start = rng.randint(i_lo, i_hi - width)
-    a = -spec.half_width + start * h
-    b = a + width * h
-    return ("block", a, b, rng.uniform(vmin, vmax))
+    """Random lattice-aligned block inside [lo, hi)^n with a random level:
+    the widths, then the starts, then the level are drawn."""
+    i_lo, i_hi = spec.edge_index(lo), spec.edge_index(hi)
+    top = max(min_cells, (i_hi - i_lo) // 2)
+    widths = [rng.randint(min_cells, top) for _ in range(spec.dim)]
+    corner, upper = [], []
+    for w in widths:
+        corner.append(spec.edge(rng.randint(i_lo, i_hi - w)))
+        upper.append(corner[-1] + w * spec.h)  # not spec.edge(start + w): the two round apart
+    return ("block", tuple(corner), tuple(upper), rng.uniform(vmin, vmax))
 
 
 def _step_weight_pieces(rng, spec, lo, hi):
@@ -470,8 +446,8 @@ def corpus(
         desc: dict[str, list] = {}
         if kind == "indicators":
             if idx == 0:
-                desc["f"] = [("block", -1.0, 1.0, 1.0)]
-                desc["g"] = [("block", -1.0, 1.0, 1.0)]
+                desc["f"] = [("block", (-1.0,), (1.0,), 1.0)]
+                desc["g"] = [("block", (-1.0,), (1.0,), 1.0)]
                 desc["w1"] = [("const", 1.0)]
                 desc["w2"] = [("const", 1.0)]
                 desc["v"] = [("const", 1.0)]
@@ -491,14 +467,11 @@ def corpus(
                 desc[w] = _step_weight_pieces(rng, spec, lo, hi)
         elif kind == "spikes":
             # one concentration site shared by f and g (offset a few cells)
-            i_lo = int(round((lo + spec.half_width) / spec.h))
-            i_hi = int(round((hi + spec.half_width) / spec.h))
-            site = rng.randint(i_lo + 2, i_hi - 3)
+            site = rng.randint(spec.edge_index(lo) + 2, spec.edge_index(hi) - 3)
             for name in ("f", "g"):
                 pieces = [_rand_block(rng, spec, lo, hi, 0.02, 0.1)]
-                cell = site + rng.randint(-2, 2)
-                pos = -spec.half_width + cell * spec.h
-                pieces.append(("spike", pos, rng.uniform(8.0, 18.0)))
+                pos = spec.edge(site + rng.randint(-2, 2))
+                pieces.append(("spike", (pos,), rng.uniform(8.0, 18.0)))
                 desc[name] = pieces
             for w in ("w1", "w2", "v", "hfun"):
                 desc[w] = _step_weight_pieces(rng, spec, lo, hi)
@@ -513,11 +486,7 @@ def corpus(
                 desc["w2"] = [("const", 1.0)]
             else:
                 for w in ("w1", "w2"):
-                    i = rng.randint(
-                        int(round((lo + spec.half_width) / spec.h)),
-                        int(round((hi + spec.half_width) / spec.h)),
-                    )
-                    x0 = -spec.half_width + i * spec.h
+                    x0 = spec.edge(rng.randint(spec.edge_index(lo), spec.edge_index(hi)))
                     beta = rng.uniform(*POWER_WEIGHT_BETA_RANGE)
                     desc[w] = [("power", x0, beta)]
             desc["v"] = _step_weight_pieces(rng, spec, lo, hi)
@@ -559,34 +528,15 @@ def _build_item(seed, kind, spec, idx, desc, scale=1.0) -> CorpusItem:
 
 def _corpus_item_2d(rng, seed, kind, spec, idx, lo, hi) -> CorpusItem:
     desc: dict[str, list] = {}
-    h = spec.h
-    i_lo = int(round((lo + spec.half_width) / h))
-    i_hi = int(round((hi + spec.half_width) / h))
-
-    def rand_block2(vmin, vmax):
-        w0 = rng.randint(2, max(2, (i_hi - i_lo) // 2))
-        w1_ = rng.randint(2, max(2, (i_hi - i_lo) // 2))
-        s0 = rng.randint(i_lo, i_hi - w0)
-        s1 = rng.randint(i_lo, i_hi - w1_)
-        a0 = -spec.half_width + s0 * h
-        a1 = -spec.half_width + s1 * h
-        return ("block2", a0, a1, a0 + w0 * h, a1 + w1_ * h, rng.uniform(vmin, vmax))
-
-    site_i = rng.randint(i_lo + 2, i_hi - 3)
-    site_j = rng.randint(i_lo + 2, i_hi - 3)
+    i_lo, i_hi = spec.edge_index(lo), spec.edge_index(hi)
+    site = (rng.randint(i_lo + 2, i_hi - 3), rng.randint(i_lo + 2, i_hi - 3))
     for name in ("f", "g"):
-        pieces = [rand_block2(0.02, 0.1)]
+        pieces = [_rand_block(rng, spec, lo, hi, 0.02, 0.1, min_cells=2)]
         if kind == "spikes":
-            pieces.append(
-                (
-                    "spike2",
-                    -spec.half_width + (site_i + rng.randint(-2, 2)) * h,
-                    -spec.half_width + (site_j + rng.randint(-2, 2)) * h,
-                    rng.uniform(40.0, 130.0),
-                )
-            )
+            point = tuple(spec.edge(i + rng.randint(-2, 2)) for i in site)
+            pieces.append(("spike", point, rng.uniform(40.0, 130.0)))
         else:
-            pieces.extend(rand_block2(0.2, 1.2) for _ in range(rng.randint(1, 3)))
+            pieces.extend(_rand_block(rng, spec, lo, hi, 0.2, 1.2, min_cells=2) for _ in range(rng.randint(1, 3)))
         desc[name] = pieces
     for w in ("w1", "w2", "v", "hfun"):
         desc[w] = [("const", 1.0)]
@@ -806,10 +756,8 @@ def verify_structural(seed: int, n_items: int = 4, cube_samples: int = 300) -> l
 
 def _substituted(profile: ExponentProfile, with_a: bool = False) -> tuple[float, float]:
     r, s, p1, p2 = profile.r, profile.s, profile.p1, profile.p2
-    if with_a:
-        a = profile.a
-        return s * p1 / (a * s + p1), r * p2 / (a * r + p2)
-    return s * p1 / (s + p1), r * p2 / (r + p2)
+    a = profile.a if with_a else 1.0  # 1.0 * s is s: the same bits as s * p1 / (s + p1)
+    return s * p1 / (a * s + p1), r * p2 / (a * r + p2)
 
 
 def evaluate_inequality_item(

@@ -28,6 +28,16 @@ from .errors import (
 from .geometry import Cube
 
 CONJUGATE_TOL = 1e-12
+_FAR = 2 ** 53  # past any box
+
+
+def _nearest(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest integers to t (ties to even) in +-_FAR, -_FAR where t is not
+    finite, and whether t lies within 1e-9 max(1, |t|) of them."""
+    near = np.rint(t)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        ok = np.abs(t - near) <= 1e-9 * np.maximum(1.0, np.abs(t))
+    return np.clip(np.where(np.isfinite(near), near, -_FAR), -_FAR, _FAR).astype(np.int64), ok
 
 
 @dataclass(frozen=True)
@@ -35,7 +45,8 @@ class GridSpec:
     """Uniform lattice over the box [-L, L)^n.
 
     N (cells per axis) must be a power of two so dyadic cubes align with
-    cell boundaries.
+    cell boundaries.  Every module converts between coordinates and cells
+    by its map: x -> (x + L) / h in cell units, edge i -> -L + i h.
     """
 
     dim: int
@@ -51,7 +62,7 @@ class GridSpec:
         if n < 1 or (n & (n - 1)) != 0:
             raise ValueError(f"cells_per_axis must be a power of two, got {n}")
 
-    @property
+    @cached_property
     def h(self) -> float:
         """Cell side length."""
         return 2.0 * self.half_width / self.cells_per_axis
@@ -68,25 +79,37 @@ class GridSpec:
     def box_cube(self) -> Cube:
         return Cube((-self.half_width,) * self.dim, 2.0 * self.half_width)
 
+    def to_cells(self, x):
+        """Coordinates in cell units, (x + L) / h, for a float or an array."""
+        return (x + self.half_width) / self.h
+
+    def edge(self, i):
+        """The coordinate -L + i h of cell edge i, for an int or an int array."""
+        return -self.half_width + i * self.h
+
+    def edge_index(self, x) -> int:
+        """The nearest cell edge to the coordinate x (ties to even), a Python int."""
+        return round((x + self.half_width) / self.h)
+
+    def lattice_cubes(self, corners: np.ndarray, sides: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Cubes (k x n corners, k sides) on the lattice: the nearest corner
+        cells (k x n) and widths in cells (k), and whether each side (k) and
+        corner coordinate (k x n) is a whole number of cells (see _nearest)."""
+        lo, corner_ok = _nearest(self.to_cells(corners))
+        width, side_ok = _nearest(sides / self.h)
+        return lo, width, side_ok, corner_ok
+
     def midpoints(self) -> np.ndarray:
         """Per-axis cell midpoint coordinates."""
-        i = np.arange(self.cells_per_axis)
-        return -self.half_width + (i + 0.5) * self.h
+        return self.edge(np.arange(self.cells_per_axis) + 0.5)
 
     def cell_cube(self, index: tuple[int, ...]) -> Cube:
-        corner = tuple(-self.half_width + i * self.h for i in index)
-        return Cube(corner, self.h)
+        return Cube(tuple(self.edge(i) for i in index), self.h)
 
     def cell_of_point(self, x) -> tuple[int, ...] | None:
         """Cell index containing x, or None when x is outside the box."""
-        idx = []
-        for xi in x:
-            t = (xi + self.half_width) / self.h
-            i = int(math.floor(t + 1e-12))
-            if i < 0 or i >= self.cells_per_axis:
-                return None
-            idx.append(i)
-        return tuple(idx)
+        idx = tuple([math.floor((xi + self.half_width) / self.h + 1e-12) for xi in x])
+        return idx if all([0 <= i < self.cells_per_axis for i in idx]) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +124,7 @@ class GridFunction:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.shape != self.spec.shape:
             raise ValueError(f"samples shape {arr.shape} != spec shape {self.spec.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("samples must all be finite")
         if self.nonnegative and arr.size and float(arr.min()) < 0.0:
             raise NonNegativityViolation(
@@ -130,7 +153,7 @@ class GridFunction:
         """The samples at points of shape (..., n), by the rule of
         GridSpec.cell_of_point: cell floor((x + L) / h + 1e-12) per axis, 0
         outside the box."""
-        t = np.floor((np.asarray(points, dtype=np.float64) + self.spec.half_width) / self.spec.h + 1e-12)
+        t = np.floor(self.spec.to_cells(np.asarray(points, dtype=np.float64)) + 1e-12)
         ok = ((t >= 0) & (t < self.spec.cells_per_axis)).all(axis=-1)
         out = np.zeros(ok.shape)
         out[ok] = self.samples[tuple(t[ok].astype(np.int64).T)]
@@ -173,37 +196,30 @@ class GridFunction:
 
 
 def _cell_slices(spec: GridSpec, Q: Cube, clip: bool = False):
-    """Cell index slices covered by a lattice-aligned cube.
+    """Cell index slices covered by a lattice-aligned cube (GridSpec.lattice_cubes).
 
     With clip=True the slices are clamped to the box (cube may stick out);
     otherwise OutOfBox is raised for any overhang.
     """
     if Q.dim != spec.dim:
         raise NonAlignedCube(f"cube dimension {Q.dim} != spec dimension {spec.dim}")
-    h = spec.h
-    n = spec.cells_per_axis
-    tol = 1e-9
-    width = Q.side / h
-    iw = round(width)
+    lo, width, side_ok, corner_ok = spec.lattice_cubes(np.array([Q.corner]), np.array([Q.side]))
+    iw, n = int(width[0]), spec.cells_per_axis
     if iw == 0:
         raise DegenerateCube(f"cube side {Q.side} is below one cell")
-    if abs(width - iw) > tol * max(1.0, width):
+    if not side_ok[0]:
         raise NonAlignedCube(f"side {Q.side} is not a whole number of cells")
     slices = []
-    for c in Q.corner:
-        t = (c + spec.half_width) / h
-        i0 = round(t)
-        if abs(t - i0) > tol * max(1.0, abs(t)):
+    for c, i0, ok in zip(Q.corner, lo[0].tolist(), corner_ok[0].tolist()):
+        if not ok:
             raise NonAlignedCube(f"corner {c} off the cell lattice")
         i1 = i0 + iw
         if clip:
             i0, i1 = max(0, i0), min(n, i1)
-            if i0 >= i1:
-                slices.append(slice(0, 0))
-                continue
+            i0, i1 = (i0, i1) if i0 < i1 else (0, 0)
         elif i0 < 0 or i1 > n:
             raise OutOfBox(f"cube {Q.serialize()} leaves the box")
-        slices.append(slice(int(i0), int(i1)))
+        slices.append(slice(i0, i1))
     return tuple(slices)
 
 
@@ -352,23 +368,31 @@ class CellBoxes:
         return tuple(int(t).bit_length() for t in self.ext.max(axis=0, initial=1)) + self.shape
 
     @cached_property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+    def blocks(self) -> np.ndarray:
         """Per box, the flat table positions (2^n x k, the last axis
         outermost) of the blocks of its largest power-of-two extents at its
-        2^n corners, which cover it (empty boxes point at the slot past the
-        table); and the distinct ones of non-empty boxes, as indices into
-        the flattened 2^n x k array."""
+        2^n corners, which cover it; empty boxes point at the slot past the
+        table."""
         levels = self.table_shape[: len(self.shape)]
         k = np.frexp(np.maximum(self.ext, 1))[1].astype(np.int64) - 1  # floor(log2(extent)), exact
         far = self.lo + self.ext - (1 << k)
-        nonempty = (self.ext > 0).all(axis=1)
-        split = far > self.lo  # on an axis of power-of-two extent both corner blocks are one
-        at, distinct = np.ravel_multi_index(tuple(k.T), levels)[None], nonempty[None]
+        at = np.ravel_multi_index(tuple(k.T), levels)[None]
         for ax, n in enumerate(self.shape):
             at = np.concatenate((at * n + self.lo[:, ax], at * n + far[:, ax]))
-            distinct = np.concatenate((distinct, distinct & split[:, ax]))
-        at[:, ~nonempty] = math.prod(self.table_shape)
-        return at, np.flatnonzero(distinct)
+        at[:, ~(self.ext > 0).all(axis=1)] = math.prod(self.table_shape)
+        return at
+
+    @cached_property
+    def _distinct_blocks(self) -> np.ndarray:
+        """For sweep: the distinct corner blocks of non-empty boxes, as indices
+        into the flat `blocks`.  Row r there is far on the axes of its bits; on
+        one of power-of-two extent it repeats row r - 2^axis."""
+        at, rows = self.blocks, np.arange(len(self.blocks))
+        keep = at < math.prod(self.table_shape)
+        for ax in range(len(self.shape)):
+            far = rows >> ax & 1 == 1
+            keep[far] &= at[far] != at[rows[far] - (1 << ax)]
+        return np.flatnonzero(keep)
 
     @cached_property
     def digits(self) -> np.ndarray:
@@ -413,7 +437,7 @@ class CellBoxes:
     def minima(self, arr: np.ndarray) -> np.ndarray:
         """arr[box].min() per box; +inf for empty boxes: the min of the 2^n
         corner blocks' minima, which NaN propagates through as in np.min."""
-        return np.minimum.reduce(self._table(arr, np.minimum, np.inf)[self.blocks[0]], axis=0)
+        return np.minimum.reduce(self._table(arr, np.minimum, np.inf)[self.blocks], axis=0)
 
     def sweep(self, values: np.ndarray) -> np.ndarray:
         """Per cell, the max of values[k] over the boxes containing it.
@@ -423,7 +447,7 @@ class CellBoxes:
         block passes its max down to the two blocks it is made of, level by
         level, to the cells (layer (0, ..., 0)).
         """
-        at, distinct = self.blocks
+        at, distinct = self.blocks, self._distinct_blocks
         flat = np.full(math.prod(self.table_shape) + 1, -np.inf)
         np.maximum.at(flat, at.reshape(-1)[distinct], values[distinct % self.count])
         table = flat[:-1].reshape(self.table_shape)
@@ -530,7 +554,7 @@ def cell_overlaps(spec: GridSpec, corners: np.ndarray, sides: np.ndarray) -> lis
     """Per axis, the overlaps of the cubes [corner, corner + side) with the
     cells: one vector per distinct (corner, side) pair on that axis, told
     apart by their bits, and each cube's row among them."""
-    edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
+    edges = spec.edge(np.arange(spec.cells_per_axis + 1))
     axes = []
     for ax in range(spec.dim):
         key = np.column_stack((corners[:, ax], sides)).view(np.int64)

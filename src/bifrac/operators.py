@@ -263,7 +263,7 @@ def frac_int_at(f: GridFunction, alpha: float, point) -> float:
     if spec.dim == 1:
         if not (0.0 < alpha < 1.0):
             raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
-        edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
+        edges = spec.edge(np.arange(spec.cells_per_axis + 1))
         u = x - edges  # antiderivative F(u) = sign(u)|u|^alpha / alpha
         F = np.sign(u) * np.abs(u) ** alpha / alpha
         values, masses = f.samples, F[:-1] - F[1:]

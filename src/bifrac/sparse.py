@@ -86,8 +86,7 @@ class SparseFamily:
 def _block(spec: GridSpec, lo: np.ndarray, w: int) -> tuple[Cube, np.ndarray]:
     """The w-wide block at corner cell lo: its cube and its cells' flat indices, sorted."""
     cells = np.indices((w,) * spec.dim).reshape(spec.dim, -1) + lo[:, None]
-    corner = tuple(-spec.half_width + i * spec.h for i in lo.tolist())
-    return Cube(corner, w * spec.h), np.ravel_multi_index(tuple(cells), spec.shape)
+    return Cube(tuple(spec.edge(lo).tolist()), w * spec.h), np.ravel_multi_index(tuple(cells), spec.shape)
 
 
 def cz_decompose(

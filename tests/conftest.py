@@ -7,6 +7,7 @@ import pytest
 from hypothesis import settings
 
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
+from bifrac.errors import DegenerateCube, NonAlignedCube, OutOfBox
 from bifrac.geometry import _THIRD
 from bifrac.families import _prefix_table, subcube_blocks
 from bifrac.lattice import CellBoxes, box_power_integral, cell_overlaps, integrate_overlaps
@@ -494,3 +495,74 @@ def root_m3q_oracle(f, g, r, s, Q0, grid):
     lo, width = subcube_blocks(spec, Q0, grid)
     meas3 = np.array([(3.0 * (w * spec.h)) ** spec.dim for w in width.tolist()])
     return lo, width, _m3q(f, g, r, s, CellBoxes.tripled(spec.shape, lo, width), meas3)
+
+
+# The lattice coordinate map as three modules once spelled it out, each with
+# its own alignment check: lattice._cell_slices, families._root_block and
+# families._with_cell_bounds.  All now read GridSpec.lattice_cubes.
+
+
+def cell_slices_oracle(spec, Q, clip=False):
+    """Cell index slices of a lattice-aligned cube, one axis at a time."""
+    if Q.dim != spec.dim:
+        raise NonAlignedCube(f"cube dimension {Q.dim} != spec dimension {spec.dim}")
+    h = spec.h
+    n = spec.cells_per_axis
+    tol = 1e-9
+    width = Q.side / h
+    iw = round(width)
+    if iw == 0:
+        raise DegenerateCube(f"cube side {Q.side} is below one cell")
+    if abs(width - iw) > tol * max(1.0, width):
+        raise NonAlignedCube(f"side {Q.side} is not a whole number of cells")
+    slices = []
+    for c in Q.corner:
+        t = (c + spec.half_width) / h
+        i0 = round(t)
+        if abs(t - i0) > tol * max(1.0, abs(t)):
+            raise NonAlignedCube(f"corner {c} off the cell lattice")
+        i1 = i0 + iw
+        if clip:
+            i0, i1 = max(0, i0), min(n, i1)
+            if i0 >= i1:
+                slices.append(slice(0, 0))
+                continue
+        elif i0 < 0 or i1 > n:
+            raise OutOfBox(f"cube {Q.serialize()} leaves the box")
+        slices.append(slice(int(i0), int(i1)))
+    return tuple(slices)
+
+
+def root_block_oracle(spec, Q0):
+    """(corner cells, width) of a root cube, with every failure NonAlignedCube."""
+    h = spec.h
+    w = Q0.side / h
+    iw = round(w)
+    if abs(w - iw) > 1e-9 * max(1.0, w) or iw < 1:
+        raise NonAlignedCube(f"root side {Q0.side} is not a whole number of cells")
+    if iw & (iw - 1):
+        raise NonAlignedCube(f"root width {iw} cells is not a power of two")
+    lo = []
+    n = spec.cells_per_axis
+    for c in Q0.corner:
+        t = (c + spec.half_width) / h
+        i0 = round(t)
+        if abs(t - i0) > 1e-9 * max(1.0, abs(t)):
+            raise NonAlignedCube(f"root corner {c} off the cell lattice")
+        if i0 < 0 or i0 + iw > n:
+            raise NonAlignedCube(f"root {Q0.serialize()} leaves the box")
+        lo.append(int(i0))
+    return tuple(lo), iw
+
+
+def cell_bounds_oracle(spec, corners, sides):
+    """Per cube, its cell bounds lo, hi when it is aligned and in the box, else rows of -1."""
+    w = sides / spec.h
+    t = (corners + spec.half_width) / spec.h
+    iw, i0 = np.rint(w), np.rint(t)
+    ok = (np.abs(w - iw) <= 1e-9 * np.maximum(1.0, w)) & (iw >= 1)
+    ok &= np.all(np.abs(t - i0) <= 1e-9 * np.maximum(1.0, np.abs(t)), axis=1)
+    ok &= np.all((i0 >= 0) & (i0 + iw[:, None] <= spec.cells_per_axis), axis=1)
+    lo = np.where(ok[:, None], i0, -1).astype(np.int64)
+    hi = np.where(ok[:, None], i0 + iw[:, None], -1).astype(np.int64)
+    return lo, hi

@@ -446,6 +446,13 @@ class TestDecomposeCommand:
         assert "root cube 0.0 4.0" in err and "Traceback" not in err
 
 
+    def test_a_root_leaving_the_box_is_out_of_box(self, grids, capsys):
+        # [4, 8) is a cube of the grid, past the box [-4, 4)
+        assert main(["decompose", "--f", str(grids["one"]), "--g", str(grids["one"]), "--root", "4.0 4.0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("OutOfBox: ") and "Traceback" not in err
+
+
 class TestVerifyCommand:
     def test_verify_t11_all_pass(self, tmp_path):
         csv = tmp_path / "v.csv"

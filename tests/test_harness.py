@@ -1,6 +1,7 @@
 """Profiles, corpora, and the verification protocols."""
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -243,6 +244,34 @@ class TestCorpus:
                 for j in (-1, 1, 2):
                     it = dilate_item(item, j)
                     assert H._concentration_guard(it.f, it.g, q0) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+def _piece_text(piece) -> str:
+    return repr(tuple(p if isinstance(p, str) else float(p).hex() for p in piece))
+
+
+# The SHA-256 below was recorded when the corpus pieces became n-dimensional;
+# the change kept every array's bytes, so it equals the one of the commit before.
+_PINNED_CORPUS_SHA256 = "8c1dc56f4c1e20015adb8d319160c981bf6bdfa93319e3a10b7b58f6d6c22f79"
+
+
+def test_corpus_bytes_are_pinned_across_commits():
+    # seeds 0-19, every 1D kind and the 2D kinds, each item and one dilation
+    # of it.  Power weights are hashed by their descriptors: their samples
+    # come from an array `**`, whose bits follow the host's SIMD dispatch.
+    digest = hashlib.sha256()
+    for seed in range(20):
+        for spec, kinds in ((HARNESS_SPEC, H.CORPUS_KINDS), (H.HARNESS_SPEC_2D, ("random-steps", "spikes"))):
+            for kind in kinds:
+                for item in corpus(seed, kind, spec=spec):
+                    for it in (item, dilate_item(item, (-1, 1, 2)[seed % 3])):
+                        digest.update(it.item_id.encode())
+                        for name in ("f", "g", "w1", "w2", "v", "hfun"):
+                            if kind == "power-weights" and name in ("w1", "w2"):
+                                digest.update("".join(map(_piece_text, it.descriptors[name])).encode())
+                            else:
+                                digest.update(getattr(it, name).samples.tobytes())
+    assert digest.hexdigest() == _PINNED_CORPUS_SHA256
 
 
 class TestStructural:

@@ -4,6 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
+from conftest import cell_bounds_oracle, cell_slices_oracle, root_block_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,9 @@ from bifrac import (
     read_grid_file,
     write_grid_file,
 )
-from bifrac.lattice import _scalar_pow
+from bifrac.errors import BifracError
+from bifrac.families import _root_block, _with_cell_bounds
+from bifrac.lattice import CellBoxes, _cell_slices, _scalar_pow
 
 
 class TestGridSpec:
@@ -328,3 +331,97 @@ def test_scalar_pow_of_a_negative_value_is_real_only_at_integer_powers():
     assert isinstance((-2.0) ** 0.5, complex)  # scalar pow has no float result here
     with pytest.raises(ValueError, match="negative"):
         _scalar_pow(values, 0.5)
+
+
+# Lattices whose half cells are exact (L = 4, 2, 1) and some whose are not.
+_MAP_SPECS = [
+    GridSpec(1, 4.0, 64),
+    GridSpec(1, 0.7, 16),
+    GridSpec(1, 3.3, 8),
+    GridSpec(2, 2.0, 16),
+    GridSpec(2, 0.7, 8),
+    GridSpec(2, 1.0, 4),
+]
+
+
+@st.composite
+def _cells(draw, low: int, high: int, below: bool = False) -> float:
+    """A position in cell units: a whole number in [low, high], one nudged
+    within 2e-9 relative of it, a half cell past it, any value, or (with
+    `below`) a positive value below one cell."""
+    i = draw(st.integers(low, high))
+    kind = draw(st.sampled_from(["whole", "near", "half", "any"] + ["below"] * below))
+    if kind == "whole":
+        return float(i)
+    if kind == "near":
+        return i + draw(st.floats(-2e-9, 2e-9)) * max(1.0, abs(i))
+    if kind == "half":
+        return i + 0.5
+    if kind == "any":
+        return draw(st.floats(low - 0.5, high + 0.5))
+    return draw(st.floats(1e-6, 0.75))
+
+
+@st.composite
+def _map_cubes(draw, spec: GridSpec) -> Cube:
+    """A cube whose corner cells lie in or out of the box, and whose side is
+    near a whole number of cells or below one cell."""
+    n = spec.cells_per_axis
+    corner = tuple(spec.edge(draw(_cells(-n, 2 * n))) for _ in range(spec.dim))
+    width = draw(_cells(1, n + 2, below=True))
+    return Cube(corner, width * spec.h)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the kind of bifrac error it raises."""
+    try:
+        return fn(*args)
+    except BifracError as exc:
+        return type(exc)
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_the_coordinate_map_equals_the_per_module_formulas(data):
+    spec = data.draw(st.sampled_from(_MAP_SPECS))
+    cubes = data.draw(st.lists(_map_cubes(spec), min_size=1, max_size=6))
+    for Q in cubes:
+        for x in Q.corner:
+            assert spec.edge_index(x) == int(round((x + spec.half_width) / spec.h))
+            assert type(spec.edge_index(x)) is int
+        for clip in (False, True):
+            assert _outcome(_cell_slices, spec, Q, clip) == _outcome(cell_slices_oracle, spec, Q, clip)
+        # a root is checked as any cube is: where the parent formula named
+        # every failure NonAlignedCube, leaving the box and rounding to no
+        # cells now raise their own kinds
+        new, old, any_cube = (_outcome(fn, spec, Q) for fn in (_root_block, root_block_oracle, cell_slices_oracle))
+        if any_cube in (OutOfBox, DegenerateCube):
+            assert (new, old) == (any_cube, NonAlignedCube)
+        else:
+            assert new == old
+    corners = np.array([Q.corner for Q in cubes])
+    sides = np.array([Q.side for Q in cubes])
+    family = _with_cell_bounds(spec, corners, sides, "drawn")
+    lo, hi = cell_bounds_oracle(spec, corners, sides)
+    np.testing.assert_array_equal(family.lo, lo)
+    np.testing.assert_array_equal(family.hi, hi)
+    # 3Q windows from the corners and sides rounded to whole cells, aligned or not
+    rounded = np.rint((corners + spec.half_width) / spec.h).astype(np.int64)
+    want = CellBoxes.tripled(spec.shape, rounded, np.rint(sides / spec.h).astype(np.int64))
+    np.testing.assert_array_equal(family.windows3.lo, want.lo)
+    np.testing.assert_array_equal(family.windows3.ext, want.ext)
+
+
+def test_the_coordinate_map_reads_far_and_non_finite_coordinates_off_the_lattice():
+    spec = GridSpec(2, 1.0, 8)
+    corners = np.array([[1e300, 0.0], [-1e300, 0.0], [math.nan, 0.0], [0.0, math.inf], [0.0, 0.0]])
+    lo, width, side_ok, corner_ok = spec.lattice_cubes(corners, np.array([0.25, 0.25, 0.25, 0.25, math.nan]))
+    assert lo[:4].tolist() == [[2 ** 53, 4], [-(2 ** 53), 4], [-(2 ** 53), 4], [4, -(2 ** 53)]]
+    assert corner_ok.tolist() == [[True, True], [True, True], [False, True], [True, False], [True, True]]
+    assert side_ok.tolist() == [True] * 4 + [False] and width[-1] == -(2 ** 53)
+    f = GridFunction.constant(spec, 1.0)
+    with pytest.raises(OutOfBox):
+        integrate(f, Cube((1e300, 0.0), 0.25))
+    assert bilinear_average(f, f, Cube((1e300, 0.0), 0.25), 2.0, 2.0) == 0.0
+    with pytest.raises(NonAlignedCube):
+        integrate(f, Cube((math.nan, 0.0), 0.25))

@@ -2,7 +2,8 @@
 every module-level name is read somewhere in the package (a public one
 may instead be exported by the package's __init__ or named by the benchmark),
 every function cache has a fixed size, no call of np.unique loads numpy.ma,
-per-cube power averages and minima are read in one function, and every
+per-cube power averages and minima are read in one function, only the
+lattice module converts between coordinates and cells, and every
 `module.name` and `Class.attr` that README.md quotes exists."""
 
 import ast
@@ -195,6 +196,46 @@ _READER = "def _cube_values(family, factors):\n    a = _family_power_averages(w,
 )
 def test_the_cube_read_check_flags_a_second_call_site(source, sites):
     assert _cube_reads_outside(source) == sites
+
+
+def _coordinate_maps(source: str) -> list[int]:
+    """Lines of a sum or difference with a `.half_width`: the lattice map
+    x -> (x + L) / h or i -> -L + i h spelled out, which GridSpec keeps."""
+
+    def is_half_width(node) -> bool:
+        node = node.operand if isinstance(node, ast.UnaryOp) else node
+        return isinstance(node, ast.Attribute) and node.attr == "half_width"
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+        if is_half_width(node.left) or is_half_width(node.right)
+    )
+
+
+def test_only_the_lattice_converts_between_coordinates_and_cells():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "lattice.py"
+        for line in _coordinate_maps(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, lines",
+    [
+        ("t = (x + spec.half_width) / spec.h\n", [1]),
+        ("x = -spec.half_width + i * spec.h\n", [1]),
+        ("i = round((x + self.spec.half_width) / h)\nx = i * h - spec.half_width\n", [1, 2]),
+        ("x = spec.edge(i)\nt = spec.to_cells(x)\ni = spec.edge_index(x)\n", []),
+        ("q = Cube((0.0,), spec.half_width)\nhi = 0.5 * spec.half_width * 2.0 - 0.5\n", []),
+    ],
+)
+def test_the_coordinate_map_check_flags_a_spelled_out_map(source, lines):
+    assert _coordinate_maps(source) == lines
 
 
 def _stale_module_names(text: str) -> list[str]:

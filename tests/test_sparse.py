@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from bifrac import (
     AverageOverflow,
     Cube,
+    DegenerateCube,
     DyadicGrid,
     GridFunction,
     GridSpec,
     LevelAbsent,
     NonNegativityViolation,
     NotInGrid,
+    OutOfBox,
     cz_decompose,
     harness,
     level_union_measure,
@@ -24,6 +26,7 @@ from bifrac import (
     sparse,
     sparse_bound,
 )
+from bifrac.families import subcube_blocks
 from bifrac.harness import HARNESS_GRID, HARNESS_Q0, HARNESS_SPEC, check_sparse_invariants, corpus
 from bifrac.operators import _root_plan
 
@@ -434,3 +437,27 @@ def test_invariants_at_coarser_lattice():
                 assert not check_sparse_invariants(fam), item.item_id
                 count += 1
     assert count == 20
+
+
+@pytest.mark.parametrize(
+    "spec, root, error",
+    [
+        # grid cubes, h = 1/8: out of the box on the right, on the left, and half a cell wide
+        (GridSpec(1, 4.0, 64), Cube((4.0,), 4.0), OutOfBox),
+        (GridSpec(1, 4.0, 64), Cube((-8.0,), 4.0), OutOfBox),
+        (GridSpec(1, 4.0, 64), Cube((0.0,), 0.0625), DegenerateCube),
+        (GridSpec(2, 2.0, 32), Cube((0.0, 2.0), 2.0), OutOfBox),
+        (GridSpec(2, 2.0, 32), Cube((0.0, 0.0), 0.0625), DegenerateCube),
+    ],
+)
+def test_a_root_is_checked_as_any_cube_is(spec, root, error):
+    # a root leaving the box raises OutOfBox, as integrate does for any cube,
+    # and a root below one cell DegenerateCube, in every reader of the root
+    grid = DyadicGrid((0.0,) * spec.dim)
+    f = GridFunction.constant(spec, 1.0)
+    with pytest.raises(error):
+        subcube_blocks(spec, root, grid)
+    with pytest.raises(error):
+        cz_decompose(f, f, 2.0, 2.0, root, grid)
+    with pytest.raises(error):
+        sparse_bound(f, f, 0.5, 2.0, 2.0, root, grid)
