@@ -68,20 +68,37 @@ class SplitMix64:
     """SplitMix64: state += 0x9E3779B97F4A7C15; output = finalizer(state)."""
 
     MASK = (1 << 64) - 1
+    GAMMA = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int):
         self.state = seed & self.MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & self.MASK
+        self.state = (self.state + self.GAMMA) & self.MASK
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
         return z ^ (z >> 31)
 
+    def next_u64s(self, count: int) -> np.ndarray:
+        """The next count next_u64() outputs in one uint64 pass: the i-th
+        state is state + i * GAMMA mod 2^64, and uint64 arithmetic wraps as
+        the mask does."""
+        z = np.uint64(self.state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(self.GAMMA)
+        self.state = (self.state + count * self.GAMMA) & self.MASK
+        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> 31)
+
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         u = self.next_u64() >> 11  # 53 bits
         return lo + (hi - lo) * (u / float(1 << 53))
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next count uniform() draws in one pass; lo + (hi - lo) * u of
+        a draw u is uniform(lo, hi) bit for bit (53-bit integers convert to
+        float64 exactly)."""
+        return (self.next_u64s(count) >> 11) / float(1 << 53)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi]."""
@@ -349,7 +366,8 @@ def _materialize(spec: GridSpec, pieces: list[tuple], scale: float) -> np.ndarra
             arr += piece[1]
         elif kind == "block":
             ends = [(spec.edge_index(a * scale), spec.edge_index(b * scale)) for a, b in zip(piece[1], piece[2])]
-            arr[tuple([slice(max(0, i0), min(n, i1)) for i0, i1 in ends])] += piece[3]
+            # both ends clamped into [0, n]: a block wholly outside the box adds nothing
+            arr[tuple([slice(min(max(0, i0), n), min(max(0, i1), n)) for i0, i1 in ends])] += piece[3]
         elif kind == "spike":
             cell = spec.cell_of_point([c * scale for c in piece[1]])
             if cell is not None:
@@ -652,15 +670,20 @@ def check_sparse_invariants(family) -> list[str]:
     return fails
 
 
-def cube_location_worst_ratio(seed: int, samples: int, dim: int = 1) -> tuple[float, bool]:
-    """Max side ratio and containment success over random cubes."""
+def _one_third_cubes(seed: int, samples: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The random cubes (samples x dim corners, sides) of the one-third
+    check, in one pass of draws: per sample, uniform(0.01, box_half / 2) for
+    the side, then uniform(-box_half, box_half - side) per corner coordinate."""
     rng = SplitMix64(_mix_seed(seed, f"one-third-{dim}d"))
     box_half = 4.0 if dim == 1 else 2.0
-    corners = np.empty((samples, dim))
-    sides = np.empty(samples)
-    for i in range(samples):
-        sides[i] = rng.uniform(0.01, box_half / 2)
-        corners[i] = [rng.uniform(-box_half, box_half - sides[i]) for _ in range(dim)]
+    u = rng.uniforms(samples * (dim + 1)).reshape(samples, dim + 1)
+    sides = 0.01 + (box_half / 2 - 0.01) * u[:, 0]
+    return -box_half + ((box_half - sides)[:, None] - -box_half) * u[:, 1:], sides
+
+
+def cube_location_worst_ratio(seed: int, samples: int, dim: int = 1) -> tuple[float, bool]:
+    """Max side ratio and containment success over random cubes."""
+    corners, sides = _one_third_cubes(seed, samples, dim)
     _, corner_t, side_t = locate_shifted_cubes(corners, sides)
     tol = (1e-9 * np.maximum(1.0, sides))[:, None]
     inside = (corners >= corner_t - tol) & (corners + sides[:, None] <= corner_t + side_t[:, None] + tol)

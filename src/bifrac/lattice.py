@@ -338,8 +338,11 @@ def _window_sums(row: np.ndarray, top: int) -> np.ndarray:
 class CellBoxes:
     """Cube-window engine: integer cell boxes [lo[k], hi[k]) (k x n, already
     clipped to a grid of `shape`).  1D window sums equal np.sum(arr[box]) bit
-    for bit: they read one table over every start and length up to the
-    longest box (see _window_sums).  The rest reads a per-axis power-of-two
+    for bit by one of two routes, chosen from the boxes alone: boxes holding
+    fewer cells in all than the (N + 1) x (top + 1) window table gather their
+    cells and reduce them per distinct length (see `by_length`); denser sets
+    read that table over every start and length up to the longest box (see
+    _window_sums).  The rest reads a per-axis power-of-two
     table (see _block_steps): a 2D window sum adds the box's disjoint blocks
     (see `digits`); minima and the outward sweep take the 2^n overlapping
     blocks at its corners (see `blocks`), in any dimension.  Containment
@@ -360,6 +363,21 @@ class CellBoxes:
         """Boxes [lo - width, lo + 2 width) of the tripled blocks, clipped to the grid."""
         w, n = width[:, None], np.array(shape)
         return cls(shape, np.clip(lo - w, 0, n), np.clip(lo + 2 * w, 0, n))
+
+    @cached_property
+    def by_length(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """1D: per distinct extent e, the boxes of extent e and their cells
+        (boxes x e), when the boxes hold fewer cells in all than the window
+        table has entries; None when the table is smaller and sums reads it
+        instead."""
+        lo, ext = self.lo[:, 0], self.ext[:, 0]
+        if int(ext.sum()) >= (self.shape[0] + 1) * (self.top + 1):
+            return None
+        plan = []
+        for e in np.flatnonzero(np.bincount(ext)).tolist():
+            k = np.flatnonzero(ext == e)
+            plan.append((k, lo[k, None] + np.arange(e)))
+        return plan
 
     @cached_property
     def table_shape(self) -> tuple[int, ...]:
@@ -427,7 +445,15 @@ class CellBoxes:
 
     def sums(self, arr: np.ndarray) -> np.ndarray:
         """The sum of arr over each box; 0 for empty boxes.  In 1D np.sum(arr[box])
-        bit for bit; in 2D the box's disjoint blocks (`digits`) added in order."""
+        bit for bit, per length (`by_length`) or from the window table; in 2D
+        the box's disjoint blocks (`digits`) added in order."""
+        if len(self.shape) == 1 and self.by_length is not None:
+            out = np.zeros(self.count)
+            # a reduce along the rows of a C-contiguous gather adds each row as np.sum adds a slice
+            with np.errstate(over="ignore", invalid="ignore"):  # silent, as the table is
+                for k, cells in self.by_length:
+                    out[k] = np.add.reduce(arr[cells], axis=1)
+            return out
         if len(self.shape) == 1:
             # + 0.0: np.sum adds the row to its identity 0.0, which turns -0.0 into 0.0
             return _window_sums(arr, self.top)[self.lo[:, 0], self.ext[:, 0]] + 0.0

@@ -8,8 +8,9 @@ from hypothesis import settings
 
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.errors import DegenerateCube, NonAlignedCube, OutOfBox
-from bifrac.geometry import _THIRD
+from bifrac.geometry import _THIRD, locate_shifted_cubes
 from bifrac.families import _prefix_table, subcube_blocks
+from bifrac.harness import SplitMix64, _mix_seed
 from bifrac.lattice import CellBoxes, box_power_integral, cell_overlaps, integrate_overlaps
 from bifrac.operators import _m3q, kernel_table
 from bifrac.weights import ConstantReport, WeightVector, _family_power_averages, _sanitize, conjugate
@@ -566,3 +567,27 @@ def cell_bounds_oracle(spec, corners, sides):
     lo = np.where(ok[:, None], i0, -1).astype(np.int64)
     hi = np.where(ok[:, None], i0 + iw[:, None], -1).astype(np.int64)
     return lo, hi
+
+
+def one_third_cubes_oracle(seed: int, samples: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """harness._one_third_cubes by one scalar SplitMix64.uniform call at a
+    time: per sample the side, then each corner coordinate."""
+    rng = SplitMix64(_mix_seed(seed, f"one-third-{dim}d"))
+    box_half = 4.0 if dim == 1 else 2.0
+    corners = np.empty((samples, dim))
+    sides = np.empty(samples)
+    for i in range(samples):
+        sides[i] = rng.uniform(0.01, box_half / 2)
+        corners[i] = [rng.uniform(-box_half, box_half - sides[i]) for _ in range(dim)]
+    return corners, sides
+
+
+def cube_location_worst_ratio_oracle(seed: int, samples: int, dim: int = 1) -> tuple[float, bool]:
+    """harness.cube_location_worst_ratio on the cubes of one_third_cubes_oracle."""
+    corners, sides = one_third_cubes_oracle(seed, samples, dim)
+    _, corner_t, side_t = locate_shifted_cubes(corners, sides)
+    tol = (1e-9 * np.maximum(1.0, sides))[:, None]
+    inside = (corners >= corner_t - tol) & (corners + sides[:, None] <= corner_t + side_t[:, None] + tol)
+    all_ok = bool(np.all(inside) and np.all(side_t <= 6.0 * sides * (1 + 1e-9)))
+    worst = float(np.max(side_t / sides, initial=0.0))
+    return worst, all_ok

@@ -1,6 +1,7 @@
 """The cube-window engine against per-slice and per-cube oracles."""
 
 import math
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -22,8 +23,15 @@ from bifrac import (
     grid_cubes,
     morrey_norm,
 )
-from bifrac.families import _po2_squares, _shifted_grid_cubes, default_family, family_from_cubes, nested_pairs
-from bifrac.harness import STRUCTURAL_ALPHA, TAGS, ExponentProfile, catalog_profiles
+from bifrac.families import (
+    _po2_squares,
+    _shifted_grid_cubes,
+    default_family,
+    family_from_cubes,
+    nested_pairs,
+    subcube_blocks,
+)
+from bifrac.harness import HARNESS_GRID, HARNESS_Q0, STRUCTURAL_ALPHA, TAGS, ExponentProfile, catalog_profiles
 from bifrac.lattice import CellBoxes, box_power_integral, cell_overlaps, integrate_overlaps
 from bifrac.operators import _averages, _m3q, maximal, weighted_bilinear_maximal
 
@@ -241,6 +249,78 @@ def test_1d_sums_at_n1024_spot_check():
     got = CellBoxes(row.shape, lo, hi).sums(row)
     want = np.array([np.sum(row[a:b]) for a, b in zip(lo[:, 0], hi[:, 0])])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+_SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.0**-1030, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308]
+
+
+@st.composite
+def hostile_rows(draw, n):
+    """n cells of mixed magnitude with -0.0, subnormals, +-inf, NaN and values
+    whose sums overflow scattered in at a drawn density, and a run of -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = draw(st.sampled_from([(-8, 9), (-320, 300)]))
+    row = rng.standard_normal(n) * 10.0 ** rng.integers(low, high, n)
+    hit = rng.random(n) < draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
+    row[hit] = rng.choice(_SPECIALS, int(hit.sum()))
+    start = int(rng.integers(0, n))
+    row[start : start + int(rng.integers(0, n))] = -0.0
+    return row
+
+
+def _check_1d_sums(boxes, row):
+    """CellBoxes.sums against np.sum(row[lo:hi]) + 0.0 per box, bit for bit
+    (the sign of zeros included), on the route the boxes' geometry picks: per
+    length while they hold fewer cells than the window table's (N + 1) x
+    (top + 1) entries, which bounds the plan's size.  NaN sits where np.sum
+    has it; the per-length route also keeps its sign and payload, where the
+    table's adds may meet two NaNs in the other order."""
+    n, cells = row.shape[0], int(boxes.ext.sum())
+    table = (n + 1) * (boxes.top + 1)
+    assert (boxes.by_length is not None) == (cells < table)
+    if boxes.by_length is not None:
+        assert sum(len(k) + at.size for k, at in boxes.by_length) <= boxes.count + cells < boxes.count + table
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array([np.sum(row[a : a + e]) + 0.0 for a, e in zip(boxes.lo[:, 0].tolist(), boxes.ext[:, 0].tolist())])
+        got = boxes.sums(row)
+    nan = np.isnan(want) if boxes.by_length is None else np.zeros(len(want), dtype=bool)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
+@lru_cache(maxsize=16)
+def _route_boxes(name, n):
+    spec = GridSpec(1, 4.0, n)
+    if name == "root-windows":  # the 3Q windows of the harness root's dyadic blocks
+        lo, width = subcube_blocks(spec, HARNESS_Q0, HARNESS_GRID)
+        return CellBoxes.tripled(spec.shape, lo, width)
+    family = default_family(spec)
+    return family.boxes if name == "family-boxes" else family.windows3
+
+
+@pytest.mark.parametrize(
+    "name, n, grouped",
+    [("root-windows", n, True) for n in (16, 64, 128, 1024)]
+    + [(name, n, False) for name in ("family-boxes", "family-windows3") for n in (16, 64, 128)],
+)
+@given(data=st.data())
+@settings(max_examples=20)
+def test_1d_sums_on_both_routes_equal_slice_sums_bitwise(name, n, grouped, data):
+    boxes = _route_boxes(name, n)
+    assert (boxes.by_length is not None) == grouped
+    _check_1d_sums(boxes, data.draw(hostile_rows(n)))
+
+
+@given(data=st.data())
+@settings(max_examples=150)
+def test_1d_sums_of_random_box_sets_equal_slice_sums_bitwise(data):
+    # sparse sets take the per-length route; many boxes on a short row take the table
+    n = data.draw(st.integers(1, 16) | st.integers(1, 300))
+    k = data.draw(st.integers(0, 60))
+    lo = np.array(data.draw(st.lists(st.integers(0, n), min_size=k, max_size=k)), dtype=np.int64)
+    ext = np.array([data.draw(st.integers(0, n - a)) for a in lo.tolist()], dtype=np.int64)
+    boxes = CellBoxes((n,), lo[:, None], (lo + ext)[:, None])
+    _check_1d_sums(boxes, data.draw(hostile_rows(n)))
 
 
 def _sweep_by_loop(shape, lo, hi, values):

@@ -7,7 +7,9 @@ import re
 
 import numpy as np
 import pytest
-from conftest import locate_shifted_dyadic_oracle
+from conftest import cube_location_worst_ratio_oracle, locate_shifted_dyadic_oracle, one_third_cubes_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bifrac.harness as H
 from bifrac import (
@@ -26,11 +28,14 @@ from bifrac import (
 from bifrac.harness import (
     SMALL_EXPONENT_Q,
     HARNESS_SPEC,
+    HARNESS_SPEC_2D,
     PROFILE_CATALOG,
     PROFILE_KEYS,
     SplitMix64,
     TAGS,
+    _materialize,
     _mix_seed,
+    _one_third_cubes,
     catalog_profiles,
     check_sparse_invariants,
     cube_location_worst_ratio,
@@ -84,6 +89,19 @@ class TestSplitMix64:
         vals = [rng.randint(3, 7) for _ in range(200)]
         assert min(vals) >= 3 and max(vals) <= 7
         assert set(vals) == {3, 4, 5, 6, 7}
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 2000), st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_batched_draws_equal_the_scalar_stream(self, seed, count, before):
+        # after a few scalar draws, one batch of outputs, then one of uniforms, then the stream goes on
+        batched, scalar = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(before):
+            assert batched.next_u64() == scalar.next_u64()
+        assert batched.next_u64s(count).tolist() == [scalar.next_u64() for _ in range(count)]
+        got = batched.uniforms(count)
+        want = np.array([scalar.uniform() for _ in range(count)])
+        assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert batched.state == scalar.state and batched.next_u64() == scalar.next_u64()
 
 
 class TestMakeProfile:
@@ -255,6 +273,24 @@ def _piece_text(piece) -> str:
 _PINNED_CORPUS_SHA256 = "8c1dc56f4c1e20015adb8d319160c981bf6bdfa93319e3a10b7b58f6d6c22f79"
 
 
+@pytest.mark.parametrize(
+    "spec, lower, upper, cells",
+    [
+        (HARNESS_SPEC, (-10.0,), (-6.0,), 0),  # wholly left of [-4, 4)
+        (HARNESS_SPEC, (-4.5,), (-4.25,), 0),
+        (HARNESS_SPEC, (4.5,), (6.0,), 0),  # wholly right
+        (HARNESS_SPEC, (-5.0,), (-3.0,), 8),  # across the left edge: cells 0 ... 7
+        (HARNESS_SPEC, (3.0,), (5.0,), 8),
+        (HARNESS_SPEC_2D, (-3.0, 0.0), (-2.5, 1.0), 0),  # wholly left on axis 0 of [-2, 2)^2
+        (HARNESS_SPEC_2D, (0.0, 2.5), (1.0, 3.0), 0),
+        (HARNESS_SPEC_2D, (-3.0, -3.0), (-1.5, 1.0), 4 * 24),
+    ],
+)
+def test_a_block_is_clamped_to_the_box(spec, lower, upper, cells):
+    arr = _materialize(spec, [("block", lower, upper, 1.0)], 1.0)
+    assert np.count_nonzero(arr) == cells and set(arr.ravel().tolist()) <= {0.0, 1.0}
+
+
 def test_corpus_bytes_are_pinned_across_commits():
     # seeds 0-19, every 1D kind and the 2D kinds, each item and one dilation
     # of it.  Power weights are hashed by their descriptors: their samples
@@ -295,6 +331,13 @@ class TestStructural:
             all_ok = all_ok and ok and qt.side <= 6.0 * side * (1 + 1e-9)
             worst = max(worst, qt.side / side)
         assert repr(cube_location_worst_ratio(seed, samples, dim)) == repr((worst, all_ok))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cube_location_equals_the_scalar_draw_loop(self, dim):
+        for seed in range(50):
+            for got, want in zip(_one_third_cubes(seed, 300, dim), one_third_cubes_oracle(seed, 300, dim)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert repr(cube_location_worst_ratio(seed, 300, dim)) == repr(cube_location_worst_ratio_oracle(seed, 300, dim))
 
     def test_local_part_ratio_reads_the_local_half_of_the_split(self):
         from bifrac import local_global_split, sparse_bound
