@@ -338,12 +338,13 @@ def _window_sums(row: np.ndarray, top: int) -> np.ndarray:
 class CellBoxes:
     """Cube-window engine: integer cell boxes [lo[k], hi[k]) (k x n, already
     clipped to a grid of `shape`).  1D window sums equal np.sum(arr[box]) bit
-    for bit by one of two routes, chosen from the boxes alone: boxes holding
-    fewer cells in all than the (N + 1) x (top + 1) window table gather their
-    cells and reduce them per distinct length (see `by_length`); denser sets
-    read that table over every start and length up to the longest box (see
-    _window_sums).  The rest reads a per-axis power-of-two
-    table (see _block_steps): a 2D window sum adds the box's disjoint blocks
+    for bit (but for the sign of a NaN on the table route, whose adds may
+    meet two NaNs in another order) by one of two routes, chosen from the
+    boxes alone: boxes holding fewer cells in all than the (N + 1) x
+    (top + 1) window table gather their cells and reduce them per distinct
+    length (see `by_length`); denser sets read that table over every start
+    and length up to the longest box (see _window_sums).  The rest reads a
+    per-axis power-of-two table (see _block_steps): a 2D window sum adds the box's disjoint blocks
     (see `digits`); minima and the outward sweep take the 2^n overlapping
     blocks at its corners (see `blocks`), in any dimension.  Containment
     among the boxes, the pair count and the inward maxima (`inner_max`),
@@ -369,7 +370,8 @@ class CellBoxes:
         """1D: per distinct extent e, the boxes of extent e and their cells
         (boxes x e), when the boxes hold fewer cells in all than the window
         table has entries; None when the table is smaller and sums reads it
-        instead."""
+        instead.  The rule bounds the plan's memory by the table's; it is not
+        a speed crossover, which follows the number of distinct lengths."""
         lo, ext = self.lo[:, 0], self.ext[:, 0]
         if int(ext.sum()) >= (self.shape[0] + 1) * (self.top + 1):
             return None
@@ -445,7 +447,8 @@ class CellBoxes:
 
     def sums(self, arr: np.ndarray) -> np.ndarray:
         """The sum of arr over each box; 0 for empty boxes.  In 1D np.sum(arr[box])
-        bit for bit, per length (`by_length`) or from the window table; in 2D
+        bit for bit, per length (`by_length`) or from the window table (whose
+        NaN may differ in sign); in 2D
         the box's disjoint blocks (`digits`) added in order."""
         if len(self.shape) == 1 and self.by_length is not None:
             out = np.zeros(self.count)

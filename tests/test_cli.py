@@ -515,9 +515,8 @@ class TestVerifyCommand:
         assert rc == 0
 
     def test_structural_bytes_are_pinned_across_commits(self, tmp_path):
-        # Recorded before the 1D window sums took a second route and the
-        # one-third draws one pass; structural is the tag whose bytes do not
-        # follow the host's SIMD dispatch of array powers.
+        # structural is the tag whose bytes do not follow the host's SIMD
+        # dispatch of array powers.
         csv, js = tmp_path / "s.csv", tmp_path / "s.json"
         assert main(["verify", "--tag", "structural", "--seed", "7", "--out-csv", str(csv), "--out-json", str(js)]) == 0
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == "cd8810ed1eda96b1a40617061806816b1c7708cf27a61136f9cd5b2ac1299882"

@@ -241,12 +241,22 @@ def test_1d_minima_of_every_window_equal_slice_minima():
     assert np.array_equal(got, want, equal_nan=True)
 
 
+def _spot_check_windows(n):
+    """3000 random windows plus [0, b) for every b <= n: every length once,
+    the whole row among them, and more cells than the window table's
+    (n + 1)^2 entries, so sums reads the table."""
+    ends = np.sort(np.random.default_rng(n).integers(0, n + 1, (3000, 2)), axis=1)
+    prefix = np.arange(n + 1)[:, None]
+    return np.vstack([ends[:, :1], 0 * prefix]), np.vstack([ends[:, 1:], prefix])
+
+
 def test_1d_sums_at_n1024_spot_check():
-    # four split levels; the whole row is one of the windows
+    # four split levels of the window table
     row = _mixed_row(1024, 2)
-    ends = np.sort(np.random.default_rng(1024).integers(0, 1025, (3000, 2)), axis=1)
-    lo, hi = np.vstack([ends[:, :1], [[0]]]), np.vstack([ends[:, 1:], [[1024]]])
-    got = CellBoxes(row.shape, lo, hi).sums(row)
+    lo, hi = _spot_check_windows(1024)
+    boxes = CellBoxes(row.shape, lo, hi)
+    assert boxes.by_length is None
+    got = boxes.sums(row)
     want = np.array([np.sum(row[a:b]) for a, b in zip(lo[:, 0], hi[:, 0])])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -294,6 +304,8 @@ def _route_boxes(name, n):
     if name == "root-windows":  # the 3Q windows of the harness root's dyadic blocks
         lo, width = subcube_blocks(spec, HARNESS_Q0, HARNESS_GRID)
         return CellBoxes.tripled(spec.shape, lo, width)
+    if name == "spot-check":
+        return CellBoxes(spec.shape, *_spot_check_windows(n))
     family = default_family(spec)
     return family.boxes if name == "family-boxes" else family.windows3
 
@@ -301,7 +313,8 @@ def _route_boxes(name, n):
 @pytest.mark.parametrize(
     "name, n, grouped",
     [("root-windows", n, True) for n in (16, 64, 128, 1024)]
-    + [(name, n, False) for name in ("family-boxes", "family-windows3") for n in (16, 64, 128)],
+    + [(name, n, False) for name in ("family-boxes", "family-windows3") for n in (16, 64, 128)]
+    + [("spot-check", 1024, False)],
 )
 @given(data=st.data())
 @settings(max_examples=20)
