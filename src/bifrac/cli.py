@@ -1,8 +1,9 @@
 """Command-line front end: decompose, apply, constants, norms, verify, sweep.
 
-Configuration may come from a JSON document (--config); explicit flags
-override config fields.  Exit codes: 0 success, 1 verification failures
-present, 2 configuration or input errors.
+Each subcommand takes only the flags it reads.  verify and sweep also read a
+JSON document (--config) holding only the keys they read; explicit flags
+override its fields.  Exit codes: 0 success, 1 verification failures present,
+2 configuration or input errors (an unknown flag is argparse's usage error).
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +22,6 @@ from .harness import (
     HARNESS_SPEC,
     PROFILE_CATALOG,
     PROFILE_KEYS,
-    Report,
     _grid_fn,
     make_profile,
     protocol_corpora,
@@ -53,16 +52,20 @@ from .weights import (
     two_weight_constant,
 )
 
-CSV_HEADER = "id,lhs,rhs,constant,ratio,bound,pass"
-
-# The keys a config document may hold, at the top level (None) and in its
-# `grid` and `sweep` objects; any other key is a ConfigInvalid.  A `profile`
-# object, and a sweep `base`, hold the keys of their tag (PROFILE_KEYS),
-# checked once the tag is known.
+# The keys a config document may hold for each command that reads one, at the
+# top level (None) and in its `grid` and `sweep` objects; any other key is a
+# ConfigInvalid.  A `profile` object, and a sweep `base`, hold the keys of
+# their tag (PROFILE_KEYS), checked once the tag is known.
 CONFIG_KEYS = {
-    None: ("grid", "profile", "sweep", "seed", "kind", "out_csv", "out_json", "format"),
-    "grid": ("n", "L", "N"),
-    "sweep": ("tag", "base", "alphas", "betas", "count"),
+    "verify": {
+        None: ("grid", "profile", "seed", "kind", "out_csv", "out_json"),
+        "grid": ("n", "L", "N"),
+    },
+    "sweep": {
+        None: ("grid", "sweep", "seed", "out_csv", "out_json"),
+        "grid": ("n", "L", "N"),
+        "sweep": ("tag", "base", "alphas", "betas", "count"),
+    },
 }
 
 
@@ -74,10 +77,9 @@ class RunConfig:
     grid: dict = field(default_factory=dict)
     profile: dict = field(default_factory=dict)
     seed: int = 7
-    kind: str = "random-steps"
+    kind: str | None = None
     out_csv: str | None = None
     out_json: str | None = None
-    format: str = "json"
     sweep: dict = field(default_factory=dict)
 
     def spec(self) -> GridSpec:
@@ -93,13 +95,6 @@ class RunConfig:
             raise ConfigInvalid(f"bad grid spec: {exc}") from exc
 
 
-def _require_harness_grid(cfg: RunConfig) -> None:
-    """verify and sweep run on the harness grid; a config naming another grid is refused."""
-    spec = cfg.spec()
-    if spec != HARNESS_SPEC:
-        raise ConfigInvalid(f"{cfg.subcommand} runs on the harness grid {HARNESS_SPEC}, not on {spec}")
-
-
 def _fmt(x) -> str:
     if isinstance(x, (float, int)) or hasattr(x, "dtype"):
         x = float(x)
@@ -109,23 +104,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_reports_csv(path, reports: list[Report]) -> None:
-    lines = [CSV_HEADER]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    r.scenario,
-                    _fmt(r.lhs),
-                    _fmt(r.rhs),
-                    _fmt(r.constant),
-                    _fmt(r.ratio),
-                    _fmt(r.bound),
-                    "true" if r.passed else "false",
-                ]
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path, header: str, rows) -> None:
+    """Write a CSV table of already formatted fields to `path`, or to stdout without a path."""
+    _write_text(path, "".join(line + "\n" for line in [header, *(",".join(row) for row in rows)]))
 
 
 def _write_text(path, text: str) -> None:
@@ -147,9 +128,9 @@ def _emit_json(path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
-def check_config_keys(doc) -> None:
-    """Raise ConfigInvalid unless `doc` is an object holding only known keys."""
-    for section, known in CONFIG_KEYS.items():
+def check_config_keys(doc, command: str) -> None:
+    """Raise ConfigInvalid unless `doc` is an object holding only keys that `command` reads."""
+    for section, known in CONFIG_KEYS[command].items():
         part = doc if section is None else doc.get(section, {})
         where = "config document" if section is None else f"config {section!r}"
         if not isinstance(part, dict):
@@ -181,49 +162,43 @@ def check_profile_keys(tag, raw, where: str, supplied: tuple[str, ...] = ()) -> 
 
 
 def _load_config(args) -> RunConfig:
+    """The config of `verify` or `sweep`: the --config document, then the flags over it."""
     base: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 base = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputUnreadable(f"config {args.config}: {exc}") from exc
-        check_config_keys(base)
+        check_config_keys(base, args.command)
     cfg = RunConfig(subcommand=args.command)
     for key in ("grid", "profile", "sweep"):
         if key in base:
             setattr(cfg, key, dict(base[key]))
     if "seed" in base and type(base["seed"]) is not int:  # a bool is not a seed
         raise ConfigInvalid(f"config 'seed' must be an integer, got {base['seed']!r}")
-    if base.get("format", "json") not in ("csv", "json"):
-        raise ConfigInvalid(f"config 'format' must be 'csv' or 'json', got {base['format']!r}")
     for key in ("out_csv", "out_json"):
         if key in base and not isinstance(base[key], str):
             raise ConfigInvalid(f"config {key!r} must be a file path string, got {base[key]!r}")
-    for key in ("seed", "kind", "out_csv", "out_json", "format"):
+    for key in ("seed", "kind", "out_csv", "out_json"):
         if key in base:
             setattr(cfg, key, base[key])
-    # flags override config fields
-    for key in ("seed", "kind", "format"):
+    # flags override config fields; only verify has --kind
+    for key in ("seed", "kind"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    if cfg.kind not in CORPUS_KINDS:
+    if cfg.kind is not None and cfg.kind not in CORPUS_KINDS:
         raise ConfigInvalid(f"'kind' must be one of {list(CORPUS_KINDS)}, got {cfg.kind!r}")
-    if getattr(args, "out_csv", None):
+    if args.out_csv:
         cfg.out_csv = args.out_csv
-    if getattr(args, "out_json", None):
+    if args.out_json:
         cfg.out_json = args.out_json
+    # verify and sweep run on the harness grid; a config naming another grid is refused
+    spec = cfg.spec()
+    if spec != HARNESS_SPEC:
+        raise ConfigInvalid(f"{cfg.subcommand} runs on the harness grid {HARNESS_SPEC}, not on {spec}")
     return cfg
-
-
-def _read_inputs(paths) -> list:
-    fns = []
-    for p in paths:
-        if not p or not os.path.exists(p):
-            raise InputUnreadable(f"input file {p!r} not found")
-        fns.append(read_grid_file(p))
-    return fns
 
 
 def _parse_cube(text: str, dim: int) -> Cube:
@@ -234,8 +209,7 @@ def _parse_cube(text: str, dim: int) -> Cube:
 
 
 def cmd_decompose(args) -> int:
-    cfg = _load_config(args)
-    f, g = _read_inputs([args.f, args.g])
+    f, g = read_grid_file(args.f), read_grid_file(args.g)
     spec = f.spec
     if args.root:
         q0 = _parse_cube(args.root, spec.dim)
@@ -261,7 +235,7 @@ def cmd_decompose(args) -> int:
             for k, scs in sorted(fam.levels.items())
         },
     }
-    _emit_json(cfg.out_json or args.out, payload)
+    _emit_json(args.out_json, payload)
     return 0
 
 
@@ -269,7 +243,7 @@ _APPLY_OPS = ("bi-frac", "frac-int", "multi-frac-int", "maximal", "frac-maximal"
 
 
 def cmd_apply(args) -> int:
-    inputs = _read_inputs(args.input)
+    inputs = [read_grid_file(p) for p in args.input]
     op = args.op
     if op == "bi-frac":
         out = bi_frac(inputs[0], inputs[1], args.alpha)
@@ -321,16 +295,18 @@ def _constant_row(name, args, w1, w2, v, family, pairs) -> dict:
 
 
 def cmd_constants(args) -> int:
-    cfg = _load_config(args)
+    flag, unread = ("--out-json", args.out_json) if args.format == "csv" else ("--out-csv", args.out_csv)
+    if unread:
+        raise ConfigInvalid(f"constants --format {args.format} writes no {flag!r} file")
     for name in args.constant:
         if name not in _CONSTANT_INPUTS:
             raise ConfigInvalid(f"unknown constant {name!r}; known constants are {list(_CONSTANT_INPUTS)}")
         missing = [f"--{key}" for key in _CONSTANT_INPUTS[name] if getattr(args, key) is None]
         if missing:
             raise ConfigInvalid(f"constant {name!r} needs {' and '.join(missing)}")
-    w1 = _read_inputs([args.weight])[0]
-    w2 = _read_inputs([args.weight2])[0] if args.weight2 else None
-    v = _read_inputs([args.v])[0] if args.v else None
+    w1 = read_grid_file(args.weight)
+    w2 = read_grid_file(args.weight2) if args.weight2 is not None else None
+    v = read_grid_file(args.v) if args.v is not None else None
     family = default_family(w1.spec)
     pairs = nested_pairs(family) if {"iida", "two-weight"} & set(args.constant) else None
     results = []
@@ -339,23 +315,19 @@ def cmd_constants(args) -> int:
             results.append(_constant_row(name, args, w1, w2, v, family, pairs))
         except POutOfRange as exc:
             raise POutOfRange(f"constant {name!r}: {exc}") from exc
-    if cfg.format == "csv":
-        lines = ["constant,value,witness,family_size"]
-        for row in results:
-            lines.append(
-                ",".join(
-                    [row["constant"], _fmt(row["value"]), f"\"{row['witness']}\"", str(row["family_size"])]
-                )
-            )
-        _write_text(cfg.out_csv, "\n".join(lines) + "\n")
+    if args.format == "csv":
+        _write_csv(
+            args.out_csv,
+            "constant,value,witness,family_size",
+            ([row["constant"], _fmt(row["value"]), f"\"{row['witness']}\"", str(row["family_size"])] for row in results),
+        )
     else:
-        _emit_json(cfg.out_json, {"schema": 1, "constants": results})
+        _emit_json(args.out_json, {"schema": 1, "constants": results})
     return 0
 
 
 def cmd_norms(args) -> int:
-    cfg = _load_config(args)
-    fns = _read_inputs(args.input)
+    fns = [read_grid_file(p) for p in args.input]
     family = default_family(fns[0].spec)
     if len(fns) == 1:
         value, witness = morrey_norm_witness(
@@ -365,14 +337,14 @@ def cmd_norms(args) -> int:
     else:
         value = vector_morrey_norm(fns[0], fns[1], args.p0, args.p1, args.p2, family)
         payload = {"schema": 1, "value": value, "witness": ""}
-    _emit_json(cfg.out_json, payload)
+    _emit_json(args.out_json, payload)
     return 0
 
 
 def _profile_from_cfg(cfg: RunConfig, args) -> tuple[str, dict]:
     """The verify tag and its profile keys (the tag's first catalog profile if none)."""
     raw = dict(cfg.profile)
-    if getattr(args, "profile_file", None):
+    if args.profile_file:
         try:
             with open(args.profile_file, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
@@ -381,7 +353,7 @@ def _profile_from_cfg(cfg: RunConfig, args) -> tuple[str, dict]:
         if not isinstance(loaded, dict):
             raise ConfigInvalid(f"profile {args.profile_file} must be a JSON object")
         raw.update(loaded)
-    if getattr(args, "tag", None):
+    if args.tag:
         raw["tag"] = args.tag
     tag = raw.pop("tag", None)
     if not tag:
@@ -396,13 +368,13 @@ def _profile_from_cfg(cfg: RunConfig, args) -> tuple[str, dict]:
 
 
 def cmd_verify(args) -> int:
-    for flag, count in (("--n-cal", args.n_cal), ("--n-eval", args.n_eval)):
-        if count < 1:
-            raise ConfigInvalid(f"{flag!r} must be at least 1, got {count}")
     cfg = _load_config(args)
-    _require_harness_grid(cfg)
     tag, raw = _profile_from_cfg(cfg, args)
     if tag == "structural":
+        settings = (("kind", cfg.kind), ("--n-cal", args.n_cal), ("--n-eval", args.n_eval))
+        given = [key for key, val in settings if val is not None]
+        if given:
+            raise ConfigInvalid(f"the structural checks read no corpus settings, got {given}")
         reports = verify_structural(cfg.seed)
         summary = {
             "schema": 1,
@@ -412,11 +384,21 @@ def cmd_verify(args) -> int:
             "failures": sum(0 if r.passed else 1 for r in reports),
         }
     else:
+        n_cal = 10 if args.n_cal is None else args.n_cal
+        n_eval = 30 if args.n_eval is None else args.n_eval
+        for flag, count in (("--n-cal", n_cal), ("--n-eval", n_eval)):
+            if count < 1:
+                raise ConfigInvalid(f"{flag!r} must be at least 1, got {count}")
         profile = make_profile(tag, **raw)
-        reports, summary = run_verify(
-            profile, cfg.kind, cfg.seed, n_cal=args.n_cal, n_eval=args.n_eval
-        )
-    _write_reports_csv(cfg.out_csv, reports)
+        reports, summary = run_verify(profile, cfg.kind or "random-steps", cfg.seed, n_cal=n_cal, n_eval=n_eval)
+    _write_csv(
+        cfg.out_csv,
+        "id,lhs,rhs,constant,ratio,bound,pass",
+        (
+            [r.scenario, *map(_fmt, (r.lhs, r.rhs, r.constant, r.ratio, r.bound)), "true" if r.passed else "false"]
+            for r in reports
+        ),
+    )
     if cfg.out_json:
         _emit_json(cfg.out_json, summary)
     return 0 if summary["failures"] == 0 else 1
@@ -424,14 +406,18 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    _require_harness_grid(cfg)
     sweep = dict(cfg.sweep)
     alphas = sweep.get("alphas", [])
     betas = sweep.get("betas", [])
+    for key, vals in (("alphas", alphas), ("betas", betas)):
+        if not isinstance(vals, list) or any(type(v) not in (int, float) for v in vals):  # a bool is not a number
+            raise ConfigInvalid(f"config sweep {key!r} must be a list of real numbers, got {vals!r}")
+    count = sweep.get("count", 3)
+    if type(count) is not int or count < 1:
+        raise ConfigInvalid(f"config sweep 'count' must be an integer at least 1, got {count!r}")
     tag = sweep.get("tag", "T1.1")
     base = sweep.get("base", PROFILE_CATALOG.get(tag, [{}])[0])
     check_profile_keys(tag, base, "config sweep 'base'", supplied=("alpha",))
-    count = int(sweep.get("count", 3))
     rows = []
     failures = 0
     skipped = 0
@@ -468,21 +454,21 @@ def cmd_sweep(args) -> int:
                     ],
                 }
             )
-    lines = ["id,alpha,beta,max_ratio,bound,ap_constant"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row["id"],
-                    _fmt(float(row["alpha"])),
-                    _fmt(float(row["beta"])) if row["beta"] != "" else "",
-                    _fmt(row["max_ratio"]) if row["max_ratio"] is not None else "",
-                    _fmt(row["bound"]),
-                    str(row["ap_constant"]),
-                ]
-            )
-        )
-    _write_text(cfg.out_csv, "\n".join(lines) + "\n")
+    _write_csv(
+        cfg.out_csv,
+        "id,alpha,beta,max_ratio,bound,ap_constant",
+        (
+            [
+                row["id"],
+                _fmt(float(row["alpha"])),
+                _fmt(float(row["beta"])) if row["beta"] != "" else "",
+                _fmt(row["max_ratio"]) if row["max_ratio"] is not None else "",
+                _fmt(row["bound"]),
+                str(row["ap_constant"]),
+            ]
+            for row in rows
+        ),
+    )
     if cfg.out_json:
         _emit_json(
             cfg.out_json, {"schema": 1, "rows": rows, "failures": failures, "skipped": skipped}
@@ -491,29 +477,32 @@ def cmd_sweep(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per subcommand, holding only the flags that its command reads."""
     ap = argparse.ArgumentParser(prog="bifrac", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add(name, text):
+        # no abbreviations: a removed flag such as `decompose --out` must not
+        # resolve to a longer one that is still there
+        return sub.add_parser(name, help=text, allow_abbrev=False)
+
+    def config_flags(p):
         p.add_argument("--config", help="JSON config document")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-csv", dest="out_csv")
         p.add_argument("--out-json", dest="out_json")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
 
-    p = sub.add_parser("decompose", help="stopping-time cube decomposition")
-    common(p)
+    p = add("decompose", "stopping-time cube decomposition")
     p.add_argument("--f", required=True, help="grid file for f")
     p.add_argument("--g", required=True, help="grid file for g")
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--s", type=float, default=2.0)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--root", help="root cube `corner... side`")
-    p.add_argument("--out", help="output JSON path (default stdout)")
+    p.add_argument("--out-json", dest="out_json", help="output JSON path (default stdout)")
     p.set_defaults(fn=cmd_decompose)
 
-    p = sub.add_parser("apply", help="apply an operator to grid files")
-    common(p)
+    p = add("apply", "apply an operator to grid files")
     p.add_argument("--op", required=True, choices=_APPLY_OPS)
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--output", required=True)
@@ -523,8 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r2", type=float, default=1.0)
     p.set_defaults(fn=cmd_apply)
 
-    p = sub.add_parser("constants", help="weight-class constants")
-    common(p)
+    p = add("constants", "weight-class constants")
     p.add_argument("--weight", required=True)
     p.add_argument("--weight2")
     p.add_argument("--v")
@@ -536,28 +524,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q0", type=float, default=4.0)
     p.add_argument("--r0", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=0.5)
+    p.add_argument("--format", choices=("csv", "json"), default="json")
+    p.add_argument("--out-csv", dest="out_csv")
+    p.add_argument("--out-json", dest="out_json")
     p.set_defaults(fn=cmd_constants)
 
-    p = sub.add_parser("norms", help="Morrey norms of grid files")
-    common(p)
+    p = add("norms", "Morrey norms of grid files")
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--p0", type=float, required=True)
     p.add_argument("--q", type=float, default=1.0)
     p.add_argument("--p1", type=float, default=2.0)
     p.add_argument("--p2", type=float, default=2.0)
+    p.add_argument("--out-json", dest="out_json")
     p.set_defaults(fn=cmd_norms)
 
-    p = sub.add_parser("verify", help="calibrated ratio verification")
-    common(p)
+    p = add("verify", "calibrated ratio verification")
+    config_flags(p)
     p.add_argument("--tag", help="T1.1 C1.4 T4.1 T4.2 T5.1 T5.2 C5.3 or structural")
     p.add_argument("--profile-file", dest="profile_file")
-    p.add_argument("--kind", default=None)
-    p.add_argument("--n-cal", dest="n_cal", type=int, default=10)
-    p.add_argument("--n-eval", dest="n_eval", type=int, default=30)
+    p.add_argument("--kind", default=None, help="corpus kind (default random-steps)")
+    p.add_argument("--n-cal", dest="n_cal", type=int, default=None, help="calibration items (default 10)")
+    p.add_argument("--n-eval", dest="n_eval", type=int, default=None, help="held-out items (default 30)")
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("sweep", help="profile/parameter sweep with summary table")
-    common(p)
+    p = add("sweep", "profile/parameter sweep with summary table")
+    config_flags(p)
     p.set_defaults(fn=cmd_sweep)
     return ap
 

@@ -31,19 +31,21 @@ class MorreyParams:
             raise ExponentOrder(f"need 0 < q <= p0, got q={self.q}, p0={self.p0}")
 
 
+def _morrey_top(f: GridFunction, params: MorreyParams, family: CubeFamily) -> tuple[float, int]:
+    """The norm and the family index of a cube that attains it."""
+    if family.size == 0:
+        raise EmptyCubeFamily("morrey_norm over an empty family")
+    return _top(_cube_values(family, [(f.abs_pow(1.0), params.q, 1.0 / params.q)], 1.0 / params.p0)[0])
+
+
 def morrey_norm(f: GridFunction, params: MorreyParams, family: CubeFamily) -> float:
     """max over the family of |Q|^{1/p0 - 1/q} (int_Q |f|^q)^{1/q}."""
-    if family.size == 0:
-        raise EmptyCubeFamily("morrey_norm over an empty family")
-    return _top(_cube_values(family, [(f.abs_pow(1.0), params.q, 1.0 / params.q)], 1.0 / params.p0)[0])[0]
+    return _morrey_top(f, params, family)[0]
 
 
-def morrey_norm_witness(
-    f: GridFunction, params: MorreyParams, family: CubeFamily
-) -> tuple[float, Cube]:
-    if family.size == 0:
-        raise EmptyCubeFamily("morrey_norm over an empty family")
-    value, k = _top(_cube_values(family, [(f.abs_pow(1.0), params.q, 1.0 / params.q)], 1.0 / params.p0)[0])
+def morrey_norm_witness(f: GridFunction, params: MorreyParams, family: CubeFamily) -> tuple[float, Cube]:
+    """`morrey_norm` and a cube of the family that attains it."""
+    value, k = _morrey_top(f, params, family)
     return value, family.cube(k)
 
 

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output formats, determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, cz_decompose, multi_frac_int, read_grid_file, write_grid_file
-from bifrac.cli import check_config_keys, check_profile_keys, main
+from bifrac.cli import build_parser, check_config_keys, check_profile_keys, main
 
 
 @pytest.fixture()
@@ -27,6 +28,71 @@ def grids(tmp_path):
     write_grid_file(p_one, one)
     write_grid_file(p_f, f)
     return {"one": p_one, "f": p_f, "dir": tmp_path}
+
+
+# The flags each subcommand reads, and no other.
+FLAGS = {
+    "decompose": ["--f", "--g", "--r", "--s", "--a", "--root", "--out-json"],
+    "apply": ["--op", "--input", "--output", "--alpha", "--p", "--r1", "--r2"],
+    "constants": [
+        "--weight", "--weight2", "--v", "--constant", "--p", "--q", "--p1", "--p2", "--q0", "--r0", "--epsilon",
+        "--format", "--out-csv", "--out-json",
+    ],
+    "norms": ["--input", "--p0", "--q", "--p1", "--p2", "--out-json"],
+    "verify": ["--config", "--seed", "--out-csv", "--out-json", "--tag", "--profile-file", "--kind", "--n-cal", "--n-eval"],
+    "sweep": ["--config", "--seed", "--out-csv", "--out-json"],
+}
+
+_VALID = {
+    "decompose": ["decompose", "--f", "f.grid", "--g", "g.grid"],
+    "apply": ["apply", "--op", "frac-int", "--input", "f.grid", "--output", "out.grid"],
+    "constants": ["constants", "--weight", "w.grid", "--constant", "ap"],
+    "norms": ["norms", "--input", "f.grid", "--p0", "2"],
+    "verify": ["verify", "--tag", "T1.1"],
+    "sweep": ["sweep"],
+}
+
+
+class TestFlags:
+    def test_each_subcommand_holds_exactly_the_flags_it_reads(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: [s for a in p._actions if a.dest != "help" for s in a.option_strings]
+            for name, p in sub.choices.items()
+        }
+        assert {name: sorted(flags) for name, flags in got.items()} == {
+            name: sorted(flags) for name, flags in FLAGS.items()
+        }
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("apply", ["--config", "missing.json"]),
+            ("apply", ["--seed", "3"]),
+            ("apply", ["--format", "csv"]),
+            ("apply", ["--out-csv", "x.csv"]),
+            ("apply", ["--out-json", "x.json"]),
+            ("decompose", ["--out", "a.json"]),
+            ("decompose", ["--config", "cfg.json"]),
+            ("decompose", ["--seed", "3"]),
+            ("decompose", ["--out-csv", "d.csv"]),
+            ("decompose", ["--format", "json"]),
+            ("constants", ["--config", "cfg.json"]),
+            ("constants", ["--seed", "3"]),
+            ("norms", ["--format", "csv"]),
+            ("norms", ["--out-csv", "n.csv"]),
+            ("norms", ["--config", "cfg.json"]),
+            ("norms", ["--seed", "3"]),
+            ("verify", ["--format", "csv"]),
+            ("sweep", ["--format", "csv"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_a_removed_flag_is_a_usage_error(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*_VALID[command], *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -64,12 +130,6 @@ class TestExitCodes:
         rc = main(["verify", "--profile-file", str(prof)])
         assert rc == 2
 
-    def test_unknown_family_cap_is_config_error(self, grids, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"family_caps": {"cubes": 4096, "pairs": 1000}}))
-        args = ["constants", "--config", str(cfg), "--weight", str(grids["f"]), "--constant", "ap"]
-        assert main(args) == 2
-
     @pytest.mark.parametrize(
         "doc, key",
         [
@@ -82,17 +142,56 @@ class TestExitCodes:
     def test_a_misspelt_config_key_is_config_error(self, doc, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        assert main(["verify", "--tag", "C5.3", "--config", str(cfg)]) == 2
+        argv = ["sweep"] if "sweep" in doc else ["verify", "--tag", "C5.3"]
+        assert main([*argv, "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("ConfigInvalid:")
         assert repr(key) in err
 
     def test_readme_config_examples_hold_only_known_keys(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
-        assert len(blocks) >= 2
-        for block in blocks:
-            check_config_keys(json.loads(block))
+        blocks = re.findall(r"Example (\w+) config:\n\n```json\n(.*?)```", readme, re.S)
+        assert sorted(command for command, _ in blocks) == ["sweep", "verify"]
+        assert len(blocks) == len(re.findall(r"```json\n", readme))
+        for command, block in blocks:
+            check_config_keys(json.loads(block), command)
+
+    @pytest.mark.parametrize(
+        "command, doc, key",
+        [
+            ("verify", {"sweep": {"tag": "T1.1", "alphas": [0.25]}}, "sweep"),
+            ("verify", {"format": "csv"}, "format"),
+            ("sweep", {"profile": {"tag": "T1.1"}}, "profile"),
+            ("sweep", {"kind": "spikes"}, "kind"),
+            ("sweep", {"format": "csv"}, "format"),
+        ],
+    )
+    def test_a_config_key_the_command_does_not_read_is_config_error(self, command, doc, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["verify", "--tag", "structural"] if command == "verify" else ["sweep"]
+        assert main([*argv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: unknown keys") and repr(key) in err
+
+    @pytest.mark.parametrize(
+        "flags, doc, key",
+        [
+            (["--kind", "spikes"], None, "kind"),
+            ([], {"kind": "spikes"}, "kind"),
+            (["--n-cal", "5"], None, "--n-cal"),
+            (["--n-eval", "5"], None, "--n-eval"),
+        ],
+    )
+    def test_structural_refuses_the_corpus_settings(self, flags, doc, key, tmp_path, capsys):
+        argv = ["verify", "--tag", "structural", *flags]
+        if doc is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigInvalid: the structural checks") and repr(key) in err
 
 
     _C53 = dict(tag="C5.3", n=1, alpha=0.25, q1=6, q2=6, p1=3, p2=3, r=2)
@@ -137,6 +236,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("ConfigInvalid:")
         assert named in err
+
+    @pytest.mark.parametrize(
+        "sweep, key",
+        [
+            ({"alphas": 0.3}, "alphas"),
+            ({"alphas": [0.25], "betas": 0.1}, "betas"),
+            ({"alphas": ["x"]}, "alphas"),
+            ({"alphas": [0.25], "betas": [True]}, "betas"),
+            ({"alphas": [0.25], "count": 2.7}, "count"),
+            ({"alphas": [0.25], "count": 0}, "count"),
+            ({"alphas": [0.25], "count": True}, "count"),
+        ],
+    )
+    def test_a_bad_sweep_value_is_config_error(self, sweep, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"tag": "T1.1", **sweep}}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigInvalid: config sweep {key!r}")
 
     def test_an_unknown_verify_tag_is_config_error(self, capsys):
         assert main(["verify", "--tag", "T9.9"]) == 2
@@ -240,6 +358,14 @@ class TestConstantsCommand:
         assert lines[0] == "constant,value,witness,family_size"
         assert lines[1].startswith("ap,")
 
+    @pytest.mark.parametrize("fmt, unread", [("json", "--out-csv"), ("csv", "--out-json")])
+    def test_an_output_file_of_the_other_format_is_a_config_error(self, grids, tmp_path, capsys, fmt, unread):
+        out = tmp_path / "c.out"
+        argv = ["constants", "--weight", str(grids["f"]), "--constant", "ap", "--format", fmt, unread, str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"ConfigInvalid: constants --format {fmt} writes no {unread!r} file\n"
+        assert not out.exists()
+
     def test_pair_family_is_exact_at_n128(self, tmp_path):
         # every nested pair of the 8256 intervals counts: sum over outer
         # widths W of (129 - W) W (W + 1) / 2
@@ -270,6 +396,13 @@ class TestConstantsCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"ConfigInvalid: constant {name!r} needs {flag}"]
+
+    @pytest.mark.parametrize("flag", ["--weight", "--weight2", "--v"])
+    def test_an_empty_input_path_is_an_input_error(self, grids, capsys, flag):
+        paths = {"--weight": str(grids["f"]), "--weight2": str(grids["f"]), "--v": str(grids["f"]), flag: ""}
+        argv = ["constants", "--constant", "two-weight", *(x for item in paths.items() for x in item)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("InputUnreadable: ")
 
     def test_names_are_checked_before_any_constant_is_computed(self, grids, monkeypatch, capsys):
         import bifrac.cli as cli
@@ -394,7 +527,7 @@ class TestDecomposeCommand:
                 str(grids["one"]),
                 "--g",
                 str(grids["one"]),
-                "--out",
+                "--out-json",
                 str(out),
             ]
         )
@@ -416,7 +549,7 @@ class TestDecomposeCommand:
             paths.append(tmp_path / f"{name}.grid")
             write_grid_file(paths[-1], GridFunction(spec, arr))
         out = tmp_path / "d.json"
-        assert main(["decompose", "--f", str(paths[0]), "--g", str(paths[1]), "--out", str(out)]) == 0
+        assert main(["decompose", "--f", str(paths[0]), "--g", str(paths[1]), "--out-json", str(out)]) == 0
         payload = json.loads(out.read_text())
         f, g = (read_grid_file(p) for p in paths)
         root = Cube((0.0,) * dim, spec.half_width)
@@ -560,9 +693,9 @@ class TestGridConfig:
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     def test_a_grid_other_than_the_harness_grid_is_refused(self, command, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid": {"n": 2, "L": 2.0, "N": 32}, "profile": {"tag": "structural"}}))
+        cfg.write_text(json.dumps({"grid": {"n": 2, "L": 2.0, "N": 32}}))
         assert main([command, "--config", str(cfg)]) == 2
-        assert "ConfigInvalid" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"ConfigInvalid: {command} runs on the harness grid")
 
     def test_the_harness_grid_spelled_out_runs_as_without_it(self, tmp_path):
         cfg = tmp_path / "cfg.json"

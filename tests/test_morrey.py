@@ -69,6 +69,8 @@ class TestMorreyNorm:
         empty = family_from_cubes(spec32, [])
         with pytest.raises(EmptyCubeFamily):
             morrey_norm(f, MorreyParams(2.0, 1.0), empty)
+        with pytest.raises(EmptyCubeFamily):
+            morrey_norm_witness(f, MorreyParams(2.0, 1.0), empty)
 
     def test_witness_reproduces(self, spec32, intervals32, rng):
         from bifrac import integrate
@@ -80,6 +82,14 @@ class TestMorreyNorm:
             f.abs_pow(params.q), witness
         ) ** (1.0 / params.q)
         assert direct == pytest.approx(value, rel=1e-12)
+
+    def test_the_norm_is_the_witness_value_and_builds_no_cube(self, spec32, intervals32, rng, monkeypatch):
+        # morrey_norm runs on the verify hot path, where a Cube per call is waste
+        f = GridFunction(spec32, rng.uniform(0, 1, 32))
+        params = MorreyParams(4.0, 2.0)
+        value, _ = morrey_norm_witness(f, params, intervals32)
+        monkeypatch.setattr(type(intervals32), "cube", lambda self, k: pytest.fail("morrey_norm built a Cube"))
+        assert morrey_norm(f, params, intervals32) == value
 
 
 class TestVectorMorrey:
