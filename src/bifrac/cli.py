@@ -239,12 +239,24 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-_APPLY_OPS = ("bi-frac", "frac-int", "multi-frac-int", "maximal", "frac-maximal", "p-maximal", "multi-maximal")
+# the number of --input files each op reads (argparse takes the ops from here)
+_APPLY_INPUTS = {
+    "bi-frac": 2,
+    "frac-int": 1,
+    "multi-frac-int": 2,
+    "maximal": 1,
+    "frac-maximal": 1,
+    "p-maximal": 1,
+    "multi-maximal": 2,
+}
 
 
 def cmd_apply(args) -> int:
+    op, need = args.op, _APPLY_INPUTS[args.op]
+    if len(args.input) != need:
+        files = "files" if need > 1 else "file"
+        raise ConfigInvalid(f"apply --op {op} reads {need} --input {files}, got {len(args.input)}")
     inputs = [read_grid_file(p) for p in args.input]
-    op = args.op
     if op == "bi-frac":
         out = bi_frac(inputs[0], inputs[1], args.alpha)
     elif op == "frac-int":
@@ -257,10 +269,8 @@ def cmd_apply(args) -> int:
         out = frac_maximal(inputs[0], args.alpha)
     elif op == "p-maximal":
         out = p_maximal(inputs[0], args.p)
-    elif op == "multi-maximal":
-        out = multi_maximal(inputs[0], inputs[1], args.alpha, args.r1, args.r2)
     else:
-        raise ConfigInvalid(f"op must be one of {_APPLY_OPS}")
+        out = multi_maximal(inputs[0], inputs[1], args.alpha, args.r1, args.r2)
     write_grid_file(args.output, out)
     return 0
 
@@ -327,6 +337,9 @@ def cmd_constants(args) -> int:
 
 
 def cmd_norms(args) -> int:
+    if len(args.input) > 2:
+        count = len(args.input)
+        raise ConfigInvalid(f"norms reads 1 --input file (a Morrey norm) or 2 (a vector Morrey norm), got {count}")
     fns = [read_grid_file(p) for p in args.input]
     family = default_family(fns[0].spec)
     if len(fns) == 1:
@@ -503,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_decompose)
 
     p = add("apply", "apply an operator to grid files")
-    p.add_argument("--op", required=True, choices=_APPLY_OPS)
+    p.add_argument("--op", required=True, choices=tuple(_APPLY_INPUTS))
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--alpha", type=float, default=0.5)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -81,8 +81,23 @@ class CubeFamily:
 
     def side_powers(self, expo: float, scale: float = 1.0) -> np.ndarray:
         """(scale * side) ** expo per cube, by lattice._scalar_pow (scalar `**`
-        bit for bit, which np.power is not), so |Q| here equals Cube.measure."""
-        return _scalar_pow(scale * self.sides, expo)
+        bit for bit, which np.power is not), so |Q| here equals Cube.measure.
+        Read-only: the family memoises the array per (expo, scale)."""
+        return self._side_powers(expo, scale)
+
+    @cached_property
+    def _side_powers(self):
+        """side_powers' memo.  A run reads a handful of (expo, scale) pairs
+        per family, from every operator call; the bound keeps one that reads
+        many from growing without end."""
+
+        @lru_cache(maxsize=16)
+        def powers(expo: float, scale: float) -> np.ndarray:
+            out = _scalar_pow(scale * self.sides, expo)
+            out.setflags(write=False)
+            return out
+
+        return powers
 
     @cached_property
     def measures(self) -> np.ndarray:
@@ -156,13 +171,17 @@ class CubeFamily:
         return CellBoxes(spec.shape, lo, hi)
 
     def integrals(self, pw: np.ndarray) -> np.ndarray:
-        """Integral over each cube of the step function with cell values pw.
+        """Integral over each cube of the step function with cell values pw,
+        per grid of a stack pw (..., N_1 ... N_n): shape (..., cubes).
 
         Aligned cubes take engine window sums (in 1D bit-identical to a
-        slice sum); shifted cubes take per-axis cell overlap vectors.
+        slice sum), one pass for the stack; shifted cubes take per-axis cell
+        overlap vectors, one grid at a time.
         """
         out = self.boxes.sums(pw) * self.spec.h ** self.spec.dim
-        out[self.shifted] = self.shifted_integrals(pw)
+        if len(self.shifted):
+            for row, cells in zip(out.reshape(-1, self.size), pw.reshape((-1,) + self.spec.shape)):
+                row[self.shifted] = self.shifted_integrals(cells)
         return out
 
     def shifted_integrals(self, pw: np.ndarray) -> np.ndarray:

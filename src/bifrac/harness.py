@@ -25,14 +25,18 @@ import numpy as np
 from .errors import InfiniteConstant, RelationViolated
 from .families import CubeFamily, NestedPairs, default_family, nested_pairs
 from .geometry import Cube, DyadicGrid, locate_shifted_cubes
-from .lattice import GridFunction, GridSpec, _cell_slices, lp_norm
+from .lattice import GridFunction, GridSpec, lp_norm
 from .morrey import MorreyParams, morrey_norm, power_scaling_check, vector_morrey_norm
 from .operators import (
+    _check_same_spec,
+    _finite,
+    _offset_sum,
     _root_m3q,
+    _root_plan,
+    _sparse_sums,
     _split_weights,
     bi_frac,
     multi_maximal,
-    sparse_bound,
     weighted_bilinear_maximal,
 )
 from .sparse import cz_decompose
@@ -424,7 +428,7 @@ def _concentration_guard(f: GridFunction, g: GridFunction, Q0: Cube) -> float:
     n = spec.dim
     a = 2.0 ** (2 * n + 1)
     safe_side = (Q0.measure / (2.0 * 3.0 ** n)) ** (1.0 / n)
-    _, width, m = _root_m3q(f, g, 2.0, 2.0, Q0, DyadicGrid((0.0,) * n))
+    _, width, m = _root_m3q(spec, f.samples, g.samples, 2.0, 2.0, Q0, DyadicGrid((0.0,) * n))
     big = width * spec.h > safe_side * (1 + 1e-9)  # a prefix of the breadth-first blocks
     worst = max([0.0] + m[big].tolist())
     target = SPIKE_ROOT_TARGET * a
@@ -694,21 +698,32 @@ def cube_location_worst_ratio(seed: int, samples: int, dim: int = 1) -> tuple[fl
 
 def local_part_ratio(item: CorpusItem, alpha: float = STRUCTURAL_ALPHA) -> float:
     """Max over Q0 cells of local kernel sum / sparse cube sum."""
-    spec = item.spec
+    return local_part_ratios((item,), alpha)[0]
+
+
+def local_part_ratios(items, alpha: float = STRUCTURAL_ALPHA) -> list[float]:
+    """local_part_ratio of each item, all on one spec: the local half of
+    bi_frac's kernel split (_split_weights) and sparse_bound's samples, each
+    from one pass over the stacked items, bit for bit as per item."""
+    spec = _check_same_spec(*(fn for it in items for fn in (it.f, it.g)))
     Q0 = HARNESS_Q0 if spec.dim == 1 else HARNESS_Q0_2D
     grid = HARNESS_GRID if spec.dim == 1 else HARNESS_GRID_2D
+    fs, gs = np.stack([it.f.samples for it in items]), np.stack([it.g.samples for it in items])
     w_local, _ = _split_weights(spec, alpha, Q0)
-    local = bi_frac(item.f, item.g, alpha, weights=w_local)
-    sb = sparse_bound(item.f, item.g, alpha, 2.0, 2.0, Q0, grid)
-    sl = _cell_slices(spec, Q0, clip=False)
-    lv = local.samples[sl].reshape(-1)
-    sv = sb.samples[sl].reshape(-1)
-    ratios = np.zeros_like(lv)
-    pos = sv > 0
-    ratios[pos] = lv[pos] / sv[pos]
-    if np.any(~pos & (lv > 1e-15)):
-        return math.inf
-    return float(ratios.max()) if len(ratios) else 0.0
+    local = _finite(_offset_sum(w_local, fs, gs), f"bi_frac with alpha = {alpha!r}", "on a cell")
+    sb = _sparse_sums(spec, fs, gs, alpha, 2.0, 2.0, Q0, grid)
+    lo, width, _, _ = _root_plan(spec, Q0, grid)  # block 0 is Q0
+    sl = (slice(None),) + tuple(slice(a, a + int(width[0])) for a in lo[0].tolist())
+    out = []
+    for lv, sv in zip(local[sl].reshape(len(items), -1), sb[sl].reshape(len(items), -1)):
+        ratios = np.zeros_like(lv)
+        pos = sv > 0
+        ratios[pos] = lv[pos] / sv[pos]
+        if np.any(~pos & (lv > 1e-15)):
+            out.append(math.inf)
+        else:
+            out.append(float(ratios.max()) if len(ratios) else 0.0)
+    return out
 
 
 def verify_structural(seed: int, n_items: int = 4, cube_samples: int = 300) -> list[Report]:
@@ -755,9 +770,8 @@ def verify_structural(seed: int, n_items: int = 4, cube_samples: int = 300) -> l
     cal_items = corpus(_mix_seed(seed, "cal31"), "spikes", count=3) + corpus(
         _mix_seed(seed, "cal31"), "random-steps", count=3
     )
-    c_cal = max(local_part_ratio(it) for it in cal_items)
-    for item in items:
-        ratio = local_part_ratio(item)
+    c_cal = max(local_part_ratios(cal_items))
+    for item, ratio in zip(items, local_part_ratios(items)):
         reports.append(
             _report(
                 f"local-domination-{item.item_id}",

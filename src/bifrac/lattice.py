@@ -301,36 +301,43 @@ _PW_BLOCK = 128
 _PW_LANES = 8
 
 
-def _window_sums(row: np.ndarray, top: int) -> np.ndarray:
-    """T[s, n] = pairwise_sum(row[s : s + n]) for s + n <= len(row), n <= top.
+def _window_sums(rows: np.ndarray, top: int) -> np.ndarray:
+    """T[..., s, n] = pairwise_sum(rows[..., s : s + n]) for s + n <= N, n <= top,
+    per row of a stack (..., N) of rows.
 
     Every piece of the pairwise tree is itself a window sum, so the table is
     built in a fixed number of numpy calls plus one gather-add per split
-    level.  Entries past the end of the row are garbage (and may overflow
-    where no read window does, hence the errstate).
+    level, for all rows at once: every step adds elementwise, so each row's
+    table holds the bits of its own.  A lane accumulator of the window at s
+    is the running sum of cells t, t + lanes, ... from t = s + lane, so the
+    running sums are taken once per cell t, not once per window and lane.
+    Entries past the end of a row, and columns past top, are garbage (and
+    may overflow where no read window does, hence the errstate).
     """
     lanes, known = _PW_LANES, min(top, _PW_BLOCK)
-    blocks = known // lanes + 1
-    cells = np.concatenate((row, np.zeros(lanes * blocks)))
-    view = sliding_window_view(cells, lanes * blocks).reshape(-1, blocks, lanes)
-    rows = len(view)
-    table = np.empty((rows, top + 1))
+    blocks, lead, count = known // lanes + 1, rows.shape[:-1], rows.shape[-1] + 1
+    cells = np.concatenate((rows, np.zeros(lead + (lanes * (blocks + 1),))), axis=-1)
+    windows = sliding_window_view(cells, lanes * blocks, axis=-1)  # [..., s, i] = cells[s + i]
+    table = np.empty(lead + (count, max(top + 1, lanes * blocks)))
+    # the lengths lanes * b + k: after b whole blocks (0.0 for b = 0), the remainder in order
+    tail = table[..., : lanes * blocks].reshape(lead + (count, blocks, lanes))
     with np.errstate(over="ignore", invalid="ignore"):
-        acc = np.cumsum(view, axis=1)  # the accumulators after 1, 2, ... blocks
-        while acc.shape[-1] > 1:
-            acc = acc[..., 0::2] + acc[..., 1::2]
-        # after b whole blocks (0.0 for b = 0), the remainder in order: length lanes * b + k
-        tail = np.concatenate((np.zeros((rows, 1)), acc[:, :-1, 0]), axis=1)
-        tail = np.concatenate((tail[..., None], view[..., : lanes - 1]), axis=2)
-        table[:, : known + 1] = np.cumsum(tail, axis=2).reshape(rows, -1)[:, : known + 1]
-        start = np.arange(rows)[:, None]
+        # [..., t, b]: cells t, t + lanes, ... t + lanes b added in order
+        acc = np.cumsum(windows[..., : count + lanes - 1, ::lanes], axis=-1)
+        for step in (1, 2, 4):  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+            acc = acc[..., :-step, :] + acc[..., step:, :]
+        tail[..., 0, 0] = 0.0
+        tail[..., 1:, 0] = acc[..., :-1]
+        tail[..., 1:] = windows[..., :count, :].reshape(lead + (count, blocks, lanes))[..., : lanes - 1]
+        np.cumsum(tail, axis=-1, out=tail)
+        start = np.arange(count)[:, None]
         while known < top:
             n = np.arange(known + 1, top + 1)
             n2 = n // 2 // lanes * lanes
             # n - n2 is not monotone in n: take the run of lengths whose halves are known
             run = np.argmax(np.append(n - n2 > known, True))
             n, n2 = n[:run], n2[:run]
-            table[:, n] = table[:, n2] + table[np.minimum(start + n2, rows - 1), n - n2]
+            table[..., n] = table[..., n2] + table[..., np.minimum(start + n2, count - 1), n - n2]
             known = int(n[-1])
     return table
 
@@ -350,6 +357,11 @@ class CellBoxes:
     among the boxes, the pair count and the inward maxima (`inner_max`),
     reads one start x end table in 1D (see _start_end) and per-side corner
     windows over the power-of-two table in 2D (see _sides).
+
+    Window sums take a stack of arrays, one engine pass for all of them, with
+    the bits of one call per array.  They keep to the contiguity rule: a
+    gather goes through take, whose result is C-contiguous, before a reduce
+    along its last axis.
     """
 
     def __init__(self, shape: tuple[int, ...], lo: np.ndarray, hi: np.ndarray):
@@ -380,6 +392,11 @@ class CellBoxes:
             k = np.flatnonzero(ext == e)
             plan.append((k, lo[k, None] + np.arange(e)))
         return plan
+
+    @cached_property
+    def _by_length_order(self) -> np.ndarray:
+        """Where each box's sum falls among the `by_length` groups' sums, in group order."""
+        return np.argsort(np.concatenate([k for k, _ in self.by_length]))
 
     @cached_property
     def table_shape(self) -> tuple[int, ...]:
@@ -419,12 +436,15 @@ class CellBoxes:
         """Per box, a column of flat table positions: its disjoint blocks, one
         per binary digit of its extent on each axis, largest first and the last
         axis innermost.  The slot past the table fills the rest of the column
-        (missing digits, empty boxes); it holds 0, which changes no sum."""
+        (missing digits, empty boxes); it holds 0, which changes no sum.
+        Positions are int32, half the memory of int64, so the table must have
+        fewer than 2^31 slots."""
         dim, shape = len(self.shape), self.table_shape
+        assert math.prod(shape) < 2 ** 31, f"a power-of-two table of shape {shape} overflows int32 positions"
         strides = [math.prod(shape[i + 1 :]) for i in range(2 * dim)]
-        at, valid = np.zeros((1, self.count), dtype=np.int64), np.ones((1, self.count), dtype=bool)
-        for ax, (lo, e) in enumerate(zip(self.lo.T, self.ext.T)):
-            k = np.arange(shape[ax] - 1, -1, -1)[:, None]
+        at, valid = np.zeros((1, self.count), dtype=np.int32), np.ones((1, self.count), dtype=bool)
+        for ax, (lo, e) in enumerate(zip(self.lo.T.astype(np.int32), self.ext.T.astype(np.int32))):
+            k = np.arange(shape[ax] - 1, -1, -1, dtype=np.int32)[:, None]
             present = e >> k & 1 == 1
             # the axis's digits, each box's present ones first, as many as any box has
             order = np.argsort(~present, axis=0, kind="stable")[: present.sum(axis=0).max(initial=0)]
@@ -436,32 +456,46 @@ class CellBoxes:
         return np.where(valid, at, math.prod(shape))[valid.any(axis=1)]
 
     def _table(self, arr: np.ndarray, ufunc, fill: float) -> np.ndarray:
-        """The power-of-two table of arr under ufunc, flat, plus one slot past it that holds fill."""
-        flat = np.full(math.prod(self.table_shape) + 1, fill)
-        table = flat[:-1].reshape(self.table_shape)
-        table[(0,) * len(self.shape)] = arr
+        """The power-of-two table of arr (..., N_1 ... N_n) under ufunc, flat per
+        row of the stack, plus one slot past it that holds fill."""
+        lead = arr.shape[: arr.ndim - len(self.shape)]
+        flat = np.full(lead + (math.prod(self.table_shape) + 1,), fill)
+        table = flat[..., :-1].reshape(lead + self.table_shape)  # a view: only the last axis splits
+        table[(...,) + (0,) * len(self.shape) + (slice(None),) * len(self.shape)] = arr
         with np.errstate(over="ignore", invalid="ignore"):  # blocks that no box reads may overflow
-            for coarse, first, second in _block_steps(table):
+            for coarse, first, second in _block_steps(table, len(self.shape)):
                 ufunc(first, second, out=coarse)
         return flat
 
     def sums(self, arr: np.ndarray) -> np.ndarray:
-        """The sum of arr over each box; 0 for empty boxes.  In 1D np.sum(arr[box])
-        bit for bit, per length (`by_length`) or from the window table (whose
-        NaN may differ in sign); in 2D
-        the box's disjoint blocks (`digits`) added in order."""
+        """The sum over each box of each row of a stack arr (..., N_1 ... N_n),
+        shape (..., boxes); 0 for empty boxes.  In 1D np.sum(row[box]) bit for
+        bit, per length (`by_length`) or from the window table (whose NaN may
+        differ in sign); in 2D the box's disjoint blocks (`digits`) added in
+        order.  Each row of a stack sums as a call on that row alone would,
+        bit for bit, but for the sign of a NaN from the 1D window table past
+        one 128-value block and from the 2D table.
+
+        The contiguity rule: a gather goes through take, whose result is
+        C-contiguous, so each box's cells are reduced as np.sum reduces a
+        slice; arr[..., cells] on a stack is not, and its reduce differs
+        from np.sum by one ulp on some boxes."""
         if len(self.shape) == 1 and self.by_length is not None:
-            out = np.zeros(self.count)
-            # a reduce along the rows of a C-contiguous gather adds each row as np.sum adds a slice
             with np.errstate(over="ignore", invalid="ignore"):  # silent, as the table is
-                for k, cells in self.by_length:
-                    out[k] = np.add.reduce(arr[cells], axis=1)
-            return out
+                parts = [np.add.reduce(arr.take(cells, axis=-1), axis=-1) for _, cells in self.by_length]
+            if not parts:  # no boxes
+                return np.zeros(arr.shape[:-1] + (0,))
+            # the groups' sums, back in box order
+            return np.concatenate(parts, axis=-1).take(self._by_length_order, axis=-1)
         if len(self.shape) == 1:
             # + 0.0: np.sum adds the row to its identity 0.0, which turns -0.0 into 0.0
-            return _window_sums(arr, self.top)[self.lo[:, 0], self.ext[:, 0]] + 0.0
-        # the reduce adds the rows in order; + 0.0: a zero sum reads +0.0 wherever the padding falls
-        return np.add.reduce(self._table(arr, np.add, 0.0)[self.digits], axis=0) + 0.0
+            return _window_sums(arr, self.top)[..., self.lo[:, 0], self.ext[:, 0]] + 0.0
+        # the digits in order onto +0.0, so a zero sum reads +0.0 wherever the padding falls;
+        # one row of positions at a time: gathering all rows at once costs a digits x boxes array
+        flat, out = self._table(arr, np.add, 0.0), np.zeros(arr.shape[:-2] + (self.count,))
+        for at in self.digits:
+            out += flat.take(at, axis=-1)
+        return out
 
     def minima(self, arr: np.ndarray) -> np.ndarray:
         """arr[box].min() per box; +inf for empty boxes: the min of the 2^n
@@ -480,7 +514,7 @@ class CellBoxes:
         flat = np.full(math.prod(self.table_shape) + 1, -np.inf)
         np.maximum.at(flat, at.reshape(-1)[distinct], values[distinct % self.count])
         table = flat[:-1].reshape(self.table_shape)
-        for coarse, first, second in reversed(list(_block_steps(table))):
+        for coarse, first, second in reversed(list(_block_steps(table, len(self.shape)))):
             np.maximum(first, coarse, out=first)
             np.maximum(second, coarse, out=second)
         return table[(0,) * len(self.shape)].copy()
@@ -562,20 +596,21 @@ class CellBoxes:
         return out
 
 
-def _block_steps(table: np.ndarray):
-    """The steps that build a power-of-two table, whose layer (k_1 ... k_n)
-    holds a value per 2^k_1 x ... x 2^k_n block at each corner cell, from the
-    cells at layer (0 ... 0): per level, the coarser blocks and the two finer
-    blocks, half their extent apart, that make them up.  The last axis runs
-    first, then each earlier axis on all layers of the axes after it at
-    once, so the steps make about n log N numpy calls; a step reads only the
-    finer blocks that fit."""
-    dim = table.ndim // 2
-    rest = (slice(None),) * (dim - 1)  # the later axes' layers, the earlier axes' cells
+def _block_steps(table: np.ndarray, dim: int):
+    """The steps that build a power-of-two table, whose layer (k_1 ... k_dim)
+    holds a value per 2^k_1 x ... x 2^k_dim block at each corner cell, from
+    the cells at layer (0 ... 0), for each row of a leading stack axis: per
+    level, the coarser blocks and the two finer blocks, half their extent
+    apart, that make them up.  The last axis runs first, then each earlier
+    axis on all layers of the axes after it at once, so the steps make about
+    n log N numpy calls; a step reads only the finer blocks that fit."""
+    stack = table.ndim - 2 * dim
+    lead = (slice(None),) * stack
+    rest = lead + (slice(None),) * (dim - 1)  # the stack, the later axes' layers, the earlier axes' cells
     for ax in reversed(range(dim)):
-        for k in range(1, table.shape[ax]):
-            m, half = table.shape[dim + ax] - (1 << k) + 1, 1 << (k - 1)
-            coarse, fine = table[(0,) * ax + (k,)], table[(0,) * ax + (k - 1,)]
+        for k in range(1, table.shape[stack + ax]):
+            m, half = table.shape[stack + dim + ax] - (1 << k) + 1, 1 << (k - 1)
+            coarse, fine = table[lead + (0,) * ax + (k,)], table[lead + (0,) * ax + (k - 1,)]
             yield coarse[rest + (slice(m),)], fine[rest + (slice(m),)], fine[rest + (slice(half, half + m),)]
 
 

@@ -169,26 +169,33 @@ def _offset_slices(n: int, dim: int, bilinear: bool) -> tuple:
     The bilinear sum reads f(x - d) g(x + d) on the cells [|d|, n - |d|) of
     each axis, where both reads stay on the grid; offsets with no such cell
     are left out.  The convolution reads f(x - d) on [max(0, d), min(n, n + d))
-    and never its g slices.
+    and never its g slices.  The slices lead with `...`, so they index a
+    stack of grids as they index one.
     """
     axis = []
     for d in range(-(n - 1), n):
         lo, hi = (abs(d), n - abs(d)) if bilinear else (max(0, d), min(n, n + d))
         if lo < hi:
             axis.append((d + n - 1, slice(lo, hi), slice(lo - d, hi - d), slice(lo + d, hi + d)))
-    return tuple(tuple(zip(*parts)) for parts in product(axis, repeat=dim))
+    return tuple(
+        (k, (...,) + o, (...,) + a, (...,) + b) for k, o, a, b in (zip(*parts) for parts in product(axis, repeat=dim))
+    )
 
 
 def _offset_sum(weights: np.ndarray, fs: np.ndarray, gs: np.ndarray | None = None) -> np.ndarray:
-    """Kahan sum over kernel offsets of f(x - d) g(x + d) w(d), or of f(x - d) w(d).
+    """Kahan sum over kernel offsets of f(x - d) g(x + d) w(d), or of f(x - d) w(d),
+    per grid of a stack fs (and gs) of shape (..., N_1 ... N_n).
 
     Offsets run in row-major order and zero weights are skipped, so each
     half of a split table (see _split_weights) sums only its own offsets.
+    Every step is elementwise, so a stack's grids take the bits of one-grid
+    calls whatever their memory layout: the contiguity rule of
+    CellBoxes.sums binds reductions only.
     """
     out = np.zeros(fs.shape)
     comp = np.zeros(fs.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, o, a, b in _offset_slices(fs.shape[0], fs.ndim, gs is not None):
+        for k, o, a, b in _offset_slices(fs.shape[-1], weights.ndim, gs is not None):
             w = weights[k]
             if w == 0.0:
                 continue
@@ -389,17 +396,19 @@ def _sweep(spec: GridSpec, family: CubeFamily, values: np.ndarray, operator: str
     return GridFunction(spec, out)
 
 
-def _averages(f: GridFunction, family: CubeFamily, p: float) -> np.ndarray:
-    """((1/|Q|) \\int_Q |f|^p)^(1/p) for every family cube; +inf past the float range."""
+def _averages(family: CubeFamily, samples, ps) -> list[np.ndarray]:
+    """((1/|Q|) \\int_Q |f|^p)^(1/p) for every family cube, per array f of
+    `samples` and its exponent p of `ps`, from one stacked window sum; +inf
+    past the float range."""
     with np.errstate(over="ignore"):
-        totals = family.integrals(np.abs(f.samples) ** p) / family.measures
-    return _scalar_pow(totals, 1.0 / p)
+        totals = family.integrals(np.stack([np.abs(f) ** p for f, p in zip(samples, ps)])) / family.measures
+    return [_scalar_pow(t, 1.0 / p) for t, p in zip(totals, ps)]
 
 
 def maximal(f: GridFunction, family: CubeFamily | None = None) -> GridFunction:
     """Uncentered Hardy-Littlewood maximal function over the family."""
     family = _family_for(f.spec, family)
-    return _sweep(f.spec, family, _averages(f, family, 1.0), "maximal")
+    return _sweep(f.spec, family, _averages(family, (f.samples,), (1.0,))[0], "maximal")
 
 
 def frac_maximal(f: GridFunction, alpha: float, family: CubeFamily | None = None) -> GridFunction:
@@ -407,7 +416,7 @@ def frac_maximal(f: GridFunction, alpha: float, family: CubeFamily | None = None
     if not (0.0 < alpha < f.spec.dim):
         raise AlphaOutOfRange(f"alpha must lie in (0, {f.spec.dim}), got {alpha}")
     family = _family_for(f.spec, family)
-    values = family.side_powers(alpha) * _averages(f, family, 1.0)
+    values = family.side_powers(alpha) * _averages(family, (f.samples,), (1.0,))[0]
     return _sweep(f.spec, family, values, f"frac_maximal with alpha = {alpha!r}")
 
 
@@ -416,7 +425,7 @@ def p_maximal(f: GridFunction, p: float, family: CubeFamily | None = None) -> Gr
     if p <= 1.0:
         raise POutOfRange(f"p must exceed 1, got {p}")
     family = _family_for(f.spec, family)
-    return _sweep(f.spec, family, _averages(f, family, p), f"p_maximal with p = {p!r}")
+    return _sweep(f.spec, family, _averages(family, (f.samples,), (p,))[0], f"p_maximal with p = {p!r}")
 
 
 def multi_maximal(
@@ -438,23 +447,25 @@ def multi_maximal(
     if r1 <= 0 or r2 <= 0:
         raise POutOfRange("averaging exponents must be positive")
     family = _family_for(spec, family)
+    a1, a2 = _averages(family, (f1.samples, f2.samples), (r1, r2))
     with np.errstate(invalid="ignore"):  # inf * 0 reads nan, which _sweep refuses
-        values = family.side_powers(alpha) * _averages(f1, family, r1) * _averages(f2, family, r2)
+        values = family.side_powers(alpha) * a1 * a2
     return _sweep(spec, family, values, f"multi_maximal with alpha = {alpha!r}, r1 = {r1!r}, r2 = {r2!r}")
 
 
-def _m3q(f, g, r, s, windows: CellBoxes, meas3: np.ndarray) -> np.ndarray:
-    """m_{3Q}(|f|^r, |g|^s) over the 3Q `windows` (see CellBoxes.tripled).
+def _m3q(spec: GridSpec, fs: np.ndarray, gs: np.ndarray, r, s, windows: CellBoxes, meas3: np.ndarray) -> np.ndarray:
+    """m_{3Q}(|f|^r, |g|^s) over the 3Q `windows` (see CellBoxes.tripled), per
+    pair of a stack fs, gs (..., N_1 ... N_n) of samples on spec: shape
+    (..., windows), from one stacked window sum.
 
     Integration runs over 3Q clipped to the box; the normalizing measure is
     the full meas3 = (3 * side)^n (functions vanish outside the box),
     matching the compact-support convention.
     """
-    vol = f.spec.h ** f.spec.dim
+    vol = spec.h ** spec.dim
     # a power past the float range reads +inf, and +inf * 0 nan
     with np.errstate(over="ignore", invalid="ignore"):
-        fi = windows.sums(np.abs(f.samples) ** r) * vol / meas3
-        gi = windows.sums(np.abs(g.samples) ** s) * vol / meas3
+        fi, gi = windows.sums(np.stack((np.abs(fs) ** r, np.abs(gs) ** s))) * vol / meas3
         return _scalar_pow(fi, 1.0 / r) * _scalar_pow(gi, 1.0 / s)
 
 
@@ -470,20 +481,22 @@ def _root_plan(spec: GridSpec, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, 
 
 
 def _path_accumulate(ufunc, values: np.ndarray, fan: int) -> np.ndarray:
-    """ufunc accumulated down the tree of breadth-first blocks (children of i: fan i + 1 ... fan i + fan)."""
+    """ufunc accumulated down the tree of breadth-first blocks (children of
+    i: fan i + 1 ... fan i + fan), along the last axis."""
     out = values.copy()
     start, size = 0, 1
-    while start + size < len(out):
+    while start + size < out.shape[-1]:
         kids = slice(start + size, start + size * (fan + 1))
-        out[kids] = ufunc(np.repeat(out[start : start + size], fan), out[kids])
+        out[..., kids] = ufunc(np.repeat(out[..., start : start + size], fan, axis=-1), out[..., kids])
         start, size = start + size, size * fan
     return out
 
 
-def _root_m3q(f, g, r, s, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The root plan's corner cells and widths, and m_{3Q}(|f|^r, |g|^s) per block, all finite."""
-    lo, width, windows, meas3 = _root_plan(f.spec, Q0, grid)
-    m = _m3q(f, g, r, s, windows, meas3)
+def _root_m3q(spec: GridSpec, fs, gs, r, s, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The root plan's corner cells and widths, and m_{3Q}(|f|^r, |g|^s) per
+    block (..., blocks) for a stack fs, gs of samples (see _m3q), all finite."""
+    lo, width, windows, meas3 = _root_plan(spec, Q0, grid)
+    m = _m3q(spec, fs, gs, r, s, windows, meas3)
     where = f"on a subcube of the root cube {Q0.serialize()}"
     return lo, width, _finite(m, f"m_3Q(|f|^r, |g|^s) with r = {r!r}, s = {s!r}", where)
 
@@ -513,9 +526,10 @@ def weighted_bilinear_maximal(
     name = f"weighted_bilinear_maximal with alpha = {alpha!r}, r = {r!r}, s = {s!r}, q = {q!r}"
     with np.errstate(over="ignore"):
         nu = _finite(w1.samples * w2.samples, name, "in the product weight w1 * w2")
-    m3q = _m3q(f, g, r, s, family.windows3, family.side_powers(spec.dim, 3.0))
+    m3q = _m3q(spec, f.samples, g.samples, r, s, family.windows3, family.side_powers(spec.dim, 3.0))
+    (nu_q,) = _averages(family, (nu,), (q,))
     with np.errstate(invalid="ignore"):  # inf * 0 reads nan, which _sweep refuses
-        values = family.side_powers(alpha) * m3q * _averages(GridFunction(spec, nu, nonnegative=True), family, q)
+        values = family.side_powers(alpha) * m3q * nu_q
     return _sweep(spec, family, values, name)
 
 
@@ -530,12 +544,18 @@ def sparse_bound(
 ) -> GridFunction:
     """sum over dyadic Q ⊆ Q0 (down to single cells) of side^alpha m_{3Q} χ_Q."""
     spec = _check_same_spec(f, g)
+    return GridFunction(spec, _sparse_sums(spec, f.samples, g.samples, alpha, r, s, Q0, grid))
+
+
+def _sparse_sums(spec: GridSpec, fs, gs, alpha: float, r: float, s: float, Q0: Cube, grid: DyadicGrid) -> np.ndarray:
+    """sparse_bound's samples per pair of a stack fs, gs (..., N_1 ... N_n) on spec."""
     check_conjugate(r, s)
     if not (0.0 < alpha < spec.dim):
         raise AlphaOutOfRange(f"alpha must lie in (0, {spec.dim}), got {alpha}")
-    lo, width, m = _root_m3q(f, g, r, s, Q0, grid)
+    lo, width, m = _root_m3q(spec, fs, gs, r, s, Q0, grid)
     # each cell adds its blocks' values from the root down to its own cell
     total = _path_accumulate(np.add, _scalar_pow(width * spec.h, alpha) * m, 2 ** spec.dim)
-    out = np.zeros(spec.shape)
-    out[tuple(lo[width == 1].T)] = total[width == 1]
-    return GridFunction(spec, out)
+    out = np.zeros(m.shape[:-1] + spec.shape)
+    cells = width == 1
+    out[(...,) + tuple(lo[cells].T)] = total[..., cells]
+    return out

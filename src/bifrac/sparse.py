@@ -114,7 +114,7 @@ def cz_decompose(
     if a <= 2 ** (2 * n):
         raise ValueError(f"base constant a must exceed 2^(2n) = {2 ** (2 * n)}")
 
-    lo, width, m = _root_m3q(f, g, r, s, Q0, grid)
+    lo, width, m = _root_m3q(spec, f.samples, g.samples, r, s, Q0, grid)
     max_m = float(m.max())
     # largest k with a^k < max_m (a^k past the float range reads +inf); levels above select nothing
     k_cap = 0

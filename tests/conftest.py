@@ -488,14 +488,13 @@ def frac_int_at_oracle(f, alpha, point):
     return math.fsum(terms)
 
 
-def root_m3q_oracle(f, g, r, s, Q0, grid):
+def root_m3q_oracle(spec, fs, gs, r, s, Q0, grid):
     """operators._root_m3q with the root's geometry built on every call: its
     subcube_blocks, a fresh CellBoxes.tripled (so fresh digit blocks) and the
     3Q measures by scalar `**`, then operators._m3q."""
-    spec = f.spec
     lo, width = subcube_blocks(spec, Q0, grid)
     meas3 = np.array([(3.0 * (w * spec.h)) ** spec.dim for w in width.tolist()])
-    return lo, width, _m3q(f, g, r, s, CellBoxes.tripled(spec.shape, lo, width), meas3)
+    return lo, width, _m3q(spec, fs, gs, r, s, CellBoxes.tripled(spec.shape, lo, width), meas3)
 
 
 # The lattice coordinate map as three modules once spelled it out, each with

@@ -96,6 +96,24 @@ class TestFlags:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, count, needs",
+        [
+            (["apply", "--op", "bi-frac"], 1, "apply --op bi-frac reads 2 --input files, got 1"),
+            (["apply", "--op", "multi-maximal"], 3, "apply --op multi-maximal reads 2 --input files, got 3"),
+            (["apply", "--op", "frac-int"], 2, "apply --op frac-int reads 1 --input file, got 2"),
+            (["apply", "--op", "maximal"], 2, "apply --op maximal reads 1 --input file, got 2"),
+            (["norms", "--p0", "2"], 3, "norms reads 1 --input file (a Morrey norm) or 2 (a vector Morrey norm), got 3"),
+        ],
+        ids=["apply-bi-frac-1", "apply-multi-maximal-3", "apply-frac-int-2", "apply-maximal-2", "norms-3"],
+    )
+    def test_an_input_count_the_mode_does_not_read_is_config_error(self, grids, capsys, argv, count, needs):
+        out = grids["dir"] / "out.grid"
+        rc = main([*argv, "--input", *[str(grids["f"])] * count] + (["--output", str(out)] if argv[0] == "apply" else []))
+        assert rc == 2
+        assert capsys.readouterr().err == f"ConfigInvalid: {needs}\n"
+        assert not out.exists()
+
     def test_missing_input_is_config_error(self, tmp_path):
         rc = main(
             [

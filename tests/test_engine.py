@@ -336,6 +336,52 @@ def test_1d_sums_of_random_box_sets_equal_slice_sums_bitwise(data):
     _check_1d_sums(boxes, data.draw(hostile_rows(n)))
 
 
+def _check_stacked_sums(boxes, stack):
+    """CellBoxes.sums of a stack (k, N...) against one call per row, bit for
+    bit.  NaN sits where the row's call has it; the per-length route also
+    keeps its sign and payload, where the tables (the 1D window table past
+    one 128-value block, the 2D power-of-two table) may add two NaNs in the
+    other order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = boxes.sums(stack)
+        want = np.array([boxes.sums(row) for row in stack]).reshape(len(stack), boxes.count)
+    table = len(boxes.shape) == 2 or boxes.by_length is None
+    nan = np.isnan(want) if table else np.zeros(want.shape, dtype=bool)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("root-windows", 64), ("root-windows", 1024), ("family-boxes", 64), ("family-windows3", 128), ("spot-check", 1024)],
+)
+@given(k=st.integers(1, 5), data=st.data())
+@settings(max_examples=10)
+def test_stacked_1d_sums_equal_a_call_per_row(name, n, k, data):
+    # the root windows take the per-length route, mostly one box per length;
+    # the rest read the window table, the spot check past its split levels
+    _check_stacked_sums(_route_boxes(name, n), np.stack([data.draw(hostile_rows(n)) for _ in range(k)]))
+
+
+@given(case=grid_and_boxes(nonfinite=True), k=st.integers(1, 5), data=st.data())
+def test_stacked_sums_of_random_box_sets_equal_a_call_per_row(case, k, data):
+    # the 2D digit route and, on short rows with few boxes, both 1D routes
+    arr, lo, hi = case
+    rows = [data.draw(hostile_rows(arr.size)).reshape(arr.shape) for _ in range(k - 1)]
+    _check_stacked_sums(CellBoxes(arr.shape, lo, hi), np.stack([arr] + rows))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@given(k=st.integers(1, 5), data=st.data())
+@settings(max_examples=10)
+def test_stacked_2d_family_sums_equal_a_call_per_row(n, k, data):
+    family = default_family(GridSpec(2, 2.0, n))
+    stack = np.stack([data.draw(hostile_rows(n * n)).reshape(n, n) for _ in range(k)])
+    for boxes in (family.boxes, family.windows3):
+        _check_stacked_sums(boxes, stack)
+
+
 def _sweep_by_loop(shape, lo, hi, values):
     """Per cell, np.maximum over the boxes holding it, box by box."""
     want = np.full(shape, -np.inf)
@@ -645,12 +691,12 @@ def test_maximal_sweeps_at_n512_match_max_over_containing_intervals():
     w1, w2 = (GridFunction(spec, rng.uniform(0.2, 3.0, 512)) for _ in range(2))
     cells = np.sort(rng.choice(512, 16, replace=False))
     cells[:2] = (0, 511)
-    want = _max_over_containing_intervals(fam, _averages(f, fam, 1.0), cells)
+    want = _max_over_containing_intervals(fam, _averages(fam, (f.samples,), (1.0,))[0], cells)
     assert np.array_equal(maximal(f, fam).samples[cells], want)
     alpha, r, s, q = 0.5, 2.0, 2.0, 3.0
     nu = GridFunction(spec, w1.samples * w2.samples)
-    m3q = _m3q(f, g, r, s, fam.windows3, fam.side_powers(1, 3.0))
-    values = fam.side_powers(alpha) * m3q * _averages(nu, fam, q)
+    m3q = _m3q(spec, f.samples, g.samples, r, s, fam.windows3, fam.side_powers(1, 3.0))
+    values = fam.side_powers(alpha) * m3q * _averages(fam, (nu.samples,), (q,))[0]
     want = _max_over_containing_intervals(fam, values, cells)
     got = weighted_bilinear_maximal(f, g, w1, w2, alpha, r, s, q, fam).samples[cells]
     assert np.array_equal(got, want)
@@ -674,10 +720,10 @@ def test_2d_maximal_sweeps_at_n32_match_max_over_containing_cubes(family_2d_n32)
     w1, w2 = (GridFunction(spec, rng.uniform(0.2, 3.0, spec.shape)) for _ in range(2))
     nu = GridFunction(spec, w1.samples * w2.samples)
     alpha, r, s, q = 0.5, 2.0, 2.0, 3.0
-    want = _max_over_containing_cubes(fam, _averages(f, fam, 1.0))
+    want = _max_over_containing_cubes(fam, _averages(fam, (f.samples,), (1.0,))[0])
     assert np.array_equal(maximal(f, fam).samples, want)
-    m3q = _m3q(f, g, r, s, fam.windows3, fam.side_powers(2, 3.0))
-    values = fam.side_powers(alpha) * m3q * _averages(nu, fam, q)
+    m3q = _m3q(spec, f.samples, g.samples, r, s, fam.windows3, fam.side_powers(2, 3.0))
+    values = fam.side_powers(alpha) * m3q * _averages(fam, (nu.samples,), (q,))[0]
     want = _max_over_containing_cubes(fam, values)
     got = weighted_bilinear_maximal(f, g, w1, w2, alpha, r, s, q, fam).samples
     assert np.array_equal(got, want)

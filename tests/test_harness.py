@@ -42,6 +42,7 @@ from bifrac.harness import (
     domination_ratio,
     evaluate_inequality_item,
     local_part_ratio,
+    local_part_ratios,
 )
 from bifrac.cli import main
 from bifrac.families import default_family, nested_pairs
@@ -351,6 +352,11 @@ class TestStructural:
             lv, sv = local.samples[sl].reshape(-1), sb.samples[sl].reshape(-1)
             assert np.all(sv > 0)
             assert repr(local_part_ratio(item)) == repr(float(np.max(lv / sv)))
+
+    @pytest.mark.parametrize("spec", [HARNESS_SPEC, HARNESS_SPEC_2D], ids=["1d", "2d"])
+    def test_local_part_ratios_of_a_stack_equal_one_call_per_item(self, spec):
+        items = corpus(11, "spikes", spec, count=3) + corpus(11, "random-steps", spec, count=3)
+        assert repr(local_part_ratios(items)) == repr([local_part_ratio(it) for it in items])
 
     def test_local_part_flat_matches_series(self):
         # constant data on a root whose tripled subcubes stay inside the

@@ -362,6 +362,20 @@ class TestOffsetSumOracle:
         want = oracle_frac_int(f.samples, kernel_table(f.spec, alpha).weights)
         assert np.array_equal(frac_int(f, alpha).samples, want)
 
+    @settings(max_examples=40)
+    @given(kernel_sum_cases(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_a_stack_sums_each_grid_as_a_call_on_it_alone(self, case, k, seed):
+        # the bilinear sum and the convolution, on the full table and on either half of the split
+        f, g, _, weights = case
+        rng = np.random.default_rng(seed)
+        fs, gs = (np.stack([x.samples] + [rng.uniform(-2.0, 2.0, x.spec.shape) for _ in range(k - 1)]) for x in (f, g))
+        got = operators._offset_sum(weights, fs, gs)
+        want = np.array([operators._offset_sum(weights, a, b) for a, b in zip(fs, gs)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        got = operators._offset_sum(weights, fs)
+        want = np.array([operators._offset_sum(weights, a) for a in fs])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_split_halves_equal_the_loops_on_their_tables(self, rng):
         spec = GridSpec(2, 2.0, 16)
         f = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.shape))

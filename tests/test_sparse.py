@@ -238,7 +238,8 @@ def test_the_root_plan_equals_the_per_call_build(dim, n, side, place, rs, guarde
         mock.patch.object(harness, "_root_m3q", root_m3q_oracle),
     ):
         want = stopping_outputs(f, g, r, s, q0, grid)
-    for a, b in zip(operators._root_m3q(f, g, r, s, q0, grid), root_m3q_oracle(f, g, r, s, q0, grid)):
+    args = (spec, f.samples, g.samples, r, s, q0, grid)
+    for a, b in zip(operators._root_m3q(*args), root_m3q_oracle(*args)):
         assert a.dtype == b.dtype and (a == b).all()
     (fam, bound, factor), (fam0, bound0, factor0) = got, want
     assert list(fam.levels) == list(fam0.levels) and fam.root == fam0.root and fam.root_m == fam0.root_m
