@@ -110,25 +110,17 @@ class CubeFamily:
         return np.flatnonzero(~self.aligned)
 
     @cached_property
-    def aligned_plan(self) -> tuple[np.ndarray | slice, tuple[np.ndarray, ...], np.ndarray, np.ndarray]:
-        """The aligned members (a slice when all are), the flat positions of
-        their corners in a _prefix_table (1D: hi, lo; 2D: b0 b1, a0 b1, b0 a1,
-        a0 a1, read + - - + by corner_sums), their measures, and the shifted
-        cubes' measures."""
+    def aligned_plan(self) -> tuple[np.ndarray | slice, tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+        """1D: the aligned members (a slice when all are), the positions hi, lo
+        of their ends in a _prefix_table, read hi - lo by corner_sums, their
+        measures, and the shifted cubes' measures."""
         k = slice(None) if self.aligned.all() else np.flatnonzero(self.aligned)
-        lo, hi = self.lo[k], self.hi[k]
-        if self.spec.dim == 1:
-            corners = (hi[:, 0], lo[:, 0])
-        else:
-            (a0, a1), (b0, b1), n = lo.T, hi.T, self.spec.cells_per_axis + 1
-            corners = (b0 * n + b1, a0 * n + b1, b0 * n + a1, a0 * n + a1)
-        return k, corners, self.measures[k], self.measures[self.shifted]
+        return k, (self.hi[k, 0], self.lo[k, 0]), self.measures[k], self.measures[self.shifted]
 
     def corner_sums(self, table: np.ndarray) -> np.ndarray:
-        """Sum over each aligned cube from a _prefix_table of cell values."""
-        c = self.aligned_plan[1]
-        total = table[c[0]] - table[c[1]]
-        return total if len(c) == 2 else total - table[c[2]] + table[c[3]]
+        """1D: the sum over each aligned cube from a _prefix_table of cell values."""
+        hi, lo = self.aligned_plan[1]
+        return table[hi] - table[lo]
 
     @cached_property
     def shifted_overlaps(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -192,13 +184,9 @@ class CubeFamily:
 
 
 def _prefix_table(cells: np.ndarray) -> np.ndarray:
-    """Flat prefix sums of the cells along each axis in turn, after a leading
-    zero on each axis (a summed-area table in 2D)."""
-    table = np.zeros(tuple(n + 1 for n in cells.shape), dtype=cells.dtype)
-    for ax in range(cells.ndim):
-        cells = np.cumsum(cells, axis=ax)
-    table[(slice(1, None),) * cells.ndim] = cells
-    return table.reshape(-1)
+    """The running sums of a 1D array of cells from a leading zero, which
+    adds a -0.0 cell in as +0.0."""
+    return np.cumsum(np.concatenate(([0], cells)))
 
 
 def family_from_cubes(spec: GridSpec, cubes, name: str = "custom") -> CubeFamily:

@@ -45,10 +45,6 @@ class Cube:
         return self.side ** self.dim
 
     @property
-    def upper(self) -> tuple[float, ...]:
-        return tuple(c + self.side for c in self.corner)
-
-    @property
     def center(self) -> tuple[float, ...]:
         return tuple(c + 0.5 * self.side for c in self.corner)
 

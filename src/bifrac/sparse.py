@@ -72,9 +72,6 @@ class SparseFamily:
     def e0_measure(self) -> float:
         return len(self.e0_cells) * self.cell_measure
 
-    def e_measure(self, level: int, j: int) -> float:
-        return self.levels[level][j].e_count * self.cell_measure
-
     def level_cells(self, level: int) -> np.ndarray:
         """Union of the selected cubes' cells at one level (sorted)."""
         if level not in self.levels:

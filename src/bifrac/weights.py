@@ -61,34 +61,34 @@ def conjugate(p: float) -> float:
 def _family_power_averages(w: GridFunction, expo: float, family: CubeFamily) -> np.ndarray:
     """(1/|Q|) \\int_Q w^expo per family cube, exact for step weights.
 
-    Aligned cubes read one prefix-sum table (summed-area table in 2D) at
-    the corners cached in `family.aligned_plan`; the integrand is
-    nonnegative, so a difference that rounds below zero is clamped to 0.
-    When the sums overflow, which nonnegative prefix sums show in their last
-    entry, aligned cubes take engine window sums instead (+inf where a
-    cube's own sum overflows).  A zero sample raised to a negative power
-    yields +inf; cubes touching such a cell report the +inf sentinel (prefix
-    sums would otherwise turn it into nan), found by bad-cell counts.
+    In 2D the averages are `family.integrals` over the measures, as the
+    maximal operators take theirs.  An aligned cube adds its own disjoint
+    engine blocks, so an all-zero cube reads exactly 0, a cube holding a
+    +inf cell (a zero sample raised to a negative power) reads +inf, and an
+    overflow reaches only a cube whose own sum overflows.
+
+    In 1D aligned cubes read one prefix-sum table at the ends cached in
+    `family.aligned_plan`.  The running sum of nonnegative cells never
+    decreases, so no difference rounds below 0.  When the sums overflow,
+    which the table shows in its last entry, aligned cubes take engine
+    window sums instead (+inf where a cube's own sum overflows).  Cubes
+    touching a +inf cell report the +inf sentinel (prefix sums would turn it
+    into nan), found by bad-cell counts.
     """
-    spec = w.spec
-    voxel = spec.h ** spec.dim
-    ali, _, measures, shifted_measures = family.aligned_plan
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pw = np.power(w.samples, expo, dtype=np.float64)
+        if w.spec.dim != 1:
+            return family.integrals(pw) / family.measures
+        ali, _, measures, shifted_measures = family.aligned_plan
         bad = ~np.isfinite(pw)
         any_bad = bool(bad.any())
         pw_clean = np.where(bad, 0.0, pw) if any_bad else pw
-        prefix = _prefix_table(pw_clean)
-        # 1D scales the table, 2D each cube's sum (the two round differently)
-        if spec.dim == 1:
-            prefix = prefix * voxel
-            total = family.corner_sums(prefix)
-        else:
-            total = family.corner_sums(prefix) * voxel
+        prefix = _prefix_table(pw_clean) * w.spec.h
+        avg = family.corner_sums(prefix)
         if not np.isfinite(prefix[-1]):
             # an overflowed running sum differences to inf - inf: sum each cube's own cells
-            total = family.boxes.sums(pw_clean)[ali] * voxel
-    avg = np.maximum(total, 0.0) / measures
+            avg = family.boxes.sums(pw_clean)[ali] * w.spec.h
+    avg /= measures
     if any_bad:
         avg[family.corner_sums(_prefix_table(bad.astype(np.int64))) > 0] = np.inf
     vals = np.empty(family.size)
@@ -254,9 +254,6 @@ def reverse_holder_probe(w: GridFunction, epsilon: float, family: CubeFamily) ->
     family.require_nonempty()
     lo = _cube_values(family, [(w, 1.0, 1.0)])[0]
     held = lo > 0.0
-    # a 2D prefix-sum difference over cells that are all 0 may round above 0
-    positive = family.corner_sums(_prefix_table((w.samples > 0.0).astype(np.int64))) > 0
-    held[family.aligned_plan[0]] &= positive
     if not held.any():
         raise NonPositiveWeight(f"weight is 0 on every cube of the family {family.name!r}")
     hi = _cube_values(family, [(w, 1.0 + epsilon, 1.0 / (1.0 + epsilon))])[0]

@@ -9,7 +9,7 @@ from hypothesis import settings
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.errors import DegenerateCube, NonAlignedCube, OutOfBox
 from bifrac.geometry import _THIRD, locate_shifted_cubes
-from bifrac.families import _prefix_table, subcube_blocks
+from bifrac.families import subcube_blocks
 from bifrac.harness import SplitMix64, _mix_seed
 from bifrac.lattice import CellBoxes, box_power_integral, cell_overlaps, integrate_overlaps
 from bifrac.operators import _m3q, kernel_table
@@ -236,6 +236,22 @@ def overlap_integrals_oracle(spec, pw, corners, sides):
     return np.array(out)
 
 
+def fsum_bound(spec):
+    """The relative bound of a per-cube average against math.fsum of its cell
+    terms.  Every value is a sum of nonnegative cell terms, so a sum whose
+    terms each pass through at most k roundings is within k u relative of
+    the exact sum, to first order (u = 2^-53).  The product form rounds a
+    term at most 2N times (one product and up to N - 1 additions per axis,
+    N cells per axis), a 2D engine sum at most 2 log2 N + (log2 N)^2 times
+    (its power-of-two block, then the cube's disjoint blocks), a 1D running
+    sum or the re-sum of a cube past the float range at most N^n + n - 1
+    times, the reference n + 1 times, and a division by the measure once
+    more on both sides; 2 u per rounding covers both sides and the
+    second-order terms."""
+    u, n = 2.0**-53, spec.cells_per_axis
+    return 2 * u * (spec.cell_count + 2 * n + 2 * spec.dim + 2)
+
+
 def _block_sum_oracle(arr, corner, levels):
     """The sum of the 2^levels[0] x 2^levels[1] ... cells at corner, in the
     order the engine's power-of-two table adds them: the first axis with a
@@ -280,35 +296,32 @@ def digit_sums_oracle(arr, lo, hi):
 
 
 def family_power_averages_oracle(w, expo, family):
-    """The slow oracle for weights._family_power_averages: the aligned mask,
-    its bounds, the prefix and bad-cell tables rebuilt on every call, and the
-    shifted cubes' integrals from overlap_integrals_oracle."""
+    """The slow oracle for weights._family_power_averages: the aligned mask
+    and its bounds rebuilt on every call; in 1D the prefix and bad-cell tables
+    too, the difference clamped at 0 (the code has no clamp, so equal bits
+    show that it never acts); in 2D each aligned cube's digit blocks summed
+    one cube at a time in Python floats (digit_sums_oracle); and the shifted
+    cubes' integrals from overlap_integrals_oracle."""
     spec = w.spec
     voxel = spec.h ** spec.dim
     ali = family.lo[:, 0] >= 0
     lo, hi = family.lo[ali], family.hi[ali]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pw = np.power(w.samples, expo, dtype=np.float64)
-        bad = ~np.isfinite(pw)
-        pw_clean = np.where(bad, 0.0, pw)
         if spec.dim == 1:
+            bad = ~np.isfinite(pw)
+            pw_clean = np.where(bad, 0.0, pw)
             prefix = np.concatenate(([0.0], np.cumsum(pw_clean))) * voxel
             bad_prefix = np.concatenate(([0], np.cumsum(bad.astype(np.int64))))
             total = prefix[hi[:, 0]] - prefix[lo[:, 0]]
             nbad = bad_prefix[hi[:, 0]] - bad_prefix[lo[:, 0]]
+            if not np.isfinite(prefix[-1]):
+                total = family.boxes.sums(pw_clean)[ali] * voxel
+            aligned = np.where(nbad > 0, np.inf, np.maximum(total, 0.0) / family.measures[ali])
         else:
-            size = (spec.cells_per_axis + 1,) * 2
-            prefix = np.zeros(size)
-            np.cumsum(np.cumsum(pw_clean, axis=0), axis=1, out=prefix[1:, 1:])
-            bad_sat = np.zeros(size, dtype=np.int64)
-            np.cumsum(np.cumsum(bad.astype(np.int64), axis=0), axis=1, out=bad_sat[1:, 1:])
-            (a0, a1), (b0, b1) = lo.T, hi.T
-            total = (prefix[b0, b1] - prefix[a0, b1] - prefix[b0, a1] + prefix[a0, a1]) * voxel
-            nbad = bad_sat[b0, b1] - bad_sat[a0, b1] - bad_sat[b0, a1] + bad_sat[a0, a1]
-        if not np.isfinite(prefix.flat[-1]):
-            total = family.boxes.sums(pw_clean)[ali] * voxel
+            aligned = digit_sums_oracle(pw, lo, hi) * voxel / family.measures[ali]
     vals = np.empty(family.size)
-    vals[ali] = np.where(nbad > 0, np.inf, np.maximum(total, 0.0) / family.measures[ali])
+    vals[ali] = aligned
     shifted = np.flatnonzero(~ali)
     integrals = overlap_integrals_oracle(spec, pw, family.corners[shifted], family.sides[shifted])
     vals[shifted] = integrals / family.measures[shifted]
@@ -387,8 +400,6 @@ def reverse_holder_probe_oracle(w, epsilon, family):
     reads +inf, the contract of the shared max."""
     lo = _family_power_averages(w, 1.0, family)
     held = lo > 0.0
-    positive = family.corner_sums(_prefix_table((w.samples > 0.0).astype(np.int64))) > 0
-    held[family.aligned_plan[0]] &= positive
     hi = _family_power_averages(w, 1.0 + epsilon, family)[held] ** (1.0 / (1.0 + epsilon))
     with np.errstate(invalid="ignore"):
         return float(np.max(_sanitize(hi / lo[held])))

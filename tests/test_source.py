@@ -1,6 +1,8 @@
 """Source layout checks: every import of the package sits at module level,
 every module-level name is read somewhere in the package (a public one
 may instead be exported by the package's __init__ or named by the benchmark),
+every public method or property of a package class is read as an attribute
+somewhere in the package, its tests or the benchmark,
 every function cache has a fixed size, no call of np.unique loads numpy.ma,
 per-cube power averages and minima are read in one function, only the
 lattice module converts between coordinates and cells, and every
@@ -13,6 +15,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -86,6 +89,55 @@ def test_every_private_module_name_is_read():
         if not any(name in reads for node, reads in nodes if node is not definition)
     ]
     assert unread == []
+
+
+def _unread_methods(package: dict[str, str], readers: list[str]) -> list[str]:
+    """`module: Class.name` of each public method or property (a def in a
+    class body) of the package's classes that no source reads as an
+    attribute outside the def itself.  `package` maps module names to their
+    source; `readers` are sources that only read (tests, the benchmark)."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    every = list(trees.values()) + [ast.parse(source) for source in readers]
+    reads = Counter(node.attr for tree in every for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return [
+        f"{module}: {cls.name}.{fn.name}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("_")
+        # reads inside the def itself (a recursive call) do not count
+        if reads[fn.name] == sum(isinstance(n, ast.Attribute) and n.attr == fn.name for n in ast.walk(fn))
+    ]
+
+
+def test_every_public_method_is_read():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    readers = [
+        path.read_text(encoding="utf-8")
+        for folder in ("tests", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    assert _unread_methods(package, readers) == []
+
+
+_CLASS = "class A:\n    def f(self):\n        return 1\n\n    @property\n    def g(self):\n        return self.g\n"
+
+
+@pytest.mark.parametrize(
+    "package, readers, unread",
+    [
+        ({"m": _CLASS + "x = A().f() + A().g\n"}, [], []),
+        ({"m": _CLASS}, ["from m import A\nA().f()\nA().g\n"], []),
+        # g reads only itself; f is read only as a bare name
+        ({"m": _CLASS + "f = 1\n"}, [], ["m: A.f", "m: A.g"]),
+        ({"m": _CLASS + "x = A().f()\n"}, [], ["m: A.g"]),
+        ({"m": "class B:\n    def _h(self):\n        pass\n\n    def __len__(self):\n        return 0\n"}, [], []),
+        ({"m": _CLASS + "x = A().f()\n", "n": "def g():\n    return 2\n"}, [], ["m: A.g"]),
+    ],
+)
+def test_the_method_check_flags_unread_methods(package, readers, unread):
+    assert _unread_methods(package, readers) == unread
 
 
 def _unbounded_caches(source: str) -> list[int]:

@@ -9,6 +9,7 @@ from conftest import (
     apq_constant_oracle,
     enumerated_pair_values,
     family_power_averages_oracle,
+    fsum_bound,
     iida_pair_value,
     morrey_values_oracle,
     multiple_apq_constant_oracle,
@@ -503,10 +504,9 @@ def test_shifted_power_averages_stay_finite_away_from_an_infinite_cell(spec2d):
     assert np.array_equal(got[~touch], want[~touch])
 
 
-def _averages_case(data):
-    """A family (the default one, or a subset of a pool of aligned and shifted
-    cubes: mixed, all aligned or all shifted), a weight with exact zeros and
-    1.3e154 cells, and an exponent."""
+def _family_case(data):
+    """A spec and a family (the default one, or a subset of a pool of aligned
+    and shifted cubes: mixed, all aligned or all shifted), and a generator."""
     dim = data.draw(st.sampled_from((1, 2)))
     n = data.draw(st.sampled_from((1, 2, 4, 8, 16) if dim == 1 else (1, 2, 4, 8)))
     # a cell side that is not a power of two makes scaling by the cell volume round
@@ -524,31 +524,126 @@ def _averages_case(data):
         members = {"mixed": np.arange(pool.size), "aligned": np.flatnonzero(pool.aligned)}.get(kind, pool.shifted)
         keep = rng.choice(members, rng.integers(0, len(members) + 1))
         family = family_from_cubes(spec, [pool.cube(int(k)) for k in keep], name=kind)
-    w = rng.uniform(0.3, 3.0, spec.shape).reshape(-1)
+    return spec, family, rng
+
+
+_EXPONENTS = (-2.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0)
+
+
+def _extreme_weight(rng, shape):
+    """Uniform in [0.3, 3], with up to two exact zeros and up to two 1.3e154 cells."""
+    w = rng.uniform(0.3, 3.0, shape).reshape(-1)
     w[rng.integers(0, w.size, rng.integers(0, 3))] = 0.0
     w[rng.integers(0, w.size, rng.integers(0, 3))] = 1.3e154
-    expo = data.draw(st.sampled_from((-2.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0)))
-    return family, GridFunction(spec, w.reshape(spec.shape)), expo
+    return w.reshape(shape)
+
+
+def _averages_case(data):
+    """A _family_case family, an _extreme_weight, and an exponent."""
+    spec, family, rng = _family_case(data)
+    w = _extreme_weight(rng, spec.shape)
+    return family, GridFunction(spec, w), data.draw(st.sampled_from(_EXPONENTS))
 
 
 def _assert_within_fsum(got, want, spec):
     """got against overlap_integrals_oracle's fsum: +inf at the same cubes,
-    no NaN, 0 exactly where the reference is 0, and otherwise within a
-    relative bound.  Every value is a sum of nonnegative cell terms, so a
-    sum whose terms each pass through at most k roundings is within k u
-    relative of the exact sum, to first order (u = 2^-53).  The product form
-    rounds a term at most 2N times (one product and up to N - 1 additions per
-    axis, N cells per axis), the re-sum of a cube past the float range at
-    most N^n + n - 1 times, the reference n + 1 times, and a division by the
-    measure once more on both sides; 2 u per rounding covers both sides and
-    the second-order terms."""
-    u, n = 2.0**-53, spec.cells_per_axis
-    rel = 2 * u * (spec.cell_count + 2 * n + 2 * spec.dim + 2)
+    no NaN, 0 exactly where the reference is 0, and otherwise within
+    fsum_bound relative."""
     assert not np.isnan(got).any()
     assert np.array_equal(got == np.inf, want == np.inf)
     assert np.array_equal(got == 0.0, want == 0.0)
     finite = np.isfinite(want)
-    assert np.all(np.abs(got[finite] - want[finite]) <= rel * want[finite])
+    assert np.all(np.abs(got[finite] - want[finite]) <= fsum_bound(spec) * want[finite])
+
+
+def _split_weight(rng, shape):
+    """1e8 on half the cells, 1e-8 on the rest: a difference of running sums
+    loses the 1e-8 cells against the 1e8 ones."""
+    return np.where(rng.permutation(np.arange(math.prod(shape)) % 2 == 0).reshape(shape), 1e8, 1e-8)
+
+
+def _zeros_weight(rng, shape):
+    """30% zero cells, uniform in [0.2, 5] elsewhere."""
+    return np.where(rng.random(shape) < 0.3, 0.0, rng.uniform(0.2, 5.0, shape))
+
+
+def _fsum_power_averages(pw, family):
+    """Per cube, math.fsum of its cell terms over |Q|: an aligned cube's
+    cells times the cell volume, a shifted cube's overlap terms
+    (overlap_integrals_oracle); +inf where a cell is +inf or the sum leaves
+    the float range.  Also, per cube, the scale its error is relative to:
+    the average itself, but for a 1D aligned cube, a difference of running
+    sums, the running sum of the finite cells up to its last cell over |Q|."""
+    spec = family.spec
+    voxel = spec.h**spec.dim
+    want, scale = np.empty(family.size), np.empty(family.size)
+    finite = np.where(np.isfinite(pw), pw, 0.0)  # the running sums skip +inf cells
+    for k in np.flatnonzero(family.aligned):
+        cells = pw[tuple(slice(a, b) for a, b in zip(family.lo[k], family.hi[k]))].reshape(-1).tolist()
+        reach = finite[: family.hi[k, 0]].tolist() if spec.dim == 1 else cells
+        for out, terms in ((want, cells), (scale, reach)):
+            try:
+                out[k] = math.fsum(terms) * voxel / family.measures[k]
+            except OverflowError:
+                out[k] = math.inf
+    k = family.shifted
+    want[k] = overlap_integrals_oracle(spec, pw, family.corners[k], family.sides[k]) / family.measures[k]
+    scale[k] = want[k]
+    return want, scale
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_power_averages_are_within_the_fsum_bound(data):
+    # every cube against math.fsum of its own cell terms, on uniform, 1e+-8
+    # and 30%-zero weights and on the _averages_case weights: no NaN, +inf
+    # exactly where the cube holds a +inf cell (a zero to a negative power)
+    # or its sum overflows, exactly 0 on an all-zero cube, and otherwise
+    # within fsum_bound.  A 2D aligned cube adds its own disjoint blocks, so
+    # its error is relative to its own sum.  A 1D aligned cube is a
+    # difference of running sums: its error is relative to the running sum
+    # at its end, and a cube small against that may read 0 (ROADMAP item 6).
+    spec, family, rng = _family_case(data)
+    kind = data.draw(st.sampled_from(("uniform", "split", "zeros", "extreme")))
+    if kind == "uniform":
+        w = rng.uniform(0.3, 3.0, spec.shape)
+    elif kind == "split":
+        w = _split_weight(rng, spec.shape)
+    elif kind == "zeros":
+        w = _zeros_weight(rng, spec.shape)
+    else:
+        w = _extreme_weight(rng, spec.shape)
+    expo = data.draw(st.sampled_from(_EXPONENTS))
+    got = _family_power_averages(GridFunction(spec, w), expo, family)
+    with np.errstate(divide="ignore", over="ignore"):
+        pw = np.power(w, expo)
+    want, scale = _fsum_power_averages(pw, family)
+    assert not np.isnan(got).any()
+    assert np.array_equal(got == np.inf, want == np.inf)
+    assert np.all(got[want == 0.0] == 0.0)
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= fsum_bound(spec) * scale[finite])
+
+
+@pytest.mark.parametrize("n", (8, 32))
+def test_2d_aligned_averages_of_split_and_zero_weights(n):
+    # the aligned cubes of the 2D default family: on the 1e+-8 weight within
+    # 1e-15 relative of math.fsum, and on the 30%-zero weight exactly 0 on
+    # every all-zero cube
+    spec = GridSpec(2, 2.0, n)
+    family = default_family(spec)
+    rng = np.random.default_rng(n)
+    k = family.aligned
+    for expo in (1.0, -2.0):
+        w = _split_weight(rng, spec.shape)
+        got = _family_power_averages(GridFunction(spec, w), expo, family)[k]
+        want = _fsum_power_averages(np.power(w, expo), family)[0][k]
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+    w = _zeros_weight(rng, spec.shape)
+    got = _family_power_averages(GridFunction(spec, w), 1.0, family)[k]
+    empty = _fsum_power_averages(w, family)[0][k] == 0.0
+    assert empty.sum() > 0
+    assert np.all(got[empty] == 0.0)
 
 
 @settings(max_examples=80)
