@@ -30,7 +30,7 @@ from .harness import (
     verify_structural,
     witness_text,
 )
-from .lattice import GridSpec, read_grid_file, write_grid_file
+from .lattice import read_grid_file, write_grid_file
 from .morrey import MorreyParams, morrey_norm_witness, vector_morrey_norm
 from .operators import (
     bi_frac,
@@ -53,17 +53,16 @@ from .weights import (
 )
 
 # The keys a config document may hold for each command that reads one, at the
-# top level (None) and in its `grid` and `sweep` objects; any other key is a
-# ConfigInvalid.  A `profile` object, and a sweep `base`, hold the keys of
-# their tag (PROFILE_KEYS), checked once the tag is known.
+# top level (None) and in its `sweep` object; any other key is a
+# ConfigInvalid.  Both commands run on the harness grid, so neither reads a
+# `grid`.  A `profile` object, and a sweep `base`, hold the keys of their tag
+# (PROFILE_KEYS), checked once the tag is known.
 CONFIG_KEYS = {
     "verify": {
-        None: ("grid", "profile", "seed", "kind", "out_csv", "out_json"),
-        "grid": ("n", "L", "N"),
+        None: ("profile", "seed", "kind", "out_csv", "out_json"),
     },
     "sweep": {
-        None: ("grid", "sweep", "seed", "out_csv", "out_json"),
-        "grid": ("n", "L", "N"),
+        None: ("sweep", "seed", "out_csv", "out_json"),
         "sweep": ("tag", "base", "alphas", "betas", "count"),
     },
 }
@@ -74,25 +73,12 @@ class RunConfig:
     """Validated run configuration; built from config JSON plus flag overrides."""
 
     subcommand: str
-    grid: dict = field(default_factory=dict)
     profile: dict = field(default_factory=dict)
     seed: int = 7
     kind: str | None = None
     out_csv: str | None = None
     out_json: str | None = None
     sweep: dict = field(default_factory=dict)
-
-    def spec(self) -> GridSpec:
-        g = {"n": 1, "L": 4.0, "N": 64, **self.grid}
-        for key in ("n", "N"):
-            if type(g[key]) is not int:  # a bool is not an integer
-                raise ConfigInvalid(f"config grid {key!r} must be an integer, got {g[key]!r}")
-        if type(g["L"]) not in (int, float):
-            raise ConfigInvalid(f"config grid 'L' must be a real number, got {g['L']!r}")
-        try:
-            return GridSpec(g["n"], float(g["L"]), g["N"])
-        except ValueError as exc:
-            raise ConfigInvalid(f"bad grid spec: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -172,7 +158,7 @@ def _load_config(args) -> RunConfig:
             raise InputUnreadable(f"config {args.config}: {exc}") from exc
         check_config_keys(base, args.command)
     cfg = RunConfig(subcommand=args.command)
-    for key in ("grid", "profile", "sweep"):
+    for key in ("profile", "sweep"):
         if key in base:
             setattr(cfg, key, dict(base[key]))
     if "seed" in base and type(base["seed"]) is not int:  # a bool is not a seed
@@ -194,10 +180,6 @@ def _load_config(args) -> RunConfig:
         cfg.out_csv = args.out_csv
     if args.out_json:
         cfg.out_json = args.out_json
-    # verify and sweep run on the harness grid; a config naming another grid is refused
-    spec = cfg.spec()
-    if spec != HARNESS_SPEC:
-        raise ConfigInvalid(f"{cfg.subcommand} runs on the harness grid {HARNESS_SPEC}, not on {spec}")
     return cfg
 
 

@@ -11,6 +11,10 @@ compared on identical index sets:
   dyadic grids, each cube once, ordered by (corner, side).  The family
   is exact: nothing is capped or subsampled (7,590 cubes at N = 32).
 
+`CubeFamily.integrals` is the per-cube sum of cell values: the engine's
+window sums over the aligned cubes' boxes, and overlap vectors for the
+shifted cubes.
+
 `nested_pairs` gives the nesting relation Q ⊆ Q' among the aligned
 members of a family: its exact pair count and, per member, the max of a
 per-cube value over the members inside it, both from the engine's cell
@@ -110,19 +114,6 @@ class CubeFamily:
         return np.flatnonzero(~self.aligned)
 
     @cached_property
-    def aligned_plan(self) -> tuple[np.ndarray | slice, tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-        """1D: the aligned members (a slice when all are), the positions hi, lo
-        of their ends in a _prefix_table, read hi - lo by corner_sums, their
-        measures, and the shifted cubes' measures."""
-        k = slice(None) if self.aligned.all() else np.flatnonzero(self.aligned)
-        return k, (self.hi[k, 0], self.lo[k, 0]), self.measures[k], self.measures[self.shifted]
-
-    def corner_sums(self, table: np.ndarray) -> np.ndarray:
-        """1D: the sum over each aligned cube from a _prefix_table of cell values."""
-        hi, lo = self.aligned_plan[1]
-        return table[hi] - table[lo]
-
-    @cached_property
     def shifted_overlaps(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The shifted cubes' cell overlaps (lattice.cell_overlaps)."""
         k = self.shifted
@@ -181,12 +172,6 @@ class CubeFamily:
         if len(self.shifted) == 0:
             return np.zeros(0)
         return integrate_overlaps(pw, self.shifted_overlaps)
-
-
-def _prefix_table(cells: np.ndarray) -> np.ndarray:
-    """The running sums of a 1D array of cells from a leading zero, which
-    adds a -0.0 cell in as +0.0."""
-    return np.cumsum(np.concatenate(([0], cells)))
 
 
 def family_from_cubes(spec: GridSpec, cubes, name: str = "custom") -> CubeFamily:

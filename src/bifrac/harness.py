@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,9 +108,6 @@ class SplitMix64:
         """Uniform integer in [lo, hi]."""
         span = hi - lo + 1
         return lo + self.next_u64() % span
-
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
 
 
 def _mix_seed(seed: int, label: str) -> int:
@@ -513,12 +510,12 @@ def corpus(
                     desc[w] = [("power", x0, beta)]
             desc["v"] = _step_weight_pieces(rng, spec, lo, hi)
             desc["hfun"] = _step_weight_pieces(rng, spec, lo, hi)
-        item = _build_item(seed, kind, spec, idx, desc)
+        item = _build_item(f"{kind}-{seed}-{idx}", kind, spec, desc)
         items.append(item)
     return items
 
 
-def _build_item(seed, kind, spec, idx, desc, scale=1.0) -> CorpusItem:
+def _build_item(item_id, kind, spec, desc, scale=1.0) -> CorpusItem:
     f = _grid_fn(spec, desc["f"], scale)
     g = _grid_fn(spec, desc["g"], scale)
     if kind == "spikes":
@@ -535,7 +532,7 @@ def _build_item(seed, kind, spec, idx, desc, scale=1.0) -> CorpusItem:
     v = _grid_fn(spec, desc["v"], scale)
     hfun = _grid_fn(spec, desc["hfun"], scale)
     return CorpusItem(
-        item_id=f"{kind}-{seed}-{idx}",
+        item_id=item_id,
         kind=kind,
         spec=spec,
         descriptors=desc,
@@ -562,25 +559,21 @@ def _corpus_item_2d(rng, seed, kind, spec, idx, lo, hi) -> CorpusItem:
         desc[name] = pieces
     for w in ("w1", "w2", "v", "hfun"):
         desc[w] = [("const", 1.0)]
-    return _build_item(seed, kind, spec, idx, desc)
+    return _build_item(f"{kind}-{seed}-{idx}", kind, spec, desc)
 
 
 def dilate_item(item: CorpusItem, scale_exp: int) -> CorpusItem:
-    """Rebuild an item with all geometry dilated by 2^scale_exp.
+    """Rebuild a corpus item with all geometry dilated by 2^scale_exp.
 
     A spikes item, 1D or 2D, passes _concentration_guard again at the new
-    scale (its descriptors already hold the original rescale, if any).
+    scale (its descriptors already hold the original rescale, if any).  The
+    descriptors hold corpus coordinates, so dilations do not compose: an
+    item that is already dilated is refused with a ValueError.
     """
+    if "@x" in item.item_id:
+        raise ValueError(f"item {item.item_id!r} is already dilated; dilate the corpus item instead")
     scale = 2.0 ** scale_exp
-    new = _build_item(
-        int(item.item_id.split("-")[-2]),
-        item.kind,
-        item.spec,
-        int(item.item_id.split("-")[-1]),
-        item.descriptors,
-        scale=scale,
-    )
-    return replace(new, item_id=f"{item.item_id}@x{scale:g}")
+    return _build_item(f"{item.item_id}@x{scale:g}", item.kind, item.spec, item.descriptors, scale=scale)
 
 
 # ---------------------------------------------------------------------------

@@ -420,18 +420,6 @@ class CellBoxes:
         return at
 
     @cached_property
-    def _distinct_blocks(self) -> np.ndarray:
-        """For sweep: the distinct corner blocks of non-empty boxes, as indices
-        into the flat `blocks`.  Row r there is far on the axes of its bits; on
-        one of power-of-two extent it repeats row r - 2^axis."""
-        at, rows = self.blocks, np.arange(len(self.blocks))
-        keep = at < math.prod(self.table_shape)
-        for ax in range(len(self.shape)):
-            far = rows >> ax & 1 == 1
-            keep[far] &= at[far] != at[rows[far] - (1 << ax)]
-        return np.flatnonzero(keep)
-
-    @cached_property
     def digits(self) -> np.ndarray:
         """Per box, a column of flat table positions: its disjoint blocks, one
         per binary digit of its extent on each axis, largest first and the last
@@ -506,13 +494,15 @@ class CellBoxes:
         """Per cell, the max of values[k] over the boxes containing it.
 
         Cells in no box get -inf; a NaN value propagates as in np.maximum.
-        Each value goes onto the distinct corner blocks of its box, and each
-        block passes its max down to the two blocks it is made of, level by
-        level, to the cells (layer (0, ..., 0)).
+        Each value goes onto the 2^n corner blocks of its box (an empty box's
+        onto the slot past the table), and each block passes its max down to
+        the two blocks it is made of, level by level, to the cells (layer
+        (0, ..., 0)).  The values are tiled to the positions' flat shape, not
+        broadcast: np.maximum.at with a 2-D index and 1-D values reads past
+        the values on numpy 2.4.
         """
-        at, distinct = self.blocks, self._distinct_blocks
         flat = np.full(math.prod(self.table_shape) + 1, -np.inf)
-        np.maximum.at(flat, at.reshape(-1)[distinct], values[distinct % self.count])
+        np.maximum.at(flat, self.blocks.reshape(-1), np.tile(values, len(self.blocks)))
         table = flat[:-1].reshape(self.table_shape)
         for coarse, first, second in reversed(list(_block_steps(table, len(self.shape)))):
             np.maximum(first, coarse, out=first)

@@ -1,7 +1,9 @@
 """Weight-class constants as maxima over finite cube and nested-pair families.
 
 Each per-cube value, of every constant and Morrey norm, is one `_cube_values`
-product of power averages or minima, where a nan (0 * inf) reads +inf.  Maxima
+product of power averages or minima, where a nan (0 * inf) reads +inf.  A
+power average differences a 1D running sum while that sum is finite and
+otherwise sums each cube's own cells (`_family_power_averages`).  Maxima
 run over explicit families in a deterministic order (corner, then side), so
 the first attaining cube is the canonical witness.  Averages of negative
 powers of step weights are exact; zero samples are tolerated only in the
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AverageOverflow, NonPositiveWeight, POutOfRange, SpecMismatch
-from .families import CubeFamily, NestedPairs, _prefix_table
+from .families import CubeFamily, NestedPairs
 from .geometry import Cube
 from .lattice import GridFunction
 
@@ -61,40 +63,26 @@ def conjugate(p: float) -> float:
 def _family_power_averages(w: GridFunction, expo: float, family: CubeFamily) -> np.ndarray:
     """(1/|Q|) \\int_Q w^expo per family cube, exact for step weights.
 
-    In 2D the averages are `family.integrals` over the measures, as the
-    maximal operators take theirs.  An aligned cube adds its own disjoint
-    engine blocks, so an all-zero cube reads exactly 0, a cube holding a
-    +inf cell (a zero sample raised to a negative power) reads +inf, and an
-    overflow reaches only a cube whose own sum overflows.
-
-    In 1D aligned cubes read one prefix-sum table at the ends cached in
-    `family.aligned_plan`.  The running sum of nonnegative cells never
-    decreases, so no difference rounds below 0.  When the sums overflow,
-    which the table shows in its last entry, aligned cubes take engine
-    window sums instead (+inf where a cube's own sum overflows).  Cubes
-    touching a +inf cell report the +inf sentinel (prefix sums would turn it
-    into nan), found by bad-cell counts.
+    In 1D, while the running sum of the cells stays finite (no +inf cell, no
+    overflow; its last entry shows it), an aligned cube is the difference of
+    the running sums at its two ends: the running sum of nonnegative cells
+    never decreases, so no difference rounds below 0, but its error is
+    relative to the running sum, not to the cube.  Otherwise, and always in
+    2D, the averages are `family.integrals` over the measures, as the
+    maximal operators take theirs: an aligned cube adds its own cells (its
+    own disjoint engine blocks in 2D), so an all-zero cube reads exactly 0,
+    a cube holding a +inf cell (a zero sample raised to a negative power)
+    reads +inf, and an overflow reaches only a cube whose own sum overflows.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pw = np.power(w.samples, expo, dtype=np.float64)
-        if w.spec.dim != 1:
-            return family.integrals(pw) / family.measures
-        ali, _, measures, shifted_measures = family.aligned_plan
-        bad = ~np.isfinite(pw)
-        any_bad = bool(bad.any())
-        pw_clean = np.where(bad, 0.0, pw) if any_bad else pw
-        prefix = _prefix_table(pw_clean) * w.spec.h
-        avg = family.corner_sums(prefix)
-        if not np.isfinite(prefix[-1]):
-            # an overflowed running sum differences to inf - inf: sum each cube's own cells
-            avg = family.boxes.sums(pw_clean)[ali] * w.spec.h
-    avg /= measures
-    if any_bad:
-        avg[family.corner_sums(_prefix_table(bad.astype(np.int64))) > 0] = np.inf
-    vals = np.empty(family.size)
-    vals[ali] = avg
-    vals[family.shifted] = family.shifted_integrals(pw) / shifted_measures
-    return vals
+        if w.spec.dim == 1:
+            running = np.cumsum(np.concatenate(([0], pw))) * w.spec.h
+            if np.isfinite(running[-1]):
+                sums = running[family.hi[:, 0]] - running[family.lo[:, 0]]
+                sums[family.shifted] = family.shifted_integrals(pw)
+                return sums / family.measures
+        return family.integrals(pw) / family.measures
 
 
 def _check_positive(*ws: GridFunction):

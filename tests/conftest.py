@@ -297,11 +297,13 @@ def digit_sums_oracle(arr, lo, hi):
 
 def family_power_averages_oracle(w, expo, family):
     """The slow oracle for weights._family_power_averages: the aligned mask
-    and its bounds rebuilt on every call; in 1D the prefix and bad-cell tables
-    too, the difference clamped at 0 (the code has no clamp, so equal bits
-    show that it never acts); in 2D each aligned cube's digit blocks summed
-    one cube at a time in Python floats (digit_sums_oracle); and the shifted
-    cubes' integrals from overlap_integrals_oracle."""
+    and its bounds rebuilt on every call; in 1D, while the last running sum
+    is finite, the running-sum differences clamped at 0 (the code has no
+    clamp, so equal bits show that it never acts), and otherwise each
+    aligned cube's np.sum over its cell slice (the engine's 1D bits); in 2D
+    each aligned cube's digit blocks summed one cube at a time in Python
+    floats (digit_sums_oracle); and the shifted cubes' integrals from
+    overlap_integrals_oracle."""
     spec = w.spec
     voxel = spec.h ** spec.dim
     ali = family.lo[:, 0] >= 0
@@ -309,15 +311,12 @@ def family_power_averages_oracle(w, expo, family):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         pw = np.power(w.samples, expo, dtype=np.float64)
         if spec.dim == 1:
-            bad = ~np.isfinite(pw)
-            pw_clean = np.where(bad, 0.0, pw)
-            prefix = np.concatenate(([0.0], np.cumsum(pw_clean))) * voxel
-            bad_prefix = np.concatenate(([0], np.cumsum(bad.astype(np.int64))))
-            total = prefix[hi[:, 0]] - prefix[lo[:, 0]]
-            nbad = bad_prefix[hi[:, 0]] - bad_prefix[lo[:, 0]]
-            if not np.isfinite(prefix[-1]):
-                total = family.boxes.sums(pw_clean)[ali] * voxel
-            aligned = np.where(nbad > 0, np.inf, np.maximum(total, 0.0) / family.measures[ali])
+            prefix = np.concatenate(([0.0], np.cumsum(pw))) * voxel
+            if np.isfinite(prefix[-1]):
+                total = np.maximum(prefix[hi[:, 0]] - prefix[lo[:, 0]], 0.0)
+            else:
+                total = np.array([np.sum(pw[a:b]) for a, b in zip(lo[:, 0], hi[:, 0])]) * voxel
+            aligned = total / family.measures[ali]
         else:
             aligned = digit_sums_oracle(pw, lo, hi) * voxel / family.measures[ali]
     vals = np.empty(family.size)

@@ -153,7 +153,6 @@ class TestExitCodes:
         [
             ({"seeds": 9, "kinds": "spikes"}, "kinds"),
             ({"seed": 9, "out-csv": "v.csv"}, "out-csv"),
-            ({"grid": {"n": 1, "L": 4.0, "cells": 64}}, "cells"),
             ({"sweep": {"tag": "T1.1", "alpha": [0.25]}}, "alpha"),
         ],
     )
@@ -182,6 +181,9 @@ class TestExitCodes:
             ("sweep", {"profile": {"tag": "T1.1"}}, "profile"),
             ("sweep", {"kind": "spikes"}, "kind"),
             ("sweep", {"format": "csv"}, "format"),
+            # both run on the harness grid, so neither reads a grid, even that one
+            ("verify", {"grid": {"n": 1, "L": 4.0, "N": 64}}, "grid"),
+            ("sweep", {"grid": {"n": 1, "L": 4.0, "N": 64}}, "grid"),
         ],
     )
     def test_a_config_key_the_command_does_not_read_is_config_error(self, command, doc, key, tmp_path, capsys):
@@ -288,10 +290,6 @@ class TestExitCodes:
             ({"kind": "foo"}, "kind"),
             ({"out_csv": 2}, "out_csv"),
             ({"out_json": ["v.json"]}, "out_json"),
-            ({"grid": {"N": 64.7}}, "N"),
-            ({"grid": {"N": "64"}}, "N"),
-            ({"grid": {"n": True}}, "n"),
-            ({"grid": {"L": "4"}}, "L"),
         ],
     )
     def test_a_bad_config_value_is_config_error(self, doc, key, tmp_path, capsys):
@@ -705,24 +703,6 @@ class TestVerifyCommand:
         assert rc == 0
         # the flag seed (9073...) overrides the config seed in scenario ids
         assert "-9-" in csv1.read_text()
-
-
-class TestGridConfig:
-    @pytest.mark.parametrize("command", ["verify", "sweep"])
-    def test_a_grid_other_than_the_harness_grid_is_refused(self, command, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid": {"n": 2, "L": 2.0, "N": 32}}))
-        assert main([command, "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(f"ConfigInvalid: {command} runs on the harness grid")
-
-    def test_the_harness_grid_spelled_out_runs_as_without_it(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid": {"n": 1, "L": 4.0, "N": 64}}))
-        plain, spelled = tmp_path / "plain.csv", tmp_path / "spelled.csv"
-        args = ["verify", "--tag", "structural", "--seed", "3", "--out-csv"]
-        assert main(args + [str(plain)]) == 0
-        assert main(args + [str(spelled), "--config", str(cfg)]) == 0
-        assert spelled.read_bytes() == plain.read_bytes()
 
 
 def _refuse_constant(name):

@@ -239,6 +239,14 @@ class TestCorpus:
             2.0 * np.sum(item.f.samples), rel=1e-12
         )
 
+    def test_an_already_dilated_item_is_refused_by_name(self):
+        # the descriptors hold corpus coordinates, so dilations do not compose
+        item = corpus(21, "random-steps", count=1)[0]
+        half = dilate_item(item, -1)
+        assert half.item_id == f"{item.item_id}@x0.5"
+        with pytest.raises(ValueError, match=re.escape(f"item {half.item_id!r} is already dilated")):
+            dilate_item(half, -1)
+
     def test_dilated_power_weights_are_clamped_not_infinite(self):
         # a shrinking dilation can put x0 on a cell midpoint, where |x - x0|^beta
         # with beta < 0 is +inf before the clamp

@@ -572,15 +572,17 @@ def _fsum_power_averages(pw, family):
     cells times the cell volume, a shifted cube's overlap terms
     (overlap_integrals_oracle); +inf where a cell is +inf or the sum leaves
     the float range.  Also, per cube, the scale its error is relative to:
-    the average itself, but for a 1D aligned cube, a difference of running
-    sums, the running sum of the finite cells up to its last cell over |Q|."""
+    the average itself, but for a 1D aligned cube while the running sum of
+    all cells is finite, a difference of running sums, the running sum up
+    to its last cell over |Q|."""
     spec = family.spec
     voxel = spec.h**spec.dim
     want, scale = np.empty(family.size), np.empty(family.size)
-    finite = np.where(np.isfinite(pw), pw, 0.0)  # the running sums skip +inf cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        running = spec.dim == 1 and np.isfinite(np.cumsum(pw)[-1] * voxel)
     for k in np.flatnonzero(family.aligned):
         cells = pw[tuple(slice(a, b) for a, b in zip(family.lo[k], family.hi[k]))].reshape(-1).tolist()
-        reach = finite[: family.hi[k, 0]].tolist() if spec.dim == 1 else cells
+        reach = pw[: family.hi[k, 0]].tolist() if running else cells
         for out, terms in ((want, cells), (scale, reach)):
             try:
                 out[k] = math.fsum(terms) * voxel / family.measures[k]
@@ -600,9 +602,11 @@ def test_power_averages_are_within_the_fsum_bound(data):
     # exactly where the cube holds a +inf cell (a zero to a negative power)
     # or its sum overflows, exactly 0 on an all-zero cube, and otherwise
     # within fsum_bound.  A 2D aligned cube adds its own disjoint blocks, so
-    # its error is relative to its own sum.  A 1D aligned cube is a
-    # difference of running sums: its error is relative to the running sum
-    # at its end, and a cube small against that may read 0 (ROADMAP item 6).
+    # its error is relative to its own sum, as is a 1D aligned cube's when
+    # the running sum of the cells is not finite.  Otherwise a 1D aligned
+    # cube is a difference of running sums: its error is relative to the
+    # running sum at its end, and a cube small against that may read 0
+    # (ROADMAP item 6).
     spec, family, rng = _family_case(data)
     kind = data.draw(st.sampled_from(("uniform", "split", "zeros", "extreme")))
     if kind == "uniform":
