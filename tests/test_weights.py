@@ -650,6 +650,27 @@ def test_2d_aligned_averages_of_split_and_zero_weights(n):
     assert np.all(got[empty] == 0.0)
 
 
+@pytest.mark.parametrize("expo", (-2.5, -1.0, -0.5))
+def test_1d_averages_of_a_weight_with_zero_cells_are_within_each_cubes_own_bound(expo):
+    # a zero cell to a negative power is +inf, so the running sum is not
+    # finite: every cube of the 1D default family reads +inf exactly where it
+    # holds a zero cell, and otherwise its own sum, within fsum_bound of
+    # math.fsum relative to that sum (a difference of running sums of the
+    # other cells was up to 16.8x past it)
+    for n in (16, 64, 128):
+        spec = GridSpec(1, 4.0, n)
+        family = default_family(spec)
+        for seed in range(4):
+            w = _zeros_weight(np.random.default_rng(seed), spec.shape)
+            got = _family_power_averages(GridFunction(spec, w, nonnegative=True), expo, family)
+            with np.errstate(divide="ignore"):
+                want = _fsum_power_averages(np.power(w, expo), family)[0]
+            assert np.isinf(want).any()
+            assert np.array_equal(got == np.inf, want == np.inf)
+            finite = np.isfinite(want)
+            assert np.all(np.abs(got[finite] - want[finite]) <= fsum_bound(spec) * want[finite])
+
+
 @settings(max_examples=80)
 @given(st.data())
 def test_power_averages_equal_the_per_call_oracle(data):
