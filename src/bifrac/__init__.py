@@ -64,7 +64,6 @@ from .harness import (
     corpus,
     dilate_item,
     domination_ratio,
-    global_term_ratio,
     make_profile,
     profile_violations,
     run_verify,

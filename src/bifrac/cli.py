@@ -72,7 +72,6 @@ CONFIG_KEYS = {
 class RunConfig:
     """Validated run configuration; built from config JSON plus flag overrides."""
 
-    subcommand: str
     profile: dict = field(default_factory=dict)
     seed: int = 7
     kind: str | None = None
@@ -157,7 +156,7 @@ def _load_config(args) -> RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise InputUnreadable(f"config {args.config}: {exc}") from exc
         check_config_keys(base, args.command)
-    cfg = RunConfig(subcommand=args.command)
+    cfg = RunConfig()
     for key in ("profile", "sweep"):
         if key in base:
             setattr(cfg, key, dict(base[key]))

@@ -689,6 +689,16 @@ def cube_location_worst_ratio(seed: int, samples: int, dim: int = 1) -> tuple[fl
     return worst, all_ok
 
 
+def _max_cell_ratio(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """The cellwise ratio rule of the domination checks: the max of lhs / rhs
+    over the cells where rhs > 0; +inf if a cell with rhs <= 0 has lhs >
+    1e-15; 0 when no cell has rhs > 0."""
+    pos = rhs > 0
+    if np.any(~pos & (lhs > 1e-15)):
+        return math.inf
+    return float(np.max(lhs[pos] / rhs[pos])) if pos.any() else 0.0
+
+
 def local_part_ratio(item: CorpusItem, alpha: float = STRUCTURAL_ALPHA) -> float:
     """Max over Q0 cells of local kernel sum / sparse cube sum."""
     return local_part_ratios((item,), alpha)[0]
@@ -707,22 +717,16 @@ def local_part_ratios(items, alpha: float = STRUCTURAL_ALPHA) -> list[float]:
     sb = _sparse_sums(spec, fs, gs, alpha, 2.0, 2.0, Q0, grid)
     lo, width, _, _ = _root_plan(spec, Q0, grid)  # block 0 is Q0
     sl = (slice(None),) + tuple(slice(a, a + int(width[0])) for a in lo[0].tolist())
-    out = []
-    for lv, sv in zip(local[sl].reshape(len(items), -1), sb[sl].reshape(len(items), -1)):
-        ratios = np.zeros_like(lv)
-        pos = sv > 0
-        ratios[pos] = lv[pos] / sv[pos]
-        if np.any(~pos & (lv > 1e-15)):
-            out.append(math.inf)
-        else:
-            out.append(float(ratios.max()) if len(ratios) else 0.0)
-    return out
+    return [
+        _max_cell_ratio(lv, sv)
+        for lv, sv in zip(local[sl].reshape(len(items), -1), sb[sl].reshape(len(items), -1))
+    ]
 
 
-def verify_structural(seed: int, n_items: int = 4, cube_samples: int = 300) -> list[Report]:
+def verify_structural(seed: int) -> list[Report]:
     """Exact structural checks; failures are reported, never raised."""
     reports: list[Report] = []
-    worst, ok = cube_location_worst_ratio(seed, cube_samples)
+    worst, ok = cube_location_worst_ratio(seed, 300)
     reports.append(
         _report(f"one-third-trick-{seed}", worst, 6.0, 1.0, worst / 6.0, 1.0, note="side ratio vs 6")
     )
@@ -731,9 +735,7 @@ def verify_structural(seed: int, n_items: int = 4, cube_samples: int = 300) -> l
 
     fam = default_family(HARNESS_SPEC)
     rngexp = SplitMix64(_mix_seed(seed, "scaling"))
-    items = corpus(seed, "spikes", count=max(2, n_items // 2)) + corpus(
-        seed, "random-steps", count=max(2, n_items - n_items // 2)
-    )
+    items = corpus(seed, "spikes", count=2) + corpus(seed, "random-steps", count=2)
     for item in items:
         sf = cz_decompose(item.f, item.g, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
         fails = check_sparse_invariants(sf)
@@ -763,8 +765,9 @@ def verify_structural(seed: int, n_items: int = 4, cube_samples: int = 300) -> l
     cal_items = corpus(_mix_seed(seed, "cal31"), "spikes", count=3) + corpus(
         _mix_seed(seed, "cal31"), "random-steps", count=3
     )
-    c_cal = max(local_part_ratios(cal_items))
-    for item, ratio in zip(items, local_part_ratios(items)):
+    ratios = local_part_ratios(cal_items + items)
+    c_cal = max(ratios[: len(cal_items)])
+    for item, ratio in zip(items, ratios[len(cal_items) :]):
         reports.append(
             _report(
                 f"local-domination-{item.item_id}",
@@ -927,46 +930,13 @@ def verify_calibrated(
 
 
 def run_verify(
-    profile: ExponentProfile,
-    kind: str,
-    seed: int,
-    n_cal: int = 10,
-    n_eval: int = 30,
-    family: CubeFamily | None = None,
-    pairs: NestedPairs | None = None,
+    profile: ExponentProfile, kind: str, seed: int, n_cal: int = 10, n_eval: int = 30
 ) -> tuple[list[Report], dict]:
     """Calibrate-then-hold-out on the two corpora of one seed; CLI entry point."""
-    family = family if family is not None else default_family(HARNESS_SPEC)
-    pairs = pairs if pairs is not None else nested_pairs(family)
+    family = default_family(HARNESS_SPEC)
     cal_items, eval_items = protocol_corpora(seed, kind, n_cal, n_eval)
-    reports, fields = verify_calibrated(profile, cal_items, eval_items, family, pairs)
+    reports, fields = verify_calibrated(profile, cal_items, eval_items, family, nested_pairs(family))
     return reports, {"schema": 1, "tag": profile.tag, "kind": kind, "seed": seed, **fields}
-
-
-def global_term_ratio(
-    profile: ExponentProfile,
-    item: CorpusItem,
-    family: CubeFamily,
-    pairs: NestedPairs,
-    Q0: Cube | None = None,
-) -> float:
-    """Far-field term of the kernel split, measured like the full bound.
-
-    The kernel sum is split at |y| <= side(Q0); the returned ratio is the
-    weighted Morrey norm of the far part against constant * data norms,
-    mirroring how the local part is absorbed.
-    """
-    Q0 = Q0 if Q0 is not None else HARNESS_Q0
-    wv = item.weight_vector()
-    _, w_far = _split_weights(item.spec, profile.alpha, Q0)
-    far = bi_frac(item.f, item.g, profile.alpha, weights=w_far)
-    lhs = morrey_norm(far * wv.nu, MorreyParams(profile.q0, profile.q), family)
-    rhs = vector_morrey_norm(
-        item.f * item.w1, item.g * item.w2, profile.p0, profile.p1, profile.p2, family
-    )
-    sub1, sub2 = _substituted(profile)
-    const = iida_constant(wv, profile.a * profile.q0, profile.q, sub1, sub2, pairs)
-    return lhs / (const.value * rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,12 +983,7 @@ def domination_ratio(
     rhs = multi_maximal(f * item.w1, g * item.w2, rhs_alpha, profile.p1 / a, profile.p2 / a, family)
     if not math.isfinite(const.value):
         raise InfiniteConstant("domination constant hit +inf")
-    lv = lhs.samples.reshape(-1)
-    rv = rhs.samples.reshape(-1) * const.value
-    pos = rv > 0
-    if np.any(~pos & (lv > 1e-15)):
-        return math.inf
-    return float(np.max(lv[pos] / rv[pos])) if pos.any() else 0.0
+    return _max_cell_ratio(lhs.samples.reshape(-1), rhs.samples.reshape(-1) * const.value)
 
 
 # ---------------------------------------------------------------------------
@@ -1028,12 +993,14 @@ def domination_ratio(
 RH_PROBE_CAP = 2.0  # the most the probe constant may read at the chosen epsilon
 
 
-def choose_rh_epsilon(w: GridFunction, family: CubeFamily) -> float:
-    """Largest eps from a fixed ladder whose probe constant stays at most RH_PROBE_CAP."""
+def choose_rh_epsilon(w: GridFunction, family: CubeFamily) -> tuple[float, float]:
+    """(eps, probe constant at eps): the largest eps from a fixed ladder whose
+    probe constant stays at most RH_PROBE_CAP, else the ladder's floor 1/32."""
     for eps in (1.0, 0.5, 0.25, 0.125, 0.0625):
-        if reverse_holder_probe(w, eps, family) <= RH_PROBE_CAP:
-            return eps
-    return 0.03125
+        probe = reverse_holder_probe(w, eps, family)
+        if probe <= RH_PROBE_CAP:
+            return eps, probe
+    return 0.03125, reverse_holder_probe(w, 0.03125, family)
 
 
 def small_exponent_chain_check(
@@ -1049,12 +1016,11 @@ def small_exponent_chain_check(
     the chain holding exactly on the shared family.
     """
     q = profile.q
-    eps = choose_rh_epsilon(wv.nu.abs_pow(q), family)
+    eps, c_probe = choose_rh_epsilon(wv.nu.abs_pow(q), family)
     a = 1.0 + eps
     sub1, sub2 = _substituted(profile)
     pair = iida_constant(wv, a * profile.q0, q, sub1, sub2, pairs)
     single = multiple_apq_constant(wv, sub1, sub2, q, family)
-    c_probe = reverse_holder_probe(wv.nu.abs_pow(q), eps, family)
     bound_chain = c_probe ** (1.0 / q) * single.value
     return {
         "epsilon": eps,

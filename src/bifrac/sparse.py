@@ -118,8 +118,6 @@ def cz_decompose(
     with np.errstate(over="ignore"):
         while np.float_power(a, k_cap + 1) < max_m:
             k_cap += 1
-    if max_m > a:
-        k_cap = max(k_cap, 1)
     thresholds = [a ** k for k in range(1, k_cap + 1)]
 
     # peak[i]: the max of m over block i and its ancestors; above[i]: over its strict ancestors

@@ -13,8 +13,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, cz_decompose, multi_frac_int, read_grid_file, write_grid_file
+from bifrac import (
+    Cube,
+    DyadicGrid,
+    GridFunction,
+    GridSpec,
+    MorreyParams,
+    WeightVector,
+    cz_decompose,
+    frac_maximal,
+    maximal,
+    morrey_norm_witness,
+    multi_frac_int,
+    multi_maximal,
+    read_grid_file,
+    two_weight_constant,
+    write_grid_file,
+)
 from bifrac.cli import build_parser, check_config_keys, check_profile_keys, main
+from bifrac.families import default_family, nested_pairs
+from bifrac.harness import witness_text
 
 
 @pytest.fixture()
@@ -849,6 +867,62 @@ def test_norms_vector_mode(grids, tmp_path):
     assert rc == 0
     payload = json.loads(out.read_text())
     assert payload["value"] > 0
+
+
+# Modes of main whose output no other test compares with the library: per
+# mode, its argv (the file paths as format fields) and the library's result
+# as the command writes it (a grid, or the JSON payload).
+_LIBRARY_MODES = {
+    "apply-maximal": (
+        ["apply", "--op", "maximal", "--input", "{f}", "--output", "{out}"],
+        lambda f, g, v, family: maximal(f),
+    ),
+    "apply-frac-maximal": (
+        ["apply", "--op", "frac-maximal", "--alpha", "0.4", "--input", "{f}", "--output", "{out}"],
+        lambda f, g, v, family: frac_maximal(f, 0.4),
+    ),
+    "apply-multi-maximal": (
+        ["apply", "--op", "multi-maximal", "--alpha", "0.4", "--r1", "1.5", "--r2", "1.2", "--input", "{f}", "{g}", "--output", "{out}"],
+        lambda f, g, v, family: multi_maximal(f, g, 0.4, 1.5, 1.2),
+    ),
+    "constants-two-weight": (
+        ["constants", "--weight", "{f}", "--weight2", "{g}", "--v", "{v}", "--constant", "two-weight", "--out-json", "{out}"],
+        lambda f, g, v, family: _two_weight_payload(two_weight_constant(v, WeightVector(f, g), 4.0, 3.0, 2.0, 2.0, nested_pairs(family))),
+    ),
+    "norms-morrey": (
+        ["norms", "--input", "{f}", "--p0", "3", "--q", "2", "--out-json", "{out}"],
+        lambda f, g, v, family: _morrey_payload(*morrey_norm_witness(f, MorreyParams(3.0, 2.0), family)),
+    ),
+}
+
+
+def _two_weight_payload(rep):
+    row = {"constant": "two-weight", "value": rep.value, "witness": witness_text(rep.witness), "family_size": rep.family_size}
+    return {"schema": 1, "constants": [row]}
+
+
+def _morrey_payload(value, witness):
+    return {"schema": 1, "value": value, "witness": witness.serialize()}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", list(_LIBRARY_MODES))
+def test_a_mode_writes_the_library_result_bit_for_bit(mode, dim, tmp_path):
+    spec = GridSpec(dim, 1.0, 16 if dim == 1 else 8)
+    rng = np.random.default_rng(dim)
+    paths = {name: tmp_path / f"{name}.grid" for name in ("f", "g", "v")}
+    for path in paths.values():
+        write_grid_file(path, GridFunction(spec, rng.uniform(0.2, 1.5, spec.shape)))
+    out = tmp_path / "out"
+    template, library = _LIBRARY_MODES[mode]
+    assert main([arg.format(out=out, **paths) for arg in template]) == 0
+    want = library(*(read_grid_file(paths[name]) for name in ("f", "g", "v")), default_family(spec))
+    if isinstance(want, GridFunction):
+        got = read_grid_file(out)
+        assert got.spec == spec and np.array_equal(got.samples.view(np.int64), want.samples.view(np.int64))
+    else:
+        # the JSON text holds each float's repr, so equal text is equal bits
+        assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def test_python_m_bifrac_runs_the_cli_from_a_checkout(tmp_path):

@@ -68,12 +68,18 @@ U = 2.0**-53  # the unit roundoff of float64
 
 
 def _check_2d_sums(arr, lo, hi):
-    """The 2D window sums against digit_sums_oracle, bit for bit; against
-    math.fsum within a bound derived from their summation tree; non-finite
-    exactly where np.sum is; and +0.0 over a box of zeros."""
+    """The 2D window sums against digit_sums_oracle, bit for bit but for the
+    sign of a NaN; against math.fsum within a bound derived from their
+    summation tree; non-finite exactly where np.sum is; and +0.0 over a box
+    of zeros.  When two NaNs meet, the sign of a Python float sum depends on
+    which operand the interpreter passes first, and that changes with its
+    specialisation state (a sys.setprofile hook flips it), so the oracle
+    cannot pin that sign; the CellBoxes docstring exempts it as well."""
     got = CellBoxes(arr.shape, lo, hi).sums(arr)
     want = digit_sums_oracle(arr, lo, hi)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
     slices = [arr[_slices(a, b)].ravel().tolist() for a, b in zip(lo, hi)]
     with np.errstate(invalid="ignore"):
         plain = np.array([np.sum(cells) for cells in slices])
