@@ -2,7 +2,7 @@
 
 Modules
 -------
-lattice    sampled step functions, exact cell integration, grid file IO
+lattice    sampled step functions, cube cell sums, grid file IO
 geometry   half-open cubes, shifted dyadic grids, the cube locator
 families   finite cube and nested-pair families for discrete suprema
 sparse     stopping-time selection of cubes with large bilinear averages
@@ -25,8 +25,6 @@ from .errors import (
     ExponentOrder,
     InfiniteConstant,
     InputUnreadable,
-    LevelAbsent,
-    LevelTooCoarse,
     NonAlignedCube,
     NonNegativityViolation,
     NonPositiveWeight,
@@ -41,16 +39,11 @@ from .families import (
     NestedPairs,
     all_intervals,
     default_family,
-    family_from_cubes,
     nested_pairs,
 )
 from .geometry import (
     Cube,
     DyadicGrid,
-    dilate,
-    dyadic_children,
-    dyadic_parent,
-    grid_cubes,
     locate_shifted_cubes,
     locate_shifted_dyadic,
 )
@@ -73,9 +66,6 @@ from .harness import (
 from .lattice import (
     GridFunction,
     GridSpec,
-    bilinear_average,
-    cube_average,
-    integrate,
     lp_norm,
     read_grid_file,
     write_grid_file,
@@ -95,7 +85,6 @@ from .operators import (
     frac_int_at,
     frac_maximal,
     kernel_table,
-    local_global_split,
     maximal,
     multi_frac_int,
     multi_frac_int_at,
@@ -104,7 +93,7 @@ from .operators import (
     sparse_bound,
     weighted_bilinear_maximal,
 )
-from .sparse import SparseFamily, SelectedCube, cz_decompose, level_union_measure
+from .sparse import SparseFamily, SelectedCube, cz_decompose
 from .weights import (
     ConstantReport,
     WeightVector,

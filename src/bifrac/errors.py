@@ -44,14 +44,6 @@ class NotInGrid(BifracError):
     """Cube is not a member of the given dyadic grid."""
 
 
-class LevelTooCoarse(BifracError):
-    """Requested dyadic level produces cubes larger than the box."""
-
-
-class LevelAbsent(BifracError):
-    """Sparse family has no cubes at the requested level."""
-
-
 class AverageOverflow(BifracError):
     """A cube average, a kernel sum or a point value leaves the float range where a finite value is needed."""
 

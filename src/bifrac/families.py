@@ -174,14 +174,6 @@ class CubeFamily:
         return integrate_overlaps(pw, self.shifted_overlaps)
 
 
-def family_from_cubes(spec: GridSpec, cubes, name: str = "custom") -> CubeFamily:
-    """Wrap an explicit cube list, computing aligned cell bounds."""
-    cubes = tuple(cubes)
-    corners = np.array([Q.corner for Q in cubes], dtype=np.float64).reshape(-1, spec.dim)
-    sides = np.array([Q.side for Q in cubes], dtype=np.float64)
-    return _with_cell_bounds(spec, corners, sides, name)
-
-
 def _with_cell_bounds(spec: GridSpec, corners: np.ndarray, sides: np.ndarray, name: str) -> CubeFamily:
     """The family with the cell bounds of its aligned in-box members (GridSpec.lattice_cubes)."""
     lo, width, side_ok, corner_ok = spec.lattice_cubes(corners, sides)

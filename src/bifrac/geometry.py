@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import LevelTooCoarse, NotInGrid
+from .errors import NotInGrid
 
 _REL_EPS = 1e-9
 
@@ -48,10 +48,8 @@ class Cube:
     def center(self) -> tuple[float, ...]:
         return tuple(c + 0.5 * self.side for c in self.corner)
 
-    def contains_point(self, x, tol: float = 0.0) -> bool:
-        return all(
-            c - tol <= xi < c + self.side + tol for c, xi in zip(self.corner, x)
-        )
+    def contains_point(self, x) -> bool:
+        return all(c <= xi < c + self.side for c, xi in zip(self.corner, x))
 
     def contains_cube(self, other: "Cube", tol: float = 0.0) -> bool:
         return all(
@@ -59,27 +57,10 @@ class Cube:
             for c, oc in zip(self.corner, other.corner)
         )
 
-    def intersects(self, other: "Cube") -> bool:
-        # require genuine overlap: adjacency up to fp noise does not count
-        tol = 1e-12 * max(self.side, other.side)
-        return all(
-            min(c + self.side, oc + other.side) - max(c, oc) > tol
-            for c, oc in zip(self.corner, other.corner)
-        )
-
     def serialize(self) -> str:
         """Report form: corner coordinates then side, as decimals."""
         parts = [repr(c) for c in self.corner] + [repr(self.side)]
         return " ".join(parts)
-
-
-def dilate(Q: Cube, factor: float) -> Cube:
-    """Concentric cube with side scaled by `factor` (3 gives volume 3^n |Q|)."""
-    if factor <= 0:
-        raise ValueError(f"dilation factor must be positive, got {factor}")
-    new_side = Q.side * factor
-    shift = 0.5 * (Q.side - new_side)
-    return Cube(tuple(c + shift for c in Q.corner), new_side)
 
 
 @dataclass(frozen=True)
@@ -138,40 +119,6 @@ class DyadicGrid:
         except NotInGrid:
             return False
         return True
-
-
-def grid_cubes(grid: DyadicGrid, level: int, box) -> list[Cube]:
-    """All grid cubes of side 2^-level intersecting the box.
-
-    `box` may be a Cube or anything exposing a `box_cube` attribute
-    (a GridSpec does).  Raises LevelTooCoarse when a single cube would
-    exceed the box side.
-    """
-    region: Cube = getattr(box, "box_cube", box)
-    side = 2.0 ** (-level)
-    if side > region.side * (1.0 + _REL_EPS):
-        raise LevelTooCoarse(
-            f"level {level} gives side {side} > box side {region.side}"
-        )
-    sh = grid.level_shift(level)
-    axis_ranges = []
-    for ax in range(region.dim):
-        lo = region.corner[ax]
-        hi = lo + region.side
-        m_lo = int(math.floor(lo / side - sh[ax])) - 1
-        m_hi = int(math.ceil(hi / side - sh[ax])) + 1
-        keep = [
-            m
-            for m in range(m_lo, m_hi + 1)
-            if side * (m + sh[ax]) < hi and side * (m + 1 + sh[ax]) > lo
-        ]
-        axis_ranges.append(keep)
-    cubes = []
-    for idx in product(*axis_ranges):
-        Q = grid.cube(level, idx)
-        if Q.intersects(region):
-            cubes.append(Q)
-    return cubes
 
 
 def locate_shifted_dyadic(Q: Cube) -> tuple[tuple[float, ...], Cube]:
@@ -235,32 +182,3 @@ def locate_shifted_cubes(corners, sides) -> tuple[np.ndarray, np.ndarray, np.nda
         j = int(np.argmin(found))
         raise AssertionError(f"no shifted dyadic cube found for {Cube(tuple(corners[j]), ell[j])}")
     return out_shift, out_corner, out_side
-
-
-def dyadic_children(Q: Cube, grid: DyadicGrid) -> list[Cube]:
-    """The 2^n grid cubes of half side tiling Q exactly."""
-    level, index = grid.member_index(Q)
-    child_level = level + 1
-    sh = grid.level_shift(level)
-    sh_c = grid.level_shift(child_level)
-    start = tuple(
-        round(2.0 * (m + s) - sc) for m, s, sc in zip(index, sh, sh_c)
-    )
-    kids = []
-    for offs in product((0, 1), repeat=Q.dim):
-        idx = tuple(int(s) + o for s, o in zip(start, offs))
-        child = grid.cube(child_level, idx)
-        if not Q.contains_cube(child, tol=_REL_EPS * Q.side):
-            raise AssertionError(f"child {child} escapes parent {Q}")
-        kids.append(child)
-    return kids
-
-
-def dyadic_parent(Q: Cube, grid: DyadicGrid) -> Cube:
-    """The unique grid cube of double side containing Q."""
-    level, _ = grid.member_index(Q)
-    parent_level = level - 1
-    parent = grid.cube(parent_level, grid.locate_index(parent_level, Q.center))
-    if not parent.contains_cube(Q, tol=_REL_EPS * parent.side):
-        raise AssertionError(f"parent {parent} does not contain {Q}")
-    return parent

@@ -385,8 +385,8 @@ def _materialize(spec: GridSpec, pieces: list[tuple], scale: float) -> np.ndarra
     return arr
 
 
-def _grid_fn(spec, pieces, scale=1.0, nonneg=True) -> GridFunction:
-    return GridFunction(spec, _materialize(spec, pieces, scale), nonnegative=nonneg)
+def _grid_fn(spec, pieces, scale=1.0) -> GridFunction:
+    return GridFunction(spec, _materialize(spec, pieces, scale), nonnegative=True)
 
 
 def _rand_block(rng, spec, lo, hi, vmin, vmax, min_cells=4):
@@ -699,12 +699,12 @@ def _max_cell_ratio(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float(np.max(lhs[pos] / rhs[pos])) if pos.any() else 0.0
 
 
-def local_part_ratio(item: CorpusItem, alpha: float = STRUCTURAL_ALPHA) -> float:
-    """Max over Q0 cells of local kernel sum / sparse cube sum."""
-    return local_part_ratios((item,), alpha)[0]
+def local_part_ratio(item: CorpusItem) -> float:
+    """Max over Q0 cells of local kernel sum / sparse cube sum, at STRUCTURAL_ALPHA."""
+    return local_part_ratios((item,))[0]
 
 
-def local_part_ratios(items, alpha: float = STRUCTURAL_ALPHA) -> list[float]:
+def local_part_ratios(items) -> list[float]:
     """local_part_ratio of each item, all on one spec: the local half of
     bi_frac's kernel split (_split_weights) and sparse_bound's samples, each
     from one pass over the stacked items, bit for bit as per item."""
@@ -712,9 +712,9 @@ def local_part_ratios(items, alpha: float = STRUCTURAL_ALPHA) -> list[float]:
     Q0 = HARNESS_Q0 if spec.dim == 1 else HARNESS_Q0_2D
     grid = HARNESS_GRID if spec.dim == 1 else HARNESS_GRID_2D
     fs, gs = np.stack([it.f.samples for it in items]), np.stack([it.g.samples for it in items])
-    w_local, _ = _split_weights(spec, alpha, Q0)
-    local = _finite(_offset_sum(w_local, fs, gs), f"bi_frac with alpha = {alpha!r}", "on a cell")
-    sb = _sparse_sums(spec, fs, gs, alpha, 2.0, 2.0, Q0, grid)
+    w_local, _ = _split_weights(spec, STRUCTURAL_ALPHA, Q0)
+    local = _finite(_offset_sum(w_local, fs, gs), f"bi_frac with alpha = {STRUCTURAL_ALPHA!r}", "on a cell")
+    sb = _sparse_sums(spec, fs, gs, STRUCTURAL_ALPHA, 2.0, 2.0, Q0, grid)
     lo, width, _, _ = _root_plan(spec, Q0, grid)  # block 0 is Q0
     sl = (slice(None),) + tuple(slice(a, a + int(width[0])) for a in lo[0].tolist())
     return [

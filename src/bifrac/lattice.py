@@ -1,4 +1,4 @@
-"""Sampled functions on a uniform lattice with exact cell-wise integration.
+"""Sampled functions on a uniform lattice, their cube cell sums, and grid file IO.
 
 A GridFunction is piecewise constant on the cells of [-L, L)^n and zero
 outside the box, so every integral over a lattice-aligned cube is a
@@ -223,54 +223,9 @@ def _cell_slices(spec: GridSpec, Q: Cube, clip: bool = False):
     return tuple(slices)
 
 
-def integrate(f: GridFunction, Q: Cube) -> float:
-    """Exact integral of f over a lattice-aligned cube inside the box."""
-    sl = _cell_slices(f.spec, Q, clip=False)
-    return float(np.sum(f.samples[sl])) * f.spec.h ** f.spec.dim
-
-
-def cube_average(f: GridFunction, Q: Cube, p: float) -> float:
-    """((1/|Q|) \\int_Q |f|^p)^(1/p), exact for step data."""
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    sl = _cell_slices(f.spec, Q, clip=False)
-    total = float(np.sum(np.abs(f.samples[sl]) ** p)) * f.spec.h ** f.spec.dim
-    return (total / Q.measure) ** (1.0 / p)
-
-
-def clipped_power_integral(f: GridFunction, Q: Cube, p: float) -> float:
-    """\\int_{Q ∩ box} |f|^p for a lattice-aligned cube that may leave the box."""
-    sl = _cell_slices(f.spec, Q, clip=True)
-    return float(np.sum(np.abs(f.samples[sl]) ** p)) * f.spec.h ** f.spec.dim
-
-
 def check_conjugate(r: float, s: float) -> None:
     if r <= 1 or s <= 1 or abs(1.0 / r + 1.0 / s - 1.0) > CONJUGATE_TOL:
         raise ConjugateMismatch(f"1/{r} + 1/{s} != 1 within {CONJUGATE_TOL}")
-
-
-def bilinear_average(f: GridFunction, g: GridFunction, Q: Cube, r: float, s: float) -> float:
-    """m_Q(|f|^r, |g|^s): product of the two Hoelder-conjugate cube averages.
-
-    Q must be lattice-aligned but may stick out of the box; the functions
-    vanish outside, so integration runs over the intersection while the
-    normalizing measure stays |Q|.
-    """
-    check_conjugate(r, s)
-    fi = clipped_power_integral(f, Q, r)
-    gi = clipped_power_integral(g, Q, s)
-    return (fi / Q.measure) ** (1.0 / r) * (gi / Q.measure) ** (1.0 / s)
-
-
-def box_power_integral(f: GridFunction, corner, side: float, p: float) -> float:
-    """Exact \\int over an arbitrary axis-aligned cube of |f|^p.
-
-    Handles partial cell overlaps (needed for shifted-grid cubes whose
-    corners are thirds); the integrand is a step function so the integral
-    is a sum of per-cell overlap volumes.
-    """
-    overlaps = cell_overlaps(f.spec, np.array([corner], dtype=np.float64), np.array([side]))
-    return float(integrate_overlaps(np.abs(f.samples) ** p, overlaps)[0])
 
 
 def _scalar_pow(values: np.ndarray, expo: float) -> np.ndarray:

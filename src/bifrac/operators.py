@@ -1,11 +1,12 @@
-"""Integral and maximal operators with exact singular-kernel cell weights.
+"""Integral and maximal operators with singular-kernel cell weights.
 
-The kernel |y|^(alpha-n) is integrated exactly (1D: closed-form
-antiderivative; 2D: polar reduction to sec-power integrals, singular
-origin cell included) over half-shifted offset cells [(d-1/2)h, (d+1/2)h)^n.
-With that convention the bilinear sum at a cell midpoint x samples
-f(x - dh) and g(x + dh) exactly at cell midpoints, so for step data the
-grid outputs are exact values of the continuum operators.
+The kernel |y|^(alpha-n) is integrated (1D: the antiderivative; 2D: polar
+reduction to sec-power integrals, singular origin cell included) over
+half-shifted offset cells [(d-1/2)h, (d+1/2)h)^n.  With that convention the
+bilinear sum at a cell midpoint x samples f(x - dh) and g(x + dh) exactly
+at cell midpoints, so for step data the grid outputs are the continuum
+operators' values up to the rounding of the masses (kernel_table) and of
+the sum.
 
 Each cell mass is a difference of one function at the cell edges, folded
 onto [0, inf) per axis (the kernel is even): in 1D the antiderivative, in
@@ -42,8 +43,9 @@ from .lattice import CellBoxes, GridFunction, GridSpec, _scalar_pow, check_conju
 class KernelTable:
     """Per-offset-cell masses of the kernel |y|^(alpha-n).
 
-    weights[d + N - 1] (per axis) is the exact integral of the kernel
-    over the offset cell centered at d*h.  Symmetric and positive.
+    weights[d + N - 1] (per axis) is the integral of the kernel over the
+    offset cell centered at d*h, to the accuracy kernel_table states.
+    Symmetric and positive.
     """
 
     spec: GridSpec
@@ -65,7 +67,7 @@ class KernelTable:
 
 
 def _axis_masses_1d(h: float, alpha: float, count: int) -> np.ndarray:
-    """Exact 1D masses via the antiderivative |y|^alpha * sign(y) / alpha."""
+    """1D masses as differences of the antiderivative |y|^alpha * sign(y) / alpha."""
     d = np.arange(1, count)
     pos = (np.power(d + 0.5, alpha) - np.power(d - 0.5, alpha)) * h ** alpha / alpha
     origin = 2.0 * (0.5 * h) ** alpha / alpha
@@ -119,7 +121,14 @@ def _sec_power_integrals(alpha: float, t: np.ndarray) -> np.ndarray:
 
 
 def kernel_table(spec: GridSpec, alpha: float) -> KernelTable:
-    """Exact kernel cell masses for |y|^(alpha - n); requires 0 < alpha < n."""
+    """Kernel cell masses for |y|^(alpha - n); requires 0 < alpha < n.
+
+    Each mass is a difference of larger values at the cell edges, which
+    cancels in far cells.  Against a 40-digit evaluation of the same
+    formulas the worst relative error is 1.1e-12 in 1D at N = 1024
+    (alpha = 0.1), and 3.4e-13 at N = 16 and about 1e-11 at N = 64 in 2D
+    (alpha = 0.5).
+    """
     if not (0.0 < alpha < spec.dim):
         raise AlphaOutOfRange(f"alpha must lie in (0, {spec.dim}), got {alpha}")
     return _kernel_table(spec, alpha)
@@ -339,19 +348,6 @@ def multi_frac_int_at(f1: GridFunction, f2: GridFunction, alpha: float, point) -
     with np.errstate(over="ignore", invalid="ignore"):  # _point_value refuses a value past the float range
         value = float(f1.samples.reshape(-1) @ kernel @ f2.samples.reshape(-1)) * h ** (2 * dim)
     return _point_value((value,), f"multi_frac_int_at with alpha = {alpha!r}")
-
-
-def local_global_split(f: GridFunction, g: GridFunction, alpha: float, Q0: Cube):
-    """Kernel sum split at |y| <= 2*delta (delta = half the side of Q0).
-
-    Returns (local, global) grid functions whose sum is bi_frac(f, g).
-    """
-    spec = _check_same_spec(f, g)
-    w_local, w_global = _split_weights(spec, alpha, Q0)
-    return (
-        bi_frac(f, g, alpha, weights=w_local),
-        bi_frac(f, g, alpha, weights=w_global),
-    )
 
 
 def _split_weights(spec: GridSpec, alpha: float, Q0: Cube) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LevelAbsent, NonNegativityViolation
+from .errors import NonNegativityViolation
 from .geometry import Cube, DyadicGrid
 from .lattice import GridFunction, GridSpec, check_conjugate
 from .operators import _check_same_spec, _path_accumulate, _root_m3q
@@ -149,14 +149,3 @@ def cz_decompose(
         root_cells=root_cells,
         root_m=float(m[0]),
     )
-
-
-def level_union_measure(family: SparseFamily, k: int) -> dict[Cube, float]:
-    """Per-cube measures |Q_{k,j} ∩ D_{k+1}|, exact from the cell sets."""
-    if k not in family.levels:
-        raise LevelAbsent(f"no level {k} in this family")
-    out = {}
-    cell_meas = family.cell_measure
-    for sc in family.levels[k]:
-        out[sc.cube] = (sc.cell_count - sc.e_count) * cell_meas
-    return out

@@ -9,9 +9,9 @@ from hypothesis import settings
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.errors import DegenerateCube, NonAlignedCube, OutOfBox
 from bifrac.geometry import _THIRD, locate_shifted_cubes
-from bifrac.families import subcube_blocks
+from bifrac.families import _with_cell_bounds, subcube_blocks
 from bifrac.harness import SplitMix64, _mix_seed
-from bifrac.lattice import CellBoxes, box_power_integral, cell_overlaps, integrate_overlaps
+from bifrac.lattice import CellBoxes, cell_overlaps, integrate_overlaps
 from bifrac.operators import _m3q, kernel_table
 from bifrac.weights import ConstantReport, WeightVector, _family_power_averages, _sanitize, conjugate
 
@@ -60,6 +60,14 @@ def random_positive(spec, rng, low=0.2, high=1.5):
 @pytest.fixture(scope="session")
 def unit_cube():
     return Cube((0.0,), 1.0)
+
+
+def family_from_cubes(spec, cubes, name="custom"):
+    """A family of an explicit cube list, with the cell bounds of its aligned in-box members."""
+    cubes = tuple(cubes)
+    corners = np.array([Q.corner for Q in cubes], dtype=np.float64).reshape(-1, spec.dim)
+    sides = np.array([Q.side for Q in cubes], dtype=np.float64)
+    return _with_cell_bounds(spec, corners, sides, name)
 
 
 def locate_shifted_dyadic_oracle(Q: Cube):
@@ -424,7 +432,7 @@ def iida_pair_value(
     """Integrand of iida_constant at one nested pair (witness re-evaluation)."""
     cp1, cp2 = conjugate(p1), conjugate(p2)
     with np.errstate(divide="ignore", over="ignore"):
-        nu_q = box_power_integral(wv.nu, Q.corner, Q.side, q) / Q.measure
+        nu_q = _cube_power_integral(wv.nu, q, Q) / Q.measure
         d1 = _cube_power_integral(wv.w1, -cp1, Qp) / Qp.measure
         d2 = _cube_power_integral(wv.w2, -cp2, Qp) / Qp.measure
     value = (

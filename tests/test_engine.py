@@ -6,7 +6,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import digit_blocks_oracle, digit_sums_oracle, enumerate_nested_pairs, nested_pair_count_oracle
+from conftest import (
+    _cube_power_integral,
+    digit_blocks_oracle,
+    digit_sums_oracle,
+    enumerate_nested_pairs,
+    family_from_cubes,
+    nested_pair_count_oracle,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -20,19 +27,17 @@ from bifrac import (
     MorreyParams,
     all_intervals,
     ap_constant,
-    grid_cubes,
     morrey_norm,
 )
 from bifrac.families import (
     _po2_squares,
     _shifted_grid_cubes,
     default_family,
-    family_from_cubes,
     nested_pairs,
     subcube_blocks,
 )
 from bifrac.harness import HARNESS_GRID, HARNESS_Q0, STRUCTURAL_ALPHA, TAGS, ExponentProfile, catalog_profiles
-from bifrac.lattice import CellBoxes, box_power_integral, cell_overlaps, integrate_overlaps
+from bifrac.lattice import CellBoxes, cell_overlaps, integrate_overlaps
 from bifrac.operators import _averages, _m3q, maximal, weighted_bilinear_maximal
 
 
@@ -446,8 +451,9 @@ def family_2d_n32():
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
 def test_the_2d_default_family_is_every_square_and_shifted_grid_cube_once(n):
-    # built here from geometry.grid_cubes: the power-of-two lattice squares
-    # and the in-box cubes of the four shifted dyadic grids at sides 2L ... h
+    # built here cube by cube: the power-of-two lattice squares, and the
+    # in-box cubes of the four shifted dyadic grids at sides 2L ... h, each
+    # grid's cubes listed by DyadicGrid.cube over an index range past the box
     spec = GridSpec(2, 2.0, n)
     half, h = spec.half_width, spec.h
     want = set()
@@ -456,8 +462,11 @@ def test_the_2d_default_family_is_every_square_and_shifted_grid_cube_once(n):
         for i, j in product(range(n - s + 1), repeat=2):
             want.add((round(-half + i * h, 9), round(-half + j * h, 9), round(s * h, 9)))
     for shift in product((0.0, 1.0 / 3.0), repeat=2):
+        grid = DyadicGrid(shift)
         for level in range(-2, n.bit_length() - 2):  # sides 4 = 2L down to 4 / n = h
-            for Q in grid_cubes(DyadicGrid(shift), level, spec):
+            m = math.ceil(half / 2.0 ** -level) + 1
+            for index in product(range(-m, m + 1), repeat=2):
+                Q = grid.cube(level, index)
                 if spec.box_cube.contains_cube(Q, tol=1e-9):
                     want.add((*(round(c, 9) for c in Q.corner), round(Q.side, 9)))
     family = default_family(spec)
@@ -488,8 +497,8 @@ def test_the_2d_default_family_keeps_the_cubes_np_unique_keeps(n, half_width):
 
 def _brute_force_maxima(f, w, family, p0, q):
     """maximal(f), ap_constant(w, 1), ap_constant(w, 2) and the Morrey norm
-    (p0, q) of f as maxima over family.cubes, one box_power_integral per cube
-    and power; the A_1 minimum runs over the cells a cube overlaps."""
+    (p0, q) of f as maxima over family.cubes, one overlap integral of |f|^p
+    per cube and power; the A_1 minimum runs over the cells a cube overlaps."""
     spec = family.spec
     edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
     mids = list(product(spec.midpoints(), repeat=spec.dim))
@@ -497,7 +506,7 @@ def _brute_force_maxima(f, w, family, p0, q):
     ap1 = ap2 = morrey = -np.inf
     for Q in family.cubes:
         cases = ((w, 1.0), (w, -1.0), (f, 1.0), (f, q))
-        w1, w_dual, f1, fq = (box_power_integral(g, Q.corner, Q.side, p) / Q.measure for g, p in cases)
+        w1, w_dual, f1, fq = (_cube_power_integral(g.abs_pow(1.0), p, Q) / Q.measure for g, p in cases)
         inside = [np.minimum(edges[1:], c + Q.side) - np.maximum(edges[:-1], c) > 1e-9 * spec.h for c in Q.corner]
         ap1 = max(ap1, w1 / w.samples[np.ix_(*inside)].min())
         ap2 = max(ap2, w1 * w_dual)
@@ -515,7 +524,7 @@ def _brute_force_maxima(f, w, family, p0, q):
 )
 def test_family_maxima_equal_a_brute_force_max_over_the_listed_cubes(shape, half_width, seed):
     # the batched sums, minima and sweeps run over every cube the family
-    # lists; box_power_integral rounds differently from them
+    # lists; the per-cube overlap integrals round differently from them
     dim, n = shape
     spec = GridSpec(dim, half_width, n)
     family = default_family(spec)
@@ -741,14 +750,14 @@ def test_2d_maximal_sweeps_at_n32_match_max_over_containing_cubes(family_2d_n32)
     st.lists(st.tuples(st.floats(-2.5, 2.0), st.floats(-2.5, 2.0), st.floats(0.05, 4.0)), min_size=1, max_size=8),
     st.floats(0.5, 3.0),
 )
-def test_shifted_integrals_match_box_power_integral(dim, n, cubes, p):
+def test_shifted_integrals_match_the_one_cube_integral(dim, n, cubes, p):
     spec = GridSpec(dim, 2.0, n)
     f = GridFunction(spec, np.random.default_rng(n).uniform(-2.0, 2.0, spec.shape))
     corners = np.array([c[:dim] for c in cubes])
     sides = np.array([c[2] for c in cubes])
     got = integrate_overlaps(np.abs(f.samples) ** p, cell_overlaps(spec, corners, sides))
     for k in range(len(cubes)):
-        want = box_power_integral(f, tuple(corners[k]), sides[k], p)
+        want = _cube_power_integral(f.abs_pow(1.0), p, Cube(tuple(corners[k]), sides[k]))
         assert got[k] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 

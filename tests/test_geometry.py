@@ -1,3 +1,6 @@
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 from conftest import locate_shifted_dyadic_oracle
@@ -7,12 +10,7 @@ from hypothesis import strategies as st
 from bifrac import (
     Cube,
     DyadicGrid,
-    LevelTooCoarse,
     NotInGrid,
-    dilate,
-    dyadic_children,
-    dyadic_parent,
-    grid_cubes,
     locate_shifted_cubes,
     locate_shifted_dyadic,
 )
@@ -37,35 +35,49 @@ class TestCube:
         assert not q.contains_point((1.0,))
 
 
-class TestDilate:
-    def test_interval(self):
-        assert dilate(Cube((0.0,), 1.0), 3.0) == Cube((-1.0,), 3.0)
+def _overlap(p, q):
+    """Measure of p ∩ q; edges within 1e-12 of the smaller side count as shared."""
+    out = 1.0
+    for a, b in zip(p.corner, q.corner):
+        width = min(a + p.side, b + q.side) - max(a, b)
+        out *= width if width > 1e-12 * min(p.side, q.side) else 0.0
+    return out
 
-    def test_square_measure(self):
-        q = dilate(Cube((0.0, 0.0), 1.0), 3.0)
-        assert q == Cube((-1.0, -1.0), 3.0)
-        assert q.measure == pytest.approx(9.0)
 
-    def test_identity(self):
-        q = Cube((0.25,), 0.5)
-        assert dilate(q, 1.0) == q
+def level_cubes(grid, level, box):
+    """The level-`level` cubes of grid that meet box, from DyadicGrid.cube over an index range."""
+    side = 2.0 ** (-level)
+    ranges = [
+        range(math.floor(c / side - s) - 1, math.ceil((c + box.side) / side - s) + 2)
+        for c, s in zip(box.corner, grid.level_shift(level))
+    ]
+    cubes = (grid.cube(level, idx) for idx in product(*ranges))
+    return [q for q in cubes if _overlap(q, box) > 0.0]
 
-    def test_containment(self):
-        q = Cube((0.125,), 0.25)
-        assert dilate(q, 3.0).contains_cube(q)
+
+def children(grid, Q):
+    """The next-level cubes of grid at the centers of Q's 2^n quadrants."""
+    level, _ = grid.member_index(Q)
+    points = (tuple(c + o * Q.side for c, o in zip(Q.corner, offs)) for offs in product((0.25, 0.75), repeat=Q.dim))
+    return [grid.cube(level + 1, grid.locate_index(level + 1, x)) for x in points]
+
+
+def parent(grid, Q):
+    """The previous-level cube of grid at Q's center."""
+    level, _ = grid.member_index(Q)
+    return grid.cube(level - 1, grid.locate_index(level - 1, Q.center))
 
 
 class TestGridCubes:
     def test_standard_level0(self):
-        got = grid_cubes(DyadicGrid((0.0,)), 0, Cube((0.0,), 1.0))
-        assert got == [Cube((0.0,), 1.0)]
+        assert level_cubes(DyadicGrid((0.0,)), 0, Cube((0.0,), 1.0)) == [Cube((0.0,), 1.0)]
 
     def test_standard_level1(self):
-        got = grid_cubes(DyadicGrid((0.0,)), 1, Cube((0.0,), 1.0))
+        got = level_cubes(DyadicGrid((0.0,)), 1, Cube((0.0,), 1.0))
         assert got == [Cube((0.0,), 0.5), Cube((0.5,), 0.5)]
 
     def test_shifted_level0(self):
-        got = grid_cubes(DyadicGrid((THIRD,)), 0, Cube((0.0,), 1.0))
+        got = level_cubes(DyadicGrid((THIRD,)), 0, Cube((0.0,), 1.0))
         corners = [q.corner[0] for q in got]
         assert corners == pytest.approx([-2.0 / 3.0, 1.0 / 3.0])
 
@@ -73,37 +85,24 @@ class TestGridCubes:
         box = Cube((-1.0, -1.0), 2.0)
         for shift in ((0.0, 0.0), (THIRD, 0.0), (THIRD, THIRD)):
             for level in (0, 1, 2):
-                cubes = grid_cubes(DyadicGrid(shift), level, box)
+                cubes = level_cubes(DyadicGrid(shift), level, box)
                 # cover: total intersected area equals the box area
-                area = 0.0
-                for q in cubes:
-                    w = 1.0
-                    for ax in range(2):
-                        lo = max(q.corner[ax], box.corner[ax])
-                        hi = min(q.corner[ax] + q.side, box.corner[ax] + box.side)
-                        w *= max(hi - lo, 0.0)
-                    area += w
+                area = sum(_overlap(q, box) for q in cubes)
                 assert area == pytest.approx(box.measure, rel=1e-12)
                 # pairwise disjoint
                 for i in range(len(cubes)):
                     for j in range(i + 1, len(cubes)):
-                        assert not cubes[i].intersects(cubes[j])
-
-    def test_too_coarse(self):
-        with pytest.raises(LevelTooCoarse):
-            grid_cubes(DyadicGrid((0.0,)), -3, Cube((0.0,), 1.0))
+                        assert _overlap(cubes[i], cubes[j]) == 0.0
 
     def test_nesting_inclusion_or_disjoint(self):
         grid = DyadicGrid((THIRD,))
         box = Cube((0.0,), 1.0)
-        big = grid_cubes(grid, 1, box)
-        small = grid_cubes(grid, 3, box)
+        big = level_cubes(grid, 1, box)
+        small = level_cubes(grid, 3, box)
         for q in small:
             for p in big:
-                if q.intersects(p):
-                    inter_lo = max(q.corner[0], p.corner[0])
-                    inter_hi = min(q.corner[0] + q.side, p.corner[0] + p.side)
-                    assert inter_hi - inter_lo == pytest.approx(q.side, rel=1e-9)
+                inter = _overlap(q, p)
+                assert inter == 0.0 or inter == pytest.approx(q.side, rel=1e-9)
 
 
 class TestLocateShiftedDyadic:
@@ -184,51 +183,55 @@ def test_batched_locator_equals_the_per_cube_search(batch):
         assert repr(locate_shifted_dyadic(Q)) == repr((want_shift, want)), Q
 
 
-class TestChildrenParent:
-    def test_standard_children(self):
-        kids = dyadic_children(Cube((0.0,), 1.0), DyadicGrid((0.0,)))
-        assert kids == [Cube((0.0,), 0.5), Cube((0.5,), 0.5)]
-
-    def test_standard_parent(self):
-        assert dyadic_parent(Cube((0.0,), 0.5), DyadicGrid((0.0,))) == Cube((0.0,), 1.0)
-
-    def test_not_in_grid(self):
-        with pytest.raises(NotInGrid):
-            dyadic_children(Cube((0.1,), 1.0), DyadicGrid((0.0,)))
-        with pytest.raises(NotInGrid):
-            dyadic_children(Cube((0.0,), 0.7), DyadicGrid((0.0,)))
-
-    @pytest.mark.parametrize("shift", [(0.0,), (THIRD,)])
-    def test_children_tile_parent(self, shift):
-        grid = DyadicGrid(shift)
-        for level in (-1, 0, 1, 2):
-            parent = grid.cube(level, (3,))
-            kids = dyadic_children(parent, grid)
-            assert len(kids) == 2
-            total = sum(k.side for k in kids)
-            assert total == pytest.approx(parent.side, rel=1e-12)
-            for k in kids:
-                assert parent.contains_cube(k, tol=1e-12 * parent.side)
-                assert dyadic_parent(k, grid) == parent
-
-    def test_shifted_parent_membership(self):
-        # level-1 cubes of the shifted grid sit inside level-0 cubes
-        grid = DyadicGrid((THIRD,))
-        for q in grid_cubes(grid, 1, Cube((0.0,), 1.0)):
-            parent = dyadic_parent(q, grid)
-            _, idx = grid.member_index(parent)
-            assert grid.cube(0, idx) == parent
-            assert parent.contains_cube(q, tol=1e-12)
-
-    def test_children_2d(self):
-        grid = DyadicGrid((THIRD, 0.0))
-        parent = grid.cube(0, (1, 2))
-        kids = dyadic_children(parent, grid)
-        assert len(kids) == 4
-        assert sum(k.measure for k in kids) == pytest.approx(parent.measure, rel=1e-12)
-
-
 def test_cube_serialize_roundtrip():
     q = Cube((0.5, -1.25), 0.75)
     parts = q.serialize().split()
     assert [float(p) for p in parts] == [0.5, -1.25, 0.75]
+
+
+class TestChildrenParent:
+    def test_standard_children(self):
+        kids = children(DyadicGrid((0.0,)), Cube((0.0,), 1.0))
+        assert kids == [Cube((0.0,), 0.5), Cube((0.5,), 0.5)]
+
+    def test_standard_parent(self):
+        assert parent(DyadicGrid((0.0,)), Cube((0.0,), 0.5)) == Cube((0.0,), 1.0)
+
+    def test_not_in_grid(self):
+        grid = DyadicGrid((0.0,))
+        for Q in (Cube((0.1,), 1.0), Cube((0.0,), 0.7), Cube((0.0, 0.0), 1.0)):
+            with pytest.raises(NotInGrid):
+                grid.member_index(Q)
+            assert Q not in grid
+        assert Cube((0.5,), 0.5) in grid
+
+    @pytest.mark.parametrize("shift", [(0.0,), (THIRD,)])
+    def test_children_tile_parent(self, shift):
+        # the shift alternates sign with the level, so a cube's two halves are grid cubes
+        grid = DyadicGrid(shift)
+        for level in (-1, 0, 1, 2):
+            up = grid.cube(level, (3,))
+            kids = children(grid, up)
+            assert [k.corner[0] for k in kids] == pytest.approx([up.corner[0], up.corner[0] + up.side / 2])
+            assert sum(k.side for k in kids) == pytest.approx(up.side, rel=1e-12)
+            for k in kids:
+                assert grid.member_index(k)[0] == level + 1
+                assert up.contains_cube(k, tol=1e-12 * up.side)
+                assert parent(grid, k) == up
+
+    def test_shifted_parent_membership(self):
+        # level-1 cubes of the shifted grid sit inside level-0 cubes
+        grid = DyadicGrid((THIRD,))
+        for q in level_cubes(grid, 1, Cube((0.0,), 1.0)):
+            up = parent(grid, q)
+            level, idx = grid.member_index(up)
+            assert level == 0 and grid.cube(0, idx) == up
+            assert up.contains_cube(q, tol=1e-12)
+
+    def test_children_2d(self):
+        grid = DyadicGrid((THIRD, 0.0))
+        up = grid.cube(0, (1, 2))
+        kids = children(grid, up)
+        assert len(set(kids)) == 4
+        assert sum(k.measure for k in kids) == pytest.approx(up.measure, rel=1e-12)
+        assert all(up.contains_cube(k, tol=1e-12) and parent(grid, k) == up for k in kids)

@@ -349,12 +349,14 @@ class TestStructural:
             assert repr(cube_location_worst_ratio(seed, 300, dim)) == repr(cube_location_worst_ratio_oracle(seed, 300, dim))
 
     def test_local_part_ratio_reads_the_local_half_of_the_split(self):
-        from bifrac import local_global_split, sparse_bound
+        from bifrac import bi_frac, sparse_bound
         from bifrac.harness import HARNESS_GRID, HARNESS_Q0, STRUCTURAL_ALPHA
         from bifrac.lattice import _cell_slices
+        from bifrac.operators import _split_weights
 
         for item in corpus(5, "spikes", count=2) + corpus(5, "random-steps", count=2):
-            local, _ = local_global_split(item.f, item.g, STRUCTURAL_ALPHA, HARNESS_Q0)
+            w_local, _ = _split_weights(item.spec, STRUCTURAL_ALPHA, HARNESS_Q0)
+            local = bi_frac(item.f, item.g, STRUCTURAL_ALPHA, weights=w_local)
             sb = sparse_bound(item.f, item.g, STRUCTURAL_ALPHA, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
             sl = _cell_slices(item.spec, HARNESS_Q0, clip=False)
             lv, sv = local.samples[sl].reshape(-1), sb.samples[sl].reshape(-1)
@@ -369,13 +371,14 @@ class TestStructural:
     def test_local_part_flat_matches_series(self):
         # constant data on a root whose tripled subcubes stay inside the
         # box: every cell has the same exact local / sparse ratio
-        from bifrac import Cube, DyadicGrid, GridFunction, local_global_split, sparse_bound
+        from bifrac import Cube, DyadicGrid, GridFunction, bi_frac, sparse_bound
+        from bifrac.operators import _split_weights
 
         spec = HARNESS_SPEC
         q0 = Cube((0.0,), 2.0)
         one = GridFunction.constant(spec, 1.0)
         alpha = 0.5
-        local, _ = local_global_split(one, one, alpha, q0)
+        local = bi_frac(one, one, alpha, weights=_split_weights(spec, alpha, q0)[0])
         sb = sparse_bound(one, one, alpha, 2.0, 2.0, q0, DyadicGrid((0.0,)))
         h = spec.h
         d_max = math.floor(q0.side / h)

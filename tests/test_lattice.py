@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from conftest import cell_bounds_oracle, cell_slices_oracle, root_block_oracle
+from conftest import cell_bounds_oracle, cell_slices_oracle, family_from_cubes, root_block_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +12,7 @@ from bifrac import (
     ConjugateMismatch,
     Cube,
     DegenerateCube,
+    DyadicGrid,
     GridFunction,
     GridSpec,
     InputUnreadable,
@@ -19,15 +20,15 @@ from bifrac import (
     NonNegativityViolation,
     OutOfBox,
     SpecMismatch,
-    bilinear_average,
-    cube_average,
-    integrate,
     read_grid_file,
+    sparse_bound,
+    weighted_bilinear_maximal,
     write_grid_file,
 )
 from bifrac.errors import BifracError
 from bifrac.families import _root_block, _with_cell_bounds
-from bifrac.lattice import CellBoxes, _cell_slices, _scalar_pow
+from bifrac.lattice import CellBoxes, _cell_slices, _scalar_pow, check_conjugate
+from bifrac.operators import _averages, _m3q
 
 
 class TestGridSpec:
@@ -81,14 +82,30 @@ class TestGridFunction:
         assert f.value_at(1.0) == 0.0  # right edge is outside
 
 
+def _integral(f, Q):
+    """\\int_Q f by CubeFamily.integrals on the one-cube family of Q."""
+    return float(family_from_cubes(f.spec, [Q]).integrals(f.samples)[0])
+
+
+def _average(f, Q, p):
+    """((1/|Q|) \\int_Q |f|^p)^(1/p), the cube average the maximal operators read."""
+    return float(_averages(family_from_cubes(f.spec, [Q]), (f.samples,), (p,))[0][0])
+
+
+def _m3q_of(f, g, Q, r, s):
+    """m_{3Q}(|f|^r, |g|^s) over Q's 3Q window, as weighted_bilinear_maximal reads it."""
+    fam = family_from_cubes(f.spec, [Q])
+    return float(_m3q(f.spec, f.samples, g.samples, r, s, fam.windows3, fam.side_powers(f.spec.dim, 3.0))[0])
+
+
 class TestIntegrate:
     def test_constant_over_box(self, spec32):
         f = GridFunction.constant(spec32, 1.0)
-        assert integrate(f, Cube((-1.0,), 2.0)) == pytest.approx(2.0, abs=1e-15)
+        assert _integral(f, Cube((-1.0,), 2.0)) == pytest.approx(2.0, abs=1e-15)
 
     def test_indicator_mass(self, spec32):
         f = GridFunction.indicator(spec32, Cube((0.0,), 1.0))
-        assert integrate(f, Cube((-1.0,), 2.0)) == pytest.approx(1.0, abs=1e-15)
+        assert _integral(f, Cube((-1.0,), 2.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_midpoint_linear_exact(self):
         # f(x) = x sampled at midpoints over 16 cells of [0, 1): sums telescope
@@ -96,22 +113,31 @@ class TestIntegrate:
         mids = spec.midpoints()
         arr = np.where(mids >= 0.0, mids, 0.0)
         f = GridFunction(spec, arr)
-        assert integrate(f, Cube((0.0,), 1.0)) == pytest.approx(0.5, abs=1e-15)
+        assert _integral(f, Cube((0.0,), 1.0)) == pytest.approx(0.5, abs=1e-15)
 
-    def test_non_aligned_rejected(self, spec32):
+    def test_non_aligned_cube_takes_partial_cells(self, spec32):
+        # _cell_slices refuses a corner off the lattice; the family integrates
+        # such a cube over its partial cells
         f = GridFunction.constant(spec32, 1.0)
+        Q = Cube((0.01,), 0.5)
         with pytest.raises(NonAlignedCube):
-            integrate(f, Cube((0.01,), 0.5))
+            _cell_slices(spec32, Q)
+        assert not family_from_cubes(spec32, [Q]).aligned[0]
+        assert _integral(f, Q) == pytest.approx(0.5, rel=1e-12)
 
-    def test_out_of_box_rejected(self, spec32):
+    def test_out_of_box_cube_is_clipped(self, spec32):
+        # _cell_slices refuses a cube sticking out of the box; the family
+        # integral counts only its part inside the box
         f = GridFunction.constant(spec32, 1.0)
+        Q = Cube((0.5,), 1.0)
         with pytest.raises(OutOfBox):
-            integrate(f, Cube((0.5,), 1.0))
+            _cell_slices(spec32, Q)
+        assert _integral(f, Q) == pytest.approx(0.5, rel=1e-12)
 
     def test_additive_over_partition(self, spec32, rng):
         f = GridFunction(spec32, rng.normal(size=32))
-        whole = integrate(f, Cube((-1.0,), 1.0))
-        parts = integrate(f, Cube((-1.0,), 0.5)) + integrate(f, Cube((-0.5,), 0.5))
+        whole = _integral(f, Cube((-1.0,), 1.0))
+        parts = _integral(f, Cube((-1.0,), 0.5)) + _integral(f, Cube((-0.5,), 0.5))
         assert whole == pytest.approx(parts, rel=1e-14)
 
 
@@ -119,18 +145,23 @@ class TestCubeAverage:
     def test_constant(self, spec32):
         f = GridFunction.constant(spec32, -3.0)
         for p in (0.5, 1.0, 2.0, 3.7):
-            assert cube_average(f, Cube((-0.5,), 1.0), p) == pytest.approx(3.0)
+            assert _average(f, Cube((-0.5,), 1.0), p) == pytest.approx(3.0)
 
     def test_indicator_measure_ratio(self, spec32):
         f = GridFunction.indicator(spec32, Cube((0.0,), 1.0))
         q = Cube((-1.0,), 2.0)
-        assert cube_average(f, q, 1.0) == pytest.approx(0.5, abs=1e-15)
-        assert cube_average(f, q, 2.0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert _average(f, q, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert _average(f, q, 2.0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
 
-    def test_degenerate_cube(self, spec32):
-        f = GridFunction.constant(spec32, 1.0)
-        with pytest.raises(DegenerateCube):
-            cube_average(f, Cube((0.0,), 1e-9), 1.0)
+    def test_sub_cell_cube_reads_its_cell(self, spec32):
+        # a cube below one cell (off the lattice) averages the one cell it lies in
+        arr = np.zeros(32)
+        arr[17] = 5.0
+        f = GridFunction(spec32, arr)
+        inside = Cube((spec32.edge(17) + spec32.h / 4,), spec32.h / 4)
+        outside = Cube((spec32.edge(18) + spec32.h / 4,), spec32.h / 4)
+        assert _average(f, inside, 2.0) == pytest.approx(5.0, rel=1e-12)
+        assert _average(f, outside, 2.0) == 0.0
 
     def test_monotone_in_f(self, spec32, rng):
         a = rng.uniform(0.0, 1.0, 32)
@@ -138,46 +169,55 @@ class TestCubeAverage:
         fa = GridFunction(spec32, a)
         fb = GridFunction(spec32, b)
         q = Cube((-0.25,), 0.75)
-        assert cube_average(fa, q, 2.0) <= cube_average(fb, q, 2.0) + 1e-15
+        assert _average(fa, q, 2.0) <= _average(fb, q, 2.0) + 1e-15
 
     def test_power_identity(self, spec32, rng):
         # cube-level power scaling: avg(|f|^l, p/l)^(1/l) == avg(f, p)
         f = GridFunction(spec32, rng.uniform(0.1, 2.0, 32))
         q = Cube((-0.5,), 1.5)
         p, ell = 3.0, 2.0
-        lhs = cube_average(f.abs_pow(ell), q, p / ell) ** (1.0 / ell)
-        rhs = cube_average(f, q, p)
+        lhs = _average(f.abs_pow(ell), q, p / ell) ** (1.0 / ell)
+        rhs = _average(f, q, p)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestBilinearAverage:
     def test_ones(self, spec32):
+        # 3Q inside the box: both averages are 1
         one = GridFunction.constant(spec32, 1.0)
-        for q in (Cube((-1.0,), 2.0), Cube((0.0,), 0.5)):
-            assert bilinear_average(one, one, q, 2.0, 2.0) == pytest.approx(1.0)
+        for q in (Cube((-0.25,), 0.5), Cube((0.0,), 0.125)):
+            assert _m3q_of(one, one, q, 2.0, 2.0) == pytest.approx(1.0, rel=1e-15)
 
     def test_shared_indicator(self, spec32):
-        q = Cube((0.0,), 0.5)
+        # f = 1_Q fills a third of 3Q: (1/3)^(1/2) (1/3)^(1/2)
+        q = Cube((0.0,), 0.25)
         f = GridFunction.indicator(spec32, q)
-        assert bilinear_average(f, f, q, 2.0, 2.0) == pytest.approx(1.0)
+        assert _m3q_of(f, f, q, 2.0, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_disjoint_indicators(self):
+        # 3Q = [0, 1.5): f fills 1 of it, g 0.5
         spec = GridSpec(1, 2.0, 32)
         f = GridFunction.indicator(spec, Cube((0.0,), 1.0))
         g = GridFunction.indicator(spec, Cube((1.0,), 1.0))
-        got = bilinear_average(f, g, Cube((0.0,), 2.0), 2.0, 2.0)
-        assert got == pytest.approx(0.5, rel=1e-14)
+        got = _m3q_of(f, g, Cube((0.5,), 0.5), 2.0, 2.0)
+        assert got == pytest.approx(math.sqrt(2.0) / 3.0, rel=1e-14)
 
     def test_conjugate_mismatch(self, spec32):
         one = GridFunction.constant(spec32, 1.0)
+        for r, s in ((2.0, 2.1), (1.0, math.inf), (0.5, -1.0)):
+            with pytest.raises(ConjugateMismatch):
+                check_conjugate(r, s)
+        check_conjugate(3.0, 1.5)
         with pytest.raises(ConjugateMismatch):
-            bilinear_average(one, one, Cube((0.0,), 0.5), 2.0, 2.1)
+            weighted_bilinear_maximal(one, one, one, one, 0.5, 2.0, 2.1, 1.0)
+        with pytest.raises(ConjugateMismatch):
+            sparse_bound(one, one, 0.5, 2.0, 2.1, Cube((0.0,), 1.0), DyadicGrid((0.0,)))
 
     def test_clipped_outside_box(self, spec32):
-        # cube sticking out: integration clips, measure stays full
+        # 3Q = [0, 1.5) sticks out of the box: integration clips, the measure stays full
         one = GridFunction.constant(spec32, 1.0)
-        got = bilinear_average(one, one, Cube((0.0,), 2.0), 2.0, 2.0)
-        assert got == pytest.approx(0.5, rel=1e-14)  # half the cube has mass
+        got = _m3q_of(one, one, Cube((0.5,), 0.5), 2.0, 2.0)
+        assert got == pytest.approx(2.0 / 3.0, rel=1e-14)
 
 
 @settings(max_examples=40)
@@ -193,9 +233,33 @@ def test_holder_on_grid(data, other, r):
     f = GridFunction(spec, np.array(data))
     g = GridFunction(spec, np.array(other))
     q = Cube((-1.0,), 2.0)
-    lhs = cube_average(f * g, q, 1.0)
-    rhs = cube_average(f, q, r) * cube_average(g, q, s)
+    lhs = _average(f * g, q, 1.0)
+    rhs = _average(f, q, r) * _average(g, q, s)
     assert lhs <= rhs * (1 + 1e-12)
+
+
+class TestTripledWindows:
+    # CellBoxes.tripled: the cell box of 3Q, clipped to the grid
+    def test_interval(self):
+        boxes = CellBoxes.tripled((32,), np.array([[10]]), np.array([4]))
+        assert boxes.lo.tolist() == [[6]] and boxes.ext.tolist() == [[12]]
+
+    def test_square_measure(self):
+        boxes = CellBoxes.tripled((8, 8), np.array([[3, 2]]), np.array([2]))
+        assert boxes.lo.tolist() == [[1, 0]] and boxes.ext.tolist() == [[6, 6]]
+        assert int(boxes.ext.prod()) == 9 * 2 ** 2
+
+    def test_containment(self, rng):
+        n = 64
+        width = rng.integers(1, 17, size=50)
+        lo = rng.integers(0, n - width + 1)[:, None]
+        boxes = CellBoxes.tripled((n,), lo, width)
+        assert (boxes.lo <= lo).all()
+        assert (boxes.lo + boxes.ext >= lo + width[:, None]).all()
+
+    def test_clipped_at_the_box_edge(self):
+        boxes = CellBoxes.tripled((16,), np.array([[0], [12]]), np.array([4, 4]))
+        assert boxes.lo.tolist() == [[0], [8]] and boxes.ext.tolist() == [[8], [8]]
 
 
 class TestGridFileIO:
@@ -419,9 +483,9 @@ def test_the_coordinate_map_reads_far_and_non_finite_coordinates_off_the_lattice
     assert lo[:4].tolist() == [[2 ** 53, 4], [-(2 ** 53), 4], [-(2 ** 53), 4], [4, -(2 ** 53)]]
     assert corner_ok.tolist() == [[True, True], [True, True], [False, True], [True, False], [True, True]]
     assert side_ok.tolist() == [True] * 4 + [False] and width[-1] == -(2 ** 53)
-    f = GridFunction.constant(spec, 1.0)
     with pytest.raises(OutOfBox):
-        integrate(f, Cube((1e300, 0.0), 0.25))
-    assert bilinear_average(f, f, Cube((1e300, 0.0), 0.25), 2.0, 2.0) == 0.0
-    with pytest.raises(NonAlignedCube):
-        integrate(f, Cube((math.nan, 0.0), 0.25))
+        _cell_slices(spec, Cube((1e300, 0.0), 0.25))
+    assert _cell_slices(spec, Cube((1e300, 0.0), 0.25), clip=True) == (slice(0, 0), slice(4, 5))
+    for clip in (False, True):
+        with pytest.raises(NonAlignedCube):
+            _cell_slices(spec, Cube((math.nan, 0.0), 0.25), clip)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import fsum_bound
+from conftest import _cube_power_integral, cell_slices_oracle, family_from_cubes, fsum_bound
 
 from bifrac import (
     Cube,
@@ -10,7 +10,6 @@ from bifrac import (
     GridSpec,
     MorreyParams,
     all_intervals,
-    family_from_cubes,
     lp_norm,
     morrey_norm,
     morrey_norm_witness,
@@ -74,13 +73,12 @@ class TestMorreyNorm:
             morrey_norm_witness(f, MorreyParams(2.0, 1.0), empty)
 
     def test_witness_reproduces(self, spec32, intervals32, rng):
-        from bifrac import integrate
-
         f = GridFunction(spec32, rng.uniform(0, 1, 32))
         params = MorreyParams(4.0, 2.0)
         value, witness = morrey_norm_witness(f, params, intervals32)
-        direct = witness.measure ** (1.0 / params.p0 - 1.0 / params.q) * integrate(
-            f.abs_pow(params.q), witness
+        cells = f.abs_pow(params.q).samples[cell_slices_oracle(spec32, witness)]
+        direct = witness.measure ** (1.0 / params.p0 - 1.0 / params.q) * (
+            float(np.sum(cells)) * spec32.h
         ) ** (1.0 / params.q)
         assert direct == pytest.approx(value, rel=1e-12)
 
@@ -103,14 +101,12 @@ class TestVectorMorrey:
     def test_single_cube_lower_bound(self, spec32, intervals32, rng):
         f1 = GridFunction(spec32, rng.uniform(0, 1, 32))
         f2 = GridFunction(spec32, rng.uniform(0, 1, 32))
-        from bifrac import cube_average
-
         got = vector_morrey_norm(f1, f2, 2.0, 2.0, 3.0, intervals32)
         for Q in intervals32.cubes[::17]:
             lower = (
                 Q.measure ** 0.5
-                * cube_average(f1, Q, 2.0)
-                * cube_average(f2, Q, 3.0)
+                * (_cube_power_integral(f1, 2.0, Q) / Q.measure) ** (1.0 / 2.0)
+                * (_cube_power_integral(f2, 3.0, Q) / Q.measure) ** (1.0 / 3.0)
             )
             assert got >= lower - 1e-12
 
@@ -180,13 +176,12 @@ def test_2d_norm_of_a_corpus_item_is_within_the_fsum_bound_of_the_brute_value():
     # overlap integrals: finite, not NaN, and within fsum_bound of it
     from bifrac.families import default_family
     from bifrac.harness import HARNESS_SPEC_2D, corpus
-    from bifrac.lattice import box_power_integral
 
     f = corpus(0, "random-steps", spec=HARNESS_SPEC_2D, count=1)[0].f
     fam = default_family(HARNESS_SPEC_2D)
     got = morrey_norm(f, MorreyParams(4.0, 2.0), fam)
     brute = max(
-        Q.measure ** 0.25 * (box_power_integral(f, Q.corner, Q.side, 2.0) / Q.measure) ** 0.5
+        Q.measure ** 0.25 * (_cube_power_integral(f, 2.0, Q) / Q.measure) ** 0.5
         for Q in fam.cubes
     )
     assert np.isfinite(got)

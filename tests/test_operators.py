@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import bi_frac_at_oracle, frac_int_at_oracle, kernel_table_2d_oracle, sec_power_integral_oracle, value_at_oracle
+from conftest import (
+    _cube_power_integral,
+    bi_frac_at_oracle,
+    family_from_cubes,
+    frac_int_at_oracle,
+    kernel_table_2d_oracle,
+    sec_power_integral_oracle,
+    value_at_oracle,
+)
 
 from bifrac import (
     AlphaOutOfRange,
@@ -21,12 +29,10 @@ from bifrac import (
     all_intervals,
     bi_frac,
     bi_frac_at,
-    family_from_cubes,
     frac_int,
     frac_int_at,
     frac_maximal,
     kernel_table,
-    local_global_split,
     maximal,
     multi_frac_int,
     multi_frac_int_at,
@@ -381,7 +387,8 @@ class TestOffsetSumOracle:
         f = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.shape))
         g = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.shape))
         Q0 = Cube((0.0, 0.0), 0.5)
-        for half, weights in zip(local_global_split(f, g, 0.9, Q0), _split_weights(spec, 0.9, Q0)):
+        for weights in _split_weights(spec, 0.9, Q0):
+            half = bi_frac(f, g, 0.9, weights=weights)
             assert np.array_equal(half.samples, oracle_bilinear_sum_2d(f.samples, g.samples, weights))
 
 
@@ -681,7 +688,7 @@ class TestSparseBound:
         arr[34:44] = rng.uniform(0.2, 1.0, 10)
         f = GridFunction(spec, arr, nonnegative=True)
         q0 = Cube((0.0,), 4.0)
-        local, glob = local_global_split(f, f, 0.5, q0)
+        local, glob = (bi_frac(f, f, 0.5, weights=w) for w in _split_weights(spec, 0.5, q0))
         sb = sparse_bound(f, f, 0.5, 2.0, 2.0, q0, DyadicGrid((0.0,)))
         full = bi_frac(f, f, 0.5)
         assert np.allclose(local.samples + glob.samples, full.samples, rtol=1e-12)
@@ -740,7 +747,6 @@ class TestOperatorErrors:
         local, far = _split_weights(spec, 0.5, Cube((0.0,) * dim, 0.5))
         calls = [
             (lambda: bi_frac(big, big, 0.5), "bi_frac with alpha = 0.5"),
-            (lambda: local_global_split(big, big, 0.5, Cube((0.0,) * dim, 0.5)), "bi_frac with alpha = 0.5"),
             (lambda: bi_frac(big, big, 0.5, weights=local), "bi_frac with alpha = 0.5"),
             (lambda: bi_frac(big, big, 0.5, weights=far), "bi_frac with alpha = 0.5"),
             (lambda: frac_int(huge, 0.5), "frac_int with alpha = 0.5"),
@@ -849,7 +855,6 @@ class Test2DOperators:
 
     def test_multi_maximal_2d_matches_brute(self, rng):
         from bifrac.families import default_family
-        from bifrac.lattice import box_power_integral
 
         spec = GridSpec(2, 1.0, 8)
         f = GridFunction(spec, rng.uniform(0, 1, (8, 8)), nonnegative=True)
@@ -864,8 +869,8 @@ class Test2DOperators:
             for Q in fam.cubes:
                 if not Q.contains_point(x):
                     continue
-                a1 = (box_power_integral(f, Q.corner, Q.side, r1) / Q.measure) ** (1 / r1)
-                a2 = (box_power_integral(g, Q.corner, Q.side, r2) / Q.measure) ** (1 / r2)
+                a1 = (_cube_power_integral(f, r1, Q) / Q.measure) ** (1 / r1)
+                a2 = (_cube_power_integral(g, r2, Q) / Q.measure) ** (1 / r2)
                 best = max(best, Q.side ** alpha * a1 * a2)
             assert got.samples[ci, cj] == pytest.approx(best, rel=1e-10)
 

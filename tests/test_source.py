@@ -1,6 +1,8 @@
 """Source layout checks: every import of the package sits at module level,
 every module-level name is read somewhere in the package (a public one
 may instead be exported by the package's __init__ or named by the benchmark),
+every public module-level function has a caller in the package, the
+acceptance suite or the benchmark, or a listed reason to exist,
 every public method or property of a package class is read as an attribute
 somewhere in the package, its tests or the benchmark (and is listed when an
 ndarray, a numpy Generator or a str has an attribute of its name),
@@ -91,6 +93,69 @@ def test_every_private_module_name_is_read():
         if not any(name in reads for node, reads in nodes if node is not definition)
     ]
     assert unread == []
+
+
+# Public module-level functions that nothing in the package, the acceptance
+# suite or the benchmark calls, each with the reason it stays.
+_UNCALLED_KEPT = {
+    "sparse_bound": "the one-pair public form of the paper's sparse operator, "
+    "and the reference the local-part tests compare against",
+    "multi_frac_int_at": "the point oracle of multi_frac_int",
+}
+
+
+def _uncalled_functions(package: dict[str, str], acceptance: str, bench: list[str], kept=_UNCALLED_KEPT) -> list[str]:
+    """`module: name` of each public module-level function of the package
+    that no module but __init__ reads outside the function's own definition,
+    that the acceptance suite does not read, that no benchmark source reads
+    as an attribute (a name in a string does not count), and that `kept`
+    does not list.  `package` maps module names to their source."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    nodes = [(node, _reads(node)) for module, tree in trees.items() if module != "__init__" for node in tree.body]
+    bench_reads = {n.attr for source in bench for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute)}
+    called = _reads(ast.parse(acceptance)) | bench_reads | set(kept)
+    return [
+        f"{module}: {fn.name}"
+        for module, tree in trees.items()
+        for fn in tree.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("_")
+        if fn.name not in called
+        # reads inside the function's own definition (a recursive call) do not count
+        if not any(fn.name in reads for node, reads in nodes if node is not fn)
+    ]
+
+
+def test_every_public_function_has_a_caller():
+    package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    bench = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _uncalled_functions(package, acceptance, bench) == []
+    # and every listed name is a function that would fail without its entry
+    unlisted = _uncalled_functions(package, acceptance, bench, kept={})
+    assert sorted(entry.split(": ")[1] for entry in unlisted) == sorted(_UNCALLED_KEPT)
+
+
+_FN = "def f():\n    return 1\n"
+
+
+@pytest.mark.parametrize(
+    "package, acceptance, bench, uncalled",
+    [
+        ({"m": _FN}, "", [], ["m: f"]),
+        ({"m": "def f():\n    return f()\n"}, "", [], ["m: f"]),  # reads only itself
+        ({"m": _FN, "n": "from m import f\nx = f()\n"}, "", [], []),
+        ({"m": _FN, "__init__": "from .m import f\n__all__ = [f]\n"}, "", [], ["m: f"]),
+        ({"m": _FN}, "from bifrac import f\n\ndef test_c():\n    assert f() == 1\n", [], []),
+        ({"m": _FN}, "", ["x = B.f()\n"], []),
+        # a span name in a string, or a bare name, in the benchmark does not count
+        ({"m": _FN}, "", ['f = 1\nspan("m.f")\n'], ["m: f"]),
+        ({"m": "def sparse_bound():\n    pass\n"}, "", [], []),
+        ({"m": "def _f():\n    pass\n\nclass F:\n    pass\n"}, "", [], []),
+    ],
+    ids=["uncalled", "recursive", "package", "init-only", "acceptance", "bench", "bench-string", "listed", "private-or-class"],
+)
+def test_the_caller_check_flags_uncalled_functions(package, acceptance, bench, uncalled):
+    assert _uncalled_functions(package, acceptance, bench) == uncalled
 
 
 # Public methods and properties whose names np.ndarray, np.random.Generator or

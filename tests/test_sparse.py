@@ -15,13 +15,11 @@ from bifrac import (
     DyadicGrid,
     GridFunction,
     GridSpec,
-    LevelAbsent,
     NonNegativityViolation,
     NotInGrid,
     OutOfBox,
     cz_decompose,
     harness,
-    level_union_measure,
     operators,
     sparse,
     sparse_bound,
@@ -290,8 +288,10 @@ class TestCzDecompose:
 
     def test_root_must_be_in_grid(self):
         f = GridFunction.constant(HARNESS_SPEC, 1.0)
-        with pytest.raises(NotInGrid):
-            cz_decompose(f, f, 2.0, 2.0, Cube((0.25,), 1.5), HARNESS_GRID)
+        # a side that is no power of two, and a corner off the grid
+        for root in (Cube((0.25,), 1.5), Cube((0.125,), 1.0)):
+            with pytest.raises(NotInGrid):
+                cz_decompose(f, f, 2.0, 2.0, root, HARNESS_GRID)
 
     def test_base_constant_floor(self):
         f = GridFunction.constant(HARNESS_SPEC, 1.0)
@@ -341,17 +341,32 @@ class TestCzDecompose:
             assert small <= large
 
 
+def _spike_families(heights=(20.0, 200.0, 2000.0)):
+    """Decompositions of one spike at cell 160 of 256 on [-4, 4), root [0, 4): 2, 4 and 6 levels."""
+    spec = GridSpec(1, 4.0, 256)
+    for height in heights:
+        arr = np.zeros(256)
+        arr[160] = height
+        f = GridFunction(spec, arr, nonnegative=True)
+        yield cz_decompose(f, f, 2.0, 2.0, Cube((0.0,), 4.0), DyadicGrid((0.0,)))
+
+
 class TestLevelUnionMeasure:
+    # |Q_{k,j} ∩ D_{k+1}| read off the cell sets: the cells of Q_{k,j} outside E_{k,j}
+
     def test_no_next_level_gives_zero(self):
-        item = corpus(4, "spikes", count=1)[0]
-        fam = cz_decompose(item.f, item.g, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
-        if not fam.levels:
-            pytest.skip("flat item")
-        top = fam.max_level
-        vals = level_union_measure(fam, top)
-        assert all(v == 0.0 for v in vals.values())
+        # at the top level no cube of D_{k+1} exists, so E_{k,j} is all of Q_{k,j}
+        items = corpus(4, "spikes", count=2)
+        fams = [cz_decompose(i.f, i.g, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID) for i in items] + list(_spike_families())
+        for fam in fams:
+            assert fam.levels
+            assert len(fam.level_cells(fam.max_level + 1)) == 0
+            for sc in fam.levels[fam.max_level]:
+                assert sc.e_count == sc.cell_count
+                assert np.array_equal(sc.e_cells, sc.cells)
 
     def test_level_absent(self):
+        # a level with no selected cube reads an empty cell set
         f = GridFunction.indicator(HARNESS_SPEC, HARNESS_Q0)
         flat = cz_decompose(f, f, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
         arr = np.zeros(64)
@@ -360,29 +375,30 @@ class TestLevelUnionMeasure:
         spiky = cz_decompose(f, f, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
         assert not flat.levels and spiky.max_level >= 1
         for fam, k in ((flat, 1), (spiky, 0), (spiky, -1), (spiky, spiky.max_level + 1)):
-            with pytest.raises(LevelAbsent):
-                level_union_measure(fam, k)
+            assert k not in fam.levels
+            cells = fam.level_cells(k)
+            assert cells.dtype == np.int64 and len(cells) == 0
 
     def test_nested_ancestors(self):
-        spec = GridSpec(1, 4.0, 256)
-        q0 = Cube((0.0,), 4.0)
-        arr = np.zeros(256)
-        arr[160] = 20.0
-        f = GridFunction(spec, arr, nonnegative=True)
-        fam = cz_decompose(f, f, 2.0, 2.0, q0, DyadicGrid((0.0,)))
-        vals = level_union_measure(fam, 1)
-        cell = spec.h ** spec.dim
-        for sc in fam.levels[1]:
-            expect = (sc.cell_count - sc.e_count) * cell
-            assert vals[sc.cube] == pytest.approx(expect, abs=0.0)
+        # E_{k,j} = Q_{k,j} \ D_{k+1}, with D_{k+1} the union of the level-(k+1) cubes
+        for fam in _spike_families():
+            assert fam.max_level >= 2
+            for k, scs in fam.levels.items():
+                nxt = fam.level_cells(k + 1)
+                for sc in scs:
+                    assert np.array_equal(sc.e_cells, np.setdiff1d(sc.cells, nxt))
+                    inter = len(np.intersect1d(sc.cells, nxt)) * fam.cell_measure
+                    assert inter == (sc.cell_count - sc.e_count) * fam.cell_measure
 
     def test_half_measure_bound(self):
+        # |Q_{k,j} ∩ D_{k+1}| = |Q_{k,j}| - |E_{k,j}| <= |Q_{k,j}| / 2, from the cell sets
         for seed in range(8):
             for item in corpus(seed, "spikes", count=2):
                 fam = cz_decompose(item.f, item.g, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
-                for k in fam.levels:
-                    for cube, inter in level_union_measure(fam, k).items():
-                        assert inter <= cube.measure / 2.0 + 1e-15
+                for scs in fam.levels.values():
+                    for sc in scs:
+                        inter = (sc.cell_count - sc.e_count) * fam.cell_measure
+                        assert inter <= sc.cube.measure / 2.0 + 1e-15
 
 
 class TestSparseErrors:
@@ -452,7 +468,7 @@ def test_invariants_at_coarser_lattice():
     ],
 )
 def test_a_root_is_checked_as_any_cube_is(spec, root, error):
-    # a root leaving the box raises OutOfBox, as integrate does for any cube,
+    # a root leaving the box raises OutOfBox, as lattice._cell_slices does for any cube,
     # and a root below one cell DegenerateCube, in every reader of the root
     grid = DyadicGrid((0.0,) * spec.dim)
     f = GridFunction.constant(spec, 1.0)
