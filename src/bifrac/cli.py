@@ -182,18 +182,22 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _parse_cube(text: str, dim: int) -> Cube:
-    vals = [float(t) for t in text.split()]
-    if len(vals) != dim + 1:
-        raise ConfigInvalid(f"cube needs {dim + 1} numbers `corner... side`")
-    return Cube(tuple(vals[:-1]), vals[-1])
+def _parse_root(text: str, dim: int) -> Cube:
+    """The --root cube `corner... side`: dim + 1 numbers, a finite corner and a positive finite side."""
+    try:
+        vals = [float(t) for t in text.split()]
+        if len(vals) != dim + 1 or not all(map(math.isfinite, vals[:-1])):
+            raise ValueError(f"needs {dim + 1} numbers `corner... side` with a finite corner")
+        return Cube(tuple(vals[:-1]), vals[-1])
+    except ValueError as exc:
+        raise ConfigInvalid(f"--root {text!r}: {exc}") from exc
 
 
 def cmd_decompose(args) -> int:
     f, g = read_grid_file(args.f), read_grid_file(args.g)
     spec = f.spec
     if args.root:
-        q0 = _parse_cube(args.root, spec.dim)
+        q0 = _parse_root(args.root, spec.dim)
     else:
         q0 = Cube((0.0,) * spec.dim, spec.half_width)
     grid = DyadicGrid((0.0,) * spec.dim)
@@ -378,13 +382,14 @@ def cmd_verify(args) -> int:
             "failures": sum(0 if r.passed else 1 for r in reports),
         }
     else:
-        n_cal = 10 if args.n_cal is None else args.n_cal
-        n_eval = 30 if args.n_eval is None else args.n_eval
-        for flag, count in (("--n-cal", n_cal), ("--n-eval", n_eval)):
+        # only the given counts: protocol_corpora holds the defaults
+        counts = {key: val for key, val in (("n_cal", args.n_cal), ("n_eval", args.n_eval)) if val is not None}
+        for key, count in counts.items():
             if count < 1:
+                flag = "--" + key.replace("_", "-")
                 raise ConfigInvalid(f"{flag!r} must be at least 1, got {count}")
         profile = make_profile(tag, **raw)
-        reports, summary = run_verify(profile, cfg.kind or "random-steps", cfg.seed, n_cal=n_cal, n_eval=n_eval)
+        reports, summary = run_verify(profile, cfg.kind or "random-steps", cfg.seed, **counts)
     _write_csv(
         cfg.out_csv,
         "id,lhs,rhs,constant,ratio,bound,pass",

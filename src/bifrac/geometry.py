@@ -31,8 +31,8 @@ class Cube:
     def __post_init__(self):
         object.__setattr__(self, "corner", tuple(float(c) for c in self.corner))
         object.__setattr__(self, "side", float(self.side))
-        if self.side <= 0.0:
-            raise ValueError(f"cube side must be positive, got {self.side}")
+        if not (0.0 < self.side < math.inf):
+            raise ValueError(f"cube side must be positive and finite, got {self.side}")
         if not self.corner:
             raise ValueError("cube needs at least one coordinate")
 
@@ -43,13 +43,6 @@ class Cube:
     @property
     def measure(self) -> float:
         return self.side ** self.dim
-
-    @property
-    def center(self) -> tuple[float, ...]:
-        return tuple(c + 0.5 * self.side for c in self.corner)
-
-    def contains_point(self, x) -> bool:
-        return all(c <= xi < c + self.side for c, xi in zip(self.corner, x))
 
     def contains_cube(self, other: "Cube", tol: float = 0.0) -> bool:
         return all(
@@ -82,19 +75,6 @@ class DyadicGrid:
     def level_shift(self, level: int) -> tuple[float, ...]:
         sign = -1.0 if level % 2 else 1.0
         return tuple(sign * t for t in self.shift)
-
-    def cube(self, level: int, index: tuple[int, ...]) -> Cube:
-        side = 2.0 ** (-level)
-        sh = self.level_shift(level)
-        return Cube(tuple(side * (m + s) for m, s in zip(index, sh)), side)
-
-    def locate_index(self, level: int, point) -> tuple[int, ...]:
-        """Index of the level-`level` grid cube containing `point`."""
-        side = 2.0 ** (-level)
-        sh = self.level_shift(level)
-        return tuple(
-            int(math.floor(x / side - s + 1e-12)) for x, s in zip(point, sh)
-        )
 
     def member_index(self, Q: Cube) -> tuple[int, tuple[int, ...]]:
         """Level and integer index of Q, or NotInGrid."""

@@ -159,10 +159,6 @@ def _chk(violations, ok: bool, relation: str):
         violations.append(relation)
 
 
-def _inv(x: float) -> float:
-    return 1.0 / x
-
-
 def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[str]]:
     """Derived exponents plus the list of violated relations (empty if valid)."""
     v: list[str] = []
@@ -177,9 +173,9 @@ def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[st
         r, s = float(raw["r"]), float(raw["s"])
         _chk(v, p1 > r > 1, "p1 > r > 1")
         _chk(v, p2 > s > 1, "p2 > s > 1")
-        _chk(v, abs(_inv(r) + _inv(s) - 1.0) <= REL_TOL, "1/r + 1/s = 1")
+        _chk(v, abs(1.0 / r + 1.0 / s - 1.0) <= REL_TOL, "1/r + 1/s = 1")
         _chk(v, 1.0 < p1 and 1.0 < p2, "1 < p1, p2")
-        p = _inv(_inv(p1) + _inv(p2))
+        p = 1.0 / (1.0 / p1 + 1.0 / p2)
         if tag == "C1.4":
             p0 = p
         else:
@@ -188,14 +184,14 @@ def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[st
         if tag in ("T4.2", "T5.1"):
             r0 = float(raw["r0"])
             _chk(v, r0 >= n / alpha - REL_TOL, "r0 >= n/alpha")
-            inv_q0 = _inv(p0) + _inv(r0) - alpha / n
+            inv_q0 = 1.0 / p0 + 1.0 / r0 - alpha / n
         else:
             r0 = None
-            inv_q0 = _inv(p0) - alpha / n
+            inv_q0 = 1.0 / p0 - alpha / n
         if inv_q0 <= REL_TOL:
             v.append("1/q0 = 1/p0 - alpha/n" if r0 is None else "1/q0 = 1/p0 + 1/r0 - alpha/n")
             return None, v
-        q0 = _inv(inv_q0)
+        q0 = 1.0 / inv_q0
         q = q0 * p / p0
         _chk(v, 0.0 < q <= q0 + REL_TOL, "0 < q <= q0")
         _chk(v, p > 1.0 or q > 0.5, "p > 1 or q > 1/2")
@@ -206,7 +202,7 @@ def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[st
             _chk(v, a > 1.0, "a > 1")
             _chk(
                 v,
-                abs(_inv(p1) + _inv(p2) - _inv(q) - alpha / n) <= 1e-9,
+                abs(1.0 / p1 + 1.0 / p2 - 1.0 / q - alpha / n) <= 1e-9,
                 "1/p1 + 1/p2 - 1/q = alpha/n",
             )
         elif tag == "T4.1":
@@ -220,7 +216,7 @@ def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[st
         r1 = q1 = q2 = None
         if tag == "T5.1":
             q1, q2 = float(raw["q1"]), float(raw["q2"])
-            _chk(v, abs(_inv(q1) + _inv(q2) - _inv(p0)) <= 1e-9, "1/q1 + 1/q2 = 1/p0")
+            _chk(v, abs(1.0 / q1 + 1.0 / q2 - 1.0 / p0) <= 1e-9, "1/q1 + 1/q2 = 1/p0")
             _chk(v, p1 <= q1 + REL_TOL and p2 <= q2 + REL_TOL, "p_i <= q_i")
             r1 = a * q if q > 1.0 else q
             _chk(v, q < r1 <= r0 + REL_TOL if q > 1.0 else r1 <= r0, "r1 = aq in (q, r0]")
@@ -237,20 +233,20 @@ def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[st
     r = float(raw.get("r", 2.0))
     _chk(v, r > 1.0, "r > 1")
     s = r / (r - 1.0) if r > 1.0 else 2.0
-    inv_sum = _inv(q1) + _inv(q2)
+    inv_sum = 1.0 / q1 + 1.0 / q2
     _chk(v, alpha / n < inv_sum < 1.0, "alpha/n < 1/q1 + 1/q2 < 1")
     _chk(v, abs(p1 / q1 - p2 / q2) <= 1e-9, "q/q0 = p1/q1 = p2/q2")
     _chk(v, 1.0 < p1 <= q1 + REL_TOL and 1.0 < p2 <= q2 + REL_TOL, "1 < p_i <= q_i")
-    p = _inv(_inv(p1) + _inv(p2))
-    p0 = _inv(inv_sum)
+    p = 1.0 / (1.0 / p1 + 1.0 / p2)
+    p0 = 1.0 / inv_sum
     if tag == "T5.2":
         r0, r1 = float(raw["r0"]), float(raw["r1"])
-        _chk(v, _inv(r0) < alpha / n, "1/r0 < alpha/n")
-        inv_q0 = _inv(r0) + inv_sum - alpha / n
+        _chk(v, 1.0 / r0 < alpha / n, "1/r0 < alpha/n")
+        inv_q0 = 1.0 / r0 + inv_sum - alpha / n
         if inv_q0 <= REL_TOL:
             v.append("1/q0 = 1/r0 + 1/q1 + 1/q2 - alpha/n")
             return None, v
-        q0 = _inv(inv_q0)
+        q0 = 1.0 / inv_q0
         q = q0 * p1 / q1
         _chk(v, r1 > q, "r1 > q")
         _chk(v, 1.0 < r1 <= r0 + REL_TOL, "1 < r1 <= r0")
@@ -261,7 +257,7 @@ def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[st
         if inv_q0 <= REL_TOL:
             v.append("1/q0 = 1/q1 + 1/q2 - alpha/n")
             return None, v
-        q0 = _inv(inv_q0)
+        q0 = 1.0 / inv_q0
         q = q0 * p1 / q1
         _chk(v, 1.0 < q <= q0 + REL_TOL, "1 < q <= q0")
         r0 = r1 = None
@@ -592,7 +588,6 @@ class Report:
     ratio: float
     bound: float
     passed: bool
-    witness: str = ""
     note: str = ""
 
 
@@ -603,7 +598,7 @@ def witness_text(witness) -> str:
     return witness.serialize()
 
 
-def _report(scenario, lhs, rhs, constant, ratio, bound, witness="", note="") -> Report:
+def _report(scenario, lhs, rhs, constant, ratio, bound, note="") -> Report:
     return Report(
         scenario=scenario,
         lhs=lhs,
@@ -612,7 +607,6 @@ def _report(scenario, lhs, rhs, constant, ratio, bound, witness="", note="") -> 
         ratio=ratio,
         bound=bound,
         passed=bool(ratio <= bound),
-        witness=witness,
         note=note,
     )
 
@@ -916,8 +910,7 @@ def verify_calibrated(
             rep.passed = True
         else:
             lhs, rhs, ratio, const = out
-            wit = witness_text(const.witness)
-            rep = _report(scenario, lhs, rhs, const.value, ratio, bound, witness=wit)
+            rep = _report(scenario, lhs, rhs, const.value, ratio, bound)
         reports.append(rep)
     held_out = [r.ratio for r in reports if math.isfinite(r.ratio)]
     return reports, {
@@ -929,12 +922,11 @@ def verify_calibrated(
     }
 
 
-def run_verify(
-    profile: ExponentProfile, kind: str, seed: int, n_cal: int = 10, n_eval: int = 30
-) -> tuple[list[Report], dict]:
-    """Calibrate-then-hold-out on the two corpora of one seed; CLI entry point."""
+def run_verify(profile: ExponentProfile, kind: str, seed: int, **counts) -> tuple[list[Report], dict]:
+    """Calibrate-then-hold-out on the two corpora of one seed; CLI entry point.
+    `counts` (n_cal, n_eval) go to protocol_corpora, which holds their defaults."""
     family = default_family(HARNESS_SPEC)
-    cal_items, eval_items = protocol_corpora(seed, kind, n_cal, n_eval)
+    cal_items, eval_items = protocol_corpora(seed, kind, **counts)
     reports, fields = verify_calibrated(profile, cal_items, eval_items, family, nested_pairs(family))
     return reports, {"schema": 1, "tag": profile.tag, "kind": kind, "seed": seed, **fields}
 

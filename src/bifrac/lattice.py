@@ -103,9 +103,6 @@ class GridSpec:
         """Per-axis cell midpoint coordinates."""
         return self.edge(np.arange(self.cells_per_axis) + 0.5)
 
-    def cell_cube(self, index: tuple[int, ...]) -> Cube:
-        return Cube(tuple(self.edge(i) for i in index), self.h)
-
     def cell_of_point(self, x) -> tuple[int, ...] | None:
         """Cell index containing x, or None when x is outside the box."""
         idx = tuple([math.floor((xi + self.half_width) / self.h + 1e-12) for xi in x])
@@ -146,9 +143,6 @@ class GridFunction:
         arr[sl] = 1.0
         return cls(spec, arr, nonnegative=True)
 
-    def value_at(self, x) -> float:
-        return float(self.values_at(np.reshape(x, self.spec.dim)))
-
     def values_at(self, points) -> np.ndarray:
         """The samples at points of shape (..., n), by the rule of
         GridSpec.cell_of_point: cell floor((x + L) / h + 1e-12) per axis, 0
@@ -162,19 +156,6 @@ class GridFunction:
     def abs_pow(self, p: float) -> "GridFunction":
         """|f|^p as a grid function."""
         return GridFunction(self.spec, np.abs(self.samples) ** p, nonnegative=True)
-
-    def shifted(self, cells: tuple[int, ...]) -> "GridFunction":
-        """Translate by whole cells; mass pushed past the box edge is dropped."""
-        arr = np.zeros(self.spec.shape)
-        src = []
-        dst = []
-        for k in cells if isinstance(cells, tuple) else (cells,):
-            n = self.spec.cells_per_axis
-            lo_dst, hi_dst = max(0, k), min(n, n + k)
-            src.append(slice(lo_dst - k, hi_dst - k))
-            dst.append(slice(lo_dst, hi_dst))
-        arr[tuple(dst)] = self.samples[tuple(src)]
-        return GridFunction(self.spec, arr, nonnegative=self.nonnegative)
 
     def _binary(self, other, op):
         if isinstance(other, GridFunction):
@@ -224,7 +205,7 @@ def _cell_slices(spec: GridSpec, Q: Cube, clip: bool = False):
 
 
 def check_conjugate(r: float, s: float) -> None:
-    if r <= 1 or s <= 1 or abs(1.0 / r + 1.0 / s - 1.0) > CONJUGATE_TOL:
+    if not (r > 1 and s > 1 and abs(1.0 / r + 1.0 / s - 1.0) <= CONJUGATE_TOL):
         raise ConjugateMismatch(f"1/{r} + 1/{s} != 1 within {CONJUGATE_TOL}")
 
 
@@ -606,7 +587,7 @@ def integrate_overlaps(pw: np.ndarray, overlaps: list[tuple[np.ndarray, np.ndarr
 
 def lp_norm(f: GridFunction, p: float) -> float:
     """Global L^p norm over the box."""
-    if p <= 0:
+    if not (p > 0):
         raise ValueError(f"p must be positive, got {p}")
     total = float(np.sum(np.abs(f.samples) ** p)) * f.spec.h ** f.spec.dim
     return total ** (1.0 / p)

@@ -60,7 +60,7 @@ def vector_morrey_norm(
     """max over Q of |Q|^{1/p0} prod_i ((1/|Q|) int_Q |f_i|^{p_i})^{1/p_i}."""
     if family.size == 0:
         raise EmptyCubeFamily("vector_morrey_norm over an empty family")
-    if p1 <= 0 or p2 <= 0:
+    if not (p1 > 0 and p2 > 0):
         raise ExponentOrder("component exponents must be positive")
     factors = [(f1.abs_pow(1.0), p1, 1.0 / p1), (f2.abs_pow(1.0), p2, 1.0 / p2)]
     return _top(_cube_values(family, factors, 1.0 / p0)[0])[0]

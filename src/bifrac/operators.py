@@ -15,7 +15,8 @@ onto [0, inf) per axis (the kernel is even): in 1D the antiderivative, in
 (_sec_power_integrals), so a cell's mass is C(b, d) - C(a, d) - C(b, c) +
 C(a, c).  The origin cell folds onto [0, h/2) once per axis.
 
-Every kernel sum (bi_frac, the halves of its kernel split, frac_int) is
+Every kernel sum (bi_frac, frac_int, and the local half of the kernel
+split, _split_weights, that harness.local_part_ratios sums on a stack) is
 one compensated (Kahan) sum over kernel offsets in a fixed row-major
 order, _offset_sum, in 1D and 2D alike, so results are identical run to
 run.  The point evaluators take one math.fsum over KernelTable.offsets.
@@ -57,13 +58,6 @@ class KernelTable:
         """The offset d*h of each weight: shape weights.shape + (n,)."""
         d = np.indices(self.weights.shape) - (self.spec.cells_per_axis - 1)
         return np.moveaxis(d, 0, -1) * self.spec.h
-
-    def weight(self, offset) -> float:
-        """The mass at offset d: an int in 1D, or one int per axis."""
-        d, n1 = np.atleast_1d(offset).tolist(), self.spec.cells_per_axis - 1
-        if len(d) != self.spec.dim or any(abs(x) > n1 for x in d):
-            raise IndexError(f"offset {offset!r} is not {self.spec.dim} ints with |d_i| <= {n1}")
-        return float(self.weights[tuple(x + n1 for x in d)])
 
 
 def _axis_masses_1d(h: float, alpha: float, count: int) -> np.ndarray:
@@ -238,16 +232,16 @@ def _point_value(terms, operator: str) -> float:
     return _finite(total, operator, "at the point")
 
 
-def bi_frac(f: GridFunction, g: GridFunction, alpha: float, weights: np.ndarray | None = None) -> GridFunction:
+def bi_frac(f: GridFunction, g: GridFunction, alpha: float) -> GridFunction:
     """Bilinear fractional integral sampled at cell midpoints.
 
     out(x) = sum over offset cells d of f(x - dh) g(x + dh) * kernel mass,
-    exact for step data at midpoints.  An explicit `weights` table (same
-    layout as KernelTable.weights) lets callers split the kernel.
+    exact for step data at midpoints.  The local half of the kernel split
+    (_split_weights) is the same _offset_sum on its table, which
+    harness.local_part_ratios takes on a stack of grids.
     """
     spec = _check_same_spec(f, g)
-    if weights is None:
-        weights = kernel_table(spec, alpha).weights
+    weights = kernel_table(spec, alpha).weights
     return _kernel_grid(spec, _offset_sum(weights, f.samples, g.samples), f"bi_frac with alpha = {alpha!r}")
 
 
@@ -418,7 +412,7 @@ def frac_maximal(f: GridFunction, alpha: float, family: CubeFamily | None = None
 
 def p_maximal(f: GridFunction, p: float, family: CubeFamily | None = None) -> GridFunction:
     """L^p-average maximal function, p > 1."""
-    if p <= 1.0:
+    if not (p > 1.0):
         raise POutOfRange(f"p must exceed 1, got {p}")
     family = _family_for(f.spec, family)
     return _sweep(f.spec, family, _averages(family, (f.samples,), (p,))[0], f"p_maximal with p = {p!r}")
@@ -440,7 +434,7 @@ def multi_maximal(
     spec = _check_same_spec(f1, f2)
     if not (0.0 <= alpha < 2.0 * spec.dim):
         raise AlphaOutOfRange(f"alpha must lie in [0, {2 * spec.dim}), got {alpha}")
-    if r1 <= 0 or r2 <= 0:
+    if not (r1 > 0 and r2 > 0):
         raise POutOfRange("averaging exponents must be positive")
     family = _family_for(spec, family)
     a1, a2 = _averages(family, (f1.samples, f2.samples), (r1, r2))
@@ -514,7 +508,7 @@ def weighted_bilinear_maximal(
     """
     spec = _check_same_spec(f, g, w1, w2)
     check_conjugate(r, s)
-    if q <= 0:
+    if not (q > 0):
         raise POutOfRange(f"q must be positive, got {q}")
     if float(w1.samples.min()) <= 0.0 or float(w2.samples.min()) <= 0.0:
         raise NonPositiveWeight("weights must be strictly positive")

@@ -61,10 +61,6 @@ class SparseFamily:
     root_m: float
 
     @property
-    def max_level(self) -> int:
-        return max(self.levels) if self.levels else 0
-
-    @property
     def cell_measure(self) -> float:
         return self.spec.h ** self.spec.dim
 
@@ -108,7 +104,7 @@ def cz_decompose(
     n = spec.dim
     if a is None:
         a = float(2 ** (2 * n + 1))
-    if a <= 2 ** (2 * n):
+    if not (a > 2 ** (2 * n)):
         raise ValueError(f"base constant a must exceed 2^(2n) = {2 ** (2 * n)}")
 
     lo, width, m = _root_m3q(spec, f.samples, g.samples, r, s, Q0, grid)

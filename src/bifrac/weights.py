@@ -136,7 +136,7 @@ def ap_constant(w: GridFunction, p: float, family: CubeFamily) -> ConstantReport
 
     For p = 1 the ratio form sup_Q (avg_Q w) / (min_Q w) is used.
     """
-    if p < 1.0:
+    if not (p >= 1.0):
         raise POutOfRange(f"p must be at least 1, got {p}")
     _check_positive(w)
     family.require_nonempty()
@@ -162,7 +162,7 @@ def multiple_apq_constant(
 
     A p_i = 1 component contributes (min_Q w_i)^{-1}.
     """
-    if p1 < 1.0 or p2 < 1.0 or q <= 0.0:
+    if not (p1 >= 1.0 and p2 >= 1.0 and q > 0.0):
         raise POutOfRange("need p_i >= 1 and q > 0")
     family.require_nonempty()
     factors = [(wv.nu, q, 1.0 / q), _dual(wv.w1, p1), _dual(wv.w2, p2)]
@@ -203,9 +203,9 @@ def two_weight_constant(
 
 
 def _pair_constant(lead, wv, q0, q, p1, p2, pairs, r0) -> ConstantReport:
-    if p1 <= 1.0 or p2 <= 1.0:
+    if not (p1 > 1.0 and p2 > 1.0):
         raise POutOfRange("pair constants need p_i > 1")
-    if q0 <= 0.0 or q <= 0.0:
+    if not (q0 > 0.0 and q > 0.0):
         raise POutOfRange("need q0 > 0 and q > 0")
     _check_positive(lead)
     pairs.require_nonempty()
@@ -236,7 +236,7 @@ def reverse_holder_probe(w: GridFunction, epsilon: float, family: CubeFamily) ->
     Cubes where avg_Q w = 0 bound nothing, as both sides vanish there, and
     are left out; a weight that is 0 on every cube raises NonPositiveWeight.
     """
-    if epsilon <= 0.0:
+    if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     _check_positive(w)
     family.require_nonempty()

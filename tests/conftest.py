@@ -70,6 +70,24 @@ def family_from_cubes(spec, cubes, name="custom"):
     return _with_cell_bounds(spec, corners, sides, name)
 
 
+def grid_cube(grid, level, index):
+    """The level-`level` cube of a DyadicGrid at an integer index: side
+    2^-level, corner 2^-level (index + the level's shift), one cube at a time."""
+    side = 2.0 ** (-level)
+    return Cube(tuple(side * (m + s) for m, s in zip(index, grid.level_shift(level))), side)
+
+
+def grid_index(grid, level, point):
+    """The index of the level-`level` cube of grid holding point."""
+    side = 2.0 ** (-level)
+    return tuple(int(math.floor(x / side - s + 1e-12)) for x, s in zip(point, grid.level_shift(level)))
+
+
+def contains_point(Q, x):
+    """Half-open membership: c <= x < c + side on every axis."""
+    return all(c <= xi < c + Q.side for c, xi in zip(Q.corner, x))
+
+
 def locate_shifted_dyadic_oracle(Q: Cube):
     """The slow oracle for locate_shifted_cubes: one cube at a time, every
     level whose side lies in [side(Q), 6 side(Q)] and every shift, keeping
@@ -87,7 +105,7 @@ def locate_shifted_dyadic_oracle(Q: Cube):
             continue
         for shift in product((0.0, _THIRD), repeat=n):
             grid = DyadicGrid(shift)
-            cand = grid.cube(level, grid.locate_index(level, Q.corner))
+            cand = grid_cube(grid, level, grid_index(grid, level, Q.corner))
             if cand.contains_cube(Q, tol=tol + 1e-12 * side):
                 key = (cand.side, shift, cand.corner)
                 if best_key is None or key < best_key:

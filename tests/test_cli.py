@@ -132,6 +132,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"ConfigInvalid: {needs}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["constants", "--constant", "ap", "--p", "nan"], "POutOfRange"),
+            (["constants", "--constant", "reverse-holder", "--epsilon", "nan"], "ValueError"),
+            (["decompose", "--a", "nan"], "ValueError"),
+            (["apply", "--op", "p-maximal", "--p", "nan"], "POutOfRange"),
+        ],
+        ids=["ap-p", "reverse-holder-epsilon", "decompose-a", "p-maximal-p"],
+    )
+    def test_a_nan_exponent_is_an_input_error(self, grids, capsys, argv, error):
+        out = grids["dir"] / "out"
+        inputs = {
+            "constants": ["--weight", str(grids["f"]), "--out-json", str(out)],
+            "decompose": ["--f", str(grids["f"]), "--g", str(grids["f"]), "--out-json", str(out)],
+            "apply": ["--input", str(grids["f"]), "--output", str(out)],
+        }
+        assert main([*argv, *inputs[argv[0]]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{error}: ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_input_is_config_error(self, tmp_path):
         rc = main(
             [
@@ -613,6 +635,12 @@ class TestDecomposeCommand:
         assert err.startswith("AverageOverflow: ") and "r = 2.0, s = 2.0" in err
         assert "root cube 0.0 4.0" in err and "Traceback" not in err
 
+
+    @pytest.mark.parametrize("root", ["0 inf", "x 1", "0 nan", "0 -1", "0", "0 1 1", "inf 1", "nan 1"])
+    def test_a_root_that_is_not_a_cube_is_config_error(self, grids, capsys, root):
+        assert main(["decompose", "--f", str(grids["one"]), "--g", str(grids["one"]), "--root", root]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ConfigInvalid: --root {root!r}: ") and "Traceback" not in err
 
     def test_a_root_leaving_the_box_is_out_of_box(self, grids, capsys):
         # [4, 8) is a cube of the grid, past the box [-4, 4)

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from conftest import (
     _cube_power_integral,
+    contains_point,
     digit_blocks_oracle,
     digit_sums_oracle,
     enumerate_nested_pairs,
     family_from_cubes,
+    grid_cube,
     nested_pair_count_oracle,
 )
 from hypothesis import given, settings
@@ -439,7 +441,7 @@ def test_sweep_of_clipped_non_square_cover_boxes_2d():
     mids = spec.midpoints()
     for k, Q in enumerate(cubes):
         only = np.where(np.arange(len(cubes)) == k, 1.0, -np.inf)
-        covered = [[Q.contains_point((x, y)) for y in mids] for x in mids]
+        covered = [[contains_point(Q, (x, y)) for y in mids] for x in mids]
         assert np.array_equal(fam.cover.sweep(only) == 1.0, covered)
 
 
@@ -453,7 +455,7 @@ def family_2d_n32():
 def test_the_2d_default_family_is_every_square_and_shifted_grid_cube_once(n):
     # built here cube by cube: the power-of-two lattice squares, and the
     # in-box cubes of the four shifted dyadic grids at sides 2L ... h, each
-    # grid's cubes listed by DyadicGrid.cube over an index range past the box
+    # grid's cubes listed by conftest.grid_cube over an index range past the box
     spec = GridSpec(2, 2.0, n)
     half, h = spec.half_width, spec.h
     want = set()
@@ -466,7 +468,7 @@ def test_the_2d_default_family_is_every_square_and_shifted_grid_cube_once(n):
         for level in range(-2, n.bit_length() - 2):  # sides 4 = 2L down to 4 / n = h
             m = math.ceil(half / 2.0 ** -level) + 1
             for index in product(range(-m, m + 1), repeat=2):
-                Q = grid.cube(level, index)
+                Q = grid_cube(grid, level, index)
                 if spec.box_cube.contains_cube(Q, tol=1e-9):
                     want.add((*(round(c, 9) for c in Q.corner), round(Q.side, 9)))
     family = default_family(spec)
@@ -511,7 +513,7 @@ def _brute_force_maxima(f, w, family, p0, q):
         ap1 = max(ap1, w1 / w.samples[np.ix_(*inside)].min())
         ap2 = max(ap2, w1 * w_dual)
         morrey = max(morrey, Q.measure ** (1.0 / p0) * fq ** (1.0 / q))
-        covered = np.array([Q.contains_point(x) for x in mids])
+        covered = np.array([contains_point(Q, x) for x in mids])
         grid[covered] = np.maximum(grid[covered], f1)
     return np.where(np.isneginf(grid), 0.0, grid).reshape(spec.shape), ap1, ap2, morrey
 
@@ -603,7 +605,7 @@ def test_pair_count_equals_the_listed_pairs_on_subfamilies_with_repeats(dim, n, 
     cubes += [Cube((c + spec.h / 3,) * dim, spec.h) for c in rng.uniform(-4.0, 3.0, rng.integers(0, 3))]
     if dim == 2:
         for side in rng.integers(1, n + 1, rng.integers(0, 60)).tolist():
-            cubes.append(Cube(spec.cell_cube(tuple(rng.integers(0, n - side + 1, 2))).corner, side * spec.h))
+            cubes.append(Cube(tuple(spec.edge(rng.integers(0, n - side + 1, 2))), side * spec.h))
         cubes = [cubes[k] for k in rng.integers(0, len(cubes), len(cubes))]  # and repeat some
     family = family_from_cubes(spec, cubes)
     inner, _ = enumerate_nested_pairs(family)
@@ -719,7 +721,7 @@ def test_maximal_sweeps_at_n512_match_max_over_containing_intervals():
 
 def _max_over_containing_cubes(family, values):
     """Per cell, the max of values over the cubes holding its midpoint, as
-    Cube.contains_point (c <= x < c + side per axis); 0 if non-finite."""
+    conftest.contains_point (c <= x < c + side per axis); 0 if non-finite."""
     mids = family.spec.midpoints()[:, None]
     start, stop = family.corners, family.corners + family.sides[:, None]
     rows, cols = ((start[:, ax] <= mids) & (mids < stop[:, ax]) for ax in range(2))
@@ -770,7 +772,7 @@ def test_family_cover_and_touch_boxes_2d():
     edges = -spec.half_width + spec.h * np.arange(spec.cells_per_axis + 1)
     for k, Q in enumerate(fam.cubes):
         only = np.where(np.arange(fam.size) == k, 1.0, -np.inf)
-        covered = [[Q.contains_point((x, y)) for y in mids] for x in mids]
+        covered = [[contains_point(Q, (x, y)) for y in mids] for x in mids]
         a, b = (
             (edges[1:] > c + 1e-9 * spec.h) & (edges[:-1] < c + Q.side - 1e-9 * spec.h)
             for c in Q.corner

@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import locate_shifted_dyadic_oracle
+from conftest import grid_cube, grid_index, locate_shifted_dyadic_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,19 +20,18 @@ THIRD = 1.0 / 3.0
 
 
 class TestCube:
-    def test_measure_and_center(self):
+    def test_measure(self):
         q = Cube((0.0, 0.0), 3.0)
         assert q.measure == 9.0
-        assert q.center == (1.5, 1.5)
 
     def test_rejects_flat(self):
         with pytest.raises(ValueError):
             Cube((0.0,), 0.0)
 
-    def test_half_open_membership(self):
-        q = Cube((0.0,), 1.0)
-        assert q.contains_point((0.0,))
-        assert not q.contains_point((1.0,))
+    @pytest.mark.parametrize("side", [-1.0, math.inf, math.nan])
+    def test_rejects_a_side_that_is_not_positive_and_finite(self, side):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Cube((0.0,), side)
 
 
 def _overlap(p, q):
@@ -45,13 +44,13 @@ def _overlap(p, q):
 
 
 def level_cubes(grid, level, box):
-    """The level-`level` cubes of grid that meet box, from DyadicGrid.cube over an index range."""
+    """The level-`level` cubes of grid that meet box, from conftest.grid_cube over an index range."""
     side = 2.0 ** (-level)
     ranges = [
         range(math.floor(c / side - s) - 1, math.ceil((c + box.side) / side - s) + 2)
         for c, s in zip(box.corner, grid.level_shift(level))
     ]
-    cubes = (grid.cube(level, idx) for idx in product(*ranges))
+    cubes = (grid_cube(grid, level, idx) for idx in product(*ranges))
     return [q for q in cubes if _overlap(q, box) > 0.0]
 
 
@@ -59,13 +58,14 @@ def children(grid, Q):
     """The next-level cubes of grid at the centers of Q's 2^n quadrants."""
     level, _ = grid.member_index(Q)
     points = (tuple(c + o * Q.side for c, o in zip(Q.corner, offs)) for offs in product((0.25, 0.75), repeat=Q.dim))
-    return [grid.cube(level + 1, grid.locate_index(level + 1, x)) for x in points]
+    return [grid_cube(grid, level + 1, grid_index(grid, level + 1, x)) for x in points]
 
 
 def parent(grid, Q):
     """The previous-level cube of grid at Q's center."""
     level, _ = grid.member_index(Q)
-    return grid.cube(level - 1, grid.locate_index(level - 1, Q.center))
+    center = tuple(c + 0.5 * Q.side for c in Q.corner)
+    return grid_cube(grid, level - 1, grid_index(grid, level - 1, center))
 
 
 class TestGridCubes:
@@ -129,8 +129,7 @@ class TestLocateShiftedDyadic:
                 continue
             for shift in ((0.0,), (THIRD,)):
                 grid = DyadicGrid(shift)
-                idx = grid.locate_index(level, q.corner)
-                cand = grid.cube(level, idx)
+                cand = grid_cube(grid, level, grid_index(grid, level, q.corner))
                 if cand.contains_cube(q, tol=1e-12):
                     assert cand.side >= best - 1e-12
 
@@ -210,7 +209,7 @@ class TestChildrenParent:
         # the shift alternates sign with the level, so a cube's two halves are grid cubes
         grid = DyadicGrid(shift)
         for level in (-1, 0, 1, 2):
-            up = grid.cube(level, (3,))
+            up = grid_cube(grid, level, (3,))
             kids = children(grid, up)
             assert [k.corner[0] for k in kids] == pytest.approx([up.corner[0], up.corner[0] + up.side / 2])
             assert sum(k.side for k in kids) == pytest.approx(up.side, rel=1e-12)
@@ -225,12 +224,12 @@ class TestChildrenParent:
         for q in level_cubes(grid, 1, Cube((0.0,), 1.0)):
             up = parent(grid, q)
             level, idx = grid.member_index(up)
-            assert level == 0 and grid.cube(0, idx) == up
+            assert level == 0 and grid_cube(grid, 0, idx) == up
             assert up.contains_cube(q, tol=1e-12)
 
     def test_children_2d(self):
         grid = DyadicGrid((THIRD, 0.0))
-        up = grid.cube(0, (1, 2))
+        up = grid_cube(grid, 0, (1, 2))
         kids = children(grid, up)
         assert len(set(kids)) == 4
         assert sum(k.measure for k in kids) == pytest.approx(up.measure, rel=1e-12)

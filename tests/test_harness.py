@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import bifrac.harness as H
 from bifrac import (
+    AverageOverflow,
     Cube,
     GridFunction,
     InfiniteConstant,
@@ -349,17 +350,17 @@ class TestStructural:
             assert repr(cube_location_worst_ratio(seed, 300, dim)) == repr(cube_location_worst_ratio_oracle(seed, 300, dim))
 
     def test_local_part_ratio_reads_the_local_half_of_the_split(self):
-        from bifrac import bi_frac, sparse_bound
+        from bifrac import sparse_bound
         from bifrac.harness import HARNESS_GRID, HARNESS_Q0, STRUCTURAL_ALPHA
         from bifrac.lattice import _cell_slices
-        from bifrac.operators import _split_weights
+        from bifrac.operators import _offset_sum, _split_weights
 
         for item in corpus(5, "spikes", count=2) + corpus(5, "random-steps", count=2):
             w_local, _ = _split_weights(item.spec, STRUCTURAL_ALPHA, HARNESS_Q0)
-            local = bi_frac(item.f, item.g, STRUCTURAL_ALPHA, weights=w_local)
+            local = _offset_sum(w_local, item.f.samples, item.g.samples)
             sb = sparse_bound(item.f, item.g, STRUCTURAL_ALPHA, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
             sl = _cell_slices(item.spec, HARNESS_Q0, clip=False)
-            lv, sv = local.samples[sl].reshape(-1), sb.samples[sl].reshape(-1)
+            lv, sv = local[sl].reshape(-1), sb.samples[sl].reshape(-1)
             assert np.all(sv > 0)
             assert repr(local_part_ratio(item)) == repr(float(np.max(lv / sv)))
 
@@ -368,17 +369,25 @@ class TestStructural:
         items = corpus(11, "spikes", spec, count=3) + corpus(11, "random-steps", spec, count=3)
         assert repr(local_part_ratios(items)) == repr([local_part_ratio(it) for it in items])
 
+    @pytest.mark.parametrize("spec", [HARNESS_SPEC, HARNESS_SPEC_2D], ids=["1d", "2d"])
+    def test_a_local_kernel_sum_past_the_float_range_is_named(self, spec):
+        # every bilinear term 1e200 * 1e200 leaves the float range
+        big = GridFunction.constant(spec, 1e200)
+        item = dataclasses.replace(corpus(3, "random-steps", spec, count=1)[0], f=big, g=big)
+        with pytest.raises(AverageOverflow, match=r"^bi_frac with alpha = 0\.5 leaves the float range on a cell$"):
+            local_part_ratios([item])
+
     def test_local_part_flat_matches_series(self):
         # constant data on a root whose tripled subcubes stay inside the
         # box: every cell has the same exact local / sparse ratio
-        from bifrac import Cube, DyadicGrid, GridFunction, bi_frac, sparse_bound
-        from bifrac.operators import _split_weights
+        from bifrac import Cube, DyadicGrid, GridFunction, sparse_bound
+        from bifrac.operators import _offset_sum, _split_weights
 
         spec = HARNESS_SPEC
         q0 = Cube((0.0,), 2.0)
         one = GridFunction.constant(spec, 1.0)
         alpha = 0.5
-        local = bi_frac(one, one, alpha, weights=_split_weights(spec, alpha, q0)[0])
+        local = _offset_sum(_split_weights(spec, alpha, q0)[0], one.samples, one.samples)
         sb = sparse_bound(one, one, alpha, 2.0, 2.0, q0, DyadicGrid((0.0,)))
         h = spec.h
         d_max = math.floor(q0.side / h)
@@ -387,7 +396,7 @@ class TestStructural:
         bot = sum((q0.side * 2.0 ** (-k)) ** alpha for k in range(levels))
         lo_cell = spec.cell_of_point((0.0 + h / 2,))[0]
         hi_cell = spec.cell_of_point((2.0 - h / 2,))[0] + 1
-        ratios = local.samples[lo_cell:hi_cell] / sb.samples[lo_cell:hi_cell]
+        ratios = local[lo_cell:hi_cell] / sb.samples[lo_cell:hi_cell]
         assert np.allclose(ratios, top / bot, rtol=1e-9)
 
     def test_sparse_invariants_over_corpora(self):
@@ -433,7 +442,7 @@ class TestInequalitySuite:
     def test_run_verify_counts_skipped_scenarios(self, monkeypatch):
         _tiny_weights_where(monkeypatch, lambda seed, i: seed == 13 and i in (1, 3))
         prof = catalog_profiles("T1.1")[0]
-        runs = [run_verify(prof, "random-steps", 13, 3, 5) for _ in range(2)]
+        runs = [run_verify(prof, "random-steps", 13, n_cal=3, n_eval=5) for _ in range(2)]
         (reports, summary), (_, again) = runs
         assert summary["skipped"] == 2 == again["skipped"]
         assert [r.note == H.SKIPPED_NOTE for r in reports] == [False, True, False, True, False]
@@ -443,7 +452,7 @@ class TestInequalitySuite:
         cal_seed = _mix_seed(13, "calibration")
         _tiny_weights_where(monkeypatch, lambda seed, i: seed == cal_seed and i == 2)
         prof = catalog_profiles("T1.1")[0]
-        reports, summary = run_verify(prof, "random-steps", 13, 3, 5)
+        reports, summary = run_verify(prof, "random-steps", 13, n_cal=3, n_eval=5)
         finite = []
         for item in corpus(cal_seed, "random-steps", count=2):
             lhs, rhs, const = evaluate_inequality_item(prof, item, fam64, pairs64)
@@ -458,7 +467,7 @@ class TestInequalitySuite:
         _tiny_weights_where(monkeypatch, lambda seed, i: seed == cal_seed)
         prof = catalog_profiles("T1.1")[0]
         with pytest.raises(InfiniteConstant):
-            run_verify(prof, "random-steps", 13, 3, 5)
+            run_verify(prof, "random-steps", 13, n_cal=3, n_eval=5)
         argv = ["verify", "--tag", "T1.1", "--seed", "13", "--n-cal", "3", "--n-eval", "2"]
         assert main(argv) == 2
         assert "InfiniteConstant" in capsys.readouterr().err

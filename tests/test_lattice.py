@@ -75,11 +75,10 @@ class TestGridFunction:
         with pytest.raises(ValueError):
             f.samples[0] = 1.0
 
-    def test_value_at_outside_box(self, spec32):
+    def test_values_at_outside_box(self, spec32):
         f = GridFunction.constant(spec32, 3.0)
-        assert f.value_at(5.0) == 0.0
-        assert f.value_at(-1.0) == 3.0  # half-open left edge is inside
-        assert f.value_at(1.0) == 0.0  # right edge is outside
+        # outside, then the half-open box's left edge (inside) and right edge (outside)
+        assert f.values_at(np.array([[5.0], [-1.0], [1.0]])).tolist() == [0.0, 3.0, 0.0]
 
 
 def _integral(f, Q):

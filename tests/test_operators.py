@@ -2,6 +2,7 @@
 
 import math
 import re
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     _cube_power_integral,
     bi_frac_at_oracle,
+    contains_point,
     family_from_cubes,
     frac_int_at_oracle,
     kernel_table_2d_oracle,
@@ -58,13 +60,13 @@ class TestKernelTable:
         h = spec.h
         table = kernel_table(spec, 0.5)
         expect = 2.0 * (math.sqrt(1.5 * h) - math.sqrt(0.5 * h))
-        assert table.weight(1) == pytest.approx(expect, rel=1e-14)
+        assert table.weights[31 + 1] == pytest.approx(expect, rel=1e-14)  # offset d at d + N - 1
 
     def test_origin_cell_closed_form(self):
         spec = GridSpec(1, 1.0, 32)
         h = spec.h
         table = kernel_table(spec, 0.5)
-        assert table.weight(0) == pytest.approx(4.0 * math.sqrt(0.5 * h), rel=1e-14)
+        assert table.weights[31] == pytest.approx(4.0 * math.sqrt(0.5 * h), rel=1e-14)
 
     def test_gauss_table_is_leggauss(self):
         nodes, weights = np.polynomial.legendre.leggauss(48)
@@ -75,12 +77,11 @@ class TestKernelTable:
         # as alpha -> 1 each cell mass approaches the cell width h
         spec = GridSpec(1, 1.0, 32)
         table = kernel_table(spec, 1.0 - 1e-9)
-        assert table.weight(3) == pytest.approx(spec.h, rel=1e-6)
+        assert table.weights[31 + 3] == pytest.approx(spec.h, rel=1e-6)
 
     def test_symmetry(self, spec32):
         table = kernel_table(spec32, 0.7)
-        for d in range(1, 31):
-            assert table.weight(d) == table.weight(-d)
+        assert np.array_equal(table.weights, table.weights[::-1])
 
     def test_cache_is_bounded_and_holds_a_runs_tables(self):
         # three 2D alphas and one 1D alpha, as in one benchmark workload
@@ -96,24 +97,16 @@ class TestKernelTable:
         spec = GridSpec(2, 1.0, 8)
         table = kernel_table(spec, 1.3)
         assert np.all(table.weights > 0)
-        assert table.weight((2, 3)) == table.weight((-2, 3))
-        assert table.weight((2, 3)) == table.weight((3, 2))
+        # offsets (2, 3), (-2, 3) and (3, 2) at d + N - 1 per axis
+        assert table.weights[9, 10] == table.weights[5, 10] == table.weights[10, 9]
 
-    def test_weight_reads_every_offset_up_to_n_minus_1_in_1d(self):
-        table = kernel_table(GridSpec(1, 1.0, 8), 0.5)
-        for d in range(-7, 8):
-            assert table.weight(d) == table.weight((d,)) == table.weights[d + 7]
-        for bad in (8, -8, (8,), (-8,), (1, 2), ()):
-            with pytest.raises(IndexError, match="offset"):
-                table.weight(bad)
-
-    def test_weight_reads_every_offset_up_to_n_minus_1_in_2d(self):
-        table = kernel_table(GridSpec(2, 1.0, 8), 1.3)
-        for d0, d1 in ((-7, -7), (-7, 7), (7, -7), (7, 7), (0, 0), (2, -3)):
-            assert table.weight((d0, d1)) == table.weights[d0 + 7, d1 + 7]
-        for bad in ((8, 0), (-8, 0), (0, 8), (0, -8), 3, (3,), (1, 2, 3)):
-            with pytest.raises(IndexError, match="offset"):
-                table.weight(bad)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_offsets_hold_every_offset_up_to_n_minus_1_at_d_plus_n_minus_1(self, dim):
+        spec = GridSpec(dim, 1.0, 8)
+        table = kernel_table(spec, 0.5 * dim)
+        assert table.weights.shape == (15,) * dim and table.offsets.shape == (15,) * dim + (dim,)
+        for d in product(range(-7, 8), repeat=dim):
+            assert table.offsets[tuple(x + 7 for x in d)].tolist() == [x * spec.h for x in d]
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.99])
     @pytest.mark.parametrize("L", [1.0, 2.0, 3.0, 4.0])
@@ -200,7 +193,8 @@ class TestBiFrac:
         f = GridFunction(spec, arr_f)
         g = GridFunction(spec, arr_g)
         base = bi_frac(f, g, 0.5)
-        shifted = bi_frac(f.shifted((5,)), g.shifted((5,)), 0.5)
+        # both vanish on the last 5 cells, so a roll is a translation by 5 cells
+        shifted = bi_frac(GridFunction(spec, np.roll(arr_f, 5)), GridFunction(spec, np.roll(arr_g, 5)), 0.5)
         assert np.allclose(shifted.samples[10:60], base.samples[5:55], rtol=1e-12)
 
     def test_dilation_homogeneity(self, rng):
@@ -355,11 +349,13 @@ def kernel_sum_cases(draw):
 class TestOffsetSumOracle:
     @settings(max_examples=80)
     @given(kernel_sum_cases())
-    def test_bi_frac_equals_the_per_dimension_loops(self, case):
+    def test_the_bilinear_offset_sum_equals_the_per_dimension_loops(self, case):
         f, g, alpha, weights = case
         oracle = oracle_bilinear_sum_1d if f.spec.dim == 1 else oracle_bilinear_sum_2d
         want = oracle(f.samples, g.samples, weights)
-        assert np.array_equal(bi_frac(f, g, alpha, weights=weights).samples, want)
+        assert np.array_equal(operators._offset_sum(weights, f.samples, g.samples), want)
+        if np.array_equal(weights, kernel_table(f.spec, alpha).weights):  # bi_frac's own table
+            assert np.array_equal(bi_frac(f, g, alpha).samples, want)
 
     @settings(max_examples=40)
     @given(kernel_sum_cases())
@@ -388,8 +384,8 @@ class TestOffsetSumOracle:
         g = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.shape))
         Q0 = Cube((0.0, 0.0), 0.5)
         for weights in _split_weights(spec, 0.9, Q0):
-            half = bi_frac(f, g, 0.9, weights=weights)
-            assert np.array_equal(half.samples, oracle_bilinear_sum_2d(f.samples, g.samples, weights))
+            half = operators._offset_sum(weights, f.samples, g.samples)
+            assert np.array_equal(half, oracle_bilinear_sum_2d(f.samples, g.samples, weights))
 
 
 @st.composite
@@ -688,12 +684,12 @@ class TestSparseBound:
         arr[34:44] = rng.uniform(0.2, 1.0, 10)
         f = GridFunction(spec, arr, nonnegative=True)
         q0 = Cube((0.0,), 4.0)
-        local, glob = (bi_frac(f, f, 0.5, weights=w) for w in _split_weights(spec, 0.5, q0))
+        local, glob = (operators._offset_sum(w, f.samples, f.samples) for w in _split_weights(spec, 0.5, q0))
         sb = sparse_bound(f, f, 0.5, 2.0, 2.0, q0, DyadicGrid((0.0,)))
         full = bi_frac(f, f, 0.5)
-        assert np.allclose(local.samples + glob.samples, full.samples, rtol=1e-12)
+        assert np.allclose(local + glob, full.samples, rtol=1e-12)
         cells = slice(32, 64)
-        ratio = local.samples[cells] / np.maximum(sb.samples[cells], 1e-300)
+        ratio = local[cells] / np.maximum(sb.samples[cells], 1e-300)
         assert np.max(ratio) < 4.0  # see harness calibration for the real bound
 
 
@@ -744,11 +740,8 @@ class TestOperatorErrors:
         # the convolution's sum of 1e308 cells; a RuntimeWarning fails the test
         spec = GridSpec(dim, 1.0, 16 if dim == 1 else 8)
         big, huge = GridFunction.constant(spec, 1e200), GridFunction.constant(spec, 1e308)
-        local, far = _split_weights(spec, 0.5, Cube((0.0,) * dim, 0.5))
         calls = [
             (lambda: bi_frac(big, big, 0.5), "bi_frac with alpha = 0.5"),
-            (lambda: bi_frac(big, big, 0.5, weights=local), "bi_frac with alpha = 0.5"),
-            (lambda: bi_frac(big, big, 0.5, weights=far), "bi_frac with alpha = 0.5"),
             (lambda: frac_int(huge, 0.5), "frac_int with alpha = 0.5"),
             (lambda: multi_frac_int(big, big, 0.5), "multi_frac_int with alpha = 0.5"),
         ]
@@ -867,7 +860,7 @@ class Test2DOperators:
             x = (mids[ci], mids[cj])
             best = 0.0
             for Q in fam.cubes:
-                if not Q.contains_point(x):
+                if not contains_point(Q, x):
                     continue
                 a1 = (_cube_power_integral(f, r1, Q) / Q.measure) ** (1 / r1)
                 a2 = (_cube_power_integral(g, r2, Q) / Q.measure) ** (1 / r2)
@@ -928,16 +921,16 @@ class TestPointEvaluators:
     @pytest.mark.parametrize("dim, n", POINT_GRIDS)
     @settings(max_examples=10)
     @given(data=st.data())
-    def test_value_at_equals_values_at_and_the_cell_rule(self, dim, n, data):
+    def test_values_at_equals_the_cell_rule(self, dim, n, data):
         f, _, _, points = data.draw(point_cases(dim, n))
         many = f.values_at(np.array(points))
         for p, v in zip(points, many.tolist()):
-            assert f.value_at(p) == v == value_at_oracle(f, p)
+            assert v == value_at_oracle(f, p)
         spec = f.spec
         L = spec.half_width
         # the box is half-open: its lower corner is inside, its upper edges are not
-        assert f.value_at((-L,) * spec.dim) == f.samples[(0,) * spec.dim]
-        assert f.value_at((L,) * spec.dim) == 0.0
+        corners = np.array([(-L,) * spec.dim, (L,) * spec.dim])
+        assert f.values_at(corners).tolist() == [f.samples[(0,) * spec.dim], 0.0]
         assert f.values_at(np.full((2, 3, spec.dim), -L)).tolist() == [[f.samples[(0,) * spec.dim]] * 3] * 2
 
     @pytest.mark.parametrize("x", [-0.37, 0.013, 0.5 + 1e-3, 0.97, 1.31, 2.6])
@@ -951,3 +944,63 @@ class TestPointEvaluators:
         table = kernel_table(spec, alpha)
         midpoint_sum = math.fsum(f.values_at(x - table.offsets) * table.weights)
         assert abs(midpoint_sum - exact) > 1e-6 * abs(exact)
+
+
+_NAN = math.nan
+
+
+def _nan_sites():
+    """(call, error) per range check on an exponent, each handed a NaN; a
+    check written `x < lo` lets NaN through, `not (lo <= x)` does not."""
+    from bifrac import (
+        ConjugateMismatch,
+        ExponentOrder,
+        WeightVector,
+        ap_constant,
+        cz_decompose,
+        iida_constant,
+        lp_norm,
+        multiple_apq_constant,
+        nested_pairs,
+        reverse_holder_probe,
+        vector_morrey_norm,
+    )
+    from bifrac.lattice import check_conjugate
+
+    spec = GridSpec(1, 4.0, 16)
+    w = GridFunction.constant(spec, 1.0)
+    wv, fam = WeightVector(w, w), all_intervals(spec)
+    pairs = nested_pairs(fam)
+    q0, grid = Cube((0.0,), 4.0), DyadicGrid((0.0,))
+    return {
+        "weights-ap-p": (lambda: ap_constant(w, _NAN, fam), POutOfRange),
+        "weights-multiple-apq-p1": (lambda: multiple_apq_constant(wv, _NAN, 2.0, 3.0, fam), POutOfRange),
+        "weights-multiple-apq-p2": (lambda: multiple_apq_constant(wv, 2.0, _NAN, 3.0, fam), POutOfRange),
+        "weights-multiple-apq-q": (lambda: multiple_apq_constant(wv, 2.0, 2.0, _NAN, fam), POutOfRange),
+        "weights-pair-p1": (lambda: iida_constant(wv, 4.0, 3.0, _NAN, 2.0, pairs), POutOfRange),
+        "weights-pair-p2": (lambda: iida_constant(wv, 4.0, 3.0, 2.0, _NAN, pairs), POutOfRange),
+        "weights-pair-q0": (lambda: iida_constant(wv, _NAN, 3.0, 2.0, 2.0, pairs), POutOfRange),
+        "weights-pair-q": (lambda: iida_constant(wv, 4.0, _NAN, 2.0, 2.0, pairs), POutOfRange),
+        "weights-reverse-holder-epsilon": (lambda: reverse_holder_probe(w, _NAN, fam), ValueError),
+        "operators-p-maximal-p": (lambda: p_maximal(w, _NAN), POutOfRange),
+        "operators-multi-maximal-r1": (lambda: multi_maximal(w, w, 0.5, _NAN, 2.0), POutOfRange),
+        "operators-multi-maximal-r2": (lambda: multi_maximal(w, w, 0.5, 2.0, _NAN), POutOfRange),
+        "operators-weighted-bilinear-maximal-q": (
+            lambda: weighted_bilinear_maximal(w, w, w, w, 0.5, 2.0, 2.0, _NAN),
+            POutOfRange,
+        ),
+        "lattice-check-conjugate-r": (lambda: check_conjugate(_NAN, 2.0), ConjugateMismatch),
+        "lattice-check-conjugate-s": (lambda: check_conjugate(2.0, _NAN), ConjugateMismatch),
+        "lattice-lp-norm-p": (lambda: lp_norm(w, _NAN), ValueError),
+        "morrey-vector-norm-p1": (lambda: vector_morrey_norm(w, w, 2.0, _NAN, 2.0, fam), ExponentOrder),
+        "morrey-vector-norm-p2": (lambda: vector_morrey_norm(w, w, 2.0, 2.0, _NAN, fam), ExponentOrder),
+        "sparse-cz-decompose-a": (lambda: cz_decompose(w, w, 2.0, 2.0, q0, grid, a=_NAN), ValueError),
+        "geometry-cube-side": (lambda: Cube((0.0,), _NAN), ValueError),
+    }
+
+
+@pytest.mark.parametrize("site", list(_nan_sites()))
+def test_a_nan_exponent_is_out_of_range(site):
+    call, error = _nan_sites()[site]
+    with pytest.raises(error):
+        call()

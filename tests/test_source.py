@@ -95,6 +95,17 @@ def test_every_private_module_name_is_read():
     assert unread == []
 
 
+def _sources(root: Path = ROOT) -> tuple[dict[str, str], str, list[str]]:
+    """The readers that the caller, method and parameter checks count, under
+    root: the package's modules by name, the acceptance suite, and the
+    benchmark's .py sources.  The other tests do not count: a member that
+    only they read is not kept for them."""
+    package = {path.stem: path.read_text(encoding="utf-8") for path in sorted((root / "src" / "bifrac").glob("*.py"))}
+    acceptance = (root / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    bench = [path.read_text(encoding="utf-8") for path in sorted((root / "perfbench").glob("*.py"))]
+    return package, acceptance, bench
+
+
 # Public module-level functions that nothing in the package, the acceptance
 # suite or the benchmark calls, each with the reason it stays.
 _UNCALLED_KEPT = {
@@ -126,9 +137,7 @@ def _uncalled_functions(package: dict[str, str], acceptance: str, bench: list[st
 
 
 def test_every_public_function_has_a_caller():
-    package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
-    bench = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    package, acceptance, bench = _sources()
     assert _uncalled_functions(package, acceptance, bench) == []
     # and every listed name is a function that would fail without its entry
     unlisted = _uncalled_functions(package, acceptance, bench, kept={})
@@ -162,19 +171,27 @@ def test_the_caller_check_flags_uncalled_functions(package, acceptance, bench, u
 # str have too: a read such as `arr.size` or `rng.uniform` may be either, so
 # the read count cannot show that the package's one is read.  Each is listed
 # here, so that a new one fails the check until a reviewer has seen it.
-_SHARED_METHOD_NAMES = {"CubeFamily.size", "Cube.center", "SplitMix64.uniform", "GridSpec.shape"}
+_SHARED_METHOD_NAMES = {"CubeFamily.size", "SplitMix64.uniform", "GridSpec.shape"}
 _FOREIGN_ATTRIBUTES = set(dir(np.ndarray)) | set(dir(np.random.Generator)) | set(dir(str))
 
+# Public methods and properties that nothing in the package, the acceptance
+# suite or the benchmark reads, each with the reason it stays.
+_UNREAD_KEPT: dict[str, str] = {}
 
-def _unread_methods(package: dict[str, str], readers: list[str]) -> list[str]:
+
+def _unread_methods(package: dict[str, str], acceptance: str, bench: list[str], kept=_UNREAD_KEPT) -> list[str]:
     """`module: Class.name` of each public method or property (a def in a
-    class body) of the package's classes that no source reads as an
-    attribute outside the def itself, or whose name an attribute of
+    class body) of the package's classes that `kept` does not list and that
+    neither the package outside the def itself, nor the acceptance suite, nor
+    a benchmark source reads as an attribute; or whose name an attribute of
     _FOREIGN_ATTRIBUTES shares and _SHARED_METHOD_NAMES does not list.
-    `package` maps module names to their source; `readers` are sources that
-    only read (tests, the benchmark)."""
+
+    The check matches by name, not by the type that the reader holds: a
+    read of another object's attribute of the same name (`args.weight` for a
+    `KernelTable.weight`) keeps a method, so a deletion still needs a reader
+    who follows the types."""
     trees = {module: ast.parse(source) for module, source in package.items()}
-    every = list(trees.values()) + [ast.parse(source) for source in readers]
+    every = list(trees.values()) + [ast.parse(source) for source in [acceptance, *bench]]
     reads = Counter(node.attr for tree in every for node in ast.walk(tree) if isinstance(node, ast.Attribute))
     return [
         f"{module}: {cls.name}.{fn.name}"
@@ -183,6 +200,7 @@ def _unread_methods(package: dict[str, str], readers: list[str]) -> list[str]:
         if isinstance(cls, ast.ClassDef)
         for fn in cls.body
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("_")
+        if f"{cls.name}.{fn.name}" not in kept
         # reads inside the def itself (a recursive call) do not count
         if reads[fn.name] == sum(isinstance(n, ast.Attribute) and n.attr == fn.name for n in ast.walk(fn))
         or fn.name in _FOREIGN_ATTRIBUTES and f"{cls.name}.{fn.name}" not in _SHARED_METHOD_NAMES
@@ -190,35 +208,153 @@ def _unread_methods(package: dict[str, str], readers: list[str]) -> list[str]:
 
 
 def test_every_public_method_is_read():
-    package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    readers = [
-        path.read_text(encoding="utf-8")
-        for folder in ("tests", "perfbench")
-        for path in sorted((ROOT / folder).glob("*.py"))
-    ]
-    assert _unread_methods(package, readers) == []
+    package, acceptance, bench = _sources()
+    assert _unread_methods(package, acceptance, bench) == []
+    # and every listed method would fail without its entry
+    unlisted = _unread_methods(package, acceptance, bench, kept={})
+    assert sorted(entry.split(": ")[1] for entry in unlisted) == sorted(_UNREAD_KEPT)
 
 
 _CLASS = "class A:\n    def h(self):\n        return 1\n\n    @property\n    def g(self):\n        return self.g\n"
 
 
 @pytest.mark.parametrize(
-    "package, readers, unread",
+    "package, acceptance, bench, unread",
     [
-        ({"m": _CLASS + "x = A().h() + A().g\n"}, [], []),
-        ({"m": _CLASS}, ["from m import A\nA().h()\nA().g\n"], []),
+        ({"m": _CLASS + "x = A().h() + A().g\n"}, "", [], []),
+        ({"m": _CLASS}, "from m import A\nA().h()\nA().g\n", [], []),
+        ({"m": _CLASS}, "", ["from m import A\nA().h()\nA().g\n"], []),
         # g reads only itself; h is read only as a bare name
-        ({"m": _CLASS + "h = 1\n"}, [], ["m: A.h", "m: A.g"]),
-        ({"m": _CLASS + "x = A().h()\n"}, [], ["m: A.g"]),
-        ({"m": "class B:\n    def _h(self):\n        pass\n\n    def __len__(self):\n        return 0\n"}, [], []),
-        ({"m": _CLASS + "x = A().h()\n", "n": "def g():\n    return 2\n"}, [], ["m: A.g"]),
+        ({"m": _CLASS + "h = 1\n"}, "", [], ["m: A.h", "m: A.g"]),
+        ({"m": _CLASS + "x = A().h()\n"}, "", [], ["m: A.g"]),
+        ({"m": "class B:\n    def _h(self):\n        pass\n\n    def __len__(self):\n        return 0\n"}, "", [], []),
+        ({"m": _CLASS + "x = A().h()\n", "n": "def g():\n    return 2\n"}, "", [], ["m: A.g"]),
         # a name numpy's Generator shares: read only as rng.choice, or listed
-        ({"m": "class SplitMix64:\n    def choice(self):\n        pass\n"}, ["rng.choice(3)\n"], ["m: SplitMix64.choice"]),
-        ({"m": "class SplitMix64:\n    def uniform(self):\n        pass\n"}, ["rng.uniform()\n"], []),
+        ({"m": "class SplitMix64:\n    def choice(self):\n        pass\n"}, "", ["rng.choice(3)\n"], ["m: SplitMix64.choice"]),
+        ({"m": "class SplitMix64:\n    def uniform(self):\n        pass\n"}, "", ["rng.uniform()\n"], []),
+    ],
+    ids=[
+        "package", "acceptance", "bench", "unread", "self-read", "private-or-dunder", "function-name", "shared",
+        "shared-listed",
     ],
 )
-def test_the_method_check_flags_unread_methods(package, readers, unread):
-    assert _unread_methods(package, readers) == unread
+def test_the_method_check_flags_unread_methods(package, acceptance, bench, unread):
+    assert _unread_methods(package, acceptance, bench) == unread
+
+
+def _tree(root: Path, files: dict[str, str]) -> Path:
+    """A repository layout under root holding files (relative path -> source), empty readers besides."""
+    for name, source in {"tests/test_acceptance.py": "", "perfbench/run.py": "", **files}.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(source, encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize(
+    "reader, unread",
+    [("tests/test_m.py", ["m: A.h", "m: A.g"]), ("tests/test_acceptance.py", []), ("perfbench/workloads.py", [])],
+    ids=["a-test", "acceptance", "bench"],
+)
+def test_a_method_that_only_a_test_reads_is_flagged(tmp_path, reader, unread):
+    root = _tree(tmp_path, {"src/bifrac/m.py": _CLASS, reader: "from bifrac.m import A\nA().h()\nA().g\n"})
+    assert _unread_methods(*_sources(root)) == unread
+
+
+# Optional parameters of public functions and methods that no call in the
+# package, the acceptance suite or the benchmark passes, each with the reason
+# it stays.
+_UNPASSED_KEPT = {
+    "cube_location_worst_ratio(dim)": "the 2D one-third-trick rows of ROADMAP item 10: "
+    "verify_structural runs the 1D check, and the 2D one awaits its report row",
+}
+
+
+def _unpassed_parameters(package: dict[str, str], acceptance: str, bench: list[str], kept=_UNPASSED_KEPT) -> list[str]:
+    """`module: name(param)` (`module: Class.name(param)` for a method) of each
+    optional parameter (one with a default) of a public module-level
+    function or a public method of the package that `kept` does not list and
+    that no call passes: no call of a function or attribute of that name in
+    the package outside the def itself, in the acceptance suite or in a
+    benchmark source passes it by keyword or by position.  A method's first
+    parameter (self, cls) is not counted for its position, unless it is a
+    staticmethod; a call with a `*` argument passes every positional
+    parameter, and one with a `**` argument every parameter.  Like the
+    method check, this one matches by name, not by type."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    readers = [ast.parse(source) for source in [acceptance, *bench]]
+
+    def calls(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+
+    def callee(call):
+        f = call.func
+        return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+    defs = [(module, None, fn) for module, tree in trees.items() for fn in tree.body]
+    classes = [(module, cls) for module, tree in trees.items() for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
+    defs += [(module, cls.name, fn) for module, cls in classes for fn in cls.body]
+    package_calls = [c for tree in trees.values() for c in calls(tree)]
+    reader_calls = [c for tree in readers for c in calls(tree)]
+    found = []
+    for module, owner, fn in defs:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name.startswith("_"):
+            continue
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+        positional = fn.args.posonlyargs + fn.args.args
+        skip = 1 if owner is not None and not static else 0
+        optional = [(i - skip, a.arg) for i, a in enumerate(positional) if i >= len(positional) - len(fn.args.defaults)]
+        optional += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+        inside = {id(c) for c in calls(fn)}
+        sites = [c for c in package_calls if id(c) not in inside] + reader_calls
+        sites = [c for c in sites if callee(c) == fn.name]
+        qual = fn.name if owner is None else f"{owner}.{fn.name}"
+        for index, name in optional:
+            passed = any(
+                any(k.arg in (name, None) for k in c.keywords)
+                or index is not None
+                and (index < len(c.args) or any(isinstance(a, ast.Starred) for a in c.args))
+                for c in sites
+            )
+            if not passed and f"{qual}({name})" not in kept:
+                found.append(f"{module}: {qual}({name})")
+    return found
+
+
+def test_every_optional_parameter_is_passed():
+    package, acceptance, bench = _sources()
+    assert _unpassed_parameters(package, acceptance, bench) == []
+    # and every listed parameter would fail without its entry
+    unlisted = _unpassed_parameters(package, acceptance, bench, kept={})
+    assert sorted(entry.split(": ")[1] for entry in unlisted) == sorted(_UNPASSED_KEPT)
+
+
+_OPT = "def f(a, b=1, *, c=2):\n    return a + b + c\n"
+_METHOD = "class A:\n    def h(self, a, b=1):\n        return self.h(a, b=b)\n"
+
+
+@pytest.mark.parametrize(
+    "package, acceptance, bench, unpassed",
+    [
+        ({"m": _OPT}, "", [], ["m: f(b)", "m: f(c)"]),
+        ({"m": _OPT + "x = f(1)\n"}, "", [], ["m: f(b)", "m: f(c)"]),
+        ({"m": _OPT + "x = f(1, 2)\n"}, "", [], ["m: f(c)"]),
+        ({"m": _OPT + "x = f(1, c=3)\n"}, "", [], ["m: f(b)"]),
+        ({"m": _OPT}, "from bifrac import f\nf(1, b=2, c=3)\n", [], []),
+        ({"m": _OPT}, "", ["x = B.f(1, 2, c=3)\n"], []),
+        ({"m": _OPT + "x = f(*args)\ny = f(1, **kw)\n"}, "", [], []),
+        # a method: self is not a position, and a call inside its own def does not count
+        ({"m": _METHOD + "x = A().h(1)\n"}, "", [], ["m: A.h(b)"]),
+        ({"m": _METHOD + "x = A().h(1, 2)\n"}, "", [], []),
+        ({"m": "def cube_location_worst_ratio(seed, samples, dim=1):\n    pass\n"}, "", [], []),
+        ({"m": "def _f(a=1):\n    pass\n\nclass B:\n    def __init__(self, a=1):\n        pass\n"}, "", [], []),
+    ],
+    ids=[
+        "unpassed", "default-only", "positional", "keyword", "acceptance", "bench", "star", "method",
+        "method-positional", "listed", "private-or-dunder",
+    ],
+)
+def test_the_parameter_check_flags_unpassed_parameters(package, acceptance, bench, unpassed):
+    assert _unpassed_parameters(package, acceptance, bench) == unpassed
 
 
 def _unbounded_caches(source: str) -> list[int]:

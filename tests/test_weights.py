@@ -306,12 +306,13 @@ class TestTwoWeightConstant:
         v = np.ones(8)
         v[2:6] = 1.3e154
         one = GridFunction.constant(spec, 1.0)
-        fam = family_from_cubes(spec, [spec.cell_cube((0,)), spec.cell_cube((4,))])
+        first, fifth = Cube((-1.0,), 0.25), Cube((0.0,), 0.25)  # cells 0 and 4
+        fam = family_from_cubes(spec, [first, fifth])
         rep = two_weight_constant(
             GridFunction(spec, v), WeightVector(one, one), 4.0, 2.0, 2.0, 2.0, nested_pairs(fam)
         )
         assert rep.value == (1.3e154 ** 2) ** 0.5
-        assert rep.witness == (spec.cell_cube((4,)), spec.cell_cube((4,)))
+        assert rep.witness == (fifth, fifth)
 
     def test_v_equal_product_reduces_to_iida(self, spec32, intervals32, rng):
         w1 = GridFunction(spec32, rng.uniform(0.4, 2.0, 32))
@@ -750,12 +751,13 @@ def test_iida_pair_value_ignores_an_overflow_outside_the_pair():
     w1 = np.ones(8)
     w1[1] = 1e-300
     wv = WeightVector(GridFunction(spec, w1), GridFunction.constant(spec, 1.0))
-    far, near, outer = spec.cell_cube((5,)), spec.cell_cube((1,)), Cube((-4.0,), 4.0)
+    # cells 5, 1 and 0, and the left half of the box
+    far, near, first, outer = Cube((1.0,), 1.0), Cube((-3.0,), 1.0), Cube((-4.0,), 1.0), Cube((-4.0,), 4.0)
     assert iida_pair_value(wv, 4.0, 3.0, 1.5, 2.0, far, far) == 1.0
     # a pair whose outer cube holds the cell reads +inf, as iida_constant does
-    assert iida_pair_value(wv, 4.0, 3.0, 1.5, 2.0, spec.cell_cube((0,)), outer) == math.inf
+    assert iida_pair_value(wv, 4.0, 3.0, 1.5, 2.0, first, outer) == math.inf
     assert iida_pair_value(wv, 4.0, 3.0, 1.5, 2.0, near, near) == math.inf
-    pairs = nested_pairs(family_from_cubes(spec, [spec.cell_cube((0,)), outer]))
+    pairs = nested_pairs(family_from_cubes(spec, [first, outer]))
     assert iida_constant(wv, 4.0, 3.0, 1.5, 2.0, pairs).value == math.inf
 
 
