@@ -21,7 +21,7 @@ from .harness import (
     CORPUS_KINDS,
     HARNESS_SPEC,
     PROFILE_CATALOG,
-    PROFILE_KEYS,
+    ExponentProfile,
     _grid_fn,
     make_profile,
     protocol_corpora,
@@ -55,8 +55,8 @@ from .weights import (
 # The keys a config document may hold for each command that reads one, at the
 # top level (None) and in its `sweep` object; any other key is a
 # ConfigInvalid.  Both commands run on the harness grid, so neither reads a
-# `grid`.  A `profile` object, and a sweep `base`, hold the keys of their tag
-# (PROFILE_KEYS), checked once the tag is known.
+# `grid`.  A `profile` object, and a sweep `base`, hold the keys of their tag,
+# which harness.make_profile checks.
 CONFIG_KEYS = {
     "verify": {
         None: ("profile", "seed", "kind", "out_csv", "out_json"),
@@ -125,25 +125,6 @@ def check_config_keys(doc, command: str) -> None:
             raise ConfigInvalid(f"unknown keys {unknown} in {where}; known keys are {list(known)}")
     if not isinstance(doc.get("profile", {}), dict):
         raise ConfigInvalid("config 'profile' must be a JSON object")
-
-
-def check_profile_keys(tag, raw, where: str, supplied: tuple[str, ...] = ()) -> None:
-    """Raise ConfigInvalid unless `raw` holds every key a `tag` profile reads and no other.
-
-    Keys in `supplied` are filled in later and need not be in `raw`.
-    """
-    if tag not in PROFILE_KEYS:
-        raise ConfigInvalid(f"unknown profile tag {tag!r}; known tags are {list(PROFILE_KEYS)}")
-    if not isinstance(raw, dict):
-        raise ConfigInvalid(f"{where} must be a JSON object")
-    required, optional = PROFILE_KEYS[tag]
-    missing = [k for k in required if k not in raw and k not in supplied]
-    unknown = sorted(set(raw) - set(required) - set(optional))
-    if missing or unknown:
-        raise ConfigInvalid(
-            f"{where} for {tag}: missing keys {missing}, unknown keys {unknown}; "
-            f"it needs {list(required)} and may hold {list(optional)}"
-        )
 
 
 def _load_config(args) -> RunConfig:
@@ -224,92 +205,88 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-# the number of --input files each op reads (argparse takes the ops from here)
-_APPLY_INPUTS = {
-    "bi-frac": 2,
-    "frac-int": 1,
-    "multi-frac-int": 2,
-    "maximal": 1,
-    "frac-maximal": 1,
-    "p-maximal": 1,
-    "multi-maximal": 2,
+def _flag_values(args, mode: str, every, reads: dict) -> dict:
+    """The flags `reads` (name -> default) with their values, from args where
+    given.  A flag of `every` that was given and is not in `reads` is a
+    ConfigInvalid naming it and the mode."""
+    unread = [f"--{key}" for key in sorted(set(every) - set(reads)) if getattr(args, key) is not None]
+    if unread:
+        raise ConfigInvalid(f"{mode} does not read {', '.join(unread)}")
+    return {key: default if getattr(args, key) is None else getattr(args, key) for key, default in reads.items()}
+
+
+# Per op: the number of --input files it reads, the flags it reads with their
+# defaults, and the operator (argparse takes the ops from here).
+_APPLY = {
+    "bi-frac": (2, {"alpha": 0.5}, bi_frac),
+    "frac-int": (1, {"alpha": 0.5}, frac_int),
+    "multi-frac-int": (2, {"alpha": 0.5}, multi_frac_int),
+    "maximal": (1, {}, maximal),
+    "frac-maximal": (1, {"alpha": 0.5}, frac_maximal),
+    "p-maximal": (1, {"p": 2.0}, p_maximal),
+    "multi-maximal": (2, {"alpha": 0.5, "r1": 1.0, "r2": 1.0}, multi_maximal),
 }
 
 
 def cmd_apply(args) -> int:
-    op, need = args.op, _APPLY_INPUTS[args.op]
+    op, (need, flags, operator) = args.op, _APPLY[args.op]
     if len(args.input) != need:
         files = "files" if need > 1 else "file"
         raise ConfigInvalid(f"apply --op {op} reads {need} --input {files}, got {len(args.input)}")
-    inputs = [read_grid_file(p) for p in args.input]
-    if op == "bi-frac":
-        out = bi_frac(inputs[0], inputs[1], args.alpha)
-    elif op == "frac-int":
-        out = frac_int(inputs[0], args.alpha)
-    elif op == "multi-frac-int":
-        out = multi_frac_int(inputs[0], inputs[1], args.alpha)
-    elif op == "maximal":
-        out = maximal(inputs[0])
-    elif op == "frac-maximal":
-        out = frac_maximal(inputs[0], args.alpha)
-    elif op == "p-maximal":
-        out = p_maximal(inputs[0], args.p)
-    else:
-        out = multi_maximal(inputs[0], inputs[1], args.alpha, args.r1, args.r2)
-    write_grid_file(args.output, out)
+    values = _flag_values(args, f"apply --op {op}", {key for _, fl, _ in _APPLY.values() for key in fl}, flags)
+    write_grid_file(args.output, operator(*[read_grid_file(p) for p in args.input], **values))
     return 0
 
 
-# the input files each constant reads besides --weight
-_CONSTANT_INPUTS = {
-    "ap": (),
-    "apq": (),
-    "multiple-apq": ("weight2",),
-    "iida": ("weight2",),
-    "two-weight": ("weight2", "v"),
-    "reverse-holder": (),
+# Per constant: the input files it reads besides --weight, the flags it reads
+# with their defaults, and its value on (w1, WeightVector(w1, w2), v, family,
+# pairs, flag values): a ConstantReport, or the reverse-Hoelder probe's number.
+_CONSTANTS = {
+    "ap": ((), {"p": 2.0}, lambda w, wv, v, fam, prs, x: ap_constant(w, family=fam, **x)),
+    "apq": ((), {"p": 2.0, "q": 3.0}, lambda w, wv, v, fam, prs, x: apq_constant(w, family=fam, **x)),
+    "multiple-apq": (("weight2",), {"p1": 2.0, "p2": 2.0, "q": 3.0},
+                     lambda w, wv, v, fam, prs, x: multiple_apq_constant(wv, family=fam, **x)),
+    "iida": (("weight2",), {"q0": 4.0, "q": 3.0, "p1": 2.0, "p2": 2.0},
+             lambda w, wv, v, fam, prs, x: iida_constant(wv, pairs=prs, **x)),
+    "two-weight": (("weight2", "v"), {"q0": 4.0, "q": 3.0, "p1": 2.0, "p2": 2.0, "r0": None},
+                   lambda w, wv, v, fam, prs, x: two_weight_constant(v, wv, pairs=prs, **x)),
+    "reverse-holder": ((), {"epsilon": 0.5}, lambda w, wv, v, fam, prs, x: reverse_holder_probe(w, family=fam, **x)),
 }
-
-
-def _constant_row(name, args, w1, w2, v, family, pairs) -> dict:
-    """One output row of `bifrac constants`."""
-    if name == "reverse-holder":
-        val = reverse_holder_probe(w1, args.epsilon, family)
-        return {"constant": name, "value": val, "witness": "", "family_size": family.size}
-    if name == "ap":
-        rep = ap_constant(w1, args.p, family)
-    elif name == "apq":
-        rep = apq_constant(w1, args.p, args.q, family)
-    elif name == "multiple-apq":
-        rep = multiple_apq_constant(WeightVector(w1, w2), args.p1, args.p2, args.q, family)
-    elif name == "iida":
-        rep = iida_constant(WeightVector(w1, w2), args.q0, args.q, args.p1, args.p2, pairs)
-    else:
-        rep = two_weight_constant(v, WeightVector(w1, w2), args.q0, args.q, args.p1, args.p2, pairs, r0=args.r0)
-    return {"constant": name, "value": rep.value, "witness": witness_text(rep.witness), "family_size": rep.family_size}
 
 
 def cmd_constants(args) -> int:
     flag, unread = ("--out-json", args.out_json) if args.format == "csv" else ("--out-csv", args.out_csv)
     if unread:
         raise ConfigInvalid(f"constants --format {args.format} writes no {flag!r} file")
+    reads = {}
     for name in args.constant:
-        if name not in _CONSTANT_INPUTS:
-            raise ConfigInvalid(f"unknown constant {name!r}; known constants are {list(_CONSTANT_INPUTS)}")
-        missing = [f"--{key}" for key in _CONSTANT_INPUTS[name] if getattr(args, key) is None]
+        if name not in _CONSTANTS:
+            raise ConfigInvalid(f"unknown constant {name!r}; known constants are {list(_CONSTANTS)}")
+        files, flags, _ = _CONSTANTS[name]
+        missing = [f"--{key}" for key in files if getattr(args, key) is None]
         if missing:
             raise ConfigInvalid(f"constant {name!r} needs {' and '.join(missing)}")
+        reads.update(dict.fromkeys(files), **flags)
+    every = {key for files, flags, _ in _CONSTANTS.values() for key in (*files, *flags)}
+    values = _flag_values(args, f"constants --constant {' '.join(args.constant)}", every, reads)
     w1 = read_grid_file(args.weight)
     w2 = read_grid_file(args.weight2) if args.weight2 is not None else None
     v = read_grid_file(args.v) if args.v is not None else None
+    wv = WeightVector(w1, w2) if w2 is not None else None  # --weight2 is given only if a constant reads it
     family = default_family(w1.spec)
     pairs = nested_pairs(family) if {"iida", "two-weight"} & set(args.constant) else None
     results = []
     for name in args.constant:
+        _, flags, constant = _CONSTANTS[name]
         try:
-            results.append(_constant_row(name, args, w1, w2, v, family, pairs))
+            rep = constant(w1, wv, v, family, pairs, {key: values[key] for key in flags})
         except POutOfRange as exc:
             raise POutOfRange(f"constant {name!r}: {exc}") from exc
+        if name == "reverse-holder":  # a bare number: no witness
+            results.append({"constant": name, "value": rep, "witness": "", "family_size": family.size})
+        else:
+            row = {"value": rep.value, "witness": witness_text(rep.witness), "family_size": rep.family_size}
+            results.append({"constant": name, **row})
     if args.format == "csv":
         _write_csv(
             args.out_csv,
@@ -321,26 +298,32 @@ def cmd_constants(args) -> int:
     return 0
 
 
+# Per number of --input files (a Morrey norm, a vector Morrey norm): the flags
+# it reads besides --p0, with their defaults.
+_NORMS = {1: {"q": 1.0}, 2: {"p1": 2.0, "p2": 2.0}}
+
+
 def cmd_norms(args) -> int:
     if len(args.input) > 2:
         count = len(args.input)
         raise ConfigInvalid(f"norms reads 1 --input file (a Morrey norm) or 2 (a vector Morrey norm), got {count}")
+    mode = f"norms with {len(args.input)} --input file" + ("s" if len(args.input) > 1 else "")
+    values = _flag_values(args, mode, {key for flags in _NORMS.values() for key in flags}, _NORMS[len(args.input)])
     fns = [read_grid_file(p) for p in args.input]
     family = default_family(fns[0].spec)
     if len(fns) == 1:
-        value, witness = morrey_norm_witness(
-            fns[0], MorreyParams(args.p0, args.q), family
-        )
+        value, witness = morrey_norm_witness(fns[0], MorreyParams(args.p0, values["q"]), family)
         payload = {"schema": 1, "value": value, "witness": witness.serialize()}
     else:
-        value = vector_morrey_norm(fns[0], fns[1], args.p0, args.p1, args.p2, family)
+        value = vector_morrey_norm(fns[0], fns[1], args.p0, values["p1"], values["p2"], family)
         payload = {"schema": 1, "value": value, "witness": ""}
     _emit_json(args.out_json, payload)
     return 0
 
 
-def _profile_from_cfg(cfg: RunConfig, args) -> tuple[str, dict]:
-    """The verify tag and its profile keys (the tag's first catalog profile if none)."""
+def _profile_from_cfg(cfg: RunConfig, args) -> tuple[str, ExponentProfile | None]:
+    """The verify tag and its profile (from the tag's first catalog profile if
+    no keys are given; None for the structural checks)."""
     raw = dict(cfg.profile)
     if args.profile_file:
         try:
@@ -359,15 +342,13 @@ def _profile_from_cfg(cfg: RunConfig, args) -> tuple[str, dict]:
     if tag == "structural":
         if raw:
             raise ConfigInvalid(f"the structural checks read no profile keys, got {sorted(raw)}")
-    else:
-        raw = raw or dict(PROFILE_CATALOG.get(tag, [{}])[0])
-        check_profile_keys(tag, raw, "verify profile")
-    return tag, raw
+        return tag, None
+    return tag, make_profile(tag, **(raw or PROFILE_CATALOG.get(tag, [{}])[0]))
 
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    tag, raw = _profile_from_cfg(cfg, args)
+    tag, profile = _profile_from_cfg(cfg, args)
     if tag == "structural":
         settings = (("kind", cfg.kind), ("--n-cal", args.n_cal), ("--n-eval", args.n_eval))
         given = [key for key, val in settings if val is not None]
@@ -388,7 +369,6 @@ def cmd_verify(args) -> int:
             if count < 1:
                 flag = "--" + key.replace("_", "-")
                 raise ConfigInvalid(f"{flag!r} must be at least 1, got {count}")
-        profile = make_profile(tag, **raw)
         reports, summary = run_verify(profile, cfg.kind or "random-steps", cfg.seed, **counts)
     _write_csv(
         cfg.out_csv,
@@ -416,12 +396,12 @@ def cmd_sweep(args) -> int:
         raise ConfigInvalid(f"config sweep 'count' must be an integer at least 1, got {count!r}")
     tag = sweep.get("tag", "T1.1")
     base = sweep.get("base", PROFILE_CATALOG.get(tag, [{}])[0])
-    check_profile_keys(tag, base, "config sweep 'base'", supplied=("alpha",))
+    if not isinstance(base, dict):
+        raise ConfigInvalid("config sweep 'base' must be a JSON object")
     rows = []
     failures = 0
     skipped = 0
     fam = default_family(HARNESS_SPEC)
-    prs = nested_pairs(fam)
     corpora = protocol_corpora(cfg.seed, "power-weights", n_eval=count)
     for alpha in alphas:
         profile = make_profile(tag, **{**base, "alpha": alpha})
@@ -432,7 +412,7 @@ def cmd_sweep(args) -> int:
                 w = _grid_fn(HARNESS_SPEC, [("power", 2.0, float(beta))])
                 cal_items, items = ([replace(it, w1=w, w2=w) for it in c] for c in corpora)
                 ap_val = _fmt(ap_constant(w, 2.0, fam).value)
-            reports, result = verify_calibrated(profile, cal_items, items, fam, prs)
+            reports, result = verify_calibrated(profile, cal_items, items, fam)
             failures += result["failures"]
             skipped += result["skipped"]
             rows.append(
@@ -502,13 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_decompose)
 
     p = add("apply", "apply an operator to grid files")
-    p.add_argument("--op", required=True, choices=tuple(_APPLY_INPUTS))
+    p.add_argument("--op", required=True, choices=tuple(_APPLY))
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--r1", type=float, default=1.0)
-    p.add_argument("--r2", type=float, default=1.0)
+    # the defaults of these and of the flags below are in _APPLY, _CONSTANTS and _NORMS
+    for key in ("--alpha", "--p", "--r1", "--r2"):
+        p.add_argument(key, type=float)
     p.set_defaults(fn=cmd_apply)
 
     p = add("constants", "weight-class constants")
@@ -516,13 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight2")
     p.add_argument("--v")
     p.add_argument("--constant", nargs="+", required=True)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--q", type=float, default=3.0)
-    p.add_argument("--p1", type=float, default=2.0)
-    p.add_argument("--p2", type=float, default=2.0)
-    p.add_argument("--q0", type=float, default=4.0)
-    p.add_argument("--r0", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=0.5)
+    for key in ("--p", "--q", "--p1", "--p2", "--q0", "--r0", "--epsilon"):
+        p.add_argument(key, type=float)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--out-csv", dest="out_csv")
     p.add_argument("--out-json", dest="out_json")
@@ -531,9 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("norms", "Morrey norms of grid files")
     p.add_argument("--input", nargs="+", required=True)
     p.add_argument("--p0", type=float, required=True)
-    p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--p1", type=float, default=2.0)
-    p.add_argument("--p2", type=float, default=2.0)
+    for key in ("--q", "--p1", "--p2"):
+        p.add_argument(key, type=float)
     p.add_argument("--out-json", dest="out_json")
     p.set_defaults(fn=cmd_norms)
 
@@ -542,8 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", help="T1.1 C1.4 T4.1 T4.2 T5.1 T5.2 C5.3 or structural")
     p.add_argument("--profile-file", dest="profile_file")
     p.add_argument("--kind", default=None, help="corpus kind (default random-steps)")
-    p.add_argument("--n-cal", dest="n_cal", type=int, default=None, help="calibration items (default 10)")
-    p.add_argument("--n-eval", dest="n_eval", type=int, default=None, help="held-out items (default 30)")
+    p.add_argument("--n-cal", dest="n_cal", type=int, default=None, help="calibration items")
+    p.add_argument("--n-eval", dest="n_eval", type=int, default=None, help="held-out items")
     p.set_defaults(fn=cmd_verify)
 
     p = add("sweep", "profile/parameter sweep with summary table")

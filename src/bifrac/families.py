@@ -15,10 +15,10 @@ compared on identical index sets:
 window sums over the aligned cubes' boxes, and overlap vectors for the
 shifted cubes.
 
-`nested_pairs` gives the nesting relation Q ⊆ Q' among the aligned
-members of a family: its exact pair count and, per member, the max of a
-per-cube value over the members inside it, both from the engine's cell
-boxes (CellBoxes.pair_count and inner_max).  Pairs are never listed.
+`nested_pairs` records the nesting relation Q ⊆ Q' among the aligned
+members of a family with its exact pair count (CellBoxes.pair_count); a
+max over the relation is the engine's too (CellBoxes.inner_max over the
+family's boxes).  Pairs are never listed.
 
 `subcube_blocks` lists the dyadic subcubes of a root cube down to single
 cells, as corner cells and widths.
@@ -277,19 +277,6 @@ class NestedPairs:
 
     family: CubeFamily
     size: int
-
-    def require_nonempty(self):
-        if self.size == 0:
-            raise EmptyCubeFamily("nested pair family is empty")
-
-    def inner_max(self, vals: np.ndarray) -> np.ndarray:
-        """Per member Q', the max of vals[Q] over the aligned members Q ⊆ Q'.
-
-        Shifted members get -inf.  The engine's inward containment maxima
-        over the aligned cubes' boxes (CellBoxes.inner_max): running maxima
-        of one start x end table in 1D, per-side corner windows in 2D.
-        """
-        return self.family.boxes.inner_max(vals)
 
 
 def nested_pairs(family: CubeFamily) -> NestedPairs:

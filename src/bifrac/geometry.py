@@ -87,10 +87,10 @@ class DyadicGrid:
         sh = self.level_shift(level)
         index = []
         for c, s in zip(Q.corner, sh):
-            m = round(c / side - s)
-            if abs(c - side * (m + s)) > _REL_EPS * side:
+            t = c / side - s  # inf or nan for a non-finite corner, or one too far out for the side
+            if not math.isfinite(t) or abs(c - side * (round(t) + s)) > _REL_EPS * side:
                 raise NotInGrid(f"corner {c} off the level-{level} grid")
-            index.append(int(m))
+            index.append(round(t))
         return level, tuple(index)
 
     def __contains__(self, Q: Cube) -> bool:

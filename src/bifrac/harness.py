@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfiniteConstant, RelationViolated
+from .errors import ConfigInvalid, InfiniteConstant, RelationViolated, SpecMismatch
 from .families import CubeFamily, NestedPairs, default_family, nested_pairs
 from .geometry import Cube, DyadicGrid, locate_shifted_cubes
 from .lattice import GridFunction, GridSpec, lp_norm
@@ -30,11 +30,11 @@ from .morrey import MorreyParams, morrey_norm, power_scaling_check, vector_morre
 from .operators import (
     _check_same_spec,
     _finite,
+    _local_weights,
     _offset_sum,
     _root_m3q,
     _root_plan,
     _sparse_sums,
-    _split_weights,
     bi_frac,
     multi_maximal,
     weighted_bilinear_maximal,
@@ -160,10 +160,20 @@ def _chk(violations, ok: bool, relation: str):
 
 
 def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[str]]:
-    """Derived exponents plus the list of violated relations (empty if valid)."""
+    """Derived exponents plus the list of violated relations (empty if valid),
+    once the profile contract holds: an unknown tag, a missing key or an
+    unknown key (PROFILE_KEYS) raises ConfigInvalid naming it."""
+    if tag not in PROFILE_KEYS:
+        raise ConfigInvalid(f"unknown profile tag {tag!r}; known tags are {list(PROFILE_KEYS)}")
+    required, optional = PROFILE_KEYS[tag]
+    missing = [k for k in required if k not in raw]
+    unknown = sorted(set(raw) - set(required) - set(optional))
+    if missing or unknown:
+        raise ConfigInvalid(
+            f"profile for {tag}: missing keys {missing}, unknown keys {unknown}; "
+            f"it needs {list(required)} and may hold {list(optional)}"
+        )
     v: list[str] = []
-    if tag not in TAGS:
-        return None, [f"unknown tag {tag!r}"]
     n = int(raw.get("n", 1))
     alpha = float(raw["alpha"])
     _chk(v, 0.0 < alpha < n, "0 < alpha < n")
@@ -271,7 +281,8 @@ def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[st
 
 
 def make_profile(tag: str, **raw) -> ExponentProfile:
-    """Validated profile; raises RelationViolated naming the failing relations."""
+    """Validated profile: ConfigInvalid names a tag or key outside the profile
+    contract (see profile_violations), RelationViolated the failing relations."""
     profile, violations = profile_violations(tag, **raw)
     if violations:
         raise RelationViolated(violations)
@@ -699,14 +710,14 @@ def local_part_ratio(item: CorpusItem) -> float:
 
 
 def local_part_ratios(items) -> list[float]:
-    """local_part_ratio of each item, all on one spec: the local half of
-    bi_frac's kernel split (_split_weights) and sparse_bound's samples, each
+    """local_part_ratio of each item, all on one spec: the local part of
+    bi_frac's kernel split (_local_weights) and sparse_bound's samples, each
     from one pass over the stacked items, bit for bit as per item."""
     spec = _check_same_spec(*(fn for it in items for fn in (it.f, it.g)))
     Q0 = HARNESS_Q0 if spec.dim == 1 else HARNESS_Q0_2D
     grid = HARNESS_GRID if spec.dim == 1 else HARNESS_GRID_2D
     fs, gs = np.stack([it.f.samples for it in items]), np.stack([it.g.samples for it in items])
-    w_local, _ = _split_weights(spec, STRUCTURAL_ALPHA, Q0)
+    w_local = _local_weights(spec, STRUCTURAL_ALPHA, Q0)
     local = _finite(_offset_sum(w_local, fs, gs), f"bi_frac with alpha = {STRUCTURAL_ALPHA!r}", "on a cell")
     sb = _sparse_sums(spec, fs, gs, STRUCTURAL_ALPHA, 2.0, 2.0, Q0, grid)
     lo, width, _, _ = _root_plan(spec, Q0, grid)  # block 0 is Q0
@@ -781,6 +792,15 @@ def verify_structural(seed: int) -> list[Report]:
 # ---------------------------------------------------------------------------
 
 
+def _check_agree(profile: ExponentProfile, item: CorpusItem, family: CubeFamily, pairs: NestedPairs):
+    """SpecMismatch unless `pairs` is the nesting relation of `family` and the
+    profile's dimension n is the item's."""
+    if pairs.family is not family:
+        raise SpecMismatch(f"pairs of the family {pairs.family.name!r} on {pairs.family.spec}, not of the family given")
+    if profile.n != item.spec.dim:
+        raise SpecMismatch(f"a {profile.tag} profile with n = {profile.n} on the {item.spec.dim}D item {item.item_id!r}")
+
+
 def _substituted(profile: ExponentProfile, with_a: bool = False) -> tuple[float, float]:
     r, s, p1, p2 = profile.r, profile.s, profile.p1, profile.p2
     a = profile.a if with_a else 1.0  # 1.0 * s is s: the same bits as s * p1 / (s + p1)
@@ -794,6 +814,7 @@ def evaluate_inequality_item(
     pairs: NestedPairs,
 ) -> tuple[float, float, ConstantReport]:
     """(lhs norm, rhs norm product, constant report) for one scenario."""
+    _check_agree(profile, item, family, pairs)
     tag = profile.tag
     f, g = item.f, item.g
     out = bi_frac(f, g, profile.alpha)
@@ -879,7 +900,6 @@ def verify_calibrated(
     cal_items: list[CorpusItem],
     eval_items: list[CorpusItem],
     family: CubeFamily,
-    pairs: NestedPairs,
 ) -> tuple[list[Report], dict]:
     """Calibrate-then-hold-out: held-out ratios against 2 * (max calibration ratio).
 
@@ -888,6 +908,7 @@ def verify_calibrated(
     finite ratio raises InfiniteConstant.  Returns the held-out reports and the
     summary fields calibration_max, bound, max_ratio, failures, skipped.
     """
+    pairs = nested_pairs(family)
 
     def ratio_or_none(item):
         try:
@@ -925,9 +946,8 @@ def verify_calibrated(
 def run_verify(profile: ExponentProfile, kind: str, seed: int, **counts) -> tuple[list[Report], dict]:
     """Calibrate-then-hold-out on the two corpora of one seed; CLI entry point.
     `counts` (n_cal, n_eval) go to protocol_corpora, which holds their defaults."""
-    family = default_family(HARNESS_SPEC)
     cal_items, eval_items = protocol_corpora(seed, kind, **counts)
-    reports, fields = verify_calibrated(profile, cal_items, eval_items, family, nested_pairs(family))
+    reports, fields = verify_calibrated(profile, cal_items, eval_items, default_family(HARNESS_SPEC))
     return reports, {"schema": 1, "tag": profile.tag, "kind": kind, "seed": seed, **fields}
 
 
@@ -948,6 +968,7 @@ def domination_ratio(
     """Max over cells of weighted bilinear maximal / (constant * product maximal)."""
     if mode not in DOMINATION_MODES:
         raise ValueError(f"mode must be one of {DOMINATION_MODES}")
+    _check_agree(profile, item, family, pairs)
     a, r, s, alpha = profile.a, profile.r, profile.s, profile.alpha
     f, g = item.f, item.g
     wv = item.weight_vector()
@@ -999,7 +1020,6 @@ def small_exponent_chain_check(
     wv: WeightVector,
     profile: ExponentProfile,
     family: CubeFamily,
-    pairs: NestedPairs,
 ) -> dict:
     """The small-exponent route: pair constant vs probe-driven single-cube bound.
 
@@ -1011,7 +1031,7 @@ def small_exponent_chain_check(
     eps, c_probe = choose_rh_epsilon(wv.nu.abs_pow(q), family)
     a = 1.0 + eps
     sub1, sub2 = _substituted(profile)
-    pair = iida_constant(wv, a * profile.q0, q, sub1, sub2, pairs)
+    pair = iida_constant(wv, a * profile.q0, q, sub1, sub2, nested_pairs(family))
     single = multiple_apq_constant(wv, sub1, sub2, q, family)
     bound_chain = c_probe ** (1.0 / q) * single.value
     return {

@@ -330,11 +330,6 @@ class CellBoxes:
         return plan
 
     @cached_property
-    def _by_length_order(self) -> np.ndarray:
-        """Where each box's sum falls among the `by_length` groups' sums, in group order."""
-        return np.argsort(np.concatenate([k for k, _ in self.by_length]))
-
-    @cached_property
     def table_shape(self) -> tuple[int, ...]:
         """The shape (K_1 ... K_n, N_1 ... N_n) of the power-of-two table,
         with levels up to the longest box on each axis."""
@@ -405,12 +400,11 @@ class CellBoxes:
         slice; arr[..., cells] on a stack is not, and its reduce differs
         from np.sum by one ulp on some boxes."""
         if len(self.shape) == 1 and self.by_length is not None:
+            out = np.zeros(arr.shape[:-1] + (self.count,))
             with np.errstate(over="ignore", invalid="ignore"):  # silent, as the table is
-                parts = [np.add.reduce(arr.take(cells, axis=-1), axis=-1) for _, cells in self.by_length]
-            if not parts:  # no boxes
-                return np.zeros(arr.shape[:-1] + (0,))
-            # the groups' sums, back in box order
-            return np.concatenate(parts, axis=-1).take(self._by_length_order, axis=-1)
+                for k, cells in self.by_length:  # each length group's sums straight into its boxes
+                    out[..., k] = np.add.reduce(arr.take(cells, axis=-1), axis=-1)
+            return out
         if len(self.shape) == 1:
             # + 0.0: np.sum adds the row to its identity 0.0, which turns -0.0 into 0.0
             return _window_sums(arr, self.top)[..., self.lo[:, 0], self.ext[:, 0]] + 0.0

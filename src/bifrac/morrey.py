@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyCubeFamily, ExponentOrder
+from .errors import ExponentOrder
 from .families import CubeFamily
 from .geometry import Cube
 from .lattice import GridFunction
@@ -33,8 +33,7 @@ class MorreyParams:
 
 def _morrey_top(f: GridFunction, params: MorreyParams, family: CubeFamily) -> tuple[float, int]:
     """The norm and the family index of a cube that attains it."""
-    if family.size == 0:
-        raise EmptyCubeFamily("morrey_norm over an empty family")
+    family.require_nonempty()
     return _top(_cube_values(family, [(f.abs_pow(1.0), params.q, 1.0 / params.q)], 1.0 / params.p0)[0])
 
 
@@ -58,8 +57,7 @@ def vector_morrey_norm(
     family: CubeFamily,
 ) -> float:
     """max over Q of |Q|^{1/p0} prod_i ((1/|Q|) int_Q |f_i|^{p_i})^{1/p_i}."""
-    if family.size == 0:
-        raise EmptyCubeFamily("vector_morrey_norm over an empty family")
+    family.require_nonempty()
     if not (p1 > 0 and p2 > 0):
         raise ExponentOrder("component exponents must be positive")
     factors = [(f1.abs_pow(1.0), p1, 1.0 / p1), (f2.abs_pow(1.0), p2, 1.0 / p2)]

@@ -15,8 +15,8 @@ onto [0, inf) per axis (the kernel is even): in 1D the antiderivative, in
 (_sec_power_integrals), so a cell's mass is C(b, d) - C(a, d) - C(b, c) +
 C(a, c).  The origin cell folds onto [0, h/2) once per axis.
 
-Every kernel sum (bi_frac, frac_int, and the local half of the kernel
-split, _split_weights, that harness.local_part_ratios sums on a stack) is
+Every kernel sum (bi_frac, frac_int, and the local part of the kernel
+split, _local_weights, that harness.local_part_ratios sums on a stack) is
 one compensated (Kahan) sum over kernel offsets in a fixed row-major
 order, _offset_sum, in 1D and 2D alike, so results are identical run to
 run.  The point evaluators take one math.fsum over KernelTable.offsets.
@@ -189,8 +189,8 @@ def _offset_sum(weights: np.ndarray, fs: np.ndarray, gs: np.ndarray | None = Non
     """Kahan sum over kernel offsets of f(x - d) g(x + d) w(d), or of f(x - d) w(d),
     per grid of a stack fs (and gs) of shape (..., N_1 ... N_n).
 
-    Offsets run in row-major order and zero weights are skipped, so each
-    half of a split table (see _split_weights) sums only its own offsets.
+    Offsets run in row-major order and zero weights are skipped, so the
+    local table (see _local_weights) sums only its own offsets.
     Every step is elementwise, so a stack's grids take the bits of one-grid
     calls whatever their memory layout: the contiguity rule of
     CellBoxes.sums binds reductions only.
@@ -236,8 +236,8 @@ def bi_frac(f: GridFunction, g: GridFunction, alpha: float) -> GridFunction:
     """Bilinear fractional integral sampled at cell midpoints.
 
     out(x) = sum over offset cells d of f(x - dh) g(x + dh) * kernel mass,
-    exact for step data at midpoints.  The local half of the kernel split
-    (_split_weights) is the same _offset_sum on its table, which
+    exact for step data at midpoints.  The local part of the kernel split
+    (_local_weights) is the same _offset_sum on its table, which
     harness.local_part_ratios takes on a stack of grids.
     """
     spec = _check_same_spec(f, g)
@@ -344,12 +344,12 @@ def multi_frac_int_at(f1: GridFunction, f2: GridFunction, alpha: float, point) -
     return _point_value((value,), f"multi_frac_int_at with alpha = {alpha!r}")
 
 
-def _split_weights(spec: GridSpec, alpha: float, Q0: Cube) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel weight tables of the local (|y| <= side(Q0)) and the far part."""
+def _local_weights(spec: GridSpec, alpha: float, Q0: Cube) -> np.ndarray:
+    """The kernel weight table of the local part of the kernel split,
+    |y| <= side(Q0), and 0 on the far offsets."""
     table = kernel_table(spec, alpha)
     radius = Q0.side  # 2 * delta with delta = side / 2
-    mask = np.sqrt((table.offsets ** 2).sum(axis=-1)) <= radius + 1e-12
-    return np.where(mask, table.weights, 0.0), np.where(mask, 0.0, table.weights)
+    return np.where(np.sqrt((table.offsets ** 2).sum(axis=-1)) <= radius + 1e-12, table.weights, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,11 @@ def _split_weights(spec: GridSpec, alpha: float, Q0: Cube) -> tuple[np.ndarray, 
 
 
 def _family_for(spec: GridSpec, family: CubeFamily | None) -> CubeFamily:
+    """The family a maximal operator sweeps: the given one, on the data's spec
+    (else SpecMismatch) and non-empty, or the default family of the spec."""
     family = family if family is not None else default_family(spec)
+    if family.spec != spec:
+        raise SpecMismatch(f"data on {spec} swept over a family on {family.spec}")
     family.require_nonempty()
     return family
 

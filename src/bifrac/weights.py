@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AverageOverflow, NonPositiveWeight, POutOfRange, SpecMismatch
+from .errors import AverageOverflow, EmptyCubeFamily, NonPositiveWeight, POutOfRange, SpecMismatch
 from .families import CubeFamily, NestedPairs
 from .geometry import Cube
 from .lattice import GridFunction
@@ -102,11 +102,14 @@ def _cube_values(family: CubeFamily, factors: list[tuple], measure_power: float 
     A factor (w, e, c) is (avg_Q w^e)^c, the power skipped at c = 1; (w, None,
     None) divides by min_Q w over the cells Q touches.  A nan value is 0 * inf,
     a factor vanishing where another is +inf: `_top` and `_sanitize` read +inf.
+    A weight on another grid spec than the family's raises SpecMismatch.
     """
     vals = None if measure_power is None else family.measures ** measure_power
     parts = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for w, expo, power in factors:
+            if w.spec != family.spec:
+                raise SpecMismatch(f"a function on {w.spec} read over a family on {family.spec}")
             if expo is None:
                 part = family.touch.minima(w.samples)
                 vals = vals / part
@@ -208,14 +211,15 @@ def _pair_constant(lead, wv, q0, q, p1, p2, pairs, r0) -> ConstantReport:
     if not (q0 > 0.0 and q > 0.0):
         raise POutOfRange("need q0 > 0 and q > 0")
     _check_positive(lead)
-    pairs.require_nonempty()
+    if pairs.size == 0:
+        raise EmptyCubeFamily("nested pair family is empty")
     fam = pairs.family
     meas = fam.measures
     # (|Q|/|Q'|)^{1/q0} = |Q|^{1/q0} |Q'|^{-1/q0}, so the max over pairs
     # is the max over Q' of its outer factor times its best inner factor
     inner, (inner_lead,) = _cube_values(fam, [(lead, q, 1.0 / q)], 1.0 / q0)
     inner = _sanitize(inner)
-    best = pairs.inner_max(inner)
+    best = fam.boxes.inner_max(inner)
     outer, (outer_1, outer_2) = _cube_values(fam, [_dual(wv.w1, p1), _dual(wv.w2, p2)], -1.0 / q0)
     with np.errstate(invalid="ignore"):
         if r0 is not None:

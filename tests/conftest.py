@@ -182,6 +182,13 @@ def kernel_table_2d_oracle(spec, alpha):
     return half[fold[:, None], fold]
 
 
+def far_weights(spec, alpha, Q0):
+    """The far part of the kernel split, which the package never sums: the
+    kernel table on the offsets d with |dh| > side(Q0), 0 on the local ones."""
+    table = kernel_table(spec, alpha)
+    return np.where(np.sqrt((table.offsets ** 2).sum(axis=-1)) > Q0.side + 1e-12, table.weights, 0.0)
+
+
 def enumerate_nested_pairs(family):
     """Every aligned pair Q ⊆ Q' of family as (inner, outer) index arrays,
     outer-major: the slow oracle for NestedPairs, which never lists pairs."""
@@ -407,7 +414,7 @@ def pair_constant_oracle(lead, wv, q0, q, p1, p2, pairs, r0=None):
         outer_1 = _family_power_averages(wv.w1, -cp1, fam) ** (1.0 / cp1)
         outer_2 = _family_power_averages(wv.w2, -cp2, fam) ** (1.0 / cp2)
         inner = _sanitize(meas ** (1.0 / q0) * inner_lead)
-        best = pairs.inner_max(inner)
+        best = fam.boxes.inner_max(inner)
         outer = meas ** (-1.0 / q0) * outer_1 * outer_2
         if r0 is not None:
             outer = outer * meas ** (1.0 / r0)

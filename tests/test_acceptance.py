@@ -408,14 +408,14 @@ def test_c08_inequality_ratio_suites(fam64, pairs64):
     )
 
 
-def test_c09_small_exponent_mechanism(fam64, pairs64):
+def test_c09_small_exponent_mechanism(fam64):
     budget = 60.0
     t0 = time.monotonic()
     prof = catalog_profiles("C1.4")[0]
     checked = 0
     for seed in (3, 9, 27):
         for item in corpus(seed, "power-weights", count=3):
-            res = small_exponent_chain_check(item.weight_vector(), prof, fam64, pairs64)
+            res = small_exponent_chain_check(item.weight_vector(), prof, fam64)
             assert res["finite"]
             assert res["within_factor_two"], res
             checked += 1

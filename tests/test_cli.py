@@ -20,6 +20,7 @@ from bifrac import (
     GridSpec,
     MorreyParams,
     WeightVector,
+    apq_constant,
     cz_decompose,
     frac_maximal,
     maximal,
@@ -30,9 +31,9 @@ from bifrac import (
     two_weight_constant,
     write_grid_file,
 )
-from bifrac.cli import build_parser, check_config_keys, check_profile_keys, main
+from bifrac.cli import build_parser, check_config_keys, main
 from bifrac.families import default_family, nested_pairs
-from bifrac.harness import witness_text
+from bifrac.harness import PROFILE_CATALOG, make_profile, witness_text
 
 
 @pytest.fixture()
@@ -179,6 +180,13 @@ class TestExitCodes:
             ]
         )
         assert rc == 2
+
+    def test_a_profile_of_another_dimension_is_an_input_error(self, tmp_path, capsys):
+        # a 2D profile on the 1D harness grid ran and exited 0 before
+        prof = tmp_path / "n2.json"
+        prof.write_text(json.dumps({"tag": "T1.1", **PROFILE_CATALOG["T1.1"][0], "n": 2}))
+        assert main(["verify", "--profile-file", str(prof), "--n-cal", "2", "--n-eval", "2"]) == 2
+        assert capsys.readouterr().err.startswith("SpecMismatch: a T1.1 profile with n = 2 on the 1D item ")
 
     def test_invalid_relations_are_config_error(self, grids, tmp_path):
         prof = tmp_path / "bad_profile.json"
@@ -356,7 +364,63 @@ class TestExitCodes:
         profiles = [dict(p) for p in profiles if p]
         assert profiles
         for profile in profiles:
-            check_profile_keys(profile.pop("tag"), profile, "README profile")
+            make_profile(profile.pop("tag"), **profile)
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize(
+        "argv, inputs, named",
+        [
+            (["apply", "--op", "maximal", "--alpha", "9", "--p", "7"], 1, "apply --op maximal does not read --alpha, --p"),
+            (["apply", "--op", "bi-frac", "--r1", "2"], 2, "apply --op bi-frac does not read --r1"),
+            (["apply", "--op", "p-maximal", "--alpha", "0.5"], 1, "apply --op p-maximal does not read --alpha"),
+            (
+                ["constants", "--constant", "ap", "--q0", "-3", "--epsilon", "-1", "--r0", "0"],
+                0,
+                "constants --constant ap does not read --epsilon, --q0, --r0",
+            ),
+            (["constants", "--constant", "ap", "apq", "--p1", "3"], 0, "constants --constant ap apq does not read --p1"),
+            (["constants", "--constant", "ap", "--weight2", "w2"], 0, "constants --constant ap does not read --weight2"),
+            (["norms", "--p0", "2", "--p1", "-5"], 1, "norms with 1 --input file does not read --p1"),
+            (["norms", "--p0", "2", "--q", "2"], 2, "norms with 2 --input files does not read --q"),
+        ],
+        ids=["apply-maximal", "apply-bi-frac", "apply-p-maximal", "constants-ap", "constants-ap-apq",
+             "constants-weight2", "norms-1", "norms-2"],
+    )
+    def test_a_flag_the_mode_does_not_read_is_config_error(self, grids, capsys, argv, inputs, named):
+        # each of these exited 0 before, ignoring the flag
+        out = grids["dir"] / "out"
+        files = ["--input", *[str(grids["f"])] * inputs] if inputs else ["--weight", str(grids["f"])]
+        more = ["--output", str(out)] if argv[0] == "apply" else ["--out-json", str(out)]
+        assert main([*argv, *files, *more]) == 2
+        assert capsys.readouterr().err == f"ConfigInvalid: {named}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["apply", "--op", "frac-maximal"], lambda f: frac_maximal(f, 0.5)),
+            (["apply", "--op", "frac-maximal", "--alpha", "0.25"], lambda f: frac_maximal(f, 0.25)),
+            (["apply", "--op", "multi-maximal", "--r2", "2"], lambda f: multi_maximal(f, f, 0.5, 1.0, 2.0)),
+            (["apply", "--op", "maximal"], maximal),
+        ],
+        ids=["defaults", "alpha", "r2", "no-flags"],
+    )
+    def test_the_table_defaults_are_the_operator_inputs(self, grids, argv, want):
+        out = grids["dir"] / "out.grid"
+        count = 2 if argv[2] == "multi-maximal" else 1
+        assert main([*argv, "--input", *[str(grids["f"])] * count, "--output", str(out)]) == 0
+        assert np.array_equal(read_grid_file(out).samples, want(read_grid_file(grids["f"])).samples)
+
+    def test_the_constants_table_defaults_are_the_constant_inputs(self, grids, tmp_path):
+        out = tmp_path / "c.json"
+        argv = ["constants", "--weight", str(grids["f"]), "--weight2", str(grids["one"]), "--v", str(grids["f"])]
+        assert main([*argv, "--constant", "apq", "two-weight", "--r0", "8", "--out-json", str(out)]) == 0
+        apq, two = json.loads(out.read_text())["constants"]
+        f, one = read_grid_file(grids["f"]), read_grid_file(grids["one"])
+        assert apq["value"] == apq_constant(f, 2.0, 3.0, default_family(f.spec)).value
+        pairs = nested_pairs(default_family(f.spec))
+        assert two["value"] == two_weight_constant(f, WeightVector(f, one), 4.0, 3.0, 2.0, 2.0, pairs, r0=8.0).value
 
 
 class TestConstantsCommand:

@@ -27,8 +27,10 @@ from bifrac import (
     GridFunction,
     GridSpec,
     MorreyParams,
+    WeightVector,
     all_intervals,
     ap_constant,
+    iida_constant,
     morrey_norm,
 )
 from bifrac.families import (
@@ -588,7 +590,7 @@ def test_inner_max_equals_max_over_listed_pairs(dim, n, subset, data):
     want = np.full(family.size, -np.inf)
     with np.errstate(invalid="ignore"):
         np.maximum.at(want, outer, vals[inner])
-        assert np.array_equal(nested_pairs(family).inner_max(vals), want, equal_nan=True)
+        assert np.array_equal(family.boxes.inner_max(vals), want, equal_nan=True)
 
 
 @settings(max_examples=40)
@@ -633,8 +635,9 @@ def test_a_family_without_aligned_members_has_no_pairs(dim):
         assert not family.aligned.any()
         pairs = nested_pairs(family)
         assert pairs.size == 0
-        with pytest.raises(EmptyCubeFamily):
-            pairs.require_nonempty()
+        one = GridFunction.constant(spec, 1.0)
+        with pytest.raises(EmptyCubeFamily, match="^nested pair family is empty$"):
+            iida_constant(WeightVector(one, one), 4.0, 2.0, 2.0, 2.0, pairs)
 
 
 def _max_over_containing_intervals(family, values, cells, nonfinite_to_zero=True):
@@ -677,7 +680,7 @@ def test_1d_inner_max_of_every_interval_at_n64_equals_max_over_listed_pairs():
         values[np.isnan(values)] = np.inf
         want = np.full(fam.size, -np.inf)
         np.maximum.at(want, outer, values[inner])
-        assert np.array_equal(nested_pairs(fam).inner_max(values), want)
+        assert np.array_equal(fam.boxes.inner_max(values), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 64, 128])
@@ -803,4 +806,4 @@ def test_an_empty_family_has_no_window_sums_or_minima(dim):
         assert boxes.minima(ones).shape == (0,)
     assert fam.integrals(ones).shape == (0,)
     assert np.array_equal(fam.cover.sweep(np.zeros(0)), np.full(spec.shape, -np.inf))
-    assert nested_pairs(fam).inner_max(np.zeros(0)).shape == (0,)
+    assert fam.boxes.inner_max(np.zeros(0)).shape == (0,)

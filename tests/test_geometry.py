@@ -234,3 +234,13 @@ class TestChildrenParent:
         assert len(set(kids)) == 4
         assert sum(k.measure for k in kids) == pytest.approx(up.measure, rel=1e-12)
         assert all(up.contains_cube(k, tol=1e-12) and parent(grid, k) == up for k in kids)
+
+
+@pytest.mark.parametrize("corner", [math.inf, -math.inf, math.nan, 1e300], ids=["inf", "-inf", "nan", "past-the-cells"])
+@pytest.mark.parametrize("shift", [0.0, THIRD])
+def test_a_corner_off_the_float_range_of_the_grid_is_not_in_it(corner, shift):
+    # inf and 1e300 / 2^-60 overflowed round() (OverflowError), nan made it a ValueError
+    grid, Q = DyadicGrid((shift, 0.0)), Cube((corner, 0.0), 2.0 ** -60)
+    with pytest.raises(NotInGrid, match="off the level-60 grid"):
+        grid.member_index(Q)
+    assert Q not in grid

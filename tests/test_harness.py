@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 import bifrac.harness as H
 from bifrac import (
     AverageOverflow,
+    ConfigInvalid,
     Cube,
     GridFunction,
     InfiniteConstant,
     RelationViolated,
+    SpecMismatch,
     small_exponent_chain_check,
     corpus,
     dilate_item,
@@ -190,6 +192,25 @@ class TestMakeProfile:
         assert prof.r1 > prof.q
         assert abs(prof.q / prof.q0 - prof.p1 / prof.q1) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "tag, change, named",
+        [
+            ("T9.9", {}, "unknown profile tag 'T9.9'"),
+            ("T1.1", {"p0": None}, "missing keys ['p0'], unknown keys []"),
+            ("T1.1", {"q1": 4}, "missing keys [], unknown keys ['q1']"),
+            ("C5.3", {"p2": None, "alhpa": 0.25}, "missing keys ['p2'], unknown keys ['alhpa']"),
+        ],
+        ids=["unknown-tag", "missing-key", "unknown-key", "both"],
+    )
+    def test_a_key_outside_the_profile_contract_is_config_invalid(self, tag, change, named):
+        # before, a missing key raised KeyError and an unknown key was ignored
+        raw = {**PROFILE_CATALOG.get(tag, PROFILE_CATALOG["T1.1"])[0], **change}
+        raw = {k: v for k, v in raw.items() if v is not None}
+        for check in (make_profile, profile_violations):
+            with pytest.raises(ConfigInvalid) as err:
+                check(tag, **raw)
+            assert named in str(err.value)
+
 
 class TestCorpus:
     def test_deterministic(self):
@@ -353,10 +374,10 @@ class TestStructural:
         from bifrac import sparse_bound
         from bifrac.harness import HARNESS_GRID, HARNESS_Q0, STRUCTURAL_ALPHA
         from bifrac.lattice import _cell_slices
-        from bifrac.operators import _offset_sum, _split_weights
+        from bifrac.operators import _local_weights, _offset_sum
 
         for item in corpus(5, "spikes", count=2) + corpus(5, "random-steps", count=2):
-            w_local, _ = _split_weights(item.spec, STRUCTURAL_ALPHA, HARNESS_Q0)
+            w_local = _local_weights(item.spec, STRUCTURAL_ALPHA, HARNESS_Q0)
             local = _offset_sum(w_local, item.f.samples, item.g.samples)
             sb = sparse_bound(item.f, item.g, STRUCTURAL_ALPHA, 2.0, 2.0, HARNESS_Q0, HARNESS_GRID)
             sl = _cell_slices(item.spec, HARNESS_Q0, clip=False)
@@ -381,13 +402,13 @@ class TestStructural:
         # constant data on a root whose tripled subcubes stay inside the
         # box: every cell has the same exact local / sparse ratio
         from bifrac import Cube, DyadicGrid, GridFunction, sparse_bound
-        from bifrac.operators import _offset_sum, _split_weights
+        from bifrac.operators import _local_weights, _offset_sum
 
         spec = HARNESS_SPEC
         q0 = Cube((0.0,), 2.0)
         one = GridFunction.constant(spec, 1.0)
         alpha = 0.5
-        local = _offset_sum(_split_weights(spec, alpha, q0)[0], one.samples, one.samples)
+        local = _offset_sum(_local_weights(spec, alpha, q0), one.samples, one.samples)
         sb = sparse_bound(one, one, alpha, 2.0, 2.0, q0, DyadicGrid((0.0,)))
         h = spec.h
         d_max = math.floor(q0.side / h)
@@ -431,6 +452,24 @@ class TestInequalitySuite:
         item = corpus(5, "indicators", count=1)[0]  # catalog item has unit weights
         _, _, const = evaluate_inequality_item(prof, item, fam64, pairs64)
         assert const.value == pytest.approx(1.0)
+
+    def test_pairs_of_another_family_or_a_profile_of_another_dimension_are_refused(self, fam64, pairs64):
+        # before, pairs of the 32-cell family gave a constant of 0.630 where its own pairs give 1.995
+        prof = catalog_profiles("T1.1")[0]
+        item = corpus(3, "random-steps", count=1)[0]
+        other = nested_pairs(default_family(dataclasses.replace(HARNESS_SPEC, cells_per_axis=32)))
+        prof2 = make_profile("T1.1", **{**PROFILE_CATALOG["T1.1"][0], "n": 2})
+        for evaluate in (
+            lambda p, prs: evaluate_inequality_item(p, item, fam64, prs),
+            lambda p, prs: domination_ratio(p, item, "weighted", fam64, prs),
+        ):
+            with pytest.raises(SpecMismatch, match="^pairs of the family 'intervals' on "):
+                evaluate(prof, other)
+            with pytest.raises(SpecMismatch, match="^a T1.1 profile with n = 2 on the 1D item "):
+                evaluate(prof2, pairs64)
+            evaluate(prof, pairs64)
+        with pytest.raises(SpecMismatch):
+            evaluate_inequality_item(prof, item, fam64, nested_pairs(default_family(HARNESS_SPEC)))
 
     def test_run_verify_passes(self):
         prof = catalog_profiles("C5.3")[0]
@@ -526,12 +565,10 @@ class TestDomination:
 
 
 class TestMechanism:
-    def test_power_weights_chain(self, fam64, pairs64):
+    def test_power_weights_chain(self, fam64):
         prof = catalog_profiles("C1.4")[0]
         for item in corpus(9, "power-weights", count=3):
-            res = small_exponent_chain_check(
-                item.weight_vector(), prof, fam64, pairs64
-            )
+            res = small_exponent_chain_check(item.weight_vector(), prof, fam64)
             assert res["finite"]
             assert res["within_factor_two"]
             assert res["pair_constant"] <= res["bound_chain"] * (1 + 1e-9)

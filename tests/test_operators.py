@@ -13,6 +13,7 @@ from conftest import (
     bi_frac_at_oracle,
     contains_point,
     family_from_cubes,
+    far_weights,
     frac_int_at_oracle,
     kernel_table_2d_oracle,
     sec_power_integral_oracle,
@@ -31,6 +32,7 @@ from bifrac import (
     all_intervals,
     bi_frac,
     bi_frac_at,
+    default_family,
     frac_int,
     frac_int_at,
     frac_maximal,
@@ -44,7 +46,7 @@ from bifrac import (
     weighted_bilinear_maximal,
 )
 from bifrac import operators
-from bifrac.operators import _split_weights
+from bifrac.operators import _local_weights
 
 
 class TestKernelTable:
@@ -342,7 +344,7 @@ def kernel_sum_cases(draw):
     Q0 = Cube((0.0,) * dim, draw(st.sampled_from((0.0625, 0.25, 0.5, 1.0))))
     weights = kernel_table(spec, alpha).weights
     if part != "full":
-        weights = _split_weights(spec, alpha, Q0)[part == "far"]
+        weights = far_weights(spec, alpha, Q0) if part == "far" else _local_weights(spec, alpha, Q0)
     return GridFunction(spec, f), GridFunction(spec, g), alpha, weights
 
 
@@ -383,7 +385,7 @@ class TestOffsetSumOracle:
         f = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.shape))
         g = GridFunction(spec, rng.uniform(-1.0, 1.0, spec.shape))
         Q0 = Cube((0.0, 0.0), 0.5)
-        for weights in _split_weights(spec, 0.9, Q0):
+        for weights in (_local_weights(spec, 0.9, Q0), far_weights(spec, 0.9, Q0)):
             half = operators._offset_sum(weights, f.samples, g.samples)
             assert np.array_equal(half, oracle_bilinear_sum_2d(f.samples, g.samples, weights))
 
@@ -684,7 +686,8 @@ class TestSparseBound:
         arr[34:44] = rng.uniform(0.2, 1.0, 10)
         f = GridFunction(spec, arr, nonnegative=True)
         q0 = Cube((0.0,), 4.0)
-        local, glob = (operators._offset_sum(w, f.samples, f.samples) for w in _split_weights(spec, 0.5, q0))
+        weights = (_local_weights(spec, 0.5, q0), far_weights(spec, 0.5, q0))
+        local, glob = (operators._offset_sum(w, f.samples, f.samples) for w in weights)
         sb = sparse_bound(f, f, 0.5, 2.0, 2.0, q0, DyadicGrid((0.0,)))
         full = bi_frac(f, f, 0.5)
         assert np.allclose(local + glob, full.samples, rtol=1e-12)
@@ -1004,3 +1007,25 @@ def test_a_nan_exponent_is_out_of_range(site):
     call, error = _nan_sites()[site]
     with pytest.raises(error):
         call()
+
+
+# every maximal operator on data of GridSpec(1, 4.0, 64), over a family of another spec
+_SWEPT_ON_ANOTHER_FAMILY = {
+    "maximal": lambda f, fam: maximal(f, fam),
+    "frac-maximal": lambda f, fam: frac_maximal(f, 0.5, fam),
+    "p-maximal": lambda f, fam: p_maximal(f, 2.0, fam),
+    "multi-maximal": lambda f, fam: multi_maximal(f, f, 0.5, 1.0, 1.0, fam),
+    "weighted-bilinear-maximal": lambda f, fam: weighted_bilinear_maximal(f, f, f, f, 0.5, 2.0, 2.0, 2.0, fam),
+}
+
+
+@pytest.mark.parametrize("other", [GridSpec(1, 4.0, 32), GridSpec(2, 2.0, 8)], ids=str)
+@pytest.mark.parametrize("name", list(_SWEPT_ON_ANOTHER_FAMILY))
+def test_a_family_on_another_spec_is_a_spec_mismatch(name, other):
+    # before the check, a coarser 1D family or any 2D one raised a bare numpy ValueError
+    spec = GridSpec(1, 4.0, 64)
+    f = GridFunction(spec, np.random.default_rng(8).uniform(0.5, 2.0, 64))
+    with pytest.raises(SpecMismatch) as err:
+        _SWEPT_ON_ANOTHER_FAMILY[name](f, default_family(other))
+    assert str(spec) in str(err.value) and str(other) in str(err.value)
+    assert _SWEPT_ON_ANOTHER_FAMILY[name](f, default_family(spec)).spec == spec

@@ -6,7 +6,8 @@ acceptance suite or the benchmark, or a listed reason to exist,
 every public method or property of a package class is read as an attribute
 somewhere in the package, its tests or the benchmark (and is listed when an
 ndarray, a numpy Generator or a str has an attribute of its name),
-every function cache has a fixed size, no call of np.unique loads numpy.ma,
+no module imports another module's private name unless a list gives it a
+reason, every function cache has a fixed size, no call of np.unique loads numpy.ma,
 per-cube power averages and minima are read in one function, only the
 lattice module converts between coordinates and cells, and every
 `module.name`, `Class.attr` and bare `name` that README.md quotes exists."""
@@ -258,6 +259,68 @@ def _tree(root: Path, files: dict[str, str]) -> Path:
 def test_a_method_that_only_a_test_reads_is_flagged(tmp_path, reader, unread):
     root = _tree(tmp_path, {"src/bifrac/m.py": _CLASS, reader: "from bifrac.m import A\nA().h()\nA().g\n"})
     assert _unread_methods(*_sources(root)) == unread
+
+
+# The private names that a package module imports from another, per
+# (importer, source), with the reason each is shared below the public API.
+_PRIVATE_IMPORTS_KEPT = {
+    ("cli", "harness"): (("_grid_fn",), "sweep builds its beta power weights with the corpus weight builder"),
+    ("families", "lattice"): (
+        ("_cell_slices", "_scalar_pow"),
+        "the root block takes the one-cube alignment check; side powers equal scalar `**` bit for bit",
+    ),
+    ("harness", "operators"): (
+        ("_check_same_spec", "_finite", "_local_weights", "_offset_sum", "_root_m3q", "_root_plan", "_sparse_sums"),
+        "the structural checks sum the local kernel part and the sparse bound on stacks of items",
+    ),
+    ("morrey", "weights"): (("_cube_values", "_top"), "every Morrey norm is the max of one per-cube value"),
+    ("operators", "lattice"): (("_scalar_pow",), "roots and side powers equal scalar `**` bit for bit"),
+    ("sparse", "operators"): (
+        ("_check_same_spec", "_path_accumulate", "_root_m3q"),
+        "the stopping-time tree reads the per-root m_3Q plan that sparse_bound reads",
+    ),
+}
+
+
+def _unlisted_private_imports(package: dict[str, str], kept=_PRIVATE_IMPORTS_KEPT) -> list[str]:
+    """`importer: source._name` of each private name that a package module
+    imports from another module of the package and `kept` does not list."""
+    listed = {(importer, source, name) for (importer, source), (names, _) in kept.items() for name in names}
+    found = []
+    for importer, text in package.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("bifrac.")):
+                source = (node.module or "").rsplit(".", 1)[-1]
+                found += [
+                    f"{importer}: {source}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")
+                    if (importer, source, alias.name) not in listed
+                ]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another_unlisted():
+    package, _, _ = _sources()
+    assert _unlisted_private_imports(package) == []
+    # and every listed name would fail without its entry
+    listed = sorted(f"{i}: {s}.{n}" for (i, s), (names, _) in _PRIVATE_IMPORTS_KEPT.items() for n in names)
+    assert sorted(_unlisted_private_imports(package, kept={})) == listed
+
+
+@pytest.mark.parametrize(
+    "package, unlisted",
+    [
+        ({"a": "def _f():\n    pass\n", "b": "from .a import _f\n"}, ["b: a._f"]),
+        ({"a": "def _f():\n    pass\n", "b": "from bifrac.a import _f, g\n"}, ["b: a._f"]),
+        ({"a": "def f():\n    pass\n", "b": "from .a import f\nfrom __future__ import annotations\n"}, []),
+        ({"lattice": "def _scalar_pow():\n    pass\n", "operators": "from .lattice import _scalar_pow\n"}, []),
+        ({"lattice": "", "operators": "from .lattice import _scalar_pow, _nearest\n"}, ["operators: lattice._nearest"]),
+    ],
+    ids=["relative", "absolute", "public", "listed", "listed-and-not"],
+)
+def test_the_private_import_check_flags_unlisted_imports(package, unlisted):
+    assert _unlisted_private_imports(package) == unlisted
 
 
 # Optional parameters of public functions and methods that no call in the

@@ -855,3 +855,29 @@ def test_empty_family_raises(spec32):
     one = GridFunction.constant(spec32, 1.0)
     with pytest.raises(EmptyCubeFamily):
         ap_constant(one, 2.0, family_from_cubes(spec32, []))
+
+
+# every constant and norm on data of GridSpec(1, 4.0, 64), over a family of another spec
+_ON_ANOTHER_FAMILY = {
+    "ap": lambda w, fam: ap_constant(w, 2.0, fam),
+    "apq": lambda w, fam: apq_constant(w, 2.0, 3.0, fam),
+    "multiple-apq": lambda w, fam: multiple_apq_constant(WeightVector(w, w), 2.0, 2.0, 3.0, fam),
+    "iida": lambda w, fam: iida_constant(WeightVector(w, w), 4.0, 3.0, 2.0, 2.0, nested_pairs(fam)),
+    "two-weight": lambda w, fam: two_weight_constant(w, WeightVector(w, w), 4.0, 3.0, 2.0, 2.0, nested_pairs(fam)),
+    "reverse-holder": lambda w, fam: reverse_holder_probe(w, 0.5, fam),
+    "morrey": lambda w, fam: morrey_norm(w, MorreyParams(2.0, 1.0), fam),
+    "morrey-witness": lambda w, fam: morrey_norm_witness(w, MorreyParams(2.0, 1.0), fam),
+    "vector-morrey": lambda w, fam: vector_morrey_norm(w, w, 1.0, 2.0, 2.0, fam),
+}
+
+
+@pytest.mark.parametrize("other", [GridSpec(1, 4.0, 32), GridSpec(1, 2.0, 64), GridSpec(2, 2.0, 8)], ids=str)
+@pytest.mark.parametrize("name", list(_ON_ANOTHER_FAMILY))
+def test_a_family_on_another_spec_is_a_spec_mismatch(name, other):
+    # before the check, ap read 0.268 here, below the least A_2 constant 1
+    spec = GridSpec(1, 4.0, 64)
+    w = GridFunction(spec, np.random.default_rng(4).uniform(0.5, 2.0, 64))
+    with pytest.raises(SpecMismatch) as err:
+        _ON_ANOTHER_FAMILY[name](w, default_family(other))
+    assert str(spec) in str(err.value) and str(other) in str(err.value)
+    assert _ON_ANOTHER_FAMILY[name](w, default_family(spec)) is not None
