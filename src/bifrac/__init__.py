@@ -5,7 +5,8 @@ Modules
 lattice    sampled step functions, cube cell sums, grid file IO
 geometry   half-open cubes, shifted dyadic grids, the cube locator
 families   finite cube and nested-pair families for discrete suprema
-sparse     stopping-time selection of cubes with large bilinear averages
+sparse     stopping-time selection of cubes with large bilinear averages, and
+           the sparse bound, over a root cube's dyadic tree
 operators  singular-kernel integral operators and maximal functions
 weights    weight-class constants over cube and pair families
 morrey     discrete Morrey norms
@@ -90,10 +91,9 @@ from .operators import (
     multi_frac_int_at,
     multi_maximal,
     p_maximal,
-    sparse_bound,
     weighted_bilinear_maximal,
 )
-from .sparse import SparseFamily, SelectedCube, cz_decompose
+from .sparse import SparseFamily, SelectedCube, cz_decompose, sparse_bound
 from .weights import (
     ConstantReport,
     WeightVector,

@@ -23,6 +23,7 @@ from .harness import (
     PROFILE_CATALOG,
     ExponentProfile,
     _grid_fn,
+    check_profile_contract,
     make_profile,
     protocol_corpora,
     run_verify,
@@ -55,8 +56,8 @@ from .weights import (
 # The keys a config document may hold for each command that reads one, at the
 # top level (None) and in its `sweep` object; any other key is a
 # ConfigInvalid.  Both commands run on the harness grid, so neither reads a
-# `grid`.  A `profile` object, and a sweep `base`, hold the keys of their tag,
-# which harness.make_profile checks.
+# `grid`.  A `profile` object, and a sweep `base` (alpha supplied), hold the
+# keys of their tag, which harness.check_profile_contract checks.
 CONFIG_KEYS = {
     "verify": {
         None: ("profile", "seed", "kind", "out_csv", "out_json"),
@@ -398,6 +399,7 @@ def cmd_sweep(args) -> int:
     base = sweep.get("base", PROFILE_CATALOG.get(tag, [{}])[0])
     if not isinstance(base, dict):
         raise ConfigInvalid("config sweep 'base' must be a JSON object")
+    check_profile_contract(tag, {**base, "alpha": None})  # each row supplies alpha
     rows = []
     failures = 0
     skipped = 0

@@ -20,8 +20,8 @@ members of a family with its exact pair count (CellBoxes.pair_count); a
 max over the relation is the engine's too (CellBoxes.inner_max over the
 family's boxes).  Pairs are never listed.
 
-`subcube_blocks` lists the dyadic subcubes of a root cube down to single
-cells, as corner cells and widths.
+`subcube_family` is a root cube's dyadic tree: its dyadic subcubes down to
+single cells, breadth first, which `sparse` reads.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from itertools import product
 
 import numpy as np
 
-from .errors import EmptyCubeFamily, NonAlignedCube, NotInGrid
+from .errors import EmptyCubeFamily, NonAlignedCube
 from .geometry import Cube, DyadicGrid
-from .lattice import CellBoxes, GridSpec, _cell_slices, _scalar_pow, cell_overlaps, integrate_overlaps
+from .lattice import CellBoxes, GridSpec, _cell_slices, _read_only, _scalar_pow, cell_overlaps, integrate_overlaps
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,7 @@ class CubeFamily:
 
     def __post_init__(self):
         for key in ("corners", "sides", "lo", "hi"):
-            arr = np.array(getattr(self, key))
-            arr.setflags(write=False)
-            object.__setattr__(self, key, arr)
+            object.__setattr__(self, key, _read_only(np.array(getattr(self, key))))
 
     @property
     def size(self) -> int:
@@ -97,9 +95,7 @@ class CubeFamily:
 
         @lru_cache(maxsize=16)
         def powers(expo: float, scale: float) -> np.ndarray:
-            out = _scalar_pow(scale * self.sides, expo)
-            out.setflags(write=False)
-            return out
+            return _read_only(_scalar_pow(scale * self.sides, expo))
 
         return powers
 
@@ -252,19 +248,19 @@ def _root_block(spec: GridSpec, Q0: Cube) -> tuple[tuple[int, ...], int]:
     return tuple(sl.start for sl in slices), iw
 
 
-def subcube_blocks(spec: GridSpec, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray]:
-    """All dyadic subcubes of Q0 down to single cells, as corner cells (k x n)
-    and widths, breadth first: block i has its 2^n children at 2^n i + 1 ...
-    2^n i + 2^n, in `product((0, half), ...)` order."""
-    if Q0 not in grid:
-        raise NotInGrid(f"root {Q0.serialize()} is not a cube of the grid")
+@lru_cache(maxsize=8)  # the most recent roots, bounded like the kernel tables
+def subcube_family(spec: GridSpec, Q0: Cube) -> CubeFamily:
+    """All dyadic subcubes of Q0 down to single cells, breadth first: cube 0
+    is Q0, and cube i has its 2^n children at 2^n i + 1 ... 2^n i + 2^n, in
+    `product((0, half), ...)` order."""
     lo0, w0 = _root_block(spec, Q0)
     offsets = np.array(list(product((0, 1), repeat=spec.dim)), dtype=np.int64)
     levels, widths = [np.array([lo0], dtype=np.int64)], [w0]
     while widths[-1] > 1:
         widths.append(widths[-1] // 2)
         levels.append((levels[-1][:, None, :] + offsets * widths[-1]).reshape(-1, spec.dim))
-    return np.concatenate(levels), np.repeat(widths, [len(lv) for lv in levels])
+    lo, width = np.concatenate(levels), np.repeat(widths, [len(lv) for lv in levels])
+    return CubeFamily(spec, spec.edge(lo), width * spec.h, lo, lo + width[:, None], "dyadic")
 
 
 @dataclass(frozen=True)

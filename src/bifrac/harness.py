@@ -25,21 +25,18 @@ import numpy as np
 from .errors import ConfigInvalid, InfiniteConstant, RelationViolated, SpecMismatch
 from .families import CubeFamily, NestedPairs, default_family, nested_pairs
 from .geometry import Cube, DyadicGrid, locate_shifted_cubes
-from .lattice import GridFunction, GridSpec, lp_norm
+from .lattice import GridFunction, GridSpec, _cell_slices, lp_norm
 from .morrey import MorreyParams, morrey_norm, power_scaling_check, vector_morrey_norm
 from .operators import (
     _check_same_spec,
     _finite,
     _local_weights,
     _offset_sum,
-    _root_m3q,
-    _root_plan,
-    _sparse_sums,
     bi_frac,
     multi_maximal,
     weighted_bilinear_maximal,
 )
-from .sparse import cz_decompose
+from .sparse import _root_m3q, _sparse_sums, cz_decompose
 from .weights import (
     ConstantReport,
     WeightVector,
@@ -159,20 +156,24 @@ def _chk(violations, ok: bool, relation: str):
         violations.append(relation)
 
 
-def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[str]]:
-    """Derived exponents plus the list of violated relations (empty if valid),
-    once the profile contract holds: an unknown tag, a missing key or an
-    unknown key (PROFILE_KEYS) raises ConfigInvalid naming it."""
+def check_profile_contract(tag: str, keys) -> None:
+    """ConfigInvalid naming an unknown tag, or the missing and unknown keys (PROFILE_KEYS) among `keys`."""
     if tag not in PROFILE_KEYS:
         raise ConfigInvalid(f"unknown profile tag {tag!r}; known tags are {list(PROFILE_KEYS)}")
     required, optional = PROFILE_KEYS[tag]
-    missing = [k for k in required if k not in raw]
-    unknown = sorted(set(raw) - set(required) - set(optional))
+    missing = [k for k in required if k not in keys]
+    unknown = sorted(set(keys) - set(required) - set(optional))
     if missing or unknown:
         raise ConfigInvalid(
             f"profile for {tag}: missing keys {missing}, unknown keys {unknown}; "
             f"it needs {list(required)} and may hold {list(optional)}"
         )
+
+
+def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[str]]:
+    """Derived exponents plus the list of violated relations (empty if valid),
+    once the profile contract holds (check_profile_contract)."""
+    check_profile_contract(tag, raw)
     v: list[str] = []
     n = int(raw.get("n", 1))
     alpha = float(raw["alpha"])
@@ -432,8 +433,8 @@ def _concentration_guard(f: GridFunction, g: GridFunction, Q0: Cube) -> float:
     n = spec.dim
     a = 2.0 ** (2 * n + 1)
     safe_side = (Q0.measure / (2.0 * 3.0 ** n)) ** (1.0 / n)
-    _, width, m = _root_m3q(spec, f.samples, g.samples, 2.0, 2.0, Q0, DyadicGrid((0.0,) * n))
-    big = width * spec.h > safe_side * (1 + 1e-9)  # a prefix of the breadth-first blocks
+    tree, m = _root_m3q(spec, f.samples, g.samples, 2.0, 2.0, Q0)
+    big = tree.sides > safe_side * (1 + 1e-9)  # a prefix of the breadth-first cubes
     worst = max([0.0] + m[big].tolist())
     target = SPIKE_ROOT_TARGET * a
     if worst > target:
@@ -715,13 +716,11 @@ def local_part_ratios(items) -> list[float]:
     from one pass over the stacked items, bit for bit as per item."""
     spec = _check_same_spec(*(fn for it in items for fn in (it.f, it.g)))
     Q0 = HARNESS_Q0 if spec.dim == 1 else HARNESS_Q0_2D
-    grid = HARNESS_GRID if spec.dim == 1 else HARNESS_GRID_2D
     fs, gs = np.stack([it.f.samples for it in items]), np.stack([it.g.samples for it in items])
     w_local = _local_weights(spec, STRUCTURAL_ALPHA, Q0)
     local = _finite(_offset_sum(w_local, fs, gs), f"bi_frac with alpha = {STRUCTURAL_ALPHA!r}", "on a cell")
-    sb = _sparse_sums(spec, fs, gs, STRUCTURAL_ALPHA, 2.0, 2.0, Q0, grid)
-    lo, width, _, _ = _root_plan(spec, Q0, grid)  # block 0 is Q0
-    sl = (slice(None),) + tuple(slice(a, a + int(width[0])) for a in lo[0].tolist())
+    sb = _sparse_sums(spec, fs, gs, STRUCTURAL_ALPHA, 2.0, 2.0, Q0)
+    sl = (slice(None),) + _cell_slices(spec, Q0)
     return [
         _max_cell_ratio(lv, sv)
         for lv, sv in zip(local[sl].reshape(len(items), -1), sb[sl].reshape(len(items), -1))

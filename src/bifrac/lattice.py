@@ -127,9 +127,7 @@ class GridFunction:
             raise NonNegativityViolation(
                 f"declared nonnegative but min sample is {arr.min()}"
             )
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _read_only(arr.copy()))
 
     @classmethod
     def constant(cls, spec: GridSpec, value: float) -> "GridFunction":
@@ -297,14 +295,15 @@ class CellBoxes:
     Window sums take a stack of arrays, one engine pass for all of them, with
     the bits of one call per array.  They keep to the contiguity rule: a
     gather goes through take, whose result is C-contiguous, before a reduce
-    along its last axis.
+    along its last axis.  `lo`, `ext` and the cached plans are read-only:
+    cached families (a default family, a root's dyadic tree) share them.
     """
 
     def __init__(self, shape: tuple[int, ...], lo: np.ndarray, hi: np.ndarray):
         self.shape = tuple(shape)
         self.count = len(lo)
-        self.lo = lo
-        self.ext = np.maximum(hi - lo, 0)
+        self.lo = _read_only(lo.view())
+        self.ext = _read_only(np.maximum(hi - lo, 0))
         self.top = int(self.ext.max(initial=1))
 
     @classmethod
@@ -314,7 +313,7 @@ class CellBoxes:
         return cls(shape, np.clip(lo - w, 0, n), np.clip(lo + 2 * w, 0, n))
 
     @cached_property
-    def by_length(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    def by_length(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
         """1D: per distinct extent e, the boxes of extent e and their cells
         (boxes x e), when the boxes hold fewer cells in all than the window
         table has entries; None when the table is smaller and sums reads it
@@ -326,8 +325,8 @@ class CellBoxes:
         plan = []
         for e in np.flatnonzero(np.bincount(ext)).tolist():
             k = np.flatnonzero(ext == e)
-            plan.append((k, lo[k, None] + np.arange(e)))
-        return plan
+            plan.append((_read_only(k), _read_only(lo[k, None] + np.arange(e))))
+        return tuple(plan)
 
     @cached_property
     def table_shape(self) -> tuple[int, ...]:
@@ -348,7 +347,7 @@ class CellBoxes:
         for ax, n in enumerate(self.shape):
             at = np.concatenate((at * n + self.lo[:, ax], at * n + far[:, ax]))
         at[:, ~(self.ext > 0).all(axis=1)] = math.prod(self.table_shape)
-        return at
+        return _read_only(at)
 
     @cached_property
     def digits(self) -> np.ndarray:
@@ -372,7 +371,7 @@ class CellBoxes:
             rows = (len(at) * len(k), self.count)
             at = (at[:, None] + k * strides[ax] + start * strides[dim + ax]).reshape(rows)
             valid = (valid[:, None] & present).reshape(rows)
-        return np.where(valid, at, math.prod(shape))[valid.any(axis=1)]
+        return _read_only(np.where(valid, at, math.prod(shape))[valid.any(axis=1)])
 
     def _table(self, arr: np.ndarray, ufunc, fill: float) -> np.ndarray:
         """The power-of-two table of arr (..., N_1 ... N_n) under ufunc, flat per
@@ -458,7 +457,7 @@ class CellBoxes:
         return k, table.reshape(-1)[at]
 
     @cached_property
-    def _sides(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, "CellBoxes"]]:
+    def _sides(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, "CellBoxes"], ...]:
         """2D containment plan, one entry per square side w present: the
         side-w boxes, the flat positions of their corners on the grid of
         (N - w + 1)^2 corners, the boxes of side >= w, and their windows
@@ -472,8 +471,9 @@ class CellBoxes:
             inner, outer = k[side == w], k[side >= w]
             lo = self.lo[outer]
             windows = CellBoxes(shape, lo, lo + (self.ext[outer, :1] - w + 1))
-            plan.append((inner, np.ravel_multi_index(tuple(self.lo[inner].T), shape), outer, windows))
-        return plan
+            at = np.ravel_multi_index(tuple(self.lo[inner].T), shape)
+            plan.append((_read_only(inner), _read_only(at), _read_only(outer), windows))
+        return tuple(plan)
 
     def pair_count(self) -> int:
         """The number of pairs of non-empty boxes, the first inside the
@@ -514,6 +514,12 @@ class CellBoxes:
             np.minimum.at(corners.reshape(-1), at, -values[inner])
             out[outer] = np.maximum(out[outer], -windows.minima(corners))
         return out
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only in place."""
+    arr.setflags(write=False)
+    return arr
 
 
 def _block_steps(table: np.ndarray, dim: int):

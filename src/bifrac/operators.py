@@ -23,6 +23,7 @@ run.  The point evaluators take one math.fsum over KernelTable.offsets.
 
 The two-fold integral multi_frac_int is one table of libm powers over the
 distinct radial distances from a midpoint; multi_frac_int_at is its oracle.
+m_{3Q} (_m3q) reads any family's 3Q windows and measures, a dyadic tree's too.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from itertools import product
 import numpy as np
 
 from .errors import AlphaOutOfRange, AverageOverflow, NonPositiveWeight, POutOfRange, SpecMismatch
-from .families import CubeFamily, default_family, subcube_blocks
-from .geometry import Cube, DyadicGrid
-from .lattice import CellBoxes, GridFunction, GridSpec, _scalar_pow, check_conjugate
+from .families import CubeFamily, default_family
+from .geometry import Cube
+from .lattice import GridFunction, GridSpec, _scalar_pow, check_conjugate
 
 
 @dataclass(frozen=True)
@@ -447,52 +448,21 @@ def multi_maximal(
     return _sweep(spec, family, values, f"multi_maximal with alpha = {alpha!r}, r1 = {r1!r}, r2 = {r2!r}")
 
 
-def _m3q(spec: GridSpec, fs: np.ndarray, gs: np.ndarray, r, s, windows: CellBoxes, meas3: np.ndarray) -> np.ndarray:
-    """m_{3Q}(|f|^r, |g|^s) over the 3Q `windows` (see CellBoxes.tripled), per
-    pair of a stack fs, gs (..., N_1 ... N_n) of samples on spec: shape
-    (..., windows), from one stacked window sum.
+def _m3q(family: CubeFamily, fs: np.ndarray, gs: np.ndarray, r, s) -> np.ndarray:
+    """m_{3Q}(|f|^r, |g|^s) over the family's 3Q windows (`windows3`), per
+    pair of a stack fs, gs (..., N_1 ... N_n) of samples on its spec: shape
+    (..., cubes), from one stacked window sum.
 
     Integration runs over 3Q clipped to the box; the normalizing measure is
-    the full meas3 = (3 * side)^n (functions vanish outside the box),
-    matching the compact-support convention.
+    the full (3 * side)^n (functions vanish outside the box), matching the
+    compact-support convention.
     """
-    vol = spec.h ** spec.dim
+    spec = family.spec
+    vol, meas3 = spec.h ** spec.dim, family.side_powers(spec.dim, 3.0)
     # a power past the float range reads +inf, and +inf * 0 nan
     with np.errstate(over="ignore", invalid="ignore"):
-        fi, gi = windows.sums(np.stack((np.abs(fs) ** r, np.abs(gs) ** s))) * vol / meas3
+        fi, gi = family.windows3.sums(np.stack((np.abs(fs) ** r, np.abs(gs) ** s))) * vol / meas3
         return _scalar_pow(fi, 1.0 / r) * _scalar_pow(gi, 1.0 / s)
-
-
-@lru_cache(maxsize=8)  # the most recent roots, bounded like the kernel tables
-def _root_plan(spec: GridSpec, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray, CellBoxes, np.ndarray]:
-    """Q0's subcube_blocks, their 3Q windows (2D: digit blocks built) and 3Q measures, all read-only."""
-    lo, width = subcube_blocks(spec, Q0, grid)
-    windows = CellBoxes.tripled(spec.shape, lo, width)
-    meas3 = _scalar_pow(3.0 * (width * spec.h), spec.dim)
-    for arr in (lo, width, meas3, windows.lo, windows.ext) + ((windows.digits,) if spec.dim == 2 else ()):
-        arr.setflags(write=False)
-    return lo, width, windows, meas3
-
-
-def _path_accumulate(ufunc, values: np.ndarray, fan: int) -> np.ndarray:
-    """ufunc accumulated down the tree of breadth-first blocks (children of
-    i: fan i + 1 ... fan i + fan), along the last axis."""
-    out = values.copy()
-    start, size = 0, 1
-    while start + size < out.shape[-1]:
-        kids = slice(start + size, start + size * (fan + 1))
-        out[..., kids] = ufunc(np.repeat(out[..., start : start + size], fan, axis=-1), out[..., kids])
-        start, size = start + size, size * fan
-    return out
-
-
-def _root_m3q(spec: GridSpec, fs, gs, r, s, Q0: Cube, grid: DyadicGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The root plan's corner cells and widths, and m_{3Q}(|f|^r, |g|^s) per
-    block (..., blocks) for a stack fs, gs of samples (see _m3q), all finite."""
-    lo, width, windows, meas3 = _root_plan(spec, Q0, grid)
-    m = _m3q(spec, fs, gs, r, s, windows, meas3)
-    where = f"on a subcube of the root cube {Q0.serialize()}"
-    return lo, width, _finite(m, f"m_3Q(|f|^r, |g|^s) with r = {r!r}, s = {s!r}", where)
 
 
 def weighted_bilinear_maximal(
@@ -520,36 +490,9 @@ def weighted_bilinear_maximal(
     name = f"weighted_bilinear_maximal with alpha = {alpha!r}, r = {r!r}, s = {s!r}, q = {q!r}"
     with np.errstate(over="ignore"):
         nu = _finite(w1.samples * w2.samples, name, "in the product weight w1 * w2")
-    m3q = _m3q(spec, f.samples, g.samples, r, s, family.windows3, family.side_powers(spec.dim, 3.0))
+    m3q = _m3q(family, f.samples, g.samples, r, s)
     (nu_q,) = _averages(family, (nu,), (q,))
     with np.errstate(invalid="ignore"):  # inf * 0 reads nan, which _sweep refuses
         values = family.side_powers(alpha) * m3q * nu_q
     return _sweep(spec, family, values, name)
 
-
-def sparse_bound(
-    f: GridFunction,
-    g: GridFunction,
-    alpha: float,
-    r: float,
-    s: float,
-    Q0: Cube,
-    grid: DyadicGrid,
-) -> GridFunction:
-    """sum over dyadic Q ⊆ Q0 (down to single cells) of side^alpha m_{3Q} χ_Q."""
-    spec = _check_same_spec(f, g)
-    return GridFunction(spec, _sparse_sums(spec, f.samples, g.samples, alpha, r, s, Q0, grid))
-
-
-def _sparse_sums(spec: GridSpec, fs, gs, alpha: float, r: float, s: float, Q0: Cube, grid: DyadicGrid) -> np.ndarray:
-    """sparse_bound's samples per pair of a stack fs, gs (..., N_1 ... N_n) on spec."""
-    check_conjugate(r, s)
-    if not (0.0 < alpha < spec.dim):
-        raise AlphaOutOfRange(f"alpha must lie in (0, {spec.dim}), got {alpha}")
-    lo, width, m = _root_m3q(spec, fs, gs, r, s, Q0, grid)
-    # each cell adds its blocks' values from the root down to its own cell
-    total = _path_accumulate(np.add, _scalar_pow(width * spec.h, alpha) * m, 2 ** spec.dim)
-    out = np.zeros(m.shape[:-1] + spec.shape)
-    cells = width == 1
-    out[(...,) + tuple(lo[cells].T)] = total[..., cells]
-    return out

@@ -241,7 +241,7 @@ def reverse_holder_probe(w: GridFunction, epsilon: float, family: CubeFamily) ->
     are left out; a weight that is 0 on every cube raises NonPositiveWeight.
     """
     if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+        raise POutOfRange(f"epsilon must be positive, got {epsilon}")
     _check_positive(w)
     family.require_nonempty()
     lo = _cube_values(family, [(w, 1.0, 1.0)])[0]

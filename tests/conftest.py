@@ -9,10 +9,10 @@ from hypothesis import settings
 from bifrac import Cube, DyadicGrid, GridFunction, GridSpec, all_intervals
 from bifrac.errors import DegenerateCube, NonAlignedCube, OutOfBox
 from bifrac.geometry import _THIRD, locate_shifted_cubes
-from bifrac.families import _with_cell_bounds, subcube_blocks
+from bifrac.families import _with_cell_bounds, subcube_family
 from bifrac.harness import SplitMix64, _mix_seed
 from bifrac.lattice import CellBoxes, cell_overlaps, integrate_overlaps
-from bifrac.operators import _m3q, kernel_table
+from bifrac.operators import kernel_table
 from bifrac.weights import ConstantReport, WeightVector, _family_power_averages, _sanitize, conjugate
 
 # One profile for every property test: the same examples on every run and
@@ -531,13 +531,17 @@ def frac_int_at_oracle(f, alpha, point):
     return math.fsum(terms)
 
 
-def root_m3q_oracle(spec, fs, gs, r, s, Q0, grid):
-    """operators._root_m3q with the root's geometry built on every call: its
-    subcube_blocks, a fresh CellBoxes.tripled (so fresh digit blocks) and the
-    3Q measures by scalar `**`, then operators._m3q."""
-    lo, width = subcube_blocks(spec, Q0, grid)
+def root_m3q_oracle(spec, fs, gs, r, s, Q0):
+    """sparse._root_m3q with the root's tree built on every call: an uncached
+    subcube_family, a fresh CellBoxes.tripled of its cells (so fresh digit
+    blocks) and the 3Q measures by scalar `**`, then operators._m3q's formula."""
+    tree = subcube_family.__wrapped__(spec, Q0)
+    width = tree.hi[:, 0] - tree.lo[:, 0]
+    windows = CellBoxes.tripled(spec.shape, tree.lo, width)
     meas3 = np.array([(3.0 * (w * spec.h)) ** spec.dim for w in width.tolist()])
-    return lo, width, _m3q(spec, fs, gs, r, s, CellBoxes.tripled(spec.shape, lo, width), meas3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fi, gi = windows.sums(np.stack((np.abs(fs) ** r, np.abs(gs) ** s))) * spec.h ** spec.dim / meas3
+        return tree, np.float_power(fi, 1.0 / r) * np.float_power(gi, 1.0 / s)
 
 
 # The lattice coordinate map as three modules once spelled it out, each with

@@ -137,7 +137,7 @@ class TestExitCodes:
         "argv, error",
         [
             (["constants", "--constant", "ap", "--p", "nan"], "POutOfRange"),
-            (["constants", "--constant", "reverse-holder", "--epsilon", "nan"], "ValueError"),
+            (["constants", "--constant", "reverse-holder", "--epsilon", "nan"], "POutOfRange"),
             (["decompose", "--a", "nan"], "ValueError"),
             (["apply", "--op", "p-maximal", "--p", "nan"], "POutOfRange"),
         ],
@@ -304,6 +304,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("ConfigInvalid:")
         assert named in err
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [{"tag": "T9.9"}, {"base": {"bogus": 1}}, {"tag": "C5.3", "base": {"q1": 6, "q2": 6, "p1": 3}}],
+        ids=["unknown-tag", "unknown-key", "missing-key"],
+    )
+    def test_a_sweep_with_no_alphas_checks_its_tag_and_base(self, sweep, tmp_path, capsys):
+        # with no alphas the sweep built no profile, so it checked neither and exited 0
+        cfg, errors = tmp_path / "cfg.json", []
+        for alphas in ([0.25], []):
+            cfg.write_text(json.dumps({"sweep": {**sweep, "alphas": alphas}}))
+            assert main(["sweep", "--config", str(cfg)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("ConfigInvalid: ") and errors[1] == errors[0]
 
     @pytest.mark.parametrize(
         "sweep, key",
@@ -531,11 +545,21 @@ class TestConstantsCommand:
         assert main(["constants", "--weight", str(grids["f"]), "--constant", "ap", "bogus"]) == 2
         assert capsys.readouterr().err.startswith("ConfigInvalid: unknown constant 'bogus'")
 
-    def test_an_exponent_out_of_range_names_the_constant(self, grids, capsys):
-        argv = ["constants", "--weight", str(grids["f"]), "--constant", "ap", "apq", "--p", "1"]
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["ap", "apq", "--p", "1"], "constant 'apq': need 1 < p < q"),
+            # a ValueError that named no constant before reverse_holder_probe raised POutOfRange
+            (["reverse-holder", "--epsilon", "0"], "constant 'reverse-holder': epsilon must be positive, got 0.0"),
+            (["reverse-holder", "--epsilon", "-1"], "constant 'reverse-holder': epsilon must be positive, got -1.0"),
+        ],
+        ids=["apq-p", "reverse-holder-epsilon-0", "reverse-holder-epsilon-negative"],
+    )
+    def test_an_exponent_out_of_range_names_the_constant(self, grids, capsys, flags, message):
+        argv = ["constants", "--weight", str(grids["f"]), "--constant", *flags]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("POutOfRange: constant 'apq': need 1 < p < q")
+        assert len(err) == 1 and err[0].startswith(f"POutOfRange: {message}")
 
     def test_pairs_are_built_only_for_the_pair_constants(self, grids, monkeypatch, tmp_path):
         import bifrac.cli as cli

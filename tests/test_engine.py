@@ -38,9 +38,9 @@ from bifrac.families import (
     _shifted_grid_cubes,
     default_family,
     nested_pairs,
-    subcube_blocks,
+    subcube_family,
 )
-from bifrac.harness import HARNESS_GRID, HARNESS_Q0, STRUCTURAL_ALPHA, TAGS, ExponentProfile, catalog_profiles
+from bifrac.harness import HARNESS_Q0, STRUCTURAL_ALPHA, TAGS, ExponentProfile, catalog_profiles
 from bifrac.lattice import CellBoxes, cell_overlaps, integrate_overlaps
 from bifrac.operators import _averages, _m3q, maximal, weighted_bilinear_maximal
 
@@ -317,8 +317,7 @@ def _check_1d_sums(boxes, row):
 def _route_boxes(name, n):
     spec = GridSpec(1, 4.0, n)
     if name == "root-windows":  # the 3Q windows of the harness root's dyadic blocks
-        lo, width = subcube_blocks(spec, HARNESS_Q0, HARNESS_GRID)
-        return CellBoxes.tripled(spec.shape, lo, width)
+        return subcube_family(spec, HARNESS_Q0).windows3
     if name == "spot-check":
         return CellBoxes(spec.shape, *_spot_check_windows(n))
     family = default_family(spec)
@@ -405,6 +404,36 @@ def _sweep_by_loop(shape, lo, hi, values):
             if all(lo[k, ax] <= cell[ax] < hi[k, ax] for ax in range(len(shape))):
                 want[cell] = np.maximum(want[cell], values[k])
     return want
+
+
+def _engine_arrays(boxes: CellBoxes) -> list[np.ndarray]:
+    """The box arrays and every plan that boxes has built."""
+    plans = vars(boxes)
+    arrays = [boxes.lo, boxes.ext, boxes.blocks] + ([boxes.digits] if "digits" in plans else [])
+    arrays += [a for plan in plans.get("by_length") or () for a in plan]
+    return arrays + [a for plan in plans.get("_sides", ()) for a in (*plan[:3], plan[3].lo, plan[3].ext)]
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 4.0, 64), GridSpec(2, 2.0, 8)], ids=str)
+def test_the_engine_arrays_and_plans_of_cached_families_are_read_only(spec):
+    # a caller's default family and a root's cached dyadic tree share their box
+    # sets with every later reader, so a write to one would reach them all
+    family, tree = default_family(spec), subcube_family(spec, Cube((0.0,) * spec.dim, spec.half_width))
+    sets = (family.boxes, family.cover, family.touch, family.windows3, tree.boxes, tree.windows3)
+    for boxes in sets:  # build every plan that the operators and constants read
+        boxes.sums(np.ones(spec.shape)), boxes.minima(np.ones(spec.shape)), boxes.sweep(np.ones(boxes.count))
+    family.boxes.pair_count(), tree.boxes.pair_count()
+    built = {key for boxes in sets for key in vars(boxes)}
+    assert {"blocks", "by_length"} <= built if spec.dim == 1 else {"blocks", "digits", "_sides"} <= built
+    assert spec.dim == 2 or any(vars(boxes)["by_length"] is not None for boxes in sets)
+    for boxes in sets:
+        for arr in _engine_arrays(boxes):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+    # the engine freezes views of its own: the caller's array stays writable
+    lo = np.array([[0], [2]])
+    CellBoxes((8,), lo, lo + 2)
+    lo[0] = 1
 
 
 @given(grid_and_boxes(nonfinite=True), st.data())
@@ -715,7 +744,7 @@ def test_maximal_sweeps_at_n512_match_max_over_containing_intervals():
     assert np.array_equal(maximal(f, fam).samples[cells], want)
     alpha, r, s, q = 0.5, 2.0, 2.0, 3.0
     nu = GridFunction(spec, w1.samples * w2.samples)
-    m3q = _m3q(spec, f.samples, g.samples, r, s, fam.windows3, fam.side_powers(1, 3.0))
+    m3q = _m3q(fam, f.samples, g.samples, r, s)
     values = fam.side_powers(alpha) * m3q * _averages(fam, (nu.samples,), (q,))[0]
     want = _max_over_containing_intervals(fam, values, cells)
     got = weighted_bilinear_maximal(f, g, w1, w2, alpha, r, s, q, fam).samples[cells]
@@ -742,7 +771,7 @@ def test_2d_maximal_sweeps_at_n32_match_max_over_containing_cubes(family_2d_n32)
     alpha, r, s, q = 0.5, 2.0, 2.0, 3.0
     want = _max_over_containing_cubes(fam, _averages(fam, (f.samples,), (1.0,))[0])
     assert np.array_equal(maximal(f, fam).samples, want)
-    m3q = _m3q(spec, f.samples, g.samples, r, s, fam.windows3, fam.side_powers(2, 3.0))
+    m3q = _m3q(fam, f.samples, g.samples, r, s)
     values = fam.side_powers(alpha) * m3q * _averages(fam, (nu.samples,), (q,))[0]
     want = _max_over_containing_cubes(fam, values)
     got = weighted_bilinear_maximal(f, g, w1, w2, alpha, r, s, q, fam).samples

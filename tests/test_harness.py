@@ -7,7 +7,12 @@ import re
 
 import numpy as np
 import pytest
-from conftest import cube_location_worst_ratio_oracle, locate_shifted_dyadic_oracle, one_third_cubes_oracle
+from conftest import (
+    cube_location_worst_ratio_oracle,
+    locate_shifted_dyadic_oracle,
+    one_third_cubes_oracle,
+    root_m3q_oracle,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +22,7 @@ from bifrac import (
     ConfigInvalid,
     Cube,
     GridFunction,
+    GridSpec,
     InfiniteConstant,
     RelationViolated,
     SpecMismatch,
@@ -293,6 +299,24 @@ class TestCorpus:
                 for j in (-1, 1, 2):
                     it = dilate_item(item, j)
                     assert H._concentration_guard(it.f, it.g, q0) == pytest.approx(1.0, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", [GridSpec(1, 3.0, 64), GridSpec(2, 1.5, 16)], ids=str)
+    def test_spikes_on_a_box_of_no_power_of_two_side_build_and_are_guarded(self, spec):
+        # the root [0, L)^n is half the box, a power of two cells wide, whatever L
+        # is; the guard once asked it to be a cube of the dyadic grid, which a
+        # side L = 3 or 1.5 is not, so these corpora raised NotInGrid
+        n = spec.dim
+        q0 = Cube((0.0,) * n, spec.half_width)
+        safe_side = (q0.measure / (2.0 * 3.0**n)) ** (1.0 / n)
+        target = H.SPIKE_ROOT_TARGET * 2.0 ** (2 * n + 1)
+        rescaled = 0
+        for seed in range(3):
+            for item in corpus(seed, "spikes", spec, count=4):
+                for it in (item, dilate_item(item, -1), dilate_item(item, 1)):
+                    tree, m = root_m3q_oracle(spec, it.f.samples, it.g.samples, 2.0, 2.0, q0)
+                    assert m[tree.sides > safe_side * (1 + 1e-9)].max() <= target * (1 + 1e-12)
+                    rescaled += it.descriptors["f"][-1][0] == "rescale"
+        assert rescaled > 0  # the guard rescaled some items
 
 
 def _piece_text(piece) -> str:

@@ -94,7 +94,7 @@ def _average(f, Q, p):
 def _m3q_of(f, g, Q, r, s):
     """m_{3Q}(|f|^r, |g|^s) over Q's 3Q window, as weighted_bilinear_maximal reads it."""
     fam = family_from_cubes(f.spec, [Q])
-    return float(_m3q(f.spec, f.samples, g.samples, r, s, fam.windows3, fam.side_powers(f.spec.dim, 3.0))[0])
+    return float(_m3q(fam, f.samples, g.samples, r, s)[0])
 
 
 class TestIntegrate:

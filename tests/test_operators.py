@@ -984,7 +984,7 @@ def _nan_sites():
         "weights-pair-p2": (lambda: iida_constant(wv, 4.0, 3.0, 2.0, _NAN, pairs), POutOfRange),
         "weights-pair-q0": (lambda: iida_constant(wv, _NAN, 3.0, 2.0, 2.0, pairs), POutOfRange),
         "weights-pair-q": (lambda: iida_constant(wv, 4.0, _NAN, 2.0, 2.0, pairs), POutOfRange),
-        "weights-reverse-holder-epsilon": (lambda: reverse_holder_probe(w, _NAN, fam), ValueError),
+        "weights-reverse-holder-epsilon": (lambda: reverse_holder_probe(w, _NAN, fam), POutOfRange),
         "operators-p-maximal-p": (lambda: p_maximal(w, _NAN), POutOfRange),
         "operators-multi-maximal-r1": (lambda: multi_maximal(w, w, 0.5, _NAN, 2.0), POutOfRange),
         "operators-multi-maximal-r2": (lambda: multi_maximal(w, w, 0.5, 2.0, _NAN), POutOfRange),

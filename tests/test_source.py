@@ -9,7 +9,8 @@ ndarray, a numpy Generator or a str has an attribute of its name),
 no module imports another module's private name unless a list gives it a
 reason, every function cache has a fixed size, no call of np.unique loads numpy.ma,
 per-cube power averages and minima are read in one function, only the
-lattice module converts between coordinates and cells, and every
+lattice module converts between coordinates and cells, only the families
+module builds the engine's box sets, and every
 `module.name`, `Class.attr` and bare `name` that README.md quotes exists."""
 
 import ast
@@ -265,19 +266,27 @@ def test_a_method_that_only_a_test_reads_is_flagged(tmp_path, reader, unread):
 # (importer, source), with the reason each is shared below the public API.
 _PRIVATE_IMPORTS_KEPT = {
     ("cli", "harness"): (("_grid_fn",), "sweep builds its beta power weights with the corpus weight builder"),
+    ("harness", "lattice"): (("_cell_slices",), "the local-domination check reads the cells of the root cube"),
     ("families", "lattice"): (
-        ("_cell_slices", "_scalar_pow"),
-        "the root block takes the one-cube alignment check; side powers equal scalar `**` bit for bit",
+        ("_cell_slices", "_read_only", "_scalar_pow"),
+        "the root block takes the one-cube alignment check; a family's arrays are read-only as the engine's "
+        "are; side powers equal scalar `**` bit for bit",
     ),
     ("harness", "operators"): (
-        ("_check_same_spec", "_finite", "_local_weights", "_offset_sum", "_root_m3q", "_root_plan", "_sparse_sums"),
-        "the structural checks sum the local kernel part and the sparse bound on stacks of items",
+        ("_check_same_spec", "_finite", "_local_weights", "_offset_sum"),
+        "the structural checks sum the local part of the kernel split on stacks of items",
+    ),
+    ("harness", "sparse"): (
+        ("_root_m3q", "_sparse_sums"),
+        "the concentration guard reads m_3Q over a root's dyadic tree, and the structural checks "
+        "sum the sparse bound on stacks of items",
     ),
     ("morrey", "weights"): (("_cube_values", "_top"), "every Morrey norm is the max of one per-cube value"),
     ("operators", "lattice"): (("_scalar_pow",), "roots and side powers equal scalar `**` bit for bit"),
     ("sparse", "operators"): (
-        ("_check_same_spec", "_path_accumulate", "_root_m3q"),
-        "the stopping-time tree reads the per-root m_3Q plan that sparse_bound reads",
+        ("_check_same_spec", "_finite", "_m3q"),
+        "the dyadic tree reads m_3Q as the weighted bilinear maximal operator does, with its spec and "
+        "float-range checks",
     ),
 }
 
@@ -570,6 +579,56 @@ def test_the_coordinate_map_check_flags_a_spelled_out_map(source, lines):
     assert _coordinate_maps(source) == lines
 
 
+def _cell_box_builds(module: str, source: str) -> list[str]:
+    """`module:function:line` of each call of CellBoxes(...) or
+    CellBoxes.tripled(...) (`lattice.CellBoxes` too) outside the families
+    module, but for the engine's own containment plan, CellBoxes._sides: a
+    set of cubes that the engine reads is a CubeFamily, so one builder, with
+    its caches, holds every cube set's boxes."""
+    found = []
+
+    def is_cell_boxes(node) -> bool:
+        name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+        return name == "CellBoxes"
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                tripled = isinstance(f, ast.Attribute) and f.attr == "tripled" and is_cell_boxes(f.value)
+                if (is_cell_boxes(f) or tripled) and module != "families" and (module, fn) != ("lattice", "_sides"):
+                    found.append(f"{module}:{fn}:{child.lineno}")
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_families_build_engine_box_sets():
+    package, _, _ = _sources()
+    assert [site for module, source in package.items() for site in _cell_box_builds(module, source)] == []
+
+
+_ENGINE = "class CellBoxes:\n    @classmethod\n    def tripled(cls, s, lo, w):\n        return cls(s, lo, lo + w)\n"
+
+
+@pytest.mark.parametrize(
+    "module, source, sites",
+    [
+        ("families", "b = CellBoxes(s, lo, hi)\nw = CellBoxes.tripled(s, lo, width)\n", []),
+        ("lattice", _ENGINE + "\n    def _sides(self):\n        return CellBoxes(s, lo, hi)\n", []),
+        ("lattice", _ENGINE + "\n    def grow(self):\n        return CellBoxes(s, lo, hi)\n", ["lattice:grow:7"]),
+        ("operators", "def _plan(spec):\n    return CellBoxes.tripled(spec.shape, lo, width)\n", ["operators:_plan:2"]),
+        ("sparse", "w = lattice.CellBoxes(s, lo, hi)\n", ["sparse:<module>:1"]),
+        ("weights", "def f(fam):\n    return fam.boxes.sums(w), fam.windows3.lo, boxes.tripled(s, lo, w)\n", []),
+    ],
+    ids=["families", "engine-plan", "engine-other", "operators-tripled", "qualified", "reads-only"],
+)
+def test_the_box_set_check_flags_a_build_outside_the_families(module, source, sites):
+    assert _cell_box_builds(module, source) == sites
+
+
 def _stale_module_names(text: str) -> list[str]:
     """The backticked `module.name` spans of text, for a module of the
     package, whose name the module does not have; and the `Class.attr` spans,
@@ -611,7 +670,7 @@ def test_every_module_name_the_readme_quotes_exists():
 
 
 def test_the_readme_check_flags_a_deleted_name():
-    text = "`lattice.overlap_integrals`, `families.subcube_blocks`, `np.sum` and `lattice._scalar_pow`"
+    text = "`lattice.overlap_integrals`, `families.subcube_family`, `np.sum` and `lattice._scalar_pow`"
     assert _stale_module_names(text) == ["lattice.overlap_integrals"]
     # class attributes: a cached property, a dataclass field, a method and a deleted property
     text = "`CellBoxes.blocks`, `KernelTable.weights`, `GridSpec.cell_of_point`, `T1.1` and `CellBoxes.groups`"

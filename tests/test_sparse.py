@@ -20,13 +20,11 @@ from bifrac import (
     OutOfBox,
     cz_decompose,
     harness,
-    operators,
     sparse,
     sparse_bound,
 )
-from bifrac.families import subcube_blocks
+from bifrac.families import subcube_family
 from bifrac.harness import HARNESS_GRID, HARNESS_Q0, HARNESS_SPEC, check_sparse_invariants, corpus
-from bifrac.operators import _root_plan
 
 
 def oracle_blocks(spec, q0):
@@ -204,8 +202,8 @@ def test_guarded_single_cell_spikes_select_past_level_one_and_keep_the_invariant
 
 
 def stopping_outputs(f, g, r, s, q0, grid):
-    """Everything that reads m_{3Q} from a root plan: the decomposition, the
-    sparse bound and the harness's concentration guard."""
+    """Everything that reads m_{3Q} over a root's dyadic tree: the
+    decomposition, the sparse bound and the harness's concentration guard."""
     return (
         cz_decompose(f, g, r, s, q0, grid),
         sparse_bound(f, g, 0.5 * f.spec.dim, r, s, q0, grid),
@@ -222,8 +220,8 @@ def stopping_outputs(f, g, r, s, q0, grid):
     guarded=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_the_root_plan_equals_the_per_call_build(dim, n, side, place, rs, guarded, seed):
-    # roots at the origin (place 0 on every axis) and off it; the plan of a
+def test_the_cached_tree_equals_the_per_call_build(dim, n, side, place, rs, guarded, seed):
+    # roots at the origin (place 0 on every axis) and off it; the tree of a
     # root is built by its first example and reused by the later ones
     spec, grid, count = GridSpec(dim, 2.0, n), DyadicGrid((0.0,) * dim), round(4.0 / side)
     q0 = Cube(tuple(side * ((k % count + count // 2) % count - count // 2) for k in place[:dim]), side)
@@ -232,12 +230,14 @@ def test_the_root_plan_equals_the_per_call_build(dim, n, side, place, rs, guarde
     got = stopping_outputs(f, g, r, s, q0, grid)
     with (
         mock.patch.object(sparse, "_root_m3q", root_m3q_oracle),
-        mock.patch.object(operators, "_root_m3q", root_m3q_oracle),
         mock.patch.object(harness, "_root_m3q", root_m3q_oracle),
     ):
         want = stopping_outputs(f, g, r, s, q0, grid)
-    args = (spec, f.samples, g.samples, r, s, q0, grid)
-    for a, b in zip(operators._root_m3q(*args), root_m3q_oracle(*args)):
+    args = (spec, f.samples, g.samples, r, s, q0)
+    (tree, m), (tree0, m0) = sparse._root_m3q(*args), root_m3q_oracle(*args)
+    assert m.dtype == m0.dtype and (m == m0).all()
+    for key in ("corners", "sides", "lo", "hi"):
+        a, b = getattr(tree, key), getattr(tree0, key)
         assert a.dtype == b.dtype and (a == b).all()
     (fam, bound, factor), (fam0, bound0, factor0) = got, want
     assert list(fam.levels) == list(fam0.levels) and fam.root == fam0.root and fam.root_m == fam0.root_m
@@ -252,23 +252,22 @@ def test_the_root_plan_equals_the_per_call_build(dim, n, side, place, rs, guarde
     assert type(factor) is float and factor == factor0
 
 
-def test_the_root_plan_is_read_only_and_one_per_root():
-    spec, grid = GridSpec(2, 2.0, 8), DyadicGrid((0.0, 0.0))
-    plan = _root_plan(spec, Cube((0.0, 0.0), 2.0), grid)
-    assert _root_plan(spec, Cube((0.0, 0.0), 2.0), grid) is plan
-    lo, width, windows, meas3 = plan
-    # the plan builds and freezes the digit blocks that 2D window sums read
-    assert "digits" in vars(windows)
-    for arr in (lo, width, meas3, windows.lo, windows.ext, windows.digits):
+def test_the_tree_is_a_read_only_family_one_per_root():
+    spec = GridSpec(2, 2.0, 8)
+    tree = subcube_family(spec, Cube((0.0, 0.0), 2.0))
+    assert subcube_family(spec, Cube((0.0, 0.0), 2.0)) is tree
+    assert tree.name == "dyadic" and tree.cube(0) == Cube((0.0, 0.0), 2.0)
+    # breadth first, down to single cells: 1 + 4 + 16 cubes of 4, 2 and 1 cells
+    assert (tree.hi - tree.lo)[:, 0].tolist() == [4] + [2] * 4 + [1] * 16
+    assert tree.lo[1:5].tolist() == [[4, 4], [4, 6], [6, 4], [6, 6]]
+    # its box sets are the engine's, read-only too (test_engine.py)
+    for arr in (tree.corners, tree.sides, tree.lo, tree.hi, tree.side_powers(2, 3.0)):
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
     for corner in ((-2.0, 0.0), (0.0, -2.0)):
-        other = _root_plan(spec, Cube(corner, 2.0), grid)
-        assert other is not plan and (other[0] != lo).any() and (other[1] == width).all()
-    smaller = _root_plan(spec, Cube((0.0, 0.0), 1.0), grid)
-    assert len(smaller[0]) < len(lo)
-    # 1D window sums read their own table, not the digit blocks
-    assert "digits" not in vars(_root_plan(GridSpec(1, 2.0, 8), Cube((0.0,), 2.0), DyadicGrid((0.0,)))[2])
+        other = subcube_family(spec, Cube(corner, 2.0))
+        assert other is not tree and (other.lo != tree.lo).any() and (other.sides == tree.sides).all()
+    assert subcube_family(spec, Cube((0.0, 0.0), 1.0)).size < tree.size
 
 
 class TestCzDecompose:
@@ -473,7 +472,7 @@ def test_a_root_is_checked_as_any_cube_is(spec, root, error):
     grid = DyadicGrid((0.0,) * spec.dim)
     f = GridFunction.constant(spec, 1.0)
     with pytest.raises(error):
-        subcube_blocks(spec, root, grid)
+        subcube_family(spec, root)
     with pytest.raises(error):
         cz_decompose(f, f, 2.0, 2.0, root, grid)
     with pytest.raises(error):
