@@ -285,18 +285,25 @@ class CellBoxes:
     (top + 1) window table gather their cells and reduce them per distinct
     length (see `by_length`); denser sets read that table over every start
     and length up to the longest box (see _window_sums).  The rest reads a
-    per-axis power-of-two table (see _block_steps): a 2D window sum adds the box's disjoint blocks
-    (see `digits`); minima and the outward sweep take the 2^n overlapping
-    blocks at its corners (see `blocks`), in any dimension.  Containment
-    among the boxes, the pair count and the inward maxima (`inner_max`),
-    reads one start x end table in 1D (see _start_end) and per-side corner
-    windows over the power-of-two table in 2D (see _sides).
+    per-axis power-of-two table: a 2D window sum adds the box's disjoint
+    blocks (see `digits`); minima and the outward sweep take the 2^n
+    overlapping blocks at its corners (see `blocks`), in any dimension.  The
+    table's build steps are index tuples cached once per box set (see
+    `_steps`), so a call sets up nothing but the table itself, which
+    starts uninitialised but for its cells and the slot past it; the sweep
+    replays the steps in reverse from a scatter of each box's distinct
+    corner blocks (see `_scatter`).  Containment among the boxes, the pair
+    count and the inward maxima (`inner_max`), reads one start x end table
+    in 1D (see _start_end) and per-side corner windows over the power-of-two
+    table in 2D (see _sides), whose boxes must be squares.
 
     Window sums take a stack of arrays, one engine pass for all of them, with
     the bits of one call per array.  They keep to the contiguity rule: a
     gather goes through take, whose result is C-contiguous, before a reduce
-    along its last axis.  `lo`, `ext` and the cached plans are read-only:
-    cached families (a default family, a root's dyadic tree) share them.
+    along its last axis.  `lo`, `ext` and the cached plans are read-only
+    (arrays frozen, steps tuples): cached families (a default family, a
+    root's dyadic tree) share them, so a writable plan would leak from one
+    call into the next.
     """
 
     def __init__(self, shape: tuple[int, ...], lo: np.ndarray, hi: np.ndarray):
@@ -373,16 +380,54 @@ class CellBoxes:
             valid = (valid[:, None] & present).reshape(rows)
         return _read_only(np.where(valid, at, math.prod(shape))[valid.any(axis=1)])
 
+    @cached_property
+    def _steps(self) -> tuple[tuple[tuple, tuple, tuple], ...]:
+        """The steps that build the power-of-two table, whose layer (k_1 ...
+        k_n) holds a value per 2^k_1 x ... x 2^k_n block at each corner cell,
+        from the cells at layer (0 ... 0): per level, the indices of the
+        coarser blocks and of the two finer blocks, half their extent apart,
+        that make them up.  Each index leads with `...`, so it reads every
+        row of a leading stack axis.  The last axis runs first, then each
+        earlier axis on all layers of the axes after it at once, so the steps
+        make about n log N numpy calls; a step reads only the finer blocks
+        that fit."""
+        dim, shape = len(self.shape), self.table_shape
+        steps = []
+        for ax in reversed(range(dim)):
+            later = (slice(None),) * (dim - 1 - ax)  # the later axes' layers, or their cells
+            earlier = (slice(None),) * ax  # the earlier axes' cells
+            for k in range(1, shape[ax]):
+                m, half = shape[dim + ax] - (1 << k) + 1, 1 << (k - 1)
+                coarse, fine = ((...,) + (0,) * ax + (level,) + later + earlier for level in (k, k - 1))
+                steps.append((coarse + (slice(m),) + later, fine + (slice(m),) + later, fine + (slice(half, half + m),) + later))
+        return tuple(steps)
+
+    @cached_property
+    def _scatter(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sweep's scatter plan: each box's distinct corner blocks, as
+        flat table positions in `blocks` order, and the box of each.  A
+        power-of-two extent puts both corners of an axis on one block, which
+        a max needs once."""
+        at = self.blocks
+        keep = np.ones(at.shape, dtype=bool)
+        for corner in range(1, len(at)):
+            keep[corner] = (at[corner] != at[:corner]).all(axis=0)
+        return _read_only(at[keep]), _read_only(np.nonzero(keep)[1])
+
     def _table(self, arr: np.ndarray, ufunc, fill: float) -> np.ndarray:
         """The power-of-two table of arr (..., N_1 ... N_n) under ufunc, flat per
-        row of the stack, plus one slot past it that holds fill."""
+        row of the stack, plus one slot past it that holds fill.  Only layer
+        (0, ..., 0) and that slot are written before the build steps; the
+        positions no step writes, past each layer's last whole block, are
+        never read (`blocks` and `digits` point at whole blocks only)."""
         lead = arr.shape[: arr.ndim - len(self.shape)]
-        flat = np.full(lead + (math.prod(self.table_shape) + 1,), fill)
+        flat = np.empty(lead + (math.prod(self.table_shape) + 1,))
+        flat[..., : math.prod(self.shape)] = arr.reshape(lead + (-1,))
+        flat[..., -1] = fill
         table = flat[..., :-1].reshape(lead + self.table_shape)  # a view: only the last axis splits
-        table[(...,) + (0,) * len(self.shape) + (slice(None),) * len(self.shape)] = arr
         with np.errstate(over="ignore", invalid="ignore"):  # blocks that no box reads may overflow
-            for coarse, first, second in _block_steps(table, len(self.shape)):
-                ufunc(first, second, out=coarse)
+            for coarse, first, second in self._steps:
+                ufunc(table[first], table[second], out=table[coarse])
         return flat
 
     def sums(self, arr: np.ndarray) -> np.ndarray:
@@ -423,19 +468,18 @@ class CellBoxes:
         """Per cell, the max of values[k] over the boxes containing it.
 
         Cells in no box get -inf; a NaN value propagates as in np.maximum.
-        Each value goes onto the 2^n corner blocks of its box (an empty box's
-        onto the slot past the table), and each block passes its max down to
-        the two blocks it is made of, level by level, to the cells (layer
-        (0, ..., 0)).  The values are tiled to the positions' flat shape, not
-        broadcast: np.maximum.at with a 2-D index and 1-D values reads past
-        the values on numpy 2.4.
+        Each value goes onto the distinct corner blocks of its box (an empty
+        box's onto the slot past the table; see `_scatter`), and each block
+        passes its max down to the two blocks it is made of, level by level
+        (the build steps in reverse), to the cells (layer (0, ..., 0)).
         """
+        at, box = self._scatter
         flat = np.full(math.prod(self.table_shape) + 1, -np.inf)
-        np.maximum.at(flat, self.blocks.reshape(-1), np.tile(values, len(self.blocks)))
+        np.maximum.at(flat, at, values[box])
         table = flat[:-1].reshape(self.table_shape)
-        for coarse, first, second in reversed(list(_block_steps(table, len(self.shape)))):
-            np.maximum(first, coarse, out=first)
-            np.maximum(second, coarse, out=second)
+        for coarse, first, second in reversed(self._steps):
+            np.maximum(table[first], table[coarse], out=table[first])
+            np.maximum(table[second], table[coarse], out=table[second])
         return table[(0,) * len(self.shape)].copy()
 
     def _start_end(self, values: np.ndarray, ufunc, fill) -> tuple[np.ndarray, np.ndarray]:
@@ -462,9 +506,15 @@ class CellBoxes:
         side-w boxes, the flat positions of their corners on the grid of
         (N - w + 1)^2 corners, the boxes of side >= w, and their windows
         [lo, lo + side - w] on that grid.  A side-w square lies in a square
-        exactly when its corner lies in the outer square's window."""
+        exactly when its corner lies in the outer square's window.  A
+        non-empty box that is not a square raises ValueError naming the
+        first one."""
         k = np.flatnonzero(self.ext.min(axis=1) > 0)
         side = self.ext[k, 0]
+        bent = k[(self.ext[k] != side[:, None]).any(axis=1)]
+        if len(bent):
+            b, shape = int(bent[0]), " x ".join(map(str, self.ext[bent[0]].tolist()))
+            raise ValueError(f"2D containment needs square boxes; box {b} at cell {self.lo[b].tolist()} is {shape} cells")
         plan = []
         for w in np.flatnonzero(np.bincount(side)).tolist():
             shape = tuple(n - w + 1 for n in self.shape)
@@ -522,24 +572,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _block_steps(table: np.ndarray, dim: int):
-    """The steps that build a power-of-two table, whose layer (k_1 ... k_dim)
-    holds a value per 2^k_1 x ... x 2^k_dim block at each corner cell, from
-    the cells at layer (0 ... 0), for each row of a leading stack axis: per
-    level, the coarser blocks and the two finer blocks, half their extent
-    apart, that make them up.  The last axis runs first, then each earlier
-    axis on all layers of the axes after it at once, so the steps make about
-    n log N numpy calls; a step reads only the finer blocks that fit."""
-    stack = table.ndim - 2 * dim
-    lead = (slice(None),) * stack
-    rest = lead + (slice(None),) * (dim - 1)  # the stack, the later axes' layers, the earlier axes' cells
-    for ax in reversed(range(dim)):
-        for k in range(1, table.shape[stack + ax]):
-            m, half = table.shape[stack + dim + ax] - (1 << k) + 1, 1 << (k - 1)
-            coarse, fine = table[lead + (0,) * ax + (k,)], table[lead + (0,) * ax + (k - 1,)]
-            yield coarse[rest + (slice(m),)], fine[rest + (slice(m),)], fine[rest + (slice(half, half + m),)]
-
-
 def cell_overlaps(spec: GridSpec, corners: np.ndarray, sides: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per axis, the overlaps of the cubes [corner, corner + side) with the
     cells: one vector per distinct (corner, side) pair on that axis, told
@@ -556,30 +588,40 @@ def cell_overlaps(spec: GridSpec, corners: np.ndarray, sides: np.ndarray) -> lis
 
 
 def integrate_overlaps(pw: np.ndarray, overlaps: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Integral of the nonnegative cell values pw over each cube of cell_overlaps.
+    """Integral of the nonnegative cell values pw over each cube of
+    cell_overlaps, per grid of a stack pw (..., N_1 ... N_n): shape (...,
+    cubes), each grid with the bits of a call on it alone.
 
     One matrix product per axis contracts the finite values with every
     distinct overlap vector, and each cube reads its (row, col) entry; the
     same products over an indicator of the non-finite cells give +inf where
-    a cube overlaps one.  In 2D a partial sum over cells a cube does not
+    a cube overlaps one.  A stack takes one batched product per axis, which
+    makes the BLAS call of a one-grid product once per grid (a 1D grid is a
+    1 x N row, as alone).  In 2D a partial sum over cells a cube does not
     reach can overflow (and inf * 0 is nan), so a cube whose value comes out
     non-finite is summed again term by term, (a_i b_j) pw_ij, 0 off its
     cells: +inf marks only an integral that overflows by itself.
     """
-    rows = tuple(row for _, row in overlaps)
+    dim = len(overlaps)
+    lead = pw.shape[: pw.ndim - dim]
+    at = 0
+    for vectors, row in overlaps:  # each cube's flat position in the (u, v) products
+        at = at * len(vectors) + row
     bad = ~np.isfinite(pw)
     tables = [np.where(bad, 0.0, pw)] + ([bad.astype(np.float64)] if bad.any() else [])
     values = []
     with np.errstate(over="ignore", invalid="ignore"):
         for part in tables:
-            for vectors, _ in overlaps:  # the cells of axis 0, leaving (N, u); in 2D then axis 1, leaving (u, v)
-                part = part.T @ vectors.T
-            values.append(part[rows])
+            part = part.reshape(part.shape + (1,) * (2 - dim))  # 1D: each grid an N x 1 column, swapped to a row
+            for vectors, _ in overlaps:  # each grid's cells of axis 0, leaving (N, u); in 2D then axis 1, leaving (u, v)
+                part = np.swapaxes(part, -1, -2) @ vectors.T
+            values.append(part.reshape(lead + (-1,)).take(at, axis=-1))
         out = values[0]
-        redo = np.flatnonzero(~np.isfinite(out))
-        if len(redo) and len(overlaps) == 2:  # a 1D product is the cube's own sum
+        if dim == 2 and not np.isfinite(out).all():  # a 1D product is the cube's own sum
             (first, row0), (second, row1) = overlaps
-            out[redo] = np.einsum("ki,kj,ij->k", first[row0[redo]], second[row1[redo]], tables[0])
+            for row, cells in zip(out.reshape(-1, len(at)), tables[0].reshape((-1,) + pw.shape[-2:])):
+                redo = np.flatnonzero(~np.isfinite(row))
+                row[redo] = np.einsum("ki,kj,ij->k", first[row0[redo]], second[row1[redo]], cells)
     if len(values) == 2:
         out[values[1] > 0.0] = np.inf
     return out

@@ -3,11 +3,13 @@
 Each per-cube value, of every constant and Morrey norm, is one `_cube_values`
 product of power averages or minima, where a nan (0 * inf) reads +inf.  A
 power average differences a 1D running sum while that sum is finite and
-otherwise sums each cube's own cells (`_family_power_averages`).  Maxima
-run over explicit families in a deterministic order (corner, then side), so
-the first attaining cube is the canonical witness.  Averages of negative
-powers of step weights are exact; zero samples are tolerated only in the
-sense of a +inf sentinel, strictly negative ones are rejected.
+otherwise sums each cube's own cells (`_family_power_averages`); the
+averages that sum cells, every one in 2D, take one stacked engine pass per
+product.  Maxima run over explicit families in a deterministic order
+(corner, then side), so the first attaining cube is the canonical witness.
+Averages of negative powers of step weights are exact; zero samples are
+tolerated only in the sense of a +inf sentinel, strictly negative ones are
+rejected.
 """
 
 from __future__ import annotations
@@ -60,29 +62,39 @@ def conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _family_power_averages(w: GridFunction, expo: float, family: CubeFamily) -> np.ndarray:
-    """(1/|Q|) \\int_Q w^expo per family cube, exact for step weights.
+def _family_power_averages(family: CubeFamily, powers: list[tuple[GridFunction, float]]) -> list[np.ndarray]:
+    """(1/|Q|) \\int_Q w^expo per family cube, for each (w, expo) of powers;
+    exact for step weights.
 
     In 1D, while the running sum of the cells stays finite (no +inf cell, no
     overflow; its last entry shows it), an aligned cube is the difference of
     the running sums at its two ends: the running sum of nonnegative cells
     never decreases, so no difference rounds below 0, but its error is
     relative to the running sum, not to the cube.  Otherwise, and always in
-    2D, the averages are `family.integrals` over the measures, as the
-    maximal operators take theirs: an aligned cube adds its own cells (its
-    own disjoint engine blocks in 2D), so an all-zero cube reads exactly 0,
-    a cube holding a +inf cell (a zero sample raised to a negative power)
+    2D, the averages are one stacked `family.integrals` call over the
+    measures, each with the bits of a call of its own, as the maximal
+    operators take theirs: an aligned cube adds its own cells (its own
+    disjoint engine blocks in 2D), so an all-zero cube reads exactly 0, a
+    cube holding a +inf cell (a zero sample raised to a negative power)
     reads +inf, and an overflow reaches only a cube whose own sum overflows.
     """
+    out, rest = [], []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        pw = np.power(w.samples, expo, dtype=np.float64)
-        if w.spec.dim == 1:
-            running = np.cumsum(np.concatenate(([0], pw))) * w.spec.h
-            if np.isfinite(running[-1]):
-                sums = running[family.hi[:, 0]] - running[family.lo[:, 0]]
-                sums[family.shifted] = family.shifted_integrals(pw)
-                return sums / family.measures
-        return family.integrals(pw) / family.measures
+        for w, expo in powers:
+            pw = np.power(w.samples, expo, dtype=np.float64)
+            if family.spec.dim == 1:
+                running = np.cumsum(np.concatenate(([0], pw))) * family.spec.h
+                if np.isfinite(running[-1]):
+                    sums = running[family.hi[:, 0]] - running[family.lo[:, 0]]
+                    sums[family.shifted] = family.shifted_integrals(pw)
+                    out.append(sums / family.measures)
+                    continue
+            rest.append(len(out))
+            out.append(pw)  # summed below, with the other rows that sum cells
+        if rest:
+            for i, avg in zip(rest, family.integrals(np.stack([out[i] for i in rest])) / family.measures):
+                out[i] = avg
+    return out
 
 
 def _check_positive(*ws: GridFunction):
@@ -100,21 +112,25 @@ def _cube_values(family: CubeFamily, factors: list[tuple], measure_power: float 
     """|Q|^measure_power times the factors per family cube, left to right, and
     each factor's array: the one reader of per-cube power averages and minima.
     A factor (w, e, c) is (avg_Q w^e)^c, the power skipped at c = 1; (w, None,
-    None) divides by min_Q w over the cells Q touches.  A nan value is 0 * inf,
-    a factor vanishing where another is +inf: `_top` and `_sanitize` read +inf.
-    A weight on another grid spec than the family's raises SpecMismatch.
+    None) divides by min_Q w over the cells Q touches.  The power averages of
+    all factors are one `_family_power_averages` call, so one stacked engine
+    pass.  A nan value is 0 * inf, a factor vanishing where another is +inf:
+    `_top` and `_sanitize` read +inf.  A weight on another grid spec than the
+    family's raises SpecMismatch.
     """
+    for w, _, _ in factors:
+        if w.spec != family.spec:
+            raise SpecMismatch(f"a function on {w.spec} read over a family on {family.spec}")
+    averages = iter(_family_power_averages(family, [(w, expo) for w, expo, _ in factors if expo is not None]))
     vals = None if measure_power is None else family.measures ** measure_power
     parts = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for w, expo, power in factors:
-            if w.spec != family.spec:
-                raise SpecMismatch(f"a function on {w.spec} read over a family on {family.spec}")
             if expo is None:
                 part = family.touch.minima(w.samples)
                 vals = vals / part
             else:
-                part = _family_power_averages(w, expo, family)
+                part = next(averages)
                 if power != 1.0:
                     part = part ** power
                 vals = part if vals is None else vals * part
@@ -244,10 +260,9 @@ def reverse_holder_probe(w: GridFunction, epsilon: float, family: CubeFamily) ->
         raise POutOfRange(f"epsilon must be positive, got {epsilon}")
     _check_positive(w)
     family.require_nonempty()
-    lo = _cube_values(family, [(w, 1.0, 1.0)])[0]
+    lo, hi = _cube_values(family, [(w, 1.0, 1.0), (w, 1.0 + epsilon, 1.0 / (1.0 + epsilon))])[1]
     held = lo > 0.0
     if not held.any():
         raise NonPositiveWeight(f"weight is 0 on every cube of the family {family.name!r}")
-    hi = _cube_values(family, [(w, 1.0 + epsilon, 1.0 / (1.0 + epsilon))])[0]
     with np.errstate(invalid="ignore"):
         return _top(hi[held] / lo[held])[0]

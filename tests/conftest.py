@@ -233,10 +233,10 @@ def enumerated_pair_values(lead, wv, q0, q, p1, p2, family, r0=None):
     inner, outer = enumerate_nested_pairs(family)
     meas = family.measures
     with np.errstate(invalid="ignore"):
-        inner_lead = _family_power_averages(lead, q, family) ** (1.0 / q)
+        inner_lead = power_averages(lead, q, family) ** (1.0 / q)
         cp1, cp2 = conjugate(p1), conjugate(p2)
-        outer_1 = _family_power_averages(wv.w1, -cp1, family) ** (1.0 / cp1)
-        outer_2 = _family_power_averages(wv.w2, -cp2, family) ** (1.0 / cp2)
+        outer_1 = power_averages(wv.w1, -cp1, family) ** (1.0 / cp1)
+        outer_2 = power_averages(wv.w2, -cp2, family) ** (1.0 / cp2)
         vals = (
             (meas[inner] / meas[outer]) ** (1.0 / q0)
             * inner_lead[inner]
@@ -297,6 +297,25 @@ def _block_sum_oracle(arr, corner, levels):
     return float(arr[corner])
 
 
+def power_table_oracle(arr, levels, ufunc):
+    """The power-of-two table of one array under ufunc, built afresh from
+    plain slices, one layer at a time: {layer (k_1 ... k_n): the value of
+    each 2^k_1 x ... x 2^k_n block that fits, by its corner cell}, for levels
+    0 ... levels[ax] - 1 per axis.  As in _block_sum_oracle, the first axis
+    with a level above 0 splits a block into the two halves it is made of."""
+    layers = {}
+    for layer in sorted(product(*(range(k) for k in levels)), key=sum):
+        ax = next((ax for ax, k in enumerate(layer) if k), None)
+        if ax is None:
+            layers[layer] = arr
+            continue
+        fine = layers[layer[:ax] + (layer[ax] - 1,) + layer[ax + 1 :]]
+        half = 1 << (layer[ax] - 1)
+        m = fine.shape[ax] - half
+        layers[layer] = ufunc(fine.take(np.arange(m), axis=ax), fine.take(np.arange(half, half + m), axis=ax))
+    return layers
+
+
 def digit_blocks_oracle(lo, hi):
     """Per box [lo, hi), its disjoint power-of-two blocks as (corner, levels):
     on each axis one block per binary digit of the extent, largest digit
@@ -326,6 +345,12 @@ def digit_sums_oracle(arr, lo, hi):
             total += _block_sum_oracle(arr, corner, levels)
         out.append(total)
     return np.array(out)
+
+
+def power_averages(w, expo, family):
+    """One factor's power averages, a call of weights._family_power_averages
+    on it alone: the per-factor form of the stacked call."""
+    return _family_power_averages(family, [(w, expo)])[0]
 
 
 def family_power_averages_oracle(w, expo, family):
@@ -374,12 +399,12 @@ def report_oracle(vals, family):
 
 
 def ap_constant_oracle(w, p, family):
-    avg1 = _family_power_averages(w, 1.0, family)
+    avg1 = power_averages(w, 1.0, family)
     if p == 1.0:
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = avg1 / family.touch.minima(w.samples)
     else:
-        dual = _family_power_averages(w, 1.0 - conjugate(p), family)
+        dual = power_averages(w, 1.0 - conjugate(p), family)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = avg1 * dual ** (p - 1.0)
     return report_oracle(vals, family)
@@ -388,20 +413,20 @@ def ap_constant_oracle(w, p, family):
 def apq_constant_oracle(w, p, q, family):
     pp = conjugate(p)
     with np.errstate(invalid="ignore"):
-        lead = _family_power_averages(w, q, family) ** (1.0 / q)
-        dual = _family_power_averages(w, -pp, family) ** (1.0 / pp)
+        lead = power_averages(w, q, family) ** (1.0 / q)
+        dual = power_averages(w, -pp, family) ** (1.0 / pp)
         return report_oracle(lead * dual, family)
 
 
 def multiple_apq_constant_oracle(wv, p1, p2, q, family):
     with np.errstate(invalid="ignore", divide="ignore"):
-        vals = _family_power_averages(wv.nu, q, family) ** (1.0 / q)
+        vals = power_averages(wv.nu, q, family) ** (1.0 / q)
         for p, w in ((p1, wv.w1), (p2, wv.w2)):
             if p == 1.0:
                 vals = vals / family.touch.minima(w.samples)
             else:
                 pp = conjugate(p)
-                vals = vals * _family_power_averages(w, -pp, family) ** (1.0 / pp)
+                vals = vals * power_averages(w, -pp, family) ** (1.0 / pp)
     return report_oracle(vals, family)
 
 
@@ -409,10 +434,10 @@ def pair_constant_oracle(lead, wv, q0, q, p1, p2, pairs, r0=None):
     fam = pairs.family
     meas = fam.measures
     with np.errstate(invalid="ignore"):
-        inner_lead = _family_power_averages(lead, q, fam) ** (1.0 / q)
+        inner_lead = power_averages(lead, q, fam) ** (1.0 / q)
         cp1, cp2 = conjugate(p1), conjugate(p2)
-        outer_1 = _family_power_averages(wv.w1, -cp1, fam) ** (1.0 / cp1)
-        outer_2 = _family_power_averages(wv.w2, -cp2, fam) ** (1.0 / cp2)
+        outer_1 = power_averages(wv.w1, -cp1, fam) ** (1.0 / cp1)
+        outer_2 = power_averages(wv.w2, -cp2, fam) ** (1.0 / cp2)
         inner = _sanitize(meas ** (1.0 / q0) * inner_lead)
         best = fam.boxes.inner_max(inner)
         outer = meas ** (-1.0 / q0) * outer_1 * outer_2
@@ -430,23 +455,23 @@ def pair_constant_oracle(lead, wv, q0, q, p1, p2, pairs, r0=None):
 def reverse_holder_probe_oracle(w, epsilon, family):
     """The probe's formula; a nan ratio (inf / inf, where avg_Q w overflows)
     reads +inf, the contract of the shared max."""
-    lo = _family_power_averages(w, 1.0, family)
+    lo = power_averages(w, 1.0, family)
     held = lo > 0.0
-    hi = _family_power_averages(w, 1.0 + epsilon, family)[held] ** (1.0 / (1.0 + epsilon))
+    hi = power_averages(w, 1.0 + epsilon, family)[held] ** (1.0 / (1.0 + epsilon))
     with np.errstate(invalid="ignore"):
         return float(np.max(_sanitize(hi / lo[held])))
 
 
 def morrey_values_oracle(f, p0, q, family):
     """Per cube |Q|^{1/p0} (avg_Q |f|^q)^{1/q}."""
-    avgs = _family_power_averages(f.abs_pow(1.0), q, family)
+    avgs = power_averages(f.abs_pow(1.0), q, family)
     return family.measures ** (1.0 / p0) * avgs ** (1.0 / q)
 
 
 def vector_morrey_values_oracle(f1, f2, p0, p1, p2, family):
     """Per cube |Q|^{1/p0} prod_i (avg_Q |f_i|^{p_i})^{1/p_i}."""
-    a1 = _family_power_averages(f1.abs_pow(1.0), p1, family) ** (1.0 / p1)
-    a2 = _family_power_averages(f2.abs_pow(1.0), p2, family) ** (1.0 / p2)
+    a1 = power_averages(f1.abs_pow(1.0), p1, family) ** (1.0 / p1)
+    a2 = power_averages(f2.abs_pow(1.0), p2, family) ** (1.0 / p2)
     with np.errstate(invalid="ignore"):
         return family.measures ** (1.0 / p0) * a1 * a2
 

@@ -15,6 +15,7 @@ from conftest import (
     family_from_cubes,
     grid_cube,
     nested_pair_count_oracle,
+    power_table_oracle,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,9 +47,11 @@ from bifrac.operators import _averages, _m3q, maximal, weighted_bilinear_maximal
 
 
 @st.composite
-def grid_and_boxes(draw, nonfinite=False, dims=(1, 2)):
+def grid_and_boxes(draw, nonfinite=False, dims=(1, 2), po2=False):
     """A random array and random boxes, some leaving the grid before clipping;
-    with nonfinite, the array may hold NaN and +-inf too."""
+    with nonfinite, the array may hold NaN and +-inf too; with po2, about
+    half the extents are powers of two, whose two corner blocks on an axis
+    coincide, and the boxes stay on the grid, so clipping keeps them."""
     dim = draw(st.sampled_from(dims))
     shape = tuple(draw(st.integers(1, 12)) for _ in range(dim))
     elements = st.floats(-1e6, 1e6, allow_nan=False)
@@ -56,12 +59,19 @@ def grid_and_boxes(draw, nonfinite=False, dims=(1, 2)):
         elements = elements | st.sampled_from((np.nan, np.inf, -np.inf))
     arr = draw(arrays(np.float64, shape, elements=elements))
     k = draw(st.integers(1, 10))
-    lo = np.array(
-        [[draw(st.integers(-3, n + 1)) for n in shape] for _ in range(k)], dtype=np.int64
-    )
-    ext = np.array(
-        [[draw(st.integers(0, n + 3)) for n in shape] for _ in range(k)], dtype=np.int64
-    )
+    if po2:
+        ext = np.array(
+            [[draw(st.sampled_from([1 << j for j in range(n.bit_length())]) | st.integers(0, n)) for n in shape] for _ in range(k)],
+            dtype=np.int64,
+        )
+        lo = np.array([[draw(st.integers(0, n - e)) for n, e in zip(shape, row)] for row in ext.tolist()], dtype=np.int64)
+    else:
+        lo = np.array(
+            [[draw(st.integers(-3, n + 1)) for n in shape] for _ in range(k)], dtype=np.int64
+        )
+        ext = np.array(
+            [[draw(st.integers(0, n + 3)) for n in shape] for _ in range(k)], dtype=np.int64
+        )
     # repeat the first box so that boxes sharing a corner are exercised
     lo = np.concatenate([lo, lo[:1]])
     hi = lo + np.concatenate([ext, ext[:1]])
@@ -407,10 +417,11 @@ def _sweep_by_loop(shape, lo, hi, values):
 
 
 def _engine_arrays(boxes: CellBoxes) -> list[np.ndarray]:
-    """The box arrays and every plan that boxes has built."""
+    """The box arrays and every array plan that boxes has built."""
     plans = vars(boxes)
     arrays = [boxes.lo, boxes.ext, boxes.blocks] + ([boxes.digits] if "digits" in plans else [])
     arrays += [a for plan in plans.get("by_length") or () for a in plan]
+    arrays += list(plans.get("_scatter", ()))
     return arrays + [a for plan in plans.get("_sides", ()) for a in (*plan[:3], plan[3].lo, plan[3].ext)]
 
 
@@ -424,19 +435,97 @@ def test_the_engine_arrays_and_plans_of_cached_families_are_read_only(spec):
         boxes.sums(np.ones(spec.shape)), boxes.minima(np.ones(spec.shape)), boxes.sweep(np.ones(boxes.count))
     family.boxes.pair_count(), tree.boxes.pair_count()
     built = {key for boxes in sets for key in vars(boxes)}
-    assert {"blocks", "by_length"} <= built if spec.dim == 1 else {"blocks", "digits", "_sides"} <= built
+    assert {"blocks", "_steps", "_scatter"} <= built
+    assert {"by_length"} <= built if spec.dim == 1 else {"digits", "_sides"} <= built
     assert spec.dim == 2 or any(vars(boxes)["by_length"] is not None for boxes in sets)
     for boxes in sets:
         for arr in _engine_arrays(boxes):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
+        # the build steps are tuples of tuples of immutable index items
+        steps = vars(boxes).get("_steps", ())
+        assert isinstance(steps, tuple) and all(isinstance(step, tuple) and len(step) == 3 for step in steps)
+        for index in (index for step in steps for index in step):
+            assert isinstance(index, tuple) and index[0] is Ellipsis
+            assert all(isinstance(item, (int, slice)) for item in index[1:])
     # the engine freezes views of its own: the caller's array stays writable
     lo = np.array([[0], [2]])
     CellBoxes((8,), lo, lo + 2)
     lo[0] = 1
 
 
-@given(grid_and_boxes(nonfinite=True), st.data())
+def _check_table_reads(boxes, stack, ufunc, fill):
+    """boxes._table of a stack against power_table_oracle per row, bit for
+    bit at every position that `digits` or `blocks` reads (a NaN where the
+    oracle has one, its sign aside), and the slot past the table holding
+    fill; a read position past the blocks that fit would miss the oracle."""
+    size = math.prod(boxes.table_shape)
+    at = np.unique(np.concatenate((boxes.digits.ravel(), boxes.blocks.ravel())))
+    at = at[at < size]
+    where = np.unravel_index(at, boxes.table_shape)
+    dim = len(boxes.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = boxes._table(stack, ufunc, fill)
+        assert got.shape == stack.shape[:-dim] + (size + 1,) and np.all(got[..., -1] == fill)
+        for flat, row in zip(got.reshape(-1, size + 1), stack.reshape((-1,) + boxes.shape)):
+            layers = power_table_oracle(row, boxes.table_shape[:dim], ufunc)
+            want = np.array([layers[tuple(p[:dim])][tuple(p[dim:])] for p in zip(*(w.tolist() for w in where))])
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(flat[at]), nan)
+            assert np.array_equal(flat[at][~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@settings(max_examples=80)
+@given(
+    grid_and_boxes(nonfinite=True) | grid_and_boxes(nonfinite=True, po2=True),
+    st.integers(1, 3),
+    st.sampled_from(((np.add, 0.0), (np.minimum, np.inf))),
+    st.data(),
+)
+def test_the_cached_plan_table_equals_a_fresh_build_at_every_read_position(case, k, op, data):
+    # stacks of one to three rows of hostile cells (+-inf, NaN, +-0.0,
+    # subnormals, 1e+-300), twice over the same box set: the cached steps
+    # serve every call and stack size, and the table's uninitialised slots
+    # are never read
+    arr, lo, hi = case
+    boxes = CellBoxes(arr.shape, lo, hi)
+    rows = [data.draw(hostile_rows(arr.size)).reshape(arr.shape) for _ in range(k - 1)]
+    for stack in (np.stack([arr] + rows), arr):
+        _check_table_reads(boxes, stack, *op)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_the_cached_plan_tables_of_the_default_family_equal_a_fresh_build(dim, n):
+    family = default_family(GridSpec(dim, 2.0, n))
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((3,) + family.spec.shape) * 10.0 ** rng.integers(-300, 300, (3,) + family.spec.shape)
+    stack.reshape(3, -1)[:, :5] = [np.inf, -np.inf, np.nan, -0.0, 5e-324]
+    for boxes in (family.boxes, family.cover, family.touch, family.windows3):
+        for op in ((np.add, 0.0), (np.minimum, np.inf)):
+            _check_table_reads(boxes, stack, *op)
+            _check_table_reads(boxes, stack[1], *op)
+
+
+def test_2d_containment_refuses_a_non_square_box_by_name():
+    # the clipped 3Q windows of a root's dyadic tree, on which containment
+    # used to raise numpy's bare "invalid entry in coordinates array"
+    windows = subcube_family(GridSpec(2, 2.0, 8), Cube((0.0, 0.0), 2.0)).windows3
+    named = r"^2D containment needs square boxes; box \d+ at cell \[\d+, \d+\] is \d+ x \d+ cells$"
+    with pytest.raises(ValueError, match=named):
+        windows.pair_count()
+    with pytest.raises(ValueError, match=named):
+        windows.inner_max(np.zeros(windows.count))
+    # a wide box among squares, which containment used to count by its first
+    # side; empty boxes of any shape are not checked
+    lo = np.array([[0, 0], [1, 1], [5, 5], [2, 0], [3, 3]])
+    boxes = CellBoxes((8, 8), lo, lo + np.array([[4, 4], [2, 2], [0, 3], [1, 3], [3, 1]]))
+    with pytest.raises(ValueError, match=r"box 3 at cell \[2, 0\] is 1 x 3 cells$"):
+        boxes.pair_count()
+    squares = CellBoxes((8, 8), lo[:3], lo[:3] + np.array([[4, 4], [2, 2], [0, 3]]))
+    assert squares.pair_count() == 3
+
+
+@given(grid_and_boxes(nonfinite=True) | grid_and_boxes(nonfinite=True, po2=True), st.data())
 def test_sweep_equals_cell_by_box_loop(case, data):
     arr, lo, hi = case
     # empty boxes too: a zero extent, or clipped away entirely

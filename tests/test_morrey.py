@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import _cube_power_integral, cell_slices_oracle, family_from_cubes, fsum_bound
+from conftest import _cube_power_integral, cell_slices_oracle, family_from_cubes, fsum_bound, power_averages
 
 from bifrac import (
     Cube,
@@ -193,14 +193,13 @@ def test_2d_norm_of_finite_data_whose_integrals_overflow_is_inf():
     # over the block overflows; a shifted cube's overflowed partial sum over
     # rows it does not reach used to meet a zero overlap and read nan
     from bifrac.families import default_family
-    from bifrac.weights import _family_power_averages
 
     spec = GridSpec(2, 2.0, 8)
     v = np.zeros(spec.shape)
     v[2:6, 2:6] = 1.3e154
     f = GridFunction(spec, v)
     fam = default_family(spec)
-    avgs = _family_power_averages(f, 2.0, fam)
+    avgs = power_averages(f, 2.0, fam)
     assert not np.isnan(avgs).any()
     assert np.isinf(avgs[fam.aligned]).any()
     assert morrey_norm(f, MorreyParams(4.0, 2.0), fam) == np.inf

@@ -18,6 +18,7 @@ from conftest import (
     multiple_apq_constant_oracle,
     overlap_integrals_oracle,
     pair_constant_oracle,
+    power_averages,
     report_oracle,
     reverse_holder_probe_oracle,
     vector_morrey_values_oracle,
@@ -52,7 +53,7 @@ from bifrac import (
 )
 from bifrac import families, lattice
 from bifrac.families import CubeFamily, _shifted_grid_cubes
-from bifrac.weights import ConstantReport, _family_power_averages, conjugate
+from bifrac.weights import ConstantReport, _cube_values, conjugate
 
 
 def brute_interval_values(w_samples, h, i, j, expo):
@@ -474,7 +475,7 @@ def test_power_averages_survive_overflowed_prefix_sums(dim):
     v[(slice(2, 6),) * dim] = 1.3e154
     fam = default_family(spec)
     pw = v**2.0
-    got = _family_power_averages(GridFunction(spec, v), 2.0, fam)
+    got = power_averages(GridFunction(spec, v), 2.0, fam)
     with np.errstate(over="ignore"):
         want = [
             np.sum(pw[tuple(slice(a, b) for a, b in zip(lo, hi))]) * spec.h**dim / fam.measures[k]
@@ -494,14 +495,14 @@ def test_shifted_power_averages_stay_finite_away_from_an_infinite_cell(spec2d):
     k = fam.shifted
     w = np.ones(spec2d.shape)
     w[7, 7] = 0.0
-    got = _family_power_averages(GridFunction(spec2d, w, nonnegative=True), -1.0, fam)[k]
+    got = power_averages(GridFunction(spec2d, w, nonnegative=True), -1.0, fam)[k]
     lo, hi = fam.corners[k], fam.corners[k] + fam.sides[k, None]
     cell_lo = -spec2d.half_width + 7 * spec2d.h
     touch = np.all(np.minimum(hi, cell_lo + spec2d.h) - np.maximum(lo, cell_lo) > 0.0, axis=1)
     assert (len(got), touch.sum()) == (199, 6)
     assert np.all(got[touch] == np.inf)
     w[7, 7] = 1.0
-    want = _family_power_averages(GridFunction(spec2d, w, nonnegative=True), -1.0, fam)[k]
+    want = power_averages(GridFunction(spec2d, w, nonnegative=True), -1.0, fam)[k]
     assert np.array_equal(got[~touch], want[~touch])
 
 
@@ -619,7 +620,7 @@ def test_power_averages_are_within_the_fsum_bound(data):
     else:
         w = _extreme_weight(rng, spec.shape)
     expo = data.draw(st.sampled_from(_EXPONENTS))
-    got = _family_power_averages(GridFunction(spec, w), expo, family)
+    got = power_averages(GridFunction(spec, w), expo, family)
     with np.errstate(divide="ignore", over="ignore"):
         pw = np.power(w, expo)
     want, scale = _fsum_power_averages(pw, family)
@@ -641,11 +642,11 @@ def test_2d_aligned_averages_of_split_and_zero_weights(n):
     k = family.aligned
     for expo in (1.0, -2.0):
         w = _split_weight(rng, spec.shape)
-        got = _family_power_averages(GridFunction(spec, w), expo, family)[k]
+        got = power_averages(GridFunction(spec, w), expo, family)[k]
         want = _fsum_power_averages(np.power(w, expo), family)[0][k]
         assert np.all(np.abs(got - want) <= 1e-15 * want)
     w = _zeros_weight(rng, spec.shape)
-    got = _family_power_averages(GridFunction(spec, w), 1.0, family)[k]
+    got = power_averages(GridFunction(spec, w), 1.0, family)[k]
     empty = _fsum_power_averages(w, family)[0][k] == 0.0
     assert empty.sum() > 0
     assert np.all(got[empty] == 0.0)
@@ -663,7 +664,7 @@ def test_1d_averages_of_a_weight_with_zero_cells_are_within_each_cubes_own_bound
         family = default_family(spec)
         for seed in range(4):
             w = _zeros_weight(np.random.default_rng(seed), spec.shape)
-            got = _family_power_averages(GridFunction(spec, w, nonnegative=True), expo, family)
+            got = power_averages(GridFunction(spec, w, nonnegative=True), expo, family)
             with np.errstate(divide="ignore"):
                 want = _fsum_power_averages(np.power(w, expo), family)[0]
             assert np.isinf(want).any()
@@ -678,7 +679,7 @@ def test_power_averages_equal_the_per_call_oracle(data):
     # the aligned cubes against the per-call form they replace, bit for bit;
     # the shifted cubes against a math.fsum of their cell terms
     family, w, expo = _averages_case(data)
-    got = _family_power_averages(w, expo, family)
+    got = power_averages(w, expo, family)
     want = family_power_averages_oracle(w, expo, family)
     assert np.array_equal(got[family.aligned], want[family.aligned], equal_nan=True)
     k = family.shifted
@@ -695,6 +696,93 @@ def test_power_averages_equal_the_per_call_oracle(data):
         lattice.integrate_overlaps(pw, lattice.cell_overlaps(w.spec, family.corners[[j]], family.sides[[j]]))[0] for j in k
     ]
     _assert_within_fsum(np.array(one_by_one).reshape(-1), want_shifted, w.spec)
+
+
+def _assert_same_arrays(got, want):
+    """Bit for bit, a NaN (0 * inf) where the other has one."""
+    nan = np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_stacked_integrals_equal_a_call_per_grid(data):
+    # one to three grids of nonnegative cells, +inf, 0, subnormals and cells
+    # near the float maximum (2D partial sums over cells a cube does not reach
+    # overflow, and those cubes are summed again), on aligned and shifted cubes
+    spec, family, rng = _family_case(data)
+    k = data.draw(st.integers(1, 3))
+    stack = rng.uniform(0.0, 2.0, (k,) + spec.shape) * 10.0 ** rng.integers(-310, 10, (k,) + spec.shape)
+    flat = stack.reshape(k, -1)
+    for value in (np.inf, 0.0, 5e-324, 1.7e308):
+        flat[rng.random(flat.shape) < data.draw(st.sampled_from((0.0, 0.1, 0.4)))] = value
+    with np.errstate(over="ignore"):
+        want = np.array([family.integrals(grid) for grid in stack]).reshape(k, family.size)
+        _assert_same_arrays(family.integrals(stack), want)
+        _assert_same_arrays(family.shifted_integrals(stack), want[:, family.shifted])
+
+
+def _per_factor(family, factors, measure_power):
+    """_cube_values' product from one call per factor, left to right: the
+    per-factor form of its one stacked pass."""
+    parts = [_cube_values(family, [factor], 0.0)[1][0] for factor in factors]
+    vals = None if measure_power is None else family.measures ** measure_power
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for (_, expo, _), part in zip(factors, parts):
+            vals = vals / part if expo is None else part if vals is None else vals * part
+    return vals, parts
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_one_stacked_pass_equals_a_call_per_factor(data):
+    # every factor list a constant or a Morrey norm passes, on 2D weights and
+    # on 1D weights with a factor whose running sum overflows (1e308 cells),
+    # so that it, and only it, goes through the engine: equal bits, from one
+    # `integrals` call with a row per factor that sums cells
+    spec, family, rng = _family_case(data)
+    w, w1, w2 = (rng.uniform(0.3, 3.0, spec.shape) for _ in range(3))
+    f1, f2 = rng.normal(size=spec.shape), rng.normal(size=spec.shape)
+    special = data.draw(st.sampled_from(("none", "zeros", "overflow")))
+    if special == "zeros":  # +inf duals, and 0 * inf
+        for arr in (w, w1, f1):
+            arr.reshape(-1)[rng.integers(0, arr.size, 2)] = 0.0
+    elif special == "overflow":
+        w.reshape(-1)[:2], w1.reshape(-1)[-1:], f2.reshape(-1)[:1] = 1e308, 1e-300, 1e200
+    w, w1, w2, f1, f2 = (GridFunction(spec, a) for a in (w, w1, w2, f1, f2))
+    nu = w1 * w2
+    p, q, eps, p0 = (data.draw(st.sampled_from(xs)) for xs in ((1.5, 2.0, 3.0), (0.5, 2.0, 4.0), (0.5, 2.0), (2.0, 4.0)))
+    pp = conjugate(p)
+    cases = [
+        ([(w, 1.0, 1.0), (w, None, None)], None),  # A_1
+        ([(w, 1.0, 1.0), (w, 1.0 - pp, p - 1.0)], None),  # A_p
+        ([(w, q, 1.0 / q), (w, -pp, 1.0 / pp)], None),  # A_(p,q)
+        ([(nu, q, 1.0 / q), (w1, -pp, 1.0 / pp), (w2, None, None)], None),  # multiple A_(p,q)
+        ([(w, 1.0, 1.0), (w, 1.0 + eps, 1.0 / (1.0 + eps))], None),  # reverse Hoelder
+        ([(f1.abs_pow(1.0), q, 1.0 / q)], 1.0 / p0),  # Morrey
+        ([(f1.abs_pow(1.0), p, 1.0 / p), (f2.abs_pow(1.0), q, 1.0 / q)], 1.0 / p0),  # vector Morrey
+    ]
+    calls = []
+    integrals = CubeFamily.integrals
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CubeFamily, "integrals", lambda fam, pw: calls.append(len(pw)) or integrals(fam, pw))
+        for factors, measure_power in cases:
+            want, want_parts = _per_factor(family, factors, measure_power)
+            calls.clear()
+            got, parts = _cube_values(family, factors, measure_power)
+            _assert_same_arrays(got, want)
+            for part, want_part in zip(parts, want_parts):
+                _assert_same_arrays(part, want_part)
+            averages = sum(expo is not None for _, expo, _ in factors)
+            assert len(calls) <= 1 and sum(calls) <= averages
+            if spec.dim == 2:
+                assert calls == [averages]
+        if spec.dim == 1 and special == "overflow":
+            # w's running sum overflows, w^2's too, w^-1's not: one engine row each
+            calls.clear()
+            _cube_values(family, [(w, 1.0, 1.0), (w, 2.0, 0.5), (w, -1.0, 1.0)])
+            assert calls == [2]
 
 
 def test_shifted_integrals_whose_partial_sums_overflow_equal_the_fsum_reference():
@@ -728,7 +816,7 @@ def test_a_family_builds_its_cell_overlaps_once(monkeypatch):
         family = default_family(spec)
         w = GridFunction(spec, rng.uniform(0.3, 3.0, spec.shape))
         for expo in np.linspace(-2.0, 3.0, 10):
-            _family_power_averages(w, expo, family)
+            power_averages(w, expo, family)
         assert len(built) == builds
 
 
