@@ -20,13 +20,13 @@ from .geometry import Cube, DyadicGrid
 from .harness import (
     CORPUS_KINDS,
     HARNESS_SPEC,
-    PROFILE_CATALOG,
-    ExponentProfile,
+    TAGS,
     _grid_fn,
     check_profile_contract,
     make_profile,
     protocol_corpora,
     run_verify,
+    tag_rule,
     verify_calibrated,
     verify_structural,
     witness_text,
@@ -322,9 +322,9 @@ def cmd_norms(args) -> int:
     return 0
 
 
-def _profile_from_cfg(cfg: RunConfig, args) -> tuple[str, ExponentProfile | None]:
-    """The verify tag and its profile (from the tag's first catalog profile if
-    no keys are given; None for the structural checks)."""
+def _profile_from_cfg(cfg: RunConfig, args) -> tuple[str, dict]:
+    """The verify tag and the profile keys given for it (config, then
+    --profile-file, then --tag)."""
     raw = dict(cfg.profile)
     if args.profile_file:
         try:
@@ -340,17 +340,15 @@ def _profile_from_cfg(cfg: RunConfig, args) -> tuple[str, ExponentProfile | None
     tag = raw.pop("tag", None)
     if not tag:
         raise ConfigInvalid("verify needs a profile tag")
-    if tag == "structural":
-        if raw:
-            raise ConfigInvalid(f"the structural checks read no profile keys, got {sorted(raw)}")
-        return tag, None
-    return tag, make_profile(tag, **(raw or PROFILE_CATALOG.get(tag, [{}])[0]))
+    return tag, raw
 
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
-    tag, profile = _profile_from_cfg(cfg, args)
+    tag, raw = _profile_from_cfg(cfg, args)
     if tag == "structural":
+        if raw:
+            raise ConfigInvalid(f"the structural checks read no profile keys, got {sorted(raw)}")
         settings = (("kind", cfg.kind), ("--n-cal", args.n_cal), ("--n-eval", args.n_eval))
         given = [key for key, val in settings if val is not None]
         if given:
@@ -364,6 +362,8 @@ def cmd_verify(args) -> int:
             "failures": sum(0 if r.passed else 1 for r in reports),
         }
     else:
+        # with no keys given, the tag's first catalog profile
+        profile = make_profile(tag, **(raw or tag_rule(tag).catalog[0]))
         # only the given counts: protocol_corpora holds the defaults
         counts = {key: val for key, val in (("n_cal", args.n_cal), ("n_eval", args.n_eval)) if val is not None}
         for key, count in counts.items():
@@ -396,7 +396,7 @@ def cmd_sweep(args) -> int:
     if type(count) is not int or count < 1:
         raise ConfigInvalid(f"config sweep 'count' must be an integer at least 1, got {count!r}")
     tag = sweep.get("tag", "T1.1")
-    base = sweep.get("base", PROFILE_CATALOG.get(tag, [{}])[0])
+    base = sweep["base"] if "base" in sweep else tag_rule(tag).catalog[0]
     if not isinstance(base, dict):
         raise ConfigInvalid("config sweep 'base' must be a JSON object")
     check_profile_contract(tag, {**base, "alpha": None})  # each row supplies alpha
@@ -514,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", "calibrated ratio verification")
     config_flags(p)
-    p.add_argument("--tag", help="T1.1 C1.4 T4.1 T4.2 T5.1 T5.2 C5.3 or structural")
+    p.add_argument("--tag", help=" ".join(TAGS) + " or structural")
     p.add_argument("--profile-file", dest="profile_file")
     p.add_argument("--kind", default=None, help="corpus kind (default random-steps)")
     p.add_argument("--n-cal", dest="n_cal", type=int, default=None, help="calibration items")

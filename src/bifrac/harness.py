@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,21 +113,8 @@ def _mix_seed(seed: int, label: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exponent profiles
+# Exponent profiles and verify tags
 # ---------------------------------------------------------------------------
-
-# The keys a profile of each tag reads: (required, optional).  `n` defaults
-# to 1, `a` to 1.25 and `r` to 2; a config profile holds these and its tag.
-PROFILE_KEYS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "T1.1": (("alpha", "p1", "p2", "r", "s", "p0"), ("n", "a")),
-    "C1.4": (("alpha", "p1", "p2", "r", "s"), ("n", "a")),
-    "T4.1": (("alpha", "p1", "p2", "r", "s", "p0"), ("n", "a")),
-    "T4.2": (("alpha", "p1", "p2", "r", "s", "p0", "r0"), ("n", "a")),
-    "T5.1": (("alpha", "p1", "p2", "r", "s", "p0", "r0", "q1", "q2"), ("n", "a")),
-    "T5.2": (("alpha", "q1", "q2", "p1", "p2", "r0", "r1"), ("n", "r")),
-    "C5.3": (("alpha", "q1", "q2", "p1", "p2"), ("n", "r")),
-}
-TAGS = tuple(PROFILE_KEYS)
 
 
 @dataclass(frozen=True)
@@ -156,89 +144,48 @@ def _chk(violations, ok: bool, relation: str):
         violations.append(relation)
 
 
-def check_profile_contract(tag: str, keys) -> None:
-    """ConfigInvalid naming an unknown tag, or the missing and unknown keys (PROFILE_KEYS) among `keys`."""
-    if tag not in PROFILE_KEYS:
-        raise ConfigInvalid(f"unknown profile tag {tag!r}; known tags are {list(PROFILE_KEYS)}")
-    required, optional = PROFILE_KEYS[tag]
-    missing = [k for k in required if k not in keys]
-    unknown = sorted(set(keys) - set(required) - set(optional))
-    if missing or unknown:
-        raise ConfigInvalid(
-            f"profile for {tag}: missing keys {missing}, unknown keys {unknown}; "
-            f"it needs {list(required)} and may hold {list(optional)}"
-        )
+def _holder_exponents(tag, raw, v, n, alpha, relations) -> ExponentProfile | None:
+    """Exponents of the Hoelder-type tags (T1.1, C1.4, T4.1, T4.2, T5.1),
+    appending each failed relation to v.  The tags differ only in the keys
+    they read: p0 = p when p0 is not given (C1.4), a 1/r0 term in 1/q0 when
+    r0 is, and r1 = a q (q when q <= 1) when q1 and q2 are; `relations`,
+    the tag's own, run last."""
+    p1, p2 = float(raw["p1"]), float(raw["p2"])
+    r, s = float(raw["r"]), float(raw["s"])
+    _chk(v, p1 > r > 1, "p1 > r > 1")
+    _chk(v, p2 > s > 1, "p2 > s > 1")
+    _chk(v, abs(1.0 / r + 1.0 / s - 1.0) <= REL_TOL, "1/r + 1/s = 1")
+    _chk(v, 1.0 < p1 and 1.0 < p2, "1 < p1, p2")
+    p = 1.0 / (1.0 / p1 + 1.0 / p2)
+    p0 = float(raw["p0"]) if "p0" in raw else p
+    _chk(v, 0.0 < p <= p0 + REL_TOL, "0 < p <= p0")
+    r0 = float(raw["r0"]) if "r0" in raw else None
+    if r0 is None:
+        inv_q0, relation = 1.0 / p0 - alpha / n, "1/q0 = 1/p0 - alpha/n"
+    else:
+        _chk(v, r0 >= n / alpha - REL_TOL, "r0 >= n/alpha")
+        inv_q0, relation = 1.0 / p0 + 1.0 / r0 - alpha / n, "1/q0 = 1/p0 + 1/r0 - alpha/n"
+    if inv_q0 <= REL_TOL:
+        v.append(relation)
+        return None
+    q0 = 1.0 / inv_q0
+    q = q0 * p / p0
+    _chk(v, 0.0 < q <= q0 + REL_TOL, "0 < q <= q0")
+    _chk(v, p > 1.0 or q > 0.5, "p > 1 or q > 1/2")
+    a = float(raw.get("a", 1.25))
+    q1 = q2 = r1 = None
+    if "q1" in raw:
+        q1, q2 = float(raw["q1"]), float(raw["q2"])
+        r1 = a * q if q > 1.0 else q
+    profile = ExponentProfile(tag, n, alpha, p1, p2, r, s, p, q, p0, q0, a, r0, r1, q1, q2)
+    v.extend(relation for ok, relation in relations(profile) if not ok)
+    return profile
 
 
-def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[str]]:
-    """Derived exponents plus the list of violated relations (empty if valid),
-    once the profile contract holds (check_profile_contract)."""
-    check_profile_contract(tag, raw)
-    v: list[str] = []
-    n = int(raw.get("n", 1))
-    alpha = float(raw["alpha"])
-    _chk(v, 0.0 < alpha < n, "0 < alpha < n")
-
-    if tag in ("T1.1", "C1.4", "T4.1", "T4.2", "T5.1"):
-        p1, p2 = float(raw["p1"]), float(raw["p2"])
-        r, s = float(raw["r"]), float(raw["s"])
-        _chk(v, p1 > r > 1, "p1 > r > 1")
-        _chk(v, p2 > s > 1, "p2 > s > 1")
-        _chk(v, abs(1.0 / r + 1.0 / s - 1.0) <= REL_TOL, "1/r + 1/s = 1")
-        _chk(v, 1.0 < p1 and 1.0 < p2, "1 < p1, p2")
-        p = 1.0 / (1.0 / p1 + 1.0 / p2)
-        if tag == "C1.4":
-            p0 = p
-        else:
-            p0 = float(raw["p0"])
-        _chk(v, 0.0 < p <= p0 + REL_TOL, "0 < p <= p0")
-        if tag in ("T4.2", "T5.1"):
-            r0 = float(raw["r0"])
-            _chk(v, r0 >= n / alpha - REL_TOL, "r0 >= n/alpha")
-            inv_q0 = 1.0 / p0 + 1.0 / r0 - alpha / n
-        else:
-            r0 = None
-            inv_q0 = 1.0 / p0 - alpha / n
-        if inv_q0 <= REL_TOL:
-            v.append("1/q0 = 1/p0 - alpha/n" if r0 is None else "1/q0 = 1/p0 + 1/r0 - alpha/n")
-            return None, v
-        q0 = 1.0 / inv_q0
-        q = q0 * p / p0
-        _chk(v, 0.0 < q <= q0 + REL_TOL, "0 < q <= q0")
-        _chk(v, p > 1.0 or q > 0.5, "p > 1 or q > 1/2")
-        a = float(raw.get("a", 1.25))
-        if tag == "T1.1":
-            _chk(v, a > 1.0, "a > 1")
-        elif tag == "C1.4":
-            _chk(v, a > 1.0, "a > 1")
-            _chk(
-                v,
-                abs(1.0 / p1 + 1.0 / p2 - 1.0 / q - alpha / n) <= 1e-9,
-                "1/p1 + 1/p2 - 1/q = alpha/n",
-            )
-        elif tag == "T4.1":
-            _chk(v, 1.0 < a < min(p1 / r, p2 / s), "1 < a < min(p1/s', p2/r')")
-        else:  # T4.2 / T5.1
-            _chk(
-                v,
-                1.0 < a < min(r0 / q0, p1 / r, p2 / s),
-                "1 < a < min(r0/q0, p1/s', p2/r')",
-            )
-        r1 = q1 = q2 = None
-        if tag == "T5.1":
-            q1, q2 = float(raw["q1"]), float(raw["q2"])
-            _chk(v, abs(1.0 / q1 + 1.0 / q2 - 1.0 / p0) <= 1e-9, "1/q1 + 1/q2 = 1/p0")
-            _chk(v, p1 <= q1 + REL_TOL and p2 <= q2 + REL_TOL, "p_i <= q_i")
-            r1 = a * q if q > 1.0 else q
-            _chk(v, q < r1 <= r0 + REL_TOL if q > 1.0 else r1 <= r0, "r1 = aq in (q, r0]")
-        if v:
-            return None, v
-        return (
-            ExponentProfile(tag, n, alpha, p1, p2, r, s, p, q, p0, q0, a, r0, r1, q1, q2),
-            [],
-        )
-
-    # T5.2 / C5.3
+def _olsen_exponents(tag, raw, v, n, alpha, relations) -> ExponentProfile | None:
+    """Exponents of the Olsen-type tags (T5.2, C5.3), appending each failed
+    relation to v: a 1/r0 term in 1/q0 and a = r1/q when r0 and r1 are
+    given, else a = 1; `relations`, the tag's own, run before 1 < q <= q0."""
     q1, q2 = float(raw["q1"]), float(raw["q2"])
     p1, p2 = float(raw["p1"]), float(raw["p2"])
     r = float(raw.get("r", 2.0))
@@ -250,35 +197,203 @@ def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[st
     _chk(v, 1.0 < p1 <= q1 + REL_TOL and 1.0 < p2 <= q2 + REL_TOL, "1 < p_i <= q_i")
     p = 1.0 / (1.0 / p1 + 1.0 / p2)
     p0 = 1.0 / inv_sum
-    if tag == "T5.2":
+    r0 = r1 = None
+    if "r0" in raw:
         r0, r1 = float(raw["r0"]), float(raw["r1"])
         _chk(v, 1.0 / r0 < alpha / n, "1/r0 < alpha/n")
-        inv_q0 = 1.0 / r0 + inv_sum - alpha / n
-        if inv_q0 <= REL_TOL:
-            v.append("1/q0 = 1/r0 + 1/q1 + 1/q2 - alpha/n")
-            return None, v
-        q0 = 1.0 / inv_q0
-        q = q0 * p1 / q1
-        _chk(v, r1 > q, "r1 > q")
-        _chk(v, 1.0 < r1 <= r0 + REL_TOL, "1 < r1 <= r0")
-        _chk(v, 1.0 < q <= q0 + REL_TOL, "1 < q <= q0")
-        a = r1 / q
-    else:  # C5.3
-        inv_q0 = inv_sum - alpha / n
-        if inv_q0 <= REL_TOL:
-            v.append("1/q0 = 1/q1 + 1/q2 - alpha/n")
-            return None, v
-        q0 = 1.0 / inv_q0
-        q = q0 * p1 / q1
-        _chk(v, 1.0 < q <= q0 + REL_TOL, "1 < q <= q0")
-        r0 = r1 = None
-        a = 1.0
-    if v:
-        return None, v
-    return (
-        ExponentProfile(tag, n, alpha, p1, p2, r, s, p, q, p0, q0, a, r0, r1, q1, q2),
-        [],
-    )
+        inv_q0, relation = 1.0 / r0 + inv_sum - alpha / n, "1/q0 = 1/r0 + 1/q1 + 1/q2 - alpha/n"
+    else:
+        inv_q0, relation = inv_sum - alpha / n, "1/q0 = 1/q1 + 1/q2 - alpha/n"
+    if inv_q0 <= REL_TOL:
+        v.append(relation)
+        return None
+    q0 = 1.0 / inv_q0
+    q = q0 * p1 / q1
+    a = 1.0 if r1 is None else r1 / q
+    profile = ExponentProfile(tag, n, alpha, p1, p2, r, s, p, q, p0, q0, a, r0, r1, q1, q2)
+    v.extend(relation for ok, relation in relations(profile) if not ok)
+    _chk(v, 1.0 < q <= q0 + REL_TOL, "1 < q <= q0")
+    return profile
+
+
+def _substituted(profile: ExponentProfile, with_a: bool = False) -> tuple[float, float]:
+    r, s, p1, p2 = profile.r, profile.s, profile.p1, profile.p2
+    a = profile.a if with_a else 1.0  # 1.0 * s is s: the same bits as s * p1 / (s + p1)
+    return s * p1 / (a * s + p1), r * p2 / (a * r + p2)
+
+
+def _t11_norms(profile, item, family, pairs, out, wv):
+    sub1, sub2 = _substituted(profile)
+    lhs = morrey_norm(out * wv.nu, MorreyParams(profile.q0, profile.q), family)
+    rhs = vector_morrey_norm(item.f * item.w1, item.g * item.w2, profile.p0, profile.p1, profile.p2, family)
+    return lhs, rhs, iida_constant(wv, profile.a * profile.q0, profile.q, sub1, sub2, pairs)
+
+
+def _c14_norms(profile, item, family, pairs, out, wv):
+    sub1, sub2 = _substituted(profile)
+    lhs = lp_norm(out * wv.nu, profile.q)
+    rhs = lp_norm(item.f * item.w1, profile.p1) * lp_norm(item.g * item.w2, profile.p2)
+    return lhs, rhs, multiple_apq_constant(wv, sub1, sub2, profile.q, family)
+
+
+def _t4_norms(profile, item, family, pairs, out, wv):
+    """T4.1, and T4.2 with its r0 decay (a T4.1 profile holds r0 = None)."""
+    sub1, sub2 = _substituted(profile, with_a=True)
+    second = profile.a * profile.q if profile.q > 1.0 else profile.q
+    lhs = morrey_norm(out * item.v, MorreyParams(profile.q0, profile.q), family)
+    rhs = vector_morrey_norm(item.f * item.w1, item.g * item.w2, profile.p0, profile.p1, profile.p2, family)
+    const = two_weight_constant(item.v, wv, profile.a * profile.q0, second, sub1, sub2, pairs, r0=profile.r0)
+    return lhs, rhs, const
+
+
+def _olsen_norms(profile, item, family, pairs, out, wv):
+    """T5.1 and T5.2, with the multiplier hfun in M^{r0}_{r1}, and C5.3
+    (whose profile holds r0 = None) without; their constant is 1."""
+    norm_f = morrey_norm(item.f, MorreyParams(profile.q1, profile.p1), family)
+    norm_g = morrey_norm(item.g, MorreyParams(profile.q2, profile.p2), family)
+    if profile.r0 is None:
+        lhs, rhs = morrey_norm(out, MorreyParams(profile.q0, profile.q), family), norm_f * norm_g
+    else:
+        lhs = morrey_norm(out * item.hfun, MorreyParams(profile.q0, profile.q), family)
+        rhs = morrey_norm(item.hfun, MorreyParams(profile.r0, profile.r1), family) * norm_f * norm_g
+    return lhs, rhs, ConstantReport(1.0, Cube((0.0,) * item.spec.dim, 1.0), 0)
+
+
+@dataclass(frozen=True)
+class TagRule:
+    """Everything one inequality tag owns.  A profile of the tag holds its
+    `required` keys and any of its `optional` ones (`n` defaults to 1, `a`
+    to 1.25 and `r` to 2); `derive` turns them into an ExponentProfile and
+    checks the relations its family shares, `relations` lists the tag's own
+    (ok, relation) pairs on the derived profile, `evaluate(profile, item,
+    family, pairs, out, wv)` gives one scenario's lhs norm, rhs norm product
+    and constant report from out = bi_frac(f, g, alpha) and the item's
+    weight vector, and `catalog` holds valid raw profiles."""
+
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    derive: Callable
+    evaluate: Callable
+    relations: Callable[[ExponentProfile], list[tuple[bool, str]]]
+    catalog: tuple[dict, ...]
+
+
+_HOLDER_KEYS = ("alpha", "p1", "p2", "r", "s")
+
+
+def _r0_window(x: ExponentProfile) -> tuple[bool, str]:
+    """The window on a of T4.2 and T5.1."""
+    return 1.0 < x.a < min(x.r0 / x.q0, x.p1 / x.r, x.p2 / x.s), "1 < a < min(r0/q0, p1/s', p2/r')"
+
+
+TAG_RULES: dict[str, TagRule] = {
+    "T1.1": TagRule(
+        (*_HOLDER_KEYS, "p0"), ("n", "a"), _holder_exponents, _t11_norms,
+        relations=lambda x: [(x.a > 1.0, "a > 1")],
+        catalog=(
+            dict(n=1, alpha=1 / 3, p1=4, p2=4, r=2, s=2, p0=2, a=1.25),
+            dict(n=1, alpha=1 / 4, p1=6, p2=3, r=2, s=2, p0=2.5, a=1.5),
+            dict(n=1, alpha=1 / 4, p1=5, p2=5, r=2.5, s=5 / 3, p0=3, a=1.2),
+        ),
+    ),
+    "C1.4": TagRule(
+        _HOLDER_KEYS, ("n", "a"), _holder_exponents, _c14_norms,
+        relations=lambda x: [
+            (x.a > 1.0, "a > 1"),
+            (abs(1.0 / x.p1 + 1.0 / x.p2 - 1.0 / x.q - x.alpha / x.n) <= 1e-9, "1/p1 + 1/p2 - 1/q = alpha/n"),
+        ],
+        catalog=(
+            dict(n=1, alpha=1 / 3, p1=4, p2=4, r=2, s=2, a=1.25),
+            dict(n=1, alpha=1 / 4, p1=6, p2=3, r=2, s=2, a=1.25),
+            dict(n=1, alpha=1 / 4, p1=5, p2=5, r=2.5, s=5 / 3, a=1.25),
+        ),
+    ),
+    "T4.1": TagRule(
+        (*_HOLDER_KEYS, "p0"), ("n", "a"), _holder_exponents, _t4_norms,
+        relations=lambda x: [(1.0 < x.a < min(x.p1 / x.r, x.p2 / x.s), "1 < a < min(p1/s', p2/r')")],
+        catalog=(
+            dict(n=1, alpha=1 / 3, p1=4, p2=4, r=2, s=2, p0=2, a=1.5),
+            dict(n=1, alpha=1 / 4, p1=6, p2=3, r=2, s=2, p0=2.5, a=1.25),
+            dict(n=1, alpha=1 / 4, p1=5, p2=5, r=2.5, s=5 / 3, p0=3, a=1.5),
+        ),
+    ),
+    "T4.2": TagRule(
+        (*_HOLDER_KEYS, "p0", "r0"), ("n", "a"), _holder_exponents, _t4_norms,
+        relations=lambda x: [_r0_window(x)],
+        catalog=(
+            dict(n=1, alpha=1 / 4, p1=4, p2=4, r=2, s=2, p0=2, r0=4, a=1.5),
+            dict(n=1, alpha=1 / 3, p1=4, p2=4, r=2, s=2, p0=2, r0=3, a=1.25),
+            dict(n=1, alpha=0.4, p1=6, p2=3, r=2, s=2, p0=2, r0=2.5, a=1.2),
+        ),
+    ),
+    "T5.1": TagRule(
+        (*_HOLDER_KEYS, "p0", "r0", "q1", "q2"), ("n", "a"), _holder_exponents, _olsen_norms,
+        relations=lambda x: [
+            _r0_window(x),
+            (abs(1.0 / x.q1 + 1.0 / x.q2 - 1.0 / x.p0) <= 1e-9, "1/q1 + 1/q2 = 1/p0"),
+            (x.p1 <= x.q1 + REL_TOL and x.p2 <= x.q2 + REL_TOL, "p_i <= q_i"),
+            (x.q < x.r1 <= x.r0 + REL_TOL if x.q > 1.0 else x.r1 <= x.r0, "r1 = aq in (q, r0]"),
+        ],
+        catalog=(
+            dict(n=1, alpha=1 / 4, p1=4, p2=4, r=2, s=2, p0=2, r0=4, a=1.5, q1=4, q2=4),
+            dict(n=1, alpha=1 / 3, p1=4, p2=4, r=2, s=2, p0=2, r0=3, a=1.25, q1=4, q2=4),
+            dict(n=1, alpha=1 / 3, p1=3, p2=6, r=2, s=2, p0=2, r0=3, a=1.2, q1=3, q2=6),
+        ),
+    ),
+    "T5.2": TagRule(
+        ("alpha", "q1", "q2", "p1", "p2", "r0", "r1"), ("n", "r"), _olsen_exponents, _olsen_norms,
+        relations=lambda x: [(x.r1 > x.q, "r1 > q"), (1.0 < x.r1 <= x.r0 + REL_TOL, "1 < r1 <= r0")],
+        catalog=(
+            dict(n=1, alpha=0.3, q1=6, q2=6, p1=4, p2=4, r0=4, r1=3, r=2),
+            dict(n=1, alpha=0.35, q1=4, q2=8, p1=3, p2=6, r0=3, r1=2.5, r=2),
+            dict(n=1, alpha=0.28, q1=5, q2=5, p1=3, p2=3, r0=4, r1=2, r=1.8),
+        ),
+    ),
+    "C5.3": TagRule(
+        ("alpha", "q1", "q2", "p1", "p2"), ("n", "r"), _olsen_exponents, _olsen_norms,
+        relations=lambda x: [],
+        catalog=(
+            dict(n=1, alpha=1 / 4, q1=6, q2=6, p1=3, p2=3, r=2),
+            dict(n=1, alpha=1 / 3, q1=4, q2=8, p1=2, p2=4, r=1.9),
+            dict(n=1, alpha=0.2, q1=5, q2=10, p1=2.5, p2=5, r=2),
+        ),
+    ),
+}
+TAGS = tuple(TAG_RULES)
+
+
+def tag_rule(tag: str) -> TagRule:
+    """The record of an inequality tag; ConfigInvalid for any other tag."""
+    rule = TAG_RULES.get(tag)
+    if rule is None:
+        raise ConfigInvalid(f"unknown profile tag {tag!r}; known tags are {list(TAG_RULES)}")
+    return rule
+
+
+def check_profile_contract(tag: str, keys) -> None:
+    """ConfigInvalid naming an unknown tag, or the missing and unknown keys
+    (TagRule.required, TagRule.optional) among `keys`."""
+    rule = tag_rule(tag)
+    missing = [k for k in rule.required if k not in keys]
+    unknown = sorted(set(keys) - set(rule.required) - set(rule.optional))
+    if missing or unknown:
+        raise ConfigInvalid(
+            f"profile for {tag}: missing keys {missing}, unknown keys {unknown}; "
+            f"it needs {list(rule.required)} and may hold {list(rule.optional)}"
+        )
+
+
+def profile_violations(tag: str, **raw) -> tuple[ExponentProfile | None, list[str]]:
+    """Derived exponents plus the list of violated relations (empty if valid),
+    once the profile contract holds (check_profile_contract)."""
+    check_profile_contract(tag, raw)
+    rule = TAG_RULES[tag]
+    v: list[str] = []
+    n = int(raw.get("n", 1))
+    alpha = float(raw["alpha"])
+    _chk(v, 0.0 < alpha < n, "0 < alpha < n")
+    profile = rule.derive(tag, raw, v, n, alpha, rule.relations)
+    return (None, v) if v else (profile, [])
 
 
 def make_profile(tag: str, **raw) -> ExponentProfile:
@@ -290,47 +405,8 @@ def make_profile(tag: str, **raw) -> ExponentProfile:
     return profile
 
 
-PROFILE_CATALOG: dict[str, list[dict]] = {
-    "T1.1": [
-        dict(n=1, alpha=1 / 3, p1=4, p2=4, r=2, s=2, p0=2, a=1.25),
-        dict(n=1, alpha=1 / 4, p1=6, p2=3, r=2, s=2, p0=2.5, a=1.5),
-        dict(n=1, alpha=1 / 4, p1=5, p2=5, r=2.5, s=5 / 3, p0=3, a=1.2),
-    ],
-    "C1.4": [
-        dict(n=1, alpha=1 / 3, p1=4, p2=4, r=2, s=2, a=1.25),
-        dict(n=1, alpha=1 / 4, p1=6, p2=3, r=2, s=2, a=1.25),
-        dict(n=1, alpha=1 / 4, p1=5, p2=5, r=2.5, s=5 / 3, a=1.25),
-    ],
-    "T4.1": [
-        dict(n=1, alpha=1 / 3, p1=4, p2=4, r=2, s=2, p0=2, a=1.5),
-        dict(n=1, alpha=1 / 4, p1=6, p2=3, r=2, s=2, p0=2.5, a=1.25),
-        dict(n=1, alpha=1 / 4, p1=5, p2=5, r=2.5, s=5 / 3, p0=3, a=1.5),
-    ],
-    "T4.2": [
-        dict(n=1, alpha=1 / 4, p1=4, p2=4, r=2, s=2, p0=2, r0=4, a=1.5),
-        dict(n=1, alpha=1 / 3, p1=4, p2=4, r=2, s=2, p0=2, r0=3, a=1.25),
-        dict(n=1, alpha=0.4, p1=6, p2=3, r=2, s=2, p0=2, r0=2.5, a=1.2),
-    ],
-    "T5.1": [
-        dict(n=1, alpha=1 / 4, p1=4, p2=4, r=2, s=2, p0=2, r0=4, a=1.5, q1=4, q2=4),
-        dict(n=1, alpha=1 / 3, p1=4, p2=4, r=2, s=2, p0=2, r0=3, a=1.25, q1=4, q2=4),
-        dict(n=1, alpha=1 / 3, p1=3, p2=6, r=2, s=2, p0=2, r0=3, a=1.2, q1=3, q2=6),
-    ],
-    "T5.2": [
-        dict(n=1, alpha=0.3, q1=6, q2=6, p1=4, p2=4, r0=4, r1=3, r=2),
-        dict(n=1, alpha=0.35, q1=4, q2=8, p1=3, p2=6, r0=3, r1=2.5, r=2),
-        dict(n=1, alpha=0.28, q1=5, q2=5, p1=3, p2=3, r0=4, r1=2, r=1.8),
-    ],
-    "C5.3": [
-        dict(n=1, alpha=1 / 4, q1=6, q2=6, p1=3, p2=3, r=2),
-        dict(n=1, alpha=1 / 3, q1=4, q2=8, p1=2, p2=4, r=1.9),
-        dict(n=1, alpha=0.2, q1=5, q2=10, p1=2.5, p2=5, r=2),
-    ],
-}
-
-
 def catalog_profiles(tag: str) -> list[ExponentProfile]:
-    return [make_profile(tag, **raw) for raw in PROFILE_CATALOG[tag]]
+    return [make_profile(tag, **raw) for raw in tag_rule(tag).catalog]
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +418,7 @@ CORPUS_KINDS = ("indicators", "random-steps", "spikes", "power-weights")
 POWER_WEIGHT_BETA_RANGE = (-0.4, 0.4)
 WEIGHT_CLAMP = 1e-8
 SPIKE_ROOT_TARGET = 0.9  # fraction of a/2 allowed for the root average
+_WEIGHT_NAMES = ("w1", "w2", "v", "hfun")
 
 
 @dataclass(frozen=True)
@@ -397,10 +474,21 @@ def _grid_fn(spec, pieces, scale=1.0) -> GridFunction:
     return GridFunction(spec, _materialize(spec, pieces, scale), nonnegative=True)
 
 
-def _rand_block(rng, spec, lo, hi, vmin, vmax, min_cells=4):
+# The fewest cells per axis of a random block, by dimension, and of a
+# support holding a concentration site (_site draws it in [i_lo + 2, i_hi - 3]).
+BLOCK_MIN_CELLS = {1: 4, 2: 2}
+SITE_MIN_CELLS = 5
+
+
+def _site(rng, i_lo: int, i_hi: int) -> int:
+    return rng.randint(i_lo + 2, i_hi - 3)
+
+
+def _rand_block(rng, spec, lo, hi, vmin, vmax):
     """Random lattice-aligned block inside [lo, hi)^n with a random level:
     the widths, then the starts, then the level are drawn."""
     i_lo, i_hi = spec.edge_index(lo), spec.edge_index(hi)
+    min_cells = BLOCK_MIN_CELLS[spec.dim]
     top = max(min_cells, (i_hi - i_lo) // 2)
     widths = [rng.randint(min_cells, top) for _ in range(spec.dim)]
     corner, upper = [], []
@@ -413,10 +501,7 @@ def _rand_block(rng, spec, lo, hi, vmin, vmax, min_cells=4):
 def _step_weight_pieces(rng, spec, lo, hi):
     # two blocks at worst subtract 0.4 from the floor of 0.7: always positive
     pieces = [("const", rng.uniform(0.7, 1.4))]
-    for _ in range(rng.randint(1, 2)):
-        blk = _rand_block(rng, spec, lo, hi, -0.2, 1.0)
-        pieces.append(blk)
-    return pieces
+    return pieces + [_rand_block(rng, spec, lo, hi, -0.2, 1.0) for _ in range(rng.randint(1, 2))]
 
 
 def _concentration_guard(f: GridFunction, g: GridFunction, Q0: Cube) -> float:
@@ -453,7 +538,9 @@ def corpus(
 
     The same seed always produces the same items, byte for byte.  The
     optional `support` window confines data geometry (used by the
-    dilation suite, which needs room to scale supports up).
+    dilation suite, which needs room to scale supports up); a support
+    narrower than the kind's draws need (BLOCK_MIN_CELLS cells per axis,
+    SITE_MIN_CELLS for 1D spikes and for 2D) is a ConfigInvalid.
     """
     spec = spec or HARNESS_SPEC
     kinds = CORPUS_KINDS if spec.dim == 1 else ("random-steps", "spikes")  # 2D items are steps or spikes
@@ -461,65 +548,47 @@ def corpus(
         raise ValueError(f"a {spec.dim}D corpus kind must be one of {kinds}, got {kind!r}")
     rng = SplitMix64(_mix_seed(seed, kind))
     if support is None:
-        support = (0.5, 0.5 * spec.half_width * 2.0 - 0.5)
-        if spec.dim == 2:
-            support = (0.25, 1.75)
+        support = (0.5, 0.5 * spec.half_width * 2.0 - 0.5) if spec.dim == 1 else (0.25, 1.75)
     lo, hi = support
+    cells = spec.edge_index(hi) - spec.edge_index(lo)
+    need = max(BLOCK_MIN_CELLS[spec.dim], SITE_MIN_CELLS if kind == "spikes" or spec.dim == 2 else 0)
+    if cells < need:
+        raise ConfigInvalid(
+            f"corpus support {support} spans {cells} cells per axis of {spec}; a {kind!r} corpus needs at least {need}"
+        )
     items = []
     for idx in range(count):
         if spec.dim == 2:
             items.append(_corpus_item_2d(rng, seed, kind, spec, idx, lo, hi))
             continue
         desc: dict[str, list] = {}
-        if kind == "indicators":
-            if idx == 0:
-                desc["f"] = [("block", (-1.0,), (1.0,), 1.0)]
-                desc["g"] = [("block", (-1.0,), (1.0,), 1.0)]
-                desc["w1"] = [("const", 1.0)]
-                desc["w2"] = [("const", 1.0)]
-                desc["v"] = [("const", 1.0)]
-                desc["hfun"] = [("const", 1.0)]
-            else:
-                desc["f"] = [_rand_block(rng, spec, lo, hi, 1.0, 1.0)]
-                desc["g"] = [_rand_block(rng, spec, lo, hi, 1.0, 1.0)]
-                for w in ("w1", "w2", "v", "hfun"):
-                    desc[w] = _step_weight_pieces(rng, spec, lo, hi)
-        elif kind == "random-steps":
-            for name in ("f", "g"):
-                desc[name] = [
-                    _rand_block(rng, spec, lo, hi, 0.2, 1.2)
-                    for _ in range(rng.randint(2, 4))
-                ]
-            for w in ("w1", "w2", "v", "hfun"):
-                desc[w] = _step_weight_pieces(rng, spec, lo, hi)
+        if kind == "indicators" and idx == 0:
+            desc = {name: [("block", (-1.0,), (1.0,), 1.0)] for name in ("f", "g")}
+            desc.update((w, [("const", 1.0)]) for w in _WEIGHT_NAMES)
+        elif kind == "indicators":
+            desc = {name: [_rand_block(rng, spec, lo, hi, 1.0, 1.0)] for name in ("f", "g")}
         elif kind == "spikes":
             # one concentration site shared by f and g (offset a few cells)
-            site = rng.randint(spec.edge_index(lo) + 2, spec.edge_index(hi) - 3)
+            site = _site(rng, spec.edge_index(lo), spec.edge_index(hi))
             for name in ("f", "g"):
                 pieces = [_rand_block(rng, spec, lo, hi, 0.02, 0.1)]
                 pos = spec.edge(site + rng.randint(-2, 2))
-                pieces.append(("spike", (pos,), rng.uniform(8.0, 18.0)))
-                desc[name] = pieces
-            for w in ("w1", "w2", "v", "hfun"):
-                desc[w] = _step_weight_pieces(rng, spec, lo, hi)
-        else:  # power-weights
+                desc[name] = pieces + [("spike", (pos,), rng.uniform(8.0, 18.0))]
+        else:  # random-steps: 2 to 4 blocks each; power-weights: 1 to 3
+            blocks = (2, 4) if kind == "random-steps" else (1, 3)
             for name in ("f", "g"):
-                desc[name] = [
-                    _rand_block(rng, spec, lo, hi, 0.2, 1.2)
-                    for _ in range(rng.randint(1, 3))
-                ]
-            if idx == 0:
-                desc["w1"] = [("const", 1.0)]
-                desc["w2"] = [("const", 1.0)]
-            else:
-                for w in ("w1", "w2"):
+                desc[name] = [_rand_block(rng, spec, lo, hi, 0.2, 1.2) for _ in range(rng.randint(*blocks))]
+        if kind == "power-weights":
+            for w in ("w1", "w2"):
+                if idx == 0:
+                    desc[w] = [("const", 1.0)]
+                else:
                     x0 = spec.edge(rng.randint(spec.edge_index(lo), spec.edge_index(hi)))
-                    beta = rng.uniform(*POWER_WEIGHT_BETA_RANGE)
-                    desc[w] = [("power", x0, beta)]
-            desc["v"] = _step_weight_pieces(rng, spec, lo, hi)
-            desc["hfun"] = _step_weight_pieces(rng, spec, lo, hi)
-        item = _build_item(f"{kind}-{seed}-{idx}", kind, spec, desc)
-        items.append(item)
+                    desc[w] = [("power", x0, rng.uniform(*POWER_WEIGHT_BETA_RANGE))]
+        for w in _WEIGHT_NAMES:  # in this order, after f and g
+            if w not in desc:
+                desc[w] = _step_weight_pieces(rng, spec, lo, hi)
+        items.append(_build_item(f"{kind}-{seed}-{idx}", kind, spec, desc))
     return items
 
 
@@ -535,38 +604,23 @@ def _build_item(item_id, kind, spec, desc, scale=1.0) -> CorpusItem:
             desc["g"] = list(desc["g"]) + [("rescale", factor)]
             f = _grid_fn(spec, desc["f"], scale)
             g = _grid_fn(spec, desc["g"], scale)
-    w1 = _grid_fn(spec, desc["w1"], scale)
-    w2 = _grid_fn(spec, desc["w2"], scale)
-    v = _grid_fn(spec, desc["v"], scale)
-    hfun = _grid_fn(spec, desc["hfun"], scale)
-    return CorpusItem(
-        item_id=item_id,
-        kind=kind,
-        spec=spec,
-        descriptors=desc,
-        f=f,
-        g=g,
-        w1=w1,
-        w2=w2,
-        v=v,
-        hfun=hfun,
-    )
+    weights = {w: _grid_fn(spec, desc[w], scale) for w in _WEIGHT_NAMES}
+    return CorpusItem(item_id=item_id, kind=kind, spec=spec, descriptors=desc, f=f, g=g, **weights)
 
 
 def _corpus_item_2d(rng, seed, kind, spec, idx, lo, hi) -> CorpusItem:
     desc: dict[str, list] = {}
     i_lo, i_hi = spec.edge_index(lo), spec.edge_index(hi)
-    site = (rng.randint(i_lo + 2, i_hi - 3), rng.randint(i_lo + 2, i_hi - 3))
+    site = (_site(rng, i_lo, i_hi), _site(rng, i_lo, i_hi))
     for name in ("f", "g"):
-        pieces = [_rand_block(rng, spec, lo, hi, 0.02, 0.1, min_cells=2)]
+        pieces = [_rand_block(rng, spec, lo, hi, 0.02, 0.1)]
         if kind == "spikes":
             point = tuple(spec.edge(i + rng.randint(-2, 2)) for i in site)
             pieces.append(("spike", point, rng.uniform(40.0, 130.0)))
         else:
-            pieces.extend(_rand_block(rng, spec, lo, hi, 0.2, 1.2, min_cells=2) for _ in range(rng.randint(1, 3)))
+            pieces.extend(_rand_block(rng, spec, lo, hi, 0.2, 1.2) for _ in range(rng.randint(1, 3)))
         desc[name] = pieces
-    for w in ("w1", "w2", "v", "hfun"):
-        desc[w] = [("const", 1.0)]
+    desc.update((w, [("const", 1.0)]) for w in _WEIGHT_NAMES)
     return _build_item(f"{kind}-{seed}-{idx}", kind, spec, desc)
 
 
@@ -655,20 +709,18 @@ def check_sparse_invariants(family) -> list[str]:
                 inter = int(np.isin(sc.cells, next_cells, kind="table").sum())  # sc.cells are distinct
                 if 2 * inter > sc.cell_count:
                     fails.append(f"half-measure bound fails at level {k}")
-    if family.levels:
-        for k, scs in family.levels.items():
-            if k - 1 in family.levels:
-                prev = family.level_cells(k - 1)
-                for sc in scs:
-                    if not np.isin(sc.cells, prev, kind="table").all():
-                        fails.append(f"level {k} cube escapes level {k - 1}")
+    for k, scs in family.levels.items():
+        if k - 1 in family.levels:
+            prev = family.level_cells(k - 1)
+            for sc in scs:
+                if not np.isin(sc.cells, prev, kind="table").all():
+                    fails.append(f"level {k} cube escapes level {k - 1}")
     d1 = family.level_cells(1)
     if 2 * len(d1) > len(family.root_cells):
         fails.append("|D_1| <= |Q_0|/2 fails")
     if len(family.root_cells) > 2 * len(family.e0_cells):
         fails.append("|Q_0| <= 2|E_0| fails")
-    merged = np.concatenate(parts) if parts else np.zeros(0, np.int64)
-    if not np.array_equal(np.sort(merged), family.root_cells):
+    if not np.array_equal(np.sort(np.concatenate(parts)), family.root_cells):
         fails.append("difference sets do not partition Q_0")
     return fails
 
@@ -800,74 +852,18 @@ def _check_agree(profile: ExponentProfile, item: CorpusItem, family: CubeFamily,
         raise SpecMismatch(f"a {profile.tag} profile with n = {profile.n} on the {item.spec.dim}D item {item.item_id!r}")
 
 
-def _substituted(profile: ExponentProfile, with_a: bool = False) -> tuple[float, float]:
-    r, s, p1, p2 = profile.r, profile.s, profile.p1, profile.p2
-    a = profile.a if with_a else 1.0  # 1.0 * s is s: the same bits as s * p1 / (s + p1)
-    return s * p1 / (a * s + p1), r * p2 / (a * r + p2)
-
-
 def evaluate_inequality_item(
     profile: ExponentProfile,
     item: CorpusItem,
     family: CubeFamily,
     pairs: NestedPairs,
 ) -> tuple[float, float, ConstantReport]:
-    """(lhs norm, rhs norm product, constant report) for one scenario."""
+    """(lhs norm, rhs norm product, constant report) for one scenario, by
+    the evaluator of the profile's tag (ConfigInvalid for an unknown tag)."""
+    rule = tag_rule(profile.tag)
     _check_agree(profile, item, family, pairs)
-    tag = profile.tag
-    f, g = item.f, item.g
-    out = bi_frac(f, g, profile.alpha)
-    wv = item.weight_vector()
-    one_cube = Cube((0.0,) * item.spec.dim, 1.0)
-    unit = ConstantReport(1.0, one_cube, 0)
-    if tag == "T1.1":
-        sub1, sub2 = _substituted(profile)
-        lhs = morrey_norm(out * wv.nu, MorreyParams(profile.q0, profile.q), family)
-        rhs = vector_morrey_norm(
-            f * item.w1, g * item.w2, profile.p0, profile.p1, profile.p2, family
-        )
-        const = iida_constant(
-            wv, profile.a * profile.q0, profile.q, sub1, sub2, pairs
-        )
-    elif tag == "C1.4":
-        sub1, sub2 = _substituted(profile)
-        lhs = lp_norm(out * wv.nu, profile.q)
-        rhs = lp_norm(f * item.w1, profile.p1) * lp_norm(g * item.w2, profile.p2)
-        const = multiple_apq_constant(wv, sub1, sub2, profile.q, family)
-    elif tag in ("T4.1", "T4.2"):
-        sub1, sub2 = _substituted(profile, with_a=True)
-        second = profile.a * profile.q if profile.q > 1.0 else profile.q
-        lhs = morrey_norm(out * item.v, MorreyParams(profile.q0, profile.q), family)
-        rhs = vector_morrey_norm(
-            f * item.w1, g * item.w2, profile.p0, profile.p1, profile.p2, family
-        )
-        const = two_weight_constant(
-            item.v,
-            wv,
-            profile.a * profile.q0,
-            second,
-            sub1,
-            sub2,
-            pairs,
-            r0=profile.r0 if tag == "T4.2" else None,
-        )
-    elif tag in ("T5.1", "T5.2"):
-        lhs = morrey_norm(out * item.hfun, MorreyParams(profile.q0, profile.q), family)
-        rhs = (
-            morrey_norm(item.hfun, MorreyParams(profile.r0, profile.r1), family)
-            * morrey_norm(f, MorreyParams(profile.q1, profile.p1), family)
-            * morrey_norm(g, MorreyParams(profile.q2, profile.p2), family)
-        )
-        const = unit
-    elif tag == "C5.3":
-        lhs = morrey_norm(out, MorreyParams(profile.q0, profile.q), family)
-        rhs = morrey_norm(f, MorreyParams(profile.q1, profile.p1), family) * morrey_norm(
-            g, MorreyParams(profile.q2, profile.p2), family
-        )
-        const = unit
-    else:
-        raise ValueError(f"no inequality evaluator for tag {tag!r}")
-    return lhs, rhs, const
+    out = bi_frac(item.f, item.g, profile.alpha)
+    return rule.evaluate(profile, item, family, pairs, out, item.weight_vector())
 
 
 def _item_ratio(profile, item, family, pairs) -> tuple[float, float, float, ConstantReport]:

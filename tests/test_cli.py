@@ -33,7 +33,7 @@ from bifrac import (
 )
 from bifrac.cli import build_parser, check_config_keys, main
 from bifrac.families import default_family, nested_pairs
-from bifrac.harness import PROFILE_CATALOG, make_profile, witness_text
+from bifrac.harness import TAG_RULES, make_profile, witness_text
 
 
 @pytest.fixture()
@@ -184,7 +184,7 @@ class TestExitCodes:
     def test_a_profile_of_another_dimension_is_an_input_error(self, tmp_path, capsys):
         # a 2D profile on the 1D harness grid ran and exited 0 before
         prof = tmp_path / "n2.json"
-        prof.write_text(json.dumps({"tag": "T1.1", **PROFILE_CATALOG["T1.1"][0], "n": 2}))
+        prof.write_text(json.dumps({"tag": "T1.1", **TAG_RULES["T1.1"].catalog[0], "n": 2}))
         assert main(["verify", "--profile-file", str(prof), "--n-cal", "2", "--n-eval", "2"]) == 2
         assert capsys.readouterr().err.startswith("SpecMismatch: a T1.1 profile with n = 2 on the 1D item ")
 

@@ -38,9 +38,8 @@ from bifrac.harness import (
     SMALL_EXPONENT_Q,
     HARNESS_SPEC,
     HARNESS_SPEC_2D,
-    PROFILE_CATALOG,
-    PROFILE_KEYS,
     SplitMix64,
+    TAG_RULES,
     TAGS,
     _materialize,
     _mix_seed,
@@ -114,6 +113,51 @@ class TestSplitMix64:
         assert batched.state == scalar.state and batched.next_u64() == scalar.next_u64()
 
 
+def _fuzzed_raw(rng: SplitMix64, tag: str) -> dict:
+    """A raw profile holding only the keys tag reads.  The values are drawn
+    so that every relation of every tag can hold: s conjugate to r, p_i a
+    multiple of r and s, p0 = t p, q_i = t p_i, alpha below n/p0, r0 above
+    n/alpha and r1 below r0.  On one draw in four, one of the tag's keys is
+    then scaled by a factor in [0.5, 1.5); each optional key is kept on three
+    draws in four.  The number of draws does not depend on the tag."""
+    required, optional = TAG_RULES[tag].required, TAG_RULES[tag].optional
+    n = rng.randint(1, 2)
+    r, t, a = rng.uniform(1.05, 3.0), rng.uniform(0.95, 2.0), rng.uniform(0.9, 2.0)
+    p1, p2 = r * rng.uniform(0.9, 3.0), r / (r - 1.0) * rng.uniform(0.9, 3.0)
+    p0 = t / (1.0 / p1 + 1.0 / p2)
+    alpha = n * rng.uniform(-0.05, 1.0) / p0
+    r0 = n / alpha * rng.uniform(0.95, 3.0)
+    raw = dict(n=n, alpha=alpha, p1=p1, p2=p2, r=r, s=r / (r - 1.0), p0=p0, q1=t * p1, q2=t * p2, a=a)
+    raw.update(r0=r0, r1=r0 * rng.uniform(0.2, 1.02))
+    perturb, which, factor = rng.randint(0, 3) == 0, rng.randint(0, len(required) - 1), rng.uniform(0.5, 1.5)
+    if perturb:
+        raw[required[which]] *= factor
+    kept = [key for key in optional if rng.randint(0, 3)]
+    return {key: raw[key] for key in (*required, *kept)}
+
+
+def _field_text(value) -> str:
+    return value.hex() if isinstance(value, float) else repr(value)
+
+
+# Recorded before the per-tag rules became one record per tag; the
+# relations, their order and every derived field's bits stay as they were.
+_PINNED_RELATIONS_SHA256 = "29ec2690feef7486c9fcf5e383df6693d227bba60390af6071eb7674b689a896"
+
+
+def test_relation_outcomes_are_pinned_across_commits():
+    # 200 raw profiles per tag: the violated relations, in order, and every
+    # field of an accepted profile (scalar Python floats: no SIMD dispatch)
+    digest = hashlib.sha256()
+    rng = SplitMix64(2018)
+    for tag in TAGS:
+        for _ in range(200):
+            prof, violations = profile_violations(tag, **_fuzzed_raw(rng, tag))
+            fields = [] if prof is None else [_field_text(getattr(prof, f.name)) for f in dataclasses.fields(prof)]
+            digest.update(repr((tag, violations, fields)).encode())
+    assert digest.hexdigest() == _PINNED_RELATIONS_SHA256
+
+
 class TestMakeProfile:
     def test_t11_boundary_rejection(self):
         # alpha equal to 1/p0 pushes q0 to infinity
@@ -147,41 +191,46 @@ class TestMakeProfile:
         # every catalog key is one its tag reads, and the required keys alone
         # are enough to check the relations (no KeyError)
         for tag in TAGS:
-            required, optional = PROFILE_KEYS[tag]
-            for raw in PROFILE_CATALOG[tag]:
+            required, optional = TAG_RULES[tag].required, TAG_RULES[tag].optional
+            for raw in TAG_RULES[tag].catalog:
                 assert set(required) <= set(raw) <= set(required) | set(optional)
                 profile_violations(tag, **{k: raw[k] for k in required})
 
-    def test_fuzzed_acceptance_iff_relations_hold(self):
+    # each tag's 1/q0 relation, written out apart from the harness's derivations
+    _INV_Q0 = {
+        "T1.1": lambda p: 1 / p.p0 - p.alpha / p.n,
+        "C1.4": lambda p: 1 / p.p0 - p.alpha / p.n,
+        "T4.1": lambda p: 1 / p.p0 - p.alpha / p.n,
+        "T4.2": lambda p: 1 / p.p0 + 1 / p.r0 - p.alpha / p.n,
+        "T5.1": lambda p: 1 / p.p0 + 1 / p.r0 - p.alpha / p.n,
+        "T5.2": lambda p: 1 / p.r0 + 1 / p.q1 + 1 / p.q2 - p.alpha / p.n,
+        "C5.3": lambda p: 1 / p.q1 + 1 / p.q2 - p.alpha / p.n,
+    }
+
+    @pytest.mark.parametrize("tag", TAGS)
+    def test_fuzzed_acceptance_iff_relations_hold(self, tag):
         # random raw exponents: accepted exactly when no relation fails
         rng = SplitMix64(77)
         accepted = rejected = 0
         for _ in range(300):
-            raw = dict(
-                n=1,
-                alpha=rng.uniform(0.05, 0.95),
-                p1=rng.uniform(1.2, 8.0),
-                p2=rng.uniform(1.2, 8.0),
-                r=rng.uniform(1.1, 3.0),
-                s=rng.uniform(1.1, 3.0),
-                p0=rng.uniform(1.0, 4.0),
-                a=rng.uniform(0.9, 2.0),
-            )
-            prof, violations = profile_violations("T1.1", **raw)
+            raw = _fuzzed_raw(rng, tag)
+            prof, violations = profile_violations(tag, **raw)
             if violations:
                 rejected += 1
                 with pytest.raises(RelationViolated):
-                    make_profile("T1.1", **raw)
+                    make_profile(tag, **raw)
+                continue
+            accepted += 1
+            assert prof is not None
+            # every stated relation holds on the accepted profile
+            assert abs(1 / prof.q0 - self._INV_Q0[tag](prof)) <= 1e-12
+            if tag in ("T5.2", "C5.3"):
+                assert abs(prof.q / prof.q0 - prof.p1 / prof.q1) <= 1e-12
             else:
-                accepted += 1
-                assert prof is not None
-                # every stated relation holds on the accepted profile
                 assert abs(1 / prof.r + 1 / prof.s - 1) <= 1e-12
                 assert prof.p1 > prof.r > 1 and prof.p2 > prof.s > 1
-                assert abs(1 / prof.q0 - (1 / prof.p0 - prof.alpha / prof.n)) <= 1e-12
                 assert abs(prof.q / prof.q0 - prof.p / prof.p0) <= 1e-12
-        assert rejected > 0  # fuzz hits both branches
-        # accepted may be rare; conjugacy is measure-zero for random (r, s)
+        assert accepted > 0 and rejected > 0  # fuzz hits both branches
 
     def test_t42_a_window(self):
         with pytest.raises(RelationViolated):
@@ -190,7 +239,7 @@ class TestMakeProfile:
             )
 
     def test_t52_relations(self):
-        prof = make_profile("T5.2", **PROFILE_CATALOG["T5.2"][0])
+        prof = make_profile("T5.2", **TAG_RULES["T5.2"].catalog[0])
         inv_sum = 1 / prof.q1 + 1 / prof.q2
         assert abs(
             1 / prof.q0 - (1 / prof.r0 + inv_sum - prof.alpha / prof.n)
@@ -210,12 +259,26 @@ class TestMakeProfile:
     )
     def test_a_key_outside_the_profile_contract_is_config_invalid(self, tag, change, named):
         # before, a missing key raised KeyError and an unknown key was ignored
-        raw = {**PROFILE_CATALOG.get(tag, PROFILE_CATALOG["T1.1"])[0], **change}
+        raw = {**TAG_RULES.get(tag, TAG_RULES["T1.1"]).catalog[0], **change}
         raw = {k: v for k, v in raw.items() if v is not None}
         for check in (make_profile, profile_violations):
             with pytest.raises(ConfigInvalid) as err:
                 check(tag, **raw)
             assert named in str(err.value)
+
+    def test_an_unknown_tag_is_config_invalid_on_every_path(self, fam64, pairs64):
+        # a hand-built profile of an unknown tag raised a bare ValueError in
+        # the evaluator, and catalog_profiles a KeyError
+        profile = dataclasses.replace(catalog_profiles("T1.1")[0], tag="X")
+        item = corpus(3, "random-steps", count=1)[0]
+        calls = (
+            lambda: make_profile("X", alpha=0.25),
+            lambda: evaluate_inequality_item(profile, item, fam64, pairs64),
+            lambda: catalog_profiles("X"),
+        )
+        for call in calls:
+            with pytest.raises(ConfigInvalid, match=re.escape(f"unknown profile tag 'X'; known tags are {list(TAGS)}")):
+                call()
 
 
 class TestCorpus:
@@ -258,6 +321,49 @@ class TestCorpus:
             for item in corpus(3, kind, count=4):
                 for w in (item.w1, item.w2, item.v, item.hfun):
                     assert float(w.samples.min()) > 0.0
+
+    @pytest.mark.parametrize(
+        "spec, support, kind, cells, need",
+        [
+            (GridSpec(1, 4.0, 32), (0.25, 1.0), "indicators", 3, 4),
+            (GridSpec(1, 4.0, 32), (0.25, 1.0), "random-steps", 3, 4),
+            (GridSpec(1, 4.0, 32), (0.25, 1.0), "spikes", 3, 5),
+            (GridSpec(1, 4.0, 32), (0.25, 1.0), "power-weights", 3, 4),
+            (HARNESS_SPEC, (0.25, 0.5), "random-steps", 2, 4),
+            (HARNESS_SPEC, (0.25, 0.5), "spikes", 2, 5),
+            (HARNESS_SPEC, (0.25, 0.75), "spikes", 4, 5),  # room for a block, not for the site
+            (HARNESS_SPEC_2D, (0.25, 0.75), "random-steps", 4, 5),  # 2D items draw a site
+        ],
+    )
+    def test_a_support_narrower_than_the_draws_is_config_invalid(self, spec, support, kind, cells, need):
+        # 3 cells gave a ZeroDivisionError in the block draw, and 2 cells
+        # gave items with data outside the support
+        with pytest.raises(ConfigInvalid) as err:
+            corpus(0, kind, spec=spec, support=support)
+        assert str(err.value) == (
+            f"corpus support {support} spans {cells} cells per axis of {spec}; a {kind!r} corpus needs at least {need}"
+        )
+
+    @pytest.mark.parametrize(
+        "spec, support, kind",
+        [
+            (GridSpec(1, 4.0, 32), (0.25, 1.25), "indicators"),  # 4 cells
+            (GridSpec(1, 4.0, 32), (0.25, 1.25), "random-steps"),
+            (GridSpec(1, 4.0, 32), (0.25, 1.5), "spikes"),  # 5 cells
+            (GridSpec(1, 4.0, 32), (0.25, 1.25), "power-weights"),
+            (HARNESS_SPEC_2D, (0.25, 0.875), "random-steps"),  # 5 cells
+            (HARNESS_SPEC_2D, (0.25, 0.875), "spikes"),
+        ],
+    )
+    def test_a_support_of_the_fewest_cells_builds_inside_it(self, spec, support, kind):
+        lo, hi = spec.edge_index(support[0]), spec.edge_index(support[1])
+        assert hi - lo == (H.SITE_MIN_CELLS if kind == "spikes" or spec.dim == 2 else H.BLOCK_MIN_CELLS[spec.dim])
+        items = corpus(0, kind, spec=spec, support=support, count=8)
+        for item in items[1:] if kind == "indicators" else items:  # indicator item 0 is the fixed [-1, 1) block
+            for fn in (item.f, item.g):
+                outside = fn.samples.copy()
+                outside[(slice(lo, hi),) * spec.dim] = 0.0
+                assert fn.samples.any() and not outside.any(), item.item_id
 
     def test_dilated_item_scales_geometry(self):
         item = corpus(21, "random-steps", count=1, support=(0.25, 1.0))[0]
@@ -482,7 +588,7 @@ class TestInequalitySuite:
         prof = catalog_profiles("T1.1")[0]
         item = corpus(3, "random-steps", count=1)[0]
         other = nested_pairs(default_family(dataclasses.replace(HARNESS_SPEC, cells_per_axis=32)))
-        prof2 = make_profile("T1.1", **{**PROFILE_CATALOG["T1.1"][0], "n": 2})
+        prof2 = make_profile("T1.1", **{**TAG_RULES["T1.1"].catalog[0], "n": 2})
         for evaluate in (
             lambda p, prs: evaluate_inequality_item(p, item, fam64, prs),
             lambda p, prs: domination_ratio(p, item, "weighted", fam64, prs),

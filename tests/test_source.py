@@ -10,7 +10,8 @@ no module imports another module's private name unless a list gives it a
 reason, every function cache has a fixed size, no call of np.unique loads numpy.ma,
 per-cube power averages and minima are read in one function, only the
 lattice module converts between coordinates and cells, only the families
-module builds the engine's box sets, and every
+module builds the engine's box sets, the harness compares no verify tag and
+the CLI compares with "structural" once, and every
 `module.name`, `Class.attr` and bare `name` that README.md quotes exists."""
 
 import ast
@@ -25,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from bifrac.harness import TAGS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "bifrac"
@@ -627,6 +630,49 @@ _ENGINE = "class CellBoxes:\n    @classmethod\n    def tripled(cls, s, lo, w):\n
 )
 def test_the_box_set_check_flags_a_build_outside_the_families(module, source, sites):
     assert _cell_box_builds(module, source) == sites
+
+
+def _comparisons(source: str, constants, names=()) -> list[int]:
+    """Lines of each comparison with an operand that is a string among
+    `constants` (alone or in a tuple, list or set literal) or a name or
+    attribute among `names`."""
+
+    def matches(node) -> bool:
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(matches(elt) for elt in node.elts)
+        if isinstance(node, ast.Constant):
+            return isinstance(node.value, str) and node.value in constants
+        return isinstance(node, ast.Name) and node.id in names or isinstance(node, ast.Attribute) and node.attr in names
+
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare) and any(map(matches, (node.left, *node.comparators)))
+    )
+
+
+def test_the_verify_tags_are_compared_in_one_place_each():
+    """The harness compares no inequality tag: each tag's keys, relations,
+    catalog and evaluator are fields of its record in harness.TAG_RULES,
+    found by a lookup.  The CLI compares its tag with "structural" once."""
+    assert _comparisons((SRC / "harness.py").read_text(encoding="utf-8"), set(TAGS), {"tag"}) == []
+    assert len(_comparisons((SRC / "cli.py").read_text(encoding="utf-8"), {"structural"})) == 1
+
+
+@pytest.mark.parametrize(
+    "source, constants, names, lines",
+    [
+        ('if tag == "T1.1":\n    pass\nelif tag in ("T4.1", "T4.2"):\n    pass\n', TAGS, {"tag"}, [1, 3]),
+        ('ok = profile.tag != other\n', TAGS, {"tag"}, [1]),
+        ('ok = "C5.3" in [x, y]\n', TAGS, {"tag"}, [1]),
+        ('rule = TAG_RULES.get(tag)\nif rule is None:\n    pass\n', TAGS, {"tag"}, []),
+        ('TAG_RULES = {"T1.1": 1, "C5.3": 2}\nif mode in ("weighted", "small-exponent"):\n    pass\n', TAGS, {"tag"}, []),
+        ('if tag == "structural":\n    pass\nx = {"tag": "structural"}\nif "structural" != tag:\n    pass\n', {"structural"}, (), [1, 4]),
+    ],
+    ids=["tag-tests", "attribute", "constant-in-list", "lookup", "table-and-modes", "structural"],
+)
+def test_the_tag_check_flags_comparisons(source, constants, names, lines):
+    assert _comparisons(source, set(constants), names) == lines
 
 
 def _stale_module_names(text: str) -> list[str]:
