@@ -27,7 +27,7 @@ single cells, breadth first, which `sparse` reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
 
@@ -36,6 +36,8 @@ import numpy as np
 from .errors import EmptyCubeFamily, NonAlignedCube
 from .geometry import Cube, DyadicGrid
 from .lattice import CellBoxes, GridSpec, _cell_slices, _read_only, _scalar_pow, cell_overlaps, integrate_overlaps
+
+_POWERS_KEPT = 16  # side and measure power arrays memoised per family
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,7 @@ class CubeFamily:
     lo: np.ndarray
     hi: np.ndarray
     name: str = "custom"
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key in ("corners", "sides", "lo", "hi"):
@@ -85,19 +88,28 @@ class CubeFamily:
         """(scale * side) ** expo per cube, by lattice._scalar_pow (scalar `**`
         bit for bit, which np.power is not), so |Q| here equals Cube.measure.
         Read-only: the family memoises the array per (expo, scale)."""
-        return self._side_powers(expo, scale)
+        return self._memo(("side", expo, scale), lambda: _scalar_pow(scale * self.sides, expo))
 
-    @cached_property
-    def _side_powers(self):
-        """side_powers' memo.  A run reads a handful of (expo, scale) pairs
-        per family, from every operator call; the bound keeps one that reads
-        many from growing without end."""
+    def measure_powers(self, expo: float) -> np.ndarray:
+        """|Q| ** expo per cube, by numpy's `**` on `measures`, as the weight
+        constants and Morrey norms raise them.  Read-only: the family
+        memoises the array per expo."""
+        return self._memo(("measure", expo), lambda: self.measures ** expo)
 
-        @lru_cache(maxsize=16)
-        def powers(expo: float, scale: float) -> np.ndarray:
-            return _read_only(_scalar_pow(scale * self.sides, expo))
-
-        return powers
+    def _memo(self, key: tuple, build) -> np.ndarray:
+        """The one memo of side and measure powers, least recently used out
+        first.  A run reads a handful of exponents per family, from every
+        operator call and pair constant; the bound keeps one that reads many
+        from growing without end.  A plain dict on the instance, so a family
+        holds no reference to itself and is freed by its reference count."""
+        memo = self._powers
+        value = memo.pop(key, None)
+        if value is None:
+            value = _read_only(build())
+            if len(memo) >= _POWERS_KEPT:
+                del memo[next(iter(memo))]
+        memo[key] = value
+        return value
 
     @cached_property
     def measures(self) -> np.ndarray:

@@ -222,22 +222,25 @@ def _substituted(profile: ExponentProfile, with_a: bool = False) -> tuple[float,
     return s * p1 / (a * s + p1), r * p2 / (a * r + p2)
 
 
-def _t11_norms(profile, item, family, pairs, out, wv):
+def _t11_norms(profile, item, family, pairs, out):
+    wv = item.weight_vector()
     sub1, sub2 = _substituted(profile)
     lhs = morrey_norm(out * wv.nu, MorreyParams(profile.q0, profile.q), family)
     rhs = vector_morrey_norm(item.f * item.w1, item.g * item.w2, profile.p0, profile.p1, profile.p2, family)
     return lhs, rhs, iida_constant(wv, profile.a * profile.q0, profile.q, sub1, sub2, pairs)
 
 
-def _c14_norms(profile, item, family, pairs, out, wv):
+def _c14_norms(profile, item, family, pairs, out):
+    wv = item.weight_vector()
     sub1, sub2 = _substituted(profile)
     lhs = lp_norm(out * wv.nu, profile.q)
     rhs = lp_norm(item.f * item.w1, profile.p1) * lp_norm(item.g * item.w2, profile.p2)
     return lhs, rhs, multiple_apq_constant(wv, sub1, sub2, profile.q, family)
 
 
-def _t4_norms(profile, item, family, pairs, out, wv):
+def _t4_norms(profile, item, family, pairs, out):
     """T4.1, and T4.2 with its r0 decay (a T4.1 profile holds r0 = None)."""
+    wv = item.weight_vector()
     sub1, sub2 = _substituted(profile, with_a=True)
     second = profile.a * profile.q if profile.q > 1.0 else profile.q
     lhs = morrey_norm(out * item.v, MorreyParams(profile.q0, profile.q), family)
@@ -246,9 +249,10 @@ def _t4_norms(profile, item, family, pairs, out, wv):
     return lhs, rhs, const
 
 
-def _olsen_norms(profile, item, family, pairs, out, wv):
+def _olsen_norms(profile, item, family, pairs, out):
     """T5.1 and T5.2, with the multiplier hfun in M^{r0}_{r1}, and C5.3
-    (whose profile holds r0 = None) without; their constant is 1."""
+    (whose profile holds r0 = None) without; their constant is 1, and they
+    read neither weight."""
     norm_f = morrey_norm(item.f, MorreyParams(profile.q1, profile.p1), family)
     norm_g = morrey_norm(item.g, MorreyParams(profile.q2, profile.p2), family)
     if profile.r0 is None:
@@ -266,9 +270,10 @@ class TagRule:
     to 1.25 and `r` to 2); `derive` turns them into an ExponentProfile and
     checks the relations its family shares, `relations` lists the tag's own
     (ok, relation) pairs on the derived profile, `evaluate(profile, item,
-    family, pairs, out, wv)` gives one scenario's lhs norm, rhs norm product
-    and constant report from out = bi_frac(f, g, alpha) and the item's
-    weight vector, and `catalog` holds valid raw profiles."""
+    family, pairs, out)` gives one scenario's lhs norm, rhs norm product
+    and constant report from out = bi_frac(f, g, alpha), building the item's
+    weight vector only if it reads the weights, and `catalog` holds valid
+    raw profiles."""
 
     required: tuple[str, ...]
     optional: tuple[str, ...]
@@ -863,7 +868,7 @@ def evaluate_inequality_item(
     rule = tag_rule(profile.tag)
     _check_agree(profile, item, family, pairs)
     out = bi_frac(item.f, item.g, profile.alpha)
-    return rule.evaluate(profile, item, family, pairs, out, item.weight_vector())
+    return rule.evaluate(profile, item, family, pairs, out)
 
 
 def _item_ratio(profile, item, family, pairs) -> tuple[float, float, float, ConstantReport]:

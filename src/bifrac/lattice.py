@@ -294,8 +294,9 @@ class CellBoxes:
     replays the steps in reverse from a scatter of each box's distinct
     corner blocks (see `_scatter`).  Containment among the boxes, the pair
     count and the inward maxima (`inner_max`), reads one start x end table
-    in 1D (see _start_end) and per-side corner windows over the power-of-two
-    table in 2D (see _sides), whose boxes must be squares.
+    in 1D, at each non-empty box's position cached once per box set (see
+    `_ends` and _start_end), and per-side corner windows over the
+    power-of-two table in 2D (see _sides), whose boxes must be squares.
 
     Window sums take a stack of arrays, one engine pass for all of them, with
     the bits of one call per array.  They keep to the contiguity rule: a
@@ -482,16 +483,24 @@ class CellBoxes:
             np.maximum(table[second], table[coarse], out=table[second])
         return table[(0,) * len(self.shape)].copy()
 
+    @cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """1D containment plan: the non-empty boxes k, and the flat position
+        first * N + last cell of each on the N x N start x end table."""
+        n, k = self.shape[0], np.flatnonzero(self.ext[:, 0] > 0)
+        return _read_only(k), _read_only(self.lo[k, 0] * (n + 1) + self.ext[k, 0] - 1)
+
     def _start_end(self, values: np.ndarray, ufunc, fill) -> tuple[np.ndarray, np.ndarray]:
         """1D: the non-empty boxes k, and per box ufunc reduced over values[k]
         of the non-empty boxes inside it.
 
         [a', e'] lies in [a, e] when a <= a' and e' <= e: the values go onto
-        an N x N start x end table (ufunc.at, so repeated boxes combine), and
-        running reductions over e, then back over a, leave the result at (a, e).
+        an N x N start x end table at the positions of the cached plan (see
+        `_ends`; ufunc.at, so repeated boxes combine), and running reductions
+        over e, then back over a, leave the result at (a, e).  A call builds
+        that table and nothing else.
         """
-        n, k = self.shape[0], np.flatnonzero(self.ext[:, 0] > 0)
-        at = self.lo[k, 0] * (n + 1) + self.ext[k, 0] - 1  # first * N + last cell
+        n, (k, at) = self.shape[0], self._ends
         table = np.full((n, n), fill)
         ufunc.at(table.reshape(-1), at, values[k])
         # in place: one N x N array per call; at N = 128 each N x N array

@@ -122,7 +122,7 @@ def _cube_values(family: CubeFamily, factors: list[tuple], measure_power: float 
         if w.spec != family.spec:
             raise SpecMismatch(f"a function on {w.spec} read over a family on {family.spec}")
     averages = iter(_family_power_averages(family, [(w, expo) for w, expo, _ in factors if expo is not None]))
-    vals = None if measure_power is None else family.measures ** measure_power
+    vals = None if measure_power is None else family.measure_powers(measure_power)
     parts = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for w, expo, power in factors:
@@ -239,7 +239,7 @@ def _pair_constant(lead, wv, q0, q, p1, p2, pairs, r0) -> ConstantReport:
     outer, (outer_1, outer_2) = _cube_values(fam, [_dual(wv.w1, p1), _dual(wv.w2, p2)], -1.0 / q0)
     with np.errstate(invalid="ignore"):
         if r0 is not None:
-            outer = outer * meas ** (1.0 / r0)
+            outer = outer * fam.measure_powers(1.0 / r0)
         K = _top(np.where(fam.aligned, outer * best, -np.inf))[1]
         inside = np.all(fam.lo >= fam.lo[K], axis=1) & np.all(fam.hi <= fam.hi[K], axis=1)
         Q = int(np.argmax(fam.aligned & inside & (inner == best[K])))

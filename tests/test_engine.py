@@ -1,6 +1,8 @@
 """The cube-window engine against per-slice and per-cube oracles."""
 
+import gc
 import math
+import weakref
 from functools import lru_cache
 from itertools import product
 
@@ -35,6 +37,7 @@ from bifrac import (
     morrey_norm,
 )
 from bifrac.families import (
+    _POWERS_KEPT,
     _po2_squares,
     _shifted_grid_cubes,
     default_family,
@@ -421,7 +424,7 @@ def _engine_arrays(boxes: CellBoxes) -> list[np.ndarray]:
     plans = vars(boxes)
     arrays = [boxes.lo, boxes.ext, boxes.blocks] + ([boxes.digits] if "digits" in plans else [])
     arrays += [a for plan in plans.get("by_length") or () for a in plan]
-    arrays += list(plans.get("_scatter", ()))
+    arrays += list(plans.get("_scatter", ())) + list(plans.get("_ends", ()))
     return arrays + [a for plan in plans.get("_sides", ()) for a in (*plan[:3], plan[3].lo, plan[3].ext)]
 
 
@@ -433,10 +436,11 @@ def test_the_engine_arrays_and_plans_of_cached_families_are_read_only(spec):
     sets = (family.boxes, family.cover, family.touch, family.windows3, tree.boxes, tree.windows3)
     for boxes in sets:  # build every plan that the operators and constants read
         boxes.sums(np.ones(spec.shape)), boxes.minima(np.ones(spec.shape)), boxes.sweep(np.ones(boxes.count))
-    family.boxes.pair_count(), tree.boxes.pair_count()
+    for boxes in (family.boxes, tree.boxes):
+        boxes.pair_count(), boxes.inner_max(np.ones(boxes.count))
     built = {key for boxes in sets for key in vars(boxes)}
     assert {"blocks", "_steps", "_scatter"} <= built
-    assert {"by_length"} <= built if spec.dim == 1 else {"digits", "_sides"} <= built
+    assert {"by_length", "_ends"} <= built if spec.dim == 1 else {"digits", "_sides"} <= built
     assert spec.dim == 2 or any(vars(boxes)["by_length"] is not None for boxes in sets)
     for boxes in sets:
         for arr in _engine_arrays(boxes):
@@ -448,6 +452,11 @@ def test_the_engine_arrays_and_plans_of_cached_families_are_read_only(spec):
         for index in (index for step in steps for index in step):
             assert isinstance(index, tuple) and index[0] is Ellipsis
             assert all(isinstance(item, (int, slice)) for item in index[1:])
+    # and so do the families' memoised side and measure powers
+    for fam in (family, tree):
+        for arr in (fam.side_powers(0.5, 3.0), fam.measure_powers(1.0 / 3.0), fam.measure_powers(-0.25)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
     # the engine freezes views of its own: the caller's array stays writable
     lo = np.array([[0], [2]])
     CellBoxes((8,), lo, lo + 2)
@@ -804,21 +813,25 @@ def test_1d_inner_max_of_every_interval_at_n64_equals_max_over_listed_pairs():
 @pytest.mark.parametrize("n", [1, 2, 8, 64, 128])
 def test_1d_inner_max_equals_a_brute_force_containment_max(n):
     # raw boxes: every interval up to N = 8, a random draw beyond, with
-    # repeats, empty boxes (hi <= lo) and +-inf values
+    # repeats, empty boxes (hi <= lo) and +-inf values; calls with fresh
+    # values, and pair counts between them, all read the plan cached with
+    # the boxes
     rng = np.random.default_rng(n)
     if n <= 8:
         lo, hi = np.array([(a, b) for a in range(n + 1) for b in range(n + 1)]).T
     else:
         lo, hi = rng.integers(0, n + 1, (2, 1500))
         lo[:40], hi[:40] = lo[40:80], hi[40:80]
-    values = rng.uniform(-1.0, 1.0, len(lo))
-    values[rng.random(len(lo)) < 0.05] = np.inf
-    values[rng.random(len(lo)) < 0.05] = -np.inf
     boxes = CellBoxes((n,), lo[:, None], hi[:, None])
     nonempty = hi > lo
     inside = nonempty[None, :] & (lo[:, None] <= lo[None, :]) & (hi[None, :] <= hi[:, None])
-    want = np.where(nonempty, np.max(np.where(inside, values[None, :], -np.inf), axis=1), -np.inf)
-    assert np.array_equal(boxes.inner_max(values), want)
+    for _ in range(4):
+        values = rng.uniform(-1.0, 1.0, len(lo))
+        values[rng.random(len(lo)) < 0.05] = np.inf
+        values[rng.random(len(lo)) < 0.05] = -np.inf
+        want = np.where(nonempty, np.max(np.where(inside, values[None, :], -np.inf), axis=1), -np.inf)
+        assert np.array_equal(boxes.inner_max(values), want)
+        assert boxes.pair_count() == int(inside.sum())
 
 
 def test_maximal_sweeps_at_n512_match_max_over_containing_intervals():
@@ -912,6 +925,39 @@ def test_family_measures_and_side_powers_equal_the_per_cube_scalar_pow(dim, n, h
     for expo, scale in ((dim, 1.0), (dim, 3.0), (0.25, 1.0), (1.0 / 3.0, 1.0), (0.3125, 3.0)):
         want = np.array([(scale * side) ** expo for side in sides])
         assert np.array_equal(fam.side_powers(expo, scale).view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_measure_powers_equal_numpy_power_bit_for_bit_in_a_bounded_memo(dim, n):
+    # positive, negative and non-dyadic exponents, twice: the second round
+    # reads the memo, which must hold the bits numpy's `**` gives
+    fam = default_family(GridSpec(dim, 2.3, n))
+    expos = (0.25, -0.25, 1.0 / 3.0, -1.0 / 3.0, 0.7, -1.9, 2.0)
+    for expo in expos + expos:
+        got = fam.measure_powers(expo)
+        assert np.array_equal(got.view(np.int64), (fam.measures ** expo).view(np.int64))
+    assert fam.measure_powers(0.7) is fam.measure_powers(0.7)
+    for k in range(3 * _POWERS_KEPT):  # side and measure powers share the one bound
+        fam.measure_powers(k / 7.0), fam.side_powers(k / 7.0, 3.0)
+    assert len(fam._powers) == _POWERS_KEPT
+    assert np.array_equal(fam.measure_powers(-1.9).view(np.int64), (fam.measures ** -1.9).view(np.int64))
+
+
+@pytest.mark.parametrize("spec", [GridSpec(1, 4.0, 16), GridSpec(2, 2.0, 8)], ids=str)
+def test_a_family_is_freed_by_its_reference_count(spec):
+    # nothing a family caches refers back to it, so it needs no cyclic GC:
+    # a caller's default family goes as soon as its last reference does
+    one = GridFunction.constant(spec, 1.0)
+    gc.disable()
+    try:
+        family = default_family(spec)
+        iida_constant(WeightVector(one, one), 4.0, 2.0, 2.0, 2.0, nested_pairs(family))
+        family.side_powers(0.5, 3.0), family.measure_powers(-0.25), maximal(one, family)
+        gone = weakref.ref(family)
+        del family
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -24,6 +24,7 @@ from bifrac import (
     GridFunction,
     GridSpec,
     InfiniteConstant,
+    NonPositiveWeight,
     RelationViolated,
     SpecMismatch,
     small_exponent_chain_check,
@@ -279,6 +280,20 @@ class TestMakeProfile:
         for call in calls:
             with pytest.raises(ConfigInvalid, match=re.escape(f"unknown profile tag 'X'; known tags are {list(TAGS)}")):
                 call()
+
+    def test_only_the_tags_that_read_the_weights_refuse_a_zero_weight(self, fam64, pairs64):
+        # the Olsen-type tags read neither weight, yet refused a zero in w1
+        item = corpus(3, "random-steps")[0]
+        w1 = item.w1.samples.copy()
+        w1[5] = 0.0
+        zeroed = dataclasses.replace(item, w1=GridFunction(item.spec, w1, nonnegative=True))
+        for tag in ("C5.3", "T5.2", "T5.1"):
+            profile = catalog_profiles(tag)[0]
+            got = evaluate_inequality_item(profile, zeroed, fam64, pairs64)[:2]
+            assert got == evaluate_inequality_item(profile, item, fam64, pairs64)[:2]
+        for tag in ("T1.1", "C1.4", "T4.1", "T4.2"):
+            with pytest.raises(NonPositiveWeight, match="^w1 has a non-positive sample$"):
+                evaluate_inequality_item(catalog_profiles(tag)[0], zeroed, fam64, pairs64)
 
 
 class TestCorpus:
