@@ -394,11 +394,10 @@ def _sweep(spec: GridSpec, family: CubeFamily, values: np.ndarray, operator: str
 def _averages(family: CubeFamily, samples, ps) -> list[np.ndarray]:
     """((1/|Q|) \\int_Q |f|^p)^(1/p) for every family cube, per array f of
     `samples` and its exponent p of `ps`, from one stacked window sum; +inf
-    past the float range.  The root is skipped at p = 1, where it is the
-    identity bit for bit (a NaN's payload aside, which _finite refuses)."""
+    past the float range."""
     with np.errstate(over="ignore"):
         totals = family.integrals(np.stack([np.abs(f) ** p for f, p in zip(samples, ps)])) / family.measures
-    return [t if p == 1.0 else _scalar_pow(t, 1.0 / p) for t, p in zip(totals, ps)]
+    return [_scalar_pow(t, 1.0 / p) for t, p in zip(totals, ps)]
 
 
 def maximal(f: GridFunction, family: CubeFamily | None = None) -> GridFunction:
